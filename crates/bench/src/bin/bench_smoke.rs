@@ -44,7 +44,9 @@
 //!   `madvise`d back to the OS after the drain.
 //!
 //! Usage: `bench_smoke [--out PATH] [--iters N]` (defaults:
-//! `BENCH_pr10.json`, 60 iterations per measurement).
+//! `BENCH_smoke.json`, 60 iterations per measurement). The file name is
+//! stable across PRs so artifacts line up into a trajectory; the PR that
+//! last changed what is measured is the `"pr"` field inside ([`PR`]).
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
@@ -56,6 +58,10 @@ use pop_bench::{DsId, SchemeId};
 use pop_core::config::PublishMode;
 use pop_core::testing::SweepBench;
 use pop_core::{retire_node, Ebr, HasHeader, HazardPtrPop, Header, Smr, SmrConfig};
+
+/// The PR that last changed this binary's measurements or the code under
+/// them; written into the artifact so its *name* never has to change.
+const PR: u32 = 13;
 
 #[repr(C)]
 struct Node {
@@ -373,6 +379,7 @@ fn wait_wake_ns(futex: bool, iters: u32) -> f64 {
                 v: 0,
             }));
             let src = AtomicPtr::new(dummy);
+            smr.begin_op(1);
             let _ = smr.protect(1, 0, &src).unwrap();
             tx.send(()).unwrap();
             while !stop.load(Ordering::Relaxed) {
@@ -435,6 +442,7 @@ fn publish_pass_ns(mode: PublishMode, peers: usize, iters: u32) -> f64 {
                     v: 0,
                 }));
                 let src = AtomicPtr::new(dummy);
+                smr.begin_op(tid);
                 let _ = smr.protect(tid, 0, &src).unwrap();
                 tx.send(()).unwrap();
                 // Busy in-op reader; the yield keeps oversubscribed runs
@@ -576,7 +584,7 @@ fn slab_settlement(iters: u32) -> (f64, f64, u64, u64) {
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_pr10.json");
+    let mut out_path = String::from("BENCH_smoke.json");
     let mut iters: u32 = 60;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -838,7 +846,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"pr10_slab_vbr\",\n  \"iters\": {iters},\n  \
+        "{{\n  \"bench\": \"bench_smoke\",\n  \"pr\": {PR},\n  \"iters\": {iters},\n  \
          \"sweep_filter\": [{sweeps}\n  ],\n  \
          \"binned_fill\": [{binned}\n  ],\n  \
          \"sequential_fill_monotone_share\": {seq_share:.3},\n  \

@@ -5,7 +5,7 @@
 //!
 //! * **Epoch mode** (the common case): operations announce the global epoch
 //!   like EBR; reclaimers free nodes retired before the minimum announced
-//!   epoch. Fast — one ordered store per operation.
+//!   epoch. Fast — one fence per operation, shared with the ping filter.
 //! * **POP mode** (delay suspected): every read has *also* been recording a
 //!   private pointer reservation (relaxed store, no fence). When an
 //!   epoch-mode pass leaves the retire list above `C × reclaim_freq`, the
@@ -152,16 +152,7 @@ impl Smr for EpochPop {
     fn new(cfg: SmrConfig) -> Arc<Self> {
         let n = cfg.max_threads;
         let base = DomainBase::new(cfg);
-        let pop = PopShared::leak(
-            n,
-            base.cfg.slots,
-            Arc::clone(&base.stats),
-            true,
-            base.cfg.publish_spin,
-            base.cfg.futex_wait,
-            base.cfg.publish_deadline_ns,
-            base.cfg.resolved_publish_mode() == crate::config::PublishMode::Membarrier,
-        );
+        let pop = PopShared::for_domain(&base);
         let publisher = register_publisher(pop);
         let mut reserved = Vec::with_capacity(n);
         reserved.resize_with(n, || CachePadded::new(AtomicU64::new(QUIESCENT)));
@@ -206,8 +197,9 @@ impl Smr for EpochPop {
     }
 
     fn unregister(&self, tid: usize) {
-        self.reserved_epoch[tid].store(QUIESCENT, Ordering::SeqCst);
-        self.pop.clear_local(tid);
+        // Leave any open operation first: the flush self-publishes, and a
+        // quiescent owner publishes nothing.
+        self.end_op(tid);
         self.flush(tid);
         // SAFETY: tid ownership until release.
         let list = unsafe { self.threads[tid].retire.get() };
@@ -218,7 +210,11 @@ impl Smr for EpochPop {
     }
 
     /// Alg. 3 `startOp`: periodic private clock tick + announcement (no
-    /// shared RMW on the op path).
+    /// shared RMW on the op path). EBR's bracket plus three plain stores:
+    /// the single fence is the one ordered instruction POP pays per
+    /// operation, and it orders both announcements at once — the epoch
+    /// (against the reclaimer's fence before its min-scan) and the
+    /// activity word (against the one before its ping filter).
     #[inline]
     fn begin_op(&self, tid: usize) {
         let ts = &self.threads[tid];
@@ -227,16 +223,18 @@ impl Smr for EpochPop {
         if self.ctl.tick_due(c, self.base.cfg.epoch_freq as u64) {
             self.clocks.tick(tid);
         }
-        self.pop.note_active(tid);
-        self.reserved_epoch[tid].store(self.clocks.current(), Ordering::SeqCst);
+        self.pop.note_active_unfenced(tid);
+        self.reserved_epoch[tid].store(self.clocks.current(), Ordering::Relaxed);
+        fence(Ordering::SeqCst);
     }
 
-    /// Alg. 3 `endOp`: announce quiescence and clear local reservations.
+    /// Alg. 3 `endOp`: announce quiescence twice over (epoch, activity
+    /// word). The private row is left as is — a ping that finds us
+    /// quiescent publishes nothing.
     #[inline]
     fn end_op(&self, tid: usize) {
         self.reserved_epoch[tid].store(QUIESCENT, Ordering::Release);
-        self.pop.clear_local(tid);
-        self.pop.note_quiescent(tid);
+        self.pop.end_op(tid);
     }
 
     /// Alg. 3 `read()`: identical to HazardPtrPOP — private reservation,
@@ -407,6 +405,12 @@ mod tests {
         smr.flush(0);
         assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
         drop(reg0);
+    }
+
+    #[test]
+    fn idle_reader_pinged_after_end_op_pins_nothing() {
+        use crate::pop_shared::testing::pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing;
+        pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing(|smr: &EpochPop| smr.pop);
     }
 
     #[test]

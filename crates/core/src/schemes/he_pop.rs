@@ -107,16 +107,7 @@ impl Smr for HazardEraPop {
     fn new(cfg: SmrConfig) -> Arc<Self> {
         let n = cfg.max_threads;
         let base = DomainBase::new(cfg);
-        let pop = PopShared::leak(
-            n,
-            base.cfg.slots,
-            Arc::clone(&base.stats),
-            true,
-            base.cfg.publish_spin,
-            base.cfg.futex_wait,
-            base.cfg.publish_deadline_ns,
-            base.cfg.resolved_publish_mode() == crate::config::PublishMode::Membarrier,
-        );
+        let pop = PopShared::for_domain(&base);
         let publisher = register_publisher(pop);
         let mut threads = Vec::with_capacity(n);
         threads.resize_with(n, || {
@@ -155,7 +146,9 @@ impl Smr for HazardEraPop {
     }
 
     fn unregister(&self, tid: usize) {
-        self.pop.clear_local(tid);
+        // Leave any open operation first: the flush self-publishes, and a
+        // quiescent owner publishes nothing.
+        self.end_op(tid);
         self.flush(tid);
         // SAFETY: tid ownership until release.
         let list = unsafe { self.threads[tid].retire.get() };
@@ -167,18 +160,23 @@ impl Smr for HazardEraPop {
 
     #[inline]
     fn begin_op(&self, tid: usize) {
-        // Activity word → odd so reclaimers ping us (quiescent filter).
+        // Activity word → odd so reclaimers ping us (quiescent filter);
+        // the fence inside is the one ordered instruction per operation.
         self.pop.note_active(tid);
     }
 
     #[inline]
     fn end_op(&self, tid: usize) {
-        // Alg. 5 clear(): local era slots back to NONE.
-        self.pop.clear_local(tid);
-        self.pop.note_quiescent(tid);
+        // Alg. 5 clear(), made lazy: one Release store of the activity
+        // word. The era words stay in the private row — a ping that finds
+        // us quiescent publishes NONE for every slot — so the next
+        // operation's `protect` stores only if the era moved meanwhile.
+        self.pop.end_op(tid);
     }
 
-    /// Alg. 5 `read()`: reserve the era locally; no fence on era change.
+    /// Alg. 5 `read()`: reserve the era locally; no fence on era change,
+    /// and no store at all while the slot already holds the current era
+    /// (left by this operation or an earlier one).
     #[inline]
     fn protect<T>(&self, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
         let mut prev_era = self.pop.local_at(tid, slot);
@@ -285,6 +283,7 @@ mod tests {
             let hold = Arc::clone(&hold);
             move || {
                 let reg1 = smr.register(1);
+                smr.begin_op(1);
                 let p = smr.protect(1, 0, &src).unwrap();
                 tx.send(()).unwrap();
                 while hold.load(Ordering::Acquire) {
@@ -309,6 +308,73 @@ mod tests {
             s.unreclaimed_nodes() >= 1,
             "hot node's lifespan intersects the reader's published era"
         );
+        hold.store(false, Ordering::Release);
+        reader.join().unwrap();
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+        drop(reg0);
+    }
+
+    #[test]
+    fn idle_reader_pinged_after_end_op_pins_nothing() {
+        use crate::pop_shared::testing::pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing;
+        pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing(|smr: &HazardEraPop| smr.pop);
+    }
+
+    #[test]
+    fn unchanged_era_costs_the_next_operation_no_store_yet_is_published_on_ping() {
+        // The era word survives end_op in the private row, so a second
+        // operation in the same era takes `protect`'s no-store fast path;
+        // a ping in the middle of that operation still publishes the era
+        // (the row is copied whole) and blocks the free.
+        let smr = HazardEraPop::new(
+            SmrConfig::for_tests(2)
+                .with_reclaim_freq(4)
+                .with_publish_mode(crate::config::PublishMode::Futex),
+        );
+        let reg0 = smr.register(0);
+        let hot = alloc(&smr, 7);
+        let src = Arc::new(AtomicPtr::new(hot));
+        let hold = Arc::new(AtomicBool::new(true));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn({
+            let smr = Arc::clone(&smr);
+            let src = Arc::clone(&src);
+            let hold = Arc::clone(&hold);
+            move || {
+                let reg1 = smr.register(1);
+                smr.begin_op(1);
+                let _ = smr.protect(1, 0, &src).unwrap();
+                smr.end_op(1);
+                let era = smr.current_era();
+                assert_eq!(smr.pop.local_at(1, 0), era, "end_op kept the word");
+                // Slot == era going in, so `protect` returns from its
+                // first comparison without reaching `set_local`.
+                smr.begin_op(1);
+                let p = smr.protect(1, 0, &src).unwrap();
+                assert_eq!(smr.current_era(), era, "no pass ran in between");
+                assert_eq!(smr.pop.local_at(1, 0), era);
+                tx.send(era).unwrap();
+                while hold.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                assert_eq!(unsafe { (*p).v }, 7, "node alive under the kept era");
+                smr.end_op(1);
+                drop(reg1);
+            }
+        });
+        let era = rx.recv().unwrap();
+        src.store(core::ptr::null_mut(), Ordering::SeqCst);
+        unsafe { retire_node(&*smr, 0, hot) };
+        for i in 0..8 {
+            let p = alloc(&smr, i);
+            unsafe { retire_node(&*smr, 0, p) };
+        }
+        smr.flush(0);
+        let s = smr.stats().snapshot();
+        assert!(s.pings_sent >= 1);
+        assert_eq!(smr.pop.collect_reserved(), vec![era], "era published");
+        assert!(s.unreclaimed_nodes() >= 1, "hot node pinned by that era");
         hold.store(false, Ordering::Release);
         reader.join().unwrap();
         smr.flush(0);

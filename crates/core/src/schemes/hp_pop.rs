@@ -87,16 +87,7 @@ impl Smr for HazardPtrPop {
     fn new(cfg: SmrConfig) -> Arc<Self> {
         let n = cfg.max_threads;
         let base = DomainBase::new(cfg);
-        let pop = PopShared::leak(
-            n,
-            base.cfg.slots,
-            Arc::clone(&base.stats),
-            true,
-            base.cfg.publish_spin,
-            base.cfg.futex_wait,
-            base.cfg.publish_deadline_ns,
-            base.cfg.resolved_publish_mode() == crate::config::PublishMode::Membarrier,
-        );
+        let pop = PopShared::for_domain(&base);
         let publisher = register_publisher(pop);
         let mut threads = Vec::with_capacity(n);
         threads.resize_with(n, || {
@@ -134,7 +125,9 @@ impl Smr for HazardPtrPop {
     }
 
     fn unregister(&self, tid: usize) {
-        self.pop.clear_local(tid);
+        // Leave any open operation first: the flush self-publishes, and a
+        // quiescent owner publishes nothing.
+        self.end_op(tid);
         self.flush(tid);
         // SAFETY: tid ownership until release.
         let list = unsafe { self.threads[tid].retire.get() };
@@ -155,9 +148,10 @@ impl Smr for HazardPtrPop {
 
     #[inline]
     fn end_op(&self, tid: usize) {
-        // Paper's clear(): reset local reservations when going quiescent.
-        self.pop.clear_local(tid);
-        self.pop.note_quiescent(tid);
+        // Paper's clear(), made as lazy as its publish: one Release store
+        // of the activity word. The row is cleared by whoever pings a
+        // quiescent owner — publishing nothing — not here.
+        self.pop.end_op(tid);
     }
 
     /// Alg. 1 `read()`: load, reserve locally (relaxed), validate. The
@@ -240,6 +234,7 @@ mod tests {
         let reg = smr.register(0);
         let hot = alloc(&smr, 42);
         let src = AtomicPtr::new(hot);
+        smr.begin_op(0);
         let _ = smr.protect(0, 0, &src).unwrap();
         src.store(core::ptr::null_mut(), Ordering::SeqCst);
         unsafe { retire_node(&*smr, 0, hot) };
@@ -283,6 +278,7 @@ mod tests {
             let hold = Arc::clone(&hold);
             move || {
                 let reg1 = smr.register(1);
+                smr.begin_op(1);
                 let p = smr.protect(1, 0, &src).unwrap();
                 tx.send(()).unwrap();
                 // Keep the protection while spinning; the reclaimer's ping
@@ -320,6 +316,12 @@ mod tests {
         smr.flush(0);
         assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
         drop(reg0);
+    }
+
+    #[test]
+    fn idle_reader_pinged_after_end_op_pins_nothing() {
+        use crate::pop_shared::testing::pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing;
+        pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing(|smr: &HazardPtrPop| smr.pop);
     }
 
     #[test]
@@ -384,8 +386,9 @@ mod tests {
 
     #[test]
     fn quiescent_idle_thread_is_not_pinged() {
-        // A registered but quiescent peer with empty reservations must be
-        // skipped by pingAllToPublish — the quiescent-thread filter.
+        // A registered but quiescent peer with an empty published row must
+        // be skipped by pingAllToPublish — the quiescent-thread filter —
+        // whatever its finished operation left in its private row.
         let smr = HazardPtrPop::new(
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(4)
@@ -401,12 +404,17 @@ mod tests {
             move || {
                 let reg1 = smr.register(1);
                 // One full op cycle, then stay registered but idle.
+                let node = alloc(&smr, 5);
+                let src = AtomicPtr::new(node);
                 smr.begin_op(1);
+                let _ = smr.protect(1, 0, &src).unwrap();
                 smr.end_op(1);
+                assert_ne!(smr.pop.local_at(1, 0), 0, "end_op clears nothing");
                 tx.send(()).unwrap();
                 while hold.load(Ordering::Acquire) {
                     std::thread::yield_now();
                 }
+                unsafe { drop(Box::from_raw(node)) };
                 drop(reg1);
             }
         });
@@ -449,6 +457,7 @@ mod tests {
             let hold = Arc::clone(&hold);
             move || {
                 let reg1 = smr.register(1);
+                smr.begin_op(1);
                 let _ = smr.protect(1, 0, &src).unwrap();
                 tx.send(()).unwrap();
                 while hold.load(Ordering::Acquire) {

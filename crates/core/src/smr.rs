@@ -3,12 +3,12 @@
 //! All twelve schemes implement [`Smr`]; concurrent data structures are
 //! written once against it. The interface mirrors the programmer's view of
 //! hazard pointers from the paper (§4.1.1): `read` (here [`Smr::protect`]),
-//! `clear` (folded into [`Smr::end_op`]) and `retire`, extended with the
-//! epoch-style operation brackets (`begin_op`/`end_op`) and NBR's
-//! write-phase bracket (`begin_write`/`end_write`) so that restart-based
-//! and epoch-based schemes fit the same call sites. For schemes that don't
-//! need a bracket the calls are no-ops and compile away under
-//! monomorphization.
+//! `clear` (what [`Smr::end_op`] means, however a scheme implements it) and
+//! `retire`, extended with the epoch-style operation brackets
+//! (`begin_op`/`end_op`) and NBR's write-phase bracket
+//! (`begin_write`/`end_write`) so that restart-based and epoch-based schemes
+//! fit the same call sites. For schemes that don't need a bracket the calls
+//! are no-ops and compile away under monomorphization.
 
 use core::sync::atomic::AtomicPtr;
 use std::sync::Arc;
@@ -47,6 +47,11 @@ pub type ReadResult<T> = Result<*mut T, Restart>;
 /// for updates:      begin_write(tid, &[ptrs])?;  CAS;  retire(tid, r);  end_write(tid);
 /// end_op(tid);                                         // Alg.1 clear()
 /// ```
+///
+/// A pointer returned by `protect` is protected only from that call until
+/// the enclosing bracket's `end_op`; no scheme protects a reader outside
+/// its bracket (EBR has no announcement there, HP has cleared its slots,
+/// the POP schemes publish nothing for a quiescent thread).
 ///
 /// `retire` must be called inside a `begin_write`/`end_write` bracket (the
 /// unlinking CAS and the retirement form NBR's write phase; for all other
@@ -104,7 +109,12 @@ pub trait Smr: Send + Sync + Sized + 'static {
     /// Operation prologue (epoch announcement for EBR-family schemes).
     fn begin_op(&self, tid: usize);
 
-    /// Operation epilogue — clears reservations (paper's `clear()`).
+    /// Operation epilogue — the paper's `clear()`: every reservation made
+    /// since `begin_op` is dropped. *How* is the scheme's business: HP
+    /// zeroes its published slots, EBR withdraws its announcement, and the
+    /// POP schemes only mark the thread quiescent — their reservation row
+    /// is private until pinged, and a ping publishes it if its owner is
+    /// inside an operation and publishes nothing otherwise.
     fn end_op(&self, tid: usize);
 
     /// Protected read of `src` into hazard `slot` — the paper's `read()`.

@@ -106,6 +106,7 @@ fn survivors_with_batch(batch: usize) -> (u64, u64, u64) {
     let reg0 = smr.register(0);
     let hot = alloc(&*smr, 0, 42);
     let src = AtomicPtr::new(hot);
+    smr.begin_op(0);
     let _ = smr.protect(0, 0, &src).unwrap();
     src.store(core::ptr::null_mut(), Ordering::SeqCst);
     unsafe { retire_node(&*smr, 0, hot) };

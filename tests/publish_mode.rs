@@ -50,12 +50,18 @@ fn cfg(mode: PublishMode) -> SmrConfig {
 fn churn<S: Smr>(config: SmrConfig) -> Arc<S> {
     let smr = S::new(config);
     let map = Arc::new(HmList::with_domain(Arc::clone(&smr)));
+    // Everyone registers before anyone churns: on a fast host a worker
+    // otherwise finishes before the next one exists, and no pass ever has
+    // a peer to ping (or to elide a ping to).
+    let all_registered = Arc::new(std::sync::Barrier::new(WORKERS));
     let handles: Vec<_> = (0..WORKERS)
         .map(|tid| {
             let map = Arc::clone(&map);
             let smr = Arc::clone(&smr);
+            let all_registered = Arc::clone(&all_registered);
             std::thread::spawn(move || {
                 let reg = smr.register(tid);
+                all_registered.wait();
                 let mut k = tid as u64;
                 for _ in 0..OPS_PER_WORKER {
                     map.insert(tid, k % KEYS, k);
@@ -70,12 +76,23 @@ fn churn<S: Smr>(config: SmrConfig) -> Arc<S> {
         h.join().unwrap();
     }
     let reg = smr.register(WORKERS);
-    for _ in 0..200 {
+    // Workers that overlapped leave orphans behind (VBR most of all: a
+    // peer's announcement pins its exit flush), and a pass steals one
+    // bounded chunk of them — so drain for as long as flushes make
+    // progress, and give up only after 200 that made none.
+    let (mut left, mut stalled) = (u64::MAX, 0);
+    while stalled < 200 {
         smr.flush(WORKERS);
-        if smr.stats().snapshot().unreclaimed_nodes() == 0 {
+        let now = smr.stats().snapshot().unreclaimed_nodes();
+        if now == 0 {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        if now < left {
+            (left, stalled) = (now, 0);
+        } else {
+            stalled += 1;
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
     }
     // The workload is self-cancelling: every worker removes what it
     // inserted, so the drained list must be empty in every mode.
