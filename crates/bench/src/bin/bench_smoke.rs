@@ -40,8 +40,11 @@
 //! * **Slab settlement** (PR 10): the whole-slab settle path (owned-arena
 //!   bump fills whose retire blocks pass one range test and free wholesale
 //!   into their slab) vs the per-node merge-join sweep over a Box-backed
-//!   address-random fill, plus the `slab_frees_whole` count and the bytes
-//!   `madvise`d back to the OS after the drain.
+//!   address-random fill, plus the `slab_frees_whole` count.
+//! * **Slab recycling** (PR 19): ns per allocation when refilling slabs the
+//!   empty pool kept warm vs slabs that overflowed it and came back cold
+//!   (pages `madvise`d away, so every page faults again), plus the bytes
+//!   that overflow handed to the OS.
 //!
 //! Usage: `bench_smoke [--out PATH] [--iters N]` (defaults:
 //! `BENCH_smoke.json`, 60 iterations per measurement). The file name is
@@ -61,7 +64,7 @@ use pop_core::{retire_node, Ebr, HasHeader, HazardPtrPop, Header, Smr, SmrConfig
 
 /// The PR that last changed this binary's measurements or the code under
 /// them; written into the artifact so its *name* never has to change.
-const PR: u32 = 13;
+const PR: u32 = 19;
 
 #[repr(C)]
 struct Node {
@@ -524,9 +527,8 @@ fn matrix_smoke() -> Vec<(String, f64, u64)> {
 /// bump-fills the owned arenas with the reservations drawn from the tail,
 /// so the reserved window misses all but the last block(s) and the rest
 /// settle whole — one range test, then a wholesale free into their slab.
-/// Returns `(slab_ns_per_node, merge_join_ns_per_node, slab_frees_whole,
-/// slab_released_bytes)`.
-fn slab_settlement(iters: u32) -> (f64, f64, u64, u64) {
+/// Returns `(slab_ns_per_node, merge_join_ns_per_node, slab_frees_whole)`.
+fn slab_settlement(iters: u32) -> (f64, f64, u64) {
     const NODES: usize = SWEEP_NODES * 4;
     const RSIZE: usize = 64;
     // The two sides run INTERLEAVED round-robin (as the PR-5 comparisons
@@ -570,17 +572,88 @@ fn slab_settlement(iters: u32) -> (f64, f64, u64, u64) {
     }
     let frees_whole = slab_bench.slab_frees_whole();
     assert!(frees_whole > 0, "slab fills must settle blocks whole");
-    // Seal the bench thread's actives so the final drain settles every
-    // slab: the released-bytes gauge only moves for sealed slabs.
-    pop_core::slab::release_thread_slabs();
-    let released = pop_core::slab::released_bytes();
-    assert!(released > 0, "drained slabs must hand pages back to the OS");
     (
         slab_ns as f64 / NODES as f64,
         box_ns as f64 / NODES as f64,
         frees_whole,
-        released,
     )
+}
+
+/// PR 19: what the empty pool's warm stack saves per allocation. Each
+/// iteration drains `WARM_SLABS + COLD_SLABS` full slabs at once — the first
+/// `WARM_SLABS` to empty are pooled as they are, the rest overflow the cache
+/// and release their pages — and then refills them: the pool hands the warm
+/// ones back first, so the refill's first `WARM_SLABS` slabs are bump
+/// allocation and nothing else, and its last `COLD_SLABS` pay a page fault
+/// every 64 nodes on top. Both phases run in every iteration and each
+/// reports its fastest, as the other comparisons here do. Returns
+/// `(warm_ns_per_alloc, cold_ns_per_alloc, slab_released_bytes)`, the last
+/// being the process-wide gauge after the final drain.
+fn slab_recycle(iters: u32) -> (f64, f64, u64) {
+    use pop_core::slab::{alloc_value, free_value, SLAB_BYTES, WARM_SLABS};
+
+    /// The 64-byte class: where the list, hash-table and tree nodes land.
+    #[repr(C)]
+    struct SlabNode {
+        hdr: Header,
+        payload: [u64; 5],
+    }
+    unsafe impl HasHeader for SlabNode {}
+
+    const COLD_SLABS: usize = 16;
+    /// Slots of that class in one slab (its first page is the header).
+    const PER_SLAB: usize = (SLAB_BYTES - 4096) / core::mem::size_of::<SlabNode>();
+
+    // Allocates `slabs` slabs' worth of nodes; ns per allocation.
+    let fill = |slabs: usize, nodes: &mut Vec<*mut SlabNode>| {
+        let n = slabs * PER_SLAB;
+        let t0 = Instant::now();
+        for i in 0..n as u64 {
+            nodes.push(alloc_value(
+                SlabNode {
+                    hdr: Header::new(0, core::mem::size_of::<SlabNode>()),
+                    payload: [i; 5],
+                },
+                true,
+            ));
+        }
+        t0.elapsed().as_nanos() as f64 / n as f64
+    };
+    let slab_of = |p: *mut SlabNode| p as usize & !(SLAB_BYTES - 1);
+
+    // Start on a slab boundary so the two phases split where the pool does.
+    pop_core::slab::release_thread_slabs();
+    let released_before = pop_core::slab::released_bytes();
+    let mut nodes = Vec::with_capacity((WARM_SLABS + COLD_SLABS) * PER_SLAB);
+    let (mut warm_ns, mut cold_ns) = (f64::MAX, f64::MAX);
+    for i in 0..iters + 2 {
+        let warm = fill(WARM_SLABS, &mut nodes);
+        let cold = fill(COLD_SLABS, &mut nodes);
+        // The first fill takes whatever earlier benches left pooled (or
+        // maps); from the second on the pool is what this loop left there.
+        if i >= 2 {
+            warm_ns = warm_ns.min(warm);
+            cold_ns = cold_ns.min(cold);
+        }
+        assert_eq!(slab_of(nodes[PER_SLAB - 1]), slab_of(nodes[0]));
+        assert_ne!(slab_of(nodes[PER_SLAB]), slab_of(nodes[0]));
+        pop_core::slab::release_thread_slabs(); // seal, so the drain settles
+        for p in nodes.drain(..) {
+            // SAFETY: allocated above, never shared, freed once.
+            unsafe { free_value(p) };
+        }
+    }
+    let released = pop_core::slab::released_bytes();
+    assert!(
+        released > released_before,
+        "slabs past the warm cache must hand their pages back to the OS"
+    );
+    assert!(
+        warm_ns < cold_ns,
+        "a warm slab must refill faster than a released one \
+         ({warm_ns:.2} vs {cold_ns:.2} ns/alloc)"
+    );
+    (warm_ns, cold_ns, released)
 }
 
 fn main() {
@@ -817,15 +890,24 @@ fn main() {
     );
     println!("pressure_untripped_default: {untripped}");
 
-    // PR 10: whole-slab settlement vs the merge-join sweep, plus the
-    // OS-release gauge after the drain. Acceptance bar: the settle path
-    // ≥ 2× faster, and `slab_released_bytes > 0`.
-    let (slab_ns, slab_mj_ns, slab_whole, slab_released) = slab_settlement(iters);
+    // PR 10: whole-slab settlement vs the merge-join sweep. Acceptance
+    // bar: the settle path ≥ 2× faster.
+    let (slab_ns, slab_mj_ns, slab_whole) = slab_settlement(iters);
     let slab_speedup = slab_mj_ns / slab_ns;
     println!(
         "slab_settlement: whole-slab {slab_ns:.2} ns/node vs merge-join \
          {slab_mj_ns:.2} ns/node ({slab_speedup:.2}x), {slab_whole} blocks \
-         settled whole, {slab_released} bytes released"
+         settled whole"
+    );
+
+    // PR 19: refilling warm slabs vs released ones, plus the OS-release
+    // gauge after the overflowing drains. Acceptance bar: warm < cold
+    // (asserted inside) and `slab_released_bytes > 0`.
+    let (recycle_warm_ns, recycle_cold_ns, slab_released) = slab_recycle(iters);
+    println!(
+        "slab_recycle: warm {recycle_warm_ns:.2} vs cold {recycle_cold_ns:.2} \
+         ns/alloc ({:.2}x), {slab_released} bytes released",
+        recycle_cold_ns / recycle_warm_ns
     );
 
     // PR 9: the new matrix cells (skip list + NM tree) through the
@@ -872,6 +954,8 @@ fn main() {
          \"merge_join_ns_per_node\": {slab_mj_ns:.2}, \
          \"settle_speedup\": {slab_speedup:.3}, \
          \"slab_frees_whole\": {slab_whole}, \
+         \"slab_recycle\": {{\"warm_ns_per_alloc\": {recycle_warm_ns:.2}, \
+         \"cold_ns_per_alloc\": {recycle_cold_ns:.2}}}, \
          \"slab_released_bytes\": {slab_released}}},\n  \
          \"matrix_smoke\": [{matrix_json}\n  ]\n}}\n"
     );

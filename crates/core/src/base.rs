@@ -104,6 +104,7 @@ use parking_lot::Mutex;
 
 use crate::config::SmrConfig;
 use crate::header::{RetireBatch, Retired, SortKey, RETIRE_BATCH_CAP};
+use crate::pop_shared::Rows;
 use crate::pressure::{Escalation, PressureRung, StallTracker};
 use crate::stats::DomainStats;
 
@@ -1766,23 +1767,17 @@ pub(crate) unsafe fn free_before_epoch_with_stalled(
     }
 }
 
-/// Scans every registered thread's reservation slots (`cells` laid out as
-/// `tid * slots_per_thread + slot`) into `out` as a sorted, deduplicated
-/// set of non-zero words. Shared by the eager-publication schemes (HP,
-/// HPAsym, HE); allocation-free once `out` has grown to working capacity.
-pub(crate) fn collect_slot_words_into(
-    base: &DomainBase,
-    slots_per_thread: usize,
-    cells: &[AtomicU64],
-    out: &mut Vec<u64>,
-) {
+/// Scans every registered thread's reservation row into `out` as a sorted,
+/// deduplicated set of non-zero words. Shared by the eager pointer schemes
+/// (HP, HPAsym); allocation-free once `out` has grown to working capacity.
+pub(crate) fn collect_slot_words_into(base: &DomainBase, rows: &Rows, out: &mut Vec<u64>) {
     out.clear();
     for t in 0..base.cfg.max_threads {
         if !base.is_registered(t) {
             continue;
         }
-        for s in 0..slots_per_thread {
-            let w = cells[t * slots_per_thread + s].load(Ordering::Acquire);
+        for cell in rows.row(t) {
+            let w = cell.load(Ordering::Acquire);
             if w != 0 {
                 out.push(w);
             }

@@ -278,7 +278,8 @@ pub struct SmrConfig {
     /// Allocate reclaimable nodes from the owned slab arenas
     /// ([`crate::slab`]): per-thread bump fills are address-monotone by
     /// construction, whole-slab frees settle via one range test, and
-    /// fully-empty slabs are `madvise`d back to the OS. `false` restores
+    /// fully-empty slabs are recycled (past a small warm cache, `madvise`d
+    /// back to the OS). `false` restores
     /// plain `Box` allocation (the legacy pipeline, where arena bins are
     /// guessed from pointer high bits). Env `POP_SLAB`.
     pub slab_alloc: bool,

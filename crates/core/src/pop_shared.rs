@@ -167,7 +167,7 @@ const MEMBARRIER_DEAD_PROBE_EVERY: u64 = 64;
 /// One cache line of reservation words — the unit rows are allocated in.
 #[derive(Default)]
 #[repr(align(64))]
-struct Line([AtomicU64; LINE_WORDS]);
+pub(crate) struct Line([AtomicU64; LINE_WORDS]);
 
 const LINE_WORDS: usize = 8;
 
@@ -176,25 +176,71 @@ fn zeroed<T: Default>(n: usize) -> Box<[T]> {
     (0..n).map(|_| T::default()).collect()
 }
 
+/// Per-thread reservation rows, the one layout every scheme with
+/// reservation words uses: each tid's row starts on its own cache line
+/// ([`Line`]) and spans a power-of-two number of them, so neighbouring tids
+/// never share a line (a row is stored to, and for the eager schemes fenced
+/// on, by its owner on every read) and indexing is a shift. The eager
+/// schemes (HP, HPAsym, HE) own theirs; [`PopShared`] leaks its two like the
+/// struct that points at them.
+#[derive(Clone, Copy)]
+pub(crate) struct Rows<L = Box<[Line]>> {
+    lines: L,
+    /// log2 of a row's stride in words.
+    row_shift: u32,
+    slots: usize,
+}
+
+impl Rows {
+    /// Zeroed rows of `slots` words for `nthreads` tids.
+    pub(crate) fn new(nthreads: usize, slots: usize) -> Self {
+        let row_shift = slots.max(LINE_WORDS).next_power_of_two().trailing_zeros();
+        Rows {
+            lines: zeroed((nthreads << row_shift) / LINE_WORDS),
+            row_shift,
+            slots,
+        }
+    }
+
+    fn leak(self) -> Rows<&'static [Line]> {
+        Rows {
+            lines: Box::leak(self.lines),
+            row_shift: self.row_shift,
+            slots: self.slots,
+        }
+    }
+}
+
+impl<L: core::ops::Deref<Target = [Line]>> Rows<L> {
+    /// Word `slot` of `tid`'s row.
+    #[inline(always)]
+    pub(crate) fn word(&self, tid: usize, slot: usize) -> &AtomicU64 {
+        debug_assert!(slot < self.slots);
+        let i = (tid << self.row_shift) + slot;
+        &self.lines[i / LINE_WORDS].0[i % LINE_WORDS]
+    }
+
+    /// Every word of `tid`'s row, slot 0 first.
+    #[inline(always)]
+    pub(crate) fn row(&self, tid: usize) -> impl Iterator<Item = &AtomicU64> {
+        (0..self.slots).map(move |slot| self.word(tid, slot))
+    }
+}
+
 /// Shared reservation state for one publish-on-ping domain.
 pub(crate) struct PopShared {
     nthreads: usize,
-    slots: usize,
-    /// log2 of a row's stride in words: each tid's row starts on its own
-    /// cache line ([`Line`]) and spans a power-of-two number of them, so
-    /// neighbouring tids never share a line and indexing is a shift.
-    row_shift: u32,
     /// `localReservations[tid][slot]` — owner-written (relaxed), read by the
     /// owner's own signal handler and by diagnostic code.
-    local: &'static [Line],
+    local: Rows<&'static [Line]>,
     /// `sharedReservations[tid][slot]` — filled on publish, scanned by
     /// reclaimers.
-    shared: &'static [Line],
+    shared: Rows<&'static [Line]>,
     /// The rows the *owner* writes reservations to, resolved once: `local`
     /// under the signal modes (published by the handler's copy), `shared`
     /// under membarrier mode (made visible by the reclaimer's heavy
     /// barrier). `set_local`/`local_at`/`clear_local` go through it.
-    owner: &'static [Line],
+    owner: Rows<&'static [Line]>,
     /// `publishCounter[tid]`.
     counter: Box<[CachePadded<AtomicU64>]>,
     /// 32-bit futex key per thread, bumped alongside `counter` on every
@@ -276,14 +322,10 @@ impl PopShared {
         publish_deadline_ns: u64,
         membarrier: bool,
     ) -> &'static Self {
-        let row_shift = slots.max(LINE_WORDS).next_power_of_two().trailing_zeros();
-        // Rows are leaked like the struct that points at them.
-        let rows = || &*Box::leak(zeroed::<Line>((nthreads << row_shift) / LINE_WORDS));
+        let rows = || Rows::new(nthreads, slots).leak();
         let (local, shared) = (rows(), rows());
         Box::leak(Box::new(PopShared {
             nthreads,
-            slots,
-            row_shift,
             local,
             shared,
             owner: if membarrier { shared } else { local },
@@ -324,12 +366,10 @@ impl PopShared {
         )
     }
 
-    /// Word `slot` of `tid`'s row in `rows` (one of `local`/`shared`/`owner`).
+    /// Reservation words per thread.
     #[inline(always)]
-    fn word<'a>(&self, rows: &'a [Line], tid: usize, slot: usize) -> &'a AtomicU64 {
-        debug_assert!(slot < self.slots);
-        let i = (tid << self.row_shift) + slot;
-        &rows[i / LINE_WORDS].0[i % LINE_WORDS]
+    fn slots(&self) -> usize {
+        self.shared.slots
     }
 
     /// Hot-path local reservation (paper Alg. 1 line 11): a relaxed store,
@@ -338,15 +378,14 @@ impl PopShared {
     /// reclaimer's heavy barrier publishes it; no handler copy needed).
     #[inline(always)]
     pub(crate) fn set_local(&self, tid: usize, slot: usize, word: u64) {
-        self.word(self.owner, tid, slot)
-            .store(word, Ordering::Relaxed);
+        self.owner.word(tid, slot).store(word, Ordering::Relaxed);
     }
 
     /// Owner-side read of a local reservation (HazardEraPOP caches the last
     /// reserved era this way).
     #[inline(always)]
     pub(crate) fn local_at(&self, tid: usize, slot: usize) -> u64 {
-        self.word(self.owner, tid, slot).load(Ordering::Relaxed)
+        self.owner.word(tid, slot).load(Ordering::Relaxed)
     }
 
     /// Marks `tid` as inside an operation (activity word → odd).
@@ -409,16 +448,16 @@ impl PopShared {
     /// keep their last published value until the next ping.
     #[inline(never)]
     pub(crate) fn clear_local(&self, tid: usize) {
-        for s in 0..self.slots {
-            self.word(self.owner, tid, s).store(0, Ordering::Relaxed);
+        for s in 0..self.slots() {
+            self.owner.word(tid, s).store(0, Ordering::Relaxed);
         }
     }
 
     /// Joins the domain's ping set.
     pub(crate) fn register(&self, tid: usize, gtid: usize) {
-        for s in 0..self.slots {
-            self.word(self.local, tid, s).store(0, Ordering::Relaxed);
-            self.word(self.shared, tid, s).store(0, Ordering::Relaxed);
+        for s in 0..self.slots() {
+            self.local.word(tid, s).store(0, Ordering::Relaxed);
+            self.shared.word(tid, s).store(0, Ordering::Relaxed);
         }
         // Fresh occupants start quiescent; any parity left by a previous
         // occupant is normalized, and its streak must not carry over.
@@ -479,13 +518,13 @@ impl PopShared {
         // is exactly what the signal fallback path needs from it.
         if !self.membarrier {
             let in_op = self.activity[tid].load(Ordering::Relaxed) & 1 != 0;
-            for s in 0..self.slots {
+            for s in 0..self.slots() {
                 let w = if in_op {
-                    self.word(self.local, tid, s).load(Ordering::Relaxed)
+                    self.local.word(tid, s).load(Ordering::Relaxed)
                 } else {
                     0
                 };
-                self.word(self.shared, tid, s).store(w, Ordering::Relaxed);
+                self.shared.word(tid, s).store(w, Ordering::Relaxed);
             }
         }
         self.announce_row(tid);
@@ -537,7 +576,7 @@ impl PopShared {
         // Stale non-zero shared words would pin garbage forever without a
         // refreshing publish — always ping those threads.
         self.activity[t].load(Ordering::SeqCst) & 1 == 0
-            && (0..self.slots).all(|s| self.word(self.shared, t, s).load(Ordering::Acquire) == 0)
+            && (0..self.slots()).all(|s| self.shared.word(t, s).load(Ordering::Acquire) == 0)
     }
 
     /// Executes one process-wide heavy barrier, accounting it on `me`'s
@@ -800,7 +839,7 @@ impl PopShared {
     /// (tests and diagnostics only — reclamation passes use the scratch
     /// variant).
     pub(crate) fn collect_reserved(&self) -> Vec<u64> {
-        let mut v = Vec::with_capacity(self.nthreads * self.slots);
+        let mut v = Vec::with_capacity(self.nthreads * self.slots());
         self.collect_reserved_into(&mut v);
         v
     }
@@ -827,13 +866,13 @@ impl PopShared {
             // extra pass; racing torn reads are impossible (words are
             // single atomics) and stale reads only widen the keep set.
             let suspect = self.suspect[t].load(Ordering::Acquire);
-            for s in 0..self.slots {
-                let w = self.word(self.shared, t, s).load(Ordering::Acquire);
+            for s in 0..self.slots() {
+                let w = self.shared.word(t, s).load(Ordering::Acquire);
                 if w != 0 {
                     out.push(w);
                 }
                 if suspect {
-                    let l = self.word(self.local, t, s).load(Ordering::Acquire);
+                    let l = self.local.word(t, s).load(Ordering::Acquire);
                     if l != 0 {
                         out.push(l);
                     }
@@ -850,8 +889,8 @@ impl PopShared {
     /// pointer keeps the signature constant; any progress moves it.
     pub(crate) fn shared_word_signature(&self, t: usize) -> u64 {
         let mut sig = 0u64;
-        for s in 0..self.slots {
-            let w = self.word(self.shared, t, s).load(Ordering::Acquire);
+        for s in 0..self.slots() {
+            let w = self.shared.word(t, s).load(Ordering::Acquire);
             if w != 0 && (sig == 0 || w < sig) {
                 sig = w;
             }
@@ -864,7 +903,7 @@ impl PopShared {
     /// parked block stays parked only while its blocker's pinning word is
     /// still visible).
     pub(crate) fn holds_shared_word(&self, t: usize, w: u64) -> bool {
-        (0..self.slots).any(|s| self.word(self.shared, t, s).load(Ordering::Acquire) == w)
+        (0..self.slots()).any(|s| self.shared.word(t, s).load(Ordering::Acquire) == w)
     }
 
     /// Hard-rung targeted re-ping: signals every *suspect* registered peer
@@ -936,9 +975,9 @@ impl PopShared {
     /// below; a dead thread's reservations protect nothing because it can
     /// no longer dereference.
     pub(crate) fn force_unregister(&self, tid: usize) {
-        for s in 0..self.slots {
-            self.word(self.local, tid, s).store(0, Ordering::Relaxed);
-            self.word(self.shared, tid, s).store(0, Ordering::Relaxed);
+        for s in 0..self.slots() {
+            self.local.word(tid, s).store(0, Ordering::Relaxed);
+            self.shared.word(tid, s).store(0, Ordering::Relaxed);
         }
         // Waiters parked on the dead thread's publish word must observe
         // this and re-check.
@@ -1223,29 +1262,51 @@ mod tests {
         assert_eq!(p.collect_reserved(), vec![7, 42]);
     }
 
+    /// Every tid's row in every one of `all` starts a cache line, is
+    /// contiguous, and overlaps no other row's lines.
+    fn assert_line_aligned_and_distinct<L: core::ops::Deref<Target = [Line]>>(
+        all: &[&Rows<L>],
+        n: usize,
+        slots: usize,
+    ) {
+        let mut bases = Vec::new();
+        for rows in all {
+            for t in 0..n {
+                let base = rows.word(t, 0) as *const AtomicU64 as usize;
+                let last = rows.word(t, slots - 1) as *const AtomicU64 as usize;
+                assert_eq!(base % 64, 0, "row {t} of {slots} slots");
+                assert_eq!(last - base, (slots - 1) * 8, "row is contiguous");
+                assert_eq!(rows.row(t).count(), slots);
+                bases.push(base);
+            }
+        }
+        bases.sort_unstable();
+        let stride = slots.next_power_of_two().max(8) * 8;
+        assert!(
+            bases.windows(2).all(|w| w[1] - w[0] >= stride),
+            "rows overlap: {bases:x?}"
+        );
+    }
+
     #[test]
     fn rows_are_line_aligned_and_distinct() {
+        use crate::config::SmrConfig;
+        use crate::schemes::{he::HazardEra, hp::HazardPtr, hp_asym::HazardPtrAsym};
+        use crate::smr::Smr;
         for (n, slots) in [(4, 1), (4, 8), (3, 9), (2, 16)] {
             for p in [mk(n, slots), mk_mb(n, slots)] {
-                let mut bases = Vec::new();
-                for rows in [p.local, p.shared] {
-                    for t in 0..n {
-                        let base = p.word(rows, t, 0) as *const AtomicU64 as usize;
-                        let last = p.word(rows, t, slots - 1) as *const AtomicU64 as usize;
-                        assert_eq!(base % 64, 0, "row {t} of {slots} slots");
-                        assert_eq!(last - base, (slots - 1) * 8, "row is contiguous");
-                        bases.push(base);
-                    }
-                }
-                bases.sort_unstable();
-                let stride = slots.next_power_of_two().max(8) * 8;
-                assert!(
-                    bases.windows(2).all(|w| w[1] - w[0] >= stride),
-                    "rows overlap: {bases:x?}"
-                );
+                assert_line_aligned_and_distinct(&[&p.local, &p.shared], n, slots);
                 let owner = if p.membarrier { p.shared } else { p.local };
-                assert!(core::ptr::eq(p.owner, owner), "owner resolved at leak");
+                assert!(
+                    core::ptr::eq(p.owner.lines, owner.lines),
+                    "owner resolved at leak"
+                );
             }
+            // The eager schemes' one array of rows is the same layout.
+            let cfg = SmrConfig::for_tests(n).with_slots(slots);
+            assert_line_aligned_and_distinct(&[&HazardPtr::new(cfg.clone()).shared], n, slots);
+            assert_line_aligned_and_distinct(&[&HazardEra::new(cfg.clone()).shared], n, slots);
+            assert_line_aligned_and_distinct(&[&HazardPtrAsym::new(cfg).shared], n, slots);
         }
     }
 

@@ -17,6 +17,7 @@ use crate::base::{
 };
 use crate::config::SmrConfig;
 use crate::header::Retired;
+use crate::pop_shared::Rows;
 use crate::pressure::{PressureRung, HARD_RETRY_LIMIT, STALLED_AFTER_PASSES};
 use crate::smr::{ReadResult, Smr};
 use crate::stats::DomainStats;
@@ -35,17 +36,11 @@ pub struct HazardEra {
     /// Global era clock, starts at 1 (0 is the NONE sentinel).
     era: CachePadded<AtomicU64>,
     /// `sharedReservations[tid][slot]` holding era numbers.
-    shared: Box<[AtomicU64]>,
+    pub(crate) shared: Rows,
     threads: Box<[CachePadded<ThreadState>]>,
 }
 
 impl HazardEra {
-    #[inline(always)]
-    fn idx(&self, tid: usize, slot: usize) -> usize {
-        debug_assert!(slot < self.base.cfg.slots);
-        tid * self.base.cfg.slots + slot
-    }
-
     /// Stall-aware era collection: gathers the union of published eras
     /// into `reserved` (sorted, deduplicated) while feeding each thread's
     /// minimum published era into the domain stall tracker. Under the
@@ -70,8 +65,8 @@ impl HazardEra {
             // constant; any progress moves it.
             let mut sig = 0u64;
             let start = reserved.len();
-            for s in 0..self.base.cfg.slots {
-                let w = self.shared[self.idx(t, s)].load(Ordering::Acquire);
+            for cell in self.shared.row(t) {
+                let w = cell.load(Ordering::Acquire);
                 if w != 0 {
                     reserved.push(w);
                     if sig == 0 || w < sig {
@@ -113,8 +108,9 @@ impl HazardEra {
         // longer publishes (or a reaped blocker) rejoin the list and are
         // re-filtered against the full union below.
         self.base.reclaim_released_quarantine(tid, list, |t, w| {
-            (0..self.base.cfg.slots)
-                .any(|s| self.shared[self.idx(t, s)].load(Ordering::Acquire) == w)
+            self.shared
+                .row(t)
+                .any(|cell| cell.load(Ordering::Acquire) == w)
         });
         self.base.stats.shard(tid).observe_retire_len(list.len());
         let active = blocker.map(|(t, w)| (scratch.active.as_slice(), t, w));
@@ -134,9 +130,7 @@ impl Smr for HazardEra {
     const NEEDS_SIGNALS: bool = false;
 
     fn new(cfg: SmrConfig) -> Arc<Self> {
-        let cells = cfg.max_threads * cfg.slots;
-        let mut shared = Vec::with_capacity(cells);
-        shared.resize_with(cells, || AtomicU64::new(NONE));
+        let shared = Rows::new(cfg.max_threads, cfg.slots); // all `NONE`
         let n = cfg.max_threads;
         let mut threads = Vec::with_capacity(n);
         threads.resize_with(n, || {
@@ -148,7 +142,7 @@ impl Smr for HazardEra {
         Arc::new(HazardEra {
             base: DomainBase::new(cfg),
             era: CachePadded::new(AtomicU64::new(1)),
-            shared: shared.into_boxed_slice(),
+            shared,
             threads: threads.into_boxed_slice(),
         })
     }
@@ -163,8 +157,8 @@ impl Smr for HazardEra {
 
     fn register_raw(&self, tid: usize) {
         self.base.claim(tid);
-        for s in 0..self.base.cfg.slots {
-            self.shared[self.idx(tid, s)].store(NONE, Ordering::Release);
+        for cell in self.shared.row(tid) {
+            cell.store(NONE, Ordering::Release);
         }
         // SAFETY: tid was just claimed; this thread owns the slot.
         let list = unsafe { self.threads[tid].retire.get() };
@@ -185,8 +179,8 @@ impl Smr for HazardEra {
 
     #[inline]
     fn end_op(&self, tid: usize) {
-        for s in 0..self.base.cfg.slots {
-            self.shared[self.idx(tid, s)].store(NONE, Ordering::Release);
+        for cell in self.shared.row(tid) {
+            cell.store(NONE, Ordering::Release);
         }
     }
 
@@ -194,7 +188,7 @@ impl Smr for HazardEra {
     /// last publication.
     #[inline]
     fn protect<T>(&self, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
-        let cell = &self.shared[self.idx(tid, slot)];
+        let cell = self.shared.word(tid, slot);
         let mut prev_era = cell.load(Ordering::Relaxed);
         loop {
             let p = src.load(Ordering::Acquire);
@@ -309,13 +303,13 @@ mod tests {
         let node = alloc(&smr, 1);
         let src = AtomicPtr::new(node);
         let _ = smr.protect(0, 0, &src).unwrap();
-        let published = smr.shared[0].load(Ordering::Acquire);
+        let published = smr.shared.word(0, 0).load(Ordering::Acquire);
         assert_eq!(published, smr.current_era());
         // Era unchanged: repeated protects must keep the same reservation.
         for _ in 0..10 {
             let _ = smr.protect(0, 0, &src).unwrap();
         }
-        assert_eq!(smr.shared[0].load(Ordering::Acquire), published);
+        assert_eq!(smr.shared.word(0, 0).load(Ordering::Acquire), published);
         unsafe { drop(Box::from_raw(node)) };
         drop(reg);
     }

@@ -5,7 +5,7 @@
 //! reachability. The per-read fence is the overhead publish-on-ping
 //! removes; this implementation is the faithful baseline.
 
-use core::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{fence, AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
@@ -15,6 +15,7 @@ use crate::base::{
 };
 use crate::config::SmrConfig;
 use crate::header::{unmark_word, Retired};
+use crate::pop_shared::Rows;
 use crate::smr::{ReadResult, Smr};
 use crate::stats::DomainStats;
 
@@ -27,29 +28,18 @@ struct ThreadState {
 pub struct HazardPtr {
     base: DomainBase,
     /// `sharedReservations[tid][slot]` — eagerly published on every read.
-    shared: Box<[AtomicU64]>,
+    pub(crate) shared: Rows,
     threads: Box<[CachePadded<ThreadState>]>,
 }
 
 impl HazardPtr {
-    #[inline(always)]
-    fn idx(&self, tid: usize, slot: usize) -> usize {
-        debug_assert!(slot < self.base.cfg.slots);
-        tid * self.base.cfg.slots + slot
-    }
-
     fn reclaim(&self, tid: usize) {
         // Order the reservation scan after this thread's preceding unlinks
         // (pairs with readers' per-read fences).
         fence(Ordering::SeqCst);
         // SAFETY: tid ownership per the registration contract.
         let scratch = unsafe { self.threads[tid].scratch.get() };
-        collect_slot_words_into(
-            &self.base,
-            self.base.cfg.slots,
-            &self.shared,
-            &mut scratch.reserved,
-        );
+        collect_slot_words_into(&self.base, &self.shared, &mut scratch.reserved);
         // SAFETY: tid ownership.
         let list = unsafe { self.threads[tid].retire.get() };
         self.base.stats.shard(tid).observe_retire_len(list.len());
@@ -65,9 +55,7 @@ impl Smr for HazardPtr {
     const NEEDS_SIGNALS: bool = false;
 
     fn new(cfg: SmrConfig) -> Arc<Self> {
-        let cells = cfg.max_threads * cfg.slots;
-        let mut shared = Vec::with_capacity(cells);
-        shared.resize_with(cells, || AtomicU64::new(0));
+        let shared = Rows::new(cfg.max_threads, cfg.slots);
         let n = cfg.max_threads;
         let mut threads = Vec::with_capacity(n);
         threads.resize_with(n, || {
@@ -78,7 +66,7 @@ impl Smr for HazardPtr {
         });
         Arc::new(HazardPtr {
             base: DomainBase::new(cfg),
-            shared: shared.into_boxed_slice(),
+            shared,
             threads: threads.into_boxed_slice(),
         })
     }
@@ -93,8 +81,8 @@ impl Smr for HazardPtr {
 
     fn register_raw(&self, tid: usize) {
         self.base.claim(tid);
-        for s in 0..self.base.cfg.slots {
-            self.shared[self.idx(tid, s)].store(0, Ordering::Release);
+        for cell in self.shared.row(tid) {
+            cell.store(0, Ordering::Release);
         }
         // SAFETY: tid was just claimed; this thread owns the slot.
         let list = unsafe { self.threads[tid].retire.get() };
@@ -115,14 +103,14 @@ impl Smr for HazardPtr {
 
     #[inline]
     fn end_op(&self, tid: usize) {
-        for s in 0..self.base.cfg.slots {
-            self.shared[self.idx(tid, s)].store(0, Ordering::Release);
+        for cell in self.shared.row(tid) {
+            cell.store(0, Ordering::Release);
         }
     }
 
     #[inline]
     fn protect<T>(&self, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
-        let cell = &self.shared[self.idx(tid, slot)];
+        let cell = self.shared.word(tid, slot);
         loop {
             let p = src.load(Ordering::Acquire);
             cell.store(unmark_word(p as u64), Ordering::Release);
@@ -178,12 +166,12 @@ mod tests {
         let got = smr.protect(0, 0, &src).unwrap();
         assert_eq!(got, node);
         assert_eq!(
-            smr.shared[0].load(Ordering::Acquire),
+            smr.shared.word(0, 0).load(Ordering::Acquire),
             node as u64,
             "reservation published eagerly"
         );
         smr.end_op(0);
-        assert_eq!(smr.shared[0].load(Ordering::Acquire), 0);
+        assert_eq!(smr.shared.word(0, 0).load(Ordering::Acquire), 0);
         unsafe { drop(Box::from_raw(node)) };
         drop(reg);
     }
@@ -231,7 +219,7 @@ mod tests {
         let got = smr.protect(0, 0, &src).unwrap();
         assert_eq!(got as u64, node as u64 | 1, "mark returned to the caller");
         assert_eq!(
-            smr.shared[0].load(Ordering::Acquire),
+            smr.shared.word(0, 0).load(Ordering::Acquire),
             node as u64,
             "reservation recorded unmarked"
         );

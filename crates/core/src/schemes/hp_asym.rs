@@ -19,7 +19,7 @@
 //! barrier, and therefore observes the unlink and retries (paper §2.1.2
 //! discussion of [Dice et al.] and Folly).
 
-use core::sync::atomic::{compiler_fence, fence, AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{compiler_fence, fence, AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
@@ -32,7 +32,7 @@ use crate::base::{
 };
 use crate::config::SmrConfig;
 use crate::header::{unmark_word, Retired};
-use crate::pop_shared::PopShared;
+use crate::pop_shared::{PopShared, Rows};
 use crate::smr::{ReadResult, Smr};
 use crate::stats::DomainStats;
 
@@ -45,7 +45,7 @@ struct ThreadState {
 pub struct HazardPtrAsym {
     base: DomainBase,
     /// Eagerly-shared reservations (relaxed stores).
-    shared: Box<[AtomicU64]>,
+    pub(crate) shared: Rows,
     /// Signal fallback barrier (0 copy slots: reservations are already
     /// shared; the handler contributes its fence + counter increment).
     barrier: &'static PopShared,
@@ -54,12 +54,6 @@ pub struct HazardPtrAsym {
 }
 
 impl HazardPtrAsym {
-    #[inline(always)]
-    fn idx(&self, tid: usize, slot: usize) -> usize {
-        debug_assert!(slot < self.base.cfg.slots);
-        tid * self.base.cfg.slots + slot
-    }
-
     /// The heavy side of the asymmetric barrier. `counters` is the caller's
     /// reusable scratch for the signal fallback.
     fn heavy_barrier(&self, tid: usize, counters: &mut Vec<u64>) {
@@ -84,19 +78,14 @@ impl HazardPtrAsym {
         // before `reap_one_dead` releases the tid for reuse — so the store
         // can never clobber a new claimant's live reservation.
         self.barrier.reap_one_dead(&self.base, tid, |t| {
-            for s in 0..self.base.cfg.slots {
-                self.shared[t * self.base.cfg.slots + s].store(0, Ordering::Release);
+            for cell in self.shared.row(t) {
+                cell.store(0, Ordering::Release);
             }
             // SAFETY: `reap_one_dead` established exclusivity (won reap
             // CAS + registry-confirmed death of the owner).
             unsafe { self.threads[t].retire.get() }
         });
-        collect_slot_words_into(
-            &self.base,
-            self.base.cfg.slots,
-            &self.shared,
-            &mut scratch.reserved,
-        );
+        collect_slot_words_into(&self.base, &self.shared, &mut scratch.reserved);
         // SAFETY: tid ownership.
         let list = unsafe { self.threads[tid].retire.get() };
         self.base.stats.shard(tid).observe_retire_len(list.len());
@@ -118,9 +107,7 @@ impl Smr for HazardPtrAsym {
     const NEEDS_SIGNALS: bool = true;
 
     fn new(cfg: SmrConfig) -> Arc<Self> {
-        let cells = cfg.max_threads * cfg.slots;
-        let mut shared = Vec::with_capacity(cells);
-        shared.resize_with(cells, || AtomicU64::new(0));
+        let shared = Rows::new(cfg.max_threads, cfg.slots);
         let n = cfg.max_threads;
         let base = DomainBase::new(cfg);
         // Zero copy-slots: the barrier publisher only fences and counts.
@@ -150,7 +137,7 @@ impl Smr for HazardPtrAsym {
         });
         Arc::new(HazardPtrAsym {
             base,
-            shared: shared.into_boxed_slice(),
+            shared,
             barrier,
             publisher,
             threads: threads.into_boxed_slice(),
@@ -172,8 +159,8 @@ impl Smr for HazardPtrAsym {
 
     fn register_raw(&self, tid: usize) {
         self.base.claim(tid);
-        for s in 0..self.base.cfg.slots {
-            self.shared[self.idx(tid, s)].store(0, Ordering::Release);
+        for cell in self.shared.row(tid) {
+            cell.store(0, Ordering::Release);
         }
         // SAFETY: tid was just claimed; this thread owns the slot.
         let list = unsafe { self.threads[tid].retire.get() };
@@ -196,15 +183,15 @@ impl Smr for HazardPtrAsym {
 
     #[inline]
     fn end_op(&self, tid: usize) {
-        for s in 0..self.base.cfg.slots {
-            self.shared[self.idx(tid, s)].store(0, Ordering::Release);
+        for cell in self.shared.row(tid) {
+            cell.store(0, Ordering::Release);
         }
     }
 
     /// Fence-free protected read: relaxed reservation store + validation.
     #[inline]
     fn protect<T>(&self, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
-        let cell = &self.shared[self.idx(tid, slot)];
+        let cell = self.shared.word(tid, slot);
         loop {
             let p = src.load(Ordering::Acquire);
             cell.store(unmark_word(p as u64), Ordering::Relaxed);
@@ -266,7 +253,7 @@ mod tests {
         let src = AtomicPtr::new(node);
         let _ = smr.protect(0, 0, &src).unwrap();
         assert_eq!(
-            smr.shared[0].load(Ordering::Acquire),
+            smr.shared.word(0, 0).load(Ordering::Acquire),
             node as u64,
             "reservation must be in the shared slot immediately"
         );

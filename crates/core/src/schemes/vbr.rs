@@ -8,7 +8,8 @@
 //! the minimum announced version — with the slab allocator's
 //! address-monotone fills, almost every such block settles whole against
 //! its slab in one range test (`slab_frees_whole`), and fully-empty slabs
-//! hand their pages back to the OS (`slab_released_bytes`).
+//! are recycled whole (the overflow past the allocator's warm cache hands
+//! its pages back to the OS, `slab_released_bytes`).
 //!
 //! The scheme's defining trade: instead of the reclaimer pinging laggards
 //! (POP's signal/membarrier fan-out), the *reader* re-validates its own

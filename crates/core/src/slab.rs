@@ -18,15 +18,19 @@
 //!   map (64 KiB-aligned, pop_runtime::vm)     ┌──────────────┐
 //!        │              owner bump-allocates  │    ACTIVE    │
 //!        ▼            ┌──────────────────────►│ (one owner)  │
-//!   ┌─────────┐       │                       └──────┬───────┘
-//!   │  pool   │──reuse┘                              │ owner seals (slab
-//!   └─────────┘                                      ▼ full / thread exit)
-//!        ▲                                    ┌──────────────┐
-//!        │ unique CAS winner releases payload │    SEALED    │
-//!        │ pages (madvise DONTNEED) and pools │ (total set)  │
-//!        │                                    └──────┬───────┘
-//!        │            freed == total                 │ any thread's free
-//!        └───────────────────────────────────────────┘
+//!   ┌──────────┐      │                       └──────┬───────┘
+//!   │   pool   │      │                              │ owner seals (slab
+//!   │   warm ──┼─reuse┘ (warm first, LIFO,           ▼ full / thread exit)
+//!   │   cold ──┼─┘       then cold)           ┌──────────────┐
+//!   └──────────┘                              │    SEALED    │
+//!     ▲      ▲                                │ (total set)  │
+//!     │      │ warm stack full: payload pages └──────┬───────┘
+//!     │      │ released (madvise DONTNEED),          │ any thread's free
+//!     │      │ pooled cold                           ▼ makes freed == total
+//!     │      └──────────────┐                 ┌──────────────┐
+//!     │ room: pooled warm,  ├─────────────────│    EMPTY     │
+//!     └─ pages untouched ───┘                 │ (CAS winner) │
+//!                                             └──────────────┘
 //! ```
 //!
 //! * **ACTIVE**: only the owner bumps `next`; frees from any thread just
@@ -36,17 +40,44 @@
 //!   perturbed by free-list churn.
 //! * **SEALED**: the owner published the final slot count in `total`. The
 //!   free that makes `freed == total` wins a `SEALED → EMPTY` CAS — exactly
-//!   one thread releases the payload pages back to the OS
-//!   (`madvise(MADV_DONTNEED)`, counted by [`released_bytes`]) and returns
-//!   the slab to the global pool.
-//! * **Pool reuse** restarts the bump at zero: the recycled slab's fills are
-//!   monotone again from the first slot.
+//!   one thread returns the slab to the global pool.
+//! * **EMPTY** forks on how much the pool already holds. While fewer than
+//!   [`WARM_SLABS`] empty slabs are cached the winner pools the slab **warm**,
+//!   pages resident and no system call made; only past that does it hand the
+//!   payload pages back to the OS (`madvise(MADV_DONTNEED)`, counted by
+//!   [`released_bytes`]) and pool the slab **cold**.
+//! * **Pool reuse** takes the most recently emptied warm slab (its lines are
+//!   the likeliest to still be cached), then a cold one, then maps. Either
+//!   way the bump restarts at zero: the recycled slab's fills are monotone
+//!   again from the first slot.
+//!
+//! ## Release hysteresis
+//!
+//! A thread that allocates and retires at a steady rate empties a slab about
+//! as often as it starts one. Releasing on every `EMPTY` therefore cost one
+//! `madvise` (a TLB shootdown into every other thread) plus 15 page faults
+//! per slab for memory that was wanted again at once. The warm stack is the
+//! hysteresis: in steady state slabs cycle `ACTIVE → SEALED → EMPTY → warm →
+//! ACTIVE` without the kernel seeing any of it, and pages go back only when
+//! more slabs empty at once than the cache holds (a structure torn down, a
+//! backlog drained). The price, stated once: at most `WARM_SLABS ×
+//! (SLAB_BYTES − SLOT_OFFSET)` = 3.75 MiB of empty slabs stay resident per
+//! process, and a stale reader of a warm slab reads the old bytes where it
+//! used to read zeros. Both are inside the type-stable-memory contract, which
+//! promises such a reader a mapped address and nothing about its contents.
+//! [`WARM_SLABS`] is a constant, not a setting: the pool is process-wide (no
+//! domain's `SmrConfig` could own it), the bound is small beside any
+//! structure worth reclaiming for, and the value is not delicate — a
+//! reclamation pass frees a few thousand nodes, two to nine slabs of 64-byte
+//! ones, so anything from a dozen up keeps steady state out of the kernel,
+//! while a teardown that empties hundreds of slabs at once still returns all
+//! but 64 of them.
 //!
 //! The slab header lives in the slab's **first page**, which is never
 //! `madvise`d — only the payload pages (`4 KiB..64 KiB`) are released — so
 //! state survives release and the mapping stays valid for the process
-//! lifetime (type-stable memory: a stale reader faulting on a released slot
-//! reads zeros, never SIGSEGVs).
+//! lifetime (type-stable memory: a stale reader of a freed slot reads old
+//! bytes or, after a release, faults in zeros; it never SIGSEGVs).
 //!
 //! ## Dispatch
 //!
@@ -109,10 +140,26 @@ struct SlabHeader {
 static RELEASED_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of slabs ever mapped (testing/diagnostics gauge).
 static MAPPED_SLABS: AtomicU64 = AtomicU64::new(0);
-/// Fully-empty slabs awaiting reuse, by base address. A `Mutex` is fine
-/// here: it is touched once per *slab* (≥ 60 allocations between touches),
-/// never on the per-slot paths, which stay lock-free.
-static EMPTY_POOL: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+
+/// Most empty slabs the pool keeps warm (module docs, "Release hysteresis"):
+/// up to this many settle without a system call and are reused without a
+/// page fault; the rest release their payload pages.
+pub const WARM_SLABS: usize = 64;
+
+/// Fully-empty slabs awaiting reuse, by base address, as two stacks.
+struct EmptyPool {
+    /// Payload pages still resident; never more than [`WARM_SLABS`].
+    warm: Vec<usize>,
+    /// Payload pages released to the OS.
+    cold: Vec<usize>,
+}
+
+/// A `Mutex` is fine here: it is touched once per *slab* (≥ 60 allocations
+/// between touches), never on the per-slot paths, which stay lock-free.
+static EMPTY_POOL: Mutex<EmptyPool> = Mutex::new(EmptyPool {
+    warm: Vec::new(),
+    cold: Vec::new(),
+});
 
 #[inline]
 fn header_of(base: usize) -> &'static SlabHeader {
@@ -163,7 +210,10 @@ thread_local! {
 /// Takes a slab for `class_idx` from the pool, or maps a fresh one.
 fn acquire_slab(class_idx: usize) -> Option<usize> {
     let class = CLASSES[class_idx];
-    let pooled = EMPTY_POOL.lock().unwrap().pop();
+    let pooled = {
+        let mut pool = EMPTY_POOL.lock().unwrap();
+        pool.warm.pop().or_else(|| pool.cold.pop())
+    };
     if let Some(base) = pooled {
         let hdr = header_of(base);
         // The invariant the retire pipeline depends on: a slab is only ever
@@ -212,8 +262,8 @@ fn seal_slab(base: usize) {
 }
 
 /// If every handed-out slot has been freed, wins the unique
-/// `SEALED → EMPTY` transition: releases the payload pages to the OS and
-/// pools the slab for reuse.
+/// `SEALED → EMPTY` transition and pools the slab for reuse: warm while the
+/// cache has room, otherwise cold, its payload pages released to the OS.
 fn try_settle_empty(base: usize) {
     let hdr = header_of(base);
     let total = hdr.total.load(Ordering::Acquire);
@@ -236,13 +286,25 @@ fn try_settle_empty(base: usize) {
         return; // another freeing thread won the settle
     }
     // Unique winner: every slot's drop happened-before (the freed RMW chain
-    // synchronizes them), so the payload pages can go back to the OS. On
-    // failure (or off Linux) the slab is still perfectly reusable — we just
-    // don't count released bytes.
+    // synchronizes them), so the slab is reusable as it stands. This is the
+    // one place that decides whether its pages also go back to the OS: not
+    // while the warm stack has room — a steady allocate/retire cycle wants
+    // the slab again within a pass or two.
+    {
+        let mut pool = EMPTY_POOL.lock().unwrap();
+        if pool.warm.len() < WARM_SLABS {
+            pool.warm.push(base);
+            return;
+        }
+    }
+    // More slabs are empty at once than the cache holds; this one gives its
+    // payload pages back (outside the lock: it is a system call). On failure
+    // (or off Linux) the slab is still perfectly reusable — we just don't
+    // count released bytes.
     if pop_runtime::vm::release_pages((base + SLOT_OFFSET) as *mut u8, SLAB_BYTES - SLOT_OFFSET) {
         RELEASED_BYTES.fetch_add((SLAB_BYTES - SLOT_OFFSET) as u64, Ordering::Relaxed);
     }
-    EMPTY_POOL.lock().unwrap().push(base);
+    EMPTY_POOL.lock().unwrap().cold.push(base);
 }
 
 /// Bump-allocates one `class_idx` slot from the calling thread's active
@@ -277,7 +339,7 @@ fn alloc_slot(class_idx: usize) -> Option<*mut u8> {
 }
 
 /// Returns one slot to its slab. The last free of a sealed slab settles the
-/// whole slab (pages released, slab pooled).
+/// whole slab (pooled, warm or cold).
 ///
 /// # Safety
 ///
@@ -361,8 +423,8 @@ pub unsafe fn free_value<T: HasHeader>(p: *mut T) {
 
 /// Seals the calling thread's active slabs so they can settle once their
 /// outstanding nodes are freed. Benchmarks and tests call this before
-/// asserting drain ([`released_bytes`] only moves for *sealed* slabs);
-/// thread exit does it automatically. The next allocation simply starts a
+/// asserting drain (only a *sealed* slab can reach the pool); thread exit
+/// does it automatically. The next allocation simply starts a
 /// fresh slab.
 pub fn release_thread_slabs() {
     let _ = ACTIVE.try_with(|active| {
@@ -375,15 +437,18 @@ pub fn release_thread_slabs() {
     });
 }
 
-/// Process-wide bytes returned to the OS by empty-slab settlement. Reported
-/// in stats snapshots as `slab_released_bytes`.
+/// Process-wide bytes actually returned to the OS: the payload pages of
+/// slabs that emptied while the warm stack was full. Reported in stats
+/// snapshots as `slab_released_bytes`.
 pub fn released_bytes() -> u64 {
     RELEASED_BYTES.load(Ordering::Relaxed)
 }
 
-/// Number of fully-empty slabs currently pooled for reuse (testing hook).
+/// Number of fully-empty slabs currently pooled for reuse, warm and cold
+/// (testing hook).
 pub fn pool_len() -> usize {
-    EMPTY_POOL.lock().unwrap().len()
+    let pool = EMPTY_POOL.lock().unwrap();
+    pool.warm.len() + pool.cold.len()
 }
 
 /// Total slabs ever mapped from the OS (testing hook).
@@ -481,10 +546,9 @@ mod tests {
     }
 
     #[test]
-    fn full_cycle_releases_pages_and_recycles_the_slab() {
+    fn full_cycle_pools_and_recycles_the_slab() {
         let _guard = serial();
         let cap = capacity_of(64) as usize;
-        let before_released = released_bytes();
 
         // Fill exactly one slab, then free everything.
         let ptrs: Vec<*mut Node> = (0..cap)
@@ -501,10 +565,16 @@ mod tests {
             unsafe { free_value(p) };
         }
         assert_eq!(header_of(base).state.load(Ordering::Acquire), STATE_EMPTY);
-        assert!(
-            released_bytes() - before_released >= (SLAB_BYTES - SLOT_OFFSET) as u64,
-            "settling one slab releases at least its payload pages"
-        );
+        {
+            // Whether it went warm or cold depends on what the rest of the
+            // test binary has pooled; that it is pooled does not.
+            let pool = EMPTY_POOL.lock().unwrap();
+            assert!(pool.warm.len() <= WARM_SLABS);
+            assert!(
+                pool.warm.contains(&base) || pool.cold.contains(&base),
+                "a settled slab is pooled"
+            );
+        }
 
         // The next fill may reuse the pooled slab — and must restart its
         // bump at slot zero if it does.

@@ -453,7 +453,8 @@ pub struct StatsSnapshot {
     /// See [`ShardStats::version_aborts`].
     pub version_aborts: u64,
     /// **Process-wide** bytes the slab allocator has handed back to the OS
-    /// (`madvise(MADV_DONTNEED)` on fully-empty slabs) — sampled from
+    /// (`madvise(MADV_DONTNEED)` on the fully-empty slabs its warm cache
+    /// had no room for) — sampled from
     /// [`crate::slab::released_bytes`] at snapshot time. Unlike the other
     /// fields this is a global gauge shared by every domain in the process,
     /// not a per-domain tally.

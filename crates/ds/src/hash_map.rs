@@ -8,7 +8,6 @@
 use core::sync::atomic::AtomicPtr;
 use std::sync::Arc;
 
-use crossbeam_utils::CachePadded;
 use pop_core::{free_node_raw, Restart, Smr};
 
 use crate::hml::{self, Node};
@@ -20,7 +19,11 @@ pub const DEFAULT_BUCKETS: usize = 1 << 16;
 
 /// Fixed-size hash table of Harris-Michael buckets.
 pub struct HashMapHm<S: Smr> {
-    buckets: Box<[CachePadded<AtomicPtr<Node>>]>,
+    /// A plain array of heads, eight to a cache line, as in the paper. A
+    /// padded head (128 bytes) makes the table 16× its useful size, so every
+    /// operation's first access misses L2; and with thousands of lines two
+    /// threads meet on a line about as rarely as on a bucket.
+    buckets: Box<[AtomicPtr<Node>]>,
     mask: u64,
     smr: Arc<S>,
 }
@@ -33,12 +36,10 @@ impl<S: Smr> HashMapHm<S> {
     /// Creates a table with `buckets` rounded up to a power of two.
     pub fn with_buckets(smr: Arc<S>, buckets: usize) -> Self {
         let n = buckets.next_power_of_two().max(2);
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || {
-            CachePadded::new(AtomicPtr::new(core::ptr::null_mut()))
-        });
         HashMapHm {
-            buckets: v.into_boxed_slice(),
+            buckets: (0..n)
+                .map(|_| AtomicPtr::new(core::ptr::null_mut()))
+                .collect(),
             mask: (n - 1) as u64,
             smr,
         }

@@ -6,10 +6,15 @@
 //! 1. **Alignment to the slab size** (64 KiB), so a slot pointer recovers its
 //!    slab header with one mask — the owned-arena replacement for the
 //!    `ARENA_SHIFT` high-bit guess in the retire pipeline.
-//! 2. **Page-granular release**: a fully-empty slab hands its payload pages
-//!    back to the OS with `madvise(MADV_DONTNEED)` while the mapping itself
-//!    stays valid (type-stable memory — stale readers may still load from
-//!    freed slots and must fault in zeros, never SIGSEGV).
+//! 2. **Page-granular release**: [`release_pages`] hands a range back to the
+//!    OS with `madvise(MADV_DONTNEED)` while the mapping itself stays valid
+//!    (type-stable memory — stale readers may still load from freed slots
+//!    and must fault in zeros, never SIGSEGV). This module only provides the
+//!    call; *when* an empty slab's payload pages are worth releasing is the
+//!    allocator's decision (`pop_core::slab` keeps a bounded number of empty
+//!    slabs resident and releases the overflow), because a release costs a
+//!    system call, a TLB shootdown into every thread of the process, and a
+//!    page fault per page when the memory is wanted again.
 //! 3. **No interaction with the global allocator**, so the steady-state
 //!    allocation-free reclamation passes stay allocation-free.
 //!
