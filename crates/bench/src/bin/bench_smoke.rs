@@ -45,6 +45,9 @@
 //!   empty pool kept warm vs slabs that overflowed it and came back cold
 //!   (pages `madvise`d away, so every page faults again), plus the bytes
 //!   that overflow handed to the OS.
+//! * **Node layout** (PR 25): `size_of` of the header, the retire record and
+//!   every structure's node type, so layout drift (a node moving to another
+//!   slab class) shows in the trajectory.
 //!
 //! Usage: `bench_smoke [--out PATH] [--iters N]` (defaults:
 //! `BENCH_smoke.json`, 60 iterations per measurement). The file name is
@@ -64,7 +67,7 @@ use pop_core::{retire_node, Ebr, HasHeader, HazardPtrPop, Header, Smr, SmrConfig
 
 /// The PR that last changed this binary's measurements or the code under
 /// them; written into the artifact so its *name* never has to change.
-const PR: u32 = 19;
+const PR: u32 = 25;
 
 #[repr(C)]
 struct Node {
@@ -592,11 +595,12 @@ fn slab_settlement(iters: u32) -> (f64, f64, u64) {
 fn slab_recycle(iters: u32) -> (f64, f64, u64) {
     use pop_core::slab::{alloc_value, free_value, SLAB_BYTES, WARM_SLABS};
 
-    /// The 64-byte class: where the list, hash-table and tree nodes land.
+    /// The 64-byte class: where the tree and lazy-list nodes land. Exactly
+    /// 64 bytes, so `PER_SLAB` is the class's slot count.
     #[repr(C)]
     struct SlabNode {
         hdr: Header,
-        payload: [u64; 5],
+        payload: [u64; 7],
     }
     unsafe impl HasHeader for SlabNode {}
 
@@ -612,7 +616,7 @@ fn slab_recycle(iters: u32) -> (f64, f64, u64) {
             nodes.push(alloc_value(
                 SlabNode {
                     hdr: Header::new(0, core::mem::size_of::<SlabNode>()),
-                    payload: [i; 5],
+                    payload: [i; 7],
                 },
                 true,
             ));
@@ -654,6 +658,27 @@ fn slab_recycle(iters: u32) -> (f64, f64, u64) {
          ({warm_ns:.2} vs {cold_ns:.2} ns/alloc)"
     );
     (warm_ns, cold_ns, released)
+}
+
+/// `size_of` in bytes of the one-word header, the retire record and each
+/// structure's node type (the hash map reuses the list's node).
+fn layout_json() -> String {
+    use core::mem::size_of;
+    use pop_ds::{ab_tree, ext_bst, hml, lazy_list, ms_queue, nm_tree, skip_list, treiber_stack};
+    let rows = [
+        ("header", size_of::<Header>()),
+        ("retired", size_of::<pop_core::Retired>()),
+        ("hml_node", size_of::<hml::Node>()),
+        ("lazy_list_node", size_of::<lazy_list::Node>()),
+        ("ext_bst_node", size_of::<ext_bst::BstNode>()),
+        ("ab_tree_node", size_of::<ab_tree::AbNode>()),
+        ("skip_list_node", size_of::<skip_list::SkipNode>()),
+        ("nm_tree_node", size_of::<nm_tree::NmNode>()),
+        ("ms_queue_node", size_of::<ms_queue::QueueNode>()),
+        ("treiber_stack_node", size_of::<treiber_stack::StackNode>()),
+    ];
+    let fields: Vec<String> = rows.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 fn main() {
@@ -927,8 +952,12 @@ fn main() {
         .unwrap();
     }
 
+    let layout = layout_json();
+    println!("layout: {layout}");
+
     let json = format!(
         "{{\n  \"bench\": \"bench_smoke\",\n  \"pr\": {PR},\n  \"iters\": {iters},\n  \
+         \"layout\": {layout},\n  \
          \"sweep_filter\": [{sweeps}\n  ],\n  \
          \"binned_fill\": [{binned}\n  ],\n  \
          \"sequential_fill_monotone_share\": {seq_share:.3},\n  \

@@ -1268,7 +1268,7 @@ pub(crate) unsafe fn sweep_blocks(
                 let slab_base = if n > 0 && !base.cfg.quarantine {
                     let (lo, hi) = b.ptr_range();
                     let slab_mask = !(crate::slab::SLAB_BYTES as u64 - 1);
-                    (lo & slab_mask == hi & slab_mask && b.nodes()[0].header().is_slab_backed())
+                    (lo & slab_mask == hi & slab_mask && b.nodes()[0].is_slab_backed())
                         .then_some((lo & slab_mask) as usize)
                 } else {
                     None
@@ -1602,11 +1602,11 @@ pub(crate) unsafe fn free_era_unreserved_with_stalled(
                 let nodes = b.nodes();
                 let mut cur = 0usize;
                 for &i in &ord[..n] {
-                    let h = nodes[i as usize].header();
-                    while cur < window.len() && window[cur] < h.birth_era {
+                    let r = &nodes[i as usize];
+                    while cur < window.len() && window[cur] < r.birth_era() {
                         cur += 1;
                     }
-                    if cur < window.len() && window[cur] <= h.retire_era() {
+                    if cur < window.len() && window[cur] <= r.retire_era() {
                         mask |= 1u32 << i;
                     }
                 }
@@ -1614,8 +1614,7 @@ pub(crate) unsafe fn free_era_unreserved_with_stalled(
                 // First sweep: per-node test against the narrowed window
                 // (sort deferred until the block proves long-lived).
                 for (i, r) in b.nodes().iter().enumerate() {
-                    let h = r.header();
-                    if era_range_reserved(window, h.birth_era, h.retire_era()) {
+                    if era_range_reserved(window, r.birth_era(), r.retire_era()) {
                         mask |= 1u32 << i;
                     }
                 }
@@ -1758,7 +1757,7 @@ pub(crate) unsafe fn free_before_epoch_with_stalled(
             }
             let mut mask = 0u32;
             for (i, r) in b.nodes().iter().enumerate() {
-                if r.header().retire_era() >= min {
+                if r.retire_era() >= min {
                     mask |= 1u32 << i;
                 }
             }
@@ -1861,6 +1860,16 @@ struct SweepBenchNode {
 // SAFETY: repr(C) with the header first.
 unsafe impl crate::header::HasHeader for SweepBenchNode {}
 
+impl SweepBenchNode {
+    fn new(birth: u64, tag: u64) -> Self {
+        let hdr = crate::header::Header::new(birth, core::mem::size_of::<Self>());
+        SweepBenchNode {
+            hdr,
+            _payload: [tag; 2],
+        }
+    }
+}
+
 impl Default for SweepBench {
     fn default() -> Self {
         Self::new()
@@ -1918,29 +1927,35 @@ impl SweepBench {
         unsafe { free_era_unreserved(&self.base, 0, &mut self.list, reserved) }
     }
 
+    /// Allocates `node` (slab- or `Box`-backed), counts it, and returns its
+    /// retirement record.
+    fn record(&self, node: SweepBenchNode, slab: bool) -> Retired {
+        let p = crate::slab::alloc_value(node, slab);
+        let shard = self.base.stats.shard(0);
+        shard.allocated_nodes.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: freshly allocated, never shared, retired exactly once.
+        unsafe { Retired::new(p) }
+    }
+
+    /// Stamps `era` on `r`, retires it, and returns its pointer word.
+    fn retire(&mut self, mut r: Retired, era: u64) -> u64 {
+        r.set_retire_era(era);
+        let p = r.ptr() as u64;
+        push_retired(&self.base, 0, &mut self.list, r);
+        p
+    }
+
     /// Allocates and retires `n` nodes, returning their pointer words in
     /// retire order (callers draw reservation sets from these). Retire
     /// order is whatever the allocator hands out — address-random after
     /// the first drain/refill cycle, the filterers' worst case.
     pub fn fill(&mut self, n: usize) -> Vec<u64> {
-        let mut ptrs = Vec::with_capacity(n);
-        for i in 0..n as u64 {
-            let p = Box::into_raw(Box::new(SweepBenchNode {
-                hdr: crate::header::Header::new(i, core::mem::size_of::<SweepBenchNode>()),
-                _payload: [0; 2],
-            }));
-            self.base
-                .stats
-                .shard(0)
-                .allocated_nodes
-                .fetch_add(1, Ordering::Relaxed);
-            // SAFETY: freshly boxed, never shared, retired exactly once.
-            let r = unsafe { Retired::new(p) };
-            r.header().set_retire_era(i);
-            ptrs.push(r.ptr() as u64);
-            push_retired(&self.base, 0, &mut self.list, r);
-        }
-        ptrs
+        (0..n as u64)
+            .map(|i| {
+                let r = self.record(SweepBenchNode::new(i, 0), false);
+                self.retire(r, i)
+            })
+            .collect()
     }
 
     /// Allocates and retires `n` nodes from the owned slab arenas (PR 10):
@@ -1948,27 +1963,12 @@ impl SweepBench {
     /// stay confined to single slabs, so sweeps settle most blocks whole
     /// with one range test. Returns the pointer words in retire order.
     pub fn fill_slab(&mut self, n: usize) -> Vec<u64> {
-        let mut ptrs = Vec::with_capacity(n);
-        for i in 0..n as u64 {
-            let p = crate::slab::alloc_value(
-                SweepBenchNode {
-                    hdr: crate::header::Header::new(i, core::mem::size_of::<SweepBenchNode>()),
-                    _payload: [0; 2],
-                },
-                true,
-            );
-            self.base
-                .stats
-                .shard(0)
-                .allocated_nodes
-                .fetch_add(1, Ordering::Relaxed);
-            // SAFETY: freshly allocated, never shared, retired exactly once.
-            let r = unsafe { Retired::new(p) };
-            r.header().set_retire_era(i);
-            ptrs.push(r.ptr() as u64);
-            push_retired(&self.base, 0, &mut self.list, r);
-        }
-        ptrs
+        (0..n as u64)
+            .map(|i| {
+                let r = self.record(SweepBenchNode::new(i, 0), true);
+                self.retire(r, i)
+            })
+            .collect()
     }
 
     /// Retire blocks that settled wholly against a single slab with one
@@ -1984,28 +1984,13 @@ impl SweepBench {
     /// seals monotone at any bin count. Returns the pointer words in
     /// retire order.
     pub fn fill_sorted(&mut self, n: usize) -> Vec<u64> {
-        let mut nodes = Vec::with_capacity(n);
-        for i in 0..n as u64 {
-            let p = Box::into_raw(Box::new(SweepBenchNode {
-                hdr: crate::header::Header::new(i, core::mem::size_of::<SweepBenchNode>()),
-                _payload: [0; 2],
-            }));
-            self.base
-                .stats
-                .shard(0)
-                .allocated_nodes
-                .fetch_add(1, Ordering::Relaxed);
-            // SAFETY: freshly boxed, never shared, retired exactly once.
-            nodes.push(unsafe { Retired::new(p) });
-        }
+        let mut nodes: Vec<Retired> = (0..n as u64)
+            .map(|i| self.record(SweepBenchNode::new(i, 0), false))
+            .collect();
         nodes.sort_by_key(|r| r.ptr() as u64);
-        let mut ptrs = Vec::with_capacity(n);
-        for (era, r) in nodes.into_iter().enumerate() {
-            r.header().set_retire_era(era as u64);
-            ptrs.push(r.ptr() as u64);
-            push_retired(&self.base, 0, &mut self.list, r);
-        }
-        ptrs
+        (nodes.into_iter().enumerate())
+            .map(|(era, r)| self.retire(r, era as u64))
+            .collect()
     }
 
     /// Allocates `streams` bursts of `n / streams` nodes each (every
@@ -2019,27 +2004,14 @@ impl SweepBench {
         let streams = streams.max(1);
         let per = n / streams;
         let mut bursts: Vec<Vec<Retired>> = Vec::with_capacity(streams);
-        for s in 0..streams {
-            let mut burst = Vec::with_capacity(per);
-            for i in 0..per as u64 {
-                // Burst-disjoint birth eras: round-robin retirement then
-                // interleaves distinct era runs (the era analogue of the
-                // interleaved address streams), so an unbinned fill block
-                // is era-zigzag while an arena-binned one stays monotone.
-                let birth = s as u64 * per as u64 + i;
-                let p = Box::into_raw(Box::new(SweepBenchNode {
-                    hdr: crate::header::Header::new(birth, core::mem::size_of::<SweepBenchNode>()),
-                    _payload: [s as u64; 2],
-                }));
-                self.base
-                    .stats
-                    .shard(0)
-                    .allocated_nodes
-                    .fetch_add(1, Ordering::Relaxed);
-                // SAFETY: freshly boxed, never shared, retired exactly once.
-                burst.push(unsafe { Retired::new(p) });
-            }
-            bursts.push(burst);
+        for s in 0..streams as u64 {
+            // Burst-disjoint birth eras: round-robin retirement then
+            // interleaves distinct era runs (the era analogue of the
+            // interleaved address streams), so an unbinned fill block is
+            // era-zigzag while an arena-binned one stays monotone.
+            let births = s * per as u64..(s + 1) * per as u64;
+            let burst = births.map(|b| self.record(SweepBenchNode::new(b, s), false));
+            bursts.push(burst.collect());
         }
         // Round-robin retire across the bursts, allocation order within
         // each (reverse + pop keeps the moves cheap).
@@ -2047,16 +2019,13 @@ impl SweepBench {
             burst.reverse();
         }
         let mut ptrs = Vec::with_capacity(per * streams);
-        let mut era = 0u64;
         loop {
             let mut any = false;
             for burst in &mut bursts {
                 if let Some(r) = burst.pop() {
                     any = true;
-                    r.header().set_retire_era(era);
-                    era += 1;
-                    ptrs.push(r.ptr() as u64);
-                    push_retired(&self.base, 0, &mut self.list, r);
+                    let era = ptrs.len() as u64;
+                    ptrs.push(self.retire(r, era));
                 }
             }
             if !any {
@@ -2140,8 +2109,8 @@ mod tests {
             hdr: Header::new(birth, core::mem::size_of::<N>()),
             v: 0,
         }));
-        let r = unsafe { Retired::new(p) };
-        r.header().set_retire_era(retire);
+        let mut r = unsafe { Retired::new(p) };
+        r.set_retire_era(retire);
         r
     }
 
@@ -2159,10 +2128,10 @@ mod tests {
     fn eras_of(list: &RetireList) -> Vec<u64> {
         let mut out = Vec::new();
         for b in &list.blocks {
-            out.extend(b.nodes().iter().map(|r| r.header().birth_era));
+            out.extend(b.nodes().iter().map(|r| r.birth_era()));
         }
         for fill in &list.fills {
-            out.extend(fill.nodes().iter().map(|r| r.header().birth_era));
+            out.extend(fill.nodes().iter().map(|r| r.birth_era()));
         }
         out
     }
@@ -2303,12 +2272,11 @@ mod tests {
             .blocks
             .iter()
             .flat_map(|blk| blk.nodes())
-            .filter(|r| keep.contains(&r.header().birth_era))
+            .filter(|r| keep.contains(&r.birth_era()))
             .map(|r| r.ptr() as u64)
             .collect();
-        let freed = unsafe {
-            sweep_retire_list(&b, 0, &mut list, |r| keep.contains(&r.header().birth_era))
-        };
+        let freed =
+            unsafe { sweep_retire_list(&b, 0, &mut list, |r| keep.contains(&r.birth_era())) };
         assert_eq!(freed, 6);
         assert_eq!(list.len(), 3);
         assert_eq!(
@@ -2338,7 +2306,7 @@ mod tests {
         let mut list = filled(&b, 2, &[0, 0, 5, 5, 0, 5]);
         // Keep era 5: block 0 freed whole, block 1 kept whole, block 2
         // compacts.
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |r| r.header().birth_era == 5) };
+        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |r| r.birth_era() == 5) };
         assert_eq!(freed, 3);
         let s = b.stats.snapshot();
         assert_eq!(s.blocks_freed_whole, 1, "all-freeable block fast path");
@@ -2378,7 +2346,7 @@ mod tests {
             .blocks
             .iter()
             .flat_map(|blk| blk.nodes())
-            .map(|r| r.header().retire_era())
+            .map(|r| r.retire_era())
             .collect();
         assert_eq!(survivors, vec![7, 5]);
         drain_free(&b, &mut list);
@@ -3184,8 +3152,7 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(1).with_pressure_watermarks(1, 1, 1));
         let mut list = filled(&b, 2, &[0, 0, 5, 5]);
         assert!(b.stats.pressure().rung() >= PressureRung::Hard);
-        let freed =
-            unsafe { sweep_retire_list(&b, 0, &mut list, |r| r.header().retire_era() >= 5) };
+        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |r| r.retire_era() >= 5) };
         assert_eq!(freed, 2);
         assert!(
             list.free.is_empty(),

@@ -2,25 +2,55 @@
 //!
 //! Every object managed by a reclamation scheme embeds a [`Header`] as its
 //! **first** field and is `#[repr(C)]`, so `*mut Node` and `*mut Header`
-//! are interconvertible. The header carries the era tags used by hazard
-//! eras / IBR (`birth_era`, `retire_era`), the allocation size for memory
-//! accounting, and a liveness magic word used by the quarantine
-//! use-after-free detector.
+//! are interconvertible.
+//!
+//! ## One word per node
+//!
+//! The header is a single `AtomicU64`:
+//!
+//! ```text
+//!   63        56 55 54                                        0
+//!  ┌────────────┬──┬───────────────────────────────────────────┐
+//!  │   magic    │S │               birth era                   │
+//!  └────────────┴──┴───────────────────────────────────────────┘
+//!   live 0x51 /   slab   era at allocation (hazard eras / IBR;
+//!   poison 0xDE   bit    0 for era-free schemes)
+//! ```
+//!
+//! Everything else a reclaimer needs lives in the [`Retired`] record, not in
+//! the node: the retiring thread copies the birth era and the slab bit out
+//! of the header while it still has the line cached, and stamps the retire
+//! era from the domain clock. Sweeps then read only their own records and
+//! never touch a retired node until they free it, and a traversal's node
+//! carries 8 bytes of reclamation state instead of 24 — for the
+//! Harris-Michael list that is the difference between the 64-byte and the
+//! 32-byte slab class.
+//!
+//! The size is not stored at all: its one reader is byte accounting, and
+//! [`Retired::new`] is generic over the node type, so `size_of::<T>()` is
+//! exact and free there.
+//!
+//! The birth era is the one per-node fact that cannot be captured at retire
+//! time, so it stays. It has 55 bits: eras advance once per reclamation
+//! pass or epoch tick, so the bound is never reached in practice, and
+//! [`Header::new`] panics rather than truncate an era that exceeds it.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
-/// Magic value in [`Header::meta`]'s high 32 bits while an object is live.
-const LIVE_MAGIC: u64 = 0x51AE_0000_0000_0000;
-/// Magic value after the object is logically freed into quarantine.
-const POISON_MAGIC: u64 = 0xDEAD_0000_0000_0000;
-const MAGIC_MASK: u64 = 0xFFFF_0000_0000_0000;
-const SIZE_MASK: u64 = 0x0000_0000_FFFF_FFFF;
-/// Meta bit recording that the object lives in an owned slab slot
-/// ([`crate::slab`]) rather than a `Box` — the free path dispatches on it.
-/// Masking a pointer to find its slab is only legal when this bit is set.
-const SLAB_BIT: u64 = 0x0000_0001_0000_0000;
+/// Magic byte (bits 56..64) while an object is live.
+const LIVE_MAGIC: u64 = 0x51 << 56;
+/// Magic byte after the object is logically freed into quarantine.
+const POISON_MAGIC: u64 = 0xDE << 56;
+const MAGIC_MASK: u64 = 0xFF << 56;
+/// Records that the object lives in an owned slab slot ([`crate::slab`])
+/// rather than a `Box` — the free path dispatches on it. Masking a pointer
+/// to find its slab is only legal when this bit is set.
+const SLAB_BIT: u64 = 1 << 55;
+/// The birth-era field: the largest era a header can hold.
+const ERA_MASK: u64 = SLAB_BIT - 1;
 
-/// Intrusive header for reclaimable objects.
+/// Intrusive one-word header for reclaimable objects (layout in the module
+/// docs).
 ///
 /// # Layout contract
 ///
@@ -29,40 +59,33 @@ const SLAB_BIT: u64 = 0x0000_0001_0000_0000;
 /// that), so schemes can operate on type-erased `*mut Header`.
 #[repr(C)]
 pub struct Header {
-    /// Global era at allocation time (hazard eras / IBR lifespan lower
-    /// bound). Zero for schemes without eras.
-    pub birth_era: u64,
-    /// Global era at retirement. Written once by the retiring thread;
-    /// relaxed atomics make the cross-thread scan in reclaimers race-free.
-    retire_era: AtomicU64,
-    /// `magic | allocation size` word; see module docs.
+    /// `magic | slab bit | birth era`; see module docs.
     meta: AtomicU64,
 }
 
 impl Header {
-    /// A live header for an object of `size` bytes born in `birth_era`.
-    pub fn new(birth_era: u64, size: usize) -> Self {
-        debug_assert!(size as u64 <= SIZE_MASK, "allocation too large to track");
+    /// A live header for an object born in `birth_era`.
+    ///
+    /// The size is not stored (module docs): [`Retired::new`] takes it from
+    /// the type. The parameter stays so the signature does not change.
+    ///
+    /// # Panics
+    ///
+    /// If `birth_era` does not fit the 55-bit era field.
+    pub fn new(birth_era: u64, _size: usize) -> Self {
+        assert!(
+            birth_era <= ERA_MASK,
+            "birth era {birth_era} exceeds the header's 55-bit era field"
+        );
         Header {
-            birth_era,
-            retire_era: AtomicU64::new(u64::MAX),
-            meta: AtomicU64::new(LIVE_MAGIC | (size as u64 & SIZE_MASK)),
+            meta: AtomicU64::new(LIVE_MAGIC | birth_era),
         }
     }
 
-    /// Records the era at which the object was retired.
-    pub fn set_retire_era(&self, era: u64) {
-        self.retire_era.store(era, Ordering::Relaxed);
-    }
-
-    /// Era recorded by [`Self::set_retire_era`], or `u64::MAX` if live.
-    pub fn retire_era(&self) -> u64 {
-        self.retire_era.load(Ordering::Relaxed)
-    }
-
-    /// Allocation size recorded at construction.
-    pub fn size(&self) -> usize {
-        (self.meta.load(Ordering::Relaxed) & SIZE_MASK) as usize
+    /// Global era at allocation time (hazard eras / IBR lifespan lower
+    /// bound). Zero for schemes without eras.
+    pub fn birth_era(&self) -> u64 {
+        self.meta.load(Ordering::Relaxed) & ERA_MASK
     }
 
     /// Whether the quarantine detector has marked this object freed.
@@ -71,7 +94,7 @@ impl Header {
     }
 
     /// Whether the object lives in an owned slab slot (see [`crate::slab`]).
-    /// Set once at allocation; the free path dispatches on it, and only
+    /// Set once at allocation, before the pointer is published; only
     /// slab-backed pointers may be masked down to their slab base.
     pub fn is_slab_backed(&self) -> bool {
         self.meta.load(Ordering::Relaxed) & SLAB_BIT != 0
@@ -83,11 +106,10 @@ impl Header {
         self.meta.fetch_or(SLAB_BIT, Ordering::Relaxed);
     }
 
-    /// Marks the object freed (quarantine mode). Preserves the size *and*
-    /// the slab bit: a quarantined slot must still free back into its slab
-    /// when the quarantine releases it.
+    /// Marks the object freed (quarantine mode), keeping the slab bit and
+    /// the birth era.
     pub(crate) fn poison(&self) {
-        let keep = self.meta.load(Ordering::Relaxed) & (SIZE_MASK | SLAB_BIT);
+        let keep = self.meta.load(Ordering::Relaxed) & !MAGIC_MASK;
         self.meta.store(POISON_MAGIC | keep, Ordering::Release);
     }
 }
@@ -108,16 +130,24 @@ pub unsafe trait HasHeader: Sized {
 
 /// Type-erased record of a retired object awaiting reclamation.
 ///
-/// Carries the deallocation function so heterogeneous node types can share
-/// one retire list.
+/// Carries the deallocation function, so heterogeneous node types can share
+/// one retire list, and every fact a sweep tests: the lifespan
+/// (`birth_era`, `retire_era`), the size for byte accounting and the slab
+/// bit for the free dispatch. The node's header is read once, by
+/// [`Self::new`], while the retiring thread still has it cached; sweeps
+/// never dereference the node before they free it.
+#[derive(Debug)]
 pub struct Retired {
     ptr: *mut Header,
     /// `None` for slab-backed types with no drop glue: the slot return is
     /// the entire free, so the whole-slab settlement loop skips the record.
     drop_fn: Option<unsafe fn(*mut Header)>,
-    /// Object size, captured at retirement (the header is hot then) so the
-    /// sweeps' byte accounting reads the record, not the cold node header.
+    birth_era: u64,
+    retire_era: u64,
+    /// `size_of::<T>()`.
     size: u32,
+    /// The header's slab bit, captured at retirement.
+    slab: bool,
 }
 
 // SAFETY: a Retired is an exclusively-owned deferred destructor; the object
@@ -126,7 +156,9 @@ pub struct Retired {
 unsafe impl Send for Retired {}
 
 impl Retired {
-    /// Creates a retirement record for `ptr`.
+    /// Creates a retirement record for `ptr` with retire era `u64::MAX`
+    /// ("never freeable" for epoch sweeps) until [`Self::set_retire_era`]
+    /// stamps it.
     ///
     /// # Safety
     ///
@@ -147,9 +179,10 @@ impl Retired {
             // per node, or the whole-slab batch settlement in one step).
             unsafe { core::ptr::drop_in_place(h as *mut T) }
         }
+        const { assert!(core::mem::size_of::<T>() <= u32::MAX as usize) };
         // SAFETY: `ptr` is live per the caller's contract.
-        let hdr = unsafe { &*(ptr as *mut Header) };
-        let slab = hdr.is_slab_backed();
+        let meta = unsafe { (*(ptr as *mut Header)).meta.load(Ordering::Relaxed) };
+        let slab = meta & SLAB_BIT != 0;
         Retired {
             ptr: ptr as *mut Header,
             drop_fn: if slab {
@@ -158,15 +191,42 @@ impl Retired {
             } else {
                 Some(drop_box::<T>)
             },
-            size: hdr.size() as u32,
+            birth_era: meta & ERA_MASK,
+            retire_era: u64::MAX,
+            size: core::mem::size_of::<T>() as u32,
+            slab,
         }
     }
 
-    /// The retired object's size in bytes, as recorded in its header at
-    /// retirement time.
+    /// Records the era at which the object was retired. Must precede the
+    /// hand-off to a retire list: the record is immutable from there on.
+    pub fn set_retire_era(&mut self, era: u64) {
+        self.retire_era = era;
+    }
+
+    /// The node's birth era, captured from its header at retirement.
+    #[inline]
+    pub fn birth_era(&self) -> u64 {
+        self.birth_era
+    }
+
+    /// Era recorded by [`Self::set_retire_era`], or `u64::MAX`.
+    #[inline]
+    pub fn retire_era(&self) -> u64 {
+        self.retire_era
+    }
+
+    /// The retired object's size in bytes (`size_of::<T>()`).
     #[inline]
     pub(crate) fn size(&self) -> usize {
         self.size as usize
+    }
+
+    /// Whether the object lives in a slab slot (the header's slab bit at
+    /// retirement).
+    #[inline]
+    pub(crate) fn is_slab_backed(&self) -> bool {
+        self.slab
     }
 
     /// The retired object's header.
@@ -191,11 +251,10 @@ impl Retired {
         // SAFETY: forwarded contract. Slab-backed records drop the payload
         // then return their slot; Box-backed records drop whole.
         unsafe {
-            let slab = (*self.ptr).is_slab_backed();
             if let Some(drop_fn) = self.drop_fn {
                 drop_fn(self.ptr);
             }
-            if slab {
+            if self.slab {
                 crate::slab::free_slot(self.ptr as *mut u8);
             }
         }
@@ -210,21 +269,11 @@ impl Retired {
     /// Same contract as [`Self::free`], and the record must be slab-backed
     /// (the caller proved the block is confined to one slab).
     pub(crate) unsafe fn drop_payload_for_batch(self) {
-        debug_assert!(self.header().is_slab_backed());
+        debug_assert!(self.slab);
         if let Some(drop_fn) = self.drop_fn {
             // SAFETY: forwarded contract.
             unsafe { drop_fn(self.ptr) }
         }
-    }
-}
-
-impl core::fmt::Debug for Retired {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Retired")
-            .field("ptr", &self.ptr)
-            .field("birth_era", &self.header().birth_era)
-            .field("retire_era", &self.header().retire_era())
-            .finish()
     }
 }
 
@@ -247,14 +296,14 @@ pub(crate) enum SortKey {
     Birth,
 }
 
-/// Cached per-block key extrema, computed lazily in two independent
-/// halves and reused by every sweep until the block is mutated:
+/// Cached per-block key extrema, reused by every sweep until the block is
+/// mutated. Both halves read only the inline [`Retired`] records — no sweep
+/// touches node memory for a surviving block:
 ///
-/// * the **pointer** extrema read only the inline [`Retired`] records (no
-///   header dereference — HP-family sweeps never touch node memory for
-///   surviving blocks), while
-/// * the **era** extrema pay one pass over the members' headers.
-#[derive(Clone, Copy, Debug)]
+/// * the **pointer** extrema are maintained at push time, while
+/// * the **era** extrema cost one pass over the records on first use, so
+///   the HP-family retire path pays no era compares.
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct BlockSummary {
     /// Smallest record pointer in the block.
     pub min_ptr: u64,
@@ -344,13 +393,7 @@ impl RetireBatch {
             last_ptr: 0,
             last_birth: 0,
             order: [0; RETIRE_BATCH_CAP],
-            summary: BlockSummary {
-                min_ptr: 0,
-                max_ptr: 0,
-                min_birth: 0,
-                min_retire: 0,
-                max_retire: 0,
-            },
+            summary: BlockSummary::default(),
             slots: [const { core::mem::MaybeUninit::uninit() }; RETIRE_BATCH_CAP],
         })
     }
@@ -373,17 +416,15 @@ impl RetireBatch {
     /// The pointer extrema are maintained *incrementally* here (two
     /// compares on the hot retire path): record pointers never change, so
     /// the [`SUMMARY_PTR`] half stays valid through the whole fill and
-    /// sweeps never pay a scan for it. Era extrema are not — a caller may
-    /// legally set a retire era after pushing — so [`SUMMARY_ERA`] (and
-    /// the sort cache) are invalidated instead. Birth-era *direction* is
-    /// tracked incrementally like the pointer direction (`birth_era` is
-    /// immutable after allocation, and the header line is already hot —
-    /// `retire_node` just stamped the retire era into it).
+    /// sweeps never pay a scan for it. Era extrema are left to the sweeps
+    /// that need them, so [`SUMMARY_ERA`] (and the sort cache) are
+    /// invalidated instead. Birth-era *direction* is tracked incrementally
+    /// like the pointer direction, from the record's own copy of the era.
     #[inline]
     pub(crate) fn push(&mut self, r: Retired) {
         debug_assert!(self.len < RETIRE_BATCH_CAP, "retire block overfilled");
         let p = r.ptr() as u64;
-        let birth = r.header().birth_era;
+        let birth = r.birth_era();
         if self.len == 0 {
             self.mono = MONO_ASC | MONO_DESC;
             self.mono_era = MONO_ASC | MONO_DESC;
@@ -488,15 +529,7 @@ impl RetireBatch {
         if self.mono & MONO_UNKNOWN == 0 {
             return self.ptr_monotone_hint();
         }
-        let nodes = self.nodes();
-        let mut asc = true;
-        let mut desc = true;
-        for w in nodes.windows(2) {
-            let (a, b) = (w[0].ptr() as u64, w[1].ptr() as u64);
-            asc &= b >= a;
-            desc &= b <= a;
-        }
-        asc || desc
+        monotone_by(self.nodes(), |r| r.ptr() as u64)
     }
 
     /// O(1) birth-era monotonicity hint from the incremental push-time
@@ -511,21 +544,13 @@ impl RetireBatch {
 
     /// Whether the slots form a birth-era-monotone run (ascending *or*
     /// descending), answered like [`Self::is_ptr_monotone`]: from the
-    /// incremental bits when live, one header scan after a compaction.
+    /// incremental bits when live, one record scan after a compaction.
     /// Feeds the `blocks_sealed_era_monotone` seal counter.
     pub(crate) fn is_era_monotone(&self) -> bool {
         if self.mono_era & MONO_UNKNOWN == 0 {
             return self.era_monotone_hint();
         }
-        let nodes = self.nodes();
-        let mut asc = true;
-        let mut desc = true;
-        for w in nodes.windows(2) {
-            let (a, b) = (w[0].header().birth_era, w[1].header().birth_era);
-            asc &= b >= a;
-            desc &= b <= a;
-        }
-        asc || desc
+        monotone_by(self.nodes(), Retired::birth_era)
     }
 
     /// Counts a sweep's visit and returns how many sweeps had seen this
@@ -560,8 +585,7 @@ impl RetireBatch {
     }
 
     /// Era extrema `(min_birth, min_retire, max_retire)`, computed lazily
-    /// (one pass over the members' headers) and cached until the next
-    /// mutation.
+    /// (one pass over the records) and cached until the next mutation.
     pub(crate) fn era_ranges(&mut self) -> (u64, u64, u64) {
         if self.summary_valid & SUMMARY_ERA == 0 {
             debug_assert!(self.len > 0, "summary of an empty block");
@@ -569,11 +593,9 @@ impl RetireBatch {
             let mut min_retire = u64::MAX;
             let mut max_retire = 0u64;
             for r in self.nodes() {
-                let h = r.header();
-                let retire = h.retire_era();
-                min_birth = min_birth.min(h.birth_era);
-                min_retire = min_retire.min(retire);
-                max_retire = max_retire.max(retire);
+                min_birth = min_birth.min(r.birth_era);
+                min_retire = min_retire.min(r.retire_era);
+                max_retire = max_retire.max(r.retire_era);
             }
             self.summary.min_birth = min_birth;
             self.summary.min_retire = min_retire;
@@ -610,7 +632,7 @@ impl RetireBatch {
             for (i, p) in pairs[..n].iter_mut().enumerate() {
                 let k = match key {
                     SortKey::Ptr => nodes[i].ptr() as u64,
-                    SortKey::Birth => nodes[i].header().birth_era,
+                    SortKey::Birth => nodes[i].birth_era,
                     SortKey::Unsorted => unreachable!(),
                 };
                 if i > 0 {
@@ -670,6 +692,17 @@ impl RetireBatch {
     }
 }
 
+/// Whether `key` is non-decreasing or non-increasing across `nodes`.
+fn monotone_by(nodes: &[Retired], key: impl Fn(&Retired) -> u64) -> bool {
+    let (mut asc, mut desc) = (true, true);
+    for w in nodes.windows(2) {
+        let (a, b) = (key(&w[0]), key(&w[1]));
+        asc &= b >= a;
+        desc &= b <= a;
+    }
+    asc || desc
+}
+
 /// Strips data-structure mark bits (low 2 bits) from a pointer-sized word.
 ///
 /// Lock-free structures tag pointers (e.g. Harris-Michael deletion marks);
@@ -694,28 +727,54 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
+        assert_eq!(core::mem::size_of::<Header>(), 8);
         let h = Header::new(42, 96);
-        assert_eq!(h.birth_era, 42);
-        assert_eq!(h.size(), 96);
-        assert_eq!(h.retire_era(), u64::MAX);
+        assert_eq!(h.birth_era(), 42);
         assert!(!h.is_poisoned());
-        h.set_retire_era(77);
-        assert_eq!(h.retire_era(), 77);
+        assert!(!h.is_slab_backed());
+        h.mark_slab_backed();
         h.poison();
         assert!(h.is_poisoned());
-        assert_eq!(h.size(), 96, "poisoning must preserve the size field");
+        assert!(h.is_slab_backed(), "poisoning keeps the slab bit");
+        assert_eq!(h.birth_era(), 42, "poisoning keeps the birth era");
     }
 
     #[test]
-    fn retired_reads_through_header() {
+    fn header_holds_the_largest_55_bit_era() {
+        let h = Header::new(ERA_MASK, 0);
+        assert_eq!(h.birth_era(), (1 << 55) - 1);
+        h.mark_slab_backed();
+        assert_eq!(h.birth_era(), ERA_MASK, "the slab bit is not an era bit");
+        assert!(!h.is_poisoned());
+    }
+
+    #[test]
+    #[should_panic(expected = "55-bit era field")]
+    fn header_refuses_an_era_above_55_bits() {
+        let _ = Header::new(1 << 55, 0);
+    }
+
+    #[test]
+    fn retired_captures_the_header_at_retirement() {
         let node = Box::into_raw(Box::new(TestNode {
-            hdr: Header::new(3, core::mem::size_of::<TestNode>()),
+            hdr: Header::new(3, 999),
             payload: [0; 4],
         }));
-        let r = unsafe { Retired::new(node) };
-        assert_eq!(r.header().birth_era, 3);
-        r.header().set_retire_era(9);
-        assert_eq!(unsafe { &*node }.hdr.retire_era(), 9);
+        let mut r = unsafe { Retired::new(node) };
+        assert_eq!(r.birth_era(), 3);
+        assert_eq!(r.retire_era(), u64::MAX, "unstamped");
+        assert_eq!(
+            r.size(),
+            core::mem::size_of::<TestNode>(),
+            "size is the type's"
+        );
+        assert!(!r.is_slab_backed());
+        r.set_retire_era(9);
+        assert_eq!(r.retire_era(), 9);
+        // The record no longer reads the node: scribbling the header leaves
+        // it intact.
+        unsafe { core::ptr::write_bytes(node as *mut u8, 0xA5, 8) };
+        assert_eq!((r.birth_era(), r.retire_era()), (3, 9));
         unsafe { r.free() };
     }
 
@@ -776,8 +835,9 @@ mod tests {
     /// bound every slot, and a monotone flag that never over-claims.
     fn check_sort_cache_ops(ops: &[BatchOp]) {
         let mut b = RetireBatch::boxed();
-        // Shadow of the initialized slots: (ptr word, birth era).
-        let mut shadow: Vec<(u64, u64)> = Vec::new();
+        // Shadow of the initialized slots: (ptr word, birth era, retire
+        // era), the eras as the record carries them.
+        let mut shadow: Vec<(u64, u64, u64)> = Vec::new();
         // Every allocation, freed exactly once at the end (records in the
         // batch are just pointers; `Retired` has no Drop).
         let mut allocated: Vec<*mut TestNode> = Vec::new();
@@ -800,10 +860,17 @@ mod tests {
                         payload: [0; 4],
                     }));
                     allocated.push(node);
-                    let r = unsafe { Retired::new(node) };
-                    r.header().set_retire_era(birth + 1);
-                    shadow.push((r.ptr() as u64, birth));
+                    let mut r = unsafe { Retired::new(node) };
+                    r.set_retire_era(birth + 1 + (birth & 3));
+                    shadow.push((r.ptr() as u64, r.birth_era(), r.retire_era()));
                     b.push(r);
+                    // Everything below must come from the record: the
+                    // node's header is garbage from here on.
+                    unsafe {
+                        (*node).hdr = Header {
+                            meta: AtomicU64::new(!0),
+                        }
+                    };
                 }
                 BatchOp::Pop => {
                     let got = b.pop().map(|r| r.ptr() as u64);
@@ -849,14 +916,14 @@ mod tests {
             if !b.is_empty() {
                 let (min_ptr, max_ptr) = b.ptr_range();
                 let (min_birth, min_retire, max_retire) = b.era_ranges();
-                for &(p, birth) in &shadow {
+                for &(p, birth, retire) in &shadow {
                     assert!(
                         (min_ptr..=max_ptr).contains(&p),
                         "ptr extrema must bound every slot"
                     );
                     assert!(min_birth <= birth, "birth extremum must bound");
                     assert!(
-                        (min_retire..=max_retire).contains(&(birth + 1)),
+                        (min_retire..=max_retire).contains(&retire),
                         "retire extrema must bound"
                     );
                 }
@@ -922,7 +989,6 @@ mod tests {
             hdr: Header::new(11, 64),
             payload: [1; 4],
         };
-        assert_eq!(node.header().birth_era, 11);
-        assert_eq!(node.header().size(), 64);
+        assert_eq!(node.header().birth_era(), 11);
     }
 }

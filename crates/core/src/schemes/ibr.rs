@@ -137,8 +137,7 @@ impl Ibr {
                 let n = b.len();
                 let mut mask = 0u32;
                 for (i, r) in b.nodes().iter().enumerate() {
-                    let birth = r.header().birth_era;
-                    let retire = r.header().retire_era();
+                    let (birth, retire) = (r.birth_era(), r.retire_era());
                     if intervals
                         .iter()
                         .any(|&(lo, hi)| birth <= hi && retire >= lo)

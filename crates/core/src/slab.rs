@@ -68,8 +68,8 @@
 //! [`WARM_SLABS`] is a constant, not a setting: the pool is process-wide (no
 //! domain's `SmrConfig` could own it), the bound is small beside any
 //! structure worth reclaiming for, and the value is not delicate — a
-//! reclamation pass frees a few thousand nodes, two to nine slabs of 64-byte
-//! ones, so anything from a dozen up keeps steady state out of the kernel,
+//! reclamation pass frees a few thousand nodes, one to nine slabs of 32- or
+//! 64-byte ones, so anything from a dozen up keeps steady state out of the kernel,
 //! while a teardown that empties hundreds of slabs at once still returns all
 //! but 64 of them.
 //!
@@ -82,10 +82,10 @@
 //! ## Dispatch
 //!
 //! A slab-backed object is branded by a bit in its [`crate::header::Header`]
-//! meta word at
-//! allocation time; every free path ([`free_value`], the type-erased
-//! `Retired` destructor) dispatches on that bit, so `Box`-backed nodes
-//! (oversized types, slab-disabled configs via `POP_SLAB=0` /
+//! word at allocation time; every free path dispatches on that bit —
+//! [`free_value`] reads it from the header, the type-erased `Retired`
+//! destructor from the copy its record took at retirement — so `Box`-backed
+//! nodes (oversized types, slab-disabled configs via `POP_SLAB=0` /
 //! [`crate::config::SmrConfig::slab_alloc`], sentinels) coexist freely with
 //! slab-backed ones in the same retire lists.
 
@@ -470,9 +470,10 @@ mod tests {
     }
     unsafe impl HasHeader for Node {}
 
-    /// The pool and released-bytes gauge are process-global; tests that
-    /// assert per-slab state serialize so a parallel test can't reacquire
-    /// a slab between "we settled it" and "we assert it settled".
+    /// The pool and released-bytes gauge are process-global, so every test
+    /// here that allocates takes this lock: a parallel test could otherwise
+    /// reacquire a slab between "we settled it" and "we assert it
+    /// settled".
     static TEST_SERIAL: Mutex<()> = Mutex::new(());
 
     fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -497,6 +498,7 @@ mod tests {
 
     #[test]
     fn slab_alloc_brands_header_and_box_does_not() {
+        let _guard = serial();
         let s = alloc_value(node(1), true);
         let b = alloc_value(node(2), false);
         unsafe {
@@ -511,6 +513,7 @@ mod tests {
 
     #[test]
     fn poison_preserves_slab_bit() {
+        let _guard = serial();
         let s = alloc_value(node(3), true);
         unsafe {
             (*s).hdr.poison();
@@ -519,7 +522,7 @@ mod tests {
                 (*s).hdr.is_slab_backed(),
                 "quarantined slab slots must still free into their slab"
             );
-            assert_eq!((*s).hdr.size(), core::mem::size_of::<Node>());
+            assert_eq!((*s).hdr.birth_era(), 3);
             free_value(s);
         }
         release_thread_slabs();
@@ -527,6 +530,7 @@ mod tests {
 
     #[test]
     fn sequential_fill_is_address_monotone_by_construction() {
+        let _guard = serial();
         let mut last = 0usize;
         let mut ptrs = Vec::new();
         let mut breaks = 0;
@@ -611,6 +615,7 @@ mod tests {
     }
 
     fn check_slab_ops(ops: &[SlabOp]) {
+        let _guard = serial();
         let mut live: Vec<*mut Node> = Vec::new();
         // Every address currently handed out — a second hand-out of a live
         // address is the double-allocation bug this test exists to catch.
@@ -716,6 +721,7 @@ mod tests {
     /// out a slot while any prior hand-out of it is still outstanding.
     #[test]
     fn cross_thread_recycling_never_reissues_live_slots() {
+        let _guard = serial();
         use std::sync::atomic::AtomicBool;
         use std::sync::{mpsc, Arc};
 

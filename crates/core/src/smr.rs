@@ -294,8 +294,8 @@ pub fn protect_infallible<S: Smr, T>(
 }
 
 /// Helper: retire a typed node allocated with [`alloc_node`] (wraps
-/// [`Retired::new`] — which dispatches slab vs `Box` on the header's slab
-/// bit — and the era tagging common to every call site).
+/// [`Retired::new`] — which captures the header's birth era and slab bit
+/// into the record — and the retire-era stamp common to every call site).
 ///
 /// # Safety
 ///
@@ -303,8 +303,8 @@ pub fn protect_infallible<S: Smr, T>(
 pub unsafe fn retire_node<S: Smr, T: crate::header::HasHeader>(smr: &S, tid: usize, node: *mut T) {
     // SAFETY: forwarded contract — node is unlinked and retired once.
     unsafe {
-        let r = Retired::new(node);
-        r.header().set_retire_era(smr.current_era());
+        let mut r = Retired::new(node);
+        r.set_retire_era(smr.current_era());
         smr.retire(tid, r);
     }
 }
