@@ -20,7 +20,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use pop_core::testing::SweepBench;
 use pop_core::{
     retire_node, Ebr, EpochPop, HasHeader, HazardEra, HazardEraPop, HazardPtr, HazardPtrPop,
     Header, Hyaline, Ibr, Smr, SmrConfig, RETIRE_BATCH_CAP,
@@ -210,120 +209,6 @@ fn epoch_advance_sweep(c: &mut Criterion) {
     }
 }
 
-/// Reservation-filter cost per sweep: merge-join (range-tested block
-/// summaries, then sorted-cursor joins against the reserved set) vs the
-/// historical per-node binary search, at reserved-set sizes 4 / 64 / 512,
-/// in two regimes:
-///
-/// * `sweep_filter_churn_*` — fresh address-random retire lists, every
-///   block swept once then drained (the filterers' worst case: nothing
-///   amortizes; the sort-deferral heuristic keeps this at parity).
-///   Caveat: each iteration's fill + drain overhead is timed alongside
-///   the sweep (identical for both strategies), so the ratio here
-///   *understates* the filter-only delta — `bench_smoke`'s
-///   `churn_ns_per_node` times the sweep call alone and is the number
-///   CI tracks.
-/// * `sweep_filter_pinned_*` — a fully pinned list re-swept every
-///   iteration (the stalled-reader steady state): untouched blocks keep
-///   their sort cache, so the merge-join pays its sort once while the
-///   baseline re-runs every binary search every pass.
-fn sweep_filter_sweep(c: &mut Criterion) {
-    const NODES: usize = 1024;
-    for &rsize in &[4usize, 64, 512] {
-        let mut g = c.benchmark_group(format!("sweep_filter_churn_{rsize}"));
-        for merge_join in [true, false] {
-            let label = if merge_join {
-                "merge_join"
-            } else {
-                "binary_search"
-            };
-            let mut bench = SweepBench::new();
-            g.bench_with_input(BenchmarkId::from_parameter(label), &rsize, |b, _| {
-                b.iter(|| {
-                    let ptrs = bench.fill(NODES);
-                    let mut reserved: Vec<u64> = ptrs
-                        .iter()
-                        .copied()
-                        .step_by((NODES / rsize).max(1))
-                        .take(rsize)
-                        .collect();
-                    reserved.sort_unstable();
-                    let freed = if merge_join {
-                        bench.sweep_merge_join(&reserved)
-                    } else {
-                        bench.sweep_binary_search(&reserved)
-                    };
-                    assert_eq!(freed, NODES - reserved.len());
-                    bench.drain();
-                })
-            });
-        }
-        g.finish();
-        let mut g = c.benchmark_group(format!("sweep_filter_pinned_{rsize}"));
-        for merge_join in [true, false] {
-            let label = if merge_join {
-                "merge_join"
-            } else {
-                "binary_search"
-            };
-            let mut bench = SweepBench::new();
-            let mut reserved = bench.fill(rsize);
-            reserved.sort_unstable();
-            g.bench_with_input(BenchmarkId::from_parameter(label), &rsize, |b, _| {
-                b.iter(|| {
-                    let freed = if merge_join {
-                        bench.sweep_merge_join(&reserved)
-                    } else {
-                        bench.sweep_binary_search(&reserved)
-                    };
-                    assert_eq!(freed, 0, "everything pinned");
-                })
-            });
-            bench.drain();
-        }
-        g.finish();
-    }
-}
-
-/// Arena-binned fill vs the single fill block over the interleaved-arena
-/// churn workload (PR 4): four address-ascending allocation bursts retired
-/// round-robin. Unbinned fill blocks interleave the four address streams
-/// (non-monotone — every decided block pays a real sort); binned fills
-/// separate them so sealed blocks are born monotone and the merge-join
-/// sweep's sort detection is free. Each burst (`NODES / STREAMS` nodes at
-/// ~48 B) must span more than one `ARENA_SHIFT` (64 KiB) region — smaller
-/// bursts would share one arena and no routing could separate them.
-fn sweep_filter_binned_sweep(c: &mut Criterion) {
-    const NODES: usize = 8192;
-    const STREAMS: usize = 4;
-    for &rsize in &[64usize, 512] {
-        let mut g = c.benchmark_group(format!("sweep_filter_binned_churn_{rsize}"));
-        for bins in [1usize, 8] {
-            let mut bench = SweepBench::with_bins(bins);
-            g.bench_with_input(
-                BenchmarkId::from_parameter(format!("bins_{bins}")),
-                &rsize,
-                |b, _| {
-                    b.iter(|| {
-                        let ptrs = bench.fill_interleaved(NODES, STREAMS);
-                        let mut reserved: Vec<u64> = ptrs
-                            .iter()
-                            .copied()
-                            .step_by((NODES / rsize).max(1))
-                            .take(rsize)
-                            .collect();
-                        reserved.sort_unstable();
-                        let freed = bench.sweep_merge_join(&reserved);
-                        assert_eq!(freed, ptrs.len() - reserved.len());
-                        bench.drain();
-                    })
-                },
-            );
-        }
-        g.finish();
-    }
-}
-
 fn benches(c: &mut Criterion) {
     reclaim_cycle::<Ebr>(c);
     reclaim_cycle::<Ibr>(c);
@@ -340,8 +225,6 @@ criterion_group!(
     benches,
     pass_cost_sweep,
     retire_throughput_sweep,
-    epoch_advance_sweep,
-    sweep_filter_sweep,
-    sweep_filter_binned_sweep
+    epoch_advance_sweep
 );
 criterion_main!(group);

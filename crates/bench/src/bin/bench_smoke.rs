@@ -4,14 +4,6 @@
 //!
 //! Measures:
 //!
-//! * **Sweep filter cost** (ns/node) at reserved-set sizes 4 / 64 / 512
-//!   for the merge-join path vs the per-node binary-search baseline, plus
-//!   the speedup ratio.
-//! * **Arena-binned fill delta** (PR 4): the interleaved-arena churn
-//!   workload (four address-ascending bursts retired round-robin) swept
-//!   once per fill, with one fill block vs eight arena bins — plus the
-//!   monotone sealed-block share each side achieves
-//!   (`blocks_sealed_monotone / batches_sealed`).
 //! * **Publish wait wake latency**: a full `ping → handler publish → wake`
 //!   handshake against one busy in-op peer, futex-parked vs yield.
 //! * **Publish-mode pass cost** (PR 8): a full reclamation pass against
@@ -22,9 +14,6 @@
 //!   retire-triggered pass on a domain whose sweeps free nothing (one
 //!   stalled reader pins everything), with the adaptive controller's
 //!   epoch-cadence decay on vs off.
-//! * **Adaptive bin convergence** (PR 5): sweep ns/node with auto-sized
-//!   bins against the best and worst static settings, on both the
-//!   single-stream and the interleaved-arena workloads.
 //! * **Pressure ladder** (bounded-garbage PR): escalation trips, blocks
 //!   quarantined and pool blocks trimmed under a stalled reader with
 //!   tight watermarks, plus the one-flush recovery latency once the
@@ -39,7 +28,7 @@
 //!
 //! * **Slab settlement** (PR 10): the whole-slab settle path (owned-arena
 //!   bump fills whose retire blocks pass one range test and free wholesale
-//!   into their slab) vs the per-node merge-join sweep over a Box-backed
+//!   into their slab) vs the per-node sweep over a Box-backed
 //!   address-random fill, plus the `slab_frees_whole` count.
 //! * **Slab recycling** (PR 19): ns per allocation when refilling slabs the
 //!   empty pool kept warm vs slabs that overflowed it and came back cold
@@ -67,7 +56,7 @@ use pop_core::{retire_node, Ebr, HasHeader, HazardPtrPop, Header, Smr, SmrConfig
 
 /// The PR that last changed this binary's measurements or the code under
 /// them; written into the artifact so its *name* never has to change.
-const PR: u32 = 25;
+const PR: u32 = 27;
 
 #[repr(C)]
 struct Node {
@@ -76,113 +65,13 @@ struct Node {
 }
 unsafe impl HasHeader for Node {}
 
-const SWEEP_NODES: usize = 1024;
-
-/// Mean ns/node for one filter strategy over fresh, address-random retire
-/// lists ("churn": every block swept exactly once, then drained).
-fn churn_ns_per_node(merge_join: bool, rsize: usize, iters: u32) -> f64 {
-    let mut bench = SweepBench::new();
-    // Warmup grows the list's block pools so timed sweeps don't allocate.
-    let mut total_ns = 0u128;
-    for i in 0..iters + 2 {
-        let ptrs = bench.fill(SWEEP_NODES);
-        let mut reserved: Vec<u64> = ptrs
-            .iter()
-            .copied()
-            .step_by((SWEEP_NODES / rsize).max(1))
-            .take(rsize)
-            .collect();
-        reserved.sort_unstable();
-        let t0 = Instant::now();
-        let freed = if merge_join {
-            bench.sweep_merge_join(&reserved)
-        } else {
-            bench.sweep_binary_search(&reserved)
-        };
-        let dt = t0.elapsed();
-        assert_eq!(freed, SWEEP_NODES - reserved.len());
-        bench.drain();
-        if i >= 2 {
-            total_ns += dt.as_nanos();
-        }
-    }
-    total_ns as f64 / iters as f64 / SWEEP_NODES as f64
-}
-
-/// Mean ns/node for one merge-join churn sweep over the interleaved-arena
-/// workload with `bins` fill bins, plus the monotone sealed-block share.
-/// The bursts are sized so each spans its own `ARENA_SHIFT` region —
-/// small bursts would share one arena and nothing could separate them.
-fn binned_churn_ns_per_node(bins: usize, rsize: usize, iters: u32) -> (f64, f64) {
-    const STREAMS: usize = 4;
-    const NODES: usize = SWEEP_NODES * 8;
-    let mut bench = SweepBench::with_bins(bins);
-    let mut total_ns = 0u128;
-    for i in 0..iters + 2 {
-        let ptrs = bench.fill_interleaved(NODES, STREAMS);
-        let mut reserved: Vec<u64> = ptrs
-            .iter()
-            .copied()
-            .step_by((NODES / rsize).max(1))
-            .take(rsize)
-            .collect();
-        reserved.sort_unstable();
-        let t0 = Instant::now();
-        let freed = bench.sweep_merge_join(&reserved);
-        let dt = t0.elapsed();
-        assert_eq!(freed, ptrs.len() - reserved.len());
-        bench.drain();
-        if i >= 2 {
-            total_ns += dt.as_nanos();
-        }
-    }
-    let (monotone, sealed) = bench.monotone_share();
-    let share = if sealed == 0 {
-        0.0
-    } else {
-        monotone as f64 / sealed as f64
-    };
-    (total_ns as f64 / iters as f64 / NODES as f64, share)
-}
-
-/// Mean ns/node re-sweeping a fully pinned list of `rsize` nodes — the
-/// stalled-reader steady state, where reclaimers re-filter the same
-/// garbage every pass. The merge-join path amortizes its per-block sort
-/// across passes (untouched blocks keep their sort cache); the baseline
-/// re-runs every binary search every pass.
-fn pinned_ns_per_node(merge_join: bool, rsize: usize, iters: u32) -> f64 {
-    let mut bench = SweepBench::new();
-    let mut reserved = bench.fill(rsize);
-    reserved.sort_unstable();
-    for _ in 0..2 {
-        let freed = if merge_join {
-            bench.sweep_merge_join(&reserved)
-        } else {
-            bench.sweep_binary_search(&reserved)
-        };
-        assert_eq!(freed, 0, "everything pinned");
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let freed = if merge_join {
-            bench.sweep_merge_join(&reserved)
-        } else {
-            bench.sweep_binary_search(&reserved)
-        };
-        assert_eq!(freed, 0);
-    }
-    let total = t0.elapsed();
-    bench.drain();
-    total.as_nanos() as f64 / iters as f64 / rsize as f64
-}
-
 /// Amortized cost (ns) of one retire-*triggered* reclamation pass on an
 /// idle (fully pinned) EBR domain, `(pass_ns, decay_steps)`. A peer
-/// parks in-op so every sweep is barren; with `retire_bins = 1` and
-/// `retire_batch = 32` the trigger points are deterministic (every
-/// `reclaim_freq`-th retire), so exactly those retire calls are timed —
-/// each carries one push + seal (identical in both configurations) plus
-/// the triggered pass, which the decayed controller thins away.
+/// parks in-op so every sweep is barren; with `retire_batch = 1` the
+/// trigger points are deterministic (every `reclaim_freq`-th retire), so
+/// exactly those retire calls are timed — each carries one push + seal
+/// (identical in both configurations) plus the triggered pass, which the
+/// decayed controller thins away.
 fn idle_pass_ns(adaptive: bool, triggers: u32) -> (f64, u64) {
     const RECLAIM_FREQ: usize = 256;
     // A wide domain: the per-pass reservation scan walks 64 thread slots,
@@ -190,7 +79,7 @@ fn idle_pass_ns(adaptive: bool, triggers: u32) -> (f64, u64) {
     let smr = Ebr::new(
         SmrConfig::for_tests(64)
             .with_reclaim_freq(RECLAIM_FREQ)
-            .with_retire_bins(1)
+            .with_retire_batch(1)
             .with_adaptive(adaptive),
     );
     let reg0 = smr.register(0);
@@ -239,66 +128,6 @@ fn idle_pass_ns(adaptive: bool, triggers: u32) -> (f64, u64) {
     (timed_ns as f64 / timed as f64, decay_steps)
 }
 
-/// Merge-join sweep ns/node for three bin configurations — static 1,
-/// static 8, adaptive (initial 4) — over the workload `fill`, with the
-/// rounds *interleaved* across the three instances so every configuration
-/// sees the same allocator state (running them back to back would hand
-/// the later ones a progressively fragmented heap). Adaptive gets
-/// `warmup` extra unmeasured rounds first to converge. Returns
-/// `(static1_ns, static8_ns, adaptive_ns, adaptive_final_bins)`.
-fn adaptive_bins_ns(
-    mut fill: impl FnMut(&mut SweepBench) -> Vec<u64>,
-    rsize: usize,
-    warmup: u32,
-    rounds: u32,
-) -> (f64, f64, f64, usize) {
-    let mut benches = [
-        SweepBench::with_bins(1),
-        SweepBench::with_bins(8),
-        SweepBench::adaptive(4),
-    ];
-    let one_round = |bench: &mut SweepBench,
-                     fill: &mut dyn FnMut(&mut SweepBench) -> Vec<u64>|
-     -> (u128, usize) {
-        let ptrs = fill(bench);
-        let mut reserved: Vec<u64> = ptrs
-            .iter()
-            .copied()
-            .step_by((ptrs.len() / rsize).max(1))
-            .take(rsize)
-            .collect();
-        reserved.sort_unstable();
-        let t0 = Instant::now();
-        let freed = bench.sweep_merge_join(&reserved);
-        let dt = t0.elapsed();
-        assert_eq!(freed, ptrs.len() - reserved.len());
-        bench.drain();
-        (dt.as_nanos(), ptrs.len())
-    };
-    // Adaptive convergence + pool/heap warmup for everyone (1 round each
-    // per adaptive warmup round keeps the interleaving symmetric).
-    for _ in 0..warmup {
-        for b in &mut benches {
-            one_round(b, &mut fill);
-        }
-    }
-    let mut ns = [0u128; 3];
-    let mut nodes = [0usize; 3];
-    for _ in 0..rounds {
-        for (i, b) in benches.iter_mut().enumerate() {
-            let (dt, n) = one_round(b, &mut fill);
-            ns[i] += dt;
-            nodes[i] += n;
-        }
-    }
-    (
-        ns[0] as f64 / nodes[0] as f64,
-        ns[1] as f64 / nodes[1] as f64,
-        ns[2] as f64 / nodes[2] as f64,
-        benches[2].bins(),
-    )
-}
-
 /// Pressure-ladder smoke (bounded-garbage PR): a stalled reader pins a
 /// backlog under tight watermarks on an EBR domain. Returns the trip
 /// counts `(soft, hard, emergency)`, the blocks quarantined and pool
@@ -308,7 +137,7 @@ fn pressure_ladder_smoke() -> (u64, u64, u64, u64, u64, f64) {
     let smr = Ebr::new(
         SmrConfig::for_tests(2)
             .with_reclaim_freq(16)
-            .with_retire_bins(1)
+            .with_retire_batch(1)
             .with_pressure_watermarks(64, 96, 128)
             .with_free_pool_cap(4),
     );
@@ -523,16 +352,16 @@ fn matrix_smoke() -> Vec<(String, f64, u64)> {
         .collect()
 }
 
-/// PR 10: whole-slab settlement vs the merge-join sweep, at the same node
-/// and reservation counts. The baseline fills `Box`-backed (address-random
+/// PR 10: whole-slab settlement vs the per-node sweep, at the same node and
+/// reservation counts. The baseline fills `Box`-backed (address-random
 /// after heap churn) with the reservations spread across the list, so
-/// nearly every block pays the per-node merge-join; the slab side
+/// nearly every block pays the per-node window test; the slab side
 /// bump-fills the owned arenas with the reservations drawn from the tail,
 /// so the reserved window misses all but the last block(s) and the rest
 /// settle whole — one range test, then a wholesale free into their slab.
-/// Returns `(slab_ns_per_node, merge_join_ns_per_node, slab_frees_whole)`.
+/// Returns `(slab_ns_per_node, per_node_ns_per_node, slab_frees_whole)`.
 fn slab_settlement(iters: u32) -> (f64, f64, u64) {
-    const NODES: usize = SWEEP_NODES * 4;
+    const NODES: usize = 4096;
     const RSIZE: usize = 64;
     // The two sides run INTERLEAVED round-robin (as the PR-5 comparisons
     // do) so host-load drift across the measurement hits both equally
@@ -553,7 +382,7 @@ fn slab_settlement(iters: u32) -> (f64, f64, u64) {
             .collect();
         reserved.sort_unstable();
         let t0 = Instant::now();
-        let freed = box_bench.sweep_merge_join(&reserved);
+        let freed = box_bench.sweep(&reserved);
         let dt = t0.elapsed();
         assert_eq!(freed, NODES - RSIZE);
         box_bench.drain();
@@ -565,7 +394,7 @@ fn slab_settlement(iters: u32) -> (f64, f64, u64) {
         let mut reserved: Vec<u64> = ptrs[NODES - RSIZE..].to_vec();
         reserved.sort_unstable();
         let t0 = Instant::now();
-        let freed = slab_bench.sweep_merge_join(&reserved);
+        let freed = slab_bench.sweep(&reserved);
         let dt = t0.elapsed();
         assert_eq!(freed, NODES - RSIZE);
         slab_bench.drain();
@@ -702,77 +531,6 @@ fn main() {
         }
     }
 
-    // Monotone sealed-block share on the plain sequential-fill workload
-    // (fresh ascending allocations + LIFO drain/refill cycles) with the
-    // default bin count — the ISSUE 4 acceptance number (target ≥ 0.8).
-    // Measured FIRST: the share reflects allocator address order, and the
-    // churn benches below deliberately fragment the heap.
-    let seq_share = {
-        let mut bench = SweepBench::with_bins(4);
-        for _ in 0..8 {
-            bench.fill(SWEEP_NODES);
-            let freed = bench.sweep_merge_join(&[]);
-            assert_eq!(freed, SWEEP_NODES);
-        }
-        let (monotone, sealed) = bench.monotone_share();
-        monotone as f64 / sealed.max(1) as f64
-    };
-    println!("sequential_fill monotone share (bins=4): {seq_share:.2}");
-
-    let mut sweeps = String::new();
-    for (i, &rsize) in [4usize, 64, 512].iter().enumerate() {
-        let churn_mj = churn_ns_per_node(true, rsize, iters);
-        let churn_bs = churn_ns_per_node(false, rsize, iters);
-        let pin_mj = pinned_ns_per_node(true, rsize, iters * 4);
-        let pin_bs = pinned_ns_per_node(false, rsize, iters * 4);
-        let churn_ratio = churn_bs / churn_mj;
-        let pin_ratio = pin_bs / pin_mj;
-        println!(
-            "sweep rsize={rsize:>3}: churn merge_join {churn_mj:>6.2} vs \
-             binary_search {churn_bs:>6.2} ns/node ({churn_ratio:.2}x) | \
-             pinned {pin_mj:>6.2} vs {pin_bs:>6.2} ns/node ({pin_ratio:.2}x)"
-        );
-        if i > 0 {
-            sweeps.push(',');
-        }
-        write!(
-            sweeps,
-            "\n    {{\"reserved\": {rsize}, \
-             \"churn_merge_join_ns_per_node\": {churn_mj:.2}, \
-             \"churn_binary_search_ns_per_node\": {churn_bs:.2}, \
-             \"churn_speedup\": {churn_ratio:.3}, \
-             \"pinned_merge_join_ns_per_node\": {pin_mj:.2}, \
-             \"pinned_binary_search_ns_per_node\": {pin_bs:.2}, \
-             \"pinned_speedup\": {pin_ratio:.3}}}"
-        )
-        .unwrap();
-    }
-
-    let mut binned = String::new();
-    for (i, &rsize) in [64usize, 512].iter().enumerate() {
-        let (ns_1, share_1) = binned_churn_ns_per_node(1, rsize, iters);
-        let (ns_8, share_8) = binned_churn_ns_per_node(8, rsize, iters);
-        let ratio = ns_1 / ns_8;
-        println!(
-            "binned_fill rsize={rsize:>3}: bins=1 {ns_1:>6.2} ns/node \
-             (monotone {share_1:.2}) vs bins=8 {ns_8:>6.2} ns/node \
-             (monotone {share_8:.2}) — {ratio:.2}x"
-        );
-        if i > 0 {
-            binned.push(',');
-        }
-        write!(
-            binned,
-            "\n    {{\"reserved\": {rsize}, \
-             \"bins1_ns_per_node\": {ns_1:.2}, \
-             \"bins1_monotone_share\": {share_1:.3}, \
-             \"bins8_ns_per_node\": {ns_8:.2}, \
-             \"bins8_monotone_share\": {share_8:.3}, \
-             \"binned_speedup\": {ratio:.3}}}"
-        )
-        .unwrap();
-    }
-
     let wake_futex = wait_wake_ns(true, iters);
     let wake_yield = wait_wake_ns(false, iters);
     println!("wait_wake: futex {wake_futex:.0} ns, yield {wake_yield:.0} ns");
@@ -828,56 +586,6 @@ fn main() {
          {decay_steps} decay steps)"
     );
 
-    // PR 5: adaptive bin convergence. Single stream — adaptive must match
-    // the 1-bin static setting; interleaved-arena churn — adaptive must
-    // match the 8-bin static setting. Warmup rounds let the auto-sizer
-    // converge before the measured rounds.
-    const SINGLE_NODES: usize = 4096;
-    const INTER_NODES: usize = SWEEP_NODES * 8;
-    let rounds = (iters / 4).max(8);
-    let single = |b: &mut SweepBench| b.fill_sorted(SINGLE_NODES);
-    let inter = |b: &mut SweepBench| b.fill_interleaved(INTER_NODES, 4);
-    let (single_s1, single_s8, single_ad, single_bins) = adaptive_bins_ns(single, 64, 8, rounds);
-    let (inter_s1, inter_s8, inter_ad, inter_bins) = adaptive_bins_ns(inter, 64, 8, rounds);
-    println!(
-        "adaptive_bins single-stream: static1 {single_s1:.2} | static8 \
-         {single_s8:.2} | adaptive {single_ad:.2} ns/node (→ {single_bins} bins)"
-    );
-    println!(
-        "adaptive_bins interleaved:   static1 {inter_s1:.2} | static8 \
-         {inter_s8:.2} | adaptive {inter_ad:.2} ns/node (→ {inter_bins} bins)"
-    );
-
-    // PR 5: era-monotone seal share and the first-sweep era filter. The
-    // interleaved workload's birth eras zigzag in an unbinned fill block
-    // but stay monotone per arena bin, so the binned side merge-joins on
-    // the first sweep (no sort deferral) and the share says why.
-    let era_share = |bins: usize| {
-        let mut bench = SweepBench::with_bins(bins);
-        let mut era_ns = 0u128;
-        let mut nodes = 0usize;
-        for _ in 0..rounds {
-            let n = bench.fill_interleaved(INTER_NODES, 4).len();
-            let reserved: Vec<u64> = (0..64u64).map(|i| i * (n as u64 / 64)).collect();
-            let t0 = Instant::now();
-            bench.sweep_era(&reserved);
-            era_ns += t0.elapsed().as_nanos();
-            nodes += n;
-            bench.drain();
-        }
-        let (mono, sealed) = bench.era_monotone_share();
-        (
-            era_ns as f64 / nodes as f64,
-            mono as f64 / sealed.max(1) as f64,
-        )
-    };
-    let (era_ns_1, era_share_1) = era_share(1);
-    let (era_ns_8, era_share_8) = era_share(8);
-    println!(
-        "era_monotone: bins=1 {era_ns_1:.2} ns/node (share {era_share_1:.2}) \
-         vs bins=8 {era_ns_8:.2} ns/node (share {era_share_8:.2})"
-    );
-
     // Bounded-garbage PR: the escalation ladder engaged by a stalled
     // reader under tight watermarks, and the one-flush recovery cost.
     let (p_soft, p_hard, p_emerg, p_quar, p_trim, p_recovery_ns) = pressure_ladder_smoke();
@@ -915,13 +623,13 @@ fn main() {
     );
     println!("pressure_untripped_default: {untripped}");
 
-    // PR 10: whole-slab settlement vs the merge-join sweep. Acceptance
+    // PR 10: whole-slab settlement vs the per-node sweep. Acceptance
     // bar: the settle path ≥ 2× faster.
-    let (slab_ns, slab_mj_ns, slab_whole) = slab_settlement(iters);
-    let slab_speedup = slab_mj_ns / slab_ns;
+    let (slab_ns, per_node_ns, slab_whole) = slab_settlement(iters);
+    let slab_speedup = per_node_ns / slab_ns;
     println!(
-        "slab_settlement: whole-slab {slab_ns:.2} ns/node vs merge-join \
-         {slab_mj_ns:.2} ns/node ({slab_speedup:.2}x), {slab_whole} blocks \
+        "slab_settlement: whole-slab {slab_ns:.2} ns/node vs per-node \
+         {per_node_ns:.2} ns/node ({slab_speedup:.2}x), {slab_whole} blocks \
          settled whole"
     );
 
@@ -958,9 +666,6 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"bench_smoke\",\n  \"pr\": {PR},\n  \"iters\": {iters},\n  \
          \"layout\": {layout},\n  \
-         \"sweep_filter\": [{sweeps}\n  ],\n  \
-         \"binned_fill\": [{binned}\n  ],\n  \
-         \"sequential_fill_monotone_share\": {seq_share:.3},\n  \
          \"wait_wake_ns\": {{\"futex\": {wake_futex:.0}, \"yield\": {wake_yield:.0}}},\n  \
          \"membarrier_available\": {membarrier_available},\n  \
          \"publish_mode\": [{publish_rows}\n  ],\n  \
@@ -968,19 +673,12 @@ fn main() {
          \"adaptive_ns_per_trigger\": {idle_adaptive:.0}, \
          \"decay_speedup\": {idle_speedup:.3}, \
          \"decay_steps\": {decay_steps}}},\n  \
-         \"adaptive_bins\": {{\
-         \"single_stream\": {{\"static1_ns\": {single_s1:.2}, \"static8_ns\": {single_s8:.2}, \
-         \"adaptive_ns\": {single_ad:.2}, \"adaptive_bins\": {single_bins}}}, \
-         \"interleaved\": {{\"static1_ns\": {inter_s1:.2}, \"static8_ns\": {inter_s8:.2}, \
-         \"adaptive_ns\": {inter_ad:.2}, \"adaptive_bins\": {inter_bins}}}}},\n  \
-         \"era_monotone\": {{\"bins1_ns\": {era_ns_1:.2}, \"bins1_share\": {era_share_1:.3}, \
-         \"bins8_ns\": {era_ns_8:.2}, \"bins8_share\": {era_share_8:.3}}},\n  \
          \"pressure\": {{\"soft_trips\": {p_soft}, \"hard_trips\": {p_hard}, \
          \"emergency_trips\": {p_emerg}, \"blocks_quarantined\": {p_quar}, \
          \"pool_blocks_trimmed\": {p_trim}, \"recovery_ns\": {p_recovery_ns:.0}, \
          \"untripped_default\": {untripped}}},\n  \
          \"slab_vbr\": {{\"slab_settle_ns_per_node\": {slab_ns:.2}, \
-         \"merge_join_ns_per_node\": {slab_mj_ns:.2}, \
+         \"per_node_ns_per_node\": {per_node_ns:.2}, \
          \"settle_speedup\": {slab_speedup:.3}, \
          \"slab_frees_whole\": {slab_whole}, \
          \"slab_recycle\": {{\"warm_ns_per_alloc\": {recycle_warm_ns:.2}, \

@@ -183,10 +183,7 @@ fn run_robustness(opts: &SweepOptions, csv: &Path) {
             membarrier_passes: stats.membarrier_passes,
             signals_avoided: stats.signals_avoided,
             batches_sealed: stats.batches_sealed,
-            blocks_sealed_monotone: stats.blocks_sealed_monotone,
-            blocks_sealed_era_monotone: stats.blocks_sealed_era_monotone,
             epoch_decay_steps: stats.epoch_decay_steps,
-            bin_resizes: stats.bin_resizes,
             orphans_stolen: stats.orphans_stolen,
             restarts: stats.restarts,
             publish_wait_timeouts: stats.publish_wait_timeouts,

@@ -146,10 +146,7 @@ mod tests {
             membarrier_passes: 0,
             signals_avoided: 0,
             batches_sealed: 0,
-            blocks_sealed_monotone: 0,
-            blocks_sealed_era_monotone: 0,
             epoch_decay_steps: 0,
-            bin_resizes: 0,
             orphans_stolen: 0,
             restarts: 0,
             publish_wait_timeouts: 0,

@@ -2,78 +2,70 @@
 //! retire lists, per-thread epoch clocks, reusable reclamation scratch, the
 //! quarantine use-after-free detector, and orphan handling.
 //!
-//! ## Batch lifecycle (fill → seal/sort → range-test → merge-join → recycle)
+//! ## Batch lifecycle (fill → seal → range test → per-node test → recycle)
 //!
 //! Retirement is batched through [`RetireList`]. A node's whole life in
 //! the pipeline, including the orphan detour a thread's death takes:
 //!
 //! ```text
 //!            retire(ptr)
-//!                │  bin = (ptr >> ARENA_SHIFT) & (bins-1)
+//!                │  bin = (ptr / SLAB_BYTES) % FILL_BINS
 //!                ▼
-//!   ┌─ fill bins (thread-private) ─┐        per-block sort cache
-//!   │ [bin 0][bin 1][bin 2][bin 3] │     (extrema + permutation)
-//!   └──────────────┬───────────────┘               │
-//!                  │ bin reaches retire_batch      │ born monotone:
-//!                  ▼                               │ sort costs nothing
-//!        sealed blocks (Vec<Box<RetireBatch>>) ◄───┘
+//!   ┌──── fill bins (thread-private) ────┐
+//!   │ [bin 0][bin 1]  ··· [bin 6][bin 7] │   pointer extrema kept
+//!   └─────────────────┬──────────────────┘   at push
+//!                     │ bin reaches retire_batch
+//!                     ▼
+//!        sealed blocks (Vec<Box<RetireBatch>>)
 //!           │              ▲      ▲
-//!           │ unregister   │      │ adopt/steal ≤ 8 blocks, caches
-//!           ▼              │      │ and extrema intact (O(1)/block)
+//!           │ unregister   │      │ adopt/steal ≤ 8 blocks,
+//!           ▼              │      │ extrema intact (O(1)/block)
 //!        domain orphan list ──────┘
 //!           │
-//!           ▼ sweep: range-test ▸ merge-join ▸ compact
-//!        freed │ kept (block untouched, cache reused) │ box → free pool
+//!           ▼ sweep: range test ▸ per-node window test ▸ compact
+//!        freed whole (one slab: one settle) │ kept │ box → free pool
 //! ```
 //!
-//! 1. **Fill** — `retire` appends to one of a small array of
-//!    thread-private [`RetireBatch`](crate::header::RetireBatch) *fill
-//!    bins*, routed by the node pointer's high bits
-//!    (`ptr >> ARENA_SHIFT`, [`crate::config::SmrConfig::retire_bins`]
-//!    bins; 1 = the historical single fill block): one slot write and a
-//!    length bump, no stats RMW, no threshold test. Binning means nodes
-//!    from different allocator arenas — a fresh bump region interleaved
-//!    with LIFO free-list refills — fill *different* blocks, so most
-//!    blocks are born address-monotone and the merge-join sweep's sort
-//!    detection gets them for free (`blocks_sealed_monotone` counts the
-//!    share).
-//! 2. **Seal / sort** — when a bin reaches the configured threshold
+//! 1. **Fill** — `retire` appends to one of [`FILL_BINS`] thread-private
+//!    [`RetireBatch`](crate::header::RetireBatch) *fill bins*, routed by
+//!    the node's slab (`(ptr / SLAB_BYTES) % FILL_BINS`): one slot write and
+//!    a length bump, no stats RMW, no threshold test. Every slot of a slab
+//!    lands in the same bin, so a block sealed from one thread's bump fill
+//!    is confined to one slab; `Box`-backed nodes route by the same 64 KiB
+//!    address region.
+//! 2. **Seal** — when a bin reaches the configured threshold
 //!    ([`crate::config::SmrConfig::retire_batch`], never above
 //!    `reclaim_freq`), it moves into the list's sealed-block vector as one
 //!    pointer. Only here do the amortized costs run: one `retired_nodes`
 //!    bump for the whole block and one reclaim-threshold comparison
-//!    ([`push_retired`]). A sealed block also lazily builds its *sort
-//!    cache* — key extrema plus a slot permutation ordered by pointer or
-//!    birth era — on the first sweep that needs it (in place, no
-//!    allocation), and keeps it for as long as the block is untouched.
-//! 3. **Range-test** — reservation-filter sweeps ([`free_unreserved`],
+//!    ([`push_retired`]).
+//! 3. **Range test** — reservation-filter sweeps ([`free_unreserved`],
 //!    [`free_era_unreserved`], [`free_before_epoch`]) first test each
-//!    block's cached key extrema against the sorted reserved set: a block
-//!    whose span contains no reserved word is freed whole, and a block
-//!    whose every member is provably pinned is kept whole, *without
-//!    touching a single record* (Hyaline/Crystalline-style batch-granular
-//!    filtering).
-//! 4. **Merge-join** — only blocks the range test cannot decide walk their
-//!    sorted slot permutation against the sorted reserved set with one
-//!    forward cursor (O(block + span) instead of a per-node binary
-//!    search), producing a keep mask; survivors compact in place and stay
-//!    **in their original retire order** within and across blocks.
-//!    Generic-predicate sweeps ([`sweep_retire_list`], used by IBR's
-//!    interval test) ride the same block driver with a per-node mask.
-//! 5. **Free/recycle** — emptied block boxes return to the list's free
-//!    pool, so steady-state retire + reclaim performs **zero heap
+//!    block's key extrema against the sorted reserved set: a block whose
+//!    span contains no reserved word is freed whole, and a block whose
+//!    every member is provably pinned is kept whole, *without touching a
+//!    single record* (Hyaline/Crystalline-style batch-granular filtering).
+//! 4. **Per-node test** — a block the range test cannot decide tests each
+//!    record once against the *narrowed* reserved window (the words inside
+//!    the block's span): a binary search for pointers,
+//!    [`era_range_reserved`] for lifespans. Survivors compact in place and
+//!    stay **in their original retire order** within and across blocks.
+//!    IBR's interval test rides the same block driver with its own
+//!    per-node predicate ([`keep_mask`]).
+//! 5. **Free/recycle** — a wholly-freed block confined to one slab settles
+//!    against it in one step; emptied block boxes return to the list's
+//!    free pool, so steady-state retire + reclaim performs **zero heap
 //!    allocations** once the pools reach working size. Flush paths seal
 //!    partial bins first (inside the sweep), and `unregister` seals every
 //!    non-empty bin and parks the **sealed blocks themselves** on the
 //!    domain orphan list ([`DomainBase::orphan_remaining`]) — no node is
 //!    ever parked unsealed (partial batches are never leaked), no record
-//!    is copied, and each block keeps its sort cache and extrema through
-//!    the park. Joining threads adopt a bounded block chunk back
+//!    is copied, and each block keeps its extrema through the park.
+//!    Joining threads adopt a bounded block chunk back
 //!    ([`DomainBase::adopt_orphan_chunk`]), and every sweep steals up to
 //!    one more chunk ([`DomainBase::steal_orphan_chunk`]) — O(1) per
 //!    block — so orphans drain even when no thread ever joins again, and
-//!    a stolen block range-tests from its surviving summary without
-//!    re-sorting.
+//!    a stolen block range-tests from its surviving summary.
 //!
 //! ## Epoch max-aggregation invariant
 //!
@@ -103,9 +95,10 @@ use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::config::SmrConfig;
-use crate::header::{RetireBatch, Retired, SortKey, RETIRE_BATCH_CAP};
+use crate::header::{RetireBatch, Retired, RETIRE_BATCH_CAP};
 use crate::pop_shared::Rows;
 use crate::pressure::{Escalation, PressureRung, StallTracker};
+use crate::slab::SLAB_BYTES;
 use crate::stats::DomainStats;
 
 // Keep masks pack one bit per block slot into a u32.
@@ -129,26 +122,30 @@ fn orphan_stripes(n: usize) -> usize {
     n.min(8).next_power_of_two()
 }
 
-/// Arena granularity of the fill-bin routing: pointers sharing their
-/// `ptr >> ARENA_SHIFT` prefix — a 64 KiB region, the unit size class
-/// runs of real allocators hand out contiguously — land in the same fill
-/// bin, so one bin sees one arena's (mostly monotone) address stream.
-pub(crate) const ARENA_SHIFT: u32 = 16;
+/// Fill bins per retire list. Retirements route by slab —
+/// `(ptr / SLAB_BYTES) % FILL_BINS` — so every slot of a slab lands in one
+/// bin and a block sealed from one thread's bump fill is confined to one
+/// slab: freed whole, it settles against that slab in one step. A thread
+/// bump-fills one slab per size class it uses, so eight bins usually give
+/// each of those slabs a bin of its own; `Box`-backed nodes route by the
+/// same 64 KiB address region.
+const FILL_BINS: usize = 8;
+const _: () = assert!(FILL_BINS.is_power_of_two());
+
+/// The fill bin a node at `ptr` routes to.
+#[inline(always)]
+fn fill_bin(ptr: u64) -> usize {
+    (ptr as usize / SLAB_BYTES) & (FILL_BINS - 1)
+}
 
 /// What one seal event produced — the input to the amortized accounting
-/// ([`account_seal`]): block and node counts plus how many of the sealed
-/// blocks were address-monotone at seal time.
+/// ([`account_seal`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct SealOutcome {
     /// Nodes sealed.
     pub nodes: usize,
     /// Blocks sealed (a flush seals up to one per fill bin).
     pub blocks: u64,
-    /// Of those, blocks whose slots were address-monotone.
-    pub monotone: u64,
-    /// Of those, blocks whose slots were birth-era-monotone (the
-    /// era-sweep merge-join fast path's figure of merit).
-    pub era_monotone: u64,
 }
 
 /// A per-thread batched retire list (see the module-level lifecycle).
@@ -157,8 +154,6 @@ pub(crate) struct SealOutcome {
 pub(crate) struct RetireList {
     /// Seal threshold (`1..=RETIRE_BATCH_CAP`).
     seal: usize,
-    /// Bin-routing mask (`bins − 1`; bins is a power of two).
-    bin_mask: u64,
     /// Nodes held in sealed blocks (excludes the fill bins).
     sealed_nodes: usize,
     /// Nodes held across the fill bins (kept so [`Self::len`] is O(1)).
@@ -172,109 +167,26 @@ pub(crate) struct RetireList {
     /// Sealed blocks, oldest first. Deliberately boxed (not `vec_box`
     /// noise): a sealed block is handed around *as one pointer* — between
     /// the fill bins, this vector, the free pool, the domain orphan list
-    /// and Hyaline's global batches — so moves are 8 bytes, not 500+.
+    /// and Hyaline's global batches — so moves are 8 bytes, not 1 KiB+.
     #[allow(clippy::vec_box)]
     blocks: Vec<Box<RetireBatch>>,
-    /// The fill bins, indexed by `(ptr >> ARENA_SHIFT) & bin_mask`. One
-    /// entry when binning is off ([`crate::config::SmrConfig::retire_bins`]
-    /// = 1) — byte-identical routing to the historical single fill block.
-    #[allow(clippy::vec_box)]
-    fills: Vec<Box<RetireBatch>>,
+    /// The fill bins, indexed by [`fill_bin`].
+    fills: [Box<RetireBatch>; FILL_BINS],
     /// Recycled empty blocks (the allocation-free steady state).
     #[allow(clippy::vec_box)]
     free: Vec<Box<RetireBatch>>,
-    /// Fill-bin auto-sizer (`None` = static bins, the legacy behavior).
-    adapt: Option<crate::controller::BinAdapt>,
-    /// Set by `seal_bin` when the auto-sizer's window completed; consumed
-    /// (and possibly acted on) by [`Self::maybe_adapt_bins`].
-    adapt_window_due: bool,
 }
 
 impl RetireList {
-    pub(crate) fn new(seal: usize, bins: usize) -> Self {
-        Self::with_adaptive(seal, bins, false)
-    }
-
-    /// Like [`Self::new`], with per-thread bin auto-sizing: `bins` is the
-    /// initial count and the auto-sizer roams
-    /// `1..=`[`crate::config::MAX_RETIRE_BINS`].
-    pub(crate) fn with_adaptive(seal: usize, bins: usize, adaptive: bool) -> Self {
-        let bins = crate::config::normalize_bins(bins);
-        let mut fills = Vec::with_capacity(bins);
-        fills.resize_with(bins, RetireBatch::boxed);
+    pub(crate) fn new(seal: usize) -> Self {
         RetireList {
             seal: seal.clamp(1, RETIRE_BATCH_CAP),
-            bin_mask: bins as u64 - 1,
             sealed_nodes: 0,
             fill_nodes: 0,
             sealed_since_trigger: 0,
             blocks: Vec::new(),
-            fills,
+            fills: core::array::from_fn(|_| RetireBatch::boxed()),
             free: Vec::new(),
-            adapt: adaptive
-                .then(|| crate::controller::BinAdapt::new(crate::config::MAX_RETIRE_BINS)),
-            adapt_window_due: false,
-        }
-    }
-
-    /// Current fill-bin count (auto-sizing observability).
-    #[inline]
-    pub(crate) fn bins(&self) -> usize {
-        self.fills.len()
-    }
-
-    /// Resizes the fill bins to `bins` (a power of two). The caller must
-    /// have sealed every fill bin first; shed bin boxes go to the free
-    /// pool and grown bins draw from it, so resizing allocates nothing in
-    /// the steady state.
-    fn set_bins(&mut self, bins: usize) {
-        debug_assert!(self.fill_nodes == 0, "seal before resizing bins");
-        let bins = crate::config::normalize_bins(bins);
-        while self.fills.len() > bins {
-            let b = self.fills.pop().expect("len checked");
-            debug_assert!(b.is_empty());
-            self.free.push(b);
-        }
-        while self.fills.len() < bins {
-            let b = self.free.pop().unwrap_or_else(RetireBatch::boxed);
-            debug_assert!(b.is_empty());
-            self.fills.push(b);
-        }
-        self.bin_mask = bins as u64 - 1;
-    }
-
-    /// Registration-time seeding from the domain's converged bin count
-    /// ([`DomainBase::adopt_orphan_chunk`]): adopt `bins` as this list's
-    /// starting point, leaving the auto-sizer's window state untouched —
-    /// it keeps adapting from there. No-ops when there is nothing to seed
-    /// (`bins == 0`), on static lists (adaptive off keeps the configured
-    /// count), and on lists already holding fill nodes (a re-registering
-    /// thread with leftovers — resizing requires sealed fills).
-    pub(crate) fn seed_bins(&mut self, bins: usize) {
-        if bins == 0 || self.adapt.is_none() || self.fill_nodes != 0 {
-            return;
-        }
-        self.set_bins(bins);
-    }
-
-    /// Hot-path adaptation step, called once per sealed block from
-    /// [`push_retired`]: when the auto-sizer's window just completed and
-    /// it decided to resize, seals the partial bins (returning their
-    /// outcome — the caller owes `account_seal` plus one `bin_resizes`
-    /// bump) and applies the new bin count.
-    pub(crate) fn maybe_adapt_bins(&mut self) -> Option<SealOutcome> {
-        if !self.adapt_window_due {
-            return None;
-        }
-        self.adapt_window_due = false;
-        let bins = self.fills.len();
-        match self.adapt.as_mut()?.evaluate(bins) {
-            crate::controller::BinDecision::Hold => None,
-            crate::controller::BinDecision::Resize(nb) => {
-                let outcome = self.seal_partial();
-                self.set_bins(nb);
-                Some(outcome)
-            }
         }
     }
 
@@ -289,18 +201,12 @@ impl RetireList {
         self.len() == 0
     }
 
-    /// Which fill bin `ptr` routes to.
-    #[inline(always)]
-    fn bin_of(&self, ptr: u64) -> usize {
-        ((ptr >> ARENA_SHIFT) & self.bin_mask) as usize
-    }
-
-    /// Hot-path append: routes to the pointer's arena bin. Returns the
+    /// Hot-path append: routes to the node's slab bin. Returns the
     /// [`SealOutcome`] when this push sealed the bin — the caller owes the
     /// amortized accounting ([`push_retired`]).
     #[inline]
     pub(crate) fn push(&mut self, r: Retired) -> Option<SealOutcome> {
-        let bin = self.bin_of(r.ptr() as u64);
+        let bin = fill_bin(r.ptr() as u64);
         self.fills[bin].push(r);
         self.fill_nodes += 1;
         if self.fills[bin].len() >= self.seal {
@@ -314,29 +220,13 @@ impl RetireList {
         let n = self.fills[bin].len();
         let fresh = self.free.pop().unwrap_or_else(RetireBatch::boxed);
         let full = core::mem::replace(&mut self.fills[bin], fresh);
-        let monotone = full.is_ptr_monotone();
-        let era_monotone = full.is_era_monotone();
         self.blocks.push(full);
         self.sealed_nodes += n;
         self.fill_nodes -= n;
         self.sealed_since_trigger += n;
-        // Feed the bin auto-sizer — full-threshold (hot-path) seals only.
-        // Flush/resize-time partials are short runs that read as
-        // trivially monotone and would bias the share upward, probing
-        // collapses the full-block regime would reject. The
-        // completed-window flag is consumed by `push_retired`'s
-        // `maybe_adapt_bins` call, in the same call as the seal that
-        // completed the window.
-        if n >= self.seal {
-            if let Some(a) = self.adapt.as_mut() {
-                self.adapt_window_due |= a.note_seal(1, monotone as u64);
-            }
-        }
         SealOutcome {
             nodes: n,
             blocks: 1,
-            monotone: monotone as u64,
-            era_monotone: era_monotone as u64,
         }
     }
 
@@ -352,13 +242,11 @@ impl RetireList {
     /// (`nodes == 0` if all bins were empty).
     pub(crate) fn seal_partial(&mut self) -> SealOutcome {
         let mut out = SealOutcome::default();
-        for bin in 0..self.fills.len() {
+        for bin in 0..FILL_BINS {
             if !self.fills[bin].is_empty() {
                 let s = self.seal_bin(bin);
                 out.nodes += s.nodes;
                 out.blocks += s.blocks;
-                out.monotone += s.monotone;
-                out.era_monotone += s.era_monotone;
             }
         }
         out
@@ -388,8 +276,8 @@ impl RetireList {
     }
 
     /// Appends already-accounted *sealed blocks* (orphan adoption and
-    /// stealing) — each block is one pointer move; sort caches, extrema
-    /// and retire order inside every block survive intact, and a later
+    /// stealing) — each block is one pointer move; extrema and retire
+    /// order inside every block survive intact, and a later
     /// `seal_partial` cannot recount the members.
     pub(crate) fn absorb_blocks(&mut self, blocks: impl IntoIterator<Item = Box<RetireBatch>>) {
         for b in blocks {
@@ -427,17 +315,12 @@ pub(crate) struct RetireSlot(UnsafeCell<RetireList>);
 // SAFETY: access is confined to the owning thread by the registration
 // protocol; the cell itself is never aliased across threads.
 unsafe impl Sync for RetireSlot {}
-unsafe impl Send for RetireSlot {}
 
 impl RetireSlot {
-    /// The constructor every scheme uses: seal threshold, initial bin
-    /// count and bin auto-sizing all derived from one config.
+    /// The constructor every scheme uses: the seal threshold comes from
+    /// the config.
     pub(crate) fn for_cfg(cfg: &SmrConfig) -> Self {
-        RetireSlot(UnsafeCell::new(RetireList::with_adaptive(
-            cfg.effective_batch(),
-            cfg.effective_bins(),
-            cfg.adaptive_bins(),
-        )))
+        RetireSlot(UnsafeCell::new(RetireList::new(cfg.effective_batch())))
     }
 
     /// # Safety
@@ -481,7 +364,6 @@ pub(crate) struct ScratchSlot(UnsafeCell<ReclaimScratch>);
 // SAFETY: access is confined to the owning thread by the registration
 // protocol, exactly as for `RetireSlot`.
 unsafe impl Sync for ScratchSlot {}
-unsafe impl Send for ScratchSlot {}
 
 impl ScratchSlot {
     pub(crate) fn new() -> Self {
@@ -628,7 +510,7 @@ pub(crate) struct QuarantinedBlock {
     /// stalled; the block is released the moment the blocker's word
     /// changes, clears, or the blocker deregisters/is reaped.
     pub pinned_word: u64,
-    /// The parked block, sort caches and extrema intact.
+    /// The parked block, extrema intact.
     pub block: Box<RetireBatch>,
 }
 
@@ -663,9 +545,9 @@ pub(crate) struct DomainBase {
     pq_hint: AtomicUsize,
     /// Retire-list leftovers from threads that unregistered while some of
     /// their garbage was still reserved by others, parked as the **sealed
-    /// blocks themselves** — sort caches and extrema intact, no record
-    /// copied. Striped by parking tid so park/adopt/steal from different
-    /// threads never contend on one mutex during reap storms or
+    /// blocks themselves** — extrema intact, no record copied. Striped by
+    /// parking tid so park/adopt/steal from different threads never
+    /// contend on one mutex during reap storms or
     /// quarantine drains. Drained (bounded, block-at-a-time) by joining
     /// threads via [`Self::adopt_orphan_chunk`] and by reclaimer passes
     /// via [`Self::steal_orphan_chunk`]; any remainder is freed on domain
@@ -681,12 +563,6 @@ pub(crate) struct DomainBase {
     /// elects a single reaper for a dead participant's single-owner state
     /// ([`RetireSlot`]), so concurrent reclaimers never alias it.
     reaping: Box<[AtomicBool]>,
-    /// Controller-v2 membership seeding: the bin count the most recent
-    /// auto-sizer resize converged to, domain-wide (0 = no resize yet).
-    /// Newly registering threads inherit it via
-    /// [`Self::adopt_orphan_chunk`] → [`RetireList::seed_bins`] instead of
-    /// re-walking the whole probe ladder from the configured default.
-    bin_hint: AtomicUsize,
 }
 
 impl DomainBase {
@@ -715,7 +591,6 @@ impl DomainBase {
             orphan_mask: stripes - 1,
             orphan_hint: AtomicUsize::new(0),
             reaping: reaping.into_boxed_slice(),
-            bin_hint: AtomicUsize::new(0),
         }
     }
 
@@ -856,8 +731,8 @@ impl DomainBase {
     /// Unregistration hand-off: seals every non-empty fill bin (with its
     /// amortized accounting — no node is parked unsealed, partial batches
     /// are never leaked) and parks the sealed blocks **whole** on the
-    /// domain orphan list: one pointer move per block, sort caches and
-    /// extrema intact, no per-node copying.
+    /// domain orphan list: one pointer move per block, extrema intact, no
+    /// per-node copying.
     pub(crate) fn orphan_remaining(&self, tid: usize, list: &mut RetireList) {
         seal_and_account(self, tid, list);
         if list.is_empty() {
@@ -875,10 +750,9 @@ impl DomainBase {
 
     /// Moves up to [`ORPHAN_CHUNK_BLOCKS`] orphaned blocks into `list`
     /// (already accounted; oldest-first within a parked batch) and
-    /// returns the node count. Each
-    /// block is absorbed as one pointer — O(1) per block, its sort cache
-    /// untouched — so the adopter's next sweep range-tests stolen blocks
-    /// from their surviving summaries without re-sorting.
+    /// returns the node count. Each block is absorbed as one pointer —
+    /// O(1) per block, its summary untouched — so the adopter's next sweep
+    /// range-tests stolen blocks from their surviving extrema.
     fn drain_orphan_chunk(&self, tid: usize, list: &mut RetireList) -> usize {
         if self.orphan_hint.load(Ordering::Relaxed) == 0 {
             return 0;
@@ -915,10 +789,6 @@ impl DomainBase {
     /// retire list, bounding orphan memory on long-lived domains with
     /// thread churn.
     pub(crate) fn adopt_orphan_chunk(&self, tid: usize, list: &mut RetireList) {
-        // Controller v2: a joiner starts from the domain's converged bin
-        // count instead of re-running the probe ladder from the default
-        // (a no-op until some participant's auto-sizer has resized).
-        list.seed_bins(self.bin_hint.load(Ordering::Relaxed));
         let n = self.drain_orphan_chunk(tid, list);
         if n > 0 {
             self.stats
@@ -1078,9 +948,9 @@ pub(crate) fn note_escalation(base: &DomainBase, tid: usize, esc: Option<Escalat
 }
 
 /// The amortized accounting every seal event owes: one `retired_nodes`
-/// bump for the sealed members, one `batches_sealed` event per block, and
-/// the monotone-block tally — plus the pressure gauge's retire-side feed
-/// (sealed nodes are exactly the gauge's unit of actionable backlog).
+/// bump for the sealed members and one `batches_sealed` event per block —
+/// plus the pressure gauge's retire-side feed (sealed nodes are exactly the
+/// gauge's unit of actionable backlog).
 /// Shared by [`push_retired`], [`seal_and_account`] and NR's leak path.
 pub(crate) fn account_seal(base: &DomainBase, tid: usize, outcome: SealOutcome) {
     let shard = base.stats.shard(tid);
@@ -1091,16 +961,6 @@ pub(crate) fn account_seal(base: &DomainBase, tid: usize, outcome: SealOutcome) 
     shard
         .batches_sealed
         .fetch_add(outcome.blocks, Ordering::Relaxed);
-    if outcome.monotone > 0 {
-        shard
-            .blocks_sealed_monotone
-            .fetch_add(outcome.monotone, Ordering::Relaxed);
-    }
-    if outcome.era_monotone > 0 {
-        shard
-            .blocks_sealed_era_monotone
-            .fetch_add(outcome.era_monotone, Ordering::Relaxed);
-    }
 }
 
 /// Seals every non-empty fill bin and performs the amortized accounting
@@ -1113,10 +973,9 @@ pub(crate) fn seal_and_account(base: &DomainBase, tid: usize, list: &mut RetireL
     }
 }
 
-/// The shared retire fast path: push into the pointer's arena fill bin;
-/// on a seal, run the amortized accounting (plus the bin auto-sizer's
-/// window step) and report whether a reclamation pass is due (the caller
-/// then runs its scheme's pass).
+/// The shared retire fast path: push into the node's slab fill bin; on a
+/// seal, run the amortized accounting and report whether a reclamation
+/// pass is due (the caller then runs its scheme's pass).
 ///
 /// A pass is due when the list is over `reclaim_freq` **and** a full
 /// `reclaim_freq` of new retires arrived since the last trigger — so a
@@ -1133,21 +992,6 @@ pub(crate) fn push_retired(
         None => false,
         Some(outcome) => {
             account_seal(base, tid, outcome);
-            // Bin auto-sizing rides the seal (already off the per-retire
-            // path): at most once per adaptation window this seals the
-            // partial bins and applies a new bin count.
-            if let Some(extra) = list.maybe_adapt_bins() {
-                if extra.nodes > 0 {
-                    account_seal(base, tid, extra);
-                }
-                base.stats
-                    .shard(tid)
-                    .bin_resizes
-                    .fetch_add(1, Ordering::Relaxed);
-                // Publish the new count so joiners inherit it
-                // (controller v2 — see DomainBase::bin_hint).
-                base.bin_hint.store(list.bins(), Ordering::Relaxed);
-            }
             let freq = base.cfg.reclaim_freq;
             if list.len() >= freq && list.sealed_since_trigger >= freq {
                 list.note_pass();
@@ -1183,7 +1027,7 @@ pub(crate) enum BlockPlan {
 
 /// All-ones keep mask for a block of `n` records.
 #[inline]
-pub(crate) fn full_mask(n: usize) -> u32 {
+fn full_mask(n: usize) -> u32 {
     if n >= 32 {
         u32::MAX
     } else {
@@ -1247,9 +1091,9 @@ pub(crate) unsafe fn sweep_blocks(
         };
         match decision {
             BlockPlan::KeepAll => {
-                // Untouched: the block keeps its sort cache for the next
+                // Untouched: the block keeps its summary for the next
                 // pass — repeatedly pinned blocks are re-range-tested from
-                // the cached summary alone.
+                // the cached extrema alone.
                 kept_whole += 1;
                 // SAFETY: `write_block <= read_block < nblocks`; slot was
                 // already moved out.
@@ -1267,7 +1111,7 @@ pub(crate) unsafe fn sweep_blocks(
                 // it keeps the general per-record path.
                 let slab_base = if n > 0 && !base.cfg.quarantine {
                     let (lo, hi) = b.ptr_range();
-                    let slab_mask = !(crate::slab::SLAB_BYTES as u64 - 1);
+                    let slab_mask = !(SLAB_BYTES as u64 - 1);
                     (lo & slab_mask == hi & slab_mask && b.nodes()[0].is_slab_backed())
                         .then_some((lo & slab_mask) as usize)
                 } else {
@@ -1335,7 +1179,7 @@ pub(crate) unsafe fn sweep_blocks(
                     }
                 }
                 // SAFETY: the first `write` slots hold initialized
-                // survivors (`set_len` also drops the stale sort cache).
+                // survivors (`set_len` also drops the stale summary).
                 unsafe { b.set_len(write) };
                 shard.freed_nodes.fetch_add(freed_nodes, Ordering::Relaxed);
                 shard.freed_bytes.fetch_add(freed_bytes, Ordering::Relaxed);
@@ -1404,15 +1248,37 @@ pub(crate) unsafe fn sweep_blocks(
     total_freed
 }
 
+/// Keep mask of a block under a per-node predicate: bit `i` set means
+/// slot `i` survives.
+#[inline]
+pub(crate) fn keep_mask(b: &RetireBatch, mut keep: impl FnMut(&Retired) -> bool) -> u32 {
+    let mut mask = 0u32;
+    for (i, r) in b.nodes().iter().enumerate() {
+        if keep(r) {
+            mask |= 1u32 << i;
+        }
+    }
+    mask
+}
+
+/// The words of sorted `reserved` inside `[lo, hi]` — the only ones that
+/// can hit a block whose keys span that range.
+#[inline]
+fn reserved_window(reserved: &[u64], lo: u64, hi: u64) -> &[u64] {
+    let start = reserved.partition_point(|&w| w < lo);
+    let len = reserved[start..].partition_point(|&w| w <= hi);
+    &reserved[start..start + len]
+}
+
 /// Generic-predicate sweep: every entry for which `keep` returns `false`
 /// is freed; survivors stay in their original retire order. Returns the
-/// number freed. Rides [`sweep_blocks`] with a per-node keep mask — the
-/// path for predicates with no sorted-set structure (IBR's interval
-/// intersection, tests).
+/// number freed. Rides [`sweep_blocks`] with a per-node keep mask and no
+/// range test — the reference the filtered sweeps are tested against.
 ///
 /// # Safety
 ///
 /// As for [`sweep_blocks`], with `keep` as the plan.
+#[cfg(test)]
 pub(crate) unsafe fn sweep_retire_list(
     base: &DomainBase,
     tid: usize,
@@ -1422,36 +1288,18 @@ pub(crate) unsafe fn sweep_retire_list(
     // SAFETY: forwarded contract.
     unsafe {
         sweep_blocks(base, tid, list, |b| {
-            let mut mask = 0u32;
-            for (i, r) in b.nodes().iter().enumerate() {
-                if keep(r) {
-                    mask |= 1u32 << i;
-                }
-            }
-            BlockPlan::Mask(mask)
+            BlockPlan::Mask(keep_mask(b, &mut keep))
         })
     }
-}
-
-/// Copies a block's lazily sorted slot permutation into a stack array so
-/// the borrow on the block clears before its nodes are re-read.
-#[inline]
-fn copy_sorted_order(b: &mut RetireBatch, key: SortKey) -> ([u8; RETIRE_BATCH_CAP], usize) {
-    let mut ord = [0u8; RETIRE_BATCH_CAP];
-    let src = b.sorted_order(key);
-    let n = src.len();
-    ord[..n].copy_from_slice(src);
-    (ord, n)
 }
 
 /// Frees every entry of `list` whose pointer is **not** in the sorted
 /// `reserved` set; reserved entries are retained in order. Returns the
 /// number freed.
 ///
-/// Per block: a range test of the cached pointer extrema against
-/// `reserved` frees untouched blocks whole; undecided blocks merge-join
-/// their pointer-sorted slots against `reserved` with one forward cursor
-/// (no per-node binary search).
+/// Per block: a range test of the pointer extrema against `reserved` frees
+/// untouched blocks whole; any other block binary-searches each record in
+/// the reserved window its span narrows to.
 ///
 /// # Safety
 ///
@@ -1469,47 +1317,13 @@ pub(crate) unsafe fn free_unreserved(
     unsafe {
         sweep_blocks(base, tid, list, |b| {
             let (min_ptr, max_ptr) = b.ptr_range();
-            // Whole-block range test: the reserved *window* overlapping
-            // the block's pointer span. Empty ⇒ no member can be reserved.
-            let lo = reserved.partition_point(|&w| w < min_ptr);
-            let hi = lo + reserved[lo..].partition_point(|&w| w <= max_ptr);
-            let window = &reserved[lo..hi];
+            let window = reserved_window(reserved, min_ptr, max_ptr);
             if window.is_empty() {
                 return BlockPlan::FreeAll;
             }
-            let mut mask = 0u32;
-            if b.has_sorted(SortKey::Ptr) || b.ptr_monotone_hint() || b.note_sweep() >= 1 {
-                // Sorted, born monotone (the binned-fill common case:
-                // `sorted_order` detects the run in one pass, no sort —
-                // churn blocks inherit the merge-join fast path on their
-                // FIRST sweep), or long-lived enough to sort now:
-                // merge-join the pointer-sorted slots against the window
-                // with one forward cursor — O(block + window) sequential
-                // compares, any real sort amortized across this block's
-                // remaining sweeps.
-                let (ord, n) = copy_sorted_order(b, SortKey::Ptr);
-                let nodes = b.nodes();
-                let mut cur = 0usize;
-                for &i in &ord[..n] {
-                    let key = nodes[i as usize].ptr() as u64;
-                    while cur < window.len() && window[cur] < key {
-                        cur += 1;
-                    }
-                    if cur < window.len() && window[cur] == key {
-                        mask |= 1u32 << i;
-                    }
-                }
-            } else {
-                // First sweep of this block: search the narrowed window
-                // per node instead of paying a sort the block may never
-                // amortize (most blocks die on their first sweep).
-                for (i, r) in b.nodes().iter().enumerate() {
-                    if window.binary_search(&(r.ptr() as u64)).is_ok() {
-                        mask |= 1u32 << i;
-                    }
-                }
-            }
-            BlockPlan::Mask(mask)
+            BlockPlan::Mask(keep_mask(b, |r| {
+                window.binary_search(&(r.ptr() as u64)).is_ok()
+            }))
         })
     }
 }
@@ -1518,16 +1332,16 @@ pub(crate) unsafe fn free_unreserved(
 /// reserved era in the sorted `reserved` slice (hazard-eras `canFree`,
 /// paper Alg. 4/5). Returns the number freed.
 ///
-/// Per block: the cached `[min_birth, max_retire]` envelope contains every
+/// Per block: the `[min_birth, max_retire]` envelope contains every
 /// member's lifespan, so an envelope free of reserved eras frees the block
-/// whole; undecided blocks merge-join their birth-sorted slots against
-/// `reserved` — the first-reserved-era-≥-birth cursor is monotone in birth
-/// order, replacing the per-node `partition_point`.
+/// whole; any other block tests each lifespan against the reserved window
+/// the envelope narrows to ([`era_range_reserved`]).
 ///
 /// # Safety
 ///
 /// `reserved` must include every era any thread may have reserved. `tid`
 /// must be the caller's registered domain thread id.
+#[cfg_attr(not(test), allow(dead_code))] // stall-free entry point, exercised by the unit suite
 pub(crate) unsafe fn free_era_unreserved(
     base: &DomainBase,
     tid: usize,
@@ -1570,9 +1384,7 @@ pub(crate) unsafe fn free_era_unreserved_with_stalled(
             // Reserved eras overlapping the block's lifespan envelope;
             // every member's `[birth, retire]` lies inside the envelope,
             // so eras outside the window can hit no member.
-            let lo = reserved.partition_point(|&e| e < min_birth);
-            let hi = lo + reserved[lo..].partition_point(|&e| e <= max_retire);
-            let window = &reserved[lo..hi];
+            let window = reserved_window(reserved, min_birth, max_retire);
             if window.is_empty() {
                 return BlockPlan::FreeAll;
             }
@@ -1580,46 +1392,16 @@ pub(crate) unsafe fn free_era_unreserved_with_stalled(
                 // Some union era pins the block, but if no *active* era
                 // does, every pinning era belongs to the stalled blocker:
                 // park the block whole under its release key.
-                let alo = act.partition_point(|&e| e < min_birth);
-                let ahi = alo + act[alo..].partition_point(|&e| e <= max_retire);
-                if alo == ahi {
+                if reserved_window(act, min_birth, max_retire).is_empty() {
                     return BlockPlan::Quarantine {
                         blocker_tid,
                         word: blocker_word,
                     };
                 }
             }
-            let mut mask = 0u32;
-            if b.has_sorted(SortKey::Birth) || b.era_monotone_hint() || b.note_sweep() >= 1 {
-                // Merge-join: the first-reserved-era-≥-birth cursor is
-                // monotone in birth order, so one forward walk over the
-                // birth-sorted slots replaces the per-node search. Blocks
-                // born era-monotone (retire order tracks birth order in
-                // most workloads — the push-time direction bits prove it)
-                // take this path on their FIRST sweep: their birth-sorted
-                // permutation costs one detection pass, no sort.
-                let (ord, n) = copy_sorted_order(b, SortKey::Birth);
-                let nodes = b.nodes();
-                let mut cur = 0usize;
-                for &i in &ord[..n] {
-                    let r = &nodes[i as usize];
-                    while cur < window.len() && window[cur] < r.birth_era() {
-                        cur += 1;
-                    }
-                    if cur < window.len() && window[cur] <= r.retire_era() {
-                        mask |= 1u32 << i;
-                    }
-                }
-            } else {
-                // First sweep: per-node test against the narrowed window
-                // (sort deferred until the block proves long-lived).
-                for (i, r) in b.nodes().iter().enumerate() {
-                    if era_range_reserved(window, r.birth_era(), r.retire_era()) {
-                        mask |= 1u32 << i;
-                    }
-                }
-            }
-            BlockPlan::Mask(mask)
+            BlockPlan::Mask(keep_mask(b, |r| {
+                era_range_reserved(window, r.birth_era(), r.retire_era())
+            }))
         })
     }
 }
@@ -1755,13 +1537,7 @@ pub(crate) unsafe fn free_before_epoch_with_stalled(
             if min_retire >= min {
                 return BlockPlan::KeepAll;
             }
-            let mut mask = 0u32;
-            for (i, r) in b.nodes().iter().enumerate() {
-                if r.retire_era() >= min {
-                    mask |= 1u32 << i;
-                }
-            }
-            BlockPlan::Mask(mask)
+            BlockPlan::Mask(keep_mask(b, |r| r.retire_era() >= min))
         })
     }
 }
@@ -1842,10 +1618,10 @@ pub fn era_range_reserved(reserved: &[u64], birth: u64, retire: u64) -> bool {
     idx < reserved.len() && reserved[idx] <= retire
 }
 
-/// Bench/diagnostic harness comparing the merge-join reservation filter
-/// against the historical per-node binary-search sweep over a synthetic
-/// retire list. **Not a stable API** (re-exported through
-/// `pop_core::testing`).
+/// Bench/diagnostic harness driving the pointer-reservation sweep
+/// ([`free_unreserved`]) over a synthetic retire list, filled from the
+/// heap or from the owned slab arenas. **Not a stable API** (re-exported
+/// through `pop_core::testing`).
 #[doc(hidden)]
 pub struct SweepBench {
     base: DomainBase,
@@ -1860,16 +1636,6 @@ struct SweepBenchNode {
 // SAFETY: repr(C) with the header first.
 unsafe impl crate::header::HasHeader for SweepBenchNode {}
 
-impl SweepBenchNode {
-    fn new(birth: u64, tag: u64) -> Self {
-        let hdr = crate::header::Header::new(birth, core::mem::size_of::<Self>());
-        SweepBenchNode {
-            hdr,
-            _payload: [tag; 2],
-        }
-    }
-}
-
 impl Default for SweepBench {
     fn default() -> Self {
         Self::new()
@@ -1878,97 +1644,52 @@ impl Default for SweepBench {
 
 impl SweepBench {
     /// A single-thread domain whose reclaim threshold never triggers on
-    /// its own — sweeps run only when the harness asks. Single fill block
-    /// (no arena binning), the pre-PR-4 baseline.
+    /// its own — sweeps run only when the harness asks.
     pub fn new() -> Self {
-        Self::with_bins(1)
-    }
-
-    /// Like [`Self::new`] with `bins` arena fill bins, for measuring the
-    /// binned-fill monotonicity delta.
-    pub fn with_bins(bins: usize) -> Self {
         SweepBench {
             base: DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(1 << 30)),
-            list: RetireList::new(RETIRE_BATCH_CAP, bins),
+            list: RetireList::new(RETIRE_BATCH_CAP),
         }
     }
 
-    /// Like [`Self::with_bins`] with the per-thread bin auto-sizer live
-    /// (`bins` is the initial count), for measuring adaptive convergence
-    /// against the static settings.
-    pub fn adaptive(bins: usize) -> Self {
-        SweepBench {
-            base: DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(1 << 30)),
-            list: RetireList::with_adaptive(RETIRE_BATCH_CAP, bins, true),
-        }
+    /// Allocates and retires `n` nodes (slab- or `Box`-backed), returning
+    /// their pointer words in retire order (callers draw reservation sets
+    /// from these).
+    fn fill_with(&mut self, n: usize, slab: bool) -> Vec<u64> {
+        (0..n as u64)
+            .map(|i| {
+                let node = SweepBenchNode {
+                    hdr: crate::header::Header::new(i, core::mem::size_of::<SweepBenchNode>()),
+                    _payload: [0; 2],
+                };
+                let p = crate::slab::alloc_value(node, slab);
+                self.base
+                    .stats
+                    .shard(0)
+                    .allocated_nodes
+                    .fetch_add(1, Ordering::Relaxed);
+                // SAFETY: freshly allocated, never shared, retired exactly
+                // once.
+                let mut r = unsafe { Retired::new(p) };
+                r.set_retire_era(i);
+                push_retired(&self.base, 0, &mut self.list, r);
+                p as u64
+            })
+            .collect()
     }
 
-    /// Current fill-bin count (auto-sizing observability).
-    pub fn bins(&self) -> usize {
-        self.list.bins()
-    }
-
-    /// Bin resize events performed by the auto-sizer so far.
-    pub fn bin_resizes(&self) -> u64 {
-        self.base.stats.snapshot().bin_resizes
-    }
-
-    /// `(era_monotone, sealed)` block counts so callers can report the
-    /// era-monotone sealed-block share.
-    pub fn era_monotone_share(&self) -> (u64, u64) {
-        let s = self.base.stats.snapshot();
-        (s.blocks_sealed_era_monotone, s.batches_sealed)
-    }
-
-    /// Sweeps with the era filter (`free_era_unreserved`) against a
-    /// sorted, deduplicated reserved-era set. Returns the number freed.
-    pub fn sweep_era(&mut self, reserved: &[u64]) -> usize {
-        // SAFETY: harness nodes are never shared; any entry is freeable.
-        unsafe { free_era_unreserved(&self.base, 0, &mut self.list, reserved) }
-    }
-
-    /// Allocates `node` (slab- or `Box`-backed), counts it, and returns its
-    /// retirement record.
-    fn record(&self, node: SweepBenchNode, slab: bool) -> Retired {
-        let p = crate::slab::alloc_value(node, slab);
-        let shard = self.base.stats.shard(0);
-        shard.allocated_nodes.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: freshly allocated, never shared, retired exactly once.
-        unsafe { Retired::new(p) }
-    }
-
-    /// Stamps `era` on `r`, retires it, and returns its pointer word.
-    fn retire(&mut self, mut r: Retired, era: u64) -> u64 {
-        r.set_retire_era(era);
-        let p = r.ptr() as u64;
-        push_retired(&self.base, 0, &mut self.list, r);
-        p
-    }
-
-    /// Allocates and retires `n` nodes, returning their pointer words in
-    /// retire order (callers draw reservation sets from these). Retire
-    /// order is whatever the allocator hands out — address-random after
-    /// the first drain/refill cycle, the filterers' worst case.
+    /// Allocates and retires `n` `Box`-backed nodes. Retire order is
+    /// whatever the allocator hands out — address-random after the first
+    /// drain/refill cycle.
     pub fn fill(&mut self, n: usize) -> Vec<u64> {
-        (0..n as u64)
-            .map(|i| {
-                let r = self.record(SweepBenchNode::new(i, 0), false);
-                self.retire(r, i)
-            })
-            .collect()
+        self.fill_with(n, false)
     }
 
-    /// Allocates and retires `n` nodes from the owned slab arenas (PR 10):
-    /// bump fills are address-monotone by construction and retire blocks
-    /// stay confined to single slabs, so sweeps settle most blocks whole
-    /// with one range test. Returns the pointer words in retire order.
+    /// Allocates and retires `n` nodes from the owned slab arenas: bump
+    /// fills keep every sealed block inside one slab, so sweeps settle
+    /// most blocks whole with one range test.
     pub fn fill_slab(&mut self, n: usize) -> Vec<u64> {
-        (0..n as u64)
-            .map(|i| {
-                let r = self.record(SweepBenchNode::new(i, 0), true);
-                self.retire(r, i)
-            })
-            .collect()
+        self.fill_with(n, true)
     }
 
     /// Retire blocks that settled wholly against a single slab with one
@@ -1977,97 +1698,12 @@ impl SweepBench {
         self.base.stats.snapshot().slab_frees_whole
     }
 
-    /// Allocates and retires `n` nodes in **address order** — the ideal
-    /// single-address-stream workload (a bump allocator, or a structure
-    /// retiring a contiguous region in traversal order), independent of
-    /// what order the process allocator hands addresses out. Every block
-    /// seals monotone at any bin count. Returns the pointer words in
-    /// retire order.
-    pub fn fill_sorted(&mut self, n: usize) -> Vec<u64> {
-        let mut nodes: Vec<Retired> = (0..n as u64)
-            .map(|i| self.record(SweepBenchNode::new(i, 0), false))
-            .collect();
-        nodes.sort_by_key(|r| r.ptr() as u64);
-        (nodes.into_iter().enumerate())
-            .map(|(era, r)| self.retire(r, era as u64))
-            .collect()
-    }
-
-    /// Allocates `streams` bursts of `n / streams` nodes each (every
-    /// burst contiguous, hence address-ascending and usually confined to
-    /// one allocator arena) and retires them **round-robin across the
-    /// bursts** — the churn-regime worst case for block monotonicity: an
-    /// unbinned fill block sees `streams` interleaved address sequences,
-    /// while arena-binned fills separate them back into monotone blocks.
-    /// Returns the pointer words in retire order.
-    pub fn fill_interleaved(&mut self, n: usize, streams: usize) -> Vec<u64> {
-        let streams = streams.max(1);
-        let per = n / streams;
-        let mut bursts: Vec<Vec<Retired>> = Vec::with_capacity(streams);
-        for s in 0..streams as u64 {
-            // Burst-disjoint birth eras: round-robin retirement then
-            // interleaves distinct era runs (the era analogue of the
-            // interleaved address streams), so an unbinned fill block is
-            // era-zigzag while an arena-binned one stays monotone.
-            let births = s * per as u64..(s + 1) * per as u64;
-            let burst = births.map(|b| self.record(SweepBenchNode::new(b, s), false));
-            bursts.push(burst.collect());
-        }
-        // Round-robin retire across the bursts, allocation order within
-        // each (reverse + pop keeps the moves cheap).
-        for burst in &mut bursts {
-            burst.reverse();
-        }
-        let mut ptrs = Vec::with_capacity(per * streams);
-        loop {
-            let mut any = false;
-            for burst in &mut bursts {
-                if let Some(r) = burst.pop() {
-                    any = true;
-                    let era = ptrs.len() as u64;
-                    ptrs.push(self.retire(r, era));
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        ptrs
-    }
-
-    /// `(monotone, sealed)` block counts so callers can report the
-    /// monotone sealed-block share.
-    pub fn monotone_share(&self) -> (u64, u64) {
-        let s = self.base.stats.snapshot();
-        (s.blocks_sealed_monotone, s.batches_sealed)
-    }
-
-    /// Nodes currently held in the list.
-    pub fn len(&self) -> usize {
-        self.list.len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
-    }
-
-    /// Sweeps with the range-test + merge-join path. `reserved` must be
-    /// sorted and deduplicated. Returns the number freed.
-    pub fn sweep_merge_join(&mut self, reserved: &[u64]) -> usize {
+    /// Sweeps with [`free_unreserved`] (range test, then the per-node
+    /// window test). `reserved` must be sorted and deduplicated. Returns
+    /// the number freed.
+    pub fn sweep(&mut self, reserved: &[u64]) -> usize {
         // SAFETY: harness nodes are never shared; any entry is freeable.
         unsafe { free_unreserved(&self.base, 0, &mut self.list, reserved) }
-    }
-
-    /// Sweeps with the pre-merge-join baseline: one binary search into
-    /// `reserved` per node. Returns the number freed.
-    pub fn sweep_binary_search(&mut self, reserved: &[u64]) -> usize {
-        // SAFETY: as above.
-        unsafe {
-            sweep_retire_list(&self.base, 0, &mut self.list, |r| {
-                reserved.binary_search(&(r.ptr() as u64)).is_ok()
-            })
-        }
     }
 
     /// Frees every node still held (survivors between iterations).
@@ -2078,13 +1714,6 @@ impl SweepBench {
             // SAFETY: harness nodes are never shared.
             unsafe { self.base.free_now(0, r) };
         }
-    }
-
-    /// Whole-block sweep counters `(kept_whole, freed_whole)` so callers
-    /// can verify which path a sweep took.
-    pub fn whole_block_counts(&self) -> (u64, u64) {
-        let s = self.base.stats.snapshot();
-        (s.blocks_kept_whole, s.blocks_freed_whole)
     }
 }
 
@@ -2100,26 +1729,57 @@ mod tests {
     }
     unsafe impl crate::header::HasHeader for N {}
 
-    fn mk(base: &DomainBase, birth: u64, retire: u64) -> Retired {
+    fn node(birth: u64) -> *mut N {
+        Box::into_raw(Box::new(N {
+            hdr: Header::new(birth, core::mem::size_of::<N>()),
+            v: 0,
+        }))
+    }
+
+    /// The retirement record of `p`, stamped with `retire` and counted as
+    /// allocated.
+    fn record(base: &DomainBase, p: *mut N, retire: u64) -> Retired {
         base.stats
             .shard(0)
             .allocated_nodes
             .fetch_add(1, Ordering::Relaxed);
-        let p = Box::into_raw(Box::new(N {
-            hdr: Header::new(birth, core::mem::size_of::<N>()),
-            v: 0,
-        }));
         let mut r = unsafe { Retired::new(p) };
         r.set_retire_era(retire);
         r
     }
 
-    /// A retire list pre-filled with `eras` as both birth and retire eras,
-    /// everything sealed (seal threshold 1 unless given).
+    fn mk(base: &DomainBase, birth: u64, retire: u64) -> Retired {
+        record(base, node(birth), retire)
+    }
+
+    /// Records for `(birth, retire)` lifespans whose nodes all route to one
+    /// fill bin, so a test fixes block composition exactly: an allocation
+    /// that lands in another slab-sized region is dropped and retried.
+    fn run(base: &DomainBase, lifespans: impl IntoIterator<Item = (u64, u64)>) -> Vec<Retired> {
+        let mut strays = Vec::new();
+        let mut bin = None;
+        let out = lifespans
+            .into_iter()
+            .map(|(birth, retire)| loop {
+                let p = node(birth);
+                if *bin.get_or_insert(fill_bin(p as u64)) == fill_bin(p as u64) {
+                    break record(base, p, retire);
+                }
+                strays.push(p);
+            })
+            .collect();
+        for p in strays {
+            unsafe { drop(Box::from_raw(p)) };
+        }
+        out
+    }
+
+    /// A retire list pre-filled (from one fill bin) with `eras` as both
+    /// birth and retire eras, everything sealed.
     fn filled(base: &DomainBase, seal: usize, eras: &[u64]) -> RetireList {
-        let mut list = RetireList::new(seal, 1);
-        for &e in eras {
-            push_retired(base, 0, &mut list, mk(base, e, e));
+        let mut list = RetireList::new(seal);
+        for r in run(base, eras.iter().map(|&e| (e, e))) {
+            push_retired(base, 0, &mut list, r);
         }
         seal_and_account(base, 0, &mut list);
         list
@@ -2183,9 +1843,10 @@ mod tests {
     #[test]
     fn push_seals_at_threshold_and_accounts_lazily() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(4, 1);
-        for i in 0..3 {
-            assert!(!push_retired(&b, 0, &mut list, mk(&b, i, i)));
+        let mut list = RetireList::new(4);
+        let mut recs = run(&b, (0..4).map(|i| (i, i))).into_iter();
+        for r in recs.by_ref().take(3) {
+            assert!(!push_retired(&b, 0, &mut list, r));
         }
         assert_eq!(
             b.stats.snapshot().retired_nodes,
@@ -2193,7 +1854,7 @@ mod tests {
             "no stats RMW before the seal"
         );
         assert_eq!(list.len(), 3);
-        push_retired(&b, 0, &mut list, mk(&b, 3, 3));
+        push_retired(&b, 0, &mut list, recs.next().unwrap());
         let s = b.stats.snapshot();
         assert_eq!(s.retired_nodes, 4, "seal accounts the whole block");
         assert_eq!(s.batches_sealed, 1);
@@ -2203,10 +1864,10 @@ mod tests {
     #[test]
     fn push_retired_paces_triggers_by_new_retires() {
         let b = DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(8));
-        let mut list = RetireList::new(4, 1);
+        let mut list = RetireList::new(4);
         let mut crossings = 0;
-        for i in 0..16 {
-            if push_retired(&b, 0, &mut list, mk(&b, i, i)) {
+        for r in run(&b, (0..16).map(|i| (i, i))) {
+            if push_retired(&b, 0, &mut list, r) {
                 crossings += 1;
             }
         }
@@ -2222,17 +1883,18 @@ mod tests {
         // regime); a full-list pass must still only be requested once per
         // reclaim_freq new retires, not once per sealed block.
         let b = DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(8));
-        let mut list = RetireList::new(4, 1);
-        for i in 0..8 {
-            push_retired(&b, 0, &mut list, mk(&b, i, i));
+        let mut list = RetireList::new(4);
+        let mut recs = run(&b, (0..16).map(|i| (i, i))).into_iter();
+        for r in recs.by_ref().take(8) {
+            push_retired(&b, 0, &mut list, r);
         }
         // Simulate a pass that freed nothing (all pinned).
         let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |_| true) };
         assert_eq!(freed, 0);
         assert_eq!(list.len(), 8, "everything pinned");
         let mut crossings = 0;
-        for i in 0..8 {
-            if push_retired(&b, 0, &mut list, mk(&b, 100 + i, 0)) {
+        for r in recs {
+            if push_retired(&b, 0, &mut list, r) {
                 crossings += 1;
             }
         }
@@ -2320,7 +1982,7 @@ mod tests {
     #[test]
     fn sweep_seals_and_accounts_the_partial_fill() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(8, 1);
+        let mut list = RetireList::new(8);
         for i in 0..5 {
             push_retired(&b, 0, &mut list, mk(&b, i, i));
         }
@@ -2336,9 +1998,9 @@ mod tests {
     #[test]
     fn free_before_epoch_sweeps_by_retire_era() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(RETIRE_BATCH_CAP, 1);
-        for (birth, retire) in [(0, 3), (0, 7), (0, 5)] {
-            push_retired(&b, 0, &mut list, mk(&b, birth, retire));
+        let mut list = RetireList::new(RETIRE_BATCH_CAP);
+        for r in run(&b, [(0, 3), (0, 7), (0, 5)]) {
+            push_retired(&b, 0, &mut list, r);
         }
         let freed = unsafe { free_before_epoch(&b, 0, &mut list, 5) };
         assert_eq!(freed, 1, "only retire era 3 < 5 is freeable");
@@ -2380,7 +2042,7 @@ mod tests {
     #[test]
     fn era_free_pass() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(RETIRE_BATCH_CAP, 1);
+        let mut list = RetireList::new(RETIRE_BATCH_CAP);
         // lifespans: [1,2] freeable, [4,6] blocked by era 5, [7,9] freeable
         for (birth, retire) in [(1, 2), (4, 6), (7, 9)] {
             push_retired(&b, 0, &mut list, mk(&b, birth, retire));
@@ -2398,7 +2060,7 @@ mod tests {
         {
             let b = DomainBase::new(SmrConfig::for_tests(1));
             stats = Arc::clone(&b.stats);
-            let mut list = RetireList::new(RETIRE_BATCH_CAP, 1);
+            let mut list = RetireList::new(RETIRE_BATCH_CAP);
             // Two sub-batch nodes: not yet accounted.
             push_retired(&b, 0, &mut list, mk(&b, 0, 0));
             push_retired(&b, 0, &mut list, mk(&b, 0, 0));
@@ -2416,7 +2078,7 @@ mod tests {
     #[test]
     fn orphan_adoption_is_bounded_and_preserves_accounting() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut donor = RetireList::new(RETIRE_BATCH_CAP, 1);
+        let mut donor = RetireList::new(RETIRE_BATCH_CAP);
         let total = ORPHAN_ADOPT_MAX + 10;
         for i in 0..total as u64 {
             push_retired(&b, 0, &mut donor, mk(&b, i, i));
@@ -2425,7 +2087,7 @@ mod tests {
         assert_eq!(b.orphan_len(), total);
         let retired_before = b.stats.snapshot().retired_nodes;
 
-        let mut joiner = RetireList::new(RETIRE_BATCH_CAP, 1);
+        let mut joiner = RetireList::new(RETIRE_BATCH_CAP);
         b.adopt_orphan_chunk(0, &mut joiner);
         assert_eq!(joiner.len(), ORPHAN_ADOPT_MAX, "chunk is bounded");
         assert_eq!(b.orphan_len(), 10, "remainder stays parked");
@@ -2452,7 +2114,7 @@ mod tests {
     #[test]
     fn sweep_steals_bounded_orphan_chunks_until_drained() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut donor = RetireList::new(RETIRE_BATCH_CAP, 1);
+        let mut donor = RetireList::new(RETIRE_BATCH_CAP);
         let total = 2 * ORPHAN_ADOPT_MAX + 5;
         for i in 0..total as u64 {
             push_retired(&b, 0, &mut donor, mk(&b, i, i));
@@ -2460,7 +2122,7 @@ mod tests {
         b.orphan_remaining(0, &mut donor);
         assert_eq!(b.orphan_len(), total);
 
-        let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP, 1);
+        let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP);
         // Each pass adopts at most one chunk.
         let freed = unsafe { sweep_retire_list(&b, 0, &mut reclaimer, |_| false) };
         assert_eq!(freed, ORPHAN_ADOPT_MAX, "one chunk per pass");
@@ -2567,27 +2229,69 @@ mod tests {
     }
 
     #[test]
-    fn free_unreserved_merge_join_matches_binary_search_baseline() {
-        // Equivalence of the two strategies over the same workload: the
-        // same survivors, in the same order.
-        let mut mj = SweepBench::new();
-        let mut bs = SweepBench::new();
-        for (bench, merge_join) in [(&mut mj, true), (&mut bs, false)] {
-            let ptrs = bench.fill(257); // non-multiple of the block cap
-            let reserved: Vec<u64> = {
-                let mut r: Vec<u64> = ptrs.iter().copied().step_by(5).collect();
-                r.sort_unstable();
-                r
-            };
-            let freed = if merge_join {
-                bench.sweep_merge_join(&reserved)
-            } else {
-                bench.sweep_binary_search(&reserved)
-            };
-            assert_eq!(freed, 257 - reserved.len());
-            assert_eq!(bench.len(), reserved.len());
-            bench.drain();
-        }
+    fn filtered_sweeps_match_the_reference_predicate() {
+        // Range test + per-node window test must free exactly what the
+        // plain per-node predicate frees. Each filtered sweep and
+        // `sweep_retire_list` run over twin lists — same lifespans,
+        // different nodes, reservations drawn at the same positions — and
+        // the survivors compare by birth era, the twins' shared tag.
+        let b = DomainBase::new(SmrConfig::for_tests(1));
+        // 257: not a multiple of the block size.
+        let lifespans: Vec<(u64, u64)> = (0..257u64).map(|i| (i, i + i % 7)).collect();
+        let twin = || {
+            let mut list = RetireList::new(RETIRE_BATCH_CAP);
+            let mut ptrs = Vec::new();
+            for &(birth, retire) in &lifespans {
+                let r = mk(&b, birth, retire);
+                ptrs.push(r.ptr() as u64);
+                push_retired(&b, 0, &mut list, r);
+            }
+            (list, ptrs)
+        };
+        let survivors = |list: &mut RetireList| {
+            let mut v = eras_of(list);
+            v.sort_unstable();
+            drain_free(&b, list);
+            v
+        };
+
+        let (mut fast, fast_ptrs) = twin();
+        let (mut slow, slow_ptrs) = twin();
+        let every_fifth = |ptrs: &[u64]| {
+            let mut r: Vec<u64> = ptrs.iter().copied().step_by(5).collect();
+            r.sort_unstable();
+            r
+        };
+        let (fr, sr) = (every_fifth(&fast_ptrs), every_fifth(&slow_ptrs));
+        let freed = unsafe { free_unreserved(&b, 0, &mut fast, &fr) };
+        let freed_ref = unsafe {
+            sweep_retire_list(&b, 0, &mut slow, |r| {
+                sr.binary_search(&(r.ptr() as u64)).is_ok()
+            })
+        };
+        assert_eq!(freed, 257 - fr.len());
+        assert_eq!(freed, freed_ref);
+        assert_eq!(survivors(&mut fast), survivors(&mut slow), "pointers");
+
+        let eras = [3, 40, 41, 100, 250];
+        let (mut fast, _) = twin();
+        let (mut slow, _) = twin();
+        let freed = unsafe { free_era_unreserved(&b, 0, &mut fast, &eras) };
+        let freed_ref = unsafe {
+            sweep_retire_list(&b, 0, &mut slow, |r| {
+                era_range_reserved(&eras, r.birth_era(), r.retire_era())
+            })
+        };
+        assert!(freed > 0 && freed < 257);
+        assert_eq!(freed, freed_ref);
+        assert_eq!(survivors(&mut fast), survivors(&mut slow), "eras");
+
+        let (mut fast, _) = twin();
+        let (mut slow, _) = twin();
+        let freed = unsafe { free_before_epoch(&b, 0, &mut fast, 120) };
+        let freed_ref = unsafe { sweep_retire_list(&b, 0, &mut slow, |r| r.retire_era() >= 120) };
+        assert_eq!(freed, freed_ref);
+        assert_eq!(survivors(&mut fast), survivors(&mut slow), "epochs");
     }
 
     #[test]
@@ -2611,11 +2315,11 @@ mod tests {
     #[test]
     fn free_before_epoch_summary_decides_whole_blocks() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(2, 1);
+        let mut list = RetireList::new(2);
         // Blocks of 2 with retire eras (1,2) freeable, (8,9) kept, (4,6)
         // straddling min = 5.
-        for (birth, retire) in [(0, 1), (0, 2), (0, 8), (0, 9), (0, 4), (0, 6)] {
-            push_retired(&b, 0, &mut list, mk(&b, birth, retire));
+        for r in run(&b, [(0, 1), (0, 2), (0, 8), (0, 9), (0, 4), (0, 6)]) {
+            push_retired(&b, 0, &mut list, r);
         }
         let freed = unsafe { free_before_epoch(&b, 0, &mut list, 5) };
         assert_eq!(freed, 3, "retire eras 1, 2 and 4 are below the bound");
@@ -2626,14 +2330,14 @@ mod tests {
     }
 
     #[test]
-    fn bins_one_matches_legacy_block_formation() {
-        // retire_bins = 1 must reproduce the historical single-fill-block
-        // pipeline exactly: blocks sealed in retire order, one per `seal`
-        // nodes, survivors in retire order after a sweep.
+    fn one_bin_seals_in_retire_order() {
+        // Nodes routed to one bin seal in retire order: one block per
+        // `seal` nodes, the remainder sealed by a flush as one partial
+        // block.
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(4, 1);
-        for i in 0..10 {
-            push_retired(&b, 0, &mut list, mk(&b, i, i));
+        let mut list = RetireList::new(4);
+        for r in run(&b, (0..10).map(|i| (i, i))) {
+            push_retired(&b, 0, &mut list, r);
         }
         let s = b.stats.snapshot();
         assert_eq!(s.batches_sealed, 2, "seals at 4 and 8 exactly");
@@ -2647,62 +2351,46 @@ mod tests {
     }
 
     #[test]
-    fn binned_blocks_never_mix_arenas() {
-        // The routing invariant behind born-monotone blocks: every sealed
-        // block's members share one `(ptr >> ARENA_SHIFT) & mask` bin.
+    fn a_sealed_block_never_mixes_slab_residues() {
+        // The routing invariant behind whole-slab settlement: every sealed
+        // block's members share one `(ptr / SLAB_BYTES) % FILL_BINS`
+        // residue. 4 KiB nodes spread 64 retires over several slab-sized
+        // regions, so several bins fill at once.
+        #[repr(C)]
+        struct Wide {
+            hdr: Header,
+            _pad: [u8; 4088],
+        }
+        unsafe impl crate::header::HasHeader for Wide {}
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(8, 4);
-        for i in 0..256 {
-            push_retired(&b, 0, &mut list, mk(&b, i, i));
+        let mut list = RetireList::new(8);
+        for i in 0..64 {
+            let p = Box::into_raw(Box::new(Wide {
+                hdr: Header::new(i, core::mem::size_of::<Wide>()),
+                _pad: [0; 4088],
+            }));
+            b.stats
+                .shard(0)
+                .allocated_nodes
+                .fetch_add(1, Ordering::Relaxed);
+            push_retired(&b, 0, &mut list, unsafe { Retired::new(p) });
         }
         seal_and_account(&b, 0, &mut list);
-        assert_eq!(list.len(), 256, "conservation through binned seals");
+        assert_eq!(list.len(), 64, "conservation through binned seals");
+        let mut residues = std::collections::BTreeSet::new();
         for blk in &list.blocks {
             let bins: Vec<usize> = blk
                 .nodes()
                 .iter()
-                .map(|r| ((r.ptr() as u64 >> ARENA_SHIFT) & 3) as usize)
+                .map(|r| fill_bin(r.ptr() as u64))
                 .collect();
             assert!(
                 bins.windows(2).all(|w| w[0] == w[1]),
-                "a sealed block must hold a single arena bin, got {bins:?}"
+                "a sealed block must hold a single slab residue, got {bins:?}"
             );
+            residues.insert(bins[0]);
         }
-        drain_free(&b, &mut list);
-    }
-
-    #[test]
-    fn monotone_seal_counter_tracks_push_order() {
-        // Deterministic regardless of allocator layout: the PUSH ORDER is
-        // chosen from the allocated addresses, so monotone and zigzag
-        // blocks are constructed exactly.
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(RETIRE_BATCH_CAP, 1);
-        let mut nodes: Vec<Retired> = (0..RETIRE_BATCH_CAP as u64).map(|i| mk(&b, i, i)).collect();
-        nodes.sort_by_key(|r| r.ptr() as u64);
-        // Zigzag: alternate low/high ends — provably non-monotone.
-        let mut deque: std::collections::VecDeque<Retired> = nodes.into();
-        let mut front = true;
-        while let Some(r) = if front {
-            deque.pop_front()
-        } else {
-            deque.pop_back()
-        } {
-            front = !front;
-            push_retired(&b, 0, &mut list, r);
-        }
-        let s = b.stats.snapshot();
-        assert_eq!(s.batches_sealed, 1);
-        assert_eq!(s.blocks_sealed_monotone, 0, "zigzag block is not monotone");
-        // Ascending push order: the next sealed block must count.
-        let mut asc: Vec<Retired> = (0..RETIRE_BATCH_CAP as u64).map(|i| mk(&b, i, i)).collect();
-        asc.sort_by_key(|r| r.ptr() as u64);
-        for r in asc {
-            push_retired(&b, 0, &mut list, r);
-        }
-        let s = b.stats.snapshot();
-        assert_eq!(s.batches_sealed, 2);
-        assert_eq!(s.blocks_sealed_monotone, 1, "ascending block counts");
+        assert!(residues.len() > 1, "the fill must exercise several bins");
         drain_free(&b, &mut list);
     }
 
@@ -2713,7 +2401,7 @@ mod tests {
         // (accounted once per block) and parked — no node unsealed, no
         // node leaked.
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(RETIRE_BATCH_CAP, 8);
+        let mut list = RetireList::new(RETIRE_BATCH_CAP);
         let n = 21u64;
         for i in 0..n {
             push_retired(&b, 0, &mut list, mk(&b, i, i));
@@ -2728,7 +2416,7 @@ mod tests {
         assert_eq!(s.batches_sealed, open_bins, "one seal event per bin");
         assert_eq!(b.orphan_len(), n as usize);
         // A sweep steals the parked blocks and frees them: conservation.
-        let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP, 8);
+        let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP);
         let freed = unsafe { sweep_retire_list(&b, 0, &mut reclaimer, |_| false) };
         assert_eq!(freed as u64, n);
         assert_eq!(b.orphan_len(), 0);
@@ -2736,50 +2424,28 @@ mod tests {
     }
 
     #[test]
-    fn stolen_blocks_keep_their_sort_caches() {
-        // Park blocks whose sort caches are built, steal them, and verify
-        // the next sweep decides them from the cache (whole-block paths)
-        // without touching records.
+    fn extrema_survive_parking() {
+        // Park blocks whose summaries are built, steal them, and verify
+        // they arrive with both halves cached and are decided whole from
+        // them without touching a record.
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut donor = RetireList::new(4, 1);
-        for i in 0..8 {
-            push_retired(&b, 0, &mut donor, mk(&b, i, i));
-        }
-        // Build the pointer sort caches: a no-free sweep with everything
-        // reserved (sorted set of every member pointer).
-        let reserved: Vec<u64> = {
-            let mut r: Vec<u64> = donor
-                .blocks
-                .iter()
-                .flat_map(|blk| blk.nodes())
-                .map(|r| r.ptr() as u64)
-                .collect();
-            r.sort_unstable();
-            r
-        };
-        // Two passes: the sort-deferral heuristic skips the sort on a
-        // block's first sweep and builds it on the second.
-        for _ in 0..2 {
-            let freed = unsafe { free_unreserved(&b, 0, &mut donor, &reserved) };
-            assert_eq!(freed, 0);
-        }
-        for blk in &donor.blocks {
-            assert!(blk.has_sorted(SortKey::Ptr), "cache built before parking");
-        }
+        let mut donor = filled(&b, 4, &[0, 1, 2, 3, 4, 5, 6, 7]);
+        // A keep-everything epoch sweep computes the era half.
+        let freed = unsafe { free_before_epoch(&b, 0, &mut donor, 0) };
+        assert_eq!(freed, 0);
+        assert!(donor.blocks.iter().all(|blk| blk.summary_is_cached()));
         b.orphan_remaining(0, &mut donor);
-        // Steal into a fresh list: blocks must arrive with caches intact.
-        let mut thief = RetireList::new(4, 1);
+        let mut thief = RetireList::new(4);
         b.steal_orphan_chunk(0, &mut thief);
         assert_eq!(thief.len(), 8, "both blocks stolen");
         for blk in &thief.blocks {
             assert!(
-                blk.has_sorted(SortKey::Ptr),
-                "block-granular parking must not drop the sort cache"
+                blk.summary_is_cached(),
+                "block-granular parking must not drop the extrema"
             );
         }
-        // And the stolen blocks are decided whole from their summaries.
         let kept_before = b.stats.snapshot().blocks_kept_whole;
-        let freed = unsafe { free_unreserved(&b, 0, &mut thief, &reserved) };
+        let freed = unsafe { free_before_epoch(&b, 0, &mut thief, 0) };
         assert_eq!(freed, 0);
         assert_eq!(
             b.stats.snapshot().blocks_kept_whole,
@@ -2787,223 +2453,6 @@ mod tests {
             "stolen blocks range-test whole from surviving summaries"
         );
         drain_free(&b, &mut thief);
-    }
-
-    #[test]
-    fn adaptive_bins_collapse_to_one_on_a_single_stream() {
-        // A monotone push order keeps the sealed-block monotone share at
-        // 1.0 regardless of bin count, so the auto-sizer's collapse
-        // probes all succeed: 4 → 2 → 1 within a few windows, shedding
-        // the multi-bin unsealed-node bound.
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::with_adaptive(8, 4, true);
-        assert_eq!(list.bins(), 4);
-        // One window = BIN_ADAPT_WINDOW blocks of 8 nodes; give it six
-        // windows' worth of ascending-address pushes.
-        let per_window = crate::controller::BIN_ADAPT_WINDOW as usize * 8;
-        for _ in 0..6 {
-            let mut nodes: Vec<Retired> = (0..per_window as u64).map(|i| mk(&b, i, i)).collect();
-            nodes.sort_by_key(|r| r.ptr() as u64);
-            for r in nodes {
-                push_retired(&b, 0, &mut list, r);
-            }
-            // Keep the list bounded (and the free pool warm).
-            let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |_| false) };
-            assert!(freed > 0);
-        }
-        assert_eq!(list.bins(), 1, "single stream must converge to 1 bin");
-        let s = b.stats.snapshot();
-        assert!(
-            s.bin_resizes >= 2,
-            "at least 4 → 2 → 1, saw {}",
-            s.bin_resizes
-        );
-        drain_free(&b, &mut list);
-    }
-
-    #[test]
-    fn adaptive_bins_grow_back_under_address_random_churn() {
-        // A deterministically shuffled push order defeats every bin
-        // count's separation, so the share stays low and the auto-sizer
-        // grows to the maximum — and stays there (low share at the
-        // ceiling holds, it does not oscillate).
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::with_adaptive(8, 1, true);
-        assert_eq!(list.bins(), 1);
-        let per_round = crate::controller::BIN_ADAPT_WINDOW as usize * 8;
-        for _ in 0..8 {
-            let mut nodes: Vec<Retired> = (0..per_round as u64).map(|i| mk(&b, i, i)).collect();
-            nodes.sort_by_key(|r| r.ptr() as u64);
-            // Deterministic shuffle: visit indices by a coprime stride.
-            let n = nodes.len();
-            let mut order: Vec<usize> = (0..n).map(|i| (i * 97) % n).collect();
-            order.dedup();
-            let mut slots: Vec<Option<Retired>> = nodes.into_iter().map(Some).collect();
-            for i in order {
-                if let Some(r) = slots[i].take() {
-                    push_retired(&b, 0, &mut list, r);
-                }
-            }
-            for s in slots.into_iter().flatten() {
-                push_retired(&b, 0, &mut list, s);
-            }
-            let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |_| false) };
-            assert!(freed > 0);
-        }
-        assert_eq!(
-            list.bins(),
-            crate::config::MAX_RETIRE_BINS,
-            "random churn must grow to the ceiling"
-        );
-        assert!(b.stats.snapshot().bin_resizes >= 3, "1 → 2 → 4 → 8");
-        drain_free(&b, &mut list);
-    }
-
-    #[test]
-    fn joining_thread_inherits_converged_bin_count() {
-        // Controller v2: once any participant's auto-sizer has converged,
-        // a joining thread's list is seeded with that count at adoption
-        // time instead of re-walking the probe ladder from the default.
-        let b = DomainBase::new(SmrConfig::for_tests(2));
-        let mut list = RetireList::with_adaptive(8, 4, true);
-        let per_window = crate::controller::BIN_ADAPT_WINDOW as usize * 8;
-        for _ in 0..6 {
-            let mut nodes: Vec<Retired> = (0..per_window as u64).map(|i| mk(&b, i, i)).collect();
-            nodes.sort_by_key(|r| r.ptr() as u64);
-            for r in nodes {
-                push_retired(&b, 0, &mut list, r);
-            }
-            let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |_| false) };
-            assert!(freed > 0);
-        }
-        assert_eq!(list.bins(), 1, "tid 0 must converge to 1 bin first");
-        // A joiner's fresh adaptive list inherits the converged count.
-        let mut joiner = RetireList::with_adaptive(8, 4, true);
-        b.adopt_orphan_chunk(1, &mut joiner);
-        assert_eq!(joiner.bins(), 1, "joiner inherits the converged count");
-        // A static list keeps its configured bins — seeding is
-        // adaptive-only.
-        let mut fixed = RetireList::with_adaptive(8, 4, false);
-        b.adopt_orphan_chunk(1, &mut fixed);
-        assert_eq!(fixed.bins(), 4, "static lists never reseed");
-        // A list mid-fill is left alone (resizing requires sealed fills).
-        let mut dirty = RetireList::with_adaptive(8, 4, true);
-        push_retired(&b, 1, &mut dirty, mk(&b, 0, 0));
-        b.adopt_orphan_chunk(1, &mut dirty);
-        assert_eq!(dirty.bins(), 4, "non-empty fills defer to the sizer");
-        unsafe { sweep_retire_list(&b, 1, &mut dirty, |_| false) };
-        drain_free(&b, &mut list);
-        drain_free(&b, &mut dirty);
-    }
-
-    #[test]
-    fn static_bins_never_resize() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::with_adaptive(8, 4, false);
-        let per_window = crate::controller::BIN_ADAPT_WINDOW as usize * 8;
-        for _ in 0..4 {
-            let mut nodes: Vec<Retired> = (0..per_window as u64).map(|i| mk(&b, i, i)).collect();
-            nodes.sort_by_key(|r| r.ptr() as u64);
-            for r in nodes {
-                push_retired(&b, 0, &mut list, r);
-            }
-            unsafe { sweep_retire_list(&b, 0, &mut list, |_| false) };
-        }
-        assert_eq!(list.bins(), 4, "adaptive off: bins stay configured");
-        assert_eq!(b.stats.snapshot().bin_resizes, 0);
-        drain_free(&b, &mut list);
-    }
-
-    #[test]
-    fn resize_seals_partials_and_conserves_nodes() {
-        // A forced resize in the middle of a fill must seal every open
-        // bin (accounted exactly once) and lose nothing.
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::with_adaptive(RETIRE_BATCH_CAP, 4, true);
-        for i in 0..13 {
-            push_retired(&b, 0, &mut list, mk(&b, i, i));
-        }
-        let outcome = list.seal_partial();
-        account_seal(&b, 0, outcome);
-        list.set_bins(8);
-        assert_eq!(list.bins(), 8);
-        assert_eq!(list.len(), 13, "conservation through the resize");
-        assert_eq!(b.stats.snapshot().retired_nodes, 13);
-        for i in 0..5 {
-            push_retired(&b, 0, &mut list, mk(&b, 100 + i, 0));
-        }
-        list.seal_partial();
-        list.set_bins(1);
-        assert_eq!(list.bins(), 1);
-        assert_eq!(list.len(), 18);
-        drain_free(&b, &mut list);
-    }
-
-    #[test]
-    fn era_monotone_seals_are_counted_and_fast_path_sweeps() {
-        // Ascending birth eras in push order: every sealed block is
-        // era-monotone, the counter says so, and the era sweep decides
-        // blocks via merge-join on their FIRST sweep (whole-block frees
-        // here, since nothing is reserved).
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(4, 1);
-        for i in 0..8 {
-            push_retired(&b, 0, &mut list, mk(&b, i, i));
-        }
-        let s = b.stats.snapshot();
-        assert_eq!(s.batches_sealed, 2);
-        assert_eq!(s.blocks_sealed_era_monotone, 2, "ascending births count");
-        // A zigzag-birth block must not count.
-        for i in [5u64, 1, 7, 2] {
-            push_retired(&b, 0, &mut list, mk(&b, i, i));
-        }
-        let s = b.stats.snapshot();
-        assert_eq!(s.batches_sealed, 3);
-        assert_eq!(s.blocks_sealed_era_monotone, 2, "zigzag births don't");
-        drain_free(&b, &mut list);
-    }
-
-    #[test]
-    fn era_monotone_block_merge_joins_on_first_sweep() {
-        // Era-reserved sweep over freshly sealed era-monotone blocks: the
-        // merge-join path must produce the same survivors as the windowed
-        // search would, on the very first sweep (no sort deferral).
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(4, 1);
-        // Lifespans [i, i]: reserved era 5 pins exactly birth 5.
-        for i in 0..8 {
-            push_retired(&b, 0, &mut list, mk(&b, i, i));
-        }
-        let freed = unsafe { free_era_unreserved(&b, 0, &mut list, &[5]) };
-        assert_eq!(freed, 7);
-        assert_eq!(eras_of(&list), vec![5]);
-        drain_free(&b, &mut list);
-    }
-
-    #[test]
-    fn kept_blocks_reuse_their_sort_cache_across_passes() {
-        // A block pinned across passes must be decided from its cached
-        // summary without rebuilding anything: survivors and order stay
-        // identical over repeated sweeps.
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = filled(&b, 4, &[0, 1, 2, 3]);
-        let reserved: Vec<u64> = {
-            let mut r: Vec<u64> = list
-                .blocks
-                .iter()
-                .flat_map(|blk| blk.nodes())
-                .map(|r| r.ptr() as u64)
-                .collect();
-            r.sort_unstable();
-            r
-        };
-        for pass in 0..3 {
-            let freed = unsafe { free_unreserved(&b, 0, &mut list, &reserved) };
-            assert_eq!(freed, 0, "pass {pass}: everything pinned");
-            assert_eq!(eras_of(&list), vec![0, 1, 2, 3], "order preserved");
-        }
-        assert_eq!(b.stats.snapshot().blocks_kept_whole, 3);
-        drain_free(&b, &mut list);
     }
 
     #[test]
@@ -3112,7 +2561,7 @@ mod tests {
         }
         assert_eq!(b.orphan_len(), total);
         b.claim(0);
-        let mut list = RetireList::new(2, 1);
+        let mut list = RetireList::new(2);
         let mut adopted = 0usize;
         // Each steal takes at most ORPHAN_CHUNK_BLOCKS blocks; loop until
         // the stripes are dry.

@@ -8,16 +8,6 @@ use crate::pressure::PressureGauge;
 /// for a running peer's handler to publish before the waiter parks.
 pub const DEFAULT_PUBLISH_SPIN: u32 = 128;
 
-/// Upper bound on [`SmrConfig::retire_bins`]: more bins than this buys no
-/// extra monotonicity (allocators rarely interleave more arenas per
-/// thread) while inflating the per-thread unsealed-node bound
-/// (`bins × (retire_batch − 1)`).
-pub const MAX_RETIRE_BINS: usize = 8;
-
-/// Default arena-bin count: enough to separate the address streams real
-/// allocators interleave (fresh bump region + a few free-list arenas).
-pub const DEFAULT_RETIRE_BINS: usize = 4;
-
 /// Default publish-wait deadline (1 s wall clock, total per reclamation
 /// pass). Generous enough that a merely descheduled peer on an
 /// oversubscribed host publishes long before it; the deadline exists for
@@ -43,13 +33,6 @@ pub const PRESSURE_EMERGENCY_FACTOR: usize = 32;
 /// trimmed back at the next sweep instead of holding the high-water mark
 /// forever.
 pub const DEFAULT_FREE_POOL_CAP: usize = 32;
-
-/// The one normalization rule for bin counts: a power of two (so bin
-/// routing is a shift + mask) in `1..=MAX_RETIRE_BINS`, rounding upward
-/// (3 → 4). Shared by the builder, `effective_bins` and `RetireList`.
-pub(crate) fn normalize_bins(b: usize) -> usize {
-    b.clamp(1, MAX_RETIRE_BINS).next_power_of_two()
-}
 
 /// How a POP reclaimer gets peers' reservations published before it scans
 /// them (the publish half of `ping_all_and_wait`). The signal fan-out
@@ -111,11 +94,9 @@ impl PublishMode {
 ///     .with_reclaim_freq(1024)
 ///     .with_epoch_freq(32)
 ///     .with_retire_batch(16)
-///     .with_retire_bins(3) // rounds up to the next power of two
 ///     .with_publish_spin(64)
 ///     .with_futex_wait(true)
 ///     .with_adaptive(false);
-/// assert_eq!(cfg.retire_bins, 4);
 /// assert_eq!(cfg.effective_batch(), 16);
 /// assert!(!cfg.adaptive);
 /// ```
@@ -130,9 +111,8 @@ impl PublishMode {
 /// | variable                  | effect                                       |
 /// |---------------------------|----------------------------------------------|
 /// | `POP_RETIRE_BATCH`        | seal threshold (`1` = unbatched retirement)  |
-/// | `POP_RETIRE_BINS`         | arena fill bins (`1` = single fill block)    |
 /// | `POP_FUTEX_WAIT`          | `0`/`off` = yield-loop publish waits         |
-/// | `POP_ADAPTIVE`            | `0`/`off` = static knobs (no controller)     |
+/// | `POP_ADAPTIVE`            | `0`/`off` = no epoch-cadence decay           |
 /// | `POP_PUBLISH_DEADLINE_MS` | publish-wait watchdog deadline (`0` = off)   |
 /// | `POP_PRESSURE_SOFT`       | soft pressure watermark in nodes (`0` = gauge off) |
 /// | `POP_PRESSURE_HARD`       | hard pressure watermark in nodes             |
@@ -146,7 +126,6 @@ impl PublishMode {
 /// use pop_core::{PublishMode, SmrConfig};
 ///
 /// std::env::set_var("POP_RETIRE_BATCH", "1");
-/// std::env::set_var("POP_RETIRE_BINS", "1");
 /// std::env::set_var("POP_FUTEX_WAIT", "off");
 /// std::env::set_var("POP_ADAPTIVE", "0");
 /// std::env::set_var("POP_PRESSURE_SOFT", "128");
@@ -157,7 +136,6 @@ impl PublishMode {
 /// std::env::set_var("POP_SLAB", "0");
 /// let cfg = SmrConfig::for_tests(2);
 /// assert_eq!(cfg.retire_batch, 1);
-/// assert_eq!(cfg.retire_bins, 1);
 /// assert!(!cfg.futex_wait);
 /// assert!(!cfg.adaptive);
 /// assert_eq!(
@@ -170,14 +148,14 @@ impl PublishMode {
 ///
 /// // Unset (or unparsable) variables leave the defaults alone.
 /// for k in [
-///     "POP_RETIRE_BATCH", "POP_RETIRE_BINS", "POP_FUTEX_WAIT", "POP_ADAPTIVE",
-///     "POP_PRESSURE_SOFT", "POP_PRESSURE_HARD", "POP_PRESSURE_EMERGENCY",
-///     "POP_FREE_POOL_CAP", "POP_PUBLISH_MODE", "POP_SLAB",
+///     "POP_RETIRE_BATCH", "POP_FUTEX_WAIT", "POP_ADAPTIVE", "POP_PRESSURE_SOFT",
+///     "POP_PRESSURE_HARD", "POP_PRESSURE_EMERGENCY", "POP_FREE_POOL_CAP",
+///     "POP_PUBLISH_MODE", "POP_SLAB",
 /// ] {
 ///     std::env::remove_var(k);
 /// }
 /// let cfg = SmrConfig::for_tests(2);
-/// assert!(cfg.retire_batch > 1 && cfg.retire_bins > 1);
+/// assert!(cfg.retire_batch > 1);
 /// assert!(cfg.futex_wait && cfg.adaptive);
 /// assert!(cfg.pressure_soft > 0, "the gauge is on by default");
 /// assert_eq!(cfg.publish_mode, PublishMode::Futex, "historical default");
@@ -200,20 +178,13 @@ pub struct SmrConfig {
     /// delayed thread and engages publish-on-ping.
     pub pop_c: usize,
     /// Retirement-batch seal threshold: `retire` fills thread-private
-    /// blocks (one per arena bin — see [`Self::retire_bins`]) and seals a
-    /// block into the retire list once it holds `retire_batch` nodes,
-    /// amortizing the stats update and the reclaim-threshold test. Clamped
-    /// to `1..=RETIRE_BATCH_CAP` and never above `reclaim_freq` (so small
-    /// thresholds still reclaim on time). `1` disables batching.
+    /// blocks (a fixed set of fill bins, routed by the node's slab) and
+    /// seals a block into the retire list once it holds `retire_batch`
+    /// nodes, amortizing the stats update and the reclaim-threshold test.
+    /// Clamped to `1..=RETIRE_BATCH_CAP` and never above `reclaim_freq`
+    /// (so small thresholds still reclaim on time). `1` disables batching
+    /// and makes every seal and trigger point exact.
     pub retire_batch: usize,
-    /// Arena-binned fill blocks: `retire` routes each node to one of
-    /// `retire_bins` thread-private fill blocks keyed by its pointer's
-    /// high bits (`ptr >> ARENA_SHIFT`), so nodes from different allocator
-    /// arenas fill *different* blocks and most sealed blocks come out
-    /// address-monotone — the merge-join sweep's fast path. Clamped to a
-    /// power of two in `1..=MAX_RETIRE_BINS`; `1` restores the single
-    /// fill block.
-    pub retire_bins: usize,
     /// Spins a publish wait (`ping_all_and_wait`, NBR phase 2) burns before
     /// falling back to parking (`futex`) or yielding. Small values favor
     /// oversubscribed hosts; large values favor handlers that run within a
@@ -231,13 +202,10 @@ pub struct SmrConfig {
     /// `0` disables the watchdog (waits are unbounded, the pre-PR-6
     /// behavior).
     pub publish_deadline_ns: u64,
-    /// The per-domain adaptive controller (`pop_core::controller`): epoch
-    /// cadence decays on barren passes (instantly reset by the first
-    /// freeing sweep), and each thread auto-sizes its fill-bin count from
-    /// the observed monotone seal share — `retire_bins` then acts as the
-    /// *initial* count, roaming `1..=MAX_RETIRE_BINS` (inert when
-    /// `retire_bins` is 1, so the legacy single-block configuration stays
-    /// byte-identical). `false` pins every knob at its configured value.
+    /// The per-domain adaptive controller (`pop_core::controller`): the
+    /// epoch cadence of EBR, EpochPOP and IBR decays on barren passes and
+    /// is instantly reset by the first freeing sweep. `false` pins it at
+    /// `epoch_freq`.
     pub adaptive: bool,
     /// Testing mode: freed nodes are poisoned and quarantined instead of
     /// deallocated, turning any use-after-free into a deterministic panic
@@ -280,8 +248,8 @@ pub struct SmrConfig {
     /// construction, whole-slab frees settle via one range test, and
     /// fully-empty slabs are recycled (past a small warm cache, `madvise`d
     /// back to the OS). `false` restores
-    /// plain `Box` allocation (the legacy pipeline, where arena bins are
-    /// guessed from pointer high bits). Env `POP_SLAB`.
+    /// plain `Box` allocation: fill bins then route by 64 KiB heap region,
+    /// and whole-block frees settle node by node. Env `POP_SLAB`.
     pub slab_alloc: bool,
 }
 
@@ -296,7 +264,6 @@ impl SmrConfig {
             epoch_freq: 64,
             pop_c: 2,
             retire_batch: RETIRE_BATCH_CAP,
-            retire_bins: DEFAULT_RETIRE_BINS,
             publish_spin: DEFAULT_PUBLISH_SPIN,
             futex_wait: true,
             publish_deadline_ns: DEFAULT_PUBLISH_DEADLINE_NS,
@@ -340,9 +307,9 @@ impl SmrConfig {
     }
 
     /// Applies the `POP_*` environment overrides (CI's fallback-path
-    /// matrix legs run the test suite with `POP_RETIRE_BINS=1`,
-    /// `POP_RETIRE_BATCH=1` and `POP_FUTEX_WAIT=0` without touching any
-    /// call site). Unset or unparsable variables change nothing.
+    /// matrix legs run the test suite with `POP_RETIRE_BATCH=1`,
+    /// `POP_FUTEX_WAIT=0` and `POP_ADAPTIVE=0` without touching any call
+    /// site). Unset or unparsable variables change nothing.
     ///
     /// Also arms the fault-injection layer from `POP_FAULTS` (a no-op
     /// unless the `fault-injection` feature is compiled in): domain
@@ -356,9 +323,6 @@ impl SmrConfig {
     fn with_overrides_from(mut self, get: impl Fn(&str) -> Option<String>) -> Self {
         if let Some(b) = get("POP_RETIRE_BATCH").and_then(|v| v.parse().ok()) {
             self = self.with_retire_batch(b);
-        }
-        if let Some(b) = get("POP_RETIRE_BINS").and_then(|v| v.parse().ok()) {
-            self = self.with_retire_bins(b);
         }
         if let Some(v) = get("POP_FUTEX_WAIT") {
             match v.as_str() {
@@ -449,8 +413,7 @@ impl SmrConfig {
     }
 
     /// Builder-style toggle for the adaptive domain controller (epoch
-    /// decay + bin auto-sizing). `false` pins every knob at its
-    /// configured value — the static PR-4 behavior.
+    /// cadence decay). `false` pins the cadence at `epoch_freq`.
     pub fn with_adaptive(mut self, on: bool) -> Self {
         self.adaptive = on;
         self
@@ -463,13 +426,6 @@ impl SmrConfig {
         self
     }
 
-    /// Builder-style override of the arena-bin count (clamped to a power
-    /// of two in `1..=MAX_RETIRE_BINS`; rounding is upward, so 3 → 4).
-    pub fn with_retire_bins(mut self, b: usize) -> Self {
-        self.retire_bins = normalize_bins(b);
-        self
-    }
-
     /// The seal threshold actually used by retire lists: the configured
     /// batch, never above `reclaim_freq` (a threshold the batch could
     /// otherwise straddle without ever triggering a pass).
@@ -477,21 +433,6 @@ impl SmrConfig {
         self.retire_batch
             .clamp(1, RETIRE_BATCH_CAP)
             .min(self.reclaim_freq.max(1))
-    }
-
-    /// The fill-bin count retire lists *start* with: a power of two (so
-    /// bin routing is a shift + mask) in `1..=MAX_RETIRE_BINS`. With
-    /// [`Self::adaptive_bins`] this is the initial value of a per-thread
-    /// auto-sized count; otherwise it is fixed.
-    pub fn effective_bins(&self) -> usize {
-        normalize_bins(self.retire_bins)
-    }
-
-    /// Whether per-thread bin auto-sizing is live: the controller is on
-    /// *and* binning itself is on (a configured single fill block is the
-    /// legacy pipeline and stays exactly that).
-    pub fn adaptive_bins(&self) -> bool {
-        self.adaptive && self.effective_bins() > 1
     }
 
     /// Enables the quarantine use-after-free detector (tests only).
@@ -615,40 +556,21 @@ mod tests {
     }
 
     #[test]
-    fn retire_bins_clamp_to_powers_of_two() {
-        assert_eq!(SmrConfig::test_defaults(1).retire_bins, DEFAULT_RETIRE_BINS);
-        let c = SmrConfig::test_defaults(1).with_retire_bins(0);
-        assert_eq!(c.retire_bins, 1, "bins clamp up to one");
-        let c = SmrConfig::test_defaults(1).with_retire_bins(3);
-        assert_eq!(c.retire_bins, 4, "bins round up to a power of two");
-        let c = SmrConfig::test_defaults(1).with_retire_bins(64);
-        assert_eq!(c.retire_bins, MAX_RETIRE_BINS, "bins clamp to the max");
-        assert_eq!(c.effective_bins(), MAX_RETIRE_BINS);
-        // effective_bins also repairs a hand-set field.
-        let mut c = SmrConfig::test_defaults(1);
-        c.retire_bins = 5;
-        assert_eq!(c.effective_bins(), 8);
-    }
-
-    #[test]
     fn env_overrides_drive_the_fallback_matrix() {
         let env = |k: &str| match k {
             "POP_RETIRE_BATCH" => Some("1".to_string()),
-            "POP_RETIRE_BINS" => Some("1".to_string()),
             "POP_FUTEX_WAIT" => Some("off".to_string()),
             "POP_ADAPTIVE" => Some("0".to_string()),
             _ => None,
         };
         let c = SmrConfig::test_defaults(2).with_overrides_from(env);
         assert_eq!(c.retire_batch, 1);
-        assert_eq!(c.retire_bins, 1);
         assert!(!c.futex_wait);
         assert!(!c.adaptive);
         // Unset / garbage values leave the defaults alone.
         let c = SmrConfig::test_defaults(2)
             .with_overrides_from(|k| (k == "POP_FUTEX_WAIT").then(|| "maybe".to_string()));
         assert_eq!(c.retire_batch, RETIRE_BATCH_CAP);
-        assert_eq!(c.retire_bins, DEFAULT_RETIRE_BINS);
         assert!(c.futex_wait);
         assert!(c.adaptive, "controller is on by default");
     }
@@ -667,17 +589,6 @@ mod tests {
         assert_eq!(
             c.publish_deadline_ns, DEFAULT_PUBLISH_DEADLINE_NS,
             "garbage leaves the default alone"
-        );
-    }
-
-    #[test]
-    fn adaptive_bins_requires_both_switches() {
-        let c = SmrConfig::test_defaults(1);
-        assert!(c.adaptive_bins(), "default: adaptive on, bins > 1");
-        assert!(!c.clone().with_adaptive(false).adaptive_bins());
-        assert!(
-            !c.with_retire_bins(1).adaptive_bins(),
-            "a configured single fill block stays the legacy pipeline"
         );
     }
 

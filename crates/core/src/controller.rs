@@ -1,42 +1,25 @@
 //! The per-domain **adaptive controller**: the feedback loop from sweep
-//! outcomes back to the pacing knobs that PRs 1–4 left static.
+//! outcomes back to the epoch cadence.
 //!
 //! The paper's thesis is that reservations should cost nothing until a
 //! reclaimer actually needs them. This module applies the same philosophy
-//! to the *reclaimer's own* recurring costs:
+//! to the *reclaimer's own* recurring cost, the epoch pass
+//! ([`PassController`]): a pass whose sweep frees nothing is evidence the
+//! domain is idle (everything pinned, or a trickle workload whose garbage
+//! drains elsewhere). Consecutive barren passes exponentially decay the
+//! epoch-advance cadence — the op-path clock tick stretches from
+//! `epoch_freq` to `epoch_freq << decay`, and only every `2^decay`-th
+//! trigger executes the full pass body (epoch aggregation with its stripe
+//! refreshes, reservation scan, sweep); skipped triggers cost one counter
+//! bump. The decay is bounded ([`MAX_EPOCH_DECAY`]) and resets to zero the
+//! moment any pass frees a block, so a domain that wakes up pays at most
+//! `2^MAX_EPOCH_DECAY` thinned triggers of extra reclamation latency —
+//! never a cliff. Skipping a sweep is always *safe*: epochs and
+//! reservations only ever delay frees, never legalize them.
 //!
-//! * **Epoch-freq decay** ([`PassController`]): a pass whose sweep frees
-//!   nothing is evidence the domain is idle (everything pinned, or a
-//!   trickle workload whose garbage drains elsewhere). Consecutive barren
-//!   passes exponentially decay the epoch-advance cadence — the op-path
-//!   clock tick stretches from `epoch_freq` to `epoch_freq << decay`, and
-//!   only every `2^decay`-th trigger executes the full pass body (epoch
-//!   aggregation with its stripe refreshes, reservation scan, sweep);
-//!   skipped triggers cost one counter bump. The decay is bounded
-//!   ([`MAX_EPOCH_DECAY`]) and resets to zero the moment any pass frees a
-//!   block, so a domain that wakes up pays at most `2^MAX_EPOCH_DECAY`
-//!   thinned triggers of extra reclamation latency — never a cliff.
-//!   Skipping a sweep is always *safe*: epochs and reservations only ever
-//!   delay frees, never legalize them.
-//! * **Bin auto-sizing** ([`BinAdapt`], driven from the retire hot path in
-//!   `base::push_retired`): each thread watches the monotone share of its
-//!   own recently sealed blocks and hill-climbs its private fill-bin
-//!   count. A low share means the address streams are interleaved faster
-//!   than the current bins separate them — double the bins. A
-//!   near-perfect share means binning may be unnecessary — probe half the
-//!   bins and keep the collapse only if the share survives. Single-stream
-//!   workloads converge to 1 bin (shedding the multi-bin unsealed-node
-//!   bound); interleaved-arena churn grows to the maximum.
-//!
-//! Era-monotone seal detection, the third adaptivity item, lives in the
-//! block itself (`header::RetireBatch` tracks birth-era direction bits
-//! exactly as it tracks pointer direction; `base::free_era_unreserved`
-//! admits era-monotone blocks to the merge-join path on their first
-//! sweep) — no controller state needed.
-//!
-//! Everything here is advisory pacing: disabling the controller
-//! (`SmrConfig::adaptive = false`, env `POP_ADAPTIVE=0`) restores the
-//! exact static PR-4 behavior, which the CI fallback matrix pins.
+//! The controller is advisory pacing: disabling it
+//! (`SmrConfig::adaptive = false`, env `POP_ADAPTIVE=0`) pins the cadence
+//! at `epoch_freq`, which the CI fallback matrix exercises.
 
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -44,23 +27,6 @@ use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// epoch cadence and pass thinning. Bounds the reclamation-latency cost
 /// of waking an idle domain to 16 thinned triggers.
 pub const MAX_EPOCH_DECAY: u32 = 4;
-
-/// Sealed blocks per bin-adaptation window: the monotone share is
-/// re-evaluated (and the bin count possibly resized) once per this many
-/// seals, so decisions average over ≥ `32 × RETIRE_BATCH_CAP` retires.
-pub const BIN_ADAPT_WINDOW: u32 = 32;
-
-/// Windows a thread holds off after a failed collapse probe before it
-/// probes again (hysteresis against share oscillation at a boundary).
-const BIN_PROBE_HOLDOFF: u8 = 4;
-
-/// Monotone-share threshold (out of [`BIN_ADAPT_WINDOW`]) *below* which
-/// the bins are failing to separate the address streams: grow.
-const SHARE_LOW_NUM: u32 = BIN_ADAPT_WINDOW / 2;
-
-/// Monotone-share threshold (out of [`BIN_ADAPT_WINDOW`]) at or *above*
-/// which fewer bins may do: probe a collapse. 7/8 of the window.
-const SHARE_HIGH_NUM: u32 = BIN_ADAPT_WINDOW - BIN_ADAPT_WINDOW / 8;
 
 /// What a triggered reclamation pass should execute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,7 +52,7 @@ pub struct PassController {
     decay: AtomicU32,
     /// Triggered-pass counter driving the `2^decay` thinning cycle.
     passes: AtomicU64,
-    /// `false` pins the controller at decay 0 (static PR-4 behavior).
+    /// `false` pins the controller at decay 0 (static cadence).
     enabled: bool,
 }
 
@@ -190,101 +156,6 @@ impl PassController {
     }
 }
 
-/// What one bin-adaptation evaluation decided.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BinDecision {
-    /// Keep the current bin count.
-    Hold,
-    /// Resize the fill bins to this count (a power of two).
-    Resize(usize),
-}
-
-/// Per-thread fill-bin auto-sizer (plain fields — owner-thread only, no
-/// atomics; lives inside the thread's `RetireList`).
-///
-/// Feed every seal outcome in with [`Self::note_seal`]; once a window of
-/// [`BIN_ADAPT_WINDOW`] blocks completes, [`Self::evaluate`] returns the
-/// resize decision for the observed monotone share.
-#[derive(Debug)]
-pub struct BinAdapt {
-    /// Adaptation ceiling (a power of two; 0 or 1 disables growth).
-    max_bins: usize,
-    /// Blocks sealed in the current window.
-    window_blocks: u32,
-    /// Of those, address-monotone at seal time.
-    window_monotone: u32,
-    /// Bin count before an in-flight collapse probe (0 = no probe).
-    probe_from: usize,
-    /// Windows to skip after a failed probe.
-    holdoff: u8,
-}
-
-impl BinAdapt {
-    /// An auto-sizer allowed to roam `1..=max_bins`.
-    pub fn new(max_bins: usize) -> Self {
-        BinAdapt {
-            max_bins,
-            window_blocks: 0,
-            window_monotone: 0,
-            probe_from: 0,
-            holdoff: 0,
-        }
-    }
-
-    /// Records one seal event. Returns `true` once per completed window —
-    /// the caller should then ask [`Self::evaluate`].
-    #[inline]
-    pub fn note_seal(&mut self, blocks: u64, monotone: u64) -> bool {
-        self.window_blocks += blocks as u32;
-        self.window_monotone += monotone as u32;
-        self.window_blocks >= BIN_ADAPT_WINDOW
-    }
-
-    /// Evaluates the completed window against the current bin count and
-    /// resets it. The rules, in priority order:
-    ///
-    /// 1. A pending collapse probe is judged: if the share stayed high the
-    ///    collapse sticks, otherwise grow back and hold off.
-    /// 2. Low share (< 1/2): the streams are interleaving — double.
-    /// 3. High share (≥ 7/8) with more than one bin: probe a collapse to
-    ///    half; the next window judges it.
-    pub fn evaluate(&mut self, current_bins: usize) -> BinDecision {
-        // Normalize the share to the window size before resetting, so
-        // over-full windows (multi-block seal events) compare fairly.
-        let share_num = self
-            .window_monotone
-            .saturating_mul(BIN_ADAPT_WINDOW)
-            .checked_div(self.window_blocks)
-            .unwrap_or(0);
-        self.window_blocks = 0;
-        self.window_monotone = 0;
-
-        if self.holdoff > 0 {
-            self.holdoff -= 1;
-            return BinDecision::Hold;
-        }
-        if self.probe_from != 0 {
-            let probed_from = core::mem::replace(&mut self.probe_from, 0);
-            if share_num >= SHARE_HIGH_NUM {
-                // The collapse held: fewer bins still yield monotone
-                // blocks. Keep it (and possibly probe further next time).
-                return BinDecision::Hold;
-            }
-            // The collapse broke the share: restore and back off.
-            self.holdoff = BIN_PROBE_HOLDOFF;
-            return BinDecision::Resize(probed_from);
-        }
-        if share_num < SHARE_LOW_NUM && current_bins < self.max_bins {
-            return BinDecision::Resize(current_bins * 2);
-        }
-        if share_num >= SHARE_HIGH_NUM && current_bins > 1 {
-            self.probe_from = current_bins;
-            return BinDecision::Resize(current_bins / 2);
-        }
-        BinDecision::Hold
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,72 +233,5 @@ mod tests {
         c.note_pass_outcome(0); // decay 1: period doubles
         assert!(!c.tick_due(64, 64), "odd multiple skipped at decay 1");
         assert!(c.tick_due(128, 64), "even multiple still ticks");
-    }
-
-    #[test]
-    fn bin_adapt_grows_on_low_share() {
-        let mut a = BinAdapt::new(8);
-        // A window of non-monotone blocks at 1 bin: double.
-        for _ in 0..BIN_ADAPT_WINDOW - 1 {
-            assert!(!a.note_seal(1, 0));
-        }
-        assert!(a.note_seal(1, 0), "window completes");
-        assert_eq!(a.evaluate(1), BinDecision::Resize(2));
-        // And again, up to the ceiling.
-        for _ in 0..BIN_ADAPT_WINDOW {
-            a.note_seal(1, 0);
-        }
-        assert_eq!(a.evaluate(4), BinDecision::Resize(8));
-        for _ in 0..BIN_ADAPT_WINDOW {
-            a.note_seal(1, 0);
-        }
-        assert_eq!(a.evaluate(8), BinDecision::Hold, "ceiling respected");
-    }
-
-    #[test]
-    fn bin_adapt_collapse_probe_accepts_and_reverts() {
-        let mut a = BinAdapt::new(8);
-        // High share at 4 bins: probe a collapse to 2.
-        for _ in 0..BIN_ADAPT_WINDOW {
-            a.note_seal(1, 1);
-        }
-        assert_eq!(a.evaluate(4), BinDecision::Resize(2));
-        // Share stays high: the collapse sticks (Hold at 2).
-        for _ in 0..BIN_ADAPT_WINDOW {
-            a.note_seal(1, 1);
-        }
-        assert_eq!(a.evaluate(2), BinDecision::Hold);
-        // Next window probes 2 → 1.
-        for _ in 0..BIN_ADAPT_WINDOW {
-            a.note_seal(1, 1);
-        }
-        assert_eq!(a.evaluate(2), BinDecision::Resize(1));
-        // This time the share collapses: revert to 2 and hold off.
-        for _ in 0..BIN_ADAPT_WINDOW {
-            a.note_seal(1, 0);
-        }
-        assert_eq!(a.evaluate(1), BinDecision::Resize(2));
-        // Holdoff windows: no probing even at a high share.
-        for _ in 0..BIN_PROBE_HOLDOFF {
-            for _ in 0..BIN_ADAPT_WINDOW {
-                a.note_seal(1, 1);
-            }
-            assert_eq!(a.evaluate(2), BinDecision::Hold, "holdoff window");
-        }
-        // Holdoff expired: probing resumes.
-        for _ in 0..BIN_ADAPT_WINDOW {
-            a.note_seal(1, 1);
-        }
-        assert_eq!(a.evaluate(2), BinDecision::Resize(1));
-    }
-
-    #[test]
-    fn bin_adapt_mid_share_holds() {
-        let mut a = BinAdapt::new(8);
-        // ~70% monotone (the well-adapted interleaved regime): stable.
-        for i in 0..BIN_ADAPT_WINDOW {
-            a.note_seal(1, u64::from(i % 10 < 7));
-        }
-        assert_eq!(a.evaluate(8), BinDecision::Hold);
     }
 }

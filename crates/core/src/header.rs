@@ -282,20 +282,6 @@ impl Retired {
 /// sealed once it reaches the threshold — but never larger.
 pub const RETIRE_BATCH_CAP: usize = 32;
 
-/// The key a sealed block's lazy sort index is ordered by (see
-/// [`RetireBatch::sorted_order`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum SortKey {
-    /// No valid sort index (freshly filled or compacted block).
-    Unsorted,
-    /// Ordered by record pointer — merge-joined against sorted pointer
-    /// reservation sets (HP-family sweeps).
-    Ptr,
-    /// Ordered by `birth_era` — merge-joined against sorted era
-    /// reservation sets (hazard-era sweeps).
-    Birth,
-}
-
 /// Cached per-block key extrema, reused by every sweep until the block is
 /// mutated. Both halves read only the inline [`Retired`] records — no sweep
 /// touches node memory for a surviving block:
@@ -322,59 +308,30 @@ const SUMMARY_PTR: u8 = 1;
 /// `summary_valid` bit: era extrema (birth + retire) are current.
 const SUMMARY_ERA: u8 = 2;
 
-/// `mono` bit: pushes so far form a non-decreasing run of the tracked key.
-const MONO_ASC: u8 = 1;
-/// `mono` bit: pushes so far form a non-increasing run of the tracked key.
-const MONO_DESC: u8 = 2;
-/// `mono` bit: incremental tracking lost (slots were rearranged); fall
-/// back to a scan.
-const MONO_UNKNOWN: u8 = 4;
-
 /// A fixed-size block of [`Retired`] records — the unit of the batched
 /// retirement pipeline.
 ///
-/// Threads fill an array of these privately — one per arena bin, routed by
-/// the node pointer's high bits (`retire` is a slot write plus a length
-/// bump) — then *seal* each full block into their retire list as a single
-/// block pointer, amortizing the stats update and the reclaim-threshold
-/// test over the block. Reclaimers sweep block-at-a-time (see
-/// `pop_core::base::sweep_retire_list`), recycling fully-freed blocks into
-/// a per-thread free pool so steady-state retirement allocates nothing.
+/// Threads fill an array of these privately — one per fill bin, routed by
+/// the node's slab (`retire` is a slot write plus a length bump) — then
+/// *seal* each full block into their retire list as a single block pointer,
+/// amortizing the stats update and the reclaim-threshold test over the
+/// block. Reclaimers sweep block-at-a-time (see
+/// `pop_core::base::sweep_blocks`), recycling fully-freed blocks into a
+/// per-thread free pool so steady-state retirement allocates nothing.
 ///
-/// Sealed blocks additionally carry a lazily computed *sort cache*: a
-/// [`BlockSummary`] of key extrema (for whole-block range tests against a
-/// sorted reservation set) and a sort index over the slots (for merge-join
-/// sweeps). Both are computed in place on first use — no allocation — and
-/// invalidated by any mutation, so a block that survives a sweep untouched
-/// amortizes its sort across every subsequent pass.
+/// Each block carries a [`BlockSummary`] of key extrema, the input to the
+/// sweeps' whole-block range test against a sorted reservation set. It is
+/// computed in place (no allocation) and dropped by any removal, so a block
+/// that survives a sweep untouched is range-tested from its summary alone
+/// on every later pass.
 ///
 /// Like `Vec<Retired>`, dropping a non-empty block *leaks* the recorded
 /// allocations ([`Retired`] has no `Drop`); only a reclamation pass (or
 /// domain teardown) frees them.
 pub(crate) struct RetireBatch {
     len: usize,
-    /// Which key `order` is currently sorted by.
-    sort_key: SortKey,
     /// [`SUMMARY_PTR`] / [`SUMMARY_ERA`] validity bits for `summary`.
     summary_valid: u8,
-    /// Sweeps that have looked at this block since it last changed —
-    /// drives the sort-deferral heuristic (see `note_sweep`).
-    sweeps: u8,
-    /// [`MONO_ASC`] / [`MONO_DESC`] pointer-direction bits, maintained
-    /// incrementally at push time (conservative: cleared bits are never
-    /// re-derived incrementally), or [`MONO_UNKNOWN`] after an in-place
-    /// compaction rearranged the slots.
-    mono: u8,
-    /// The same direction bits for the members' `birth_era` keys — the
-    /// era-scheme analogue of `mono`: retire order is near-birth-order in
-    /// most workloads, so era-sorted permutations are often free too.
-    mono_era: u8,
-    /// Pointer of the most recent push — the comparison anchor for `mono`.
-    last_ptr: u64,
-    /// Birth era of the most recent push — the anchor for `mono_era`.
-    last_birth: u64,
-    /// Slot permutation ordered by `sort_key` (first `len` entries).
-    order: [u8; RETIRE_BATCH_CAP],
     /// Cached key extrema (per-half validity in `summary_valid`).
     summary: BlockSummary,
     slots: [core::mem::MaybeUninit<Retired>; RETIRE_BATCH_CAP],
@@ -385,14 +342,7 @@ impl RetireBatch {
     pub(crate) fn boxed() -> Box<RetireBatch> {
         Box::new(RetireBatch {
             len: 0,
-            sort_key: SortKey::Unsorted,
             summary_valid: 0,
-            sweeps: 0,
-            mono: MONO_ASC | MONO_DESC,
-            mono_era: MONO_ASC | MONO_DESC,
-            last_ptr: 0,
-            last_birth: 0,
-            order: [0; RETIRE_BATCH_CAP],
             summary: BlockSummary::default(),
             slots: [const { core::mem::MaybeUninit::uninit() }; RETIRE_BATCH_CAP],
         })
@@ -417,57 +367,22 @@ impl RetireBatch {
     /// compares on the hot retire path): record pointers never change, so
     /// the [`SUMMARY_PTR`] half stays valid through the whole fill and
     /// sweeps never pay a scan for it. Era extrema are left to the sweeps
-    /// that need them, so [`SUMMARY_ERA`] (and the sort cache) are
-    /// invalidated instead. Birth-era *direction* is tracked incrementally
-    /// like the pointer direction, from the record's own copy of the era.
+    /// that need them, so [`SUMMARY_ERA`] is dropped instead.
     #[inline]
     pub(crate) fn push(&mut self, r: Retired) {
         debug_assert!(self.len < RETIRE_BATCH_CAP, "retire block overfilled");
         let p = r.ptr() as u64;
-        let birth = r.birth_era();
-        if self.len == 0 {
-            self.mono = MONO_ASC | MONO_DESC;
-            self.mono_era = MONO_ASC | MONO_DESC;
-        } else {
-            if self.mono & MONO_UNKNOWN == 0 {
-                // Incremental direction tracking: two compares against the
-                // last push. After a `pop`, `last_ptr` is the popped
-                // (extreme) value, which only makes the test stricter —
-                // the bits stay conservative (set ⇒ truly monotone),
-                // never optimistic.
-                if p < self.last_ptr {
-                    self.mono &= !MONO_ASC;
-                }
-                if p > self.last_ptr {
-                    self.mono &= !MONO_DESC;
-                }
-            }
-            if self.mono_era & MONO_UNKNOWN == 0 {
-                if birth < self.last_birth {
-                    self.mono_era &= !MONO_ASC;
-                }
-                if birth > self.last_birth {
-                    self.mono_era &= !MONO_DESC;
-                }
-            }
-        }
-        self.last_ptr = p;
-        self.last_birth = birth;
         if self.len == 0 {
             self.summary.min_ptr = p;
             self.summary.max_ptr = p;
             self.summary_valid = SUMMARY_PTR;
-        } else if self.summary_valid & SUMMARY_PTR != 0 {
+        } else {
+            // Harmless when the pointer half is stale (a pop dropped it):
+            // it stays invalid and the next sweep rescans.
             self.summary.min_ptr = self.summary.min_ptr.min(p);
             self.summary.max_ptr = self.summary.max_ptr.max(p);
-            self.summary_valid = SUMMARY_PTR;
-        } else {
-            // Existing members were never summarized (a pop invalidated
-            // them): stay invalid and let the next sweep rescan.
-            self.summary_valid = 0;
+            self.summary_valid &= SUMMARY_PTR;
         }
-        self.sort_key = SortKey::Unsorted;
-        self.sweeps = 0;
         self.slots[self.len].write(r);
         self.len += 1;
     }
@@ -478,7 +393,7 @@ impl RetireBatch {
         if self.len == 0 {
             return None;
         }
-        self.invalidate_cache();
+        self.summary_valid = 0;
         self.len -= 1;
         // SAFETY: slot `len` was initialized by `push` and is now out of
         // the initialized prefix, so it cannot be read again.
@@ -492,81 +407,16 @@ impl RetireBatch {
         unsafe { core::slice::from_raw_parts(self.slots.as_ptr() as *const Retired, self.len) }
     }
 
-    /// Drops the sort cache; any slot removal or rearrangement must call
-    /// this (`push` keeps the pointer half alive instead — see there).
-    #[inline]
-    fn invalidate_cache(&mut self) {
-        self.sort_key = SortKey::Unsorted;
-        self.summary_valid = 0;
-        self.sweeps = 0;
-    }
-
-    /// Whether the sort cache currently holds a `key`-ordered permutation.
-    #[inline]
-    pub(crate) fn has_sorted(&self, key: SortKey) -> bool {
-        self.sort_key == key
-    }
-
-    /// O(1) monotonicity hint from the incremental push-time bits alone:
-    /// `false` when tracking was lost ([`MONO_UNKNOWN`] after a
-    /// compaction), never a scan. Sweeps use this to skip the
-    /// sort-deferral heuristic — a monotone block's sorted permutation
-    /// costs one detection pass, so even a first-sweep (churn) block
-    /// takes the merge-join path when the binned fill made it monotone.
-    #[inline]
-    pub(crate) fn ptr_monotone_hint(&self) -> bool {
-        self.mono & MONO_UNKNOWN == 0 && self.mono & (MONO_ASC | MONO_DESC) != 0
-    }
-
-    /// Whether the slots form an address-monotone run (ascending *or*
-    /// descending pointers). Answered from the incremental push-time bits
-    /// when they are live; a block that went through an in-place
-    /// compaction ([`Self::set_len`]) pays one scan instead. Used by the
-    /// seal path to count [`monotone sealed
-    /// blocks`](crate::stats::ShardStats::blocks_sealed_monotone) — the
-    /// share the arena-binned fill path is designed to maximize.
-    pub(crate) fn is_ptr_monotone(&self) -> bool {
-        if self.mono & MONO_UNKNOWN == 0 {
-            return self.ptr_monotone_hint();
-        }
-        monotone_by(self.nodes(), |r| r.ptr() as u64)
-    }
-
-    /// O(1) birth-era monotonicity hint from the incremental push-time
-    /// bits alone — the [`Self::ptr_monotone_hint`] analogue for the era
-    /// sweeps: an era-monotone block's birth-sorted permutation costs one
-    /// detection pass, so `free_era_unreserved` admits it to the
-    /// merge-join path on its first sweep instead of deferring the sort.
-    #[inline]
-    pub(crate) fn era_monotone_hint(&self) -> bool {
-        self.mono_era & MONO_UNKNOWN == 0 && self.mono_era & (MONO_ASC | MONO_DESC) != 0
-    }
-
-    /// Whether the slots form a birth-era-monotone run (ascending *or*
-    /// descending), answered like [`Self::is_ptr_monotone`]: from the
-    /// incremental bits when live, one record scan after a compaction.
-    /// Feeds the `blocks_sealed_era_monotone` seal counter.
-    pub(crate) fn is_era_monotone(&self) -> bool {
-        if self.mono_era & MONO_UNKNOWN == 0 {
-            return self.era_monotone_hint();
-        }
-        monotone_by(self.nodes(), Retired::birth_era)
-    }
-
-    /// Counts a sweep's visit and returns how many sweeps had seen this
-    /// block (in its current state) before. Sweeps defer the block sort
-    /// until a block proves long-lived (visited twice): single-visit
-    /// blocks — the churn common case — never pay it.
-    #[inline]
-    pub(crate) fn note_sweep(&mut self) -> u8 {
-        let s = self.sweeps;
-        self.sweeps = s.saturating_add(1);
-        s
+    /// Whether both summary halves are cached (tests: extrema must survive
+    /// block-granular parking).
+    #[cfg(test)]
+    pub(crate) fn summary_is_cached(&self) -> bool {
+        self.summary_valid == SUMMARY_PTR | SUMMARY_ERA
     }
 
     /// Pointer extrema `(min_ptr, max_ptr)`, computed lazily from the
     /// inline records alone — **no header dereference** — and cached until
-    /// the next mutation.
+    /// the next removal.
     pub(crate) fn ptr_range(&mut self) -> (u64, u64) {
         if self.summary_valid & SUMMARY_PTR == 0 {
             debug_assert!(self.len > 0, "summary of an empty block");
@@ -609,65 +459,13 @@ impl RetireBatch {
         )
     }
 
-    /// Slot indices ordered by `key`, computed lazily (stack-local pair
-    /// sort, no allocation) and cached until the next mutation. Merge-join
-    /// sweeps walk this permutation against a sorted reservation set
-    /// instead of binary-searching per record.
-    ///
-    /// Keys are extracted once into a stack array of `(key, slot)` pairs —
-    /// not recomputed per comparison through the slot indirection — and
-    /// monotone blocks are detected in one pass and cost no sort at all:
-    /// ascending (fresh sequential allocations, monotone eras) *and*
-    /// descending (refills drawn LIFO from an allocator free list) runs
-    /// both yield their permutation directly.
-    pub(crate) fn sorted_order(&mut self, key: SortKey) -> &[u8] {
-        debug_assert!(key != SortKey::Unsorted, "must sort by a real key");
-        if self.sort_key != key {
-            let n = self.len;
-            let nodes = self.nodes();
-            let mut pairs = [(0u64, 0u8); RETIRE_BATCH_CAP];
-            let mut ascending = true;
-            let mut descending = true;
-            let mut prev = 0u64;
-            for (i, p) in pairs[..n].iter_mut().enumerate() {
-                let k = match key {
-                    SortKey::Ptr => nodes[i].ptr() as u64,
-                    SortKey::Birth => nodes[i].birth_era,
-                    SortKey::Unsorted => unreachable!(),
-                };
-                if i > 0 {
-                    ascending &= k >= prev;
-                    descending &= k <= prev;
-                }
-                prev = k;
-                *p = (k, i as u8);
-            }
-            if ascending {
-                for (i, o) in self.order[..n].iter_mut().enumerate() {
-                    *o = i as u8;
-                }
-            } else if descending {
-                for (i, o) in self.order[..n].iter_mut().enumerate() {
-                    *o = (n - 1 - i) as u8;
-                }
-            } else {
-                pairs[..n].sort_unstable();
-                for (o, p) in self.order[..n].iter_mut().zip(&pairs[..n]) {
-                    *o = p.1;
-                }
-            }
-            self.sort_key = key;
-        }
-        &self.order[..self.len]
-    }
-
     /// Raw base pointer for in-place compaction sweeps.
     #[inline]
     pub(crate) fn as_mut_ptr(&mut self) -> *mut Retired {
         self.slots.as_mut_ptr() as *mut Retired
     }
 
-    /// Overrides the initialized length (and drops the sort cache — the
+    /// Overrides the initialized length (and drops the summary — the
     /// caller has rearranged slots).
     ///
     /// # Safety
@@ -678,29 +476,9 @@ impl RetireBatch {
     #[inline]
     pub(crate) unsafe fn set_len(&mut self, len: usize) {
         debug_assert!(len <= RETIRE_BATCH_CAP);
-        self.invalidate_cache();
-        // The caller rearranged slots: the push-time direction bits no
-        // longer describe them (an emptied block starts fresh instead).
-        let bits = if len == 0 {
-            MONO_ASC | MONO_DESC
-        } else {
-            MONO_UNKNOWN
-        };
-        self.mono = bits;
-        self.mono_era = bits;
+        self.summary_valid = 0;
         self.len = len;
     }
-}
-
-/// Whether `key` is non-decreasing or non-increasing across `nodes`.
-fn monotone_by(nodes: &[Retired], key: impl Fn(&Retired) -> u64) -> bool {
-    let (mut asc, mut desc) = (true, true);
-    for w in nodes.windows(2) {
-        let (a, b) = (key(&w[0]), key(&w[1]));
-        asc &= b >= a;
-        desc &= b <= a;
-    }
-    asc || desc
 }
 
 /// Strips data-structure mark bits (low 2 bits) from a pointer-sized word.
@@ -813,27 +591,24 @@ mod tests {
         assert_eq!(unmark_word(3), 0);
     }
 
-    /// One batch mutation in the sort-cache property test.
+    /// One step of the block-summary property test.
     #[derive(Clone, Copy, Debug)]
     enum BatchOp {
         /// Push a fresh node with this birth era.
         Push(u64),
-        /// Remove the newest record (cache invalidation).
+        /// Remove the newest record (summary invalidation).
         Pop,
-        /// Count a sweep visit (sort-deferral bookkeeping).
-        NoteSweep,
-        /// Build/read the pointer-sorted permutation.
-        SortPtr,
-        /// Build/read the birth-sorted permutation.
-        SortBirth,
         /// In-place compaction to at most this many slots.
         Truncate(usize),
+        /// Read both summary halves and check them against the shadow.
+        Summarize,
     }
 
-    /// Shadow-model check: the sort cache under `ops` must always yield a
-    /// permutation that is a true sort of the live slots, extrema that
-    /// bound every slot, and a monotone flag that never over-claims.
-    fn check_sort_cache_ops(ops: &[BatchOp]) {
+    /// Shadow-model check: whenever a sweep reads the summary of a block
+    /// shaped by `ops`, the extrema are exactly those of the live slots —
+    /// whether they come from the push-time pointer half, a rescan after a
+    /// removal, or the lazily computed era half.
+    fn check_summary_ops(ops: &[BatchOp]) {
         let mut b = RetireBatch::boxed();
         // Shadow of the initialized slots: (ptr word, birth era, retire
         // era), the eras as the record carries them.
@@ -841,19 +616,12 @@ mod tests {
         // Every allocation, freed exactly once at the end (records in the
         // batch are just pointers; `Retired` has no Drop).
         let mut allocated: Vec<*mut TestNode> = Vec::new();
-        // Whether the batch has only seen pushes since it was last empty —
-        // the state every seal happens in, where the monotone flag must be
-        // exact, not merely conservative.
-        let mut pure_push = true;
 
-        for &op in ops {
+        for &op in ops.iter().chain([&BatchOp::Summarize]) {
             match op {
                 BatchOp::Push(birth) => {
                     if b.len() == RETIRE_BATCH_CAP {
                         continue;
-                    }
-                    if b.is_empty() {
-                        pure_push = true;
                     }
                     let node = Box::into_raw(Box::new(TestNode {
                         hdr: Header::new(birth, core::mem::size_of::<TestNode>()),
@@ -875,32 +643,6 @@ mod tests {
                 BatchOp::Pop => {
                     let got = b.pop().map(|r| r.ptr() as u64);
                     assert_eq!(got, shadow.pop().map(|s| s.0), "pop order");
-                    pure_push = false;
-                }
-                BatchOp::NoteSweep => {
-                    b.note_sweep();
-                }
-                BatchOp::SortPtr | BatchOp::SortBirth => {
-                    if b.is_empty() {
-                        continue;
-                    }
-                    let key = if matches!(op, BatchOp::SortPtr) {
-                        SortKey::Ptr
-                    } else {
-                        SortKey::Birth
-                    };
-                    let ord: Vec<u8> = b.sorted_order(key).to_vec();
-                    assert!(b.has_sorted(key));
-                    let mut seen = vec![false; shadow.len()];
-                    let mut prev = 0u64;
-                    for (i, &slot) in ord.iter().enumerate() {
-                        let s = shadow[slot as usize];
-                        let k = if key == SortKey::Ptr { s.0 } else { s.1 };
-                        assert!(!core::mem::replace(&mut seen[slot as usize], true));
-                        assert!(i == 0 || k >= prev, "permutation must sort {key:?}");
-                        prev = k;
-                    }
-                    assert!(seen.iter().all(|&s| s), "permutation must be total");
                 }
                 BatchOp::Truncate(keep) => {
                     let keep = keep.min(b.len());
@@ -908,48 +650,25 @@ mod tests {
                     // `allocated` and are freed below.
                     unsafe { b.set_len(keep) };
                     shadow.truncate(keep);
-                    pure_push = false;
                 }
-            }
-            // Invariants that must hold after every mutation.
-            assert_eq!(b.len(), shadow.len());
-            if !b.is_empty() {
-                let (min_ptr, max_ptr) = b.ptr_range();
-                let (min_birth, min_retire, max_retire) = b.era_ranges();
-                for &(p, birth, retire) in &shadow {
-                    assert!(
-                        (min_ptr..=max_ptr).contains(&p),
-                        "ptr extrema must bound every slot"
-                    );
-                    assert!(min_birth <= birth, "birth extremum must bound");
-                    assert!(
-                        (min_retire..=max_retire).contains(&retire),
-                        "retire extrema must bound"
-                    );
-                }
-                let truly_monotone = shadow.windows(2).all(|w| w[1].0 >= w[0].0)
-                    || shadow.windows(2).all(|w| w[1].0 <= w[0].0);
-                if b.is_ptr_monotone() {
-                    assert!(truly_monotone, "monotone flag must never over-claim");
-                }
-                let truly_era_monotone = shadow.windows(2).all(|w| w[1].1 >= w[0].1)
-                    || shadow.windows(2).all(|w| w[1].1 <= w[0].1);
-                if b.is_era_monotone() {
-                    assert!(
-                        truly_era_monotone,
-                        "era-monotone flag must never over-claim"
-                    );
-                }
-                if pure_push {
+                BatchOp::Summarize => {
+                    assert_eq!(b.len(), shadow.len());
+                    if b.is_empty() {
+                        continue;
+                    }
+                    let min = |f: fn(&(u64, u64, u64)) -> u64| shadow.iter().map(f).min();
+                    let max = |f: fn(&(u64, u64, u64)) -> u64| shadow.iter().map(f).max();
                     assert_eq!(
-                        b.is_ptr_monotone(),
-                        truly_monotone,
-                        "after pure pushes (the seal state) the flag is exact"
+                        Some(b.ptr_range()),
+                        min(|s| s.0).zip(max(|s| s.0)),
+                        "pointer extrema"
                     );
+                    let (min_birth, min_retire, max_retire) = b.era_ranges();
+                    assert_eq!(Some(min_birth), min(|s| s.1), "birth extremum");
                     assert_eq!(
-                        b.is_era_monotone(),
-                        truly_era_monotone,
-                        "after pure pushes the era flag is exact too"
+                        Some((min_retire, max_retire)),
+                        min(|s| s.2).zip(max(|s| s.2)),
+                        "retire extrema"
                     );
                 }
             }
@@ -963,23 +682,21 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// ISSUE 4 satellite: arbitrary interleavings of
-        /// push/pop/truncate/note_sweep/sort keep the sort cache honest.
+        /// Arbitrary interleavings of push/pop/truncate keep the block
+        /// summary exact wherever a sweep reads it.
         #[test]
-        fn sort_cache_invariants_hold_under_arbitrary_ops(
+        fn summary_extrema_hold_under_arbitrary_ops(
             ops in proptest::collection::vec(
                 proptest::prop_oneof![
                     (0u64..64).prop_map(BatchOp::Push),
                     proptest::Just(BatchOp::Pop),
-                    proptest::Just(BatchOp::NoteSweep),
-                    proptest::Just(BatchOp::SortPtr),
-                    proptest::Just(BatchOp::SortBirth),
                     (0usize..RETIRE_BATCH_CAP).prop_map(BatchOp::Truncate),
+                    proptest::Just(BatchOp::Summarize),
                 ],
                 1..160,
             )
         ) {
-            check_sort_cache_ops(&ops);
+            check_summary_ops(&ops);
         }
     }
 

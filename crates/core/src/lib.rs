@@ -61,15 +61,16 @@
 //! ## Adaptivity
 //!
 //! The [`controller`] module closes the feedback loop from sweep
-//! outcomes to the pacing knobs: barren passes decay the epoch cadence
-//! (instantly reset by the first freeing sweep), each thread auto-sizes
-//! its arena fill bins from the monotone seal share, and blocks born
-//! era-monotone take the era sweeps' merge-join path on their first
-//! sweep. `SmrConfig::adaptive` (env `POP_ADAPTIVE`) turns the whole
-//! loop off, restoring the static behavior the CI fallback matrix pins.
+//! outcomes to the epoch cadence: barren passes decay it, and the first
+//! freeing sweep resets it. `SmrConfig::adaptive` (env `POP_ADAPTIVE`)
+//! turns the loop off, restoring the static cadence the CI fallback matrix
+//! pins. The retire pipeline itself has no adaptive layout: fixed
+//! slab-routed fill bins, one range test per block and one per-node test
+//! for the blocks it leaves undecided.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 mod base;
 pub mod config;

@@ -347,7 +347,7 @@ mod tests {
         let smr = Ebr::new(
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(32)
-                .with_retire_bins(1) // one fill bin: deterministic seal/trigger points
+                .with_retire_batch(1) // unbatched: deterministic seal/trigger points
                 .with_adaptive(true), // pin against the POP_ADAPTIVE=0 CI leg
         );
         let reg0 = smr.register(0);
@@ -401,7 +401,7 @@ mod tests {
         let smr = Ebr::new(
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(32)
-                .with_retire_bins(1)
+                .with_retire_batch(1)
                 .with_adaptive(false),
         );
         let reg0 = smr.register(0);

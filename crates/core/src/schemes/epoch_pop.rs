@@ -264,6 +264,7 @@ impl Smr for EpochPop {
             // that epochs could not drain implicates a delayed thread. The
             // check runs even when decay thinned the epoch pass, so the
             // robust escalation is never delayed by the controller.
+            // SAFETY: tid ownership; the pass above released its borrow.
             let still = unsafe { self.threads[tid].retire.get() }.len();
             if still >= self.base.cfg.pop_c * self.base.cfg.reclaim_freq {
                 self.reclaim_pop_freeable(tid);
@@ -292,6 +293,7 @@ impl Smr for EpochPop {
 
     fn flush(&self, tid: usize) {
         self.reclaim_epoch_freeable(tid, true);
+        // SAFETY: tid ownership (flush runs on the owning thread).
         if !unsafe { self.threads[tid].retire.get() }.is_empty() {
             self.reclaim_pop_freeable(tid);
         }

@@ -117,6 +117,8 @@ impl Hyaline {
             // SAFETY: this batch counted us (pushed after our enter-FAA),
             // so it cannot reach zero refs before our decrement.
             let next = unsafe { (*batch).next_idx };
+            // SAFETY: as above — our reference keeps the batch alive until
+            // this decrement completes.
             let prev = unsafe { (*batch).refs.fetch_sub(1, Ordering::AcqRel) };
             if prev == 1 {
                 // SAFETY: we brought refs to zero.

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use crossbeam_utils::CachePadded;
 
 use crate::base::{
-    full_mask, push_retired, sweep_blocks, BlockPlan, DomainBase, EpochClocks, RetireSlot,
+    keep_mask, push_retired, sweep_blocks, BlockPlan, DomainBase, EpochClocks, RetireSlot,
     ScratchSlot,
 };
 use crate::config::SmrConfig;
@@ -134,18 +134,13 @@ impl Ibr {
         // member lifespan lies inside the block envelope.
         let freed = unsafe {
             sweep_blocks(&self.base, tid, list, |b| {
-                let n = b.len();
-                let mut mask = 0u32;
-                for (i, r) in b.nodes().iter().enumerate() {
+                let mask = keep_mask(b, |r| {
                     let (birth, retire) = (r.birth_era(), r.retire_era());
-                    if intervals
+                    intervals
                         .iter()
                         .any(|&(lo, hi)| birth <= hi && retire >= lo)
-                    {
-                        mask |= 1u32 << i;
-                    }
-                }
-                if mask & full_mask(n) == 0 {
+                });
+                if mask == 0 {
                     // Fully freeable: never quarantine what can be freed.
                     return BlockPlan::Mask(0);
                 }

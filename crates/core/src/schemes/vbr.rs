@@ -452,7 +452,7 @@ mod tests {
         let smr = Vbr::new(
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(16)
-                .with_retire_bins(1)
+                .with_retire_batch(1)
                 .with_pressure_watermarks(64, 96, 128)
                 .with_quarantine(),
         );

@@ -1,16 +1,14 @@
-//! Owned slab arenas: lock-free fixed-size allocation whose slabs *are* the
-//! retire bins.
+//! Owned slab arenas: lock-free fixed-size allocation whose slabs decide
+//! the retire bins.
 //!
-//! The retire pipeline routes retirements into per-thread fill bins by the
-//! pointer's high bits (`ARENA_SHIFT` in `base`), *guessing* that the
-//! allocator clusters addresses. This module removes the guess: nodes are
-//! allocated from 64 KiB slabs ([`SLAB_BYTES`] `== 1 << ARENA_SHIFT`, so a
-//! slab coincides exactly with one arena bin), each slab is filled by **one
-//! owner thread with a pure bump pointer**, and therefore every sequential
-//! fill is address-monotone *by construction* — every seal takes the
-//! `blocks_sealed_monotone` fast path, and whole-slab frees settle with one
-//! range test instead of a merge-join (in the spirit of Blelloch & Wei's
-//! constant-time fixed-size alloc/free).
+//! The retire pipeline routes each retirement into a per-thread fill bin by
+//! its slab (`(ptr / SLAB_BYTES) % FILL_BINS` in `base`). Nodes are
+//! allocated from 64 KiB slabs ([`SLAB_BYTES`]), each slab is filled by
+//! **one owner thread with a pure bump pointer**, and so a block sealed
+//! from one thread's fill holds slots of a single slab, in address order
+//! by construction. When a sweep frees such a block whole it settles
+//! against the slab with one range test and one batched counter update (in
+//! the spirit of Blelloch & Wei's constant-time fixed-size alloc/free).
 //!
 //! ## Slab lifecycle
 //!
@@ -95,8 +93,8 @@ use std::sync::Mutex;
 
 use crate::header::HasHeader;
 
-/// Slab size in bytes. Equal to `1 << ARENA_SHIFT` (see `base`), so the
-/// retire pipeline's arena bin routing maps one slab to one bin.
+/// Slab size in bytes — also the unit of the retire pipeline's fill-bin
+/// routing (see `base`), so every slot of a slab lands in one bin.
 pub const SLAB_BYTES: usize = 1 << 16;
 
 /// The first page of every slab holds its [`SlabHeader`]; slots start here.

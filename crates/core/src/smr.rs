@@ -140,8 +140,8 @@ pub trait Smr: Send + Sync + Sized + 'static {
             let word = crate::header::unmark_word(ptr as u64);
             if word != 0 {
                 let hdr = word as *const Header;
-                // SAFETY: quarantined allocations are never unmapped.
                 assert!(
+                    // SAFETY: quarantined allocations are never unmapped.
                     !unsafe { &*hdr }.is_poisoned(),
                     "use-after-free: dereferencing a freed node ({ptr:p})"
                 );

@@ -58,21 +58,9 @@ pub struct ShardStats {
     pub retired_nodes: AtomicU64,
     /// Retirement batches sealed into retire lists.
     pub batches_sealed: AtomicU64,
-    /// Sealed blocks whose slots were address-monotone (ascending or
-    /// descending pointers) at seal time — the blocks the merge-join
-    /// sweep orders for free. The arena-binned fill path exists to push
-    /// this toward `batches_sealed`.
-    pub blocks_sealed_monotone: AtomicU64,
-    /// Sealed blocks whose slots were *birth-era*-monotone at seal time —
-    /// the blocks `free_era_unreserved` (HE / IBR-family sweeps)
-    /// merge-joins on their first sweep without paying a sort.
-    pub blocks_sealed_era_monotone: AtomicU64,
     /// Adaptive-controller events: epoch-cadence decay deepened one step
     /// (a barren pass on an already-quiet domain).
     pub epoch_decay_steps: AtomicU64,
-    /// Adaptive-controller events: a thread resized its fill-bin count
-    /// (grow on a low monotone share, collapse probe on a high one).
-    pub bin_resizes: AtomicU64,
     /// Sealed blocks freed whole by the sweep fast path (every member
     /// failed the keep predicate).
     pub blocks_freed_whole: AtomicU64,
@@ -271,18 +259,9 @@ impl DomainStats {
             out.batches_sealed = out
                 .batches_sealed
                 .wrapping_add(s.batches_sealed.load(Ordering::Relaxed));
-            out.blocks_sealed_monotone = out
-                .blocks_sealed_monotone
-                .wrapping_add(s.blocks_sealed_monotone.load(Ordering::Relaxed));
-            out.blocks_sealed_era_monotone = out
-                .blocks_sealed_era_monotone
-                .wrapping_add(s.blocks_sealed_era_monotone.load(Ordering::Relaxed));
             out.epoch_decay_steps = out
                 .epoch_decay_steps
                 .wrapping_add(s.epoch_decay_steps.load(Ordering::Relaxed));
-            out.bin_resizes = out
-                .bin_resizes
-                .wrapping_add(s.bin_resizes.load(Ordering::Relaxed));
             out.blocks_freed_whole = out
                 .blocks_freed_whole
                 .wrapping_add(s.blocks_freed_whole.load(Ordering::Relaxed));
@@ -388,14 +367,8 @@ pub struct StatsSnapshot {
     pub retired_nodes: u64,
     /// See [`ShardStats::batches_sealed`].
     pub batches_sealed: u64,
-    /// See [`ShardStats::blocks_sealed_monotone`].
-    pub blocks_sealed_monotone: u64,
-    /// See [`ShardStats::blocks_sealed_era_monotone`].
-    pub blocks_sealed_era_monotone: u64,
     /// See [`ShardStats::epoch_decay_steps`].
     pub epoch_decay_steps: u64,
-    /// See [`ShardStats::bin_resizes`].
-    pub bin_resizes: u64,
     /// See [`ShardStats::blocks_freed_whole`].
     pub blocks_freed_whole: u64,
     /// See [`ShardStats::blocks_kept_whole`].

@@ -42,14 +42,12 @@ fn unregister_seals_partial_batch_and_adoption_reclaims_it() {
     // the partial batch must be sealed (accounted) and the pinned node
     // orphaned — never leaked. A later registrant adopts the orphan and
     // frees it once the reservation clears.
-    // Batch and bins pinned: this test asserts exact seal points, which
-    // the POP_* fallback env legs (and arena-boundary straddles under
-    // multi-bin fills) would legitimately shift.
+    // Batch pinned: this test needs the retires to stay unsealed until
+    // unregister, which the POP_RETIRE_BATCH=1 fallback leg would defeat.
     let smr = HazardPtr::new(
         SmrConfig::for_tests(2)
             .with_reclaim_freq(1 << 16)
-            .with_retire_batch(RETIRE_BATCH_CAP)
-            .with_retire_bins(1),
+            .with_retire_batch(RETIRE_BATCH_CAP),
     );
     let reg1 = smr.register(1);
     let reg0 = smr.register(0);
@@ -77,7 +75,8 @@ fn unregister_seals_partial_batch_and_adoption_reclaims_it() {
         "everything unreserved freed on the way out"
     );
     assert_eq!(s.unreclaimed_nodes(), 1, "the pinned node is orphaned");
-    assert_eq!(s.batches_sealed, 1);
+    // One partial block per fill bin the ten nodes' addresses touched.
+    assert!(s.batches_sealed >= 1, "the partial fill was sealed: {s:?}");
 
     // Release the reservation; a joining thread adopts and reclaims.
     smr.end_op(1);
@@ -138,24 +137,30 @@ fn block_sweep_matches_per_node_sweep() {
 #[test]
 fn batched_retires_count_fewer_stat_rmws() {
     // Observability of the amortization itself: 128 retires at the full
-    // batch seal exactly 128 / RETIRE_BATCH_CAP times. Batch and bins
-    // pinned — exact seal counts are what is being tested, and the POP_*
-    // env legs / arena-boundary straddles would shift them.
+    // batch cost at most 128 / RETIRE_BATCH_CAP stat RMWs, each for a whole
+    // block (fewer when the nodes' addresses spread over several fill
+    // bins, which then hold partial blocks until the flush). Batch pinned
+    // against the POP_RETIRE_BATCH=1 fallback leg.
     let smr = Ebr::new(
         SmrConfig::for_tests(1)
             .with_reclaim_freq(1 << 16)
-            .with_retire_batch(RETIRE_BATCH_CAP)
-            .with_retire_bins(1),
+            .with_retire_batch(RETIRE_BATCH_CAP),
     );
     let reg = smr.register(0);
-    for i in 0..(4 * RETIRE_BATCH_CAP as u64) {
+    let n = 4 * RETIRE_BATCH_CAP as u64;
+    for i in 0..n {
         let p = alloc(&*smr, 0, i);
         unsafe { retire_node(&*smr, 0, p) };
     }
     let s = smr.stats().snapshot();
-    assert_eq!(s.batches_sealed, 4);
-    assert_eq!(s.retired_nodes, 4 * RETIRE_BATCH_CAP as u64);
+    assert!(s.batches_sealed <= 4, "{s:?}");
+    assert_eq!(s.retired_nodes, s.batches_sealed * RETIRE_BATCH_CAP as u64);
     smr.flush(0);
+    assert_eq!(
+        smr.stats().snapshot().retired_nodes,
+        n,
+        "flush seals the rest"
+    );
     drop(reg);
 }
 

@@ -4,8 +4,8 @@
 //! cannot give it:
 //!
 //! 1. **Alignment to the slab size** (64 KiB), so a slot pointer recovers its
-//!    slab header with one mask — the owned-arena replacement for the
-//!    `ARENA_SHIFT` high-bit guess in the retire pipeline.
+//!    slab header with one mask, and the retire pipeline can route every
+//!    slot of a slab to the same fill bin.
 //! 2. **Page-granular release**: [`release_pages`] hands a range back to the
 //!    OS with `madvise(MADV_DONTNEED)` while the mapping itself stays valid
 //!    (type-stable memory — stale readers may still load from freed slots

@@ -47,17 +47,8 @@ pub struct RunRecord {
     pub signals_avoided: u64,
     /// Retirement batches sealed (retires per stats RMW = ops / batches).
     pub batches_sealed: u64,
-    /// Of those, blocks that were address-monotone at seal time (the
-    /// arena-binned fill path's figure of merit: monotone share =
-    /// `blocks_sealed_monotone / batches_sealed`).
-    pub blocks_sealed_monotone: u64,
-    /// Blocks that were *birth-era*-monotone at seal time (the era
-    /// sweeps' first-sweep merge-join share).
-    pub blocks_sealed_era_monotone: u64,
     /// Adaptive controller: epoch-cadence decay deepenings observed.
     pub epoch_decay_steps: u64,
-    /// Adaptive controller: per-thread fill-bin resizes observed.
-    pub bin_resizes: u64,
     /// Orphans stolen by reclaimer passes (sweep-time adoption).
     pub orphans_stolen: u64,
     /// NBR restarts observed.
@@ -98,12 +89,12 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// CSV header matching [`RunRecord::csv_row`].
-    pub const CSV_HEADER: &'static str = "figure,ds,scheme,threads,key_range,ops,read_ops,update_ops,seconds,throughput_mops,read_mops,max_retire_len,peak_live_bytes,unreclaimed_nodes,pings_sent,pings_skipped,pings_elided_adaptive,membarrier_passes,signals_avoided,batches_sealed,blocks_sealed_monotone,blocks_sealed_era_monotone,epoch_decay_steps,bin_resizes,orphans_stolen,restarts,publish_wait_timeouts,pings_failed,participants_reaped,faults_injected,pressure_soft_trips,pressure_hard_trips,pressure_emergency_trips,blocks_quarantined,blocks_unquarantined,pool_blocks_trimmed,slab_allocs,slab_frees_whole,version_aborts,slab_released_bytes";
+    pub const CSV_HEADER: &'static str = "figure,ds,scheme,threads,key_range,ops,read_ops,update_ops,seconds,throughput_mops,read_mops,max_retire_len,peak_live_bytes,unreclaimed_nodes,pings_sent,pings_skipped,pings_elided_adaptive,membarrier_passes,signals_avoided,batches_sealed,epoch_decay_steps,orphans_stolen,restarts,publish_wait_timeouts,pings_failed,participants_reaped,faults_injected,pressure_soft_trips,pressure_hard_trips,pressure_emergency_trips,blocks_quarantined,blocks_unquarantined,pool_blocks_trimmed,slab_allocs,slab_frees_whole,version_aborts,slab_released_bytes";
 
     /// Serializes this record as a CSV row tagged with `figure`.
     pub fn csv_row(&self, figure: &str) -> String {
         format!(
-            "{figure},{},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{figure},{},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.ds,
             self.scheme,
             self.threads,
@@ -123,10 +114,7 @@ impl RunRecord {
             self.membarrier_passes,
             self.signals_avoided,
             self.batches_sealed,
-            self.blocks_sealed_monotone,
-            self.blocks_sealed_era_monotone,
             self.epoch_decay_steps,
-            self.bin_resizes,
             self.orphans_stolen,
             self.restarts,
             self.publish_wait_timeouts,
@@ -223,10 +211,7 @@ mod tests {
             membarrier_passes: 7,
             signals_avoided: 21,
             batches_sealed: 4,
-            blocks_sealed_monotone: 3,
-            blocks_sealed_era_monotone: 2,
             epoch_decay_steps: 1,
-            bin_resizes: 1,
             orphans_stolen: 0,
             restarts: 0,
             publish_wait_timeouts: 1,

@@ -1,23 +1,19 @@
-//! The adaptive domain controller, end to end (ISSUE 5):
+//! The adaptive domain controller, end to end:
 //!
-//! * **Bin auto-sizing** — a single-stream workload collapses its fill
-//!   bins to 1 within a bounded number of seals; interleaved-arena churn
-//!   grows them back toward the maximum.
 //! * **Epoch-freq decay** — barren passes on a pinned domain deepen the
 //!   decay (observable through `epoch_decay_steps`) and thin the
 //!   triggered passes; the first freeable sweep drains *everything* and
 //!   resets the cadence — no reclamation-latency cliff.
-//! * **Era-monotone seals** — in-order retirement produces blocks whose
-//!   birth eras are monotone, counted by `blocks_sealed_era_monotone`,
-//!   which the era sweeps (HE family) merge-join on their first sweep.
 //! * **Static pinning** — `with_adaptive(false)` (the `POP_ADAPTIVE=0`
-//!   CI leg) never decays and never resizes.
+//!   CI leg) never decays and runs every triggered pass in full.
+//!
+//! Both pin `retire_batch = 1`, so every retire seals and a pass triggers
+//! exactly every `reclaim_freq` retires.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pop::smr::testing::SweepBench;
-use pop::smr::{retire_node, Ebr, HasHeader, HazardEra, Header, Smr, SmrConfig};
+use pop::smr::{retire_node, Ebr, HasHeader, Header, Smr, SmrConfig};
 
 #[repr(C)]
 struct Node {
@@ -35,59 +31,11 @@ fn alloc<S: Smr>(smr: &S, tid: usize, v: u64) -> *mut Node {
 }
 
 #[test]
-fn single_stream_collapses_to_one_bin() {
-    let mut bench = SweepBench::adaptive(4);
-    assert_eq!(bench.bins(), 4);
-    // Address-ordered fills, drained whole each round — the
-    // single-address-stream regime. Each round seals ~32 blocks, one
-    // adaptation window.
-    for _ in 0..8 {
-        bench.fill_sorted(1024);
-        let freed = bench.sweep_merge_join(&[]);
-        assert_eq!(freed, 1024);
-    }
-    assert_eq!(
-        bench.bins(),
-        1,
-        "single stream must shed the multi-bin unsealed-node bound"
-    );
-    assert!(bench.bin_resizes() >= 2, "4 → 2 → 1 takes two resizes");
-}
-
-#[test]
-fn interleaved_arena_churn_grows_bins_back() {
-    let mut bench = SweepBench::adaptive(1);
-    assert_eq!(bench.bins(), 1);
-    // Four address-ascending bursts retired round-robin: unbinned fill
-    // blocks zigzag between arenas, the monotone share collapses, and
-    // the auto-sizer must grow until the streams separate again.
-    for _ in 0..10 {
-        let n = bench.fill_interleaved(8192, 4).len();
-        let freed = bench.sweep_merge_join(&[]);
-        assert_eq!(freed, n);
-    }
-    // The auto-sizer may legally be snapshotted mid-collapse-probe (a
-    // well-separated 4-bin state probes 2 once per holdoff cycle), so
-    // assert the growth itself — at least 1 → 2 → 4 worth of resizes and
-    // more than one bin standing — not the exact converged count.
-    assert!(
-        bench.bins() >= 2,
-        "interleaved churn must grow the bins (got {})",
-        bench.bins()
-    );
-    assert!(
-        bench.bin_resizes() >= 2,
-        "growth 1 → 2 → 4 takes at least two resizes (saw {})",
-        bench.bin_resizes()
-    );
-}
-
-#[test]
 fn decayed_domain_rebounds_without_a_latency_cliff() {
     let smr = Ebr::new(
         SmrConfig::for_tests(2)
             .with_reclaim_freq(32)
-            .with_retire_bins(1) // deterministic seal/trigger points
+            .with_retire_batch(1) // deterministic seal/trigger points
             .with_adaptive(true), // pin against the POP_ADAPTIVE=0 CI leg
     );
     let reg0 = smr.register(0);
@@ -141,36 +89,11 @@ fn decayed_domain_rebounds_without_a_latency_cliff() {
 }
 
 #[test]
-fn in_order_retirement_seals_era_monotone_blocks() {
-    let smr = HazardEra::new(
-        SmrConfig::for_tests(1)
-            .with_reclaim_freq(64)
-            .with_retire_bins(1),
-    );
-    let reg = smr.register(0);
-    for i in 0..256 {
-        smr.begin_op(0);
-        let p = alloc(&*smr, 0, i);
-        unsafe { retire_node(&*smr, 0, p) };
-        smr.end_op(0);
-    }
-    smr.flush(0);
-    let s = smr.stats().snapshot();
-    assert!(s.batches_sealed > 0);
-    assert_eq!(
-        s.blocks_sealed_era_monotone, s.batches_sealed,
-        "in-order retirement: every sealed block is era-monotone"
-    );
-    assert_eq!(s.unreclaimed_nodes(), 0);
-    drop(reg);
-}
-
-#[test]
 fn adaptive_off_is_fully_static() {
     let smr = Ebr::new(
         SmrConfig::for_tests(2)
             .with_reclaim_freq(32)
-            .with_retire_bins(1)
+            .with_retire_batch(1)
             .with_adaptive(false),
     );
     let reg0 = smr.register(0);
@@ -184,7 +107,6 @@ fn adaptive_off_is_fully_static() {
     }
     let s = smr.stats().snapshot();
     assert_eq!(s.epoch_decay_steps, 0, "no decay when adaptive is off");
-    assert_eq!(s.bin_resizes, 0, "no resizes when adaptive is off");
     assert_eq!(s.epoch_passes, 16, "every trigger runs a full pass");
     smr.end_op(1);
     smr.flush(0);

@@ -513,7 +513,7 @@ fn run_stalled_reader_pressure_trial<S: Smr>(name: &'static str) {
             let smr = S::new(
                 SmrConfig::for_tests(2)
                     .with_reclaim_freq(16)
-                    .with_retire_bins(1)
+                    .with_retire_batch(1)
                     .with_pressure_watermarks(64, 96, 128)
                     // Park EpochPOP's native pointer-mode escalation above
                     // the emergency watermark: this trial measures the
@@ -656,7 +656,7 @@ fn vbr_quarantine_rung_is_a_no_op() {
         let smr = Vbr::new(
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(16)
-                .with_retire_bins(1)
+                .with_retire_batch(1)
                 .with_pressure_watermarks(64, 96, 128)
                 .with_quarantine(),
         );
