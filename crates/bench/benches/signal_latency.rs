@@ -4,20 +4,20 @@
 //! (`collectPublishedCounters → pingAllToPublish → waitForAllPublished`)
 //! as a function of the number of registered peer threads, including the
 //! oversubscribed case (peers > cores), which the paper calls out as
-//! POP's worst case — plus a futex-park vs yield-loop comparison of the
-//! post-spin wait itself on an oversubscribed host, where parking stops
-//! burning a scheduler quantum per retry.
+//! POP's worst case: there the post-spin futex park decides the latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pop_core::{HazardPtrPop, Smr, SmrConfig};
+use pop_core::{HazardPtrPop, PublishMode, Smr, SmrConfig};
 
 fn ping_roundtrip(c: &mut Criterion) {
     let ncpu = pop_runtime::affinity::num_cpus();
     for peers in [0usize, 1, ncpu, ncpu * 2] {
-        let smr = HazardPtrPop::new(SmrConfig::for_threads(peers + 1));
+        let smr = HazardPtrPop::new(
+            SmrConfig::for_threads(peers + 1).with_publish_mode(PublishMode::Futex),
+        );
         let stop = Arc::new(AtomicBool::new(false));
         let mut workers = Vec::new();
         let (tx, rx) = std::sync::mpsc::channel();
@@ -27,11 +27,15 @@ fn ping_roundtrip(c: &mut Criterion) {
             let tx = tx.clone();
             workers.push(std::thread::spawn(move || {
                 let reg = smr.register(tid);
+                // Busy in-op peers: never filtered as quiescent, so every
+                // pass pings each of them and waits on its handler, which
+                // interrupts this spin.
+                smr.begin_op(tid);
                 tx.send(()).unwrap();
-                // Busy peers: the handler interrupts this spin.
                 while !stop.load(Ordering::Relaxed) {
                     std::hint::spin_loop();
                 }
+                smr.end_op(tid);
                 drop(reg);
             }));
         }
@@ -56,53 +60,5 @@ fn ping_roundtrip(c: &mut Criterion) {
     }
 }
 
-/// Wait-mode comparison: identical oversubscribed handshake (2 × cores
-/// busy peers), with the post-spin wait either parked on the publish-word
-/// futex or yielding. A tiny spin budget forces the wait path to decide
-/// the latency.
-fn wait_mode(c: &mut Criterion) {
-    let ncpu = pop_runtime::affinity::num_cpus();
-    let peers = ncpu * 2;
-    for (label, futex) in [("futex", true), ("yield", false)] {
-        let smr = HazardPtrPop::new(
-            SmrConfig::for_threads(peers + 1)
-                .with_publish_spin(8)
-                .with_futex_wait(futex),
-        );
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut workers = Vec::new();
-        let (tx, rx) = std::sync::mpsc::channel();
-        for tid in 1..=peers {
-            let smr = Arc::clone(&smr);
-            let stop = Arc::clone(&stop);
-            let tx = tx.clone();
-            workers.push(std::thread::spawn(move || {
-                let reg = smr.register(tid);
-                tx.send(()).unwrap();
-                // In-op peers: never filtered, so every pass waits on all
-                // of their handlers.
-                smr.begin_op(tid);
-                while !stop.load(Ordering::Relaxed) {
-                    std::hint::spin_loop();
-                }
-                smr.end_op(tid);
-                drop(reg);
-            }));
-        }
-        for _ in 0..peers {
-            rx.recv().unwrap();
-        }
-        let reg = smr.register(0);
-        c.bench_with_input(BenchmarkId::new("wait_mode", label), &peers, |b, _| {
-            b.iter(|| smr.flush(0));
-        });
-        drop(reg);
-        stop.store(true, Ordering::Release);
-        for w in workers {
-            w.join().unwrap();
-        }
-    }
-}
-
-criterion_group!(benches, ping_roundtrip, wait_mode);
+criterion_group!(benches, ping_roundtrip);
 criterion_main!(benches);

@@ -5,11 +5,11 @@
 //! Measures:
 //!
 //! * **Publish wait wake latency**: a full `ping → handler publish → wake`
-//!   handshake against one busy in-op peer, futex-parked vs yield.
+//!   handshake against one busy in-op peer, futex-parked.
 //! * **Publish-mode pass cost** (PR 8): a full reclamation pass against
-//!   4 / 16 / 64 busy in-op peers under the signal fan-out (yield and
-//!   futex waits) vs the single-syscall membarrier publish path, plus the
-//!   membarrier-vs-signal speedup per peer count.
+//!   4 / 16 / 64 busy in-op peers under the signal fan-out (futex waits)
+//!   vs the single-syscall membarrier publish path, plus the
+//!   membarrier-vs-futex speedup per peer count.
 //! * **Idle-domain pass cost** (PR 5): the amortized cost of a
 //!   retire-triggered pass on a domain whose sweeps free nothing (one
 //!   stalled reader pins everything), with the adaptive controller's
@@ -56,7 +56,7 @@ use pop_core::{retire_node, Ebr, HasHeader, HazardPtrPop, Header, Smr, SmrConfig
 
 /// The PR that last changed this binary's measurements or the code under
 /// them; written into the artifact so its *name* never has to change.
-const PR: u32 = 27;
+const PR: u32 = 28;
 
 #[repr(C)]
 struct Node {
@@ -192,12 +192,12 @@ fn pressure_ladder_smoke() -> (u64, u64, u64, u64, u64, f64) {
 }
 
 /// Mean ns per full ping→publish→wake handshake against one busy peer.
-fn wait_wake_ns(futex: bool, iters: u32) -> f64 {
+fn wait_wake_ns(iters: u32) -> f64 {
     let smr = HazardPtrPop::new(
         SmrConfig::for_tests(2)
             .with_reclaim_freq(1 << 20)
             .with_publish_spin(8)
-            .with_futex_wait(futex),
+            .with_publish_mode(PublishMode::Futex),
     );
     let reg0 = smr.register(0);
     let stop = Arc::new(AtomicBool::new(false));
@@ -250,7 +250,7 @@ fn wait_wake_ns(futex: bool, iters: u32) -> f64 {
 }
 
 /// Mean ns per full reclamation pass against `peers` busy in-op readers,
-/// under one publish mode (PR 8). The signal flavors pay one `tgkill` +
+/// under one publish mode (PR 8). The signal fan-out pays one `tgkill` +
 /// handler publish + wait per peer; membarrier replaces the whole fan-out
 /// with a single `membarrier(2)` heavy barrier — the gap is the tentpole
 /// measurement, and it widens with the peer count (64 peers oversubscribes
@@ -531,9 +531,8 @@ fn main() {
         }
     }
 
-    let wake_futex = wait_wake_ns(true, iters);
-    let wake_yield = wait_wake_ns(false, iters);
-    println!("wait_wake: futex {wake_futex:.0} ns, yield {wake_yield:.0} ns");
+    let wake_futex = wait_wake_ns(iters);
+    println!("wait_wake: futex {wake_futex:.0} ns");
 
     // PR 8: full-pass publish cost per mode at growing peer counts. The
     // acceptance bar is membarrier ≥ 2× cheaper than the signal fan-out at
@@ -544,7 +543,6 @@ fn main() {
     let mut publish_rows = String::new();
     let pass_iters = (iters / 4).max(8);
     for (i, &peers) in [4usize, 16, 64].iter().enumerate() {
-        let signal_ns = publish_pass_ns(PublishMode::Signal, peers, pass_iters);
         let futex_ns = publish_pass_ns(PublishMode::Futex, peers, pass_iters);
         let mb_ns = if membarrier_available {
             publish_pass_ns(PublishMode::Membarrier, peers, pass_iters)
@@ -553,11 +551,10 @@ fn main() {
             // report that cost and a 1.0x ratio rather than fake a win.
             futex_ns
         };
-        let speedup = signal_ns / mb_ns;
+        let speedup = futex_ns / mb_ns;
         println!(
-            "publish_mode peers={peers:>2}: signal {signal_ns:>9.0} ns/pass | \
-             futex {futex_ns:>9.0} ns/pass | membarrier {mb_ns:>9.0} ns/pass \
-             ({speedup:.2}x vs signal)"
+            "publish_mode peers={peers:>2}: futex {futex_ns:>9.0} ns/pass | \
+             membarrier {mb_ns:>9.0} ns/pass ({speedup:.2}x vs futex)"
         );
         if i > 0 {
             publish_rows.push(',');
@@ -565,10 +562,9 @@ fn main() {
         write!(
             publish_rows,
             "\n    {{\"peers\": {peers}, \
-             \"signal_ns_per_pass\": {signal_ns:.0}, \
              \"futex_ns_per_pass\": {futex_ns:.0}, \
              \"membarrier_ns_per_pass\": {mb_ns:.0}, \
-             \"membarrier_speedup_vs_signal\": {speedup:.3}}}"
+             \"membarrier_speedup_vs_futex\": {speedup:.3}}}"
         )
         .unwrap();
     }
@@ -666,7 +662,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"bench_smoke\",\n  \"pr\": {PR},\n  \"iters\": {iters},\n  \
          \"layout\": {layout},\n  \
-         \"wait_wake_ns\": {{\"futex\": {wake_futex:.0}, \"yield\": {wake_yield:.0}}},\n  \
+         \"wait_wake_ns\": {{\"futex\": {wake_futex:.0}}},\n  \
          \"membarrier_available\": {membarrier_available},\n  \
          \"publish_mode\": [{publish_rows}\n  ],\n  \
          \"idle_pass\": {{\"static_ns_per_trigger\": {idle_static:.0}, \

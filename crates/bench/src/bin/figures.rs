@@ -179,7 +179,6 @@ fn run_robustness(opts: &SweepOptions, csv: &Path) {
             unreclaimed_nodes: stats.unreclaimed_nodes(),
             pings_sent: stats.pings_sent,
             pings_skipped: stats.pings_skipped,
-            pings_elided_adaptive: stats.pings_elided_adaptive,
             membarrier_passes: stats.membarrier_passes,
             signals_avoided: stats.signals_avoided,
             batches_sealed: stats.batches_sealed,

@@ -142,7 +142,6 @@ mod tests {
             unreclaimed_nodes: 0,
             pings_sent: 0,
             pings_skipped: 0,
-            pings_elided_adaptive: 0,
             membarrier_passes: 0,
             signals_avoided: 0,
             batches_sealed: 0,

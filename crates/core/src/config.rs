@@ -35,21 +35,15 @@ pub const PRESSURE_EMERGENCY_FACTOR: usize = 32;
 pub const DEFAULT_FREE_POOL_CAP: usize = 32;
 
 /// How a POP reclaimer gets peers' reservations published before it scans
-/// them (the publish half of `ping_all_and_wait`). The signal fan-out
-/// variants differ only in how the reclaimer *waits* for the pinged
-/// handlers; `Membarrier` replaces the whole fan-out with one
-/// `membarrier(2)` heavy barrier and has nothing to wait for. See
-/// `ARCHITECTURE.md` ("Publish modes") for the per-scheme decision table.
+/// them (the publish half of `ping_all_and_wait`): the signal fan-out,
+/// whose waits spin and then park on a futex, or one `membarrier(2)` heavy
+/// barrier that has nothing to wait for. See `ARCHITECTURE.md` ("Publish
+/// modes") for the per-scheme decision table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PublishMode {
-    /// Probe the host once: [`PublishMode::Membarrier`] when
-    /// `membarrier(2)` `PRIVATE_EXPEDITED` is usable, else the signal
-    /// fan-out (flavored by [`SmrConfig::futex_wait`]).
-    Auto,
-    /// Signal fan-out, yield-loop publish waits (the portable path).
-    Signal,
-    /// Signal fan-out, futex-parked publish waits — the historical
-    /// default.
+    /// Signal fan-out: ping each non-quiescent peer, spin, then park on its
+    /// publish word (`pop_runtime::futex`, which yields off Linux) until it
+    /// has published — the default.
     #[default]
     Futex,
     /// One process-wide `membarrier(2)` barrier per pass: readers write
@@ -64,8 +58,6 @@ impl PublishMode {
     /// Parses the `POP_PUBLISH_MODE` vocabulary.
     pub fn parse(s: &str) -> Option<PublishMode> {
         match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(PublishMode::Auto),
-            "signal" | "yield" => Some(PublishMode::Signal),
             "futex" => Some(PublishMode::Futex),
             "membarrier" => Some(PublishMode::Membarrier),
             _ => None,
@@ -95,7 +87,6 @@ impl PublishMode {
 ///     .with_epoch_freq(32)
 ///     .with_retire_batch(16)
 ///     .with_publish_spin(64)
-///     .with_futex_wait(true)
 ///     .with_adaptive(false);
 /// assert_eq!(cfg.effective_batch(), 16);
 /// assert!(!cfg.adaptive);
@@ -111,32 +102,27 @@ impl PublishMode {
 /// | variable                  | effect                                       |
 /// |---------------------------|----------------------------------------------|
 /// | `POP_RETIRE_BATCH`        | seal threshold (`1` = unbatched retirement)  |
-/// | `POP_FUTEX_WAIT`          | `0`/`off` = yield-loop publish waits         |
 /// | `POP_ADAPTIVE`            | `0`/`off` = no epoch-cadence decay           |
 /// | `POP_PUBLISH_DEADLINE_MS` | publish-wait watchdog deadline (`0` = off)   |
 /// | `POP_PRESSURE_SOFT`       | soft pressure watermark in nodes (`0` = gauge off) |
 /// | `POP_PRESSURE_HARD`       | hard pressure watermark in nodes             |
 /// | `POP_PRESSURE_EMERGENCY`  | emergency pressure watermark in nodes        |
 /// | `POP_FREE_POOL_CAP`       | recycled-block pool cap in blocks (`0` = unbounded) |
-/// | `POP_PUBLISH_MODE`        | POP publish mode: `auto` / `signal` / `futex` / `membarrier` |
-/// | `POP_SLAB`                | `0`/`off` = legacy `Box` node allocation (no owned slabs) |
+/// | `POP_PUBLISH_MODE`        | POP publish mode: `futex` / `membarrier`     |
 /// | `POP_FAULTS`              | fault plan (needs the `fault-injection` feature; parsed by `pop_runtime::faults`) |
 ///
 /// ```
 /// use pop_core::{PublishMode, SmrConfig};
 ///
 /// std::env::set_var("POP_RETIRE_BATCH", "1");
-/// std::env::set_var("POP_FUTEX_WAIT", "off");
 /// std::env::set_var("POP_ADAPTIVE", "0");
 /// std::env::set_var("POP_PRESSURE_SOFT", "128");
 /// std::env::set_var("POP_PRESSURE_HARD", "256");
 /// std::env::set_var("POP_PRESSURE_EMERGENCY", "512");
 /// std::env::set_var("POP_FREE_POOL_CAP", "4");
 /// std::env::set_var("POP_PUBLISH_MODE", "membarrier");
-/// std::env::set_var("POP_SLAB", "0");
 /// let cfg = SmrConfig::for_tests(2);
 /// assert_eq!(cfg.retire_batch, 1);
-/// assert!(!cfg.futex_wait);
 /// assert!(!cfg.adaptive);
 /// assert_eq!(
 ///     (cfg.pressure_soft, cfg.pressure_hard, cfg.pressure_emergency),
@@ -144,22 +130,20 @@ impl PublishMode {
 /// );
 /// assert_eq!(cfg.free_pool_cap, 4);
 /// assert_eq!(cfg.publish_mode, PublishMode::Membarrier);
-/// assert!(!cfg.slab_alloc, "POP_SLAB=0 restores Box allocation");
 ///
 /// // Unset (or unparsable) variables leave the defaults alone.
 /// for k in [
-///     "POP_RETIRE_BATCH", "POP_FUTEX_WAIT", "POP_ADAPTIVE", "POP_PRESSURE_SOFT",
+///     "POP_RETIRE_BATCH", "POP_ADAPTIVE", "POP_PRESSURE_SOFT",
 ///     "POP_PRESSURE_HARD", "POP_PRESSURE_EMERGENCY", "POP_FREE_POOL_CAP",
-///     "POP_PUBLISH_MODE", "POP_SLAB",
+///     "POP_PUBLISH_MODE",
 /// ] {
 ///     std::env::remove_var(k);
 /// }
 /// let cfg = SmrConfig::for_tests(2);
 /// assert!(cfg.retire_batch > 1);
-/// assert!(cfg.futex_wait && cfg.adaptive);
+/// assert!(cfg.adaptive);
 /// assert!(cfg.pressure_soft > 0, "the gauge is on by default");
-/// assert_eq!(cfg.publish_mode, PublishMode::Futex, "historical default");
-/// assert!(cfg.slab_alloc, "owned slabs are the default allocator");
+/// assert_eq!(cfg.publish_mode, PublishMode::Futex, "the default");
 /// ```
 #[derive(Clone, Debug)]
 pub struct SmrConfig {
@@ -186,14 +170,10 @@ pub struct SmrConfig {
     /// and makes every seal and trigger point exact.
     pub retire_batch: usize,
     /// Spins a publish wait (`ping_all_and_wait`, NBR phase 2) burns before
-    /// falling back to parking (`futex`) or yielding. Small values favor
-    /// oversubscribed hosts; large values favor handlers that run within a
-    /// cache-miss of the ping.
+    /// parking on the target's publish word (`pop_runtime::futex`, which
+    /// yields off Linux). Small values favor oversubscribed hosts; large
+    /// values favor handlers that run within a cache-miss of the ping.
     pub publish_spin: u32,
-    /// After the spin budget, park publish waits on a `futex(2)` keyed to
-    /// the target's publish word (Linux; elsewhere this knob is ignored and
-    /// waits `yield_now`). `false` forces the portable yield path.
-    pub futex_wait: bool,
     /// Publish-wait watchdog deadline in nanoseconds, *total wall clock per
     /// reclamation pass* (`ping_all_and_wait`, NBR phase 2). A peer that
     /// has not published when it expires is handled conservatively — its
@@ -234,23 +214,14 @@ pub struct SmrConfig {
     /// `POP_FREE_POOL_CAP`.
     pub free_pool_cap: usize,
     /// How POP reclaimers publish peers' reservations: the signal fan-out
-    /// ([`PublishMode::Signal`]/[`PublishMode::Futex`], differing only in
-    /// wait flavor) or one process-wide [`PublishMode::Membarrier`]
-    /// barrier per pass. Only the POP schemes consult this
-    /// (HP-POP/HE-POP/Epoch-POP); NBR always keeps signals — its pings
-    /// *neutralize* readers, which no memory barrier can do. Domains
-    /// resolve it once at construction via
+    /// ([`PublishMode::Futex`]) or one process-wide
+    /// [`PublishMode::Membarrier`] barrier per pass. Only the POP schemes
+    /// consult this (HP-POP/HE-POP/Epoch-POP); NBR always keeps signals —
+    /// its pings *neutralize* readers, which no memory barrier can do.
+    /// Domains resolve it once at construction via
     /// [`Self::resolved_publish_mode`]. Env `POP_PUBLISH_MODE`
-    /// (`auto`/`signal`/`futex`/`membarrier`).
+    /// (`futex`/`membarrier`).
     pub publish_mode: PublishMode,
-    /// Allocate reclaimable nodes from the owned slab arenas
-    /// ([`crate::slab`]): per-thread bump fills are address-monotone by
-    /// construction, whole-slab frees settle via one range test, and
-    /// fully-empty slabs are recycled (past a small warm cache, `madvise`d
-    /// back to the OS). `false` restores
-    /// plain `Box` allocation: fill bins then route by 64 KiB heap region,
-    /// and whole-block frees settle node by node. Env `POP_SLAB`.
-    pub slab_alloc: bool,
 }
 
 impl SmrConfig {
@@ -265,7 +236,6 @@ impl SmrConfig {
             pop_c: 2,
             retire_batch: RETIRE_BATCH_CAP,
             publish_spin: DEFAULT_PUBLISH_SPIN,
-            futex_wait: true,
             publish_deadline_ns: DEFAULT_PUBLISH_DEADLINE_NS,
             adaptive: true,
             quarantine: false,
@@ -279,7 +249,6 @@ impl SmrConfig {
             pressure_emergency: reclaim_freq * PRESSURE_EMERGENCY_FACTOR,
             free_pool_cap: DEFAULT_FREE_POOL_CAP,
             publish_mode: PublishMode::default(),
-            slab_alloc: true,
         }
     }
 
@@ -308,8 +277,8 @@ impl SmrConfig {
 
     /// Applies the `POP_*` environment overrides (CI's fallback-path
     /// matrix legs run the test suite with `POP_RETIRE_BATCH=1`,
-    /// `POP_FUTEX_WAIT=0` and `POP_ADAPTIVE=0` without touching any call
-    /// site). Unset or unparsable variables change nothing.
+    /// `POP_ADAPTIVE=0` and `POP_PUBLISH_MODE=membarrier` without touching
+    /// any call site). Unset or unparsable variables change nothing.
     ///
     /// Also arms the fault-injection layer from `POP_FAULTS` (a no-op
     /// unless the `fault-injection` feature is compiled in): domain
@@ -323,13 +292,6 @@ impl SmrConfig {
     fn with_overrides_from(mut self, get: impl Fn(&str) -> Option<String>) -> Self {
         if let Some(b) = get("POP_RETIRE_BATCH").and_then(|v| v.parse().ok()) {
             self = self.with_retire_batch(b);
-        }
-        if let Some(v) = get("POP_FUTEX_WAIT") {
-            match v.as_str() {
-                "0" | "false" | "off" => self.futex_wait = false,
-                "1" | "true" | "on" => self.futex_wait = true,
-                _ => {}
-            }
         }
         if let Some(v) = get("POP_ADAPTIVE") {
             match v.as_str() {
@@ -353,15 +315,6 @@ impl SmrConfig {
         if let Some(n) = get("POP_FREE_POOL_CAP").and_then(|v| v.parse().ok()) {
             self.free_pool_cap = n;
         }
-        if let Some(v) = get("POP_SLAB") {
-            match v.as_str() {
-                "0" | "false" | "off" => self.slab_alloc = false,
-                "1" | "true" | "on" => self.slab_alloc = true,
-                _ => {}
-            }
-        }
-        // Applied last: an explicit signal/futex mode also pins the wait
-        // flavor, overriding a conflicting POP_FUTEX_WAIT.
         if let Some(m) = get("POP_PUBLISH_MODE").and_then(|v| PublishMode::parse(&v)) {
             self = self.with_publish_mode(m);
         }
@@ -395,12 +348,6 @@ impl SmrConfig {
     /// Builder-style override of the publish-wait spin budget.
     pub fn with_publish_spin(mut self, spins: u32) -> Self {
         self.publish_spin = spins;
-        self
-    }
-
-    /// Builder-style toggle for futex-parked publish waits.
-    pub fn with_futex_wait(mut self, on: bool) -> Self {
-        self.futex_wait = on;
         self
     }
 
@@ -458,51 +405,25 @@ impl SmrConfig {
         self
     }
 
-    /// Builder-style toggle for slab-backed node allocation (`false` =
-    /// legacy `Box` allocation; see [`Self::slab_alloc`]).
-    pub fn with_slab(mut self, on: bool) -> Self {
-        self.slab_alloc = on;
-        self
-    }
-
-    /// Builder-style override of the POP publish mode. An explicit
-    /// [`PublishMode::Signal`] or [`PublishMode::Futex`] also aligns
-    /// [`Self::futex_wait`] (they *are* the two wait flavors of the signal
-    /// fan-out); `Auto`/`Membarrier` leave it alone — it flavors the
-    /// fallback path when the membarrier probe fails.
+    /// Builder-style override of the POP publish mode.
     pub fn with_publish_mode(mut self, m: PublishMode) -> Self {
         self.publish_mode = m;
-        match m {
-            PublishMode::Signal => self.futex_wait = false,
-            PublishMode::Futex => self.futex_wait = true,
-            PublishMode::Auto | PublishMode::Membarrier => {}
-        }
         self
     }
 
-    /// Resolves [`Self::publish_mode`] against the host, never returning
-    /// `Auto`: `Auto` and `Membarrier` become [`PublishMode::Membarrier`]
-    /// exactly when the per-process `membarrier(2)` probe succeeds
-    /// (`pop_runtime::membarrier::is_available`, which registers on first
-    /// call), and otherwise downgrade to the signal fan-out in the flavor
-    /// [`Self::futex_wait`] selects — the seccomp/container fallback.
-    /// Domains call this once at construction; a barrier failing *mid-pass*
-    /// later is handled by `PopShared`'s sticky per-domain downgrade.
+    /// Resolves [`Self::publish_mode`] against the host:
+    /// [`PublishMode::Membarrier`] stays so exactly when the per-process
+    /// `membarrier(2)` probe succeeds (`pop_runtime::membarrier::is_available`,
+    /// which registers on first call), and otherwise downgrades to the
+    /// signal fan-out — the seccomp/container fallback. Domains call this
+    /// once at construction; a barrier failing *mid-pass* later is handled
+    /// by `PopShared`'s sticky per-domain downgrade.
     pub fn resolved_publish_mode(&self) -> PublishMode {
-        let fan_out = if self.futex_wait {
-            PublishMode::Futex
-        } else {
-            PublishMode::Signal
-        };
         match self.publish_mode {
-            PublishMode::Auto | PublishMode::Membarrier => {
-                if pop_runtime::membarrier::is_available() {
-                    PublishMode::Membarrier
-                } else {
-                    fan_out
-                }
+            PublishMode::Membarrier if pop_runtime::membarrier::is_available() => {
+                PublishMode::Membarrier
             }
-            PublishMode::Signal | PublishMode::Futex => fan_out,
+            _ => PublishMode::Futex,
         }
     }
 
@@ -527,17 +448,13 @@ mod tests {
         assert_eq!(c.reclaim_freq, 24_576, "paper §5.0.1 retire threshold");
         assert_eq!(c.max_threads, 4);
         assert_eq!(c.publish_spin, DEFAULT_PUBLISH_SPIN);
-        assert!(c.futex_wait, "futex parking is the default wait mode");
         assert!(!c.quarantine);
     }
 
     #[test]
     fn publish_wait_builders() {
-        let c = SmrConfig::test_defaults(1)
-            .with_publish_spin(0)
-            .with_futex_wait(false);
+        let c = SmrConfig::test_defaults(1).with_publish_spin(0);
         assert_eq!(c.publish_spin, 0, "zero-spin (park immediately) is legal");
-        assert!(!c.futex_wait);
     }
 
     #[test]
@@ -559,19 +476,16 @@ mod tests {
     fn env_overrides_drive_the_fallback_matrix() {
         let env = |k: &str| match k {
             "POP_RETIRE_BATCH" => Some("1".to_string()),
-            "POP_FUTEX_WAIT" => Some("off".to_string()),
             "POP_ADAPTIVE" => Some("0".to_string()),
             _ => None,
         };
         let c = SmrConfig::test_defaults(2).with_overrides_from(env);
         assert_eq!(c.retire_batch, 1);
-        assert!(!c.futex_wait);
         assert!(!c.adaptive);
         // Unset / garbage values leave the defaults alone.
         let c = SmrConfig::test_defaults(2)
-            .with_overrides_from(|k| (k == "POP_FUTEX_WAIT").then(|| "maybe".to_string()));
+            .with_overrides_from(|k| (k == "POP_ADAPTIVE").then(|| "maybe".to_string()));
         assert_eq!(c.retire_batch, RETIRE_BATCH_CAP);
-        assert!(c.futex_wait);
         assert!(c.adaptive, "controller is on by default");
     }
 
@@ -628,58 +542,20 @@ mod tests {
     }
 
     #[test]
-    fn slab_default_builder_and_env() {
-        let c = SmrConfig::test_defaults(1);
-        assert!(c.slab_alloc, "owned slabs are the default");
-        assert!(!c.with_slab(false).slab_alloc);
-        let c = SmrConfig::test_defaults(1)
-            .with_overrides_from(|k| (k == "POP_SLAB").then(|| "off".to_string()));
-        assert!(!c.slab_alloc, "POP_SLAB=off restores Box allocation");
-        let c = SmrConfig::test_defaults(1)
-            .with_slab(false)
-            .with_overrides_from(|k| (k == "POP_SLAB").then(|| "1".to_string()));
-        assert!(c.slab_alloc, "POP_SLAB=1 forces slabs back on");
-        let c = SmrConfig::test_defaults(1)
-            .with_overrides_from(|k| (k == "POP_SLAB").then(|| "sideways".to_string()));
-        assert!(c.slab_alloc, "garbage leaves the default alone");
-    }
-
-    #[test]
     fn publish_mode_parse_vocabulary() {
-        assert_eq!(PublishMode::parse("auto"), Some(PublishMode::Auto));
-        assert_eq!(PublishMode::parse("signal"), Some(PublishMode::Signal));
-        assert_eq!(PublishMode::parse("yield"), Some(PublishMode::Signal));
         assert_eq!(PublishMode::parse("FUTEX"), Some(PublishMode::Futex));
         assert_eq!(
             PublishMode::parse("Membarrier"),
             Some(PublishMode::Membarrier)
         );
-        assert_eq!(PublishMode::parse("signals"), None);
+        assert_eq!(PublishMode::parse("signal"), None);
     }
 
     #[test]
-    fn publish_mode_builder_aligns_wait_flavor() {
-        let c = SmrConfig::test_defaults(1);
-        assert_eq!(c.publish_mode, PublishMode::Futex, "historical default");
-        let c = c.with_publish_mode(PublishMode::Signal);
-        assert!(!c.futex_wait, "explicit signal mode forces yield waits");
-        let c = c.with_publish_mode(PublishMode::Futex);
-        assert!(c.futex_wait, "explicit futex mode forces parked waits");
-        let c = c
-            .with_futex_wait(false)
-            .with_publish_mode(PublishMode::Membarrier);
-        assert!(!c.futex_wait, "membarrier mode leaves the fallback flavor");
-    }
-
-    #[test]
-    fn publish_mode_env_override_wins_over_futex_wait() {
-        let c = SmrConfig::test_defaults(2).with_overrides_from(|k| match k {
-            "POP_FUTEX_WAIT" => Some("on".to_string()),
-            "POP_PUBLISH_MODE" => Some("signal".to_string()),
-            _ => None,
-        });
-        assert_eq!(c.publish_mode, PublishMode::Signal);
-        assert!(!c.futex_wait, "mode is applied after the wait knob");
+    fn publish_mode_env_override() {
+        let c = SmrConfig::test_defaults(2)
+            .with_overrides_from(|k| (k == "POP_PUBLISH_MODE").then(|| "membarrier".to_string()));
+        assert_eq!(c.publish_mode, PublishMode::Membarrier);
         let c = SmrConfig::test_defaults(2)
             .with_overrides_from(|k| (k == "POP_PUBLISH_MODE").then(|| "sideways".to_string()));
         assert_eq!(
@@ -690,27 +566,15 @@ mod tests {
     }
 
     #[test]
-    fn resolved_mode_never_says_auto_and_respects_the_host() {
-        let avail = pop_runtime::membarrier::is_available();
-        let auto = SmrConfig::test_defaults(1)
-            .with_publish_mode(PublishMode::Auto)
-            .resolved_publish_mode();
+    fn resolved_mode_respects_the_host() {
         let explicit = SmrConfig::test_defaults(1)
             .with_publish_mode(PublishMode::Membarrier)
             .resolved_publish_mode();
-        if avail {
-            assert_eq!(auto, PublishMode::Membarrier);
+        if pop_runtime::membarrier::is_available() {
             assert_eq!(explicit, PublishMode::Membarrier);
         } else {
-            assert_eq!(auto, PublishMode::Futex, "auto falls back to futex");
-            assert_eq!(explicit, PublishMode::Futex);
+            assert_eq!(explicit, PublishMode::Futex, "falls back to the fan-out");
         }
-        assert_eq!(
-            SmrConfig::test_defaults(1)
-                .with_publish_mode(PublishMode::Signal)
-                .resolved_publish_mode(),
-            PublishMode::Signal
-        );
         assert_eq!(
             SmrConfig::test_defaults(1).resolved_publish_mode(),
             PublishMode::Futex

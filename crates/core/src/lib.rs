@@ -44,9 +44,10 @@
 //! machine. `end_op` is a plain release bump: quiescence may be observed
 //! late, which only costs an extra ping, never a wrong elision.
 //!
-//! **The futex Dekker.** Parked publish waits
-//! (`SmrConfig::publish_spin` exhausted, `futex_wait` on) park on a
-//! per-thread 32-bit publish word. The waiter *announces itself*
+//! **The futex Dekker.** A publish wait that exhausts its spin budget
+//! (`SmrConfig::publish_spin`) parks on a per-thread 32-bit publish word
+//! (`pop_runtime::futex`, which yields instead off Linux). The waiter
+//! *announces itself*
 //! (waiter-count increment), re-checks the publish word, then
 //! `futex(FUTEX_WAIT)`s; the publisher (signal handler / restart ack)
 //! bumps the publish word, executes the matching **SeqCst** edge, and

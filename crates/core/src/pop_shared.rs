@@ -44,24 +44,7 @@
 //! slots hold stale non-zero words are always pinged: skipping them would
 //! let the stale reservations pin garbage forever.
 //!
-//! ## Adaptive ping filtering
-//!
-//! The binary filter above still pays `1 + slots` loads per skipped
-//! thread per pass. A per-thread *quiescent streak* counter takes the
-//! paper's signal elision further: reclaimers increment a thread's streak
-//! each pass that proves it quiescent, and the thread's own `begin_op`
-//! zeroes it (a store on its own line, before the same `SeqCst` fence that
-//! orders the activity bump). Once the streak reaches
-//! [`ADAPTIVE_SKIP_AFTER`], reclaimers skip the slot scan entirely — one
-//! streak load replaces the whole check — re-running the full check every
-//! [`ADAPTIVE_RESAMPLE_EVERY`] streak counts.
-//! Soundness is the same two-SC-fence argument: a reclaimer reading
-//! `streak >= N` after its fence either fence-precedes the thread's
-//! `begin_op` (whose reads then observe the unlinks) or would have read
-//! the zeroed streak. Reclaimer increments use a compare-exchange against
-//! the observed value so a racing owner reset is never overwritten.
-//!
-//! ## Publish-wait semantics (futex vs yield)
+//! ## Publish-wait semantics (spin, then futex)
 //!
 //! `waitForAllPublished` spins for a configurable budget
 //! ([`crate::config::SmrConfig::publish_spin`]), then **parks**: each
@@ -74,10 +57,10 @@
 //! observes the waiter and wakes it). Waits carry a timeout as the
 //! liveness backstop — a peer can satisfy the wait *without* publishing
 //! (deregistration observed via the `registered` flag, or a lost ping) —
-//! and every wakeup re-checks the full exit condition. Off Linux, or with
-//! [`crate::config::SmrConfig::futex_wait`] unset, the post-spin step
-//! degrades to `yield_now` (the historical behavior): same correctness,
-//! but each retry burns a scheduler quantum on oversubscribed hosts.
+//! and every wakeup re-checks the full exit condition. Off Linux the
+//! `pop_runtime::futex` module yields instead of parking: same
+//! correctness, but each retry burns a scheduler quantum on
+//! oversubscribed hosts.
 //!
 //! ## Membarrier publish mode
 //!
@@ -104,7 +87,7 @@
 //!   shared reservations with the unused (all-zero) local words — while
 //!   keeping its fence, suspect-clear, counter bump and futex wake, so
 //!   the signal path's handshake semantics survive a downgrade.
-//! * **Ping filtering is off.** The quiescent/adaptive elision rests on
+//! * **Ping filtering is off.** The quiescent elision rests on
 //!   `note_active`'s fence pairing with the reclaimer's; with the fence
 //!   gone the argument is void, so a membarrier-configured domain never
 //!   elides a ping on its signal fallback path (it pings everyone). On
@@ -147,14 +130,6 @@ const PUBLISH_WAIT_TIMEOUT_NS: u64 = 1_000_000;
 
 /// Sentinel in a collected-counters buffer: do not wait for this thread.
 const SKIP: u64 = u64::MAX;
-
-/// Consecutive quiescent passes after which a reclaimer stops re-scanning
-/// a thread's reservation slots (module docs, "Adaptive ping filtering").
-const ADAPTIVE_SKIP_AFTER: u64 = 8;
-
-/// While adaptively skipping, run the full quiescence check again every
-/// this-many streak counts.
-const ADAPTIVE_RESAMPLE_EVERY: u64 = 64;
 
 /// Membarrier-mode dead-peer probe period, in membarrier passes: the fast
 /// path has no publish waits, so the watchdog never sees a dead peer —
@@ -251,9 +226,6 @@ pub(crate) struct PopShared {
     waiters: Box<[CachePadded<AtomicU32>]>,
     /// Per-thread operation activity word: odd while inside an operation.
     activity: Box<[CachePadded<AtomicU64>]>,
-    /// Consecutive reclaimer passes that proved the thread quiescent;
-    /// zeroed by the owner in `note_active`/`register`.
-    quiescent_streak: Box<[CachePadded<AtomicU64>]>,
     /// Whether a domain tid currently participates.
     registered: Box<[AtomicBool]>,
     /// Domain tid → global thread id + 1 (0 = unbound).
@@ -280,11 +252,9 @@ pub(crate) struct PopShared {
     /// outside this struct (the HPAsym signal barrier), where every handler
     /// execution is load-bearing for memory ordering.
     filter_quiescent: bool,
-    /// Spin budget before a publish wait parks or yields
+    /// Spin budget before a publish wait parks
     /// ([`crate::config::SmrConfig::publish_spin`]).
     publish_spin: u32,
-    /// Park on a futex after the spin budget (vs `yield_now`).
-    futex_wait: bool,
     /// Publish-wait watchdog: total wall-clock budget per
     /// `ping_all_and_wait` pass before unpublished peers are handled
     /// conservatively ([`crate::config::SmrConfig::publish_deadline_ns`];
@@ -311,14 +281,12 @@ impl PopShared {
     /// The tail of the argument list mirrors the `SmrConfig` knobs it is
     /// always called with, in order — a tuning struct would just restate
     /// the config.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn leak(
         nthreads: usize,
         slots: usize,
         stats: Arc<DomainStats>,
         filter_quiescent: bool,
         publish_spin: u32,
-        futex_wait: bool,
         publish_deadline_ns: u64,
         membarrier: bool,
     ) -> &'static Self {
@@ -333,7 +301,6 @@ impl PopShared {
             publish_word: zeroed(nthreads),
             waiters: zeroed(nthreads),
             activity: zeroed(nthreads),
-            quiescent_streak: zeroed(nthreads),
             registered: zeroed(nthreads),
             gtid_of: zeroed(nthreads),
             gtid_gen: zeroed(nthreads),
@@ -343,7 +310,6 @@ impl PopShared {
             stats,
             filter_quiescent,
             publish_spin,
-            futex_wait: futex_wait && futex::supported(),
             publish_deadline_ns,
             membarrier,
             downgraded: AtomicBool::new(false),
@@ -360,7 +326,6 @@ impl PopShared {
             Arc::clone(&base.stats),
             true,
             base.cfg.publish_spin,
-            base.cfg.futex_wait,
             base.cfg.publish_deadline_ns,
             base.cfg.resolved_publish_mode() == crate::config::PublishMode::Membarrier,
         )
@@ -414,16 +379,13 @@ impl PopShared {
         }
     }
 
-    /// The two plain stores of [`Self::note_active`], for a caller that
-    /// issues the `SeqCst` fence itself (EpochPOP shares it with its epoch
-    /// announcement). The fence must come before the operation's first
-    /// load *and* its first `set_local`: a ping that still finds the word
-    /// even publishes an empty row.
+    /// The plain activity-word store of [`Self::note_active`], for a caller
+    /// that issues the `SeqCst` fence itself (EpochPOP shares it with its
+    /// epoch announcement). The fence must come before the operation's
+    /// first load *and* its first `set_local`: a ping that still finds the
+    /// word even publishes an empty row.
     #[inline]
     pub(crate) fn note_active_unfenced(&self, tid: usize) {
-        // Owner-side adaptive-filter reset, ordered by the same fence as
-        // the activity bump (both are stores to owner-only lines).
-        self.quiescent_streak[tid].store(0, Ordering::Relaxed);
         let a = self.activity[tid].load(Ordering::Relaxed);
         self.activity[tid].store((a & !1).wrapping_add(1), Ordering::Relaxed);
     }
@@ -460,8 +422,7 @@ impl PopShared {
             self.shared.word(tid, s).store(0, Ordering::Relaxed);
         }
         // Fresh occupants start quiescent; any parity left by a previous
-        // occupant is normalized, and its streak must not carry over.
-        self.quiescent_streak[tid].store(0, Ordering::Relaxed);
+        // occupant is normalized.
         let a = self.activity[tid].load(Ordering::Relaxed);
         self.activity[tid].store((a | 1).wrapping_add(1), Ordering::Relaxed);
         self.suspect[tid].store(false, Ordering::Relaxed);
@@ -543,29 +504,13 @@ impl PopShared {
         // are current again, so conservative suspect handling can end.
         self.suspect[tid].store(false, Ordering::Relaxed);
         self.counter[tid].fetch_add(1, Ordering::Release);
-        if self.futex_wait {
-            // Dekker pairing with the waiter (module docs): the SeqCst
-            // word bump precedes the waiter-count load, so a waiter that
-            // missed this publish is observed here and woken. In yield
-            // mode no waiter ever parks, so the word is never touched.
-            self.publish_word[tid].fetch_add(1, Ordering::SeqCst);
-            if self.waiters[tid].load(Ordering::SeqCst) > 0 {
-                futex::wake_all(&self.publish_word[tid]);
-            }
+        // Dekker pairing with the waiter (module docs): the SeqCst word
+        // bump precedes the waiter-count load, so a waiter that missed this
+        // publish is observed here and woken.
+        self.publish_word[tid].fetch_add(1, Ordering::SeqCst);
+        if self.waiters[tid].load(Ordering::SeqCst) > 0 {
+            futex::wake_all(&self.publish_word[tid]);
         }
-    }
-
-    /// Records one more quiescent pass for thread `t`. The CAS (against
-    /// the value the reclaimer observed after its fence) guarantees a
-    /// concurrent owner reset to 0 is never resurrected: once the owner
-    /// stores 0, every in-flight increment's expected value mismatches.
-    fn bump_streak(&self, t: usize, observed: u64) {
-        let _ = self.quiescent_streak[t].compare_exchange(
-            observed,
-            observed.wrapping_add(1),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
     }
 
     /// Whether thread `t` may be skipped by `pingAllToPublish`: quiescent
@@ -674,33 +619,16 @@ impl PopShared {
         let mut pings = 0u64;
         let mut failed = 0u64;
         let mut skipped = 0u64;
-        let mut adaptive = 0u64;
         for (t, c) in collected.iter_mut().enumerate() {
             if *c == SKIP {
                 continue;
             }
-            if filter {
-                let streak = self.quiescent_streak[t].load(Ordering::SeqCst);
-                if streak >= ADAPTIVE_SKIP_AFTER && !streak.is_multiple_of(ADAPTIVE_RESAMPLE_EVERY)
-                {
-                    // Adaptive fast path: the streak alone (read after our
-                    // fence; zeroed by the owner before its `begin_op`
-                    // fence) proves quiescence — skip even the slot scan.
-                    self.bump_streak(t, streak);
-                    *c = SKIP;
-                    adaptive += 1;
-                    continue;
-                }
-                if self.is_provably_quiescent(t) {
-                    // No signal, no wait: the thread holds nothing and
-                    // cannot reach this pass's retirees (module docs).
-                    self.bump_streak(t, streak);
-                    *c = SKIP;
-                    skipped += 1;
-                    continue;
-                }
-                // Active (or holding reservations): restart its streak.
-                self.quiescent_streak[t].store(0, Ordering::Relaxed);
+            if filter && self.is_provably_quiescent(t) {
+                // No signal, no wait: the thread holds nothing and cannot
+                // reach this pass's retirees (module docs).
+                *c = SKIP;
+                skipped += 1;
+                continue;
             }
             if let Some(gtid) = self.gtid(t) {
                 match ping_gtid(gtid) {
@@ -734,9 +662,6 @@ impl PopShared {
         shard.pings_sent.fetch_add(pings, Ordering::Relaxed);
         shard.pings_failed.fetch_add(failed, Ordering::Relaxed);
         shard.pings_skipped.fetch_add(skipped, Ordering::Relaxed);
-        shard
-            .pings_elided_adaptive
-            .fetch_add(adaptive, Ordering::Relaxed);
         // Publish-wait watchdog: one wall-clock budget for the *whole
         // pass*, armed lazily the first time any wait outlives its spin
         // budget — the common pass never reads the clock.
@@ -758,8 +683,8 @@ impl PopShared {
                 if !self.registered[t].load(Ordering::Acquire) {
                     break;
                 }
-                // Bounded spin, then park (or yield): the pinged thread may
-                // be descheduled on an oversubscribed host, and its handler
+                // Bounded spin, then park: the pinged thread may be
+                // descheduled on an oversubscribed host, and its handler
                 // cannot run until it gets a CPU.
                 spins = spins.saturating_add(1);
                 if spins <= self.publish_spin {
@@ -783,29 +708,24 @@ impl PopShared {
                         break;
                     }
                 }
-                if self.futex_wait {
-                    // Announce, re-check, park (module docs: the SeqCst
-                    // announce/load pair with the publisher's bump/load, so
-                    // a publish between our re-check and the FUTEX_WAIT
-                    // either changes the word — EAGAIN — or wakes us).
-                    self.waiters[t].fetch_add(1, Ordering::SeqCst);
-                    let w = self.publish_word[t].load(Ordering::SeqCst);
-                    if self.counter[t].load(Ordering::Acquire) <= observed
-                        && self.registered[t].load(Ordering::Acquire)
-                    {
-                        // Watchdog expiry is decided by wall clock above,
-                        // never by counting wait returns: a spurious wake
-                        // (`Woken` without progress) re-checks and parks
-                        // again without charging a timeout slice, and a
-                        // lost wake costs at most one `TimedOut` interval
-                        // before the predicate re-check.
-                        let _ =
-                            futex::wait_timeout(&self.publish_word[t], w, PUBLISH_WAIT_TIMEOUT_NS);
-                    }
-                    self.waiters[t].fetch_sub(1, Ordering::SeqCst);
-                } else {
-                    std::thread::yield_now();
+                // Announce, re-check, park (module docs: the SeqCst
+                // announce/load pair with the publisher's bump/load, so a
+                // publish between our re-check and the FUTEX_WAIT either
+                // changes the word — EAGAIN — or wakes us).
+                self.waiters[t].fetch_add(1, Ordering::SeqCst);
+                let w = self.publish_word[t].load(Ordering::SeqCst);
+                if self.counter[t].load(Ordering::Acquire) <= observed
+                    && self.registered[t].load(Ordering::Acquire)
+                {
+                    // Watchdog expiry is decided by wall clock above, never
+                    // by counting wait returns: a spurious wake (`Woken`
+                    // without progress) re-checks and parks again without
+                    // charging a timeout slice, and a lost wake costs at
+                    // most one `TimedOut` interval before the predicate
+                    // re-check.
+                    let _ = futex::wait_timeout(&self.publish_word[t], w, PUBLISH_WAIT_TIMEOUT_NS);
                 }
+                self.waiters[t].fetch_sub(1, Ordering::SeqCst);
             }
         }
         if timeouts > 0 {
@@ -1186,7 +1106,6 @@ mod tests {
             Arc::new(DomainStats::new(n)),
             true,
             DEFAULT_PUBLISH_SPIN,
-            true,
             DEFAULT_PUBLISH_DEADLINE_NS,
             false,
         )
@@ -1201,7 +1120,6 @@ mod tests {
             Arc::new(DomainStats::new(n)),
             true,
             DEFAULT_PUBLISH_SPIN,
-            true,
             DEFAULT_PUBLISH_DEADLINE_NS,
             true,
         )
@@ -1403,65 +1321,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_filter_kicks_in_after_streak_and_resets_on_activity() {
-        let p = mk(2, 2);
-        p.register(0, 100);
-        p.register(1, 101);
-        let mut scratch = Vec::new();
-        // The first ADAPTIVE_SKIP_AFTER passes verify quiescence the slow
-        // way (full slot scan), building the streak.
-        for _ in 0..ADAPTIVE_SKIP_AFTER {
-            p.ping_all_and_wait(0, &mut scratch);
-        }
-        let s = p.stats.snapshot();
-        assert_eq!(s.pings_skipped, ADAPTIVE_SKIP_AFTER);
-        assert_eq!(s.pings_elided_adaptive, 0, "threshold not yet reached");
-        // Streak reached: subsequent passes take the adaptive fast path.
-        for _ in 0..4 {
-            p.ping_all_and_wait(0, &mut scratch);
-        }
-        let s = p.stats.snapshot();
-        assert_eq!(s.pings_elided_adaptive, 4);
-        assert_eq!(s.pings_skipped, ADAPTIVE_SKIP_AFTER, "slot scans elided");
-        // The owner's begin_op resets the streak; after it goes quiescent
-        // again the next pass must re-verify the slow way.
-        p.note_active(1);
-        p.end_op(1);
-        p.ping_all_and_wait(0, &mut scratch);
-        let s = p.stats.snapshot();
-        assert_eq!(
-            s.pings_skipped,
-            ADAPTIVE_SKIP_AFTER + 1,
-            "owner activity forces a full re-check"
-        );
-        assert_eq!(s.pings_elided_adaptive, 4);
-    }
-
-    #[test]
-    fn adaptive_filter_resamples_periodically() {
-        let p = mk(2, 1);
-        p.register(0, 100);
-        p.register(1, 101);
-        let mut scratch = Vec::new();
-        // Build the streak past the threshold, then far enough that the
-        // resample boundary (a multiple of ADAPTIVE_RESAMPLE_EVERY) is
-        // crossed exactly once.
-        let total = ADAPTIVE_RESAMPLE_EVERY + 1;
-        for _ in 0..total {
-            p.ping_all_and_wait(0, &mut scratch);
-        }
-        let s = p.stats.snapshot();
-        // Full checks: the first ADAPTIVE_SKIP_AFTER passes, plus the one
-        // resample at streak == ADAPTIVE_RESAMPLE_EVERY.
-        assert_eq!(s.pings_skipped, ADAPTIVE_SKIP_AFTER + 1);
-        assert_eq!(
-            s.pings_elided_adaptive,
-            total - ADAPTIVE_SKIP_AFTER - 1,
-            "everything else takes the adaptive path"
-        );
-    }
-
-    #[test]
     fn parked_waiter_wakes_on_cross_thread_publish() {
         // Zero spin budget: the waiter parks on the futex immediately; a
         // publish from another thread must wake it well before the wait
@@ -1472,7 +1331,6 @@ mod tests {
             Arc::new(DomainStats::new(2)),
             true,
             0,
-            true,
             DEFAULT_PUBLISH_DEADLINE_NS,
             false,
         );
@@ -1510,37 +1368,6 @@ mod tests {
     }
 
     #[test]
-    fn yield_fallback_wait_completes_without_futex() {
-        let p = PopShared::leak(
-            2,
-            1,
-            Arc::new(DomainStats::new(2)),
-            true,
-            4,
-            false,
-            DEFAULT_PUBLISH_DEADLINE_NS,
-            false,
-        );
-        p.register(0, 100);
-        p.register(1, 101);
-        p.note_active(1);
-        let stop = Arc::new(AtomicBool::new(false));
-        let publisher = std::thread::spawn({
-            let stop = Arc::clone(&stop);
-            move || {
-                while !stop.load(Ordering::Acquire) {
-                    p.publish_tid(1);
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-            }
-        });
-        let mut scratch = Vec::new();
-        p.ping_all_and_wait(0, &mut scratch);
-        stop.store(true, Ordering::Release);
-        publisher.join().unwrap();
-    }
-
-    #[test]
     fn watchdog_unwedges_wait_on_never_publishing_peer() {
         // Peer 1 looks active with a reservation but will NEVER publish
         // (fake gtid: the ping goes nowhere, and no helper publishes for
@@ -1553,7 +1380,6 @@ mod tests {
             Arc::new(DomainStats::new(2)),
             true,
             4,
-            true,
             50_000_000, // 50 ms
             false,
         );
@@ -1592,7 +1418,7 @@ mod tests {
     fn watchdog_disabled_by_zero_deadline_waits_for_publish() {
         // Deadline 0 restores unbounded waits: the pass returns only
         // because the helper publishes, and no timeout is counted.
-        let p = PopShared::leak(2, 1, Arc::new(DomainStats::new(2)), true, 4, true, 0, false);
+        let p = PopShared::leak(2, 1, Arc::new(DomainStats::new(2)), true, 4, 0, false);
         p.register(0, 100);
         p.register(1, 101);
         p.note_active(1);
@@ -1627,7 +1453,6 @@ mod tests {
             Arc::new(DomainStats::new(2)),
             true,
             4,
-            true,
             50_000_000, // 50 ms
             false,
         );
@@ -1668,8 +1493,8 @@ mod tests {
     #[test]
     fn quiescent_thread_with_stale_private_words_is_elided() {
         // Stale private words of a quiescent thread are dead: with an
-        // all-zero shared row it is skipped — first by the slot scan,
-        // then by the streak alone — and never signalled.
+        // all-zero shared row it is skipped by the slot scan on every pass
+        // and never signalled.
         let p = mk(2, 2);
         p.register(0, 100);
         p.register(1, 101);
@@ -1678,12 +1503,11 @@ mod tests {
         p.end_op(1);
         assert_eq!(p.local_at(1, 0), 0xFEED);
         let mut scratch = Vec::new();
-        for _ in 0..ADAPTIVE_SKIP_AFTER + 2 {
+        for _ in 0..10 {
             p.ping_all_and_wait(0, &mut scratch);
         }
         let s = p.stats.snapshot();
-        assert_eq!(s.pings_skipped, ADAPTIVE_SKIP_AFTER);
-        assert_eq!(s.pings_elided_adaptive, 2);
+        assert_eq!(s.pings_skipped, 10);
         assert_eq!((s.pings_sent, s.pings_failed), (0, 0), "never signalled");
         assert!(
             p.collect_reserved().is_empty(),
@@ -1743,8 +1567,7 @@ mod tests {
         );
         assert_eq!(s.pings_sent, 0);
         assert_eq!(
-            (s.pings_skipped, s.pings_elided_adaptive),
-            (0, 0),
+            s.pings_skipped, 0,
             "whole-fan-out elision is not accounted as per-peer skips"
         );
         assert_eq!(

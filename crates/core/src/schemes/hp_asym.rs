@@ -120,7 +120,6 @@ impl Smr for HazardPtrAsym {
             Arc::clone(&base.stats),
             false,
             base.cfg.publish_spin,
-            base.cfg.futex_wait,
             base.cfg.publish_deadline_ns,
             // Not membarrier-*configured*: the PopShared here is only the
             // signal fallback engine. The membarrier fast path is taken

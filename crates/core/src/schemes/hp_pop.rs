@@ -493,9 +493,14 @@ mod tests {
 
     #[test]
     fn robustness_bound_holds_with_stalled_reader() {
-        // A reader stalls while holding one protection; the writer keeps
-        // retiring. Unlike EBR, garbage must stay bounded.
-        let cfg = SmrConfig::for_tests(2).with_reclaim_freq(32);
+        // A reader stalls inside an operation while holding one
+        // protection; the writer keeps retiring. Unlike EBR, garbage must
+        // stay bounded — and the pinned node must survive, because every
+        // pass pings the reader and it publishes its live word.
+        let cfg = SmrConfig::for_tests(2)
+            .with_reclaim_freq(32)
+            // Signal path pinned: the assertions count pings.
+            .with_publish_mode(crate::config::PublishMode::Futex);
         let smr = HazardPtrPop::new(cfg);
         let reg0 = smr.register(0);
         let hot = alloc(&smr, 9);
@@ -508,11 +513,13 @@ mod tests {
             let hold = Arc::clone(&hold);
             move || {
                 let reg1 = smr.register(1);
-                let _ = smr.protect(1, 0, &src).unwrap();
+                smr.begin_op(1);
+                let p = smr.protect(1, 0, &src).unwrap();
                 tx.send(()).unwrap();
                 while hold.load(Ordering::Acquire) {
                     std::thread::sleep(Duration::from_millis(1));
                 }
+                assert_eq!(unsafe { (*p).v }, 9, "pinned node outlived the stall");
                 smr.end_op(1);
                 drop(reg1);
             }
@@ -532,6 +539,14 @@ mod tests {
             "garbage {} exceeds robustness bound {}",
             s.unreclaimed_nodes(),
             bound
+        );
+        assert!(
+            s.unreclaimed_nodes() >= 1,
+            "the stalled reader's node must be kept: {s:?}"
+        );
+        assert!(
+            s.pings_sent >= 1,
+            "the stalled reader must be pinged: {s:?}"
         );
         hold.store(false, Ordering::Release);
         reader.join().unwrap();

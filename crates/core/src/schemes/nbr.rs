@@ -288,14 +288,11 @@ impl NbrPlus {
             && sh.neutralized[tid].swap(false, Ordering::AcqRel)
         {
             sh.restart_seq[tid].fetch_add(1, Ordering::Release);
-            if self.base.cfg.futex_wait && futex::supported() {
-                // Dekker with the phase-2 waiter: SeqCst bump before the
-                // wait-flag load, so a parked reclaimer is always woken.
-                // In yield mode no waiter parks; skip the bookkeeping.
-                sh.progress[tid].fetch_add(1, Ordering::SeqCst);
-                if sh.wait_flag[tid].load(Ordering::SeqCst) > 0 {
-                    futex::wake_all(&sh.progress[tid]);
-                }
+            // Dekker with the phase-2 waiter: SeqCst bump before the
+            // wait-flag load, so a parked reclaimer is always woken.
+            sh.progress[tid].fetch_add(1, Ordering::SeqCst);
+            if sh.wait_flag[tid].load(Ordering::SeqCst) > 0 {
+                futex::wake_all(&sh.progress[tid]);
             }
             self.base
                 .stats
@@ -388,7 +385,6 @@ impl NbrPlus {
         // waiter-flag check — so the park's timeout is only the backstop
         // for lost signals, not any exit's detection latency.
         let spin_limit = self.base.cfg.publish_spin;
-        let use_futex = self.base.cfg.futex_wait && futex::supported();
         // Watchdog: bounded total wall clock for the whole phase-2 wait
         // (SmrConfig::publish_deadline_ns; 0 disables). Armed lazily on
         // the first spin-budget exhaustion so uncontended passes never
@@ -422,24 +418,19 @@ impl NbrPlus {
                         break;
                     }
                 }
-                if use_futex {
-                    // Announce, read the word, re-check, park. A peer
-                    // exit between the announce and the FUTEX_WAIT either
-                    // lands in the re-check (its SeqCst fence follows our
-                    // announce), changes the word (EAGAIN), or sees our
-                    // flag and wakes us. The wait result is deliberately
-                    // ignored: wall clock above decides expiry, so a
-                    // spurious wake or a timed-out park are
-                    // indistinguishable here — both just re-check.
-                    sh.wait_flag[t].fetch_add(1, Ordering::SeqCst);
-                    let w = sh.progress[t].load(Ordering::SeqCst);
-                    if !sh.phase2_satisfied(t, seq0[t], ops0[t]) {
-                        let _ = futex::wait_timeout(&sh.progress[t], w, NBR_WAIT_TIMEOUT_NS);
-                    }
-                    sh.wait_flag[t].fetch_sub(1, Ordering::SeqCst);
-                } else {
-                    std::thread::yield_now();
+                // Announce, read the word, re-check, park. A peer exit
+                // between the announce and the FUTEX_WAIT either lands in
+                // the re-check (its SeqCst fence follows our announce),
+                // changes the word (EAGAIN), or sees our flag and wakes us.
+                // The wait result is deliberately ignored: wall clock above
+                // decides expiry, so a spurious wake or a timed-out park
+                // are indistinguishable here — both just re-check.
+                sh.wait_flag[t].fetch_add(1, Ordering::SeqCst);
+                let w = sh.progress[t].load(Ordering::SeqCst);
+                if !sh.phase2_satisfied(t, seq0[t], ops0[t]) {
+                    let _ = futex::wait_timeout(&sh.progress[t], w, NBR_WAIT_TIMEOUT_NS);
                 }
+                sh.wait_flag[t].fetch_sub(1, Ordering::SeqCst);
             }
         }
         if timeouts > 0 {
@@ -625,15 +616,12 @@ impl Smr for NbrPlus {
         let sh = self.shared;
         sh.in_write[tid].store(false, Ordering::Release);
         sh.in_op[tid].store(false, Ordering::Release);
-        if self.base.cfg.futex_wait && futex::supported() {
-            // Wake coverage for the going-quiescent exit (ROADMAP item):
-            // the fence orders the in_op clear before the waiter-flag
-            // load (Dekker, see `wake_phase2_waiters`); a parked
-            // reclaimer stops waiting on us now instead of riding the
-            // timeout. In yield mode no waiter parks — skip both.
-            fence(Ordering::SeqCst);
-            sh.wake_phase2_waiters(tid);
-        }
+        // Wake coverage for the going-quiescent exit: the fence orders the
+        // in_op clear before the waiter-flag load (Dekker, see
+        // `wake_phase2_waiters`); a parked reclaimer stops waiting on us
+        // now instead of riding the timeout.
+        fence(Ordering::SeqCst);
+        sh.wake_phase2_waiters(tid);
     }
 
     /// NBR's defining property: a read is a plain load plus one relaxed
@@ -680,13 +668,11 @@ impl Smr for NbrPlus {
             sh.clear_wres(tid);
             return Err(Restart);
         }
-        if self.base.cfg.futex_wait && futex::supported() {
-            // Wake coverage for the entered-write-phase exit: the fence
-            // above already orders the in_write store before the flag
-            // load; a parked reclaimer proceeds to honor our published
-            // reservations instead of riding the timeout.
-            sh.wake_phase2_waiters(tid);
-        }
+        // Wake coverage for the entered-write-phase exit: the fence above
+        // already orders the in_write store before the flag load; a parked
+        // reclaimer proceeds to honor our published reservations instead of
+        // riding the timeout.
+        sh.wake_phase2_waiters(tid);
         Ok(())
     }
 
@@ -883,14 +869,7 @@ mod tests {
         if !futex::supported() {
             return; // nothing ever parks off Linux
         }
-        // Futex mode forced explicitly: this test measures the futex wake
-        // path, and in yield mode (e.g. the POP_FUTEX_WAIT=off CI leg) no
-        // waiter ever announces itself — the reader would spin forever.
-        let smr = NbrPlus::new(
-            SmrConfig::for_tests(2)
-                .with_publish_spin(0)
-                .with_futex_wait(true),
-        );
+        let smr = NbrPlus::new(SmrConfig::for_tests(2).with_publish_spin(0));
         let reg0 = smr.register(0);
         const ROUNDS: usize = 9;
         let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();

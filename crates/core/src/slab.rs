@@ -83,9 +83,9 @@
 //! word at allocation time; every free path dispatches on that bit —
 //! [`free_value`] reads it from the header, the type-erased `Retired`
 //! destructor from the copy its record took at retirement — so `Box`-backed
-//! nodes (oversized types, slab-disabled configs via `POP_SLAB=0` /
-//! [`crate::config::SmrConfig::slab_alloc`], sentinels) coexist freely with
-//! slab-backed ones in the same retire lists.
+//! nodes (oversized types, callers passing `use_slab = false` to
+//! [`alloc_value`], sentinels) coexist freely with slab-backed ones in the
+//! same retire lists.
 
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::cell::Cell;

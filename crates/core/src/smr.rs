@@ -309,16 +309,16 @@ pub unsafe fn retire_node<S: Smr, T: crate::header::HasHeader>(smr: &S, tid: usi
     }
 }
 
-/// Allocates a reclaimable node for `smr`'s domain: slab-backed when
-/// [`SmrConfig::slab_alloc`] is on and `T` fits a slab size class (counted
-/// as `slab_allocs` on `tid`'s shard), `Box`-backed otherwise. Either way
-/// the allocation is accounted via [`Smr::note_alloc`] and must be released
-/// through [`retire_node`], [`dealloc_node_unpublished`] or
-/// [`free_node_raw`] — never a bare `Box::from_raw`.
+/// Allocates a reclaimable node for `smr`'s domain: slab-backed when `T`
+/// fits a slab size class (counted as `slab_allocs` on `tid`'s shard),
+/// `Box`-backed only for larger types. Either way the allocation is
+/// accounted via [`Smr::note_alloc`] and must be released through
+/// [`retire_node`], [`dealloc_node_unpublished`] or [`free_node_raw`] —
+/// never a bare `Box::from_raw`.
 pub fn alloc_node<S: Smr, T: crate::header::HasHeader>(smr: &S, tid: usize, value: T) -> *mut T {
     use core::sync::atomic::Ordering::Relaxed;
     smr.note_alloc(tid, core::mem::size_of::<T>());
-    let p = crate::slab::alloc_value(value, smr.config().slab_alloc);
+    let p = crate::slab::alloc_value(value, true);
     // SAFETY: freshly allocated above, exclusively owned.
     if unsafe { (*p).header().is_slab_backed() } {
         smr.stats().shard(tid).slab_allocs.fetch_add(1, Relaxed);

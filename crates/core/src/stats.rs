@@ -77,10 +77,6 @@ pub struct ShardStats {
     /// Pings elided because the target was provably quiescent with empty
     /// published reservations (the quiescent-thread filter).
     pub pings_skipped: AtomicU64,
-    /// Pings elided by the *adaptive* filter: the target had been observed
-    /// quiescent for so many consecutive passes that even its slot scan
-    /// was skipped (one streak-word load instead).
-    pub pings_elided_adaptive: AtomicU64,
     /// Publisher executions (signal handler or self-publish).
     pub publishes: AtomicU64,
     /// Epoch-mode reclamation passes (EBR / EpochPOP fast path).
@@ -101,8 +97,8 @@ pub struct ShardStats {
     /// Per-peer signals a membarrier pass would otherwise have had to
     /// send: the registered-peer count of each membarrier pass, summed.
     /// The membarrier-mode analogue of `pings_skipped` — under this mode
-    /// the fan-out is elided *whole*, so the per-peer skip/elide counters
-    /// stay untouched and this one carries the savings.
+    /// the fan-out is elided *whole*, so the per-peer skip counter stays
+    /// untouched and this one carries the savings.
     pub signals_avoided: AtomicU64,
     /// Publish waits abandoned by the watchdog: the deadline expired with
     /// at least one pinged peer unpublished, and the pass completed on
@@ -135,8 +131,8 @@ pub struct ShardStats {
     /// pressure-driven trims to zero).
     pub pool_blocks_trimmed: AtomicU64,
     /// Nodes placed in owned slab slots by [`crate::smr::alloc_node`]
-    /// (Box-backed allocations — oversized types, `POP_SLAB=0` — are the
-    /// difference to `allocated_nodes`).
+    /// (Box-backed allocations of types larger than the top slab class are
+    /// the difference to `allocated_nodes`).
     pub slab_allocs: AtomicU64,
     /// Sealed blocks freed whole whose members all lived in one slab —
     /// settlement was a single range test against the slab base, the
@@ -280,9 +276,6 @@ impl DomainStats {
             out.pings_skipped = out
                 .pings_skipped
                 .wrapping_add(s.pings_skipped.load(Ordering::Relaxed));
-            out.pings_elided_adaptive = out
-                .pings_elided_adaptive
-                .wrapping_add(s.pings_elided_adaptive.load(Ordering::Relaxed));
             out.publishes = out
                 .publishes
                 .wrapping_add(s.publishes.load(Ordering::Relaxed));
@@ -381,8 +374,6 @@ pub struct StatsSnapshot {
     pub pings_sent: u64,
     /// See [`ShardStats::pings_skipped`].
     pub pings_skipped: u64,
-    /// See [`ShardStats::pings_elided_adaptive`].
-    pub pings_elided_adaptive: u64,
     /// See [`ShardStats::publishes`].
     pub publishes: u64,
     /// See [`ShardStats::epoch_passes`].

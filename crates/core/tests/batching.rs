@@ -9,15 +9,15 @@
 //! * EBR / EpochPOP / IBR never write the shared epoch word from the op
 //!   path: it moves only when a reclaimer pass max-aggregates the
 //!   per-thread clocks.
-//! * The adaptive ping filter eventually elides even the slot scan for
-//!   long-quiescent peers, and still drains garbage.
+//! * The quiescent filter skips a long-idle peer on every pass (one slot
+//!   scan each, never a ping), and garbage still drains.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use pop_core::{
-    retire_node, Ebr, EpochPop, HasHeader, HazardPtr, HazardPtrPop, Header, Hyaline, Ibr, Smr,
-    SmrConfig, RETIRE_BATCH_CAP,
+    retire_node, Ebr, EpochPop, HasHeader, HazardPtr, HazardPtrPop, Header, Hyaline, Ibr,
+    PublishMode, Smr, SmrConfig, RETIRE_BATCH_CAP,
 };
 
 #[repr(C)]
@@ -211,8 +211,13 @@ fn epoch_word_only_written_by_reclaimer_max_aggregation() {
 }
 
 #[test]
-fn adaptive_elision_engages_against_idle_peer_and_still_drains() {
-    let smr = HazardPtrPop::new(SmrConfig::for_tests(2).with_reclaim_freq(8));
+fn idle_peer_is_skipped_by_the_slot_scan_every_pass_and_still_drains() {
+    // Signal path pinned: the membarrier mode never filters per peer.
+    let smr = HazardPtrPop::new(
+        SmrConfig::for_tests(2)
+            .with_reclaim_freq(8)
+            .with_publish_mode(PublishMode::Futex),
+    );
     let reg0 = smr.register(0);
     let hold = Arc::new(AtomicBool::new(true));
     let (tx, rx) = std::sync::mpsc::channel();
@@ -231,8 +236,8 @@ fn adaptive_elision_engages_against_idle_peer_and_still_drains() {
         }
     });
     rx.recv().unwrap();
-    // Far more passes than the adaptive threshold: the first few verify
-    // quiescence by scanning slots, the rest skip on the streak word.
+    // Sixteen-plus passes, each with the idle peer as the only other
+    // participant: every one proves it quiescent with the binary check.
     for round in 0..16u64 {
         for i in 0..8u64 {
             let p = alloc(&*smr, 0, round * 8 + i);
@@ -241,12 +246,12 @@ fn adaptive_elision_engages_against_idle_peer_and_still_drains() {
     }
     smr.flush(0);
     let s = smr.stats().snapshot();
+    assert!(s.pop_passes >= 16, "{s:?}");
     assert_eq!(s.pings_sent, 0, "idle peer never signalled");
-    assert!(
-        s.pings_elided_adaptive >= 1,
-        "adaptive filter must engage after the streak: {s:?}"
+    assert_eq!(
+        s.pings_skipped, s.pop_passes,
+        "one binary skip per pass, no other elision path: {s:?}"
     );
-    assert!(s.pings_skipped >= 1, "initial passes verify the slow way");
     assert_eq!(s.unreclaimed_nodes(), 0, "elision must not block frees");
     hold.store(false, Ordering::Release);
     idler.join().unwrap();

@@ -72,6 +72,8 @@ pub fn wait_timeout(word: &AtomicU32, expected: u32, timeout_ns: u64) -> WaitOut
     if rc == 0 {
         return WaitOutcome::Woken;
     }
+    // SAFETY: `__errno_location` returns this thread's errno slot, valid for
+    // the thread's lifetime.
     match unsafe { *libc::__errno_location() } {
         libc::ETIMEDOUT => WaitOutcome::TimedOut,
         // EINTR (signal), EAGAIN (word already changed) and anything else:

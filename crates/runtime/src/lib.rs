@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 pub mod affinity;
 pub mod faults;

@@ -118,6 +118,7 @@ impl Slot {
 fn current_tid() -> u64 {
     #[cfg(target_os = "linux")]
     {
+        // SAFETY: `gettid` takes no arguments and cannot fail.
         (unsafe { libc::syscall(libc::SYS_gettid) } as libc::pid_t) as u64
     }
     #[cfg(not(target_os = "linux"))]
@@ -137,7 +138,11 @@ fn tid_gone(tid: u64) -> bool {
         if tid == 0 {
             return false;
         }
+        // SAFETY: signal 0 delivers nothing — `tgkill` only checks that the
+        // task exists; the arguments are plain integers.
         let rc = unsafe { libc::syscall(libc::SYS_tgkill, libc::getpid(), tid as libc::pid_t, 0) };
+        // SAFETY: `__errno_location` returns this thread's errno slot, valid
+        // for the thread's lifetime.
         rc != 0 && unsafe { *libc::__errno_location() } == libc::ESRCH
     }
     #[cfg(not(target_os = "linux"))]
@@ -187,6 +192,7 @@ impl Registry {
     /// registered thread is ready to service pings.
     pub fn register_current(&'static self) -> ThreadRegistration {
         crate::signal::install_handler();
+        // SAFETY: `pthread_self` has no preconditions.
         let me = unsafe { libc::pthread_self() } as u64;
         for (i, slot) in self.slots.iter().enumerate() {
             if slot.active.load(Ordering::Relaxed) {
@@ -244,6 +250,10 @@ impl Registry {
         slot.lock();
         let out = if slot.active.load(Ordering::Relaxed) {
             let pt = slot.pthread.load(Ordering::Relaxed) as libc::pthread_t;
+            // SAFETY: `pt` is the handle the slot's owner stored at
+            // registration, and the kill lock held here keeps the owner from
+            // deregistering (and its handle from going stale) until we
+            // return; a thread that died without deregistering yields ESRCH.
             match unsafe { libc::pthread_kill(pt, signo) } {
                 0 => PingOutcome::Sent,
                 // ESRCH (no such thread): the OS tells us the registered
@@ -332,6 +342,8 @@ impl Registry {
     /// Used by the signal handler instead of TLS (lazily-initialized TLS is
     /// not async-signal-safe).
     pub fn find_current(&self) -> Option<usize> {
+        // SAFETY: `pthread_self` has no preconditions and is
+        // async-signal-safe.
         let me = unsafe { libc::pthread_self() } as u64;
         let hw = self.high_water.load(Ordering::Relaxed) as usize;
         for i in 0..hw.min(MAX_THREADS) {

@@ -138,6 +138,8 @@ pub fn publish_all(gtid: usize) {
                 // SAFETY: slot was fully initialized before `active` was
                 // released, and publisher memory is never freed.
                 let f: Thunk = unsafe { mem::transmute::<usize, Thunk>(call) };
+                // SAFETY: `call_thunk::<P>` was stored next to a `&'static P`
+                // erased to `data`, so the thunk casts it back to its own type.
                 unsafe { f(data as *const (), gtid) };
             }
         }
@@ -147,6 +149,8 @@ pub fn publish_all(gtid: usize) {
 extern "C" fn on_ping(_sig: libc::c_int) {
     // Preserve errno across the handler: publishers only touch atomics, but
     // `pthread_self`/future extensions must not clobber interrupted syscalls.
+    // SAFETY: `__errno_location` returns this thread's errno slot, valid for
+    // the thread's lifetime and async-signal-safe to read.
     let saved_errno = unsafe { *libc::__errno_location() };
     // Fault site: a ping that is delivered but never publishes — models a
     // blocked mask / seccomp-suppressed handler. The waiting reclaimer's
@@ -158,6 +162,7 @@ extern "C" fn on_ping(_sig: libc::c_int) {
             }
         }
     }
+    // SAFETY: as above — this thread's own errno slot.
     unsafe { *libc::__errno_location() = saved_errno };
 }
 
@@ -165,6 +170,9 @@ static INSTALL: Once = Once::new();
 
 /// Installs the process-global ping handler (idempotent).
 pub(crate) fn install_handler() {
+    // SAFETY: `sigaction` is a plain-data C struct for which all-zero is a
+    // valid value; the handler installed is an `extern "C"` fn that only
+    // touches atomics (async-signal-safe), and `Once` makes this run once.
     INSTALL.call_once(|| unsafe {
         let mut sa: libc::sigaction = mem::zeroed();
         sa.sa_sigaction = on_ping as *const () as usize;

@@ -38,6 +38,8 @@ pub fn aligned_map(len: usize, align: usize) -> Option<*mut u8> {
     // window starts on an `align` boundary. mmap only guarantees page
     // alignment, so this is the portable way to get 64 KiB-aligned slabs.
     let span = len.checked_add(align)?;
+    // SAFETY: a fresh private anonymous mapping at a kernel-chosen address
+    // aliases no existing memory; failure is reported as MAP_FAILED.
     let raw = unsafe {
         libc::mmap(
             core::ptr::null_mut(),
@@ -55,6 +57,9 @@ pub fn aligned_map(len: usize, align: usize) -> Option<*mut u8> {
     let aligned = (base + align - 1) & !(align - 1);
     let head = aligned - base;
     let tail = span - head - len;
+    // SAFETY: `[raw, aligned)` and `[aligned + len, raw + span)` lie inside
+    // the mapping made above, are page-aligned (mmap and `align` both are),
+    // and nothing has referenced them yet.
     unsafe {
         if head > 0 {
             libc::munmap(raw, head);
@@ -76,6 +81,7 @@ pub fn aligned_map(len: usize, align: usize) -> Option<*mut u8> {
         "len must be a multiple of align"
     );
     let layout = std::alloc::Layout::from_size_align(len, align).ok()?;
+    // SAFETY: `layout` has a non-zero size (asserted above).
     let p = unsafe { std::alloc::alloc_zeroed(layout) };
     if p.is_null() {
         None
@@ -94,6 +100,7 @@ pub fn aligned_map(len: usize, align: usize) -> Option<*mut u8> {
 /// tests and future shutdown paths.
 #[cfg(target_os = "linux")]
 pub unsafe fn unmap(ptr: *mut u8, len: usize) {
+    // SAFETY: forwarded contract — exactly one live mapping, unreferenced.
     unsafe {
         libc::munmap(ptr as *mut libc::c_void, len);
     }
@@ -110,6 +117,8 @@ pub unsafe fn unmap(ptr: *mut u8, len: usize) {
 pub unsafe fn unmap(ptr: *mut u8, len: usize) {
     let align = 1usize << len.trailing_zeros();
     let layout = std::alloc::Layout::from_size_align(len, align).unwrap();
+    // SAFETY: forwarded contract — `ptr` came from `alloc_zeroed` with this
+    // same layout.
     unsafe { std::alloc::dealloc(ptr, layout) }
 }
 
@@ -123,6 +132,9 @@ pub unsafe fn unmap(ptr: *mut u8, len: usize) {
 pub fn release_pages(ptr: *mut u8, len: usize) -> bool {
     #[cfg(target_os = "linux")]
     {
+        // SAFETY: `madvise` validates the range itself (an unmapped or
+        // unaligned one fails with an errno), and MADV_DONTNEED leaves the
+        // mapping valid — later reads fault in zero pages.
         let rc = unsafe { libc::madvise(ptr as *mut libc::c_void, len, libc::MADV_DONTNEED) };
         rc == 0
     }

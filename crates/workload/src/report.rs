@@ -36,14 +36,12 @@ pub struct RunRecord {
     pub pings_sent: u64,
     /// Signals elided by the quiescent-thread filter.
     pub pings_skipped: u64,
-    /// Signals elided by the adaptive streak filter (no slot scan at all).
-    pub pings_elided_adaptive: u64,
     /// Reclamation passes that replaced the whole signal fan-out with one
     /// `membarrier(2)` heavy barrier (`PublishMode::Membarrier`).
     pub membarrier_passes: u64,
     /// Signals a membarrier pass would otherwise have sent (one per
     /// registered peer per pass) — the fan-out elided *wholesale*, distinct
-    /// from the per-peer `pings_skipped`/`pings_elided_adaptive` filters.
+    /// from the per-peer `pings_skipped` filter.
     pub signals_avoided: u64,
     /// Retirement batches sealed (retires per stats RMW = ops / batches).
     pub batches_sealed: u64,
@@ -89,12 +87,12 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// CSV header matching [`RunRecord::csv_row`].
-    pub const CSV_HEADER: &'static str = "figure,ds,scheme,threads,key_range,ops,read_ops,update_ops,seconds,throughput_mops,read_mops,max_retire_len,peak_live_bytes,unreclaimed_nodes,pings_sent,pings_skipped,pings_elided_adaptive,membarrier_passes,signals_avoided,batches_sealed,epoch_decay_steps,orphans_stolen,restarts,publish_wait_timeouts,pings_failed,participants_reaped,faults_injected,pressure_soft_trips,pressure_hard_trips,pressure_emergency_trips,blocks_quarantined,blocks_unquarantined,pool_blocks_trimmed,slab_allocs,slab_frees_whole,version_aborts,slab_released_bytes";
+    pub const CSV_HEADER: &'static str = "figure,ds,scheme,threads,key_range,ops,read_ops,update_ops,seconds,throughput_mops,read_mops,max_retire_len,peak_live_bytes,unreclaimed_nodes,pings_sent,pings_skipped,membarrier_passes,signals_avoided,batches_sealed,epoch_decay_steps,orphans_stolen,restarts,publish_wait_timeouts,pings_failed,participants_reaped,faults_injected,pressure_soft_trips,pressure_hard_trips,pressure_emergency_trips,blocks_quarantined,blocks_unquarantined,pool_blocks_trimmed,slab_allocs,slab_frees_whole,version_aborts,slab_released_bytes";
 
     /// Serializes this record as a CSV row tagged with `figure`.
     pub fn csv_row(&self, figure: &str) -> String {
         format!(
-            "{figure},{},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{figure},{},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.ds,
             self.scheme,
             self.threads,
@@ -110,7 +108,6 @@ impl RunRecord {
             self.unreclaimed_nodes,
             self.pings_sent,
             self.pings_skipped,
-            self.pings_elided_adaptive,
             self.membarrier_passes,
             self.signals_avoided,
             self.batches_sealed,
@@ -207,7 +204,6 @@ mod tests {
             unreclaimed_nodes: 12,
             pings_sent: 3,
             pings_skipped: 1,
-            pings_elided_adaptive: 2,
             membarrier_passes: 7,
             signals_avoided: 21,
             batches_sealed: 4,

@@ -172,17 +172,15 @@ fn lifecycle<S: Smr>(expect: Expect) {
             assert_eq!(s.unreclaimed_nodes(), 0);
         }
     }
-    // Slab-granular conservation (PR 10): with the owned arenas on, every
-    // node of this test fits a slab class, so the allocation side must be
-    // fully slab-backed — and reclamation must hand the slots back (the
-    // per-node frees above already balanced `allocated == freed`; the slab
-    // bit guarantees they went to their slab, not the global allocator).
-    if smr.config().slab_alloc {
-        assert_eq!(
-            s.slab_allocs, total,
-            "owned arenas on: every allocation takes the slab path: {s:?}"
-        );
-    }
+    // Slab-granular conservation (PR 10): every node of this test fits a
+    // slab class, so the allocation side must be fully slab-backed — and
+    // reclamation must hand the slots back (the per-node frees above
+    // already balanced `allocated == freed`; the slab bit guarantees they
+    // went to their slab, not the global allocator).
+    assert_eq!(
+        s.slab_allocs, total,
+        "every allocation takes the slab path: {s:?}"
+    );
     match expect {
         Expect::ReclaimsViaOrphans => {
             assert!(
@@ -197,13 +195,11 @@ fn lifecycle<S: Smr>(expect: Expect) {
             // One thread's bump fills stay confined to single slabs, so
             // whole-block frees must settle against their slab in one
             // batched range test — the owned-arena fast path.
-            if smr.config().slab_alloc {
-                assert!(
-                    s.slab_frees_whole >= 1,
-                    "slab-backed blocks freed whole must settle against \
-                     their slab: {s:?}"
-                );
-            }
+            assert!(
+                s.slab_frees_whole >= 1,
+                "slab-backed blocks freed whole must settle against \
+                 their slab: {s:?}"
+            );
         }
         Expect::ReclaimsNoOrphans => {
             assert_eq!(
@@ -218,8 +214,8 @@ fn lifecycle<S: Smr>(expect: Expect) {
     }
 }
 
-/// With the owned slab arenas on, **interleaved multi-thread fills** still
-/// seal blocks that settle whole against their slab. Each thread
+/// **Interleaved multi-thread fills** still seal blocks that settle whole
+/// against their slab. Each thread
 /// bump-allocates from its own active slab, so concurrent allocation never
 /// perturbs one thread's address order, and the slab-routed fill bins keep
 /// every block inside one slab: at least 95 % of the blocks freed whole
@@ -230,9 +226,6 @@ fn slab_fills_seal_monotone_blocks_across_threads() {
     const THREADS: usize = 3;
     const PER_THREAD: u64 = 3_000;
     let smr = Ebr::new(SmrConfig::for_tests(THREADS + 1).with_reclaim_freq(1 << 20));
-    if !smr.config().slab_alloc {
-        return; // POP_SLAB=0 fallback leg: the floor is a slab property
-    }
     let handles: Vec<_> = (0..THREADS)
         .map(|tid| {
             let smr = Arc::clone(&smr);

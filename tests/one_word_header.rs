@@ -43,13 +43,11 @@ fn header_is_one_word_and_list_nodes_take_the_32_byte_class() {
         let a = hml::insert_at(&*smr, 0, &head, 2, 2).expect("single thread: no restart");
         let b = hml::insert_at(&*smr, 0, &head, 1, 1).expect("single thread: no restart");
         smr.end_op(0);
-        if smr.config().slab_alloc {
-            assert_eq!(
-                b as usize - a as usize,
-                32,
-                "consecutive list nodes must sit 32 bytes apart"
-            );
-        }
+        assert_eq!(
+            b as usize - a as usize,
+            32,
+            "consecutive list nodes must sit 32 bytes apart"
+        );
         smr.begin_op(0);
         for key in [1, 2] {
             assert_eq!(hml::remove_at(&*smr, 0, &head, key), Ok(true));
@@ -111,11 +109,7 @@ fn retire_phase<S: Smr>(smr: &S, scribble: bool) -> u64 {
 /// era, so its flush may free what the first one had to keep. Returns the
 /// freed count after each of the three flushes.
 fn run<S: Smr>(scribble: bool) -> [u64; 3] {
-    let smr = S::new(
-        SmrConfig::for_tests(1)
-            .with_slab(true)
-            .with_reclaim_freq(1 << 16),
-    );
+    let smr = S::new(SmrConfig::for_tests(1).with_reclaim_freq(1 << 16));
     let reg = smr.register(0);
     let anchor = alloc(&*smr);
     let src = AtomicPtr::new(anchor);

@@ -33,9 +33,6 @@ type Gauges = (u64, u64);
 
 fn churn<S: Smr>() {
     let smr = S::new(SmrConfig::for_tests(THREADS));
-    if !smr.config().slab_alloc {
-        return; // POP_SLAB=0 fallback leg: nodes come from `Box`
-    }
     let map = Arc::new(HashMapHm::with_buckets(Arc::clone(&smr), 256));
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
