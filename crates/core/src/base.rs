@@ -96,7 +96,6 @@ use parking_lot::Mutex;
 
 use crate::config::SmrConfig;
 use crate::header::{RetireBatch, Retired, RETIRE_BATCH_CAP};
-use crate::pop_shared::Rows;
 use crate::pressure::{Escalation, PressureRung, StallTracker};
 use crate::slab::SLAB_BYTES;
 use crate::stats::DomainStats;
@@ -1542,26 +1541,6 @@ pub(crate) unsafe fn free_before_epoch_with_stalled(
     }
 }
 
-/// Scans every registered thread's reservation row into `out` as a sorted,
-/// deduplicated set of non-zero words. Shared by the eager pointer schemes
-/// (HP, HPAsym); allocation-free once `out` has grown to working capacity.
-pub(crate) fn collect_slot_words_into(base: &DomainBase, rows: &Rows, out: &mut Vec<u64>) {
-    out.clear();
-    for t in 0..base.cfg.max_threads {
-        if !base.is_registered(t) {
-            continue;
-        }
-        for cell in rows.row(t) {
-            let w = cell.load(Ordering::Acquire);
-            if w != 0 {
-                out.push(w);
-            }
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-}
-
 /// Whether `gtid` is the process registry's slot for the **calling**
 /// thread — i.e. a registration obtained through
 /// [`crate::smr::Smr::register`], not a gtid fabricated by a unit test.
@@ -2080,8 +2059,9 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut donor = RetireList::new(RETIRE_BATCH_CAP);
         let total = ORPHAN_ADOPT_MAX + 10;
-        for i in 0..total as u64 {
-            push_retired(&b, 0, &mut donor, mk(&b, i, i));
+        // One fill bin, so every orphaned chunk is full.
+        for r in run(&b, (0..total as u64).map(|i| (i, i))) {
+            push_retired(&b, 0, &mut donor, r);
         }
         b.orphan_remaining(0, &mut donor);
         assert_eq!(b.orphan_len(), total);
@@ -2116,8 +2096,9 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut donor = RetireList::new(RETIRE_BATCH_CAP);
         let total = 2 * ORPHAN_ADOPT_MAX + 5;
-        for i in 0..total as u64 {
-            push_retired(&b, 0, &mut donor, mk(&b, i, i));
+        // One fill bin, so every orphaned chunk is full.
+        for r in run(&b, (0..total as u64).map(|i| (i, i))) {
+            push_retired(&b, 0, &mut donor, r);
         }
         b.orphan_remaining(0, &mut donor);
         assert_eq!(b.orphan_len(), total);

@@ -19,8 +19,10 @@
 //! ## Schemes
 //!
 //! See [`schemes`] for the full table. The paper's contributions are
-//! [`schemes::hp_pop::HazardPtrPop`], [`schemes::he_pop::HazardEraPop`] and
-//! [`schemes::epoch_pop::EpochPop`].
+//! [`HazardPtrPop`], [`HazardEraPop`] and [`EpochPop`]. The first two are
+//! the publish-on-ping instances of one hazard engine
+//! ([`schemes::hazard`]) whose other instances are the baselines
+//! [`HazardPtr`], [`HazardPtrAsym`] and [`HazardEra`].
 //!
 //! ## Memory-ordering rationale
 //!
@@ -103,11 +105,7 @@ pub use stats::{DomainStats, ShardStats, StatsSnapshot};
 // Convenience aliases matching the paper's plot labels.
 pub use schemes::ebr::Ebr;
 pub use schemes::epoch_pop::EpochPop;
-pub use schemes::he::HazardEra;
-pub use schemes::he_pop::HazardEraPop;
-pub use schemes::hp::HazardPtr;
-pub use schemes::hp_asym::HazardPtrAsym;
-pub use schemes::hp_pop::HazardPtrPop;
+pub use schemes::hazard::{HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym, HazardPtrPop};
 pub use schemes::hyaline::Hyaline;
 pub use schemes::ibr::Ibr;
 pub use schemes::nbr::NbrPlus;

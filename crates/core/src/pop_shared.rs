@@ -1,5 +1,5 @@
-//! The publish-on-ping engine shared by HazardPtrPOP, HazardEraPOP and
-//! EpochPOP.
+//! The publish-on-ping engine shared by HazardPtrPOP, HazardEraPOP,
+//! EpochPOP and — in its membarrier mode — HPAsym.
 //!
 //! Implements the paper's Algorithms 1–2 machinery: per-thread
 //! `localReservations` (written with relaxed stores on the read path — *no
@@ -67,15 +67,21 @@
 //! Under [`crate::config::PublishMode::Membarrier`] the signal fan-out
 //! disappears entirely: readers write reservations **directly to their
 //! shared slots** with plain relaxed stores (`set_local` routes there; the
-//! private `local` array goes unused), `note_active` drops its `SeqCst`
-//! fence, and `ping_all_and_wait` becomes one process-wide
-//! `membarrier(2)` heavy barrier — after which every peer's prior stores
-//! are visible and the existing `collect_reserved_into` scan reads them
-//! with nothing to wait for. This is the Folly-style asymmetric fencing
-//! the `HPAsym` baseline uses, grafted onto the POP slot machinery. There
-//! the owner's store *is* the publish — no ping stands between a word and
-//! the scan — so this is the one mode whose `end_op` still clears its row
-//! eagerly.
+//! private `local` array goes unused), and `ping_all_and_wait` becomes one
+//! process-wide `membarrier(2)` heavy barrier — after which every peer's
+//! prior stores are visible and the existing `collect_reserved_into` scan
+//! reads them with nothing to wait for. This mode *is* the Folly-style
+//! asymmetric fencing of the `HPAsym` baseline: HPAsym is the hazard
+//! engine's publisher that builds this struct with the mode always on
+//! (`schemes::hazard`). There the owner's store *is* the publish — no ping
+//! stands between a word and the scan — so this is the one mode whose
+//! `end_op` still clears its row eagerly.
+//!
+//! Nothing reads the activity word in this mode: the ping filter is off and
+//! [`PopShared::publish_tid`] skips the copy that consults it. So
+//! `note_active` and `end_op` skip their activity stores (and
+//! `note_active` its fence) — HPAsym's `begin_op` is store-free. EpochPOP's
+//! `begin_op` still stores the word, for nothing, beside its epoch.
 //!
 //! Three consequences are load-bearing:
 //!
@@ -103,8 +109,9 @@
 //!   `reap_one_dead` then recovers confirmed corpses. Garbage a dead
 //!   peer pins is thus bounded by the probe period, not unbounded.
 //!
-//! A heavy barrier that *fails mid-pass* (seccomp installed after init,
-//! or an injected [`FaultSite::MembarrierFail`]) downgrades the domain
+//! A heavy barrier that *fails* (HPAsym on a host whose probe fails,
+//! seccomp installed after init, or an injected
+//! [`FaultSite::MembarrierFail`]) downgrades the domain
 //! **stickily** to the signal fan-out: reservations keep living in the
 //! shared slots (readers never change behavior), pings publish via the
 //! degenerate handler, and the pass that observed the failure falls
@@ -154,10 +161,10 @@ fn zeroed<T: Default>(n: usize) -> Box<[T]> {
 /// Per-thread reservation rows, the one layout every scheme with
 /// reservation words uses: each tid's row starts on its own cache line
 /// ([`Line`]) and spans a power-of-two number of them, so neighbouring tids
-/// never share a line (a row is stored to, and for the eager schemes fenced
-/// on, by its owner on every read) and indexing is a shift. The eager
-/// schemes (HP, HPAsym, HE) own theirs; [`PopShared`] leaks its two like the
-/// struct that points at them.
+/// never share a line (a row is stored to, and for HP and HE fenced on, by
+/// its owner on every read) and indexing is a shift. The hazard engine's
+/// `Fence` publisher (HP, HE) owns one; [`PopShared`] leaks its two like
+/// the struct that points at them.
 #[derive(Clone, Copy)]
 pub(crate) struct Rows<L = Box<[Line]>> {
     lines: L,
@@ -200,6 +207,44 @@ impl<L: core::ops::Deref<Target = [Line]>> Rows<L> {
     pub(crate) fn row(&self, tid: usize) -> impl Iterator<Item = &AtomicU64> {
         (0..self.slots).map(move |slot| self.word(tid, slot))
     }
+
+    /// `tid`'s non-zero words, Acquire-loaded, slot 0 first.
+    fn words(&self, tid: usize) -> impl Iterator<Item = u64> + '_ {
+        self.row(tid)
+            .map(|cell| cell.load(Ordering::Acquire))
+            .filter(|&w| w != 0)
+    }
+
+    /// Appends `tid`'s non-zero words to `out` (a reservation scan).
+    pub(crate) fn push_words(&self, tid: usize, out: &mut Vec<u64>) {
+        out.extend(self.words(tid));
+    }
+
+    /// One-word summary of `tid`'s row for the stall tracker: its minimum
+    /// non-zero word (`0` if every slot is empty). A stalled reader
+    /// re-publishing the *same* pinned era or pointer keeps it constant;
+    /// any progress moves it.
+    pub(crate) fn signature(&self, tid: usize) -> u64 {
+        self.words(tid).min().unwrap_or(0)
+    }
+
+    /// Whether `tid` still holds word `w` in any slot — the quarantine
+    /// release predicate (a parked block stays parked only while its
+    /// blocker's pinning word is still visible).
+    pub(crate) fn holds(&self, tid: usize, w: u64) -> bool {
+        self.row(tid).any(|cell| cell.load(Ordering::Acquire) == w)
+    }
+
+    /// Zeroes `tid`'s row with relaxed stores (the caller orders them).
+    fn clear(&self, tid: usize) {
+        self.row(tid)
+            .for_each(|cell| cell.store(0, Ordering::Relaxed));
+    }
+
+    /// Whether every word of `tid`'s row is zero.
+    fn is_empty(&self, tid: usize) -> bool {
+        self.words(tid).next().is_none()
+    }
 }
 
 /// Shared reservation state for one publish-on-ping domain.
@@ -210,7 +255,7 @@ pub(crate) struct PopShared {
     local: Rows<&'static [Line]>,
     /// `sharedReservations[tid][slot]` — filled on publish, scanned by
     /// reclaimers.
-    shared: Rows<&'static [Line]>,
+    pub(crate) shared: Rows<&'static [Line]>,
     /// The rows the *owner* writes reservations to, resolved once: `local`
     /// under the signal modes (published by the handler's copy), `shared`
     /// under membarrier mode (made visible by the reclaimer's heavy
@@ -248,10 +293,6 @@ pub(crate) struct PopShared {
     /// scheme reclaim paths, which feed the domain reaper.
     peer_dead: Box<[AtomicBool]>,
     stats: Arc<DomainStats>,
-    /// Quiescent-thread ping elision. Off for users whose reservations live
-    /// outside this struct (the HPAsym signal barrier), where every handler
-    /// execution is load-bearing for memory ordering.
-    filter_quiescent: bool,
     /// Spin budget before a publish wait parks
     /// ([`crate::config::SmrConfig::publish_spin`]).
     publish_spin: u32,
@@ -261,10 +302,10 @@ pub(crate) struct PopShared {
     /// `0` = unbounded waits).
     publish_deadline_ns: u64,
     /// Membarrier publish mode (module docs): reservations live in the
-    /// shared slots, `note_active` is fence-free, `publish_tid` skips the
-    /// copy, and passes run one heavy barrier instead of the fan-out.
-    /// Static for the domain's lifetime — the reader-side contract must
-    /// not flap.
+    /// shared slots, the activity word is dead, `publish_tid` skips the
+    /// copy, the ping filter is off, and passes run one heavy barrier
+    /// instead of the fan-out. Static for the domain's lifetime — the
+    /// reader-side contract must not flap.
     membarrier: bool,
     /// Sticky mid-pass downgrade: a heavy barrier failed after init, so
     /// every subsequent pass runs the signal fan-out instead (readers are
@@ -276,21 +317,13 @@ pub(crate) struct PopShared {
 }
 
 impl PopShared {
-    /// Allocates and leaks the shared state (see module docs for why).
-    ///
-    /// The tail of the argument list mirrors the `SmrConfig` knobs it is
-    /// always called with, in order — a tuning struct would just restate
-    /// the config.
-    pub(crate) fn leak(
-        nthreads: usize,
-        slots: usize,
-        stats: Arc<DomainStats>,
-        filter_quiescent: bool,
-        publish_spin: u32,
-        publish_deadline_ns: u64,
-        membarrier: bool,
-    ) -> &'static Self {
-        let rows = || Rows::new(nthreads, slots).leak();
+    /// Allocates and leaks `base`'s shared state (see module docs for why),
+    /// every knob from `base.cfg`. `membarrier` selects the membarrier
+    /// publish mode: the POP schemes pass their resolved
+    /// [`crate::config::PublishMode`], HPAsym always `true`.
+    pub(crate) fn for_domain(base: &DomainBase, membarrier: bool) -> &'static Self {
+        let nthreads = base.cfg.max_threads;
+        let rows = || Rows::new(nthreads, base.cfg.slots).leak();
         let (local, shared) = (rows(), rows());
         Box::leak(Box::new(PopShared {
             nthreads,
@@ -307,50 +340,28 @@ impl PopShared {
             gtid_backed: zeroed(nthreads),
             suspect: zeroed(nthreads),
             peer_dead: zeroed(nthreads),
-            stats,
-            filter_quiescent,
-            publish_spin,
-            publish_deadline_ns,
+            stats: Arc::clone(&base.stats),
+            publish_spin: base.cfg.publish_spin,
+            publish_deadline_ns: base.cfg.publish_deadline_ns,
             membarrier,
             downgraded: AtomicBool::new(false),
             mb_passes: CachePadded::new(AtomicU64::new(0)),
         }))
     }
 
-    /// The instance a POP scheme builds for its domain: every knob from
-    /// `base.cfg`, quiescent filtering on.
-    pub(crate) fn for_domain(base: &DomainBase) -> &'static Self {
-        Self::leak(
-            base.cfg.max_threads,
-            base.cfg.slots,
-            Arc::clone(&base.stats),
-            true,
-            base.cfg.publish_spin,
-            base.cfg.publish_deadline_ns,
-            base.cfg.resolved_publish_mode() == crate::config::PublishMode::Membarrier,
-        )
-    }
-
-    /// Reservation words per thread.
+    /// The word the *owner* reserves `slot` in: private under the signal
+    /// modes, shared under membarrier mode (the reclaimer's heavy barrier
+    /// publishes it; no handler copy needed).
     #[inline(always)]
-    fn slots(&self) -> usize {
-        self.shared.slots
+    pub(crate) fn owner_word(&self, tid: usize, slot: usize) -> &AtomicU64 {
+        self.owner.word(tid, slot)
     }
 
     /// Hot-path local reservation (paper Alg. 1 line 11): a relaxed store,
-    /// **no fence** — this is the entire point of publish-on-ping. Under
-    /// membarrier mode the store targets the shared slot directly (the
-    /// reclaimer's heavy barrier publishes it; no handler copy needed).
+    /// **no fence** — this is the entire point of publish-on-ping.
     #[inline(always)]
     pub(crate) fn set_local(&self, tid: usize, slot: usize, word: u64) {
-        self.owner.word(tid, slot).store(word, Ordering::Relaxed);
-    }
-
-    /// Owner-side read of a local reservation (HazardEraPOP caches the last
-    /// reserved era this way).
-    #[inline(always)]
-    pub(crate) fn local_at(&self, tid: usize, slot: usize) -> u64 {
-        self.owner.word(tid, slot).load(Ordering::Relaxed)
+        self.owner_word(tid, slot).store(word, Ordering::Relaxed);
     }
 
     /// Marks `tid` as inside an operation (activity word → odd).
@@ -369,14 +380,16 @@ impl PopShared {
     /// stay fence-free.
     #[inline]
     pub(crate) fn note_active(&self, tid: usize) {
-        self.note_active_unfenced(tid);
         // Membarrier mode skips the fence — that is its whole win — which
         // voids the elision argument; correspondingly, membarrier domains
         // never use the quiescent filter (module docs), not even on the
-        // downgraded signal path.
-        if !self.membarrier {
-            fence(Ordering::SeqCst);
+        // downgraded signal path, and nothing reads the word the store
+        // would bump.
+        if self.membarrier {
+            return;
         }
+        self.note_active_unfenced(tid);
+        fence(Ordering::SeqCst);
     }
 
     /// The plain activity-word store of [`Self::note_active`], for a caller
@@ -395,11 +408,13 @@ impl PopShared {
     /// visibility is conservative (the thread just gets pinged). The row
     /// itself is left alone — a ping that finds the word even publishes
     /// nothing (module docs) — except under membarrier mode, where no ping
-    /// stands between the owner's words and the scan.
+    /// stands between the owner's words and the scan, and the activity
+    /// word is dead.
     #[inline]
     pub(crate) fn end_op(&self, tid: usize) {
         if self.membarrier {
             self.clear_local(tid);
+            return;
         }
         let a = self.activity[tid].load(Ordering::Relaxed);
         self.activity[tid].store((a | 1).wrapping_add(1), Ordering::Release);
@@ -410,17 +425,13 @@ impl PopShared {
     /// keep their last published value until the next ping.
     #[inline(never)]
     pub(crate) fn clear_local(&self, tid: usize) {
-        for s in 0..self.slots() {
-            self.owner.word(tid, s).store(0, Ordering::Relaxed);
-        }
+        self.owner.clear(tid);
     }
 
     /// Joins the domain's ping set.
     pub(crate) fn register(&self, tid: usize, gtid: usize) {
-        for s in 0..self.slots() {
-            self.local.word(tid, s).store(0, Ordering::Relaxed);
-            self.shared.word(tid, s).store(0, Ordering::Relaxed);
-        }
+        self.local.clear(tid);
+        self.shared.clear(tid);
         // Fresh occupants start quiescent; any parity left by a previous
         // occupant is normalized.
         let a = self.activity[tid].load(Ordering::Relaxed);
@@ -479,13 +490,13 @@ impl PopShared {
         // is exactly what the signal fallback path needs from it.
         if !self.membarrier {
             let in_op = self.activity[tid].load(Ordering::Relaxed) & 1 != 0;
-            for s in 0..self.slots() {
+            for (local, shared) in self.local.row(tid).zip(self.shared.row(tid)) {
                 let w = if in_op {
-                    self.local.word(tid, s).load(Ordering::Relaxed)
+                    local.load(Ordering::Relaxed)
                 } else {
                     0
                 };
-                self.shared.word(tid, s).store(w, Ordering::Relaxed);
+                shared.store(w, Ordering::Relaxed);
             }
         }
         self.announce_row(tid);
@@ -520,42 +531,24 @@ impl PopShared {
     fn is_provably_quiescent(&self, t: usize) -> bool {
         // Stale non-zero shared words would pin garbage forever without a
         // refreshing publish — always ping those threads.
-        self.activity[t].load(Ordering::SeqCst) & 1 == 0
-            && (0..self.slots()).all(|s| self.shared.word(t, s).load(Ordering::Acquire) == 0)
-    }
-
-    /// Executes one process-wide heavy barrier, accounting it on `me`'s
-    /// shard — the **single** place `membarriers` is counted (the `HPAsym`
-    /// baseline and the POP membarrier mode both come through here).
-    /// Returns `false` when the barrier could not run (probe failed, call
-    /// failed, or an injected fault); callers must then use the signal
-    /// fan-out for this pass.
-    pub(crate) fn heavy_membarrier(&self, me: usize) -> bool {
-        if pop_runtime::membarrier::heavy() {
-            self.stats
-                .shard(me)
-                .membarriers
-                .fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
+        self.activity[t].load(Ordering::SeqCst) & 1 == 0 && self.shared.is_empty(t)
     }
 
     /// The membarrier-mode replacement for the whole ping/wait sequence:
-    /// one heavy barrier, no signals, no waits. Returns `false` on barrier
-    /// failure **after stickily downgrading the domain** — the caller
-    /// falls through to the signal fan-out.
+    /// one heavy barrier, no signals, no waits — and the **single** place
+    /// `membarriers` is counted. Returns `false` on barrier failure
+    /// **after stickily downgrading the domain** — the caller falls through
+    /// to the signal fan-out.
     fn membarrier_pass(&self, me: usize) -> bool {
         // Order our own prior unlinks before the barrier (the barrier
         // syscall is itself a full barrier on this CPU, but the fence
         // keeps the argument local and costs nothing next to the IPI).
         fence(Ordering::SeqCst);
-        if !self.heavy_membarrier(me) {
-            // Mid-pass failure (seccomp landed after init, or an injected
-            // MembarrierFail): never try again — a mode that flaps would
-            // make every pass pay a failing syscall — and run this pass
-            // through the fan-out below.
+        if !pop_runtime::membarrier::heavy() {
+            // Probe failed (HPAsym on a host without membarrier), seccomp
+            // landed after init, or an injected MembarrierFail: never try
+            // again — a mode that flaps would make every pass pay a
+            // failing syscall — and run this pass through the fan-out.
             self.downgraded.store(true, Ordering::Release);
             return false;
         }
@@ -563,6 +556,7 @@ impl PopShared {
             .filter(|&t| t != me && self.registered[t].load(Ordering::Acquire))
             .count() as u64;
         let shard = self.stats.shard(me);
+        shard.membarriers.fetch_add(1, Ordering::Relaxed);
         shard.membarrier_passes.fetch_add(1, Ordering::Relaxed);
         shard.signals_avoided.fetch_add(peers, Ordering::Relaxed);
         // Dead-peer probe (module docs): no waits ⇒ no watchdog ⇒ probe
@@ -615,7 +609,7 @@ impl PopShared {
         // `note_active` is fence-free, which voids the two-SC-fence
         // elision proof, so the (downgrade-only) signal path here must
         // ping every registered peer.
-        let filter = self.filter_quiescent && !self.membarrier;
+        let filter = !self.membarrier;
         let mut pings = 0u64;
         let mut failed = 0u64;
         let mut skipped = 0u64;
@@ -755,15 +749,6 @@ impl PopShared {
         self.collect_reserved_into_filtered(out, |_| true);
     }
 
-    /// Allocating convenience wrapper around [`Self::collect_reserved_into`]
-    /// (tests and diagnostics only — reclamation passes use the scratch
-    /// variant).
-    pub(crate) fn collect_reserved(&self) -> Vec<u64> {
-        let mut v = Vec::with_capacity(self.nthreads * self.slots());
-        self.collect_reserved_into(&mut v);
-        v
-    }
-
     /// The scan restricted to threads `include` accepts — with a real
     /// filter, the emergency-rung "active set" scan that leaves a
     /// known-stalled blocker's reservations out. Excluded threads keep the
@@ -785,45 +770,13 @@ impl PopShared {
             // Correct-by-keep — the worst case is garbage surviving one
             // extra pass; racing torn reads are impossible (words are
             // single atomics) and stale reads only widen the keep set.
-            let suspect = self.suspect[t].load(Ordering::Acquire);
-            for s in 0..self.slots() {
-                let w = self.shared.word(t, s).load(Ordering::Acquire);
-                if w != 0 {
-                    out.push(w);
-                }
-                if suspect {
-                    let l = self.local.word(t, s).load(Ordering::Acquire);
-                    if l != 0 {
-                        out.push(l);
-                    }
-                }
+            self.shared.push_words(t, out);
+            if self.suspect[t].load(Ordering::Acquire) {
+                self.local.push_words(t, out);
             }
         }
         out.sort_unstable();
         out.dedup();
-    }
-
-    /// One-word summary of thread `t`'s published reservations for the
-    /// stall tracker: the minimum non-zero shared word (`0` if every slot
-    /// is empty). A stalled reader re-publishing the *same* pinned era or
-    /// pointer keeps the signature constant; any progress moves it.
-    pub(crate) fn shared_word_signature(&self, t: usize) -> u64 {
-        let mut sig = 0u64;
-        for s in 0..self.slots() {
-            let w = self.shared.word(t, s).load(Ordering::Acquire);
-            if w != 0 && (sig == 0 || w < sig) {
-                sig = w;
-            }
-        }
-        sig
-    }
-
-    /// Whether thread `t` still publishes reservation word `w` in any
-    /// shared slot — the quarantine release predicate for POP schemes (a
-    /// parked block stays parked only while its blocker's pinning word is
-    /// still visible).
-    pub(crate) fn holds_shared_word(&self, t: usize, w: u64) -> bool {
-        (0..self.slots()).any(|s| self.shared.word(t, s).load(Ordering::Acquire) == w)
     }
 
     /// Hard-rung targeted re-ping: signals every *suspect* registered peer
@@ -895,22 +848,14 @@ impl PopShared {
     /// below; a dead thread's reservations protect nothing because it can
     /// no longer dereference.
     pub(crate) fn force_unregister(&self, tid: usize) {
-        for s in 0..self.slots() {
-            self.local.word(tid, s).store(0, Ordering::Relaxed);
-            self.shared.word(tid, s).store(0, Ordering::Relaxed);
-        }
+        self.local.clear(tid);
+        self.shared.clear(tid);
         // Waiters parked on the dead thread's publish word must observe
         // this and re-check.
         self.announce_row(tid);
         self.registered[tid].store(false, Ordering::Release);
         self.gtid_of[tid].store(0, Ordering::Relaxed);
         self.gtid_backed[tid].store(false, Ordering::Relaxed);
-    }
-
-    /// Published counter value (test observability).
-    #[cfg(test)]
-    pub(crate) fn counter_of(&self, tid: usize) -> u64 {
-        self.counter[tid].load(Ordering::Acquire)
     }
 
     /// Reaps at most one participant whose kernel thread was confirmed
@@ -989,8 +934,8 @@ impl Publisher for PopShared {
     }
 }
 
-/// The clear-on-ping rule driven through a whole scheme; shared by the
-/// three POP schemes' unit tests.
+/// Test observability, and the clear-on-ping rule driven through a whole
+/// scheme; shared by the POP schemes' unit tests.
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
@@ -999,6 +944,25 @@ pub(crate) mod testing {
     use crate::smr::{alloc_node, retire_node, Smr};
     use core::sync::atomic::AtomicPtr;
     use std::sync::mpsc::channel;
+
+    impl PopShared {
+        /// Owner-side read of a reservation word.
+        pub(crate) fn local_at(&self, tid: usize, slot: usize) -> u64 {
+            self.owner_word(tid, slot).load(Ordering::Relaxed)
+        }
+
+        /// Allocating [`Self::collect_reserved_into`].
+        pub(crate) fn collect_reserved(&self) -> Vec<u64> {
+            let mut v = Vec::with_capacity(self.nthreads * self.shared.slots);
+            self.collect_reserved_into(&mut v);
+            v
+        }
+
+        /// Published counter value.
+        pub(crate) fn counter_of(&self, tid: usize) -> u64 {
+            self.counter[tid].load(Ordering::Acquire)
+        }
+    }
 
     #[repr(C)]
     struct N {
@@ -1097,14 +1061,22 @@ pub(crate) mod testing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DEFAULT_PUBLISH_DEADLINE_NS, DEFAULT_PUBLISH_SPIN};
+    use crate::config::{SmrConfig, DEFAULT_PUBLISH_DEADLINE_NS, DEFAULT_PUBLISH_SPIN};
+
+    /// An instance for `n` tids of `slots` words with the given publish-wait
+    /// knobs (pinned, so no `POP_*` override reaches them).
+    fn leak(n: usize, slots: usize, spin: u32, deadline_ns: u64, mb: bool) -> &'static PopShared {
+        let cfg = SmrConfig::for_tests(n)
+            .with_slots(slots)
+            .with_publish_spin(spin)
+            .with_publish_deadline_ns(deadline_ns);
+        PopShared::for_domain(&DomainBase::new(cfg), mb)
+    }
 
     fn mk(n: usize, slots: usize) -> &'static PopShared {
-        PopShared::leak(
+        leak(
             n,
             slots,
-            Arc::new(DomainStats::new(n)),
-            true,
             DEFAULT_PUBLISH_SPIN,
             DEFAULT_PUBLISH_DEADLINE_NS,
             false,
@@ -1112,13 +1084,11 @@ mod tests {
     }
 
     /// A membarrier-mode instance (reservations in shared slots, fan-out
-    /// replaced by one heavy barrier).
+    /// replaced by one heavy barrier) — HPAsym's engine.
     fn mk_mb(n: usize, slots: usize) -> &'static PopShared {
-        PopShared::leak(
+        leak(
             n,
             slots,
-            Arc::new(DomainStats::new(n)),
-            true,
             DEFAULT_PUBLISH_SPIN,
             DEFAULT_PUBLISH_DEADLINE_NS,
             true,
@@ -1208,23 +1178,24 @@ mod tests {
 
     #[test]
     fn rows_are_line_aligned_and_distinct() {
-        use crate::config::SmrConfig;
-        use crate::schemes::{he::HazardEra, hp::HazardPtr, hp_asym::HazardPtrAsym};
+        use crate::schemes::hazard::{HazardEra, HazardPtr};
         use crate::smr::Smr;
         for (n, slots) in [(4, 1), (4, 8), (3, 9), (2, 16)] {
+            // `mk_mb` is HPAsym's engine.
             for p in [mk(n, slots), mk_mb(n, slots)] {
                 assert_line_aligned_and_distinct(&[&p.local, &p.shared], n, slots);
                 let owner = if p.membarrier { p.shared } else { p.local };
                 assert!(
                     core::ptr::eq(p.owner.lines, owner.lines),
-                    "owner resolved at leak"
+                    "owner resolved at construction"
                 );
             }
-            // The eager schemes' one array of rows is the same layout.
+            // The `Fence` publisher's one array of rows is the same layout.
             let cfg = SmrConfig::for_tests(n).with_slots(slots);
-            assert_line_aligned_and_distinct(&[&HazardPtr::new(cfg.clone()).shared], n, slots);
-            assert_line_aligned_and_distinct(&[&HazardEra::new(cfg.clone()).shared], n, slots);
-            assert_line_aligned_and_distinct(&[&HazardPtrAsym::new(cfg).shared], n, slots);
+            let hp = HazardPtr::new(cfg.clone());
+            assert_line_aligned_and_distinct(&[&hp.publish.rows], n, slots);
+            let he = HazardEra::new(cfg);
+            assert_line_aligned_and_distinct(&[&he.publish.rows], n, slots);
         }
     }
 
@@ -1325,15 +1296,7 @@ mod tests {
         // Zero spin budget: the waiter parks on the futex immediately; a
         // publish from another thread must wake it well before the wait
         // timeout accumulates into seconds.
-        let p = PopShared::leak(
-            2,
-            1,
-            Arc::new(DomainStats::new(2)),
-            true,
-            0,
-            DEFAULT_PUBLISH_DEADLINE_NS,
-            false,
-        );
+        let p = leak(2, 1, 0, DEFAULT_PUBLISH_DEADLINE_NS, false);
         p.register(0, 100);
         p.register(1, 101);
         // Peer 1 looks active with a reservation: not skippable, and the
@@ -1374,15 +1337,7 @@ mod tests {
         // it). Pre-watchdog this wait was unbounded; now the pass must
         // complete within the deadline, keep the peer's unpublished local
         // word conservatively, and count the timeout.
-        let p = PopShared::leak(
-            2,
-            1,
-            Arc::new(DomainStats::new(2)),
-            true,
-            4,
-            50_000_000, // 50 ms
-            false,
-        );
+        let p = leak(2, 1, 4, 50_000_000, false); // 50 ms deadline
         p.register(0, 100);
         p.register(1, 101);
         p.note_active(1);
@@ -1418,7 +1373,7 @@ mod tests {
     fn watchdog_disabled_by_zero_deadline_waits_for_publish() {
         // Deadline 0 restores unbounded waits: the pass returns only
         // because the helper publishes, and no timeout is counted.
-        let p = PopShared::leak(2, 1, Arc::new(DomainStats::new(2)), true, 4, 0, false);
+        let p = leak(2, 1, 4, 0, false);
         p.register(0, 100);
         p.register(1, 101);
         p.note_active(1);
@@ -1447,15 +1402,7 @@ mod tests {
         // through the registry, and take_dead must hand the tid to a
         // reaper exactly once; force_unregister then drops it from the
         // ping set and empties its reservations.
-        let p = PopShared::leak(
-            2,
-            1,
-            Arc::new(DomainStats::new(2)),
-            true,
-            4,
-            50_000_000, // 50 ms
-            false,
-        );
+        let p = leak(2, 1, 4, 50_000_000, false); // 50 ms deadline
         let (tx, rx) = std::sync::mpsc::channel();
         let victim = std::thread::spawn(move || {
             let reg = Registry::global().register_current();

@@ -152,7 +152,10 @@ impl Smr for EpochPop {
     fn new(cfg: SmrConfig) -> Arc<Self> {
         let n = cfg.max_threads;
         let base = DomainBase::new(cfg);
-        let pop = PopShared::for_domain(&base);
+        let pop = PopShared::for_domain(
+            &base,
+            base.cfg.resolved_publish_mode() == crate::config::PublishMode::Membarrier,
+        );
         let publisher = register_publisher(pop);
         let mut reserved = Vec::with_capacity(n);
         reserved.resize_with(n, || CachePadded::new(AtomicU64::new(QUIESCENT)));

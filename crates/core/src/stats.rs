@@ -81,15 +81,16 @@ pub struct ShardStats {
     pub publishes: AtomicU64,
     /// Epoch-mode reclamation passes (EBR / EpochPOP fast path).
     pub epoch_passes: AtomicU64,
-    /// Publish-on-ping reclamation passes (HazardPtrPOP / escalations).
+    /// Publish-on-ping reclamation passes (HazardPtrPOP, HazardEraPOP,
+    /// HPAsym, EpochPOP escalations).
     pub pop_passes: AtomicU64,
     /// Operation restarts forced by neutralization (NBR).
     pub restarts: AtomicU64,
     /// High-water mark of this thread's retire-list length.
     pub max_retire_len: AtomicU64,
-    /// Asymmetric heavy barriers executed via `membarrier(2)` (both the
-    /// `HPAsym` baseline and the POP membarrier publish mode land here —
-    /// the one counting site is `PopShared::heavy_membarrier`).
+    /// Asymmetric heavy barriers executed via `membarrier(2)`: one per
+    /// pass of the POP membarrier publish mode, which the `HPAsym` baseline
+    /// always runs — the one counting site is `PopShared::membarrier_pass`.
     pub membarriers: AtomicU64,
     /// POP reclamation passes whose entire signal fan-out was replaced by
     /// one membarrier heavy barrier (`PublishMode::Membarrier` fast path).

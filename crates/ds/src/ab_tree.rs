@@ -173,6 +173,8 @@ pub struct AbTree<S: Smr> {
 
 // SAFETY: shared state is atomics; nodes are managed by the SMR domain.
 unsafe impl<S: Smr> Send for AbTree<S> {}
+// SAFETY: every shared mutation is an atomic store or CAS under the node
+// locks, and every dereference of a shared node goes through `S::protect`.
 unsafe impl<S: Smr> Sync for AbTree<S> {}
 
 enum DescendOutcome {
@@ -263,8 +265,9 @@ impl<S: Smr> AbTree<S> {
         pi: usize,
         node: *mut AbNode,
     ) -> Result<(), Restart> {
-        // SAFETY: node protected by descend; par protected or anchor.
+        // SAFETY: node protected by descend.
         let node_ref = unsafe { &*node };
+        // SAFETY: par is protected by descend, or is the immortal anchor.
         let par_ref = unsafe { &*par };
         let at_root = par == self.root_holder;
 
@@ -618,14 +621,17 @@ impl<S: Smr> Drop for AbTree<S> {
             if p.is_null() {
                 return;
             }
-            // SAFETY: exclusive access in Drop. Children are read out
-            // before the node is freed (the slot may be slab-backed).
+            // Children are read out before the node is freed (the slot may
+            // be slab-backed).
             let mut kids: [*mut AbNode; B] = [core::ptr::null_mut(); B];
+            // SAFETY: exclusive access in Drop; `p` is a live tree node.
             let n = unsafe { &*p };
             let fanout = if n.is_leaf { 0 } else { n.len as usize };
             for (slot, child) in kids.iter_mut().zip(n.children.iter()).take(fanout) {
                 *slot = child.load(Ordering::Relaxed);
             }
+            // SAFETY: exclusive access in Drop; each node is reachable from
+            // exactly one parent edge, so it is freed once, and `n` is dead.
             unsafe { free_node_raw(p) };
             for &c in &kids[..fanout] {
                 free(c);

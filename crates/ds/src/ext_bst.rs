@@ -128,6 +128,8 @@ pub struct ExtBst<S: Smr> {
 
 // SAFETY: shared state is atomics; nodes are managed by the SMR domain.
 unsafe impl<S: Smr> Send for ExtBst<S> {}
+// SAFETY: every shared mutation is an atomic store under the node locks,
+// and every dereference of a shared node goes through `S::protect`.
 unsafe impl<S: Smr> Sync for ExtBst<S> {}
 
 impl<S: Smr> ExtBst<S> {
@@ -256,8 +258,9 @@ impl<S: Smr> ExtBst<S> {
         if unsafe { &*sr.leaf }.key != key {
             return Ok(false);
         }
-        // SAFETY: gpar/par protected by search (or immortal sentinels).
+        // SAFETY: gpar protected by search (or an immortal sentinel).
         let gpar_ref = unsafe { &*sr.gpar };
+        // SAFETY: par protected by search (or an immortal sentinel).
         let par_ref = unsafe { &*sr.par };
         // Lock order: ancestor before descendant (uniform across ops).
         let _gl = gpar_ref.lock(&*self.smr, tid)?;
@@ -403,6 +406,8 @@ impl<S: Smr> Drop for ExtBst<S> {
                     (*p).right.load(Ordering::Relaxed),
                 )
             };
+            // SAFETY: exclusive access in Drop; each node hangs off exactly
+            // one parent edge, so it is freed once.
             unsafe { free_node_raw(p) };
             free(l);
             free(r);

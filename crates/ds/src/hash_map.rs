@@ -30,6 +30,8 @@ pub struct HashMapHm<S: Smr> {
 
 // SAFETY: shared state is atomics; nodes are managed by the SMR domain.
 unsafe impl<S: Smr> Send for HashMapHm<S> {}
+// SAFETY: every shared mutation is a CAS on an atomic bucket or link, and
+// every dereference of a shared node goes through `S::protect`.
 unsafe impl<S: Smr> Sync for HashMapHm<S> {}
 
 impl<S: Smr> HashMapHm<S> {

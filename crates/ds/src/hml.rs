@@ -147,6 +147,8 @@ fn find<S: Smr>(
                     continue 'retry;
                 }
                 // Re-read the link; pred is unchanged.
+                // SAFETY: pred_link is still the head or the protected
+                // pred_node's next field.
                 curr_raw = smr.protect(tid, sc, unsafe { &*pred_link })?;
                 continue;
             }
@@ -291,6 +293,8 @@ pub struct HmList<S: Smr> {
 
 // SAFETY: all shared state is atomics; nodes are managed by the SMR domain.
 unsafe impl<S: Smr> Send for HmList<S> {}
+// SAFETY: every shared mutation is a CAS on an atomic link, and every
+// dereference of a shared node goes through `S::protect`.
 unsafe impl<S: Smr> Sync for HmList<S> {}
 
 impl<S: Smr> HmList<S> {

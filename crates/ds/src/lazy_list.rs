@@ -93,6 +93,8 @@ pub struct LazyList<S: Smr> {
 
 // SAFETY: shared state is atomics; nodes are managed by the SMR domain.
 unsafe impl<S: Smr> Send for LazyList<S> {}
+// SAFETY: every shared mutation is an atomic store under the node locks,
+// and every dereference of a shared node goes through `S::protect`.
 unsafe impl<S: Smr> Sync for LazyList<S> {}
 
 struct Position {
@@ -157,6 +159,7 @@ impl<S: Smr> LazyList<S> {
         let pos = self.search(tid, key)?;
         // SAFETY: curr protected (or null-checked) by search.
         if !pos.curr.is_null() && unsafe { &*pos.curr }.key == key {
+            // SAFETY: non-null just above, and protected by search.
             if unsafe { &*pos.curr }.marked.load(Ordering::Acquire) {
                 return Err(Restart); // mid-removal: retry until unlinked
             }
@@ -251,6 +254,8 @@ impl<S: Smr> LazyList<S> {
         // SAFETY: caller guarantees no concurrent mutation.
         let mut p = unsafe { &*self.head }.next.load(Ordering::Acquire);
         while !p.is_null() {
+            // SAFETY: quiescence again — no node is unlinked or freed while
+            // we walk, so every non-null link names a live node.
             let n = unsafe { &*p };
             if !n.marked.load(Ordering::Acquire) {
                 out.push((n.key, n.value.load(Ordering::Acquire)));

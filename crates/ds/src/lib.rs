@@ -32,6 +32,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 pub mod ab_tree;
 pub mod ext_bst;

@@ -49,6 +49,8 @@ pub struct MsQueue<S: Smr> {
 
 // SAFETY: shared state is atomics; nodes are managed by the SMR domain.
 unsafe impl<S: Smr> Send for MsQueue<S> {}
+// SAFETY: every shared mutation is a CAS on `head`, `tail` or a node's
+// link, and every dereference of a shared node goes through `S::protect`.
 unsafe impl<S: Smr> Sync for MsQueue<S> {}
 
 impl<S: Smr> MsQueue<S> {

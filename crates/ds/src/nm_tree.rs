@@ -172,6 +172,8 @@ pub struct NmTree<S: Smr> {
 
 // SAFETY: all shared state is atomics; nodes are managed by the SMR domain.
 unsafe impl<S: Smr> Send for NmTree<S> {}
+// SAFETY: every shared mutation is a CAS on an atomic edge, and every
+// dereference of a shared node goes through `S::protect`.
 unsafe impl<S: Smr> Sync for NmTree<S> {}
 
 impl<S: Smr> NmTree<S> {
@@ -278,6 +280,7 @@ impl<S: Smr> NmTree<S> {
         let smr = &*self.smr;
         // SAFETY: all four record nodes are protected (or immortal).
         let ancestor_ref = unsafe { &*rec.ancestor };
+        // SAFETY: as above — the parent is one of the four.
         let parent_ref = unsafe { &*rec.parent };
         let (child_edge, sibling_edge) = if key < parent_ref.key {
             (&parent_ref.left, &parent_ref.right)
@@ -369,6 +372,7 @@ impl<S: Smr> NmTree<S> {
         if leaf_ref.key == key {
             return Ok(false);
         }
+        // SAFETY: parent protected by seek (or an immortal sentinel).
         let parent_ref = unsafe { &*rec.parent };
         let edge = parent_ref.child_for(key);
         let nil = core::ptr::null_mut();
@@ -418,6 +422,8 @@ impl<S: Smr> NmTree<S> {
         // role slots, and the pointer-equality check below is only
         // meaningful while `target` cannot be freed and reallocated.
         self.protect_held(tid, SLOT_VICTIM, target)?;
+        // SAFETY: parent protected by seek (or an immortal sentinel); the
+        // victim pin above re-protects a different slot.
         let edge = unsafe { &*rec.parent }.child_for(key);
         // Injection: flag the parent→leaf edge. This is the logical
         // delete (linearization point) — the flag is sticky, so the leaf
@@ -566,6 +572,8 @@ impl<S: Smr> Drop for NmTree<S> {
                     (*p).right.load(Ordering::Relaxed),
                 )
             };
+            // SAFETY: exclusive access in Drop; each node hangs off exactly
+            // one parent edge, so it is freed once.
             unsafe { free_node_raw(p) };
             free(l);
             free(r);

@@ -114,6 +114,8 @@ pub struct SkipList<S: Smr> {
 
 // SAFETY: all shared state is atomics; nodes are managed by the SMR domain.
 unsafe impl<S: Smr> Send for SkipList<S> {}
+// SAFETY: every shared mutation is a CAS on an atomic link, and every
+// dereference of a shared node goes through `S::protect`.
 unsafe impl<S: Smr> Sync for SkipList<S> {}
 
 impl<S: Smr> SkipList<S> {
@@ -481,6 +483,8 @@ impl<S: Smr> ConcurrentMap<S> for SkipList<S> {
 impl<S: Smr> Drop for SkipList<S> {
     fn drop(&mut self) {
         // Quiescent teardown: the level-0 list owns every node.
+        // SAFETY: exclusive access in Drop; the head sentinel is immortal
+        // until freed at the end of this function.
         let mut p = unmarked(unsafe { &*self.head }.next[0].load(Ordering::Relaxed));
         while !p.is_null() {
             // SAFETY: exclusive access in Drop.

@@ -35,6 +35,8 @@ pub struct TreiberStack<S: Smr> {
 
 // SAFETY: shared state is atomics; nodes are managed by the SMR domain.
 unsafe impl<S: Smr> Send for TreiberStack<S> {}
+// SAFETY: every shared mutation is a CAS on `head`, and every dereference
+// of a shared node goes through `S::protect`.
 unsafe impl<S: Smr> Sync for TreiberStack<S> {}
 
 impl<S: Smr> TreiberStack<S> {

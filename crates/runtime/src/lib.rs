@@ -11,9 +11,10 @@
 //!   publish callback; when a ping arrives, the handler locates the current
 //!   thread's global id and invokes every active publisher for it.
 //! * [`membarrier`] — the Linux `membarrier(2)` asymmetric process-wide
-//!   memory barrier used by the Folly-style `HPAsym` baseline, with runtime
-//!   feature detection (sandboxed kernels often lack the syscall; callers
-//!   fall back to the signal path).
+//!   memory barrier behind the POP membarrier publish mode, which the
+//!   Folly-style `HPAsym` baseline always runs, with runtime feature
+//!   detection (sandboxed kernels often lack the syscall; callers fall
+//!   back to the signal path).
 //! * [`futex`] — `FUTEX_WAIT`/`FUTEX_WAKE` wrappers keyed on per-thread
 //!   publish words, so reclaimers waiting for a pinged peer's handler park
 //!   in the kernel instead of burning scheduler quanta (`yield_now`

@@ -5,10 +5,10 @@
 //! StoreLoad fence moves to the reclaimer, which executes a *process-wide*
 //! barrier before scanning. On mainline Linux this is
 //! `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)`, which IPIs every CPU
-//! running a thread of this process. Both the `HPAsym` baseline and the
-//! POP schemes' `PublishMode::Membarrier` fast path go through this one
-//! module, so there is exactly one availability probe and one registration
-//! per process.
+//! running a thread of this process. Its one caller is `pop-core`'s
+//! membarrier publish mode — the POP schemes' `PublishMode::Membarrier`
+//! fast path, which the `HPAsym` baseline always runs — so there is exactly
+//! one availability probe and one registration per process.
 //!
 //! Availability varies (the paper §2.1.2 notes the same): the syscall may
 //! be missing or restricted in sandboxes, seccomp-filtered containers and
@@ -16,7 +16,8 @@
 //! after the first call, registration included) and [`heavy`] reports
 //! per-call failure so callers can fall back to the signal-driven barrier
 //! built from the ping machinery (liburcu's "signal flavor" — precisely
-//! what `HazardPtrPOP`'s signal path already provides).
+//! what `HazardPtrPOP`'s signal path already provides; a failed barrier
+//! downgrades its domain to that path for good).
 //!
 //! Fault injection: [`crate::faults::FaultSite::MembarrierUnavailable`]
 //! makes the probe answer "unsupported" (checked *outside* the cache so a

@@ -12,7 +12,10 @@
 //!   the paper's **HazardPtrPOP**, **HazardEraPOP** and **EpochPOP**, plus
 //!   the baselines HP, HPAsym, HE, EBR, IBR, NBR+, a Crystalline-family
 //!   batch reference counter, leaky NR, and VBR (version-based
-//!   reclamation over the owned slab arenas).
+//!   reclamation over the owned slab arenas). HP, HPAsym, HazardPtrPOP, HE
+//!   and HazardEraPOP are one hazard engine (`smr::schemes::hazard`) with
+//!   pointer or era reservations and an eager, asymmetric-barrier or
+//!   publish-on-ping publisher.
 //! * [`ds`] — seven concurrent set/map data structures written once
 //!   against the `Smr` trait: Harris-Michael list, lazy list, hash table,
 //!   lock-based external BST, (a,b)-tree, lock-free skip list and the

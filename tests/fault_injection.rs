@@ -283,11 +283,13 @@ fn run_killed_writer_trial<S: Smr>(name: &'static str) {
         s.participants_reaped >= 1,
         "{name}: the dead participant must be reaped: {s:?}"
     );
-    // Under the membarrier publish mode there are no per-peer waits, so no
+    // Under the membarrier publish mode — which HPAsym always runs where
+    // the host has membarrier — there are no per-peer waits, so no
     // watchdog expiries: death detection rides the periodic registry probe
     // instead, and `participants_reaped` above is the whole contract.
-    let membarrier =
-        chaos_cfg().resolved_publish_mode() == pop::smr::config::PublishMode::Membarrier;
+    let membarrier = chaos_cfg().resolved_publish_mode()
+        == pop::smr::config::PublishMode::Membarrier
+        || (S::NAME == "HPAsym" && pop::runtime::membarrier::is_available());
     if !membarrier {
         assert!(
             s.publish_wait_timeouts >= 1,
@@ -324,6 +326,11 @@ mod killed_writer {
     #[test]
     fn nbr_plus() {
         run_killed_writer_trial::<NbrPlus>("killed_writer/NbrPlus");
+    }
+
+    #[test]
+    fn hazard_ptr_asym() {
+        run_killed_writer_trial::<HazardPtrAsym>("killed_writer/HazardPtrAsym");
     }
 }
 
