@@ -56,7 +56,7 @@ use pop_core::{retire_node, Ebr, HasHeader, HazardPtrPop, Header, Smr, SmrConfig
 
 /// The PR that last changed this binary's measurements or the code under
 /// them; written into the artifact so its *name* never has to change.
-const PR: u32 = 29;
+const PR: u32 = 30;
 
 #[repr(C)]
 struct Node {

@@ -40,11 +40,12 @@
 //!    bump for the whole block and one reclaim-threshold comparison
 //!    ([`push_retired`]).
 //! 3. **Range test** — reservation-filter sweeps ([`free_unreserved`],
-//!    [`free_era_unreserved`], [`free_before_epoch`]) first test each
-//!    block's key extrema against the sorted reserved set: a block whose
-//!    span contains no reserved word is freed whole, and a block whose
-//!    every member is provably pinned is kept whole, *without touching a
-//!    single record* (Hyaline/Crystalline-style batch-granular filtering).
+//!    [`free_era_unreserved`], [`free_before_epoch_with_stalled`]) first
+//!    test each block's key extrema against the sorted reserved set: a
+//!    block whose span contains no reserved word is freed whole, and a
+//!    block whose every member is provably pinned is kept whole, *without
+//!    touching a single record* (Hyaline/Crystalline-style batch-granular
+//!    filtering).
 //! 4. **Per-node test** — a block the range test cannot decide tests each
 //!    record once against the *narrowed* reserved window (the words inside
 //!    the block's span): a binary search for pointers,
@@ -71,7 +72,8 @@
 //!
 //! Epoch-based schemes (EBR, EpochPOP, IBR) used to `fetch_add` one shared
 //! global-epoch word every `epoch_freq` operations per thread — the last
-//! cross-thread RMW on the operation path. [`EpochClocks`] replaces it:
+//! cross-thread RMW on the operation path. [`EpochClocks`] replaces it
+//! (VBR's version word is the same global, advanced by passes alone):
 //! each thread *ticks a private, cache-padded clock* (a relaxed store to
 //! its own line), and **the shared word is written only by reclaimer
 //! passes**, which aggregate the clocks *striped*: stripes of
@@ -96,7 +98,7 @@ use parking_lot::Mutex;
 
 use crate::config::SmrConfig;
 use crate::header::{RetireBatch, Retired, RETIRE_BATCH_CAP};
-use crate::pressure::{Escalation, PressureRung, StallTracker};
+use crate::pressure::{Escalation, PressureRung, StallTracker, HARD_RETRY_LIMIT};
 use crate::slab::SLAB_BYTES;
 use crate::stats::DomainStats;
 
@@ -857,6 +859,24 @@ impl DomainBase {
         }
     }
 
+    /// Ladder rung 2, run after a retire-triggered pass: while the hard
+    /// watermark stays breached, the retire turns into synchronous
+    /// reclamation — at most [`HARD_RETRY_LIMIT`] more passes, each after
+    /// `nudge` (signal schemes re-ping their suspects) and a growing spin
+    /// backoff that gives laggards a window to advance.
+    #[inline]
+    pub(crate) fn hard_rung_retries(&self, mut nudge: impl FnMut(), mut pass: impl FnMut()) {
+        let mut tries = 0u32;
+        while tries < HARD_RETRY_LIMIT && self.stats.pressure().rung() >= PressureRung::Hard {
+            nudge();
+            for _ in 0..(64u32 << tries) {
+                core::hint::spin_loop();
+            }
+            pass();
+            tries += 1;
+        }
+    }
+
     /// Number of quarantined nodes (test observability).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn quarantine_len(&self) -> usize {
@@ -1472,43 +1492,28 @@ pub(crate) fn scan_epoch_reservations(
     (min, relaxed_min)
 }
 
-/// Frees every entry retired strictly before epoch `min` (EBR / EpochPOP
-/// fast path). Returns the number freed.
+/// Frees every entry retired strictly before epoch `min` (the epoch
+/// engine's sweep: EBR, EpochPOP, VBR). Returns the number freed.
 ///
 /// Per block: the cached retire-era extrema decide most blocks whole
 /// (`min_retire >= min` keeps, `max_retire < min` frees) without touching
 /// a record; only straddling blocks pay the per-node comparison.
 ///
+/// The stalled-reader escape hatch, `relaxed` (emergency rung only):
+/// blocks whose entire retire range lies below `relaxed.min` — provably
+/// pinned **only** by the known-stalled blocker — are parked in the domain
+/// quarantine instead of being re-scanned every pass. Parking is
+/// conservative: the blocks are not freed, and
+/// [`DomainBase::reclaim_released_quarantine`] re-filters them against
+/// *all* live reservations once the blocker's epoch moves, so a
+/// mis-ranked blocker costs a deferred sweep, never a premature free.
+///
 /// # Safety
 ///
 /// `min` must be a lower bound on every registered thread's announced
-/// epoch — nodes retired before it are unreachable. `tid` must be the
-/// caller's registered domain thread id.
-#[cfg_attr(not(test), allow(dead_code))] // stall-free entry point, exercised by the unit suite
-pub(crate) unsafe fn free_before_epoch(
-    base: &DomainBase,
-    tid: usize,
-    list: &mut RetireList,
-    min: u64,
-) -> usize {
-    // SAFETY: forwarded contract.
-    unsafe { free_before_epoch_with_stalled(base, tid, list, min, None) }
-}
-
-/// [`free_before_epoch`] with a stalled-reader escape hatch: blocks whose
-/// entire retire range lies below `relaxed.min` — provably pinned **only**
-/// by the known-stalled blocker — are parked in the domain quarantine
-/// instead of being re-scanned every pass. Parking is conservative: the
-/// blocks are not freed, and [`DomainBase::reclaim_released_quarantine`]
-/// re-filters them against *all* live reservations once the blocker's
-/// epoch moves, so a mis-ranked blocker costs a deferred sweep, never a
-/// premature free.
-///
-/// # Safety
-///
-/// As for [`free_before_epoch`]; additionally `relaxed.min` must be a
-/// lower bound on every registered **non-stalled** thread's announced
-/// epoch.
+/// epoch — nodes retired before it are unreachable — and `relaxed.min` (when
+/// given) a lower bound on every registered **non-stalled** thread's. `tid`
+/// must be the caller's registered domain thread id.
 pub(crate) unsafe fn free_before_epoch_with_stalled(
     base: &DomainBase,
     tid: usize,
@@ -1981,7 +1986,7 @@ mod tests {
         for r in run(&b, [(0, 3), (0, 7), (0, 5)]) {
             push_retired(&b, 0, &mut list, r);
         }
-        let freed = unsafe { free_before_epoch(&b, 0, &mut list, 5) };
+        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, 5, None) };
         assert_eq!(freed, 1, "only retire era 3 < 5 is freeable");
         let survivors: Vec<u64> = list
             .blocks
@@ -2269,7 +2274,7 @@ mod tests {
 
         let (mut fast, _) = twin();
         let (mut slow, _) = twin();
-        let freed = unsafe { free_before_epoch(&b, 0, &mut fast, 120) };
+        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut fast, 120, None) };
         let freed_ref = unsafe { sweep_retire_list(&b, 0, &mut slow, |r| r.retire_era() >= 120) };
         assert_eq!(freed, freed_ref);
         assert_eq!(survivors(&mut fast), survivors(&mut slow), "epochs");
@@ -2302,7 +2307,7 @@ mod tests {
         for r in run(&b, [(0, 1), (0, 2), (0, 8), (0, 9), (0, 4), (0, 6)]) {
             push_retired(&b, 0, &mut list, r);
         }
-        let freed = unsafe { free_before_epoch(&b, 0, &mut list, 5) };
+        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, 5, None) };
         assert_eq!(freed, 3, "retire eras 1, 2 and 4 are below the bound");
         let s = b.stats.snapshot();
         assert_eq!(s.blocks_freed_whole, 1, "the (1,2) block freed whole");
@@ -2412,7 +2417,7 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut donor = filled(&b, 4, &[0, 1, 2, 3, 4, 5, 6, 7]);
         // A keep-everything epoch sweep computes the era half.
-        let freed = unsafe { free_before_epoch(&b, 0, &mut donor, 0) };
+        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut donor, 0, None) };
         assert_eq!(freed, 0);
         assert!(donor.blocks.iter().all(|blk| blk.summary_is_cached()));
         b.orphan_remaining(0, &mut donor);
@@ -2426,7 +2431,7 @@ mod tests {
             );
         }
         let kept_before = b.stats.snapshot().blocks_kept_whole;
-        let freed = unsafe { free_before_epoch(&b, 0, &mut thief, 0) };
+        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut thief, 0, None) };
         assert_eq!(freed, 0);
         assert_eq!(
             b.stats.snapshot().blocks_kept_whole,
@@ -2590,6 +2595,21 @@ mod tests {
         );
         assert!(b.stats.snapshot().pool_blocks_trimmed >= 1);
         drain_free(&b, &mut list);
+    }
+
+    #[test]
+    fn epoch_scan_ignores_unregistered_slots() {
+        // tid 2 announces 7; tid 1's live-looking 3 belongs to no
+        // registered thread (never claimed, or left without clearing).
+        let b = DomainBase::new(SmrConfig::for_tests(4));
+        let words = [u64::MAX, 3, 7, u64::MAX];
+        b.claim(2);
+        let (min, rm) = scan_epoch_reservations(&b, u64::MAX, |t| words[t]);
+        assert_eq!(min, 7, "only registered announcements set the floor");
+        assert!(rm.is_none());
+        b.release(2);
+        let (min, _) = scan_epoch_reservations(&b, u64::MAX, |t| words[t]);
+        assert_eq!(min, u64::MAX, "no registered thread: no floor");
     }
 
     #[test]

@@ -23,21 +23,13 @@
 
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
+use crate::pressure::PressureRung;
+use crate::stats::ShardStats;
+
 /// Decay ceiling: at most `2^MAX_EPOCH_DECAY` (= 16×) stretch of the
 /// epoch cadence and pass thinning. Bounds the reclamation-latency cost
 /// of waking an idle domain to 16 thinned triggers.
 pub const MAX_EPOCH_DECAY: u32 = 4;
-
-/// What a triggered reclamation pass should execute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PassAction {
-    /// Run the whole pass: epoch advance, reservation scan, sweep.
-    Full,
-    /// Decayed domain, off-cycle trigger: skip the scan and sweep (the
-    /// trigger pacing has already been reset by the caller, so the next
-    /// trigger still waits a full `reclaim_freq` of retires).
-    Thinned,
-}
 
 /// Per-domain epoch-cadence decay, shared by every reclaimer of the
 /// domain (one cache line of state, touched only on pass paths).
@@ -89,38 +81,32 @@ impl PassController {
         d == 0 || (count / freq).is_multiple_of(1u64 << d)
     }
 
-    /// Gate for a *retire-triggered* reclamation pass: at decay `d`, one
-    /// trigger in `2^d` executes the full pass body; the rest are
-    /// thinned. Flush/unregister paths must use
-    /// [`Self::begin_forced_pass`] instead — draining is never thinned.
+    /// The pacing gate in front of every pass body: whether this pass
+    /// runs. At decay `d`, one *retire-triggered* pass (`forced = false`)
+    /// in `2^d` runs; the rest are thinned. Draining passes
+    /// (flush/unregister, hard-rung retries: `forced = true`) always run —
+    /// draining is never thinned — and still advance the thinning phase,
+    /// so a forced pass counts as the periodic full one. Pressure at or
+    /// above `PressureRung::Soft` (ladder rung 1) first snaps the decay to
+    /// zero, then runs the pass: accumulating garbage overrides the
+    /// barren-pass economy.
     ///
     /// Undecayed (and disabled) controllers return without touching the
     /// shared pass counter: the common case adds **no** cross-thread RMW
     /// to the pass path — the counter only turns while a decay cycle
     /// actually needs the phase.
     #[inline]
-    pub fn begin_pass(&self) -> PassAction {
+    pub fn admit(&self, rung: PressureRung, forced: bool) -> bool {
+        let pressed = rung >= PressureRung::Soft;
+        if pressed {
+            self.cancel_decay();
+        }
         let d = self.decay_level();
         if d == 0 {
-            return PassAction::Full;
+            return true;
         }
         let n = self.passes.fetch_add(1, Ordering::Relaxed);
-        if n.is_multiple_of(1u64 << d) {
-            PassAction::Full
-        } else {
-            PassAction::Thinned
-        }
-    }
-
-    /// Forced-full variant for flush/unregister/escalation paths; while a
-    /// decay cycle is live it still advances the thinning phase, so a
-    /// forced pass counts as the periodic full one.
-    #[inline]
-    pub fn begin_forced_pass(&self) -> PassAction {
-        if self.decay_level() > 0 {
-            self.passes.fetch_add(1, Ordering::Relaxed);
-        }
-        PassAction::Full
+        forced || pressed || n.is_multiple_of(1u64 << d)
     }
 
     /// Pressure-ladder hook (soft rung): snap the decay to zero *without*
@@ -129,30 +115,33 @@ impl PassController {
     /// passes. Idempotent and racy-safe — the decay word is pacing
     /// advice, and the worst a lost race costs is one thinned trigger.
     #[inline]
-    pub fn cancel_decay(&self) {
+    fn cancel_decay(&self) {
         if self.enabled && self.decay.load(Ordering::Relaxed) != 0 {
             self.decay.store(0, Ordering::Relaxed);
         }
     }
 
-    /// Feedback from an executed (full) pass: `freed > 0` snaps the decay
-    /// back to zero — the no-cliff guarantee — while a barren pass
-    /// deepens it one bounded step. Returns `true` when this call
-    /// deepened the decay (the caller owes one `epoch_decay_steps`
-    /// counter bump).
-    pub fn note_pass_outcome(&self, freed: usize) -> bool {
+    /// Feedback from an executed pass that freed `freed` nodes: `freed > 0`
+    /// snaps the decay back to zero — the no-cliff guarantee — while a
+    /// barren pass deepens it one bounded step, counted on the reclaimer's
+    /// `shard` (`epoch_decay_steps`).
+    pub fn note_pass_outcome(&self, shard: &ShardStats, freed: usize) {
         if !self.enabled {
-            return false;
+            return;
         }
         if freed > 0 {
             self.decay.store(0, Ordering::Relaxed);
-            return false;
+            return;
         }
-        self.decay
+        let deepened = self
+            .decay
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
                 (d < MAX_EPOCH_DECAY).then_some(d + 1)
             })
-            .is_ok()
+            .is_ok();
+        if deepened {
+            shard.epoch_decay_steps.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -160,29 +149,44 @@ impl PassController {
 mod tests {
     use super::*;
 
+    const CALM: PressureRung = PressureRung::Normal;
+
+    /// Feeds `n` barren passes; returns how many deepened the decay.
+    fn barren(c: &PassController, n: u32) -> u64 {
+        let shard = ShardStats::default();
+        for _ in 0..n {
+            c.note_pass_outcome(&shard, 0);
+        }
+        shard.epoch_decay_steps.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn decay_deepens_on_barren_and_resets_on_free() {
         let c = PassController::new(true);
         assert_eq!(c.decay_level(), 0);
         for step in 1..=MAX_EPOCH_DECAY {
-            assert!(c.note_pass_outcome(0), "barren pass deepens");
+            assert_eq!(barren(&c, 1), 1, "barren pass deepens");
             assert_eq!(c.decay_level(), step);
         }
-        assert!(!c.note_pass_outcome(0), "bounded at MAX_EPOCH_DECAY");
+        assert_eq!(barren(&c, 1), 0, "bounded at MAX_EPOCH_DECAY");
         assert_eq!(c.decay_level(), MAX_EPOCH_DECAY);
-        assert!(!c.note_pass_outcome(3), "freeing pass never deepens");
+        let shard = ShardStats::default();
+        c.note_pass_outcome(&shard, 3);
+        assert_eq!(
+            shard.epoch_decay_steps.load(Ordering::Relaxed),
+            0,
+            "freeing pass never deepens"
+        );
         assert_eq!(c.decay_level(), 0, "instant reset on the first free");
     }
 
     #[test]
     fn disabled_controller_is_inert() {
         let c = PassController::new(false);
-        for _ in 0..10 {
-            assert!(!c.note_pass_outcome(0));
-        }
+        assert_eq!(barren(&c, 10), 0);
         assert_eq!(c.decay_level(), 0);
         for _ in 0..10 {
-            assert_eq!(c.begin_pass(), PassAction::Full, "never thinned");
+            assert!(c.admit(CALM, false), "never thinned");
         }
         assert!(c.tick_due(64, 64), "plain modulo when disabled");
     }
@@ -190,37 +194,29 @@ mod tests {
     #[test]
     fn thinning_executes_one_in_two_pow_decay() {
         let c = PassController::new(true);
-        for _ in 0..2 {
-            c.note_pass_outcome(0);
-        }
+        barren(&c, 2);
         assert_eq!(c.decay_level(), 2);
-        let full = (0..16)
-            .filter(|_| c.begin_pass() == PassAction::Full)
-            .count();
+        let full = (0..16).filter(|_| c.admit(CALM, false)).count();
         assert_eq!(full, 4, "1 in 2^2 triggers runs full");
     }
 
     #[test]
     fn forced_pass_is_always_full() {
         let c = PassController::new(true);
-        for _ in 0..MAX_EPOCH_DECAY {
-            c.note_pass_outcome(0);
-        }
+        barren(&c, MAX_EPOCH_DECAY);
         for _ in 0..8 {
-            assert_eq!(c.begin_forced_pass(), PassAction::Full);
+            assert!(c.admit(CALM, true));
         }
     }
 
     #[test]
     fn cancel_decay_restores_full_cadence() {
         let c = PassController::new(true);
-        for _ in 0..MAX_EPOCH_DECAY {
-            c.note_pass_outcome(0);
-        }
+        barren(&c, MAX_EPOCH_DECAY);
         assert_eq!(c.decay_level(), MAX_EPOCH_DECAY);
-        c.cancel_decay();
+        assert!(c.admit(PressureRung::Soft, false), "pressure runs the pass");
         assert_eq!(c.decay_level(), 0, "soft rung snaps decay to zero");
-        assert_eq!(c.begin_pass(), PassAction::Full);
+        assert!(c.admit(CALM, false));
         c.cancel_decay(); // idempotent at zero
         assert_eq!(c.decay_level(), 0);
     }
@@ -230,7 +226,7 @@ mod tests {
         let c = PassController::new(true);
         assert!(c.tick_due(64, 64));
         assert!(!c.tick_due(65, 64));
-        c.note_pass_outcome(0); // decay 1: period doubles
+        barren(&c, 1); // decay 1: period doubles
         assert!(!c.tick_due(64, 64), "odd multiple skipped at decay 1");
         assert!(c.tick_due(128, 64), "even multiple still ticks");
     }

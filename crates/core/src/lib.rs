@@ -22,7 +22,10 @@
 //! [`HazardPtrPop`], [`HazardEraPop`] and [`EpochPop`]. The first two are
 //! the publish-on-ping instances of one hazard engine
 //! ([`schemes::hazard`]) whose other instances are the baselines
-//! [`HazardPtr`], [`HazardPtrAsym`] and [`HazardEra`].
+//! [`HazardPtr`], [`HazardPtrAsym`] and [`HazardEra`]. [`EpochPop`] is
+//! the ping-and-fall-back instance of one epoch engine
+//! ([`schemes::epoch`]) whose other instances are the baselines [`Ebr`]
+//! (a laggard pins everything) and [`Vbr`] (a laggard aborts itself).
 //!
 //! ## Memory-ordering rationale
 //!
@@ -103,11 +106,9 @@ pub use smr::{
 pub use stats::{DomainStats, ShardStats, StatsSnapshot};
 
 // Convenience aliases matching the paper's plot labels.
-pub use schemes::ebr::Ebr;
-pub use schemes::epoch_pop::EpochPop;
+pub use schemes::epoch::{Ebr, EpochPop, Vbr};
 pub use schemes::hazard::{HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym, HazardPtrPop};
 pub use schemes::hyaline::Hyaline;
 pub use schemes::ibr::Ibr;
 pub use schemes::nbr::NbrPlus;
 pub use schemes::nr::NoReclaim;
-pub use schemes::vbr::Vbr;

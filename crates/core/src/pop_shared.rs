@@ -66,11 +66,11 @@
 //!
 //! Under [`crate::config::PublishMode::Membarrier`] the signal fan-out
 //! disappears entirely: readers write reservations **directly to their
-//! shared slots** with plain relaxed stores (`set_local` routes there; the
+//! shared slots** with plain relaxed stores (`owner_word` routes there; the
 //! private `local` array goes unused), and `ping_all_and_wait` becomes one
 //! process-wide `membarrier(2)` heavy barrier — after which every peer's
-//! prior stores are visible and the existing `collect_reserved_into` scan
-//! reads them with nothing to wait for. This mode *is* the Folly-style
+//! prior stores are visible and the existing reservation scan reads them
+//! with nothing to wait for. This mode *is* the Folly-style
 //! asymmetric fencing of the `HPAsym` baseline: HPAsym is the hazard
 //! engine's publisher that builds this struct with the mode always on
 //! (`schemes::hazard`). There the owner's store *is* the publish — no ping
@@ -81,7 +81,8 @@
 //! [`PopShared::publish_tid`] skips the copy that consults it. So
 //! `note_active` and `end_op` skip their activity stores (and
 //! `note_active` its fence) — HPAsym's `begin_op` is store-free. EpochPOP's
-//! `begin_op` still stores the word, for nothing, beside its epoch.
+//! `begin_op` still stores the word, for nothing, beside its epoch, and
+//! keeps its fence, which the epoch announcement needs in every mode.
 //!
 //! Three consequences are load-bearing:
 //!
@@ -259,7 +260,7 @@ pub(crate) struct PopShared {
     /// The rows the *owner* writes reservations to, resolved once: `local`
     /// under the signal modes (published by the handler's copy), `shared`
     /// under membarrier mode (made visible by the reclaimer's heavy
-    /// barrier). `set_local`/`local_at`/`clear_local` go through it.
+    /// barrier). `owner_word` and `clear_local` go through it.
     owner: Rows<&'static [Line]>,
     /// `publishCounter[tid]`.
     counter: Box<[CachePadded<AtomicU64>]>,
@@ -285,7 +286,7 @@ pub(crate) struct PopShared {
     gtid_backed: Box<[AtomicBool]>,
     /// Set by the watchdog (deadline expired) or a failed ping: the thread
     /// may hold reservations it never published, so reclaimers treat its
-    /// *local* words as reserved too ([`Self::collect_reserved_into`] —
+    /// *local* words as reserved too ([`Self::collect_reserved_into_filtered`] —
     /// correct-by-keep). Cleared by the thread's own next publish.
     suspect: Box<[AtomicBool]>,
     /// Set when a liveness probe confirms the registration's thread died
@@ -357,13 +358,6 @@ impl PopShared {
         self.owner.word(tid, slot)
     }
 
-    /// Hot-path local reservation (paper Alg. 1 line 11): a relaxed store,
-    /// **no fence** — this is the entire point of publish-on-ping.
-    #[inline(always)]
-    pub(crate) fn set_local(&self, tid: usize, slot: usize, word: u64) {
-        self.owner_word(tid, slot).store(word, Ordering::Relaxed);
-    }
-
     /// Marks `tid` as inside an operation (activity word → odd).
     ///
     /// The trailing `SeqCst` **fence** is what makes the reclaimer's signal
@@ -393,10 +387,14 @@ impl PopShared {
     }
 
     /// The plain activity-word store of [`Self::note_active`], for a caller
-    /// that issues the `SeqCst` fence itself (EpochPOP shares it with its
-    /// epoch announcement). The fence must come before the operation's
-    /// first load *and* its first `set_local`: a ping that still finds the
-    /// word even publishes an empty row.
+    /// that issues the `SeqCst` fence itself: EpochPOP shares one fence
+    /// between this word and its epoch announcement. EpochPOP fences in
+    /// every publish mode, because its epoch min-scan pairs with that fence
+    /// even where the activity word is dead — so it must not go through
+    /// `note_active`, which skips the fence in membarrier mode. The fence
+    /// must come before the operation's first load *and* its first
+    /// reservation store: a ping that still finds the word even publishes
+    /// an empty row.
     #[inline]
     pub(crate) fn note_active_unfenced(&self, tid: usize) {
         let a = self.activity[tid].load(Ordering::Relaxed);
@@ -742,19 +740,14 @@ impl PopShared {
         }
     }
 
-    /// Scans `sharedReservations` of every registered thread (Alg. 2 lines
-    /// 28–31) into `out` as a sorted, deduplicated set of non-zero words.
-    /// Allocation-free once `out` has grown to its working capacity.
-    pub(crate) fn collect_reserved_into(&self, out: &mut Vec<u64>) {
-        self.collect_reserved_into_filtered(out, |_| true);
-    }
-
-    /// The scan restricted to threads `include` accepts — with a real
-    /// filter, the emergency-rung "active set" scan that leaves a
-    /// known-stalled blocker's reservations out. Excluded threads keep the
-    /// same suspect-widening semantics when included elsewhere; callers
-    /// must pair this with the full union scan for the actual free
-    /// decision.
+    /// Scans `sharedReservations` of every registered thread `include`
+    /// accepts (Alg. 2 lines 28–31) into `out` as a sorted, deduplicated
+    /// set of non-zero words; allocation-free once `out` has grown to its
+    /// working capacity. With a real filter, this is the emergency-rung
+    /// "active set" scan that leaves a known-stalled blocker's reservations
+    /// out. Excluded threads keep the same suspect-widening semantics when
+    /// included elsewhere; callers must pair this with the full union scan
+    /// for the actual free decision.
     pub(crate) fn collect_reserved_into_filtered(
         &self,
         out: &mut Vec<u64>,
@@ -946,9 +939,19 @@ pub(crate) mod testing {
     use std::sync::mpsc::channel;
 
     impl PopShared {
+        /// Owner-side reservation store (the publishers' `reserve`).
+        pub(crate) fn set_local(&self, tid: usize, slot: usize, word: u64) {
+            self.owner_word(tid, slot).store(word, Ordering::Relaxed);
+        }
+
         /// Owner-side read of a reservation word.
         pub(crate) fn local_at(&self, tid: usize, slot: usize) -> u64 {
             self.owner_word(tid, slot).load(Ordering::Relaxed)
+        }
+
+        /// The unfiltered reservation scan.
+        pub(crate) fn collect_reserved_into(&self, out: &mut Vec<u64>) {
+            self.collect_reserved_into_filtered(out, |_| true);
         }
 
         /// Allocating [`Self::collect_reserved_into`].

@@ -1,0 +1,999 @@
+//! The epoch engine: EBR, EpochPOP and VBR are one generic domain,
+//! [`Epoch<L>`] (paper Appendix C, §4.2 and the version-based baseline).
+//!
+//! All three announce the global epoch on operation entry (one ordered
+//! instruction per *operation*, not per read), announce `QUIESCENT` on
+//! exit, and free what was retired strictly before the minimum announced
+//! epoch. They differ in one respect only: what happens to a reader that
+//! stops advancing — the laggard `L`. The announcement row, the clock, the
+//! pass, `retire`, `flush`, registration and the pressure hooks are written
+//! once.
+//!
+//! | alias | `Smr::NAME` | laggard | announce | `protect` | a laggard… |
+//! |-------|-------------|---------|----------|-----------|------------|
+//! | [`Ebr`] | `EBR` | [`Wait`] | one `SeqCst` store | plain load | pins every retire list until it leaves |
+//! | [`EpochPop`] | `EpochPOP` | [`Ping`] | activity word + relaxed store + one fence | HazardPtrPOP's private reservation | is pinged; passes fall back to pointer reservations |
+//! | [`Vbr`] | `VBR` | [`Abort`] | one `SeqCst` store, no clock tick | lag check, then plain load | aborts itself on its next read |
+//!
+//! **The clock.** The global epoch is `EpochClocks`' word, written only
+//! by reclaimer passes (max-aggregation of private clocks). EBR and
+//! EpochPOP readers tick their private clock every `epoch_freq` operations
+//! (`Laggard::TICKS`), so the op path performs no shared RMW; VBR readers
+//! never tick — its version moves on passes alone, and every pass still
+//! strictly advances it (concurrent passes may fold into one bump).
+//!
+//! **The pass.** Paced by the domain's [`PassController`]: advance the
+//! clock, fence, scan the announcements (stall-aware), release quarantined
+//! blocks whose blocker moved, sweep everything retired before the floor
+//! (whole blocks by their era summary, straddling blocks member by member),
+//! and feed the outcome back into the decay. The emergency rung may park
+//! blocks pinned only by a stalled reader (`Laggard::QUARANTINE`).
+//! `retire` is push → pass → the laggard's `after_pass` → the hard rung's
+//! bounded retries; `flush` is a forced pass, then the laggard's `drain`.
+//!
+//! **EpochPOP** (paper §4.2, Alg. 3) runs both protocols at once. Epoch
+//! mode is the common case: an EBR pass, fast, never a signal. Every read
+//! *also* records a private pointer reservation (a relaxed store, no
+//! fence). When an epoch pass leaves the retire list at or above
+//! `C × reclaim_freq`, the reclaimer concludes some thread is stuck in an
+//! old epoch and escalates to a HazardPtrPOP pass — ping everyone, free
+//! everything not pointer-reserved — skipping only the bounded `N × H`
+//! reserved set. The escalation check runs after every trigger, whatever
+//! the decay thinned, so the bound `C × reclaim_freq + N × H` survives an
+//! idle spell. No global mode switch: different threads may reclaim in
+//! different modes concurrently (unlike QSense).
+//!
+//! **VBR** inverts the ping: a reader whose announced version has fallen
+//! [`VBR_MAX_LAG`] or more bumps behind the global is **version-aborted** —
+//! `protect` (outside write phases) refreshes the announcement to the
+//! current version and returns [`Restart`] before loading the pointer. One
+//! read by the laggard therefore unpins everything it held, so VBR needs
+//! neither signals nor membarrier, and its publish mode is moot. Garbage
+//! is bounded by `VBR_MAX_LAG` bumps for every reader that keeps reading;
+//! a reader parked *inside* an operation that never reads again pins its
+//! announcement until it wakes (hence `ROBUST = false`, as for EBR) — but
+//! its first read after waking aborts instead of resuming on stale
+//! protection. Write phases (`begin_write`..`end_write`) suspend the abort:
+//! a writer holding validated references must not be restarted mid-CAS,
+//! so lag is checked once more in `begin_write` itself. There is no
+//! quarantine, by construction: one read by the laggard drains the whole
+//! backlog, so parking pinned blocks buys nothing, and the pass never
+//! passes the sweep a relaxed floor (`blocks_quarantined` is structurally
+//! zero).
+//!
+//! Every alias is monomorphized: no dispatch on any path.
+
+// The laggard trait is crate-internal; the three aliases are the public
+// surface.
+#![allow(private_bounds)]
+
+use core::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use crossbeam_utils::CachePadded;
+
+use crate::base::{
+    free_before_epoch_with_stalled, push_retired, scan_epoch_reservations, DomainBase, EpochClocks,
+    RetireSlot, ScratchSlot,
+};
+use crate::config::SmrConfig;
+use crate::controller::PassController;
+use crate::header::{Header, Retired};
+use crate::smr::{ReadResult, Restart, Smr};
+use crate::stats::DomainStats;
+
+use super::hazard::{self, publish_and_free, Kind, Ptr, Publish};
+
+/// `EBR` — RCU-style epoch-based reclamation (paper Appendix C, Alg. 6).
+/// Fast, but **not robust**: one delayed reader pins every retire list in
+/// the system — the failure mode EpochPOP repairs.
+pub type Ebr = Epoch<Wait>;
+/// **`EpochPOP`** — epoch-based reclamation fused with HazardPtrPOP (paper
+/// §4.2, Alg. 3).
+pub type EpochPop = Epoch<Ping>;
+/// `VBR` — version-based reclamation: readers abort themselves past
+/// [`VBR_MAX_LAG`] version bumps instead of being pinged.
+pub type Vbr = Epoch<Abort>;
+
+/// Epoch announced while quiescent (between operations).
+pub(crate) const QUIESCENT: u64 = u64::MAX;
+
+/// Maximum tolerated announcement lag, in version bumps. A VBR reader whose
+/// announced version trails the global version by at least this much is
+/// version-aborted on its next `protect` (outside write phases). Small
+/// enough to bound garbage to a few retire batches per thread; large
+/// enough that a reader racing one concurrent pass never aborts.
+pub const VBR_MAX_LAG: u64 = 8;
+
+/// What a scheme does about a reader that stops advancing (module docs).
+/// Every hook receives the whole domain.
+pub(crate) trait Laggard: Sized + Send + Sync + 'static {
+    /// `Smr::NAME`.
+    const NAME: &'static str;
+    /// `Smr::ROBUST`.
+    const ROBUST: bool;
+    /// `Smr::NEEDS_SIGNALS`.
+    const NEEDS_SIGNALS: bool;
+    /// Whether `begin_op` ticks the private clock every `epoch_freq`
+    /// operations.
+    const TICKS: bool = true;
+    /// Whether the emergency rung may park blocks pinned only by a
+    /// stalled reader.
+    const QUARANTINE: bool = true;
+
+    /// The policy's state for `base`'s domain.
+    fn new(base: &DomainBase) -> Self;
+
+    /// Stores `tid`'s announcement of the current epoch, ordered before
+    /// the operation's first read: one `SeqCst` store unless overridden.
+    #[inline]
+    fn announce(e: &Epoch<Self>, tid: usize) {
+        e.announced[tid].store(e.clocks.current(), Ordering::SeqCst);
+    }
+
+    /// Runs after `end_op` withdrew the announcement.
+    #[inline]
+    fn end_op(_e: &Epoch<Self>, _tid: usize) {}
+
+    /// The paper's `read()`: the announcement already protects it.
+    #[inline]
+    fn protect<T>(
+        _e: &Epoch<Self>,
+        _tid: usize,
+        _slot: usize,
+        src: &AtomicPtr<T>,
+    ) -> ReadResult<T> {
+        Ok(src.load(Ordering::Acquire))
+    }
+
+    /// `Smr::check_restart`.
+    #[inline]
+    fn check_restart(_e: &Epoch<Self>, _tid: usize) -> Result<(), Restart> {
+        Ok(())
+    }
+
+    /// `Smr::begin_write`.
+    #[inline]
+    fn begin_write(_e: &Epoch<Self>, _tid: usize) -> Result<(), Restart> {
+        Ok(())
+    }
+
+    /// `Smr::end_write`.
+    #[inline]
+    fn end_write(_e: &Epoch<Self>, _tid: usize) {}
+
+    /// Runs after every retire-triggered pass, thinned or not.
+    fn after_pass(_e: &Epoch<Self>, _tid: usize) {}
+
+    /// Runs after `flush`'s forced pass.
+    fn drain(_e: &Epoch<Self>, _tid: usize) {}
+
+    /// Hard-rung nudge before a synchronous retry.
+    fn reping(_e: &Epoch<Self>, _tid: usize) {}
+
+    /// Runs when `tid` is bound to signalable thread `gtid`.
+    fn bind(_e: &Epoch<Self>, _tid: usize, _gtid: usize) {}
+
+    /// Runs just before `tid` is released.
+    fn unregister(_e: &Epoch<Self>, _tid: usize) {}
+}
+
+struct ThreadState {
+    retire: RetireSlot,
+    scratch: ScratchSlot,
+    /// Operations since registration; drives the periodic clock tick.
+    op_count: AtomicU64,
+}
+
+/// An epoch domain: `L` says what happens to a reader that stops
+/// advancing. Use it through the three aliases (module docs).
+pub struct Epoch<L: Laggard> {
+    // First, so EpochPOP's signal dispatch stops before anything else of
+    // the domain is torn down.
+    lag: L,
+    base: DomainBase,
+    clocks: EpochClocks,
+    /// Pass-cadence decay (adaptive controller). Never thins EpochPOP's
+    /// escalation — robustness is exempt from pacing.
+    ctl: PassController,
+    /// `reservedEpoch[tid]` (Alg. 3 and 6, line 4): the epoch `tid`
+    /// entered its operation at, [`QUIESCENT`] between operations.
+    announced: Box<[CachePadded<AtomicU64>]>,
+    threads: Box<[CachePadded<ThreadState>]>,
+}
+
+/// EBR's policy: none. A reader parked in an old epoch pins every retire
+/// list until it leaves.
+pub struct Wait;
+
+impl Laggard for Wait {
+    const NAME: &'static str = "EBR";
+    const ROBUST: bool = false;
+    const NEEDS_SIGNALS: bool = false;
+
+    fn new(_base: &DomainBase) -> Self {
+        Wait
+    }
+}
+
+/// EpochPOP's policy: every read also reserves privately, HazardPtrPOP
+/// style, and a pass that epochs could not drain pings everyone and frees
+/// around the published reservations.
+pub struct Ping {
+    /// HazardPtrPOP's publisher, in the mode the config resolves.
+    publish: hazard::Ping,
+}
+
+impl Laggard for Ping {
+    const NAME: &'static str = "EpochPOP";
+    const ROBUST: bool = true;
+    const NEEDS_SIGNALS: bool = true;
+
+    fn new(base: &DomainBase) -> Self {
+        Ping {
+            publish: hazard::Ping::new(base),
+        }
+    }
+
+    /// Alg. 3 `startOp`: EBR's announcement plus the activity word, both
+    /// plain stores, then the one ordered instruction POP pays per
+    /// operation. The fence orders both announcements at once: the epoch
+    /// against the reclaimer's fence before its min-scan, the activity
+    /// word against the one before its ping filter. It is unconditional —
+    /// `PopShared::note_active` skips its fence in membarrier mode, but
+    /// the epoch min-scan needs this one in every mode.
+    #[inline]
+    fn announce(e: &Epoch<Self>, tid: usize) {
+        e.lag.publish.pop.note_active_unfenced(tid);
+        e.announced[tid].store(e.clocks.current(), Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+    }
+
+    /// Alg. 3 `endOp`: the activity word follows the epoch into
+    /// quiescence. The private row is left as is — a ping that finds the
+    /// thread quiescent publishes nothing.
+    #[inline]
+    fn end_op(e: &Epoch<Self>, tid: usize) {
+        e.lag.publish.end_op(tid);
+    }
+
+    /// Alg. 3 `read()`: HazardPtrPOP's — a private reservation, no fence.
+    /// Ignored in epoch mode; load-bearing the moment a reclaimer
+    /// escalates.
+    #[inline]
+    fn protect<T>(e: &Epoch<Self>, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
+        Ptr.protect(&e.lag.publish, tid, slot, src)
+    }
+
+    /// Alg. 3 line 26: a list that the epoch pass left long implicates a
+    /// delayed thread.
+    fn after_pass(e: &Epoch<Self>, tid: usize) {
+        let cfg = &e.base.cfg;
+        if e.retire_len(tid) >= cfg.pop_c * cfg.reclaim_freq {
+            Self::escalate(e, tid);
+        }
+    }
+
+    fn drain(e: &Epoch<Self>, tid: usize) {
+        if e.retire_len(tid) > 0 {
+            Self::escalate(e, tid);
+        }
+    }
+
+    fn reping(e: &Epoch<Self>, tid: usize) {
+        e.lag.publish.reping(tid);
+    }
+
+    fn bind(e: &Epoch<Self>, tid: usize, gtid: usize) {
+        e.lag.publish.bind(tid, gtid);
+    }
+
+    fn unregister(e: &Epoch<Self>, tid: usize) {
+        e.lag.publish.unregister(tid);
+    }
+}
+
+impl Ping {
+    /// Alg. 3 lines 26–30: a HazardPtrPOP pass over the epoch list. Never
+    /// thinned. Reaping a dead participant here also unpins the epoch
+    /// min-scan, which gates on `is_registered`. A freeing escalation
+    /// un-decays the domain; a barren one deepens like any barren pass.
+    fn escalate(e: &Epoch<Self>, tid: usize) {
+        // SAFETY: tid ownership per the registration contract.
+        let scratch = unsafe { e.threads[tid].scratch.get() };
+        let freed = publish_and_free(&Ptr, &e.lag.publish, &e.base, tid, scratch, |t| {
+            // SAFETY: `tid`'s own list by ownership; a dead peer's after
+            // `reap_one_dead` established exclusivity.
+            unsafe { e.threads[t].retire.get() }
+        });
+        e.ctl.note_pass_outcome(e.base.stats.shard(tid), freed);
+    }
+}
+
+/// VBR's policy: the laggard aborts itself on its next read outside a
+/// write phase.
+pub struct Abort {
+    /// Inside `begin_write`..`end_write`: version aborts are suppressed.
+    in_write: Box<[CachePadded<AtomicBool>]>,
+}
+
+impl Abort {
+    /// Lag check + re-announce: `Err(Restart)` (counting a version abort)
+    /// when `tid`'s announcement had gone stale.
+    #[inline]
+    fn check_lag(e: &Epoch<Self>, tid: usize) -> Result<(), Restart> {
+        let cur = e.clocks.current();
+        let mine = e.announced[tid].load(Ordering::Relaxed);
+        if mine != QUIESCENT && cur.wrapping_sub(mine) >= VBR_MAX_LAG {
+            // Stale: refresh the announcement so the retried operation
+            // starts current, then abort the read.
+            e.announced[tid].store(cur, Ordering::SeqCst);
+            e.base
+                .stats
+                .shard(tid)
+                .version_aborts
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(Restart);
+        }
+        Ok(())
+    }
+}
+
+impl Laggard for Abort {
+    const NAME: &'static str = "VBR";
+    const ROBUST: bool = false;
+    const NEEDS_SIGNALS: bool = false;
+    const TICKS: bool = false;
+    const QUARANTINE: bool = false;
+
+    fn new(base: &DomainBase) -> Self {
+        Abort {
+            in_write: (0..base.cfg.max_threads)
+                .map(|_| CachePadded::new(AtomicBool::new(false)))
+                .collect(),
+        }
+    }
+
+    #[inline]
+    fn end_op(e: &Epoch<Self>, tid: usize) {
+        e.lag.in_write[tid].store(false, Ordering::Relaxed);
+    }
+
+    /// Pre-protected by the announcement — but only while it is fresh.
+    #[inline]
+    fn protect<T>(e: &Epoch<Self>, tid: usize, _slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
+        Self::check_restart(e, tid)?;
+        Ok(src.load(Ordering::Acquire))
+    }
+
+    #[inline]
+    fn check_restart(e: &Epoch<Self>, tid: usize) -> Result<(), Restart> {
+        if e.lag.in_write[tid].load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        Self::check_lag(e, tid)
+    }
+
+    /// The last abort window: once in the write phase, `tid` is not
+    /// restarted until `end_write`.
+    fn begin_write(e: &Epoch<Self>, tid: usize) -> Result<(), Restart> {
+        Self::check_lag(e, tid)?;
+        e.lag.in_write[tid].store(true, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn end_write(e: &Epoch<Self>, tid: usize) {
+        e.lag.in_write[tid].store(false, Ordering::Relaxed);
+    }
+}
+
+impl<L: Laggard> Epoch<L> {
+    /// One epoch pass (module docs). Retire-triggered passes
+    /// (`forced = false`) may be thinned by the controller; flush,
+    /// unregister and hard-rung passes always run.
+    fn pass(&self, tid: usize, forced: bool) {
+        let base = &self.base;
+        if !self.ctl.admit(base.stats.pressure().rung(), forced) {
+            return;
+        }
+        let shard = base.stats.shard(tid);
+        shard.epoch_passes.fetch_add(1, Ordering::Relaxed);
+        // The reclaimer-side advance: the only writer of the global word.
+        self.clocks.advance_max_scan(tid);
+        // Order the announcement scan after this thread's preceding
+        // unlinks.
+        fence(Ordering::SeqCst);
+        let (min, relaxed) = scan_epoch_reservations(base, QUIESCENT, |t| {
+            self.announced[t].load(Ordering::SeqCst)
+        });
+        // SAFETY: tid ownership per the registration contract.
+        let list = unsafe { self.threads[tid].retire.get() };
+        // Ladder rung 3 unwind: parked blocks whose blocker's announcement
+        // moved (or whose blocker is gone) rejoin this list and are
+        // re-filtered against *current* announcements by the sweep below.
+        base.reclaim_released_quarantine(tid, list, |t, w| {
+            self.announced[t].load(Ordering::SeqCst) == w
+        });
+        shard.observe_retire_len(list.len());
+        // SAFETY: a node retired before every announced epoch is
+        // unreachable — every thread that could hold a reference has left
+        // the operation it was in. The relaxed floor never frees: it parks
+        // blocks pinned solely by the known-stalled blocker.
+        let freed = unsafe {
+            free_before_epoch_with_stalled(
+                base,
+                tid,
+                list,
+                min,
+                relaxed.as_ref().filter(|_| L::QUARANTINE),
+            )
+        };
+        self.ctl.note_pass_outcome(shard, freed);
+    }
+
+    /// Length of `tid`'s retire list.
+    fn retire_len(&self, tid: usize) -> usize {
+        // SAFETY: tid ownership; no other borrow of the list is live.
+        unsafe { self.threads[tid].retire.get() }.len()
+    }
+}
+
+impl<L: Laggard> Smr for Epoch<L> {
+    const NAME: &'static str = L::NAME;
+    const ROBUST: bool = L::ROBUST;
+    const NEEDS_SIGNALS: bool = L::NEEDS_SIGNALS;
+
+    fn new(cfg: SmrConfig) -> Arc<Self> {
+        let base = DomainBase::new(cfg);
+        let n = base.cfg.max_threads;
+        let threads = (0..n)
+            .map(|_| {
+                CachePadded::new(ThreadState {
+                    retire: RetireSlot::for_cfg(&base.cfg),
+                    scratch: ScratchSlot::new(),
+                    op_count: AtomicU64::new(0),
+                })
+            })
+            .collect();
+        Arc::new(Epoch {
+            lag: L::new(&base),
+            clocks: EpochClocks::new(n),
+            ctl: PassController::new(base.cfg.adaptive),
+            announced: (0..n)
+                .map(|_| CachePadded::new(AtomicU64::new(QUIESCENT)))
+                .collect(),
+            threads,
+            base,
+        })
+    }
+
+    fn config(&self) -> &SmrConfig {
+        &self.base.cfg
+    }
+
+    fn stats(&self) -> &DomainStats {
+        &self.base.stats
+    }
+
+    fn bind_gtid(&self, tid: usize, gtid: usize) {
+        self.base.bind_gtid(tid, gtid);
+        L::bind(self, tid, gtid);
+    }
+
+    fn register_raw(&self, tid: usize) {
+        self.base.claim(tid);
+        self.announced[tid].store(QUIESCENT, Ordering::SeqCst);
+        // SAFETY: tid was just claimed; this thread owns the slot.
+        let list = unsafe { self.threads[tid].retire.get() };
+        self.base.adopt_orphan_chunk(tid, list);
+    }
+
+    fn unregister(&self, tid: usize) {
+        // Leave any open operation first: the flush self-publishes, and a
+        // quiescent owner publishes nothing.
+        self.end_op(tid);
+        self.flush(tid);
+        // SAFETY: tid ownership until release.
+        let list = unsafe { self.threads[tid].retire.get() };
+        self.base.orphan_remaining(tid, list);
+        L::unregister(self, tid);
+        self.base.clear_gtid(tid);
+        self.base.release(tid);
+    }
+
+    /// Periodic private clock tick (no shared RMW), then the announcement.
+    #[inline]
+    fn begin_op(&self, tid: usize) {
+        if L::TICKS {
+            let ts = &self.threads[tid];
+            let c = ts.op_count.load(Ordering::Relaxed) + 1;
+            ts.op_count.store(c, Ordering::Relaxed);
+            // The controller stretches the period to `epoch_freq << decay`
+            // on idle domains; the decay word is only consulted on the
+            // 1-in-epoch_freq candidates.
+            if self.ctl.tick_due(c, self.base.cfg.epoch_freq as u64) {
+                self.clocks.tick(tid);
+            }
+        }
+        L::announce(self, tid);
+    }
+
+    #[inline]
+    fn end_op(&self, tid: usize) {
+        self.announced[tid].store(QUIESCENT, Ordering::Release);
+        L::end_op(self, tid);
+    }
+
+    #[inline]
+    fn protect<T>(&self, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
+        L::protect(self, tid, slot, src)
+    }
+
+    fn check_restart(&self, tid: usize) -> Result<(), Restart> {
+        L::check_restart(self, tid)
+    }
+
+    fn begin_write(&self, tid: usize, _protected: &[*mut Header]) -> Result<(), Restart> {
+        L::begin_write(self, tid)
+    }
+
+    fn end_write(&self, tid: usize) {
+        L::end_write(self, tid);
+    }
+
+    unsafe fn retire(&self, tid: usize, retired: Retired) {
+        // SAFETY: tid ownership.
+        let list = unsafe { self.threads[tid].retire.get() };
+        if !push_retired(&self.base, tid, list, retired) {
+            return;
+        }
+        self.pass(tid, false);
+        L::after_pass(self, tid);
+        self.base
+            .hard_rung_retries(|| L::reping(self, tid), || self.pass(tid, true));
+    }
+
+    fn current_era(&self) -> u64 {
+        self.clocks.current()
+    }
+
+    fn flush(&self, tid: usize) {
+        self.pass(tid, true);
+        L::drain(self, tid);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PublishMode;
+    use crate::header::HasHeader;
+    use crate::smr::{alloc_node, retire_node};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
+
+    #[repr(C)]
+    struct N {
+        hdr: Header,
+        v: u64,
+    }
+    unsafe impl HasHeader for N {}
+
+    fn node<S: Smr>(smr: &S, v: u64) -> *mut N {
+        let hdr = Header::new(smr.current_era(), core::mem::size_of::<N>());
+        alloc_node(smr, 0, N { hdr, v })
+    }
+
+    /// Tid 0 runs `n` operations of one retire each.
+    fn churn<S: Smr>(smr: &S, n: u64) {
+        for i in 0..n {
+            smr.begin_op(0);
+            unsafe { retire_node(smr, 0, node(smr, i)) };
+            smr.end_op(0);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Shared scenarios, run over the aliases they apply to.
+    // -----------------------------------------------------------------
+
+    fn quiescent_single_thread_reclaims<S: Smr>() {
+        let smr = S::new(SmrConfig::for_tests(1));
+        let reg = smr.register(0);
+        churn(&*smr, 100);
+        smr.flush(0);
+        let s = smr.stats().snapshot();
+        assert_eq!(s.retired_nodes, 100, "{}", S::NAME);
+        assert!(
+            s.freed_nodes >= 90,
+            "{}: quiescent single thread frees nearly everything, freed = {}",
+            S::NAME,
+            s.freed_nodes
+        );
+        drop(reg);
+    }
+
+    #[test]
+    fn single_thread_reclaims_after_quiescence() {
+        quiescent_single_thread_reclaims::<Ebr>();
+        quiescent_single_thread_reclaims::<EpochPop>();
+        quiescent_single_thread_reclaims::<Vbr>();
+    }
+
+    /// The epoch max-aggregation invariant, scheme-level: operations
+    /// advance a private clock; the global word moves only when a
+    /// reclaimer pass aggregates.
+    fn op_path_ticks_private_clock<L: Laggard>() {
+        let smr = Epoch::<L>::new(SmrConfig::for_tests(2).with_epoch_freq(2));
+        let reg = smr.register(0);
+        let e0 = smr.current_era();
+        let c0 = smr.clocks.local_of(0);
+        for _ in 0..10 {
+            smr.begin_op(0);
+            smr.end_op(0);
+        }
+        assert_eq!(
+            smr.current_era(),
+            e0,
+            "no reclaimer pass ran: the shared epoch word must not move"
+        );
+        assert!(
+            smr.clocks.local_of(0) >= c0 + 5,
+            "private clock ticks every 2 ops"
+        );
+        smr.flush(0); // a pass aggregates
+        assert!(
+            smr.current_era() >= c0 + 5,
+            "max-aggregation publishes the ticked clock"
+        );
+        drop(reg);
+    }
+
+    #[test]
+    fn op_path_ticks_private_clock_only() {
+        op_path_ticks_private_clock::<Wait>();
+        op_path_ticks_private_clock::<Ping>();
+    }
+
+    // -----------------------------------------------------------------
+    // Wait (EBR): a stalled reader pins everything; the controller paces.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn stalled_reader_blocks_reclamation() {
+        let smr = Ebr::new(SmrConfig::for_tests(2));
+        let reg0 = smr.register(0);
+        let stalled = std::thread::spawn({
+            let smr = Arc::clone(&smr);
+            move || {
+                let reg1 = smr.register(1);
+                smr.begin_op(1); // enter and never leave
+                std::thread::sleep(Duration::from_millis(300));
+                smr.end_op(1);
+                drop(reg1);
+            }
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        // Reader parked in an old epoch: nothing retired after its entry
+        // may be freed.
+        let freed_before = smr.stats().snapshot().freed_nodes;
+        churn(&*smr, 500);
+        smr.flush(0);
+        assert_eq!(
+            smr.stats().snapshot().freed_nodes,
+            freed_before,
+            "EBR must not free past a stalled reader (the robustness gap)"
+        );
+        stalled.join().unwrap();
+        smr.flush(0);
+        assert!(
+            smr.stats().snapshot().freed_nodes > freed_before,
+            "after the reader leaves, garbage drains"
+        );
+        drop(reg0);
+    }
+
+    #[test]
+    fn barren_passes_decay_and_thin_triggered_passes() {
+        // A stalled reader makes every pass barren: the controller must
+        // deepen the decay (counted) and thin retire-triggered passes, so
+        // the pinned regime stops paying a full scan per trigger.
+        let smr = Ebr::new(
+            SmrConfig::for_tests(2)
+                .with_reclaim_freq(32)
+                .with_retire_batch(1) // unbatched: deterministic seal/trigger points
+                .with_adaptive(true), // pin against the POP_ADAPTIVE=0 CI leg
+        );
+        let reg0 = smr.register(0);
+        let reg1 = smr.register(1);
+        smr.begin_op(1); // reader parks in the current epoch
+        let triggers = 64u64;
+        churn(&*smr, 32 * triggers);
+        let s = smr.stats().snapshot();
+        assert_eq!(s.freed_nodes, 0, "everything pinned by the reader");
+        assert!(
+            s.epoch_decay_steps >= crate::controller::MAX_EPOCH_DECAY as u64,
+            "barren passes must deepen the decay, saw {}",
+            s.epoch_decay_steps
+        );
+        assert!(
+            s.epoch_passes < triggers,
+            "decay must thin triggered passes: {} full of {} triggers",
+            s.epoch_passes,
+            triggers
+        );
+        // No reclamation-latency cliff: the reader leaves, and the very
+        // next (forced) pass frees everything and resets the decay.
+        smr.end_op(1);
+        smr.flush(0);
+        let s = smr.stats().snapshot();
+        assert_eq!(s.unreclaimed_nodes(), 0, "first freeable sweep drains");
+        assert_eq!(smr.ctl.decay_level(), 0, "decay resets on the free");
+        // And with the decay reset, triggered passes run full again.
+        let full_before = smr.stats().snapshot().epoch_passes;
+        churn(&*smr, 64);
+        assert!(
+            smr.stats().snapshot().epoch_passes > full_before,
+            "post-reset triggers execute full passes"
+        );
+        drop(reg1);
+        drop(reg0);
+    }
+
+    #[test]
+    fn adaptive_off_never_decays_or_thins() {
+        let smr = Ebr::new(
+            SmrConfig::for_tests(2)
+                .with_reclaim_freq(32)
+                .with_retire_batch(1)
+                .with_adaptive(false),
+        );
+        let reg0 = smr.register(0);
+        let reg1 = smr.register(1);
+        smr.begin_op(1); // stalled reader: every pass is barren
+        let triggers = 16u64;
+        churn(&*smr, 32 * triggers);
+        let s = smr.stats().snapshot();
+        assert_eq!(s.epoch_decay_steps, 0, "static config never decays");
+        assert_eq!(
+            s.epoch_passes, triggers,
+            "every trigger runs a full pass when adaptive is off"
+        );
+        smr.end_op(1);
+        smr.flush(0);
+        drop(reg1);
+        drop(reg0);
+    }
+
+    // -----------------------------------------------------------------
+    // Ping (EpochPOP): epochs first, publish-on-ping when delayed.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn epoch_mode_reclaims_without_signals() {
+        let smr = EpochPop::new(SmrConfig::for_tests(1).with_reclaim_freq(16));
+        let reg = smr.register(0);
+        churn(&*smr, 200);
+        let s = smr.stats().snapshot();
+        assert!(s.epoch_passes >= 1, "epoch fast path ran");
+        assert_eq!(
+            s.pings_sent, 0,
+            "undelayed workload must never escalate to signals — the \
+             paper's headline property of EpochPOP"
+        );
+        assert!(s.freed_nodes > 0);
+        drop(reg);
+    }
+
+    #[test]
+    fn stalled_thread_triggers_pop_escalation_and_bounded_garbage() {
+        // Signal path pinned — the escalation assertion counts pings.
+        let cfg = SmrConfig::for_tests(2)
+            .with_reclaim_freq(16)
+            .with_pop_c(2)
+            .with_publish_mode(PublishMode::Futex);
+        let smr = EpochPop::new(cfg);
+        let reg0 = smr.register(0);
+        let hot = node(&*smr, 9);
+        let src = Arc::new(AtomicPtr::new(hot));
+        let hold = Arc::new(AtomicBool::new(true));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let stalled = std::thread::spawn({
+            let smr = Arc::clone(&smr);
+            let src = Arc::clone(&src);
+            let hold = Arc::clone(&hold);
+            move || {
+                let reg1 = smr.register(1);
+                smr.begin_op(1); // announce an epoch and never advance
+                let p = smr.protect(1, 0, &src).unwrap();
+                tx.send(()).unwrap();
+                while hold.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                // The protected node must still be readable even though
+                // thousands of epoch-mode frees were blocked and POP
+                // reclaimed around us.
+                assert_eq!(unsafe { (*p).v }, 9);
+                smr.end_op(1);
+                drop(reg1);
+            }
+        });
+        rx.recv().unwrap();
+        src.store(core::ptr::null_mut(), Ordering::SeqCst);
+        unsafe { retire_node(&*smr, 0, hot) };
+        churn(&*smr, 4000);
+        let s = smr.stats().snapshot();
+        assert!(s.pop_passes >= 1, "stall must engage publish-on-ping");
+        assert!(s.pings_sent >= 1);
+        let cfg = smr.config();
+        let bound = (cfg.pop_c * cfg.reclaim_freq + cfg.max_threads * cfg.slots) as u64;
+        assert!(
+            s.unreclaimed_nodes() <= bound,
+            "garbage {} exceeds EpochPOP bound {} despite stalled reader",
+            s.unreclaimed_nodes(),
+            bound
+        );
+        hold.store(false, Ordering::Release);
+        stalled.join().unwrap();
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+        drop(reg0);
+    }
+
+    #[test]
+    fn idle_reader_pinged_after_end_op_pins_nothing() {
+        use crate::pop_shared::testing::pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing;
+        pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing(|smr: &EpochPop| {
+            smr.lag.publish.pop
+        });
+    }
+
+    #[test]
+    fn flush_drains_via_both_modes() {
+        let smr = EpochPop::new(SmrConfig::for_tests(1));
+        let reg = smr.register(0);
+        smr.begin_op(0);
+        for i in 0..10 {
+            unsafe { retire_node(&*smr, 0, node(&*smr, i)) };
+        }
+        // Still inside an op: the epoch pass can't free everything, the
+        // flush escalates to POP, which skips only the (empty) reserved
+        // set.
+        smr.end_op(0);
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+        drop(reg);
+    }
+
+    // -----------------------------------------------------------------
+    // Abort (VBR): the laggard restarts itself; passes bump the version.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn stalled_reader_aborts_and_unpins_on_next_read() {
+        // Pin adaptive off: every retire trigger runs a full pass, so the
+        // version advances deterministically past VBR_MAX_LAG.
+        let smr = Vbr::new(SmrConfig::for_tests(2).with_adaptive(false));
+        let reg0 = smr.register(0);
+        let reg1 = smr.register(1);
+        // Reader enters at the current version and stalls.
+        smr.begin_op(1);
+        let slot = AtomicPtr::new(core::ptr::null_mut::<N>());
+        assert!(
+            smr.protect(1, 0, &slot).is_ok(),
+            "fresh announcement must not abort"
+        );
+        // Writer churns: every full pass bumps the version. The parked
+        // announcement pins the backlog retired after the pin.
+        churn(&*smr, 2000);
+        smr.flush(0);
+        let s1 = smr.stats().snapshot();
+        assert!(
+            s1.unreclaimed_nodes() > 0,
+            "a parked announcement is honored until the reader's next read"
+        );
+        // The stalled reader's next read aborts with a version restart —
+        // and the abort itself re-announces a fresh version.
+        assert!(
+            smr.protect(1, 0, &slot).is_err(),
+            "stale announcement must version-abort"
+        );
+        assert!(smr.stats().snapshot().version_aborts >= 1);
+        // The retry proceeds, and the refreshed announcement unpins the
+        // backlog: one read by the laggard is the whole ping.
+        assert!(smr.protect(1, 0, &slot).is_ok(), "retry runs current");
+        smr.flush(0);
+        assert!(
+            smr.stats().snapshot().freed_nodes > s1.freed_nodes,
+            "the backlog drains as soon as the laggard reads once"
+        );
+        smr.end_op(1);
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+        drop(reg1);
+        drop(reg0);
+    }
+
+    #[test]
+    fn write_phase_suppresses_version_aborts() {
+        let smr = Vbr::new(SmrConfig::for_tests(2).with_adaptive(false));
+        let reg0 = smr.register(0);
+        let reg1 = smr.register(1);
+        smr.begin_op(1);
+        assert!(smr.begin_write(1, &[]).is_ok());
+        churn(&*smr, 2000);
+        let slot = AtomicPtr::new(core::ptr::null_mut::<N>());
+        assert!(
+            smr.protect(1, 0, &slot).is_ok(),
+            "writers are never restarted mid-write-phase"
+        );
+        assert!(smr.check_restart(1).is_ok());
+        smr.end_write(1);
+        // Outside the write phase the stale announcement aborts again.
+        assert!(smr.protect(1, 0, &slot).is_err());
+        smr.end_op(1);
+        drop(reg1);
+        drop(reg0);
+    }
+
+    #[test]
+    fn reclamation_is_a_version_bump() {
+        let smr = Vbr::new(SmrConfig::for_tests(1));
+        let reg = smr.register(0);
+        let v0 = smr.current_era();
+        // Op path alone never moves the version word — nor, without
+        // ticks, the private clock.
+        for _ in 0..64 {
+            smr.begin_op(0);
+            smr.end_op(0);
+        }
+        assert_eq!(smr.current_era(), v0, "ops do not bump the version");
+        assert_eq!(smr.clocks.local_of(0), 1, "VBR never ticks");
+        smr.flush(0);
+        assert!(
+            smr.current_era() > v0,
+            "a reclamation pass is exactly a version bump"
+        );
+        drop(reg);
+    }
+
+    #[test]
+    fn no_quarantine_by_construction() {
+        // Even with quarantine enabled, the pressure ladder fully
+        // escalated, and a reader parked across heavy churn, VBR parks
+        // nothing: its pass hands the sweep no relaxed floor, so the
+        // rung-3 quarantine is a structural no-op.
+        let smr = Vbr::new(
+            SmrConfig::for_tests(2)
+                .with_reclaim_freq(16)
+                .with_retire_batch(1)
+                .with_pressure_watermarks(64, 96, 128)
+                .with_quarantine(),
+        );
+        let reg0 = smr.register(0);
+        let reg1 = smr.register(1);
+        smr.begin_op(1); // parked reader pins everything retired after it
+        churn(&*smr, 4000);
+        smr.flush(0);
+        let s = smr.stats().snapshot();
+        assert!(
+            s.pressure_emergency_trips >= 1,
+            "the ladder must have escalated for the no-op to mean anything: {s:?}"
+        );
+        assert_eq!(
+            s.blocks_quarantined, 0,
+            "VBR must never quarantine (no-op rung by construction)"
+        );
+        assert!(
+            s.unreclaimed_nodes() > 0,
+            "the parked announcement is honored meanwhile"
+        );
+        smr.end_op(1);
+        smr.flush(0);
+        let s = smr.stats().snapshot();
+        assert_eq!(s.unreclaimed_nodes(), 0, "drains once the reader leaves");
+        assert_eq!(s.blocks_quarantined, 0);
+        drop(reg1);
+        drop(reg0);
+    }
+}

@@ -58,7 +58,7 @@ use crate::base::{
 use crate::config::{PublishMode, SmrConfig};
 use crate::header::{unmark_word, Retired};
 use crate::pop_shared::{PopShared, Rows};
-use crate::pressure::{PressureRung, HARD_RETRY_LIMIT, STALLED_AFTER_PASSES};
+use crate::pressure::{PressureRung, STALLED_AFTER_PASSES};
 use crate::smr::{ReadResult, Smr};
 use crate::stats::DomainStats;
 
@@ -99,7 +99,8 @@ pub(crate) trait Kind: Send + Sync + 'static {
     /// Runs first in every pass, before reservations are made visible.
     fn advance(&self) {}
 
-    /// Frees what `scratch.reserved` leaves unprotected in `list`.
+    /// Frees what `scratch.reserved` leaves unprotected in `list`;
+    /// returns the number freed.
     ///
     /// # Safety
     ///
@@ -112,7 +113,7 @@ pub(crate) trait Kind: Send + Sync + 'static {
         tid: usize,
         list: &mut RetireList,
         scratch: &mut ReclaimScratch,
-    );
+    ) -> usize;
 
     /// The era allocations are birth-tagged with (`0` for pointers).
     fn current_era(&self) -> u64 {
@@ -233,11 +234,11 @@ impl Kind for Ptr {
         tid: usize,
         list: &mut RetireList,
         scratch: &mut ReclaimScratch,
-    ) {
+    ) -> usize {
         base.stats.shard(tid).observe_retire_len(list.len());
         // SAFETY: forwarded contract — `reserved` names every pointer a
         // reader may still dereference.
-        unsafe { free_unreserved(base, tid, list, &scratch.reserved) };
+        unsafe { free_unreserved(base, tid, list, &scratch.reserved) }
     }
 }
 
@@ -293,7 +294,7 @@ impl Kind for Era {
         tid: usize,
         list: &mut RetireList,
         scratch: &mut ReclaimScratch,
-    ) {
+    ) -> usize {
         // Stall tracking over visible words: a reader stuck on one era
         // keeps showing the same signature. Under the emergency rung, elect
         // the stalled reader with the lowest pinned era, then scan the
@@ -319,7 +320,7 @@ impl Kind for Era {
         // SAFETY: forwarded contract — a node whose lifespan misses every
         // reserved era is unreachable. The active split never frees:
         // blocks pinned only by the stalled blocker's eras are parked.
-        unsafe { free_era_unreserved_with_stalled(base, tid, list, &scratch.reserved, active) };
+        unsafe { free_era_unreserved_with_stalled(base, tid, list, &scratch.reserved, active) }
     }
 
     fn current_era(&self) -> u64 {
@@ -524,27 +525,44 @@ impl<const ASYM: bool> Drop for Pop<ASYM> {
     }
 }
 
+/// The body of a reservation pass after the kind's `advance`: make every
+/// reservation visible and reap, collect, free; returns the number freed.
+/// Allocation-free in steady state: every buffer comes from `scratch`.
+/// Also EpochPOP's escalation (`schemes::epoch`), with [`Ptr`] and
+/// [`Ping`].
+///
+/// `tid` is the caller's registered domain thread id and `scratch` its
+/// scratch; `retire_of(t)` hands out `t`'s retire list, and is called for
+/// `tid` and for the one dead peer (if any) this pass wins the reap of.
+pub(crate) fn publish_and_free<'a, K: Kind, P: Publish>(
+    kind: &K,
+    publish: &P,
+    base: &DomainBase,
+    tid: usize,
+    scratch: &mut ReclaimScratch,
+    retire_of: impl Fn(usize) -> &'a mut RetireList,
+) -> usize {
+    publish.prologue(base, tid, &mut scratch.counters, &retire_of);
+    publish.collect(base, &mut scratch.reserved, |_| true);
+    let list = retire_of(tid);
+    // SAFETY: after the prologue every reader has its words in `reserved`,
+    // deregistered, was provably quiescent holding none, or will fail its
+    // validation against this thread's unlinks.
+    unsafe { kind.free(base, publish, tid, list, scratch) }
+}
+
 impl<K: Kind, P: Publish> Hazard<K, P> {
-    /// One reclamation pass: advance (eras), make every reservation
-    /// visible and reap, scan, free. Allocation-free in steady state: every
-    /// buffer comes from the thread's [`ScratchSlot`].
+    /// One reclamation pass: advance (eras), then [`publish_and_free`].
     fn pass(&self, tid: usize) {
-        let (base, publish) = (&self.base, &self.publish);
         self.kind.advance();
         // SAFETY: tid ownership per the registration contract.
         let scratch = unsafe { self.threads[tid].scratch.get() };
-        publish.prologue(base, tid, &mut scratch.counters, |t| {
-            // SAFETY: `reap_one_dead` established exclusivity (won reap
-            // CAS + registry-confirmed death of the owner).
+        publish_and_free(&self.kind, &self.publish, &self.base, tid, scratch, |t| {
+            // SAFETY: `tid`'s own list by ownership; a dead peer's after
+            // `reap_one_dead` established exclusivity (won reap CAS +
+            // registry-confirmed death of the owner).
             unsafe { self.threads[t].retire.get() }
         });
-        publish.collect(base, &mut scratch.reserved, |_| true);
-        // SAFETY: tid ownership.
-        let list = unsafe { self.threads[tid].retire.get() };
-        // SAFETY: after the prologue every reader has its words in
-        // `reserved`, deregistered, was provably quiescent holding none, or
-        // will fail its validation against this thread's unlinks.
-        unsafe { self.kind.free(base, publish, tid, list, scratch) };
     }
 }
 
@@ -627,21 +645,12 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
             return;
         }
         self.pass(tid);
-        // Ladder rung 2, era kinds: bounded synchronous retries while the
-        // hard watermark stays breached, each after a re-ping of the
-        // suspects (no pass controller here, so the soft rung is inert and
-        // the hard rung is the first to act).
-        let mut tries = 0u32;
-        while K::ERA
-            && tries < HARD_RETRY_LIMIT
-            && self.base.stats.pressure().rung() >= PressureRung::Hard
-        {
-            self.publish.reping(tid);
-            for _ in 0..(64u32 << tries) {
-                core::hint::spin_loop();
-            }
-            self.pass(tid);
-            tries += 1;
+        // Ladder rung 2, era kinds: re-ping the suspects before each retry
+        // (no pass controller here, so the soft rung is inert and the hard
+        // rung is the first to act).
+        if K::ERA {
+            self.base
+                .hard_rung_retries(|| self.publish.reping(tid), || self.pass(tid));
         }
     }
 

@@ -18,14 +18,13 @@ use crate::base::{
     ScratchSlot,
 };
 use crate::config::SmrConfig;
-use crate::controller::{PassAction, PassController};
+use crate::controller::PassController;
 use crate::header::Retired;
-use crate::pressure::{PressureRung, HARD_RETRY_LIMIT, STALLED_AFTER_PASSES};
+use crate::pressure::{PressureRung, STALLED_AFTER_PASSES};
 use crate::smr::{ReadResult, Smr};
 use crate::stats::DomainStats;
 
-/// Interval bound announced while quiescent.
-const QUIESCENT: u64 = u64::MAX;
+use super::epoch::QUIESCENT;
 
 struct ThreadState {
     retire: RetireSlot,
@@ -96,17 +95,7 @@ impl Ibr {
     /// One interval pass. Retire-triggered passes honor decay thinning;
     /// flush/unregister passes are always full.
     fn reclaim(&self, tid: usize, forced: bool) {
-        let rung = self.base.stats.pressure().rung();
-        if rung >= PressureRung::Soft {
-            // Ladder rung 1: pressure overrides the barren-pass economy.
-            self.ctl.cancel_decay();
-        }
-        let action = if forced || rung >= PressureRung::Soft {
-            self.ctl.begin_forced_pass()
-        } else {
-            self.ctl.begin_pass()
-        };
-        if action == PassAction::Thinned {
+        if !self.ctl.admit(self.base.stats.pressure().rung(), forced) {
             return;
         }
         // Advance the epoch (reclaimer-side max-aggregation; the self-tick
@@ -156,13 +145,8 @@ impl Ibr {
                 BlockPlan::Mask(mask)
             })
         };
-        if self.ctl.note_pass_outcome(freed) {
-            self.base
-                .stats
-                .shard(tid)
-                .epoch_decay_steps
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.ctl
+            .note_pass_outcome(self.base.stats.shard(tid), freed);
     }
 }
 
@@ -267,18 +251,8 @@ impl Smr for Ibr {
         let list = unsafe { self.threads[tid].retire.get() };
         if push_retired(&self.base, tid, list, retired) {
             self.reclaim(tid, false);
-            // Ladder rung 2: bounded synchronous retries while the hard
-            // watermark stays breached, with a growing spin backoff.
-            let mut tries = 0u32;
-            while tries < HARD_RETRY_LIMIT
-                && self.base.stats.pressure().rung() >= PressureRung::Hard
-            {
-                for _ in 0..(64u32 << tries) {
-                    core::hint::spin_loop();
-                }
-                self.reclaim(tid, true);
-                tries += 1;
-            }
+            self.base
+                .hard_rung_retries(|| {}, || self.reclaim(tid, true));
         }
     }
 

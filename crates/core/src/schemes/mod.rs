@@ -3,27 +3,29 @@
 //! | Module | Scheme | Paper role |
 //! |--------|--------|------------|
 //! | [`nr`] | `NR` — no reclamation (leak) | baseline floor |
-//! | [`ebr`] | `EBR` — RCU-style epochs (Alg. 6) | fast, not robust |
+//! | [`epoch`] | `EBR` — RCU-style epochs (Alg. 6; [`epoch::Ebr`]) | fast, not robust |
 //! | [`hazard`] | `HP` — classic hazard pointers ([`hazard::HazardPtr`]) | robust, fence per read |
 //! | [`hazard`] | `HPAsym` — membarrier/Folly-style HP ([`hazard::HazardPtrAsym`]) | baseline |
 //! | [`hazard`] | **`HazardPtrPOP`** (Alg. 1–2; [`hazard::HazardPtrPop`]) | contribution |
 //! | [`hazard`] | `HE` — hazard eras (Alg. 4; [`hazard::HazardEra`]) | baseline |
 //! | [`hazard`] | **`HazardEraPOP`** (Alg. 5; [`hazard::HazardEraPop`]) | contribution |
-//! | [`epoch_pop`] | **`EpochPOP`** (Alg. 3) | contribution |
+//! | [`epoch`] | **`EpochPOP`** (Alg. 3; [`epoch::EpochPop`]) | contribution |
 //! | [`ibr`] | `IBR` — 2GE interval-based | baseline |
 //! | [`nbr`] | `NBR+` — neutralization (cooperative) | baseline |
 //! | [`hyaline`] | `Hyaline-1` — Crystalline-family batch refcounting | appendix baseline |
-//! | [`vbr`] | `VBR` — version-based, owned slab arenas (PR 10) | allocator-integration scheme |
+//! | [`epoch`] | `VBR` — version-based, self-aborting laggards ([`epoch::Vbr`]) | allocator-integration scheme |
 //!
 //! The five [`hazard`] schemes are one engine, `Hazard<Kind, Publish>`:
 //! pointer or era reservations × the eager `Fence`, publish-on-ping `Ping`
-//! or asymmetric-barrier `Asym` publisher.
+//! or asymmetric-barrier `Asym` publisher. The three [`epoch`] schemes are
+//! one engine, `Epoch<Laggard>`: one announcement, clock, pass and sweep,
+//! differing only in what a reader that stops advancing costs — nothing
+//! (`Wait`), a ping and a pointer-reservation pass (`Ping`), or its own
+//! restart (`Abort`).
 
-pub mod ebr;
-pub mod epoch_pop;
+pub mod epoch;
 pub mod hazard;
 pub mod hyaline;
 pub mod ibr;
 pub mod nbr;
 pub mod nr;
-pub mod vbr;

@@ -266,6 +266,44 @@ fn slab_fills_seal_monotone_blocks_across_threads() {
     drop(reg);
 }
 
+/// VBR's sweep is the epoch engine's: a block that straddles the floor
+/// frees the members retired before it and keeps only the rest, instead of
+/// staying whole until every member clears.
+#[test]
+fn vbr_frees_the_pre_floor_members_of_a_straddling_block() {
+    // One 32-slot fill bin holds all ten retires (pinned so the unbatched
+    // CI legs keep the block shape); a huge `reclaim_freq` leaves every
+    // pass to the explicit flushes; no decay thins them.
+    let smr = Vbr::new(
+        SmrConfig::for_tests(3)
+            .with_reclaim_freq(1 << 20)
+            .with_retire_batch(32)
+            .with_adaptive(false),
+    );
+    let regs: Vec<_> = (0..3).map(|tid| smr.register(tid)).collect();
+    let retire_five = || {
+        for i in 0..5 {
+            let p = alloc(&*smr, 0, i);
+            unsafe { retire_node(&*smr, 0, p) };
+        }
+    };
+    retire_five(); // retired at the first version
+    smr.flush(1); // a pass: bumps the version
+    smr.begin_op(2); // the reader's floor: the bumped version
+    retire_five(); // same fill bin, retired at the floor
+    smr.flush(0); // seals one block straddling the floor, then sweeps it
+    let s = smr.stats().snapshot();
+    assert_eq!(s.retired_nodes, 10);
+    assert_eq!(
+        s.freed_nodes, 5,
+        "the five members retired before the floor are freed: {s:?}"
+    );
+    smr.end_op(2);
+    smr.flush(0);
+    assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+    drop(regs);
+}
+
 macro_rules! lifecycle_tests {
     ($($name:ident : $scheme:ty => $expect:expr),+ $(,)?) => {
         $(

@@ -648,7 +648,8 @@ macro_rules! pressure_trials {
 pressure_trials!(Ebr, EpochPop, Ibr, HazardEra, HazardEraPop);
 
 /// ISSUE 10 satellite: VBR's quarantine rung is a **documented no-op**.
-/// The scheme's sweep plan has no `Quarantine` arm by construction — a
+/// The scheme's pass never hands the sweep a relaxed floor, so nothing is
+/// ever parked by construction — a
 /// stalled reader's stale announcement pins garbage only until the
 /// reader's next read (which version-aborts and re-announces) or its exit,
 /// so there is no per-block blocker to park against. The pressure ladder

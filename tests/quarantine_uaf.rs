@@ -11,8 +11,8 @@ use pop::ds::ext_bst::ExtBst;
 use pop::ds::hml::HmList;
 use pop::ds::ConcurrentMap;
 use pop::smr::{
-    EpochPop, HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym, HazardPtrPop, NbrPlus, Smr,
-    SmrConfig,
+    Ebr, EpochPop, HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym, HazardPtrPop, NbrPlus, Smr,
+    SmrConfig, Vbr,
 };
 
 const THREADS: usize = 3;
@@ -82,17 +82,18 @@ macro_rules! uaf_tests {
     };
 }
 
-// Every scheme whose protect() performs reservations or restart checks —
-// the ones with UAF-relevant machinery under test. (NR leaks by design and
-// EBR/IBR/Hyaline protect readers by op brackets; they are covered by the
-// same oracle through `protect`'s poison check in HP-family schemes and by
-// stress_matrix for the rest.)
+// Every instance of the hazard and epoch engines, plus NBR+: each
+// structure's traversal runs `check_live` on the nodes it reaches, so any
+// premature free panics here. (NR leaks by design; IBR and Hyaline are
+// covered by stress_matrix.)
 uaf_tests! {
     hp: HazardPtr,
     hp_asym: HazardPtrAsym,
     he: HazardEra,
     hazard_ptr_pop: HazardPtrPop,
     hazard_era_pop: HazardEraPop,
+    ebr: Ebr,
     epoch_pop: EpochPop,
+    vbr: Vbr,
     nbr_plus: NbrPlus,
 }
