@@ -12,7 +12,9 @@
 //! * Threads [`Smr::register`] for a domain-local `tid` and bracket each
 //!   operation with [`Smr::begin_op`]/[`Smr::end_op`].
 //! * Every shared-pointer read goes through [`Smr::protect`] (the paper's
-//!   `read()`), every unlinked node through [`Smr::retire`].
+//!   `read()`) — in a traversal, [`Smr::protect_in`] through the [`Row`]
+//!   that [`Smr::row`] resolved once on entry — and every unlinked node
+//!   through [`Smr::retire`].
 //! * Reclaimable node types embed a [`Header`] first field (`#[repr(C)]`)
 //!   and implement the [`HasHeader`] marker.
 //!
@@ -101,7 +103,7 @@ pub use header::{unmark_word, HasHeader, Header, Retired, RETIRE_BATCH_CAP};
 pub use pressure::{PressureGauge, PressureRung};
 pub use smr::{
     alloc_node, as_header, dealloc_node_unpublished, free_node_raw, protect_infallible,
-    retire_node, OpGuard, ReadResult, Registration, Restart, Smr,
+    retire_node, OpGuard, ReadResult, Registration, Restart, Row, Smr,
 };
 pub use stats::{DomainStats, ShardStats, StatsSnapshot};
 

@@ -66,7 +66,7 @@
 //!
 //! Under [`crate::config::PublishMode::Membarrier`] the signal fan-out
 //! disappears entirely: readers write reservations **directly to their
-//! shared slots** with plain relaxed stores (`owner_word` routes there; the
+//! shared slots** with plain relaxed stores (`owner` routes there; the
 //! private `local` array goes unused), and `ping_all_and_wait` becomes one
 //! process-wide `membarrier(2)` heavy barrier — after which every peer's
 //! prior stores are visible and the existing reservation scan reads them
@@ -195,23 +195,25 @@ impl Rows {
 }
 
 impl<L: core::ops::Deref<Target = [Line]>> Rows<L> {
-    /// Word `slot` of `tid`'s row.
+    /// `tid`'s row: exactly `slots` words, slot 0 first, so a slot out of
+    /// range panics in every build profile instead of landing in the
+    /// padding no scan reads.
     #[inline(always)]
-    pub(crate) fn word(&self, tid: usize, slot: usize) -> &AtomicU64 {
-        debug_assert!(slot < self.slots);
-        let i = (tid << self.row_shift) + slot;
-        &self.lines[i / LINE_WORDS].0[i % LINE_WORDS]
-    }
-
-    /// Every word of `tid`'s row, slot 0 first.
-    #[inline(always)]
-    pub(crate) fn row(&self, tid: usize) -> impl Iterator<Item = &AtomicU64> {
-        (0..self.slots).map(move |slot| self.word(tid, slot))
+    pub(crate) fn row(&self, tid: usize) -> &[AtomicU64] {
+        // Bounds-checks `tid`: the row's first line exists iff it does.
+        let first = &self.lines[(tid << self.row_shift) / LINE_WORDS];
+        // SAFETY: `Line` is `repr(align(64))` around exactly `LINE_WORDS`
+        // words, so consecutive lines are consecutive words with no
+        // padding. A row spans the `(1 << row_shift) / LINE_WORDS` whole
+        // lines starting at `first` (`row_shift` ≥ log2 `LINE_WORDS`), all
+        // inside `lines` because `first` is, and `slots ≤ 1 << row_shift`.
+        unsafe { core::slice::from_raw_parts(first.0.as_ptr(), self.slots) }
     }
 
     /// `tid`'s non-zero words, Acquire-loaded, slot 0 first.
     fn words(&self, tid: usize) -> impl Iterator<Item = u64> + '_ {
         self.row(tid)
+            .iter()
             .map(|cell| cell.load(Ordering::Acquire))
             .filter(|&w| w != 0)
     }
@@ -233,13 +235,16 @@ impl<L: core::ops::Deref<Target = [Line]>> Rows<L> {
     /// release predicate (a parked block stays parked only while its
     /// blocker's pinning word is still visible).
     pub(crate) fn holds(&self, tid: usize, w: u64) -> bool {
-        self.row(tid).any(|cell| cell.load(Ordering::Acquire) == w)
+        self.row(tid)
+            .iter()
+            .any(|cell| cell.load(Ordering::Acquire) == w)
     }
 
     /// Zeroes `tid`'s row with relaxed stores (the caller orders them).
     fn clear(&self, tid: usize) {
-        self.row(tid)
-            .for_each(|cell| cell.store(0, Ordering::Relaxed));
+        for cell in self.row(tid) {
+            cell.store(0, Ordering::Relaxed);
+        }
     }
 
     /// Whether every word of `tid`'s row is zero.
@@ -260,8 +265,8 @@ pub(crate) struct PopShared {
     /// The rows the *owner* writes reservations to, resolved once: `local`
     /// under the signal modes (published by the handler's copy), `shared`
     /// under membarrier mode (made visible by the reclaimer's heavy
-    /// barrier). `owner_word` and `clear_local` go through it.
-    owner: Rows<&'static [Line]>,
+    /// barrier). The owner's `Row` and `clear_local` go through it.
+    pub(crate) owner: Rows<&'static [Line]>,
     /// `publishCounter[tid]`.
     counter: Box<[CachePadded<AtomicU64>]>,
     /// 32-bit futex key per thread, bumped alongside `counter` on every
@@ -348,14 +353,6 @@ impl PopShared {
             downgraded: AtomicBool::new(false),
             mb_passes: CachePadded::new(AtomicU64::new(0)),
         }))
-    }
-
-    /// The word the *owner* reserves `slot` in: private under the signal
-    /// modes, shared under membarrier mode (the reclaimer's heavy barrier
-    /// publishes it; no handler copy needed).
-    #[inline(always)]
-    pub(crate) fn owner_word(&self, tid: usize, slot: usize) -> &AtomicU64 {
-        self.owner.word(tid, slot)
     }
 
     /// Marks `tid` as inside an operation (activity word → odd).
@@ -488,7 +485,7 @@ impl PopShared {
         // is exactly what the signal fallback path needs from it.
         if !self.membarrier {
             let in_op = self.activity[tid].load(Ordering::Relaxed) & 1 != 0;
-            for (local, shared) in self.local.row(tid).zip(self.shared.row(tid)) {
+            for (local, shared) in self.local.row(tid).iter().zip(self.shared.row(tid)) {
                 let w = if in_op {
                     local.load(Ordering::Relaxed)
                 } else {
@@ -941,12 +938,12 @@ pub(crate) mod testing {
     impl PopShared {
         /// Owner-side reservation store (the publishers' `reserve`).
         pub(crate) fn set_local(&self, tid: usize, slot: usize, word: u64) {
-            self.owner_word(tid, slot).store(word, Ordering::Relaxed);
+            self.owner.row(tid)[slot].store(word, Ordering::Relaxed);
         }
 
         /// Owner-side read of a reservation word.
         pub(crate) fn local_at(&self, tid: usize, slot: usize) -> u64 {
-            self.owner_word(tid, slot).load(Ordering::Relaxed)
+            self.owner.row(tid)[slot].load(Ordering::Relaxed)
         }
 
         /// The unfiltered reservation scan.
@@ -1163,11 +1160,11 @@ mod tests {
         let mut bases = Vec::new();
         for rows in all {
             for t in 0..n {
-                let base = rows.word(t, 0) as *const AtomicU64 as usize;
-                let last = rows.word(t, slots - 1) as *const AtomicU64 as usize;
+                let base = &rows.row(t)[0] as *const AtomicU64 as usize;
+                let last = &rows.row(t)[slots - 1] as *const AtomicU64 as usize;
                 assert_eq!(base % 64, 0, "row {t} of {slots} slots");
                 assert_eq!(last - base, (slots - 1) * 8, "row is contiguous");
-                assert_eq!(rows.row(t).count(), slots);
+                assert_eq!(rows.row(t).len(), slots);
                 bases.push(base);
             }
         }

@@ -79,7 +79,7 @@ use crate::base::{
 use crate::config::SmrConfig;
 use crate::controller::PassController;
 use crate::header::{Header, Retired};
-use crate::smr::{ReadResult, Restart, Smr};
+use crate::smr::{ReadResult, Restart, Row, Smr};
 use crate::stats::DomainStats;
 
 use super::hazard::{self, publish_and_free, Kind, Ptr, Publish};
@@ -135,11 +135,19 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     #[inline]
     fn end_op(_e: &Epoch<Self>, _tid: usize) {}
 
-    /// The paper's `read()`: the announcement already protects it.
+    /// The words `tid`'s reads reserve in (`Smr::row`): none unless
+    /// overridden.
+    #[inline]
+    fn row(_e: &Epoch<Self>, _tid: usize) -> &[AtomicU64] {
+        &[]
+    }
+
+    /// The paper's `read()` through `row`: the announcement already
+    /// protects it.
     #[inline]
     fn protect<T>(
         _e: &Epoch<Self>,
-        _tid: usize,
+        _row: &Row<'_>,
         _slot: usize,
         src: &AtomicPtr<T>,
     ) -> ReadResult<T> {
@@ -257,12 +265,23 @@ impl Laggard for Ping {
         e.lag.publish.end_op(tid);
     }
 
+    /// HazardPtrPOP's owner-side row.
+    #[inline]
+    fn row(e: &Epoch<Self>, tid: usize) -> &[AtomicU64] {
+        e.lag.publish.row(tid)
+    }
+
     /// Alg. 3 `read()`: HazardPtrPOP's — a private reservation, no fence.
     /// Ignored in epoch mode; load-bearing the moment a reclaimer
     /// escalates.
     #[inline]
-    fn protect<T>(e: &Epoch<Self>, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
-        Ptr.protect(&e.lag.publish, tid, slot, src)
+    fn protect<T>(
+        _e: &Epoch<Self>,
+        row: &Row<'_>,
+        slot: usize,
+        src: &AtomicPtr<T>,
+    ) -> ReadResult<T> {
+        Ptr.protect::<T, hazard::Ping>(row.word(slot), src)
     }
 
     /// Alg. 3 line 26: a list that the epoch pass left long implicates a
@@ -361,8 +380,13 @@ impl Laggard for Abort {
 
     /// Pre-protected by the announcement — but only while it is fresh.
     #[inline]
-    fn protect<T>(e: &Epoch<Self>, tid: usize, _slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
-        Self::check_restart(e, tid)?;
+    fn protect<T>(
+        e: &Epoch<Self>,
+        row: &Row<'_>,
+        _slot: usize,
+        src: &AtomicPtr<T>,
+    ) -> ReadResult<T> {
+        Self::check_restart(e, row.tid())?;
         Ok(src.load(Ordering::Acquire))
     }
 
@@ -526,7 +550,17 @@ impl<L: Laggard> Smr for Epoch<L> {
 
     #[inline]
     fn protect<T>(&self, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
-        L::protect(self, tid, slot, src)
+        self.protect_in(&self.row(tid), slot, src)
+    }
+
+    #[inline]
+    fn row(&self, tid: usize) -> Row<'_> {
+        Row::new(tid, L::row(self, tid))
+    }
+
+    #[inline]
+    fn protect_in<T>(&self, row: &Row<'_>, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
+        L::protect(self, row, slot, src)
     }
 
     fn check_restart(&self, tid: usize) -> Result<(), Restart> {

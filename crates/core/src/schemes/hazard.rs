@@ -7,13 +7,21 @@
 //! retire, the pass, the stall scan, reaping and the pressure hooks are
 //! written once.
 //!
-//! | alias | `Smr::NAME` | kind | publisher | per-read reserve | pass prologue |
+//! | alias | `Smr::NAME` | kind | publisher | per-read reserve (into the traversal's row) | pass prologue |
 //! |-------|-------------|------|-----------|------------------|---------------|
-//! | [`HazardPtr`] | `HP` | [`Ptr`] | [`Fence`] | Release store + `SeqCst` fence | one fence |
-//! | [`HazardPtrAsym`] | `HPAsym` | [`Ptr`] | [`Asym`] | relaxed store to the shared slot | one `membarrier(2)` |
-//! | [`HazardPtrPop`] | `HazardPtrPOP` | [`Ptr`] | [`Ping`] | relaxed private store | ping, wait for publishes |
+//! | [`HazardPtr`] | `HP` | [`Ptr`] | [`Fence`] | Release store to the shared row + `SeqCst` fence | one fence |
+//! | [`HazardPtrAsym`] | `HPAsym` | [`Ptr`] | [`Asym`] | relaxed store to the shared row | one `membarrier(2)` |
+//! | [`HazardPtrPop`] | `HazardPtrPOP` | [`Ptr`] | [`Ping`] | relaxed store to the private row | ping, wait for publishes |
 //! | [`HazardEra`] | `HE` | [`Era`] | [`Fence`] | as HP, only when the era moved | one fence |
 //! | [`HazardEraPop`] | `HazardEraPOP` | [`Era`] | [`Ping`] | as HazardPtrPOP, only when the era moved | ping, wait for publishes |
+//!
+//! **Rows.** A traversal resolves its owner-side row once
+//! (`Smr::row`: the publisher's `Publish::row`) and every read after
+//! that reserves into `row[slot]` (`Smr::protect_in`), so the read is the
+//! kind's load → reserve → validate and nothing else: no walk from the
+//! domain to the row, whose dependent loads the reserve's compiler fence
+//! would otherwise pin inside the loop. `protect(tid, …)` is the same read
+//! through a row resolved on the spot.
 //!
 //! **Kinds.** [`Ptr`] reserves the unmarked pointer: `protect` is load →
 //! reserve → validate, and a pass frees every record no reserved word
@@ -59,7 +67,7 @@ use crate::config::{PublishMode, SmrConfig};
 use crate::header::{unmark_word, Retired};
 use crate::pop_shared::{PopShared, Rows};
 use crate::pressure::{PressureRung, STALLED_AFTER_PASSES};
-use crate::smr::{ReadResult, Smr};
+use crate::smr::{ReadResult, Row, Smr};
 use crate::stats::DomainStats;
 
 /// `HP` — classic hazard pointers (Michael 2004; paper §2.1): a fence on
@@ -87,14 +95,9 @@ pub(crate) trait Kind: Send + Sync + 'static {
     /// The kind's domain-wide state.
     fn new() -> Self;
 
-    /// The paper's `read()` of `src` into `tid`'s `slot`.
-    fn protect<T, P: Publish>(
-        &self,
-        publish: &P,
-        tid: usize,
-        slot: usize,
-        src: &AtomicPtr<T>,
-    ) -> ReadResult<T>;
+    /// The paper's `read()` of `src`, reserving in `cell` — a word of the
+    /// caller's row, resolved before the read.
+    fn protect<T, P: Publish>(&self, cell: &AtomicU64, src: &AtomicPtr<T>) -> ReadResult<T>;
 
     /// Runs first in every pass, before reservations are made visible.
     fn advance(&self) {}
@@ -132,11 +135,11 @@ pub(crate) trait Publish: Send + Sync + 'static {
     /// The publisher's state for `base`'s domain.
     fn new(base: &DomainBase) -> Self;
 
-    /// The word `tid`'s owner reserves `slot` in.
-    fn cell(&self, tid: usize, slot: usize) -> &AtomicU64;
+    /// The row `tid`'s owner reserves in: `cfg.slots` words.
+    fn row(&self, tid: usize) -> &[AtomicU64];
 
-    /// Stores `word` into the owner's `cell`, ordered before the caller's
-    /// validation load.
+    /// Stores `word` into a word of the owner's row, ordered before the
+    /// caller's validation load.
     fn reserve(cell: &AtomicU64, word: u64);
 
     /// Operation prologue.
@@ -210,14 +213,7 @@ impl Kind for Ptr {
 
     /// Alg. 1 `read()`: load, reserve, validate.
     #[inline]
-    fn protect<T, P: Publish>(
-        &self,
-        publish: &P,
-        tid: usize,
-        slot: usize,
-        src: &AtomicPtr<T>,
-    ) -> ReadResult<T> {
-        let cell = publish.cell(tid, slot);
+    fn protect<T, P: Publish>(&self, cell: &AtomicU64, src: &AtomicPtr<T>) -> ReadResult<T> {
         loop {
             let p = src.load(Ordering::Acquire);
             P::reserve(cell, unmark_word(p as u64));
@@ -260,14 +256,7 @@ impl Kind for Era {
     /// Alg. 4/5 `read()`: no store at all while the slot already holds the
     /// current era (left by this operation or an earlier one).
     #[inline]
-    fn protect<T, P: Publish>(
-        &self,
-        publish: &P,
-        tid: usize,
-        slot: usize,
-        src: &AtomicPtr<T>,
-    ) -> ReadResult<T> {
-        let cell = publish.cell(tid, slot);
+    fn protect<T, P: Publish>(&self, cell: &AtomicU64, src: &AtomicPtr<T>) -> ReadResult<T> {
         let mut prev = cell.load(Ordering::Relaxed);
         loop {
             let p = src.load(Ordering::Acquire);
@@ -345,8 +334,8 @@ impl Publish for Fence {
     }
 
     #[inline(always)]
-    fn cell(&self, tid: usize, slot: usize) -> &AtomicU64 {
-        self.rows.word(tid, slot)
+    fn row(&self, tid: usize) -> &[AtomicU64] {
+        self.rows.row(tid)
     }
 
     /// The fence every read pays in classic HP (paper §2.1.1 step 2): the
@@ -438,9 +427,11 @@ impl<const ASYM: bool> Publish for Pop<ASYM> {
         }
     }
 
+    /// `PopShared::owner`'s row: the private one under the signal modes,
+    /// the shared one in membarrier mode.
     #[inline(always)]
-    fn cell(&self, tid: usize, slot: usize) -> &AtomicU64 {
-        self.pop.owner_word(tid, slot)
+    fn row(&self, tid: usize) -> &[AtomicU64] {
+        self.pop.owner.row(tid)
     }
 
     /// Alg. 1 line 12, "no store load fence needed": the `compiler_fence`
@@ -635,7 +626,17 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
 
     #[inline]
     fn protect<T>(&self, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
-        self.kind.protect(&self.publish, tid, slot, src)
+        self.protect_in(&self.row(tid), slot, src)
+    }
+
+    #[inline]
+    fn row(&self, tid: usize) -> Row<'_> {
+        Row::new(tid, self.publish.row(tid))
+    }
+
+    #[inline]
+    fn protect_in<T>(&self, row: &Row<'_>, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
+        self.kind.protect::<T, P>(row.word(slot), src)
     }
 
     unsafe fn retire(&self, tid: usize, retired: Retired) {
@@ -896,7 +897,7 @@ mod tests {
         let got = smr.protect(0, 0, &src).unwrap();
         assert_eq!(got as u64, n as u64 | 1, "mark returned to the caller");
         assert_eq!(
-            smr.publish.cell(0, 0).load(Ordering::Relaxed),
+            smr.publish.row(0)[0].load(Ordering::Relaxed),
             n as u64,
             "reservation recorded unmarked"
         );
@@ -942,12 +943,12 @@ mod tests {
         let got = smr.protect(0, 0, &src).unwrap();
         assert_eq!(got, n);
         assert_eq!(
-            smr.publish.rows.word(0, 0).load(Ordering::Acquire),
+            smr.publish.rows.row(0)[0].load(Ordering::Acquire),
             n as u64,
             "reservation published eagerly"
         );
         smr.end_op(0);
-        assert_eq!(smr.publish.rows.word(0, 0).load(Ordering::Acquire), 0);
+        assert_eq!(smr.publish.rows.row(0)[0].load(Ordering::Acquire), 0);
         unsafe { dealloc_node_unpublished(&*smr, 0, n) };
         drop(reg);
     }
@@ -959,14 +960,14 @@ mod tests {
         let n = node(&*smr, 1);
         let src = AtomicPtr::new(n);
         let _ = smr.protect(0, 0, &src).unwrap();
-        let published = smr.publish.rows.word(0, 0).load(Ordering::Acquire);
+        let published = smr.publish.rows.row(0)[0].load(Ordering::Acquire);
         assert_eq!(published, smr.current_era());
         // Era unchanged: repeated protects must keep the same reservation.
         for _ in 0..10 {
             let _ = smr.protect(0, 0, &src).unwrap();
         }
         assert_eq!(
-            smr.publish.rows.word(0, 0).load(Ordering::Acquire),
+            smr.publish.rows.row(0)[0].load(Ordering::Acquire),
             published
         );
         unsafe { dealloc_node_unpublished(&*smr, 0, n) };

@@ -2,7 +2,8 @@
 //!
 //! All twelve schemes implement [`Smr`]; concurrent data structures are
 //! written once against it. The interface mirrors the programmer's view of
-//! hazard pointers from the paper (§4.1.1): `read` (here [`Smr::protect`]),
+//! hazard pointers from the paper (§4.1.1): `read` (here [`Smr::protect`],
+//! or [`Smr::protect_in`] through a [`Row`] resolved once per traversal),
 //! `clear` (what [`Smr::end_op`] means, however a scheme implements it) and
 //! `retire`, extended with the epoch-style operation brackets
 //! (`begin_op`/`end_op`) and NBR's write-phase bracket
@@ -10,7 +11,8 @@
 //! fit the same call sites. For schemes that don't need a bracket the calls
 //! are no-ops and compile away under monomorphization.
 
-use core::sync::atomic::AtomicPtr;
+use core::marker::PhantomData;
+use core::sync::atomic::{AtomicPtr, AtomicU64};
 use std::sync::Arc;
 
 use crate::config::SmrConfig;
@@ -43,15 +45,20 @@ pub type ReadResult<T> = Result<*mut T, Restart>;
 ///
 /// ```text
 /// begin_op(tid);
-/// loop over nodes:  p = protect(tid, slot, &link)?;   // Alg.1 read()
+/// per traversal:    row = row(tid);                       // once, on entry
+/// loop over nodes:  p = protect_in(&row, slot, &link)?;   // Alg.1 read()
 /// for updates:      begin_write(tid, &[ptrs])?;  CAS;  retire(tid, r);  end_write(tid);
-/// end_op(tid);                                         // Alg.1 clear()
+/// end_op(tid);                                            // Alg.1 clear()
 /// ```
 ///
-/// A pointer returned by `protect` is protected only from that call until
-/// the enclosing bracket's `end_op`; no scheme protects a reader outside
-/// its bracket (EBR has no announcement there, HP has cleared its slots,
-/// the POP schemes publish nothing for a quiescent thread).
+/// [`Smr::row`] resolves the calling thread's reservation row once, so a
+/// read in the traversal loop is only the scheme's load → reserve →
+/// validate; `protect(tid, slot, &link)` is the same read with the row
+/// resolved on the spot. A pointer returned by either is protected only
+/// from that call until the enclosing bracket's `end_op`; no scheme
+/// protects a reader outside its bracket (EBR has no announcement there,
+/// HP has cleared its slots, the POP schemes publish nothing for a
+/// quiescent thread).
 ///
 /// `retire` must be called inside a `begin_write`/`end_write` bracket (the
 /// unlinking CAS and the retirement form NBR's write phase; for all other
@@ -124,6 +131,28 @@ pub trait Smr: Send + Sync + Sized + 'static {
     /// for neutralization-based schemes.
     fn protect<T>(&self, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T>;
 
+    /// `tid`'s reservation row, resolved once for a whole traversal and
+    /// read through with [`Smr::protect_in`].
+    ///
+    /// Schemes that reserve words (HP, HPAsym, HazardPtrPOP, HE,
+    /// HazardEraPOP, EpochPOP) hand out the `config().slots` words their
+    /// owner-side reserves go to; the default row holds only the tid.
+    #[inline]
+    fn row(&self, tid: usize) -> Row<'_> {
+        Row::new(tid, &[])
+    }
+
+    /// [`Smr::protect`] through a row from this domain's [`Smr::row`]:
+    /// the same read, reservation and result, without resolving the row
+    /// again. The default forwards to `protect(row.tid(), …)`.
+    ///
+    /// Panics if `slot` is not below `config().slots` in a row that holds
+    /// words.
+    #[inline]
+    fn protect_in<T>(&self, row: &Row<'_>, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
+        self.protect(row.tid(), slot, src)
+    }
+
     /// Quarantine use-after-free oracle: asserts `ptr` (mark bits ignored)
     /// has not been freed. No-op unless [`SmrConfig::quarantine`] is set.
     ///
@@ -137,15 +166,7 @@ pub trait Smr: Send + Sync + Sized + 'static {
     #[inline]
     fn check_live<T>(&self, ptr: *mut T) {
         if self.config().quarantine {
-            let word = crate::header::unmark_word(ptr as u64);
-            if word != 0 {
-                let hdr = word as *const Header;
-                assert!(
-                    // SAFETY: quarantined allocations are never unmapped.
-                    !unsafe { &*hdr }.is_poisoned(),
-                    "use-after-free: dereferencing a freed node ({ptr:p})"
-                );
-            }
+            assert_not_freed(ptr as u64);
         }
     }
 
@@ -207,6 +228,84 @@ pub trait Smr: Send + Sync + Sized + 'static {
     /// Aggressively attempts to reclaim `tid`'s retire list regardless of
     /// thresholds (shutdown and tests).
     fn flush(&self, tid: usize);
+}
+
+/// The calling thread's reservation row in one domain, resolved once per
+/// traversal by [`Smr::row`] and read through with [`Smr::protect_in`].
+///
+/// It holds the tid and, for schemes that reserve words, exactly
+/// `config().slots` of them — so a slot out of range panics in every build
+/// profile. It borrows the domain, so it cannot outlive it:
+///
+/// ```compile_fail,E0505
+/// use pop_core::{HazardPtrPop, Smr, SmrConfig};
+/// let smr = HazardPtrPop::new(SmrConfig::for_threads(1));
+/// let row = smr.row(0);
+/// drop(smr);
+/// let _ = row.tid();
+/// ```
+///
+/// and it is not `Send` (it names the calling thread's words), so it
+/// cannot move to another thread:
+///
+/// ```compile_fail,E0277
+/// use pop_core::{HazardPtrPop, Smr, SmrConfig};
+/// let smr = HazardPtrPop::new(SmrConfig::for_threads(2));
+/// let row = smr.row(0);
+/// std::thread::scope(|s| {
+///     s.spawn(move || row.tid());
+/// });
+/// ```
+///
+/// Caller contract: as for `tid` itself — the row's tid is registered to
+/// the calling thread, and a row is only passed back to the domain that
+/// resolved it.
+pub struct Row<'d> {
+    tid: usize,
+    words: &'d [AtomicU64],
+    _not_send: PhantomData<*const ()>,
+}
+
+impl<'d> Row<'d> {
+    /// A row of `tid` holding `words` (empty for a scheme that reserves
+    /// none).
+    #[inline(always)]
+    pub(crate) fn new(tid: usize, words: &'d [AtomicU64]) -> Self {
+        Row {
+            tid,
+            words,
+            _not_send: PhantomData,
+        }
+    }
+
+    /// The domain thread id the row belongs to.
+    #[inline(always)]
+    pub fn tid(&self) -> usize {
+        self.tid
+    }
+
+    /// The word `slot` is reserved in. Panics when `slot` is out of range.
+    #[inline(always)]
+    pub(crate) fn word(&self, slot: usize) -> &'d AtomicU64 {
+        &self.words[slot]
+    }
+}
+
+/// [`Smr::check_live`]'s oracle, out of line and cold: traversals call
+/// `check_live` on every node, and with quarantine off (every deployment)
+/// the node loop must fall straight through it.
+#[cold]
+#[inline(never)]
+fn assert_not_freed(ptr: u64) {
+    let word = crate::header::unmark_word(ptr);
+    if word != 0 {
+        let hdr = word as *const Header;
+        assert!(
+            // SAFETY: quarantined allocations are never unmapped.
+            !unsafe { &*hdr }.is_poisoned(),
+            "use-after-free: dereferencing a freed node ({ptr:#x})"
+        );
+    }
 }
 
 /// RAII thread registration for a reclamation domain.

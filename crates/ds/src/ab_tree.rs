@@ -177,6 +177,10 @@ unsafe impl<S: Smr> Send for AbTree<S> {}
 // locks, and every dereference of a shared node goes through `S::protect`.
 unsafe impl<S: Smr> Sync for AbTree<S> {}
 
+/// Hazard slots the descent rotates over (the domain must have at least
+/// this many).
+pub const SLOTS_REQUIRED: usize = 3;
+
 enum DescendOutcome {
     /// Reached a leaf (protected); splitting was not required.
     Leaf(Descent),
@@ -187,6 +191,7 @@ enum DescendOutcome {
 impl<S: Smr> AbTree<S> {
     /// Creates an empty tree.
     pub fn new(smr: Arc<S>) -> Self {
+        crate::assert_slots(&*smr, SLOTS_REQUIRED, "AbTree");
         // The anchor and initial empty leaf live outside domain accounting
         // only in the anchor's case: the leaf is COW-replaced like any
         // other, so it must be a tracked allocation.
@@ -210,6 +215,7 @@ impl<S: Smr> AbTree<S> {
     /// split (under its guaranteed-non-full parent) and `SplitDone` is
     /// returned so the caller retries.
     fn descend(&self, tid: usize, key: Key, split_full: bool) -> Result<DescendOutcome, Restart> {
+        let row = self.smr.row(tid);
         'retry: loop {
             let mut gpar: *mut AbNode = core::ptr::null_mut();
             let mut par = self.root_holder;
@@ -218,7 +224,7 @@ impl<S: Smr> AbTree<S> {
             // SAFETY: root_holder is immortal.
             let mut curr = self
                 .smr
-                .protect(tid, slot, unsafe { &(*par).children[0] })?;
+                .protect_in(&row, slot, unsafe { &(*par).children[0] })?;
             loop {
                 // SAFETY: par is the anchor or protected two slots ago.
                 if unsafe { &*par }.marked.load(Ordering::Acquire) {
@@ -249,7 +255,7 @@ impl<S: Smr> AbTree<S> {
                 par = curr;
                 pi = ci;
                 slot = (slot + 1) % 3;
-                curr = self.smr.protect(tid, slot, &curr_ref.children[ci])?;
+                curr = self.smr.protect_in(&row, slot, &curr_ref.children[ci])?;
             }
         }
     }

@@ -108,6 +108,10 @@ impl Drop for BstLockGuard<'_> {
     }
 }
 
+/// Hazard slots the descent rotates over (the domain must have at least
+/// this many).
+pub const SLOTS_REQUIRED: usize = 3;
+
 /// Result of a descent: grandparent, parent and leaf, all protected (or
 /// immortal sentinels).
 struct SearchResult {
@@ -135,6 +139,7 @@ unsafe impl<S: Smr> Sync for ExtBst<S> {}
 impl<S: Smr> ExtBst<S> {
     /// Creates an empty tree. Keys must be `< u64::MAX - 1`.
     pub fn new(smr: Arc<S>) -> Self {
+        crate::assert_slots(&*smr, SLOTS_REQUIRED, "ExtBst");
         let sent_leaf_a = Box::into_raw(Box::new(BstNode::new_raw(
             u64::MAX,
             0,
@@ -178,6 +183,7 @@ impl<S: Smr> ExtBst<S> {
     /// parent and current node hold three distinct slots; sentinels are
     /// immortal and need no protection.
     fn search(&self, tid: usize, key: Key) -> Result<SearchResult, Restart> {
+        let row = self.smr.row(tid);
         'retry: loop {
             let mut gpar = self.grand_root;
             let mut par = self.root_holder;
@@ -185,7 +191,7 @@ impl<S: Smr> ExtBst<S> {
             // SAFETY: root_holder is immortal.
             let mut curr = self
                 .smr
-                .protect(tid, slot, unsafe { (*par).child_for(key) })?;
+                .protect_in(&row, slot, unsafe { (*par).child_for(key) })?;
             loop {
                 // Reachability re-check (see module docs).
                 // SAFETY: par is a sentinel or protected two slots ago.
@@ -211,7 +217,7 @@ impl<S: Smr> ExtBst<S> {
                 gpar = par;
                 par = curr;
                 slot = (slot + 1) % 3;
-                curr = self.smr.protect(tid, slot, curr_ref.child_for(key))?;
+                curr = self.smr.protect_in(&row, slot, curr_ref.child_for(key))?;
             }
         }
     }

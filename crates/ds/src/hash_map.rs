@@ -37,6 +37,7 @@ unsafe impl<S: Smr> Sync for HashMapHm<S> {}
 impl<S: Smr> HashMapHm<S> {
     /// Creates a table with `buckets` rounded up to a power of two.
     pub fn with_buckets(smr: Arc<S>, buckets: usize) -> Self {
+        crate::assert_slots(&*smr, crate::hml::SLOTS_REQUIRED, "HashMapHm");
         let n = buckets.next_power_of_two().max(2);
         HashMapHm {
             buckets: (0..n)

@@ -88,6 +88,7 @@ fn find<S: Smr>(
     head: &AtomicPtr<Node>,
     key: Key,
 ) -> Result<Position, Restart> {
+    let row = smr.row(tid);
     'retry: loop {
         let mut pred_link: *const AtomicPtr<Node> = head;
         let mut pred_node: *mut Node = core::ptr::null_mut();
@@ -95,7 +96,7 @@ fn find<S: Smr>(
         let mut sp = 0usize;
         let mut sc = 1usize;
         // SAFETY: `pred_link` points to the head (owned by the list).
-        let mut curr_raw = smr.protect(tid, sc, unsafe { &*pred_link })?;
+        let mut curr_raw = smr.protect_in(&row, sc, unsafe { &*pred_link })?;
         loop {
             if is_marked(curr_raw) {
                 // The predecessor was logically deleted under us; its link
@@ -149,7 +150,7 @@ fn find<S: Smr>(
                 // Re-read the link; pred is unchanged.
                 // SAFETY: pred_link is still the head or the protected
                 // pred_node's next field.
-                curr_raw = smr.protect(tid, sc, unsafe { &*pred_link })?;
+                curr_raw = smr.protect_in(&row, sc, unsafe { &*pred_link })?;
                 continue;
             }
             let ckey = curr_ref.key;
@@ -167,7 +168,7 @@ fn find<S: Smr>(
             pred_node = curr;
             core::mem::swap(&mut sp, &mut sc);
             // SAFETY: pred_link is the protected pred_node's next field.
-            curr_raw = smr.protect(tid, sc, unsafe { &*pred_link })?;
+            curr_raw = smr.protect_in(&row, sc, unsafe { &*pred_link })?;
         }
     }
 }
@@ -300,6 +301,7 @@ unsafe impl<S: Smr> Sync for HmList<S> {}
 impl<S: Smr> HmList<S> {
     /// Creates an empty list.
     pub fn new(smr: Arc<S>) -> Self {
+        crate::assert_slots(&*smr, SLOTS_REQUIRED, "HmList");
         HmList {
             head: AtomicPtr::new(core::ptr::null_mut()),
             smr,

@@ -102,9 +102,14 @@ struct Position {
     curr: *mut Node,
 }
 
+/// Hazard slots used by the search (the domain must have at least this
+/// many).
+pub const SLOTS_REQUIRED: usize = 2;
+
 impl<S: Smr> LazyList<S> {
     /// Creates an empty list.
     pub fn new(smr: Arc<S>) -> Self {
+        crate::assert_slots(&*smr, SLOTS_REQUIRED, "LazyList");
         // The sentinel is allocated outside the domain accounting (it lives
         // for the structure's lifetime and is never retired).
         let head = Box::into_raw(Box::new(Node {
@@ -122,13 +127,14 @@ impl<S: Smr> LazyList<S> {
     /// (slot `sc`), where `curr` is the first node with `key >= target`
     /// (or null).
     fn search(&self, tid: usize, key: Key) -> Result<Position, Restart> {
+        let row = self.smr.row(tid);
         'retry: loop {
             let mut pred = self.head;
             let mut sp = 0usize;
             let mut sc = 1usize;
             // SAFETY: head sentinel is never freed; later preds are
             // protected in slot `sp`.
-            let mut curr = self.smr.protect(tid, sc, unsafe { &(*pred).next })?;
+            let mut curr = self.smr.protect_in(&row, sc, unsafe { &(*pred).next })?;
             loop {
                 // Reachability re-check (see module docs): pred must be
                 // unmarked *after* curr's reservation was validated.
@@ -150,7 +156,7 @@ impl<S: Smr> LazyList<S> {
                 pred = curr;
                 core::mem::swap(&mut sp, &mut sc);
                 // SAFETY: new pred (old curr) is protected in slot sp.
-                curr = self.smr.protect(tid, sc, unsafe { &(*pred).next })?;
+                curr = self.smr.protect_in(&row, sc, unsafe { &(*pred).next })?;
             }
         }
     }

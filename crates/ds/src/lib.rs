@@ -21,9 +21,12 @@
 //!
 //! ## SMR discipline (applies to every structure here)
 //!
-//! 1. Every shared-pointer chase goes through `Smr::protect`, whose
+//! 1. Every shared-pointer chase goes through `Smr::protect_in`, through
+//!    the row `Smr::row` resolved once when the traversal started. Its
 //!    validation re-read plus the mark-bit convention guarantees the
-//!    returned node was reachable when reserved.
+//!    returned node was reachable when reserved. A structure uses at most
+//!    its `SLOTS_REQUIRED` slots, and its constructor panics on a domain
+//!    configured with fewer.
 //! 2. Every structural CAS (and the `retire` after it) is bracketed by
 //!    `begin_write`/`end_write`, passing the nodes the write dereferences.
 //! 3. Spin loops that don't call `protect` poll `check_restart`.
@@ -52,6 +55,19 @@ use std::sync::Arc;
 pub type Key = u64;
 /// Value type used throughout.
 pub type Value = u64;
+
+/// Panics unless `smr`'s domain has the `required` hazard slots a
+/// structure's traversals use: a reservation in a slot past
+/// `config().slots` would be one no reclamation pass scans. Every
+/// structure's constructor calls it with its `SLOTS_REQUIRED`.
+pub(crate) fn assert_slots<S: Smr>(smr: &S, required: usize, ds: &str) {
+    let slots = smr.config().slots;
+    assert!(
+        slots >= required,
+        "{ds} needs {required} hazard slots, but its {} domain has {slots}",
+        S::NAME
+    );
+}
 
 /// The interface the benchmark driver uses for every structure.
 pub trait ConcurrentMap<S: Smr>: Send + Sync + 'static {

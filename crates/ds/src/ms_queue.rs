@@ -40,6 +40,10 @@ impl QueueNode {
     }
 }
 
+/// Hazard slots a dequeue uses: the dummy and its successor (the domain
+/// must have at least this many).
+pub const SLOTS_REQUIRED: usize = 2;
+
 /// A lock-free FIFO queue.
 pub struct MsQueue<S: Smr> {
     head: AtomicPtr<QueueNode>,
@@ -56,6 +60,7 @@ unsafe impl<S: Smr> Sync for MsQueue<S> {}
 impl<S: Smr> MsQueue<S> {
     /// Creates an empty queue (with its dummy node).
     pub fn new(smr: Arc<S>) -> Self {
+        crate::assert_slots(&*smr, SLOTS_REQUIRED, "MsQueue");
         let dummy = QueueNode::alloc(&*smr, 0, 0);
         MsQueue {
             head: AtomicPtr::new(dummy),
@@ -70,7 +75,8 @@ impl<S: Smr> MsQueue<S> {
     }
 
     fn try_enqueue(&self, tid: usize, node: *mut QueueNode) -> Result<(), Restart> {
-        let tail = self.smr.protect(tid, 0, &self.tail)?;
+        let row = self.smr.row(tid);
+        let tail = self.smr.protect_in(&row, 0, &self.tail)?;
         // `self.tail` is a root: a validated read is always reachable.
         self.smr.check_live(tail);
         // SAFETY: tail is protected (validated against self.tail).
@@ -120,11 +126,12 @@ impl<S: Smr> MsQueue<S> {
     }
 
     fn try_dequeue(&self, tid: usize) -> Result<Option<Value>, Restart> {
-        let head = self.smr.protect(tid, 0, &self.head)?;
+        let row = self.smr.row(tid);
+        let head = self.smr.protect_in(&row, 0, &self.head)?;
         // `self.head` is a root: a validated read is always reachable.
         self.smr.check_live(head);
         // SAFETY: head (the dummy) is protected.
-        let next = self.smr.protect(tid, 1, unsafe { &(*head).next })?;
+        let next = self.smr.protect_in(&row, 1, unsafe { &(*head).next })?;
         if next.is_null() {
             return Ok(None);
         }

@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use pop_core::{
     alloc_node, as_header, dealloc_node_unpublished, free_node_raw, retire_node, HasHeader, Header,
-    Restart, Smr,
+    Restart, Row, Smr,
 };
 
 use crate::marked::unmarked;
@@ -179,6 +179,7 @@ unsafe impl<S: Smr> Sync for NmTree<S> {}
 impl<S: Smr> NmTree<S> {
     /// Creates an empty tree. Keys must be `< INF0`.
     pub fn new(smr: Arc<S>) -> Self {
+        crate::assert_slots(&*smr, SLOTS_REQUIRED, "NmTree");
         let nil = core::ptr::null_mut();
         let leaf0 = Box::into_raw(Box::new(NmNode::new_raw(INF0, 0, nil, nil)));
         let leaf1 = Box::into_raw(Box::new(NmNode::new_raw(INF1, 0, nil, nil)));
@@ -193,7 +194,7 @@ impl<S: Smr> NmTree<S> {
     /// Returns `(raw, clean)`.
     fn protect_edge(
         &self,
-        tid: usize,
+        row: &Row<'_>,
         slot: usize,
         edge: &AtomicPtr<NmNode>,
     ) -> Result<(*mut NmNode, *mut NmNode), Restart> {
@@ -201,7 +202,7 @@ impl<S: Smr> NmTree<S> {
             let raw = edge.load(Ordering::Acquire);
             let clean = unmarked(raw);
             let relay = AtomicPtr::new(clean);
-            self.smr.protect(tid, slot, &relay)?;
+            self.smr.protect_in(row, slot, &relay)?;
             if edge.load(Ordering::Acquire) == raw {
                 return Ok((raw, clean));
             }
@@ -210,15 +211,16 @@ impl<S: Smr> NmTree<S> {
 
     /// Re-publishes a hazard for `p` (already protected in another slot or
     /// immortal, so no validation is needed — there is no protection gap).
-    fn protect_held(&self, tid: usize, slot: usize, p: *mut NmNode) -> Result<(), Restart> {
+    fn protect_held(&self, row: &Row<'_>, slot: usize, p: *mut NmNode) -> Result<(), Restart> {
         let relay = AtomicPtr::new(p);
-        self.smr.protect(tid, slot, &relay).map(|_| ())
+        self.smr.protect_in(row, slot, &relay).map(|_| ())
     }
 
     /// Descends to the external node covering `key`. The ancestor /
     /// successor pair freezes at the first tagged edge on the path (tagged
     /// edges belong to pending deletes whose regions end below them).
     fn seek(&self, tid: usize, key: Key) -> Result<SeekRecord, Restart> {
+        let row = self.smr.row(tid);
         'retry: loop {
             let mut rec = SeekRecord {
                 ancestor: self.root,
@@ -226,12 +228,12 @@ impl<S: Smr> NmTree<S> {
                 parent: self.s_child,
                 leaf: core::ptr::null_mut(),
             };
-            self.protect_held(tid, SLOT_ANCESTOR, rec.ancestor)?;
-            self.protect_held(tid, SLOT_SUCCESSOR, rec.successor)?;
-            self.protect_held(tid, SLOT_PARENT, rec.parent)?;
+            self.protect_held(&row, SLOT_ANCESTOR, rec.ancestor)?;
+            self.protect_held(&row, SLOT_SUCCESSOR, rec.successor)?;
+            self.protect_held(&row, SLOT_PARENT, rec.parent)?;
             // SAFETY: s_child is immortal.
             let (mut parent_field, leaf) =
-                self.protect_edge(tid, SLOT_LEAF, unsafe { &(*self.s_child).left })?;
+                self.protect_edge(&row, SLOT_LEAF, unsafe { &(*self.s_child).left })?;
             rec.leaf = leaf;
             loop {
                 // SAFETY: rec.leaf is protected in SLOT_LEAF (or in-flight
@@ -242,7 +244,7 @@ impl<S: Smr> NmTree<S> {
                     return Ok(rec);
                 }
                 let (current_raw, current) =
-                    self.protect_edge(tid, SLOT_INFLIGHT, leaf_ref.child_for(key))?;
+                    self.protect_edge(&row, SLOT_INFLIGHT, leaf_ref.child_for(key))?;
                 // Reachability re-check (see module docs): pass 1 of a
                 // detach flags the edge's owner before pass 2 retires the
                 // child, so a clear flag here proves the child's hazard
@@ -260,14 +262,14 @@ impl<S: Smr> NmTree<S> {
                 // clean path edges.
                 if !is_tagged(parent_field) {
                     rec.ancestor = rec.parent;
-                    self.protect_held(tid, SLOT_ANCESTOR, rec.ancestor)?;
+                    self.protect_held(&row, SLOT_ANCESTOR, rec.ancestor)?;
                     rec.successor = rec.leaf;
-                    self.protect_held(tid, SLOT_SUCCESSOR, rec.successor)?;
+                    self.protect_held(&row, SLOT_SUCCESSOR, rec.successor)?;
                 }
                 rec.parent = rec.leaf;
-                self.protect_held(tid, SLOT_PARENT, rec.parent)?;
+                self.protect_held(&row, SLOT_PARENT, rec.parent)?;
                 rec.leaf = current;
-                self.protect_held(tid, SLOT_LEAF, rec.leaf)?;
+                self.protect_held(&row, SLOT_LEAF, rec.leaf)?;
                 parent_field = current_raw;
             }
         }
@@ -421,7 +423,7 @@ impl<S: Smr> NmTree<S> {
         // Pin the victim across the cleanup loop: later seeks reassign the
         // role slots, and the pointer-equality check below is only
         // meaningful while `target` cannot be freed and reallocated.
-        self.protect_held(tid, SLOT_VICTIM, target)?;
+        self.protect_held(&self.smr.row(tid), SLOT_VICTIM, target)?;
         // SAFETY: parent protected by seek (or an immortal sentinel); the
         // victim pin above re-protects a different slot.
         let edge = unsafe { &*rec.parent }.child_for(key);

@@ -121,6 +121,7 @@ unsafe impl<S: Smr> Sync for SkipList<S> {}
 impl<S: Smr> SkipList<S> {
     /// Creates an empty skip list.
     pub fn new(smr: Arc<S>) -> Self {
+        crate::assert_slots(&*smr, SLOTS_REQUIRED, "SkipList");
         let head = Box::into_raw(Box::new(SkipNode::new_raw(0, 0, MAX_HEIGHT)));
         SkipList { head, smr }
     }
@@ -137,6 +138,7 @@ impl<S: Smr> SkipList<S> {
     /// either unlinked it or restarted.
     fn find_level(&self, tid: usize, key: Key, target_level: usize) -> Result<Position, Restart> {
         let smr = &*self.smr;
+        let row = smr.row(tid);
         'retry: loop {
             // SAFETY: head is immortal.
             let head_ref = unsafe { &*self.head };
@@ -145,7 +147,7 @@ impl<S: Smr> SkipList<S> {
             let mut sp = 0usize;
             let mut sc = 1usize;
             let mut lvl = MAX_HEIGHT - 1;
-            let mut curr_raw = smr.protect(tid, sc, &pred_tower[lvl])?;
+            let mut curr_raw = smr.protect_in(&row, sc, &pred_tower[lvl])?;
             loop {
                 if is_marked(curr_raw) {
                     // The predecessor was logically deleted under us; its
@@ -164,7 +166,7 @@ impl<S: Smr> SkipList<S> {
                         });
                     }
                     lvl -= 1;
-                    curr_raw = smr.protect(tid, sc, &pred_tower[lvl])?;
+                    curr_raw = smr.protect_in(&row, sc, &pred_tower[lvl])?;
                     continue;
                 }
                 // Unmarked link from a live predecessor ⇒ curr was
@@ -201,7 +203,7 @@ impl<S: Smr> SkipList<S> {
                     if !unlinked {
                         continue 'retry;
                     }
-                    curr_raw = smr.protect(tid, sc, &pred_tower[lvl])?;
+                    curr_raw = smr.protect_in(&row, sc, &pred_tower[lvl])?;
                     continue;
                 }
                 let ckey = curr_ref.key;
@@ -211,7 +213,7 @@ impl<S: Smr> SkipList<S> {
                     pred_node = curr;
                     pred_tower = &curr_ref.next;
                     core::mem::swap(&mut sp, &mut sc);
-                    curr_raw = smr.protect(tid, sc, &pred_tower[lvl])?;
+                    curr_raw = smr.protect_in(&row, sc, &pred_tower[lvl])?;
                     continue;
                 }
                 if lvl == target_level {
@@ -224,7 +226,7 @@ impl<S: Smr> SkipList<S> {
                 }
                 // Descend (pred unchanged, keeps its slot).
                 lvl -= 1;
-                curr_raw = smr.protect(tid, sc, &pred_tower[lvl])?;
+                curr_raw = smr.protect_in(&row, sc, &pred_tower[lvl])?;
             }
         }
     }

@@ -27,6 +27,10 @@ pub struct StackNode {
 // SAFETY: repr(C) with Header as the first field.
 unsafe impl HasHeader for StackNode {}
 
+/// Hazard slots a push or pop uses (the domain must have at least this
+/// many).
+pub const SLOTS_REQUIRED: usize = 1;
+
 /// A lock-free LIFO stack.
 pub struct TreiberStack<S: Smr> {
     head: AtomicPtr<StackNode>,
@@ -42,6 +46,7 @@ unsafe impl<S: Smr> Sync for TreiberStack<S> {}
 impl<S: Smr> TreiberStack<S> {
     /// Creates an empty stack.
     pub fn new(smr: Arc<S>) -> Self {
+        crate::assert_slots(&*smr, SLOTS_REQUIRED, "TreiberStack");
         TreiberStack {
             head: AtomicPtr::new(core::ptr::null_mut()),
             smr,
@@ -54,7 +59,8 @@ impl<S: Smr> TreiberStack<S> {
     }
 
     fn try_push(&self, tid: usize, node: *mut StackNode) -> Result<(), Restart> {
-        let head = self.smr.protect(tid, 0, &self.head)?;
+        let row = self.smr.row(tid);
+        let head = self.smr.protect_in(&row, 0, &self.head)?;
         // SAFETY: node is private until the CAS publishes it.
         unsafe { (*node).next.store(head, Ordering::Relaxed) };
         let mut wset = [core::ptr::null_mut::<Header>(); 1];
@@ -98,7 +104,8 @@ impl<S: Smr> TreiberStack<S> {
     }
 
     fn try_pop(&self, tid: usize) -> Result<Option<Value>, Restart> {
-        let head = self.smr.protect(tid, 0, &self.head)?;
+        let row = self.smr.row(tid);
+        let head = self.smr.protect_in(&row, 0, &self.head)?;
         if head.is_null() {
             return Ok(None);
         }
