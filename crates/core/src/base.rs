@@ -354,8 +354,6 @@ pub(crate) struct ReclaimScratch {
     pub intervals: Vec<(u64, u64)>,
     /// Non-stalled subset of `reserved` (emergency-rung era sweeps).
     pub active: Vec<u64>,
-    /// Non-stalled subset of `intervals` (emergency-rung IBR sweeps).
-    pub active_intervals: Vec<(u64, u64)>,
 }
 
 /// Single-owner cell holding a thread's [`ReclaimScratch`] (same ownership
@@ -528,9 +526,6 @@ pub(crate) struct DomainBase {
     /// drives the emergency-rung stalled-reader detection.
     pub stall: StallTracker,
     occupied: Box<[AtomicBool]>,
-    /// Domain tid → global thread id + 1 (0 = unbound). Used by
-    /// signal-based schemes to ping participants.
-    gtid_of: Box<[AtomicUsize]>,
     /// Quarantined (poisoned) nodes when `cfg.quarantine` is set — the
     /// use-after-free detector, unrelated to the pressure quarantine.
     quarantine: Mutex<Vec<Retired>>,
@@ -572,8 +567,6 @@ impl DomainBase {
         assert!(n >= 1, "domain needs at least one thread slot");
         let mut occupied = Vec::with_capacity(n);
         occupied.resize_with(n, || AtomicBool::new(false));
-        let mut gtids = Vec::with_capacity(n);
-        gtids.resize_with(n, || AtomicUsize::new(0));
         let mut reaping = Vec::with_capacity(n);
         reaping.resize_with(n, || AtomicBool::new(false));
         let stripes = orphan_stripes(n);
@@ -584,7 +577,6 @@ impl DomainBase {
             stall: StallTracker::new(n),
             cfg,
             occupied: occupied.into_boxed_slice(),
-            gtid_of: gtids.into_boxed_slice(),
             quarantine: Mutex::new(Vec::new()),
             pressure_quarantine: Mutex::new(Vec::new()),
             pq_hint: AtomicUsize::new(0),
@@ -616,22 +608,6 @@ impl DomainBase {
         self.occupied[tid].load(Ordering::Acquire)
     }
 
-    pub(crate) fn bind_gtid(&self, tid: usize, gtid: usize) {
-        self.gtid_of[tid].store(gtid + 1, Ordering::Release);
-    }
-
-    pub(crate) fn clear_gtid(&self, tid: usize) {
-        self.gtid_of[tid].store(0, Ordering::Release);
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn gtid(&self, tid: usize) -> Option<usize> {
-        match self.gtid_of[tid].load(Ordering::Acquire) {
-            0 => None,
-            g => Some(g - 1),
-        }
-    }
-
     /// Elects the caller as the unique reaper of `tid`'s state. Must be
     /// balanced by [`Self::end_reap`]; a `false` return means another
     /// reclaimer holds (or already completed) the reap.
@@ -649,9 +625,9 @@ impl DomainBase {
     /// Recovers the domain-side state of a participant that died without
     /// deregistering: seals and parks its pending retirements as orphans
     /// (nothing is leaked — adopters filter them against reservations like
-    /// any other garbage), unbinds its gtid, and frees the domain tid for
-    /// reuse. The slot release is last: the tid must not be reclaimable
-    /// while its retire list is still being moved.
+    /// any other garbage) and frees the domain tid for reuse. The slot
+    /// release is last: the tid must not be reclaimable while its retire
+    /// list is still being moved.
     ///
     /// Caller contract: the caller won [`Self::try_begin_reap`] for
     /// `dead_tid` *and* the process-global registry confirmed the thread
@@ -665,7 +641,6 @@ impl DomainBase {
         list: &mut RetireList,
     ) {
         self.orphan_remaining(dead_tid, list);
-        self.clear_gtid(dead_tid);
         self.release(dead_tid);
         self.stats
             .shard(reaper_tid)
@@ -1546,55 +1521,6 @@ pub(crate) unsafe fn free_before_epoch_with_stalled(
     }
 }
 
-/// Whether `gtid` is the process registry's slot for the **calling**
-/// thread — i.e. a registration obtained through
-/// [`crate::smr::Smr::register`], not a gtid fabricated by a unit test.
-///
-/// Captured once at bind time. A backed registration can only disappear
-/// through the thread's own teardown (`Registration` drops the domain
-/// binding *before* the registry handle, and the thread-exit TLS
-/// destructor is the only other releaser), so a later `Vacated` probe of a
-/// still-bound domain tid is proof the thread is gone. An unbacked gtid
-/// proves nothing — its probes may be watching an unrelated thread's slot.
-pub(crate) fn registration_backed(gtid: usize) -> bool {
-    gtid < pop_runtime::MAX_THREADS && pop_runtime::Registry::global().find_current() == Some(gtid)
-}
-
-/// Whether the registration `(gtid, generation)` is confirmed dead: the
-/// kernel-tid probe reports the thread gone, or the registration vanished
-/// from the registry while its domain binding survived (`backed` — the
-/// thread exited and TLS teardown released the slot for it). `Alive` and
-/// every ambiguous outcome read as "not dead": reaping is an optimization,
-/// keeping is the correctness story.
-pub(crate) fn registration_confirmed_dead(gtid: usize, generation: u64, backed: bool) -> bool {
-    use pop_runtime::{Liveness, Registry};
-    if gtid >= pop_runtime::MAX_THREADS {
-        return false;
-    }
-    match Registry::global().probe(gtid, generation) {
-        Liveness::Dead => true,
-        Liveness::Vacated => backed,
-        Liveness::Alive => false,
-    }
-}
-
-/// Re-confirms death immediately before a reap and releases the registry
-/// slot if it is still held. Returns whether the reaper may proceed.
-///
-/// Two confirmable shapes: the slot is still active with a dead kernel tid
-/// ([`pop_runtime::Registry::reap`] releases it here), or a `backed`
-/// registration already vacated by the dead thread's TLS teardown (nothing
-/// left to release). A live or recycled-by-another-claim registration
-/// refuses the reap.
-pub(crate) fn reap_registration(gtid: usize, generation: u64, backed: bool) -> bool {
-    use pop_runtime::{Liveness, Registry};
-    if gtid >= pop_runtime::MAX_THREADS {
-        return false;
-    }
-    Registry::global().reap(gtid, generation)
-        || (backed && Registry::global().probe(gtid, generation) == Liveness::Vacated)
-}
-
 /// Whether any era in sorted `reserved` lies within `[birth, retire]`.
 pub fn era_range_reserved(reserved: &[u64], birth: u64, retire: u64) -> bool {
     // First reserved era >= birth; blocked if it also <= retire.
@@ -1812,16 +1738,6 @@ mod tests {
     fn out_of_range_claim_panics() {
         let b = DomainBase::new(SmrConfig::for_tests(2));
         b.claim(2);
-    }
-
-    #[test]
-    fn gtid_binding() {
-        let b = DomainBase::new(SmrConfig::for_tests(2));
-        assert_eq!(b.gtid(0), None);
-        b.bind_gtid(0, 17);
-        assert_eq!(b.gtid(0), Some(17));
-        b.clear_gtid(0);
-        assert_eq!(b.gtid(0), None);
     }
 
     #[test]

@@ -51,20 +51,13 @@
 //! machine. `end_op` is a plain release bump: quiescence may be observed
 //! late, which only costs an extra ping, never a wrong elision.
 //!
-//! **The futex Dekker.** A publish wait that exhausts its spin budget
-//! (`SmrConfig::publish_spin`) parks on a per-thread 32-bit publish word
-//! (`pop_runtime::futex`, which yields instead off Linux). The waiter
-//! *announces itself*
-//! (waiter-count increment), re-checks the publish word, then
-//! `futex(FUTEX_WAIT)`s; the publisher (signal handler / restart ack)
-//! bumps the publish word, executes the matching **SeqCst** edge, and
-//! calls `FUTEX_WAKE` only when the waiter count is non-zero. The
-//! SeqCst pairing makes "waiter announced, publisher saw zero waiters"
-//! and "publisher bumped, waiter saw the old word" mutually exclusive,
-//! so the wake is never lost; the wait's timeout is a pure liveness
-//! backstop for peers that exit without publishing. The same shape
-//! covers NBR's phase-2 park (`end_op`/`begin_write`/`unregister` run
-//! the waiter-flag check — one shared load when nobody waits).
+//! **The futex Dekker.** A wait for a peer (POP's publish wait, NBR's
+//! phase 2) spins, then parks on the peer's 32-bit futex word, and every
+//! state change that can end it wakes the word in one of two
+//! `SeqCst`-paired orders — "bump, then check waiters" or "check waiters,
+//! then bump" — so no wake is lost. Both pairings are documented once, on
+//! the shared peer table (`pop_shared::Peers`, module docs of
+//! `pop_shared`).
 //!
 //! ## Adaptivity
 //!
@@ -108,9 +101,8 @@ pub use smr::{
 pub use stats::{DomainStats, ShardStats, StatsSnapshot};
 
 // Convenience aliases matching the paper's plot labels.
-pub use schemes::epoch::{Ebr, EpochPop, Vbr};
+pub use schemes::epoch::{Ebr, EpochPop, Ibr, Vbr};
 pub use schemes::hazard::{HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym, HazardPtrPop};
 pub use schemes::hyaline::Hyaline;
-pub use schemes::ibr::Ibr;
 pub use schemes::nbr::NbrPlus;
 pub use schemes::nr::NoReclaim;

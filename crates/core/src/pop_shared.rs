@@ -41,26 +41,50 @@
 //! the unlinks, so no `protect` validation can return a pointer to this
 //! pass's retirees (unlinked nodes are unreachable from structure roots,
 //! and traversals refuse to cross marked links). Threads whose *shared*
-//! slots hold stale non-zero words are always pinged: skipping them would
-//! let the stale reservations pin garbage forever.
+//! slots hold stale non-zero words, and *suspects* (whose private words
+//! every scan unions in), are always pinged: skipping them would let the
+//! stale words pin garbage until the thread's next operation.
 //!
-//! ## Publish-wait semantics (spin, then futex)
+//! ## The peer table: registration, dispatch, wait, reap
 //!
-//! `waitForAllPublished` spins for a configurable budget
-//! ([`crate::config::SmrConfig::publish_spin`]), then **parks**: each
-//! thread owns a 32-bit *publish word* (bumped by every
-//! `publishReservations`, including the signal handler's), and the waiter
-//! issues `futex(FUTEX_WAIT)` keyed on it. The handler `FUTEX_WAKE`s the
-//! word only when a waiter has announced itself (a per-thread waiter
-//! count, Dekker-ordered with `SeqCst` against the word bump: either the
-//! waiter observes the new publish and never sleeps, or the publisher
-//! observes the waiter and wakes it). Waits carry a timeout as the
-//! liveness backstop — a peer can satisfy the wait *without* publishing
-//! (deregistration observed via the `registered` flag, or a lost ping) —
-//! and every wakeup re-checks the full exit condition. Off Linux the
+//! [`Peers`] is the signal-participant layer, shared with NBR+
+//! (`schemes::nbr`): the two engines differ only in what a ping asks for
+//! (publish the row / restart the read phase) and in what ends the wait
+//! (a publish-counter bump / NBR's phase-2 predicate). It holds each
+//! tid's gtid binding, claim generation, registry-backed bit and dead
+//! flag; dispatches a ping to the bound tids, skipping a stale
+//! generation (async-signal-safe: atomics only); probes and reaps dead
+//! participants; and runs the one publish wait.
+//!
+//! **The wait.** Spin for [`crate::config::SmrConfig::publish_spin`]
+//! rounds, then **park** with `futex(FUTEX_WAIT)` on the peer's 32-bit
+//! word for at most [`WAIT_TIMEOUT_NS`], and give up when the pass's
+//! wall-clock deadline ([`crate::config::SmrConfig::publish_deadline_ns`],
+//! armed lazily on the first spin-budget exhaustion) expires. Every return
+//! re-checks the full exit condition, so a spurious wake or a lost one
+//! costs a re-check, never a wrong answer. Off Linux the
 //! `pop_runtime::futex` module yields instead of parking: same
 //! correctness, but each retry burns a scheduler quantum on
 //! oversubscribed hosts.
+//!
+//! **The two wake orders.** A waiter announces itself in the peer's waiter
+//! count, loads the word, re-checks its exit condition and only then
+//! parks on the loaded value (all `SeqCst`). A state change that can end
+//! a wait pairs with that sequence in one of two ways (Dekker):
+//! * *Bump, then check waiters* ([`Peers::bump_then_wake`]): the `SeqCst`
+//!   word bump precedes the waiter-count load. Either the waiter's word
+//!   load saw the bump (and, reading from it, sees the state change in
+//!   its re-check) or the bump follows that load, and then the count load
+//!   sees the waiter and wakes it. Used where the state change is not
+//!   itself ordered: POP's `announce_row` (its counter bump is only
+//!   Release), NBR's restart ack, and evicting a dead peer.
+//! * *Check waiters, then bump* ([`Peers::wake_waiters`]): the caller
+//!   makes its state change and issues a `SeqCst` fence; only when the
+//!   count load then sees a waiter does it bump and wake. If the load
+//!   misses the waiter, the waiter's announce follows the fence, so its
+//!   re-check sees the change and it never parks. Used by NBR's `end_op`,
+//!   `begin_write` and `unregister` exits, which stay RMW-free while
+//!   nobody waits.
 //!
 //! ## Membarrier publish mode
 //!
@@ -106,7 +130,7 @@
 //!   deregistering would pin its stale shared words forever. Every
 //!   [`MEMBARRIER_DEAD_PROBE_EVERY`] membarrier passes the reclaimer
 //!   probes each registered peer's registry registration
-//!   ([`PopShared::note_dead_if_confirmed`]) — the schemes' existing
+//!   ([`Peers::note_dead_if_confirmed`]) — the schemes' existing
 //!   `reap_one_dead` then recovers confirmed corpses. Garbage a dead
 //!   peer pins is thus bounded by the probe period, not unbounded.
 //!
@@ -128,13 +152,15 @@ use std::time::{Duration, Instant};
 use crossbeam_utils::CachePadded;
 use pop_runtime::faults::{self, FaultSite};
 use pop_runtime::signal::ping_gtid;
-use pop_runtime::{futex, PingOutcome, Publisher, Registry};
+use pop_runtime::{futex, Liveness, PingOutcome, Publisher, Registry};
 
 use crate::base::{DomainBase, RetireList};
+use crate::config::SmrConfig;
 use crate::stats::DomainStats;
 
-/// Timeout per parked publish wait (liveness backstop; see module docs).
-const PUBLISH_WAIT_TIMEOUT_NS: u64 = 1_000_000;
+/// Timeout of one futex park in [`Peers::wait`]: the liveness backstop
+/// for a wake the waiter missed (module docs).
+pub(crate) const WAIT_TIMEOUT_NS: u64 = 1_000_000;
 
 /// Sentinel in a collected-counters buffer: do not wait for this thread.
 const SKIP: u64 = u64::MAX;
@@ -155,7 +181,7 @@ pub(crate) struct Line([AtomicU64; LINE_WORDS]);
 const LINE_WORDS: usize = 8;
 
 /// `n` default (zero / `false`) cells — every per-thread array starts so.
-fn zeroed<T: Default>(n: usize) -> Box<[T]> {
+pub(crate) fn zeroed<T: Default>(n: usize) -> Box<[T]> {
     (0..n).map(|_| T::default()).collect()
 }
 
@@ -253,9 +279,299 @@ impl<L: core::ops::Deref<Target = [Line]>> Rows<L> {
     }
 }
 
+/// The signal-participant table of a signal-driven domain (module docs,
+/// "The peer table"): who is registered under which thread, who is
+/// confirmed dead, and the futex words reclaimers wait on.
+pub(crate) struct Peers {
+    /// Whether a domain tid currently participates.
+    registered: Box<[AtomicBool]>,
+    /// Domain tid → global thread id + 1 (0 = unbound).
+    gtid_of: Box<[AtomicUsize]>,
+    /// Registry claim generation captured at [`Self::bind`]: with the gtid
+    /// it names that registration for liveness probes even after the
+    /// registry slot is recycled.
+    gtid_gen: Box<[AtomicU64]>,
+    /// Whether the bound gtid was the calling thread's own registry slot
+    /// at [`Self::bind`] time — not a gtid fabricated by a unit test. A
+    /// backed registration disappears only through its thread's teardown
+    /// (`Registration` drops the domain binding before the registry
+    /// handle), so only for it does a later `Vacated` probe prove death.
+    gtid_backed: Box<[AtomicBool]>,
+    /// Set when a liveness probe confirms the registration's thread died
+    /// without deregistering; consumed (CAS) by [`Self::take_dead`].
+    dead: Box<[AtomicBool]>,
+    /// 32-bit futex key per tid: waiters park on it, every exit bumps it.
+    word: Box<[CachePadded<AtomicU32>]>,
+    /// Waiters parked (or about to park) on `word[t]`; a waker skips the
+    /// syscall while it is zero.
+    waiters: Box<[CachePadded<AtomicU32>]>,
+    /// Spin budget before a wait parks.
+    spin: u32,
+    /// Wall-clock budget of one pass's waits (`0` = unbounded).
+    deadline_ns: u64,
+}
+
+impl Peers {
+    pub(crate) fn new(cfg: &SmrConfig) -> Self {
+        let n = cfg.max_threads;
+        Peers {
+            registered: zeroed(n),
+            gtid_of: zeroed(n),
+            gtid_gen: zeroed(n),
+            gtid_backed: zeroed(n),
+            dead: zeroed(n),
+            word: zeroed(n),
+            waiters: zeroed(n),
+            spin: cfg.publish_spin,
+            deadline_ns: cfg.publish_deadline_ns,
+        }
+    }
+
+    /// The number of domain tids.
+    pub(crate) fn len(&self) -> usize {
+        self.registered.len()
+    }
+
+    pub(crate) fn is_registered(&self, t: usize) -> bool {
+        self.registered[t].load(Ordering::Acquire)
+    }
+
+    /// Binds `t` to global thread `gtid` and makes it pingable. The caller
+    /// clears its own handler-visible state first: the `registered` store
+    /// (Release) comes last and publishes those clears.
+    pub(crate) fn bind(&self, t: usize, gtid: usize) {
+        self.dead[t].store(false, Ordering::Relaxed);
+        self.gtid_of[t].store(gtid + 1, Ordering::Relaxed);
+        // A gtid outside the registry (a unit-test fabrication) is never
+        // backed, so its probes never read as death.
+        let (generation, backed) = if gtid < pop_runtime::MAX_THREADS {
+            let registry = Registry::global();
+            let backed = registry.find_current() == Some(gtid);
+            (registry.generation_of(gtid), backed)
+        } else {
+            (0, false)
+        };
+        self.gtid_gen[t].store(generation, Ordering::Relaxed);
+        self.gtid_backed[t].store(backed, Ordering::Relaxed);
+        self.registered[t].store(true, Ordering::Release);
+    }
+
+    /// The registered tids other than `me`.
+    pub(crate) fn others(&self, me: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(move |&t| t != me && self.is_registered(t))
+    }
+
+    /// `t`'s owner leaves the table.
+    pub(crate) fn leave(&self, t: usize) {
+        self.registered[t].store(false, Ordering::Release);
+        self.gtid_of[t].store(0, Ordering::Relaxed);
+    }
+
+    /// Removes confirmed-dead `t` on its owner's behalf, after the caller
+    /// erased its own handler-visible state, and wakes every reclaimer
+    /// waiting on it.
+    pub(crate) fn evict(&self, t: usize) {
+        self.registered[t].store(false, Ordering::Release);
+        self.bump_then_wake(t);
+        self.gtid_of[t].store(0, Ordering::Relaxed);
+        self.gtid_backed[t].store(false, Ordering::Relaxed);
+    }
+
+    fn gtid(&self, t: usize) -> Option<usize> {
+        match self.gtid_of[t].load(Ordering::Acquire) {
+            0 => None,
+            g => Some(g - 1),
+        }
+    }
+
+    /// The `(gtid, registry generation)` pair naming `t`'s registration.
+    pub(crate) fn registration_of(&self, t: usize) -> Option<(usize, u64)> {
+        self.gtid(t)
+            .map(|g| (g, self.gtid_gen[t].load(Ordering::Relaxed)))
+    }
+
+    /// Probes `t`'s registration; flags `t` for [`Self::take_dead`] only on
+    /// a confirmed death of that same registration — a dead kernel tid, or
+    /// a backed registration vacated by its thread's teardown. Ambiguity
+    /// flags nothing: reaping is an optimization, keeping is the
+    /// correctness story.
+    pub(crate) fn note_dead_if_confirmed(&self, t: usize) {
+        if self.registration_confirmed_dead(t) {
+            self.dead[t].store(true, Ordering::Release);
+        }
+    }
+
+    /// Whether the kernel reports `t`'s registered thread gone, or `t`'s
+    /// backed registration vanished from the registry while its binding
+    /// survived (the thread exited and its TLS teardown released the slot).
+    fn registration_confirmed_dead(&self, t: usize) -> bool {
+        self.registration_of(t).is_some_and(|(gtid, generation)| {
+            gtid < pop_runtime::MAX_THREADS
+                && match Registry::global().probe(gtid, generation) {
+                    Liveness::Dead => true,
+                    Liveness::Vacated => self.gtid_backed[t].load(Ordering::Relaxed),
+                    Liveness::Alive => false,
+                }
+        })
+    }
+
+    /// Takes one tid flagged as confirmed-dead (CAS-consumed, so each flag
+    /// feeds exactly one reaper), or `None`.
+    pub(crate) fn take_dead(&self) -> Option<usize> {
+        (0..self.len()).find(|&t| {
+            self.dead[t].load(Ordering::Relaxed)
+                && self.dead[t]
+                    .compare_exchange(true, false, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+        })
+    }
+
+    /// Signals `t`'s thread. An unbound tid reads as `Inactive`; a `Dead`
+    /// or failed send probes the registration for the reaper.
+    pub(crate) fn ping(&self, t: usize) -> PingOutcome {
+        let Some(gtid) = self.gtid(t) else {
+            return PingOutcome::Inactive;
+        };
+        let outcome = ping_gtid(gtid);
+        if matches!(outcome, PingOutcome::Dead | PingOutcome::Failed(_)) {
+            self.note_dead_if_confirmed(t);
+        }
+        outcome
+    }
+
+    /// Signal-handler side: runs `on_ping` for every tid bound to `gtid`.
+    /// Atomics only — async-signal-safe (the registry is initialized long
+    /// before any thread is pingable, so `Registry::global()` is a plain
+    /// load).
+    ///
+    /// Registry slots recycle, so the handler — running on the slot's
+    /// *current* owner — may find a dead thread's tid still bound to the
+    /// same gtid. Acting for the corpse would forge proof of life (a POP
+    /// publish satisfies every wait and keeps the watchdog, and so the
+    /// reaper, from engaging). A backed binding is therefore served only
+    /// for the current claim of its slot; unbacked bindings (unit-test
+    /// fabrications) track an unrelated slot and are exempt.
+    pub(crate) fn dispatch(&self, gtid: usize, mut on_ping: impl FnMut(usize)) {
+        let current = Registry::global().generation_of(gtid);
+        for t in 0..self.len() {
+            if self.is_registered(t) && self.gtid_of[t].load(Ordering::Acquire) == gtid + 1 {
+                let stale = self.gtid_backed[t].load(Ordering::Relaxed)
+                    && self.gtid_gen[t].load(Ordering::Relaxed) != current;
+                if !stale {
+                    on_ping(t);
+                }
+            }
+        }
+    }
+
+    /// Reaps at most one participant whose thread was confirmed dead:
+    /// `force_unregister(t)` erases it from the scheme's handler-visible
+    /// state (ending with [`Self::evict`]), then its pending retires are
+    /// parked as orphans and its domain tid freed — recovering the slot,
+    /// the memory, and (for EpochPOP) the epoch min-scan, which gates on
+    /// `DomainBase::is_registered`.
+    ///
+    /// The caller guarantees only that `reaper_tid` is its own registered
+    /// tid. Exclusivity over the *dead* slot's single-owner state comes
+    /// from winning the per-slot reap CAS and re-confirming the death for
+    /// that `(gtid, generation)`: the registry releases a still-held slot
+    /// whose kernel tid is gone, or a backed registration is already
+    /// vacated. A loser simply abandons (correct-by-keep). The erase runs
+    /// *before* `reap_participant`, which ends by releasing the tid: a new
+    /// claimant's registration must not race the teardown.
+    pub(crate) fn reap_one_dead<'a>(
+        &self,
+        base: &DomainBase,
+        reaper_tid: usize,
+        force_unregister: impl FnOnce(usize),
+        retire_of: impl FnOnce(usize) -> &'a mut RetireList,
+    ) -> Option<usize> {
+        let t = self.take_dead()?;
+        if t == reaper_tid || !base.try_begin_reap(t) {
+            return None;
+        }
+        let registry = Registry::global();
+        let confirmed = self.registration_of(t).is_some_and(|(gtid, generation)| {
+            gtid < pop_runtime::MAX_THREADS
+                && (registry.reap(gtid, generation)
+                    || (self.gtid_backed[t].load(Ordering::Relaxed)
+                        && registry.probe(gtid, generation) == Liveness::Vacated))
+        });
+        let reaped = confirmed.then(|| {
+            force_unregister(t);
+            base.reap_participant(reaper_tid, t, retire_of(t));
+            t
+        });
+        base.end_reap(t);
+        reaped
+    }
+
+    /// Wake order *bump, then check waiters* (module docs).
+    pub(crate) fn bump_then_wake(&self, t: usize) {
+        self.word[t].fetch_add(1, Ordering::SeqCst);
+        if self.waiters[t].load(Ordering::SeqCst) > 0 {
+            futex::wake_all(&self.word[t]);
+        }
+    }
+
+    /// Wake order *check waiters, then bump* (module docs): one shared
+    /// load while nobody waits. The caller's `SeqCst` fence must order its
+    /// state change before this call.
+    pub(crate) fn wake_waiters(&self, t: usize) {
+        if self.waiters[t].load(Ordering::SeqCst) > 0 {
+            self.word[t].fetch_add(1, Ordering::SeqCst);
+            futex::wake_all(&self.word[t]);
+        }
+    }
+
+    /// Waits until `t` has left the table or `done()` holds: spin, park,
+    /// give up at the pass deadline (module docs). `deadline` is the
+    /// pass's, shared by all its waits and armed on first need, so an
+    /// uncontended pass never reads the clock. Returns `false` on expiry,
+    /// after probing `t`'s registration for the reaper.
+    pub(crate) fn wait(
+        &self,
+        t: usize,
+        deadline: &mut Option<Instant>,
+        done: impl Fn() -> bool,
+    ) -> bool {
+        let over = || !self.is_registered(t) || done();
+        let mut spins = 0u32;
+        while !over() {
+            // Bounded spin, then park: the peer may be descheduled on an
+            // oversubscribed host and cannot answer until it gets a CPU.
+            spins = spins.saturating_add(1);
+            if spins <= self.spin {
+                core::hint::spin_loop();
+                continue;
+            }
+            if self.deadline_ns > 0 {
+                let at = *deadline
+                    .get_or_insert_with(|| Instant::now() + Duration::from_nanos(self.deadline_ns));
+                if Instant::now() >= at {
+                    self.note_dead_if_confirmed(t);
+                    return false;
+                }
+            }
+            // Announce, load the word, re-check, park on the loaded value.
+            // The wait's own result is ignored: the wall clock above
+            // decides expiry, so a spurious wake and a timed-out park both
+            // just re-check.
+            self.waiters[t].fetch_add(1, Ordering::SeqCst);
+            let w = self.word[t].load(Ordering::SeqCst);
+            if !over() {
+                let _ = futex::wait_timeout(&self.word[t], w, WAIT_TIMEOUT_NS);
+            }
+            self.waiters[t].fetch_sub(1, Ordering::SeqCst);
+        }
+        true
+    }
+}
+
 /// Shared reservation state for one publish-on-ping domain.
 pub(crate) struct PopShared {
-    nthreads: usize,
+    /// Registration, dispatch, wait and reap.
+    pub(crate) peers: Peers,
     /// `localReservations[tid][slot]` — owner-written (relaxed), read by the
     /// owner's own signal handler and by diagnostic code.
     local: Rows<&'static [Line]>,
@@ -269,44 +585,14 @@ pub(crate) struct PopShared {
     pub(crate) owner: Rows<&'static [Line]>,
     /// `publishCounter[tid]`.
     counter: Box<[CachePadded<AtomicU64>]>,
-    /// 32-bit futex key per thread, bumped alongside `counter` on every
-    /// publish; waiters park on it (module docs, "Publish-wait semantics").
-    publish_word: Box<[CachePadded<AtomicU32>]>,
-    /// Waiters currently parked (or about to park) on `publish_word[t]`;
-    /// publishers skip the wake syscall when zero.
-    waiters: Box<[CachePadded<AtomicU32>]>,
     /// Per-thread operation activity word: odd while inside an operation.
     activity: Box<[CachePadded<AtomicU64>]>,
-    /// Whether a domain tid currently participates.
-    registered: Box<[AtomicBool]>,
-    /// Domain tid → global thread id + 1 (0 = unbound).
-    gtid_of: Box<[AtomicUsize]>,
-    /// Registry claim generation captured at [`Self::register`]: together
-    /// with the gtid it names that registration for liveness probes even
-    /// after the registry slot is recycled.
-    gtid_gen: Box<[AtomicU64]>,
-    /// Whether the bound gtid was the calling thread's real registry slot
-    /// at [`Self::register`] time ([`crate::base::registration_backed`]) —
-    /// the license to read a later `Vacated` probe as death.
-    gtid_backed: Box<[AtomicBool]>,
     /// Set by the watchdog (deadline expired) or a failed ping: the thread
     /// may hold reservations it never published, so reclaimers treat its
     /// *local* words as reserved too ([`Self::collect_reserved_into_filtered`] —
     /// correct-by-keep). Cleared by the thread's own next publish.
     suspect: Box<[AtomicBool]>,
-    /// Set when a liveness probe confirms the registration's thread died
-    /// without deregistering; consumed (CAS) by [`Self::take_dead`] on
-    /// scheme reclaim paths, which feed the domain reaper.
-    peer_dead: Box<[AtomicBool]>,
     stats: Arc<DomainStats>,
-    /// Spin budget before a publish wait parks
-    /// ([`crate::config::SmrConfig::publish_spin`]).
-    publish_spin: u32,
-    /// Publish-wait watchdog: total wall-clock budget per
-    /// `ping_all_and_wait` pass before unpublished peers are handled
-    /// conservatively ([`crate::config::SmrConfig::publish_deadline_ns`];
-    /// `0` = unbounded waits).
-    publish_deadline_ns: u64,
     /// Membarrier publish mode (module docs): reservations live in the
     /// shared slots, the activity word is dead, `publish_tid` skips the
     /// copy, the ping filter is off, and passes run one heavy barrier
@@ -332,23 +618,14 @@ impl PopShared {
         let rows = || Rows::new(nthreads, base.cfg.slots).leak();
         let (local, shared) = (rows(), rows());
         Box::leak(Box::new(PopShared {
-            nthreads,
+            peers: Peers::new(&base.cfg),
             local,
             shared,
             owner: if membarrier { shared } else { local },
             counter: zeroed(nthreads),
-            publish_word: zeroed(nthreads),
-            waiters: zeroed(nthreads),
             activity: zeroed(nthreads),
-            registered: zeroed(nthreads),
-            gtid_of: zeroed(nthreads),
-            gtid_gen: zeroed(nthreads),
-            gtid_backed: zeroed(nthreads),
             suspect: zeroed(nthreads),
-            peer_dead: zeroed(nthreads),
             stats: Arc::clone(&base.stats),
-            publish_spin: base.cfg.publish_spin,
-            publish_deadline_ns: base.cfg.publish_deadline_ns,
             membarrier,
             downgraded: AtomicBool::new(false),
             mb_passes: CachePadded::new(AtomicU64::new(0)),
@@ -432,21 +709,8 @@ impl PopShared {
         let a = self.activity[tid].load(Ordering::Relaxed);
         self.activity[tid].store((a | 1).wrapping_add(1), Ordering::Relaxed);
         self.suspect[tid].store(false, Ordering::Relaxed);
-        self.peer_dead[tid].store(false, Ordering::Relaxed);
-        self.gtid_of[tid].store(gtid + 1, Ordering::Relaxed);
-        // Generation of the registry slot backing this gtid, plus whether
-        // it really is the calling thread's slot. For gtids not backed by
-        // the registry (unit-test fabrications) `backed` stays false and
-        // probes never read as death, so the reaper never engages on them.
-        let generation = if gtid < pop_runtime::MAX_THREADS {
-            Registry::global().generation_of(gtid)
-        } else {
-            0
-        };
-        self.gtid_gen[tid].store(generation, Ordering::Relaxed);
-        self.gtid_backed[tid].store(crate::base::registration_backed(gtid), Ordering::Relaxed);
-        // Release publishes the cleared slots before the thread is pingable.
-        self.registered[tid].store(true, Ordering::Release);
+        // Publishes the cleared slots before the thread is pingable.
+        self.peers.bind(tid, gtid);
     }
 
     /// Leaves the ping set, flushing empty reservations (a quiescent
@@ -456,8 +720,7 @@ impl PopShared {
     pub(crate) fn unregister(&self, tid: usize) {
         self.end_op(tid);
         self.publish_tid(tid);
-        self.registered[tid].store(false, Ordering::Release);
-        self.gtid_of[tid].store(0, Ordering::Relaxed);
+        self.peers.leave(tid);
     }
 
     /// The paper's `publishReservations` (Alg. 2 line 40): copy local →
@@ -509,24 +772,22 @@ impl PopShared {
         // A completed publish is proof of life: the thread's shared words
         // are current again, so conservative suspect handling can end.
         self.suspect[tid].store(false, Ordering::Relaxed);
+        // The counter bump is only Release: wake order "bump, then check
+        // waiters" (module docs).
         self.counter[tid].fetch_add(1, Ordering::Release);
-        // Dekker pairing with the waiter (module docs): the SeqCst word
-        // bump precedes the waiter-count load, so a waiter that missed this
-        // publish is observed here and woken.
-        self.publish_word[tid].fetch_add(1, Ordering::SeqCst);
-        if self.waiters[tid].load(Ordering::SeqCst) > 0 {
-            futex::wake_all(&self.publish_word[tid]);
-        }
+        self.peers.bump_then_wake(tid);
     }
 
     /// Whether thread `t` may be skipped by `pingAllToPublish`: quiescent
-    /// (activity word even) with an empty published row. Its private words
-    /// are not consulted — a quiescent thread's are dead. Must run after
-    /// the caller's `SeqCst` fence (see module docs).
+    /// (activity word even), not suspect, with an empty published row. Its
+    /// private words are not consulted — a quiescent thread's are dead.
+    /// Must run after the caller's `SeqCst` fence (see module docs).
     fn is_provably_quiescent(&self, t: usize) -> bool {
-        // Stale non-zero shared words would pin garbage forever without a
-        // refreshing publish — always ping those threads.
-        self.activity[t].load(Ordering::SeqCst) & 1 == 0 && self.shared.is_empty(t)
+        // Stale non-zero shared words, or a suspect's private words, would
+        // pin garbage without a refreshing publish — always ping those.
+        self.activity[t].load(Ordering::SeqCst) & 1 == 0
+            && !self.suspect[t].load(Ordering::Acquire)
+            && self.shared.is_empty(t)
     }
 
     /// The membarrier-mode replacement for the whole ping/wait sequence:
@@ -547,9 +808,7 @@ impl PopShared {
             self.downgraded.store(true, Ordering::Release);
             return false;
         }
-        let peers = (0..self.nthreads)
-            .filter(|&t| t != me && self.registered[t].load(Ordering::Acquire))
-            .count() as u64;
+        let peers = self.peers.others(me).count() as u64;
         let shard = self.stats.shard(me);
         shard.membarriers.fetch_add(1, Ordering::Relaxed);
         shard.membarrier_passes.fetch_add(1, Ordering::Relaxed);
@@ -559,10 +818,8 @@ impl PopShared {
         // every MEMBARRIER_DEAD_PROBE_EVERY-th.
         let n = self.mb_passes.fetch_add(1, Ordering::Relaxed);
         if n.is_multiple_of(MEMBARRIER_DEAD_PROBE_EVERY) {
-            for t in 0..self.nthreads {
-                if t != me && self.registered[t].load(Ordering::Acquire) {
-                    self.note_dead_if_confirmed(t);
-                }
+            for t in self.peers.others(me) {
+                self.peers.note_dead_if_confirmed(t);
             }
         }
         true
@@ -593,11 +850,9 @@ impl PopShared {
         self.publish_tid(me);
 
         collected.clear();
-        collected.resize(self.nthreads, SKIP);
-        for (t, c) in collected.iter_mut().enumerate() {
-            if t != me && self.registered[t].load(Ordering::Acquire) {
-                *c = self.counter[t].load(Ordering::Acquire);
-            }
+        collected.resize(self.peers.len(), SKIP);
+        for t in self.peers.others(me) {
+            collected[t] = self.counter[t].load(Ordering::Acquire);
         }
         fence(Ordering::SeqCst);
         // Membarrier-configured domains never elide pings: their
@@ -619,31 +874,21 @@ impl PopShared {
                 skipped += 1;
                 continue;
             }
-            if let Some(gtid) = self.gtid(t) {
-                match ping_gtid(gtid) {
-                    PingOutcome::Sent => pings += 1,
-                    // Deregistered between collection and the ping: the
-                    // departing flush (or a proxy publish) satisfies the
-                    // wait below, so keep waiting on the counter.
-                    PingOutcome::Inactive => {}
-                    PingOutcome::Dead => {
-                        // The OS says the thread is gone: never wait for
-                        // it. Its last words stay honored conservatively
-                        // (suspect ⇒ local ∪ shared), and it is queued
-                        // for the schemes' reaper.
-                        failed += 1;
-                        self.suspect[t].store(true, Ordering::Release);
-                        self.note_dead_if_confirmed(t);
-                        *c = SKIP;
-                    }
-                    PingOutcome::Failed(_) => {
-                        // Send failed outright (never expected): skip the
-                        // wait — the signal will not arrive — but keep
-                        // the thread's reservations conservatively.
-                        failed += 1;
-                        self.suspect[t].store(true, Ordering::Release);
-                        *c = SKIP;
-                    }
+            match self.peers.ping(t) {
+                PingOutcome::Sent => pings += 1,
+                // Deregistered between collection and the ping: the
+                // departing flush (or a proxy publish) satisfies the wait
+                // below, so keep waiting on the counter.
+                PingOutcome::Inactive => {}
+                PingOutcome::Dead | PingOutcome::Failed(_) => {
+                    // The thread is gone (and queued for the reaper once
+                    // the registry confirms it), or the send failed: the
+                    // signal will not arrive, so never wait for it. Its
+                    // words stay honored conservatively (suspect ⇒ local ∪
+                    // shared).
+                    failed += 1;
+                    self.suspect[t].store(true, Ordering::Release);
+                    *c = SKIP;
                 }
             }
         }
@@ -651,89 +896,29 @@ impl PopShared {
         shard.pings_sent.fetch_add(pings, Ordering::Relaxed);
         shard.pings_failed.fetch_add(failed, Ordering::Relaxed);
         shard.pings_skipped.fetch_add(skipped, Ordering::Relaxed);
-        // Publish-wait watchdog: one wall-clock budget for the *whole
-        // pass*, armed lazily the first time any wait outlives its spin
-        // budget — the common pass never reads the clock.
-        let mut pass_deadline: Option<Instant> = None;
+        let mut deadline = None;
         let mut timeouts = 0u64;
         for (t, &observed) in collected.iter().enumerate() {
-            if observed == SKIP {
-                continue;
-            }
-            let mut spins = 0u32;
-            loop {
-                // Acquire pairs with the handler's Release increment,
-                // making the published reservations visible to the scan.
-                if self.counter[t].load(Ordering::Acquire) > observed {
-                    break;
-                }
-                // A thread that deregistered flushed empty reservations on
-                // the way out; do not wait for it.
-                if !self.registered[t].load(Ordering::Acquire) {
-                    break;
-                }
-                // Bounded spin, then park: the pinged thread may be
-                // descheduled on an oversubscribed host, and its handler
-                // cannot run until it gets a CPU.
-                spins = spins.saturating_add(1);
-                if spins <= self.publish_spin {
-                    core::hint::spin_loop();
-                    continue;
-                }
-                if self.publish_deadline_ns > 0 {
-                    let deadline = *pass_deadline.get_or_insert_with(|| {
-                        Instant::now() + Duration::from_nanos(self.publish_deadline_ns)
-                    });
-                    if Instant::now() >= deadline {
-                        // Deadline expired with this peer unpublished:
-                        // abandon the wait. Correctness is preserved by
-                        // keeping, not by waiting — the suspect flag makes
-                        // the scan honor the peer's unpublished local
-                        // words too — and a confirmed-dead peer is queued
-                        // for reaping.
-                        self.suspect[t].store(true, Ordering::Release);
-                        timeouts += 1;
-                        self.note_dead_if_confirmed(t);
-                        break;
-                    }
-                }
-                // Announce, re-check, park (module docs: the SeqCst
-                // announce/load pair with the publisher's bump/load, so a
-                // publish between our re-check and the FUTEX_WAIT either
-                // changes the word — EAGAIN — or wakes us).
-                self.waiters[t].fetch_add(1, Ordering::SeqCst);
-                let w = self.publish_word[t].load(Ordering::SeqCst);
-                if self.counter[t].load(Ordering::Acquire) <= observed
-                    && self.registered[t].load(Ordering::Acquire)
-                {
-                    // Watchdog expiry is decided by wall clock above, never
-                    // by counting wait returns: a spurious wake (`Woken`
-                    // without progress) re-checks and parks again without
-                    // charging a timeout slice, and a lost wake costs at
-                    // most one `TimedOut` interval before the predicate
-                    // re-check.
-                    let _ = futex::wait_timeout(&self.publish_word[t], w, PUBLISH_WAIT_TIMEOUT_NS);
-                }
-                self.waiters[t].fetch_sub(1, Ordering::SeqCst);
+            // Acquire pairs with the handler's Release increment, making
+            // the published reservations visible to the scan. A thread
+            // that deregistered flushed empty reservations on the way out.
+            if observed != SKIP
+                && !self.peers.wait(t, &mut deadline, || {
+                    self.counter[t].load(Ordering::Acquire) > observed
+                })
+            {
+                // The watchdog expired with this peer unpublished.
+                // Correctness is preserved by keeping, not by waiting: the
+                // suspect flag makes the scan honor its unpublished local
+                // words too.
+                self.suspect[t].store(true, Ordering::Release);
+                timeouts += 1;
             }
         }
         if timeouts > 0 {
             shard
                 .publish_wait_timeouts
                 .fetch_add(timeouts, Ordering::Relaxed);
-        }
-    }
-
-    /// Probes the registry registration behind domain tid `t`; a confirmed
-    /// death flags the tid for [`Self::take_dead`] consumers. Ambiguity
-    /// (alive, vacated, fabricated gtid) flags nothing — reaping is an
-    /// optimization, keeping is the correctness story.
-    fn note_dead_if_confirmed(&self, t: usize) {
-        if let Some((gtid, generation)) = self.registration_of(t) {
-            let backed = self.gtid_backed[t].load(Ordering::Relaxed);
-            if crate::base::registration_confirmed_dead(gtid, generation, backed) {
-                self.peer_dead[t].store(true, Ordering::Release);
-            }
         }
     }
 
@@ -751,8 +936,8 @@ impl PopShared {
         mut include: impl FnMut(usize) -> bool,
     ) {
         out.clear();
-        for t in 0..self.nthreads {
-            if !self.registered[t].load(Ordering::Acquire) || !include(t) {
+        for t in 0..self.peers.len() {
+            if !self.peers.is_registered(t) || !include(t) {
                 continue;
             }
             // A suspect thread (watchdog expiry / failed ping) may hold
@@ -777,23 +962,14 @@ impl PopShared {
     pub(crate) fn reping_suspects(&self, me: usize) -> u64 {
         let mut pings = 0u64;
         let mut failed = 0u64;
-        for t in 0..self.nthreads {
-            if t == me
-                || !self.registered[t].load(Ordering::Acquire)
-                || !self.suspect[t].load(Ordering::Acquire)
-            {
+        for t in self.peers.others(me) {
+            if !self.suspect[t].load(Ordering::Acquire) {
                 continue;
             }
-            if let Some(gtid) = self.gtid(t) {
-                match ping_gtid(gtid) {
-                    PingOutcome::Sent => pings += 1,
-                    PingOutcome::Inactive => {}
-                    PingOutcome::Dead => {
-                        failed += 1;
-                        self.note_dead_if_confirmed(t);
-                    }
-                    PingOutcome::Failed(_) => failed += 1,
-                }
+            match self.peers.ping(t) {
+                PingOutcome::Sent => pings += 1,
+                PingOutcome::Inactive => {}
+                PingOutcome::Dead | PingOutcome::Failed(_) => failed += 1,
             }
         }
         if pings > 0 || failed > 0 {
@@ -804,34 +980,9 @@ impl PopShared {
         pings
     }
 
-    fn gtid(&self, tid: usize) -> Option<usize> {
-        match self.gtid_of[tid].load(Ordering::Acquire) {
-            0 => None,
-            g => Some(g - 1),
-        }
-    }
-
-    /// Takes one domain tid flagged as confirmed-dead (CAS-consumed, so
-    /// each flag feeds exactly one reaper), or `None`.
-    pub(crate) fn take_dead(&self) -> Option<usize> {
-        (0..self.nthreads).find(|&t| {
-            self.peer_dead[t].load(Ordering::Relaxed)
-                && self.peer_dead[t]
-                    .compare_exchange(true, false, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-        })
-    }
-
-    /// The `(gtid, registry generation)` pair naming domain tid `t`'s
-    /// registration, for registry confirmation before a reap.
-    pub(crate) fn registration_of(&self, t: usize) -> Option<(usize, u64)> {
-        self.gtid(t)
-            .map(|g| (g, self.gtid_gen[t].load(Ordering::Relaxed)))
-    }
-
     /// Removes a **confirmed-dead** participant from the ping set on its
-    /// behalf: zeroes its reservations, bumps its publish counter, wakes
-    /// any parked waiter, and unbinds it.
+    /// behalf: zeroes its reservations, then [`Peers::evict`] unbinds it
+    /// and wakes any parked waiter.
     ///
     /// Caller contract: the thread behind `tid` is dead (its registry
     /// registration was reaped), so nothing races the owner-side stores
@@ -840,87 +991,16 @@ impl PopShared {
     pub(crate) fn force_unregister(&self, tid: usize) {
         self.local.clear(tid);
         self.shared.clear(tid);
-        // Waiters parked on the dead thread's publish word must observe
-        // this and re-check.
-        self.announce_row(tid);
-        self.registered[tid].store(false, Ordering::Release);
-        self.gtid_of[tid].store(0, Ordering::Relaxed);
-        self.gtid_backed[tid].store(false, Ordering::Relaxed);
-    }
-
-    /// Reaps at most one participant whose kernel thread was confirmed
-    /// dead (flagged by [`Self::note_dead_if_confirmed`] from the watchdog
-    /// or a failed ping): erases it from the ping set, parks its pending
-    /// retires as orphans, and frees its domain tid — recovering the slot,
-    /// the memory, and (for epoch-hybrid schemes) the epoch min-scan,
-    /// which gates on `DomainBase::is_registered`.
-    ///
-    /// `retire_of` hands over the dead slot's retire list. The caller
-    /// guarantees only that `reaper_tid` is its own registered tid;
-    /// exclusivity over the *dead* slot's single-owner state comes from
-    /// winning the per-slot reap CAS and re-confirming the death
-    /// ([`crate::base::reap_registration`]) for that `(gtid, generation)`
-    /// — a loser simply abandons (correct-by-keep). `force_unregister`
-    /// runs *before* `reap_participant`: the latter ends by releasing the
-    /// tid for reuse, and a new claimant's registration must not race our
-    /// teardown.
-    pub(crate) fn reap_one_dead<'a>(
-        &self,
-        base: &DomainBase,
-        reaper_tid: usize,
-        retire_of: impl FnOnce(usize) -> &'a mut RetireList,
-    ) -> Option<usize> {
-        let t = self.take_dead()?;
-        if t == reaper_tid || !base.try_begin_reap(t) {
-            return None;
-        }
-        let confirmed = match self.registration_of(t) {
-            Some((gtid, generation)) => {
-                let backed = self.gtid_backed[t].load(Ordering::Relaxed);
-                crate::base::reap_registration(gtid, generation, backed)
-            }
-            None => false,
-        };
-        let reaped = if confirmed {
-            self.force_unregister(t);
-            base.reap_participant(reaper_tid, t, retire_of(t));
-            Some(t)
-        } else {
-            None
-        };
-        base.end_reap(t);
-        reaped
+        self.peers.evict(tid);
     }
 }
 
 impl Publisher for PopShared {
     /// Signal-handler entry: publish for whichever domain tid the pinged
-    /// thread holds. Bounded loop over domain tids; atomics and one fence
-    /// only — async-signal-safe (the registry is initialized long before
-    /// any thread is pingable, so `Registry::global()` is a plain load).
-    ///
-    /// Registry slots recycle, so this handler — running on the slot's
-    /// *current* owner — may find a dead thread's domain tid still bound
-    /// to the same gtid. Publishing for the corpse would bump its counter:
-    /// forged proof of life that satisfies every publish wait and keeps
-    /// the watchdog (and thus the reaper) from ever engaging. The claim
-    /// generation captured at bind time disambiguates — a registry-backed
-    /// binding is published only for the current claim of its slot.
-    /// (Unbacked bindings — unit-test fabrications — are exempt: their
-    /// captured generation tracks an unrelated slot and may drift.)
+    /// thread holds ([`Peers::dispatch`]); atomics, one fence and at most
+    /// one `futex` wake per tid.
     fn publish(&self, gtid: usize) {
-        let current = Registry::global().generation_of(gtid);
-        for t in 0..self.nthreads {
-            if self.registered[t].load(Ordering::Acquire)
-                && self.gtid_of[t].load(Ordering::Acquire) == gtid + 1
-            {
-                let stale = self.gtid_backed[t].load(Ordering::Relaxed)
-                    && self.gtid_gen[t].load(Ordering::Relaxed) != current;
-                if !stale {
-                    self.publish_tid(t);
-                }
-            }
-        }
+        self.peers.dispatch(gtid, |t| self.publish_tid(t));
     }
 }
 
@@ -934,6 +1014,13 @@ pub(crate) mod testing {
     use crate::smr::{alloc_node, retire_node, Smr};
     use core::sync::atomic::AtomicPtr;
     use std::sync::mpsc::channel;
+
+    impl Peers {
+        /// Whether a reclaimer waits (or is about to park) on `t`.
+        pub(crate) fn has_waiter(&self, t: usize) -> bool {
+            self.waiters[t].load(Ordering::SeqCst) > 0
+        }
+    }
 
     impl PopShared {
         /// Owner-side reservation store (the publishers' `reserve`).
@@ -953,7 +1040,7 @@ pub(crate) mod testing {
 
         /// Allocating [`Self::collect_reserved_into`].
         pub(crate) fn collect_reserved(&self) -> Vec<u64> {
-            let mut v = Vec::with_capacity(self.nthreads * self.shared.slots);
+            let mut v = Vec::with_capacity(self.peers.len() * self.shared.slots);
             self.collect_reserved_into(&mut v);
             v
         }
@@ -1361,7 +1448,7 @@ mod tests {
             "the laggard's unpublished local reservation is honored"
         );
         // The fabricated gtid must never be mistaken for a dead thread.
-        assert_eq!(p.take_dead(), None);
+        assert_eq!(p.peers.take_dead(), None);
         // Once the peer finally publishes, suspicion lifts and its local
         // words stop being unioned in.
         p.clear_local(1);
@@ -1425,10 +1512,10 @@ mod tests {
         p.set_local(1, 0, 0xD1ED);
         let mut scratch = Vec::new();
         p.ping_all_and_wait(0, &mut scratch);
-        let t = p.take_dead().expect("dead peer must be flagged");
+        let t = p.peers.take_dead().expect("dead peer must be flagged");
         assert_eq!(t, 1);
-        assert_eq!(p.take_dead(), None, "flag is consumed exactly once");
-        let (g, gen2) = p.registration_of(1).unwrap();
+        assert_eq!(p.peers.take_dead(), None, "flag is consumed exactly once");
+        let (g, gen2) = p.peers.registration_of(1).unwrap();
         assert_eq!(g, gtid);
         assert_eq!(gen2, generation);
         assert!(Registry::global().reap(gtid, generation));
@@ -1459,6 +1546,40 @@ mod tests {
         assert!(
             p.collect_reserved().is_empty(),
             "an idle thread pins nothing"
+        );
+    }
+
+    #[test]
+    fn idle_suspect_is_pinged_until_it_publishes() {
+        // A suspect's private words are unioned into every scan. Once it
+        // goes idle with an empty shared row, only a ping makes it publish
+        // again and end the suspicion, so the filter must not elide it.
+        let p = leak(2, 1, 4, 0, false);
+        p.register(0, 100);
+        p.register(1, 101);
+        p.note_active(1);
+        p.set_local(1, 0, 0xFEED);
+        p.suspect[1].store(true, Ordering::Release);
+        p.end_op(1);
+        // Stands in for peer 1's handler: the fake gtid's ping goes nowhere.
+        let stop = Arc::new(AtomicBool::new(false));
+        let helper = std::thread::spawn({
+            let stop = Arc::clone(&stop);
+            move || {
+                while !stop.load(Ordering::Acquire) {
+                    p.publish_tid(1);
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+            }
+        });
+        let mut scratch = Vec::new();
+        p.ping_all_and_wait(0, &mut scratch);
+        stop.store(true, Ordering::Release);
+        helper.join().unwrap();
+        assert_eq!(p.stats.snapshot().pings_skipped, 0, "a suspect is pinged");
+        assert!(
+            p.collect_reserved().is_empty(),
+            "its idle publish ends the suspicion and drops its dead words"
         );
     }
 
@@ -1601,6 +1722,7 @@ mod tests {
             "no waits, so no watchdog expiries"
         );
         let t = p
+            .peers
             .take_dead()
             .expect("the registry probe must flag the corpse");
         assert_eq!(t, 1);

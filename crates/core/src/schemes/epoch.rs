@@ -1,35 +1,49 @@
-//! The epoch engine: EBR, EpochPOP and VBR are one generic domain,
-//! [`Epoch<L>`] (paper Appendix C, §4.2 and the version-based baseline).
+//! The epoch engine: EBR, EpochPOP, VBR and IBR are one generic domain,
+//! [`Epoch<L>`] (paper Appendix C, §4.2 and the version-based and
+//! interval-based baselines).
 //!
-//! All three announce the global epoch on operation entry (one ordered
+//! All four announce the global epoch on operation entry (one ordered
 //! instruction per *operation*, not per read), announce `QUIESCENT` on
-//! exit, and free what was retired strictly before the minimum announced
-//! epoch. They differ in one respect only: what happens to a reader that
-//! stops advancing — the laggard `L`. The announcement row, the clock, the
-//! pass, `retire`, `flush`, registration and the pressure hooks are written
-//! once.
+//! exit, and — but for IBR — free what was retired strictly before the
+//! minimum announced epoch. They differ in one respect only: what happens
+//! to a reader that stops advancing — the laggard `L`. The announcement
+//! row, the clock, the pass, `retire`, `flush`, registration and the
+//! pressure hooks are written once.
 //!
 //! | alias | `Smr::NAME` | laggard | announce | `protect` | a laggard… |
 //! |-------|-------------|---------|----------|-----------|------------|
 //! | [`Ebr`] | `EBR` | [`Wait`] | one `SeqCst` store | plain load | pins every retire list until it leaves |
 //! | [`EpochPop`] | `EpochPOP` | [`Ping`] | activity word + relaxed store + one fence | HazardPtrPOP's private reservation | is pinged; passes fall back to pointer reservations |
 //! | [`Vbr`] | `VBR` | [`Abort`] | one `SeqCst` store, no clock tick | lag check, then plain load | aborts itself on its next read |
+//! | [`Ibr`] | `IBR` | [`Interval`] | lower bound relaxed, then upper bound `SeqCst` | raises the upper bound when the epoch moved | pins only the nodes whose lifespan meets its interval |
 //!
 //! **The clock.** The global epoch is `EpochClocks`' word, written only
-//! by reclaimer passes (max-aggregation of private clocks). EBR and
-//! EpochPOP readers tick their private clock every `epoch_freq` operations
+//! by reclaimer passes (max-aggregation of private clocks). EBR, EpochPOP
+//! and IBR readers tick their private clock every `epoch_freq` operations
 //! (`Laggard::TICKS`), so the op path performs no shared RMW; VBR readers
 //! never tick — its version moves on passes alone, and every pass still
 //! strictly advances it (concurrent passes may fold into one bump).
 //!
 //! **The pass.** Paced by the domain's [`PassController`]: advance the
 //! clock, fence, scan the announcements (stall-aware), release quarantined
-//! blocks whose blocker moved, sweep everything retired before the floor
-//! (whole blocks by their era summary, straddling blocks member by member),
-//! and feed the outcome back into the decay. The emergency rung may park
-//! blocks pinned only by a stalled reader (`Laggard::QUARANTINE`).
-//! `retire` is push → pass → the laggard's `after_pass` → the hard rung's
-//! bounded retries; `flush` is a forced pass, then the laggard's `drain`.
+//! blocks whose blocker moved, sweep, and feed the outcome back into the
+//! decay. The sweep is the laggard's one override of the pass
+//! (`Laggard::sweep`): by default everything retired before the floor
+//! (whole blocks by their era summary, straddling blocks member by
+//! member); IBR's tests each member's `[birth, retire]` lifespan against
+//! every announced `[lower, upper]` interval instead, and so frees nodes
+//! born after a stalled reader's last read, which the floor keeps. The
+//! emergency rung may park blocks pinned only by a stalled reader
+//! (`Laggard::QUARANTINE`). `retire` is push → pass → the laggard's
+//! `after_pass` → the hard rung's bounded retries; `flush` is a forced
+//! pass, then the laggard's `drain`.
+//!
+//! **IBR** (2GE, Wen et al. 2018) announces an interval: the engine's
+//! word is its lower bound, and [`Interval`] keeps the upper bounds. Each
+//! read raises `upper` (one ordered store) only when the epoch moved since
+//! the last — the amortization of hazard eras, with one interval per
+//! thread. A reader stalled inside an operation pins only what was born
+//! before its last read, so garbage stays bounded without signals.
 //!
 //! **EpochPOP** (paper §4.2, Alg. 3) runs both protocols at once. Epoch
 //! mode is the common case: an EBR pass, fast, never a signal. Every read
@@ -63,7 +77,7 @@
 //!
 //! Every alias is monomorphized: no dispatch on any path.
 
-// The laggard trait is crate-internal; the three aliases are the public
+// The laggard trait is crate-internal; the four aliases are the public
 // surface.
 #![allow(private_bounds)]
 
@@ -73,8 +87,8 @@ use std::sync::Arc;
 use crossbeam_utils::CachePadded;
 
 use crate::base::{
-    free_before_epoch_with_stalled, push_retired, scan_epoch_reservations, DomainBase, EpochClocks,
-    RetireSlot, ScratchSlot,
+    free_before_epoch_with_stalled, keep_mask, push_retired, scan_epoch_reservations, sweep_blocks,
+    BlockPlan, DomainBase, EpochClocks, RelaxedMin, RetireList, RetireSlot, ScratchSlot,
 };
 use crate::config::SmrConfig;
 use crate::controller::PassController;
@@ -94,6 +108,9 @@ pub type EpochPop = Epoch<Ping>;
 /// `VBR` — version-based reclamation: readers abort themselves past
 /// [`VBR_MAX_LAG`] version bumps instead of being pinged.
 pub type Vbr = Epoch<Abort>;
+/// `IBR` — interval-based reclamation, 2GE variant (Wen et al. 2018): a
+/// reader pins only the nodes whose lifespan meets its announced interval.
+pub type Ibr = Epoch<Interval>;
 
 /// Epoch announced while quiescent (between operations).
 pub(crate) const QUIESCENT: u64 = u64::MAX;
@@ -179,6 +196,26 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     /// Hard-rung nudge before a synchronous retry.
     fn reping(_e: &Epoch<Self>, _tid: usize) {}
 
+    /// The pass's sweep of `tid`'s `list`: by default everything retired
+    /// before the floor `min`, parking on the `relaxed` floor (emergency
+    /// rung, `QUARANTINE` only) what only a stalled reader pins. Returns
+    /// the number freed.
+    ///
+    /// # Safety
+    ///
+    /// As for [`free_before_epoch_with_stalled`]: `min` is the floor of
+    /// every registered announcement, loaded after the pass's fence.
+    unsafe fn sweep(
+        e: &Epoch<Self>,
+        tid: usize,
+        list: &mut RetireList,
+        min: u64,
+        relaxed: Option<&RelaxedMin>,
+    ) -> usize {
+        // SAFETY: forwarded contract.
+        unsafe { free_before_epoch_with_stalled(&e.base, tid, list, min, relaxed) }
+    }
+
     /// Runs when `tid` is bound to signalable thread `gtid`.
     fn bind(_e: &Epoch<Self>, _tid: usize, _gtid: usize) {}
 
@@ -194,7 +231,7 @@ struct ThreadState {
 }
 
 /// An epoch domain: `L` says what happens to a reader that stops
-/// advancing. Use it through the three aliases (module docs).
+/// advancing. Use it through the four aliases (module docs).
 pub struct Epoch<L: Laggard> {
     // First, so EpochPOP's signal dispatch stops before anything else of
     // the domain is torn down.
@@ -411,6 +448,113 @@ impl Laggard for Abort {
     }
 }
 
+/// IBR's policy: the announcement is an interval. The engine's word is
+/// its lower bound, the epoch the operation began in; `upper` follows the
+/// epoch of the operation's latest read. A node is freeable once its
+/// `[birth, retire]` lifespan meets no announced interval, so a stalled
+/// reader pins only what was born before its last read.
+pub struct Interval {
+    /// The interval's upper bound, [`QUIESCENT`] between operations.
+    upper: Box<[CachePadded<AtomicU64>]>,
+}
+
+impl Laggard for Interval {
+    const NAME: &'static str = "IBR";
+    const ROBUST: bool = true;
+    const NEEDS_SIGNALS: bool = false;
+
+    fn new(base: &DomainBase) -> Self {
+        Interval {
+            upper: (0..base.cfg.max_threads)
+                .map(|_| CachePadded::new(AtomicU64::new(QUIESCENT)))
+                .collect(),
+        }
+    }
+
+    /// Both bounds at the current epoch. The `SeqCst` store of the second
+    /// orders the whole announcement before the operation's reads (one
+    /// ordered store per operation, as for EBR).
+    #[inline]
+    fn announce(e: &Epoch<Self>, tid: usize) {
+        let now = e.clocks.current();
+        e.announced[tid].store(now, Ordering::Relaxed);
+        e.lag.upper[tid].store(now, Ordering::SeqCst);
+    }
+
+    #[inline]
+    fn end_op(e: &Epoch<Self>, tid: usize) {
+        e.lag.upper[tid].store(QUIESCENT, Ordering::Release);
+    }
+
+    /// The tagged read: raise `upper` (an ordered store) only when the
+    /// epoch moved since the last one — hazard eras' amortization with one
+    /// interval per thread — and re-read, so the interval covers the load
+    /// that returns.
+    #[inline]
+    fn protect<T>(
+        e: &Epoch<Self>,
+        row: &Row<'_>,
+        _slot: usize,
+        src: &AtomicPtr<T>,
+    ) -> ReadResult<T> {
+        let upper = &e.lag.upper[row.tid()];
+        let mut cur = upper.load(Ordering::Relaxed);
+        loop {
+            let p = src.load(Ordering::Acquire);
+            let now = e.clocks.current();
+            if now == cur {
+                return Ok(p);
+            }
+            upper.store(now, Ordering::SeqCst);
+            cur = now;
+        }
+    }
+
+    /// Interval versus lifespan, node by node. Unlike the default, a block
+    /// retired at or after the floor is not kept whole: its members born
+    /// after every live upper bound are free.
+    unsafe fn sweep(
+        e: &Epoch<Self>,
+        tid: usize,
+        list: &mut RetireList,
+        _min: u64,
+        relaxed: Option<&RelaxedMin>,
+    ) -> usize {
+        // SAFETY: tid ownership per the registration contract.
+        let intervals = &mut unsafe { e.threads[tid].scratch.get() }.intervals;
+        intervals.clear();
+        for t in (0..e.base.cfg.max_threads).filter(|&t| e.base.is_registered(t)) {
+            let lo = e.announced[t].load(Ordering::SeqCst);
+            let hi = e.lag.upper[t].load(Ordering::SeqCst);
+            if lo != QUIESCENT {
+                intervals.push((lo, hi));
+            }
+        }
+        let intervals = &*intervals;
+        // SAFETY: a node whose lifespan meets no interval announced after
+        // the pass's fence cannot have been acquired by any thread. Parking
+        // never frees: a block retired before the non-stalled floor meets
+        // no non-stalled interval, so only stalled readers pin it.
+        unsafe {
+            sweep_blocks(&e.base, tid, list, |b| {
+                let mask = keep_mask(b, |r| {
+                    let (birth, retire) = (r.birth_era(), r.retire_era());
+                    intervals
+                        .iter()
+                        .any(|&(lo, hi)| birth <= hi && retire >= lo)
+                });
+                match relaxed {
+                    Some(rm) if mask != 0 && b.era_ranges().2 < rm.min => BlockPlan::Quarantine {
+                        blocker_tid: rm.blocker_tid,
+                        word: rm.blocker_word,
+                    },
+                    _ => BlockPlan::Mask(mask),
+                }
+            })
+        }
+    }
+}
+
 impl<L: Laggard> Epoch<L> {
     /// One epoch pass (module docs). Retire-triggered passes
     /// (`forced = false`) may be thinned by the controller; flush,
@@ -444,8 +588,8 @@ impl<L: Laggard> Epoch<L> {
         // the operation it was in. The relaxed floor never frees: it parks
         // blocks pinned solely by the known-stalled blocker.
         let freed = unsafe {
-            free_before_epoch_with_stalled(
-                base,
+            L::sweep(
+                self,
                 tid,
                 list,
                 min,
@@ -500,7 +644,6 @@ impl<L: Laggard> Smr for Epoch<L> {
     }
 
     fn bind_gtid(&self, tid: usize, gtid: usize) {
-        self.base.bind_gtid(tid, gtid);
         L::bind(self, tid, gtid);
     }
 
@@ -521,7 +664,6 @@ impl<L: Laggard> Smr for Epoch<L> {
         let list = unsafe { self.threads[tid].retire.get() };
         self.base.orphan_remaining(tid, list);
         L::unregister(self, tid);
-        self.base.clear_gtid(tid);
         self.base.release(tid);
     }
 
@@ -652,6 +794,7 @@ mod tests {
         quiescent_single_thread_reclaims::<Ebr>();
         quiescent_single_thread_reclaims::<EpochPop>();
         quiescent_single_thread_reclaims::<Vbr>();
+        quiescent_single_thread_reclaims::<Ibr>();
     }
 
     /// The epoch max-aggregation invariant, scheme-level: operations
@@ -687,6 +830,7 @@ mod tests {
     fn op_path_ticks_private_clock_only() {
         op_path_ticks_private_clock::<Wait>();
         op_path_ticks_private_clock::<Ping>();
+        op_path_ticks_private_clock::<Interval>();
     }
 
     // -----------------------------------------------------------------
@@ -1029,5 +1173,111 @@ mod tests {
         assert_eq!(s.blocks_quarantined, 0);
         drop(reg1);
         drop(reg0);
+    }
+
+    // -----------------------------------------------------------------
+    // Interval (IBR): a stalled reader pins only what its interval meets.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn quiescent_thread_blocks_nothing() {
+        let smr = Ibr::new(SmrConfig::for_tests(2).with_reclaim_freq(8));
+        let reg0 = smr.register(0);
+        let reg1 = smr.register(1); // registered but quiescent
+        churn(&*smr, 32);
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+        drop(reg1);
+        drop(reg0);
+    }
+
+    #[test]
+    fn old_interval_blocks_intersecting_nodes() {
+        let smr = Ibr::new(SmrConfig::for_tests(2).with_reclaim_freq(4));
+        let reg0 = smr.register(0);
+        let reg1 = smr.register(1);
+        // Thread 1 opens an interval at the current epoch and stays in-op.
+        smr.begin_op(1);
+        let hot = node(&*smr, 7);
+        let src = AtomicPtr::new(hot);
+        let _ = smr.protect(1, 0, &src).unwrap();
+        // Thread 0 retires `hot`: its lifespan meets t1's interval, so it
+        // must be retained.
+        src.store(core::ptr::null_mut(), Ordering::SeqCst);
+        unsafe { retire_node(&*smr, 0, hot) };
+        churn(&*smr, 8);
+        smr.flush(0);
+        assert!(smr.stats().snapshot().unreclaimed_nodes() >= 1);
+        // Thread 1 leaves; everything drains.
+        smr.end_op(1);
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+        drop(reg1);
+        drop(reg0);
+    }
+
+    #[test]
+    fn interval_extends_on_epoch_change() {
+        let smr = Ibr::new(SmrConfig::for_tests(1).with_epoch_freq(1));
+        let reg = smr.register(0);
+        smr.begin_op(0);
+        let lo0 = smr.announced[0].load(Ordering::SeqCst);
+        // Advance the epoch underneath the running op, through the
+        // sanctioned path: tick the clock, aggregate as a reclaimer would.
+        for _ in 0..5 {
+            smr.clocks.tick(0);
+        }
+        smr.clocks.advance_max_scan(0);
+        let src = AtomicPtr::new(core::ptr::null_mut::<N>());
+        let _ = smr.protect(0, 0, &src).unwrap();
+        let hi = smr.lag.upper[0].load(Ordering::SeqCst);
+        assert!(hi >= lo0 + 5, "upper bound must chase the epoch");
+        assert_eq!(smr.announced[0].load(Ordering::SeqCst), lo0, "lower pinned");
+        smr.end_op(0);
+        drop(reg);
+    }
+
+    /// A reader enters, protects a node and stays in its operation; the
+    /// writer then moves the epoch past the reader's upper bound and
+    /// allocates, retires and flushes 16 nodes. Returns how many of them
+    /// were freed.
+    fn freed_past_stalled_reader<L: Laggard>() -> u64 {
+        let smr = Epoch::<L>::new(SmrConfig::for_tests(2).with_adaptive(false));
+        let reg0 = smr.register(0);
+        let reg1 = smr.register(1);
+        let hot = node(&*smr, 7);
+        let src = AtomicPtr::new(hot);
+        smr.begin_op(1);
+        assert_eq!(smr.protect(1, 0, &src).unwrap(), hot);
+        smr.clocks.tick(0);
+        smr.flush(0); // the pass aggregates the tick: the epoch moves
+        assert!(smr.current_era() > smr.announced[1].load(Ordering::SeqCst));
+        let before = smr.stats().snapshot().freed_nodes;
+        churn(&*smr, 16);
+        smr.flush(0);
+        let freed = smr.stats().snapshot().freed_nodes - before;
+        assert_eq!(unsafe { (*hot).v }, 7, "the reader's node is untouched");
+        smr.end_op(1);
+        src.store(core::ptr::null_mut(), Ordering::SeqCst);
+        unsafe { retire_node(&*smr, 0, hot) };
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+        drop(reg1);
+        drop(reg0);
+        freed
+    }
+
+    #[test]
+    fn interval_frees_past_a_stalled_reader_and_epochs_do_not() {
+        assert_eq!(
+            freed_past_stalled_reader::<Interval>(),
+            16,
+            "IBR frees what was born after every live upper bound"
+        );
+        assert_eq!(
+            freed_past_stalled_reader::<Wait>(),
+            0,
+            "EBR's floor is the stalled reader's epoch"
+        );
     }
 }

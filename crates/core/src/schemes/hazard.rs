@@ -486,7 +486,9 @@ impl<const ASYM: bool> Publish for Pop<ASYM> {
         // watchdog, a failed ping or the membarrier probe) before
         // scanning: its reservations protect nothing, and removing it now
         // recovers its slot and parks its retires this pass, not next.
-        self.pop.reap_one_dead(base, tid, retire_of);
+        let pop = self.pop;
+        pop.peers
+            .reap_one_dead(base, tid, |t| pop.force_unregister(t), retire_of);
     }
 
     fn collect(&self, _base: &DomainBase, out: &mut Vec<u64>, include: impl FnMut(usize) -> bool) {
@@ -589,7 +591,6 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
     }
 
     fn bind_gtid(&self, tid: usize, gtid: usize) {
-        self.base.bind_gtid(tid, gtid);
         self.publish.bind(tid, gtid);
     }
 
@@ -610,7 +611,6 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
         let list = unsafe { self.threads[tid].retire.get() };
         self.base.orphan_remaining(tid, list);
         self.publish.unregister(tid);
-        self.base.clear_gtid(tid);
         self.base.release(tid);
     }
 

@@ -10,22 +10,22 @@
 //! | [`hazard`] | `HE` — hazard eras (Alg. 4; [`hazard::HazardEra`]) | baseline |
 //! | [`hazard`] | **`HazardEraPOP`** (Alg. 5; [`hazard::HazardEraPop`]) | contribution |
 //! | [`epoch`] | **`EpochPOP`** (Alg. 3; [`epoch::EpochPop`]) | contribution |
-//! | [`ibr`] | `IBR` — 2GE interval-based | baseline |
+//! | [`epoch`] | `IBR` — 2GE interval-based ([`epoch::Ibr`]) | baseline |
 //! | [`nbr`] | `NBR+` — neutralization (cooperative) | baseline |
 //! | [`hyaline`] | `Hyaline-1` — Crystalline-family batch refcounting | appendix baseline |
 //! | [`epoch`] | `VBR` — version-based, self-aborting laggards ([`epoch::Vbr`]) | allocator-integration scheme |
 //!
 //! The five [`hazard`] schemes are one engine, `Hazard<Kind, Publish>`:
 //! pointer or era reservations × the eager `Fence`, publish-on-ping `Ping`
-//! or asymmetric-barrier `Asym` publisher. The three [`epoch`] schemes are
-//! one engine, `Epoch<Laggard>`: one announcement, clock, pass and sweep,
+//! or asymmetric-barrier `Asym` publisher. The four [`epoch`] schemes are
+//! one engine, `Epoch<Laggard>`: one announcement, clock and pass,
 //! differing only in what a reader that stops advancing costs — nothing
-//! (`Wait`), a ping and a pointer-reservation pass (`Ping`), or its own
-//! restart (`Abort`).
+//! (`Wait`), a ping and a pointer-reservation pass (`Ping`), its own
+//! restart (`Abort`), or only the nodes its interval meets (`Interval`).
+//! [`nbr`] shares publish-on-ping's peer table, wait and reaper.
 
 pub mod epoch;
 pub mod hazard;
 pub mod hyaline;
-pub mod ibr;
 pub mod nbr;
 pub mod nr;

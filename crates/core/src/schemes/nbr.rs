@@ -18,30 +18,26 @@
 //! preserves NBR's observable costs: reservation-free reads, and frequent
 //! restarts of long-running read operations under reclamation pressure
 //! (the paper's Figure 4 effect).
+//!
+//! Registration, ping dispatch, the phase-2 wait and the reaper are
+//! publish-on-ping's peer table (`pop_shared::Peers`): NBR+ differs from
+//! POP only in what a ping asks for (a restart instead of a publish) and
+//! in what ends the wait (the predicate above instead of a
+//! publish-counter bump).
 
-use core::sync::atomic::{
-    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-};
+use core::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crossbeam_utils::CachePadded;
-use pop_runtime::signal::{ping_gtid, register_publisher};
-use pop_runtime::{futex, PingOutcome, Publisher, PublisherHandle, Registry};
+use pop_runtime::signal::register_publisher;
+use pop_runtime::{PingOutcome, Publisher, PublisherHandle};
 
 use crate::base::{free_unreserved, push_retired, DomainBase, RetireSlot, ScratchSlot};
 use crate::config::SmrConfig;
 use crate::header::{unmark_word, Header, Retired};
+use crate::pop_shared::{zeroed, Peers};
 use crate::smr::{ReadResult, Restart, Smr};
 use crate::stats::DomainStats;
-
-/// Phase-2 park timeout. Every exit condition now wakes the progress word
-/// (restart acks since PR 3; going-quiescent, write-phase entry and
-/// deregistration since PR 4's waiter-flag checks in `end_op` /
-/// `begin_write` / `unregister`), so the timeout is a pure liveness
-/// backstop — long enough not to matter, short enough to bound a lost
-/// wake.
-const NBR_WAIT_TIMEOUT_NS: u64 = 1_000_000;
 
 struct ThreadState {
     retire: RetireSlot,
@@ -50,7 +46,12 @@ struct ThreadState {
 
 /// Signal-handler-visible shared state (leaked, like `PopShared`).
 struct NbrShared {
-    nthreads: usize,
+    /// Registration, dispatch, phase-2 wait and reap. Its futex word is
+    /// bumped by every restart acknowledgement and — when a waiter has
+    /// announced itself — by the going-quiescent, write-phase and
+    /// deregistration exits, so every exit wakes promptly and the wait's
+    /// timeout is only a lost-signal backstop.
+    peers: Peers,
     slots: usize,
     /// Write-phase reservations, published in `begin_write`.
     wres: Box<[AtomicU64]>,
@@ -62,81 +63,25 @@ struct NbrShared {
     in_write: Box<[CachePadded<AtomicBool>]>,
     /// Restart acknowledgements.
     restart_seq: Box<[CachePadded<AtomicU64>]>,
-    /// 32-bit futex key; phase-2 waiters park on it after their spin
-    /// budget. Bumped on every restart acknowledgement, and — when a
-    /// waiter has announced itself — by the going-quiescent, write-phase
-    /// and deregistration exits ([`NbrShared::wake_phase2_waiters`]), so
-    /// every exit wakes promptly and the wait's timeout is only a
-    /// lost-signal backstop.
-    progress: Box<[CachePadded<AtomicU32>]>,
-    /// Waiters parked (or about to park) on `progress[t]`; the
-    /// acknowledging thread skips the wake syscall when zero.
-    wait_flag: Box<[CachePadded<AtomicU32>]>,
     /// Operation sequence numbers (bumped each `begin_op`): a change proves
     /// the thread went quiescent — equivalent to a restart for safety.
     op_seq: Box<[CachePadded<AtomicU64>]>,
-    registered: Box<[AtomicBool]>,
-    gtid_of: Box<[AtomicUsize]>,
-    /// Registry generation captured at `bind_gtid`; `(gtid, generation)`
-    /// names that registration forever, so liveness probes after the slot
-    /// is recycled resolve to `Vacated`, never a false `Dead`.
-    gtid_gen: Box<[AtomicU64]>,
-    /// Set when a liveness probe confirms the owner's kernel thread is
-    /// gone; consumed (CAS) by the reclaim path's reaper.
-    peer_dead: Box<[AtomicBool]>,
-    /// Whether the bound gtid was the calling thread's real registry slot
-    /// at `bind_gtid` time ([`crate::base::registration_backed`]) — the
-    /// license to read a later `Vacated` probe as death.
-    gtid_backed: Box<[AtomicBool]>,
     stats: Arc<DomainStats>,
 }
 
 impl NbrShared {
-    fn leak(nthreads: usize, slots: usize, stats: Arc<DomainStats>) -> &'static Self {
-        fn padded_u64(n: usize) -> Box<[CachePadded<AtomicU64>]> {
-            let mut v = Vec::with_capacity(n);
-            v.resize_with(n, || CachePadded::new(AtomicU64::new(0)));
-            v.into_boxed_slice()
-        }
-        fn padded_u32(n: usize) -> Box<[CachePadded<AtomicU32>]> {
-            let mut v = Vec::with_capacity(n);
-            v.resize_with(n, || CachePadded::new(AtomicU32::new(0)));
-            v.into_boxed_slice()
-        }
-        fn padded_bool(n: usize) -> Box<[CachePadded<AtomicBool>]> {
-            let mut v = Vec::with_capacity(n);
-            v.resize_with(n, || CachePadded::new(AtomicBool::new(false)));
-            v.into_boxed_slice()
-        }
-        let mut wres = Vec::with_capacity(nthreads * slots);
-        wres.resize_with(nthreads * slots, || AtomicU64::new(0));
-        let mut registered = Vec::with_capacity(nthreads);
-        registered.resize_with(nthreads, || AtomicBool::new(false));
-        let mut gtid_of = Vec::with_capacity(nthreads);
-        gtid_of.resize_with(nthreads, || AtomicUsize::new(0));
-        let mut gtid_gen = Vec::with_capacity(nthreads);
-        gtid_gen.resize_with(nthreads, || AtomicU64::new(0));
-        let mut peer_dead = Vec::with_capacity(nthreads);
-        peer_dead.resize_with(nthreads, || AtomicBool::new(false));
-        let mut gtid_backed = Vec::with_capacity(nthreads);
-        gtid_backed.resize_with(nthreads, || AtomicBool::new(false));
+    fn leak(base: &DomainBase) -> &'static Self {
+        let (n, slots) = (base.cfg.max_threads, base.cfg.slots);
         Box::leak(Box::new(NbrShared {
-            nthreads,
+            peers: Peers::new(&base.cfg),
             slots,
-            wres: wres.into_boxed_slice(),
-            neutralized: padded_bool(nthreads),
-            in_op: padded_bool(nthreads),
-            in_write: padded_bool(nthreads),
-            restart_seq: padded_u64(nthreads),
-            progress: padded_u32(nthreads),
-            wait_flag: padded_u32(nthreads),
-            op_seq: padded_u64(nthreads),
-            registered: registered.into_boxed_slice(),
-            gtid_of: gtid_of.into_boxed_slice(),
-            gtid_gen: gtid_gen.into_boxed_slice(),
-            peer_dead: peer_dead.into_boxed_slice(),
-            gtid_backed: gtid_backed.into_boxed_slice(),
-            stats,
+            wres: zeroed(n * slots),
+            neutralized: zeroed(n),
+            in_op: zeroed(n),
+            in_write: zeroed(n),
+            restart_seq: zeroed(n),
+            op_seq: zeroed(n),
+            stats: Arc::clone(&base.stats),
         }))
     }
 
@@ -146,127 +91,47 @@ impl NbrShared {
         }
     }
 
-    /// Wakes phase-2 waiters parked on `tid`'s progress word, for the exit
-    /// conditions that do not bump the word on their own: going quiescent
-    /// (`end_op`), entering a write phase (`begin_write`) and
-    /// deregistration (`unregister`). Costs **one shared load** when
-    /// nobody waits (the common case — this is the ROADMAP's "waiter-flag
-    /// check").
-    ///
-    /// Ordering: the caller must order its state change before this
-    /// flag load with a `SeqCst` fence (Dekker). Pairing with the waiter's
-    /// announce-then-recheck-then-park sequence: if this load misses the
-    /// waiter's flag bump, the waiter's fence follows ours, so its
-    /// pre-park re-check observes the state change and it never parks; if
-    /// the load sees the flag, the word bump + wake either precede the
-    /// park (kernel re-checks the word: `EAGAIN`) or hit a parked waiter.
-    fn wake_phase2_waiters(&self, tid: usize) {
-        if self.wait_flag[tid].load(Ordering::SeqCst) > 0 {
-            self.progress[tid].fetch_add(1, Ordering::SeqCst);
-            futex::wake_all(&self.progress[tid]);
-        }
-    }
-
-    /// Phase 2's exit predicate for peer `t`: true once `t` provably holds
-    /// no read-phase pointer predating the reclaimer's unlinks (see the
-    /// five cases in the module docs).
+    /// Phase 2's exit predicate for registered peer `t`: true once `t`
+    /// provably holds no read-phase pointer predating the reclaimer's
+    /// unlinks (see the cases in the module docs).
     fn phase2_satisfied(&self, t: usize, seq0: u64, ops0: u64) -> bool {
-        !self.registered[t].load(Ordering::Acquire) // deregistered
-            || !self.in_op[t].load(Ordering::Acquire) // quiescent
+        !self.in_op[t].load(Ordering::Acquire) // quiescent
             || self.in_write[t].load(Ordering::Acquire) // reservations honored
             || self.restart_seq[t].load(Ordering::Acquire) > seq0 // acked restart
             || self.op_seq[t].load(Ordering::Acquire) != ops0 // fresh operation
     }
 
-    /// The `(gtid, generation)` pair naming slot `t`'s registration, if
-    /// the slot is registered and bound.
-    fn registration_of(&self, t: usize) -> Option<(usize, u64)> {
-        if !self.registered[t].load(Ordering::Acquire) {
-            return None;
-        }
-        match self.gtid_of[t].load(Ordering::Acquire) {
-            0 => None,
-            g => Some((g - 1, self.gtid_gen[t].load(Ordering::Acquire))),
-        }
-    }
-
-    /// Probes slot `t`'s owner in the global registry; flags the slot for
-    /// reaping only on a confirmed death of the *same* registration
-    /// generation — a dead kernel tid, or a backed registration vacated by
-    /// the dead thread's TLS teardown
-    /// ([`crate::base::registration_confirmed_dead`]). Ambiguity leaves
-    /// the flag alone — no reap is always correct (correct-by-keep).
-    fn note_dead_if_confirmed(&self, t: usize) {
-        if let Some((gtid, generation)) = self.registration_of(t) {
-            let backed = self.gtid_backed[t].load(Ordering::Relaxed);
-            if crate::base::registration_confirmed_dead(gtid, generation, backed) {
-                self.peer_dead[t].store(true, Ordering::Release);
-            }
-        }
-    }
-
-    /// Consumes one dead-peer flag (CAS), handing its slot index to the
-    /// caller's reap attempt.
-    fn take_dead(&self) -> Option<usize> {
-        (0..self.nthreads).find(|&t| {
-            self.peer_dead[t]
-                .compare_exchange(true, false, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        })
-    }
-
     /// Reaper-side `unregister` for a participant whose thread died inside
-    /// an operation: clears every signal-handler-visible trace of the slot
-    /// and wakes phase-2 waiters parked on it. Caller must hold the reap
-    /// exclusivity (`DomainBase::try_begin_reap` + a won `Registry::reap`).
+    /// an operation: clears every signal-handler-visible trace of the slot,
+    /// then evicts it from the peer table, waking phase-2 waiters parked on
+    /// it. Caller must hold the reap exclusivity
+    /// ([`Peers::reap_one_dead`]).
     fn force_unregister(&self, tid: usize) {
         self.in_write[tid].store(false, Ordering::Release);
         self.in_op[tid].store(false, Ordering::Release);
         self.neutralized[tid].store(false, Ordering::Release);
         self.clear_wres(tid);
-        self.registered[tid].store(false, Ordering::Release);
-        fence(Ordering::SeqCst);
-        // Cold path: wake unconditionally so any reclaimer parked on the
-        // dead slot's progress word re-checks `registered` now.
-        self.progress[tid].fetch_add(1, Ordering::SeqCst);
-        futex::wake_all(&self.progress[tid]);
-        self.gtid_of[tid].store(0, Ordering::Release);
-        self.gtid_backed[tid].store(false, Ordering::Relaxed);
+        self.peers.evict(tid);
     }
 }
 
 impl Publisher for NbrShared {
     /// Signal-handler side of neutralization: request a restart unless the
-    /// pinged thread is in a write phase. Atomics + fence only.
-    ///
-    /// Registry slots recycle, so the gtid may still be bound by a dead
-    /// thread's domain tid alongside the live claimant's; the claim
-    /// generation captured at `bind_gtid` keeps this handler from acting
-    /// on the corpse's binding (same guard as the POP publisher, where it
-    /// is load-bearing — here it only keeps stats and neutralization
-    /// flags honest, since the ack a reclaimer waits for must come from
-    /// the bound thread itself).
+    /// pinged thread is in a write phase. Atomics + fence only. A stale
+    /// generation is skipped ([`Peers::dispatch`]); here that only keeps
+    /// stats and neutralization flags honest, since the ack a reclaimer
+    /// waits for must come from the bound thread itself.
     fn publish(&self, gtid: usize) {
-        let current = Registry::global().generation_of(gtid);
-        for t in 0..self.nthreads {
-            if self.registered[t].load(Ordering::Acquire)
-                && self.gtid_of[t].load(Ordering::Acquire) == gtid + 1
-            {
-                let stale = self.gtid_backed[t].load(Ordering::Relaxed)
-                    && self.gtid_gen[t].load(Ordering::Relaxed) != current;
-                if stale {
-                    continue;
-                }
-                if !self.in_write[t].load(Ordering::Acquire) {
-                    self.neutralized[t].store(true, Ordering::Release);
-                }
-                fence(Ordering::SeqCst);
-                self.stats
-                    .shard(t)
-                    .publishes
-                    .fetch_add(1, Ordering::Relaxed);
+        self.peers.dispatch(gtid, |t| {
+            if !self.in_write[t].load(Ordering::Acquire) {
+                self.neutralized[t].store(true, Ordering::Release);
             }
-        }
+            fence(Ordering::SeqCst);
+            self.stats
+                .shard(t)
+                .publishes
+                .fetch_add(1, Ordering::Relaxed);
+        });
     }
 }
 
@@ -280,7 +145,7 @@ pub struct NbrPlus {
 
 impl NbrPlus {
     /// Consumes a pending neutralization, acknowledging the restart (and
-    /// waking any reclaimer parked on this thread's progress word).
+    /// waking any reclaimer parked on this thread's word).
     #[inline]
     fn consume_neutralization(&self, tid: usize) -> bool {
         let sh = self.shared;
@@ -288,12 +153,7 @@ impl NbrPlus {
             && sh.neutralized[tid].swap(false, Ordering::AcqRel)
         {
             sh.restart_seq[tid].fetch_add(1, Ordering::Release);
-            // Dekker with the phase-2 waiter: SeqCst bump before the
-            // wait-flag load, so a parked reclaimer is always woken.
-            sh.progress[tid].fetch_add(1, Ordering::SeqCst);
-            if sh.wait_flag[tid].load(Ordering::SeqCst) > 0 {
-                futex::wake_all(&sh.progress[tid]);
-            }
+            sh.peers.bump_then_wake(tid);
             self.base
                 .stats
                 .shard(tid)
@@ -320,14 +180,12 @@ impl NbrPlus {
         let seq0 = &mut scratch.counters;
         let ops0 = &mut scratch.op_counters;
         seq0.clear();
-        seq0.resize(sh.nthreads, SKIP);
+        seq0.resize(sh.peers.len(), SKIP);
         ops0.clear();
-        ops0.resize(sh.nthreads, 0);
-        for t in 0..sh.nthreads {
-            if t != tid && sh.registered[t].load(Ordering::Acquire) {
-                seq0[t] = sh.restart_seq[t].load(Ordering::Acquire);
-                ops0[t] = sh.op_seq[t].load(Ordering::Acquire);
-            }
+        ops0.resize(sh.peers.len(), 0);
+        for t in sh.peers.others(tid) {
+            seq0[t] = sh.restart_seq[t].load(Ordering::Acquire);
+            ops0[t] = sh.op_seq[t].load(Ordering::Acquire);
         }
         let mut pings = 0u64;
         let mut skipped = 0u64;
@@ -353,22 +211,13 @@ impl NbrPlus {
                 skipped += 1;
                 continue;
             }
-            if let Some(g) = match sh.gtid_of[t].load(Ordering::Acquire) {
-                0 => None,
-                g => Some(g - 1),
-            } {
-                match ping_gtid(g) {
-                    PingOutcome::Sent => pings += 1,
-                    PingOutcome::Inactive => {}
-                    PingOutcome::Dead | PingOutcome::Failed(_) => {
-                        // The peer never saw the neutralization request.
-                        // Phase 2 still waits on it (bounded by the pass
-                        // deadline below), and a confirmed kernel-level
-                        // death arms the reaper.
-                        failed += 1;
-                        sh.note_dead_if_confirmed(t);
-                    }
-                }
+            match sh.peers.ping(t) {
+                PingOutcome::Sent => pings += 1,
+                PingOutcome::Inactive => {}
+                // The peer never saw the neutralization request. Phase 2
+                // still waits on it (bounded by the pass deadline), and a
+                // confirmed death arms the reaper.
+                PingOutcome::Dead | PingOutcome::Failed(_) => failed += 1,
             }
         }
         shard.pings_sent.fetch_add(pings, Ordering::Relaxed);
@@ -378,59 +227,20 @@ impl NbrPlus {
         }
 
         // Phase 2: wait until every peer provably holds no read-phase
-        // pointer predating our unlinks (see module docs for the cases).
-        // Bounded spin (SmrConfig::publish_spin) then park on the peer's
-        // progress word: every exit wakes it — restart acks bump it
-        // directly, and `end_op` / `begin_write` / `unregister` run the
-        // waiter-flag check — so the park's timeout is only the backstop
-        // for lost signals, not any exit's detection latency.
-        let spin_limit = self.base.cfg.publish_spin;
-        // Watchdog: bounded total wall clock for the whole phase-2 wait
-        // (SmrConfig::publish_deadline_ns; 0 disables). Armed lazily on
-        // the first spin-budget exhaustion so uncontended passes never
-        // read the clock. On expiry the laggard could not be neutralized;
-        // the pass degrades conservatively — phase 3 frees nothing and
-        // every retiree is kept for a later pass (correct-by-keep) — and
-        // a registry probe arms the reaper if the laggard's thread is
-        // actually dead.
-        let deadline_ns = self.base.cfg.publish_deadline_ns;
-        let mut pass_deadline: Option<Instant> = None;
+        // pointer predating our unlinks, or has deregistered. On the pass
+        // deadline the laggard could not be neutralized; the pass degrades
+        // conservatively — phase 3 frees nothing and every retiree is kept
+        // for a later pass (correct-by-keep) — and a registry probe arms
+        // the reaper if the laggard's thread is actually dead.
+        let mut deadline = None;
         let mut timeouts = 0u64;
-        let mut timed_out = false;
-        for t in 0..sh.nthreads {
-            if seq0[t] == SKIP {
-                continue;
-            }
-            let mut spins = 0u32;
-            while !sh.phase2_satisfied(t, seq0[t], ops0[t]) {
-                spins = spins.saturating_add(1);
-                if spins <= spin_limit {
-                    core::hint::spin_loop();
-                    continue;
-                }
-                if deadline_ns > 0 {
-                    let deadline = *pass_deadline
-                        .get_or_insert_with(|| Instant::now() + Duration::from_nanos(deadline_ns));
-                    if Instant::now() >= deadline {
-                        timeouts += 1;
-                        timed_out = true;
-                        sh.note_dead_if_confirmed(t);
-                        break;
-                    }
-                }
-                // Announce, read the word, re-check, park. A peer exit
-                // between the announce and the FUTEX_WAIT either lands in
-                // the re-check (its SeqCst fence follows our announce),
-                // changes the word (EAGAIN), or sees our flag and wakes us.
-                // The wait result is deliberately ignored: wall clock above
-                // decides expiry, so a spurious wake or a timed-out park
-                // are indistinguishable here — both just re-check.
-                sh.wait_flag[t].fetch_add(1, Ordering::SeqCst);
-                let w = sh.progress[t].load(Ordering::SeqCst);
-                if !sh.phase2_satisfied(t, seq0[t], ops0[t]) {
-                    let _ = futex::wait_timeout(&sh.progress[t], w, NBR_WAIT_TIMEOUT_NS);
-                }
-                sh.wait_flag[t].fetch_sub(1, Ordering::SeqCst);
+        for (t, (&s0, &o0)) in seq0.iter().zip(ops0.iter()).enumerate() {
+            if s0 != SKIP
+                && !sh
+                    .peers
+                    .wait(t, &mut deadline, || sh.phase2_satisfied(t, s0, o0))
+            {
+                timeouts += 1;
             }
         }
         if timeouts > 0 {
@@ -440,18 +250,25 @@ impl NbrPlus {
         }
         fence(Ordering::SeqCst);
 
-        // Reap at most one confirmed-dead participant per pass (cold
-        // path; the CAS pair makes the reaper the slot's unique accessor).
-        self.maybe_reap(tid);
+        // Reap at most one confirmed-dead participant per pass (cold path).
+        sh.peers.reap_one_dead(
+            &self.base,
+            tid,
+            |t| sh.force_unregister(t),
+            // SAFETY: the won reap makes this thread the unique accessor
+            // of the dead slot's single-owner state; its owner's kernel
+            // task no longer exists.
+            |t| unsafe { self.threads[t].retire.get() },
+        );
 
+        // SAFETY: tid ownership per the registration contract.
+        let list = unsafe { self.threads[tid].retire.get() };
         // Phase 3: honor write-phase reservations, free the rest. A
         // timed-out phase 2 proves nothing about the laggard's read-phase
         // pointers, so the pass frees NOTHING — the retire list simply
         // rides to the next pass (by which point the reaper has removed a
         // dead laggard, or a live one has caught up).
-        if timed_out {
-            // SAFETY: tid ownership per the registration contract.
-            let list = unsafe { self.threads[tid].retire.get() };
+        if timeouts > 0 {
             // Keep the retired-node accounting truthful: a normal pass
             // seals partial batches inside its sweep; a timed-out pass
             // must seal explicitly or everything kept this round would be
@@ -462,58 +279,22 @@ impl NbrPlus {
         }
         let reserved = &mut scratch.reserved;
         reserved.clear();
-        for t in 0..sh.nthreads {
-            if !sh.registered[t].load(Ordering::Acquire) {
-                continue;
-            }
-            for s in 0..sh.slots {
-                let w = sh.wres[t * sh.slots + s].load(Ordering::Acquire);
-                if w != 0 {
-                    reserved.push(w);
-                }
+        for t in 0..sh.peers.len() {
+            if sh.peers.is_registered(t) {
+                let row = &sh.wres[t * sh.slots..(t + 1) * sh.slots];
+                reserved.extend(
+                    row.iter()
+                        .map(|w| w.load(Ordering::Acquire))
+                        .filter(|&w| w != 0),
+                );
             }
         }
         reserved.sort_unstable();
         reserved.dedup();
-        // SAFETY: tid ownership per the registration contract.
-        let list = unsafe { self.threads[tid].retire.get() };
         shard.observe_retire_len(list.len());
         // SAFETY: phase 2 established no peer holds an unreserved pointer
         // to our (already unlinked) retirees.
         unsafe { free_unreserved(&self.base, tid, list, reserved) };
-    }
-
-    /// Reaps one participant whose kernel thread was confirmed dead: parks
-    /// its remaining retires as orphans, releases its slot, and erases it
-    /// from the signal-handler-visible state so phase 2 stops waiting on
-    /// it. Exclusivity comes from the per-slot reap CAS plus re-confirming
-    /// the death ([`crate::base::reap_registration`]) for that
-    /// `(gtid, generation)`.
-    fn maybe_reap(&self, tid: usize) {
-        let sh = self.shared;
-        let Some(t) = sh.take_dead() else { return };
-        if t == tid || !self.base.try_begin_reap(t) {
-            return;
-        }
-        let confirmed = match sh.registration_of(t) {
-            Some((gtid, generation)) => {
-                let backed = sh.gtid_backed[t].load(Ordering::Relaxed);
-                crate::base::reap_registration(gtid, generation, backed)
-            }
-            None => false,
-        };
-        if confirmed {
-            // Erase the handler-visible state first: `reap_participant`
-            // ends by releasing the domain tid for reuse, and a new
-            // claimant's registration must not race our teardown.
-            sh.force_unregister(t);
-            // SAFETY: the reap CAS plus the won registry reap make this
-            // thread the unique accessor of the dead slot's single-owner
-            // state; the owner's kernel task no longer exists.
-            let list = unsafe { self.threads[t].retire.get() };
-            self.base.reap_participant(tid, t, list);
-        }
-        self.base.end_reap(t);
     }
 }
 
@@ -523,22 +304,21 @@ impl Smr for NbrPlus {
     const NEEDS_SIGNALS: bool = true;
 
     fn new(cfg: SmrConfig) -> Arc<Self> {
-        let n = cfg.max_threads;
         let base = DomainBase::new(cfg);
-        let shared = NbrShared::leak(n, base.cfg.slots, Arc::clone(&base.stats));
-        let publisher = register_publisher(shared);
-        let mut threads = Vec::with_capacity(n);
-        threads.resize_with(n, || {
-            CachePadded::new(ThreadState {
-                retire: RetireSlot::for_cfg(&base.cfg),
-                scratch: ScratchSlot::new(),
+        let shared = NbrShared::leak(&base);
+        let threads = (0..base.cfg.max_threads)
+            .map(|_| {
+                CachePadded::new(ThreadState {
+                    retire: RetireSlot::for_cfg(&base.cfg),
+                    scratch: ScratchSlot::new(),
+                })
             })
-        });
+            .collect();
         Arc::new(NbrPlus {
             base,
             shared,
-            publisher,
-            threads: threads.into_boxed_slice(),
+            publisher: register_publisher(shared),
+            threads,
         })
     }
 
@@ -551,22 +331,13 @@ impl Smr for NbrPlus {
     }
 
     fn bind_gtid(&self, tid: usize, gtid: usize) {
-        self.base.bind_gtid(tid, gtid);
         let sh = self.shared;
         sh.clear_wres(tid);
         sh.neutralized[tid].store(false, Ordering::Relaxed);
         sh.in_op[tid].store(false, Ordering::Relaxed);
         sh.in_write[tid].store(false, Ordering::Relaxed);
-        sh.peer_dead[tid].store(false, Ordering::Relaxed);
-        let generation = if gtid < pop_runtime::MAX_THREADS {
-            Registry::global().generation_of(gtid)
-        } else {
-            0
-        };
-        sh.gtid_gen[tid].store(generation, Ordering::Relaxed);
-        sh.gtid_backed[tid].store(crate::base::registration_backed(gtid), Ordering::Relaxed);
-        sh.gtid_of[tid].store(gtid + 1, Ordering::Relaxed);
-        sh.registered[tid].store(true, Ordering::Release);
+        // Publishes the clears before the thread is pingable.
+        sh.peers.bind(tid, gtid);
     }
 
     fn register_raw(&self, tid: usize) {
@@ -585,13 +356,11 @@ impl Smr for NbrPlus {
         // SAFETY: tid ownership until release.
         let list = unsafe { self.threads[tid].retire.get() };
         self.base.orphan_remaining(tid, list);
-        sh.registered[tid].store(false, Ordering::Release);
+        sh.peers.leave(tid);
         // Wake coverage for the deregistered exit (cold path: fence +
-        // flag check unconditionally).
+        // waiter check unconditionally).
         fence(Ordering::SeqCst);
-        sh.wake_phase2_waiters(tid);
-        sh.gtid_of[tid].store(0, Ordering::Relaxed);
-        self.base.clear_gtid(tid);
+        sh.peers.wake_waiters(tid);
         self.base.release(tid);
     }
 
@@ -617,11 +386,11 @@ impl Smr for NbrPlus {
         sh.in_write[tid].store(false, Ordering::Release);
         sh.in_op[tid].store(false, Ordering::Release);
         // Wake coverage for the going-quiescent exit: the fence orders the
-        // in_op clear before the waiter-flag load (Dekker, see
-        // `wake_phase2_waiters`); a parked reclaimer stops waiting on us
-        // now instead of riding the timeout.
+        // in_op clear before the waiter check (wake order "check waiters,
+        // then bump"); a parked reclaimer stops waiting on us now instead
+        // of riding the timeout.
         fence(Ordering::SeqCst);
-        sh.wake_phase2_waiters(tid);
+        sh.peers.wake_waiters(tid);
     }
 
     /// NBR's defining property: a read is a plain load plus one relaxed
@@ -669,10 +438,10 @@ impl Smr for NbrPlus {
             return Err(Restart);
         }
         // Wake coverage for the entered-write-phase exit: the fence above
-        // already orders the in_write store before the flag load; a parked
-        // reclaimer proceeds to honor our published reservations instead of
-        // riding the timeout.
-        sh.wake_phase2_waiters(tid);
+        // already orders the in_write store before the waiter check; a
+        // parked reclaimer proceeds to honor our published reservations
+        // instead of riding the timeout.
+        sh.peers.wake_waiters(tid);
         Ok(())
     }
 
@@ -714,7 +483,9 @@ impl Drop for NbrPlus {
 mod tests {
     use super::*;
     use crate::header::{HasHeader, Header};
+    use crate::pop_shared::WAIT_TIMEOUT_NS;
     use crate::smr::{as_header, retire_node};
+    use pop_runtime::futex;
     use std::sync::atomic::AtomicBool as StdBool;
 
     #[repr(C)]
@@ -884,10 +655,10 @@ mod tests {
                     smr.begin_op(1);
                     inop_tx.send(()).unwrap();
                     // Hold the read phase until the reclaimer's phase-2
-                    // waiter has announced itself on our progress word
+                    // waiter has announced itself on our futex word
                     // (it parks right after, or its pre-park re-check
                     // sees the end_op — prompt either way).
-                    while smr.shared.wait_flag[1].load(Ordering::SeqCst) == 0 {
+                    while !smr.shared.peers.has_waiter(1) {
                         std::hint::spin_loop();
                     }
                     let t0 = std::time::Instant::now();
@@ -914,9 +685,9 @@ mod tests {
         lat_ns.sort_unstable();
         let median = lat_ns[ROUNDS / 2];
         assert!(
-            median < NBR_WAIT_TIMEOUT_NS / 2,
+            median < WAIT_TIMEOUT_NS / 2,
             "going-quiescent exit must wake the parked waiter well under \
-             the {NBR_WAIT_TIMEOUT_NS} ns timeout backstop; median {median} ns \
+             the {WAIT_TIMEOUT_NS} ns timeout backstop; median {median} ns \
              (all: {lat_ns:?})"
         );
     }

@@ -213,9 +213,13 @@ fn epoch_word_only_written_by_reclaimer_max_aggregation() {
 #[test]
 fn idle_peer_is_skipped_by_the_slot_scan_every_pass_and_still_drains() {
     // Signal path pinned: the membarrier mode never filters per peer.
+    // Unbatched, so every eighth retire triggers a pass: these Box nodes
+    // route to fill bins by heap address, and a run whose nodes span
+    // several slab-sized ranges would otherwise trigger fewer passes.
     let smr = HazardPtrPop::new(
         SmrConfig::for_tests(2)
             .with_reclaim_freq(8)
+            .with_retire_batch(1)
             .with_publish_mode(PublishMode::Futex),
     );
     let reg0 = smr.register(0);

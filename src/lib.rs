@@ -15,9 +15,9 @@
 //!   reclamation over the owned slab arenas). HP, HPAsym, HazardPtrPOP, HE
 //!   and HazardEraPOP are one hazard engine (`smr::schemes::hazard`) with
 //!   pointer or era reservations and an eager, asymmetric-barrier or
-//!   publish-on-ping publisher; EBR, EpochPOP and VBR are one epoch engine
-//!   (`smr::schemes::epoch`) that differs only in what a reader that stops
-//!   advancing costs.
+//!   publish-on-ping publisher; EBR, EpochPOP, VBR and IBR are one epoch
+//!   engine (`smr::schemes::epoch`) that differs only in what a reader that
+//!   stops advancing costs.
 //! * [`ds`] — seven concurrent set/map data structures written once
 //!   against the `Smr` trait: Harris-Michael list, lazy list, hash table,
 //!   lock-based external BST, (a,b)-tree, lock-free skip list and the

@@ -160,10 +160,11 @@ fn held_through_a_row<S: Smr>(mode: PublishMode) {
     );
     hold.store(false, Ordering::Release);
     ended_rx.recv().unwrap();
-    // A fault plan may drop the pass's ping: the idle reader then stays
-    // suspect, its private words kept, until it publishes again — which
-    // its deregistration does. Without faults one flush must free the
-    // node while the reader is still registered.
+    // A fault plan may drop the pass's ping, leaving the idle reader
+    // suspect with its private words kept. The next pass pings a suspect
+    // even when it is idle, but a plan can drop that re-ping too, so only
+    // the reader's deregistration is sure to publish. Without faults one
+    // flush must free the node while the reader is still registered.
     if !cfg!(feature = "fault-injection") {
         smr.flush(0);
         assert_eq!(
