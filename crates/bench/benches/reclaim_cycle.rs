@@ -12,8 +12,8 @@
 //!   (`retire_batch = RETIRE_BATCH_CAP`) vs unbatched (`retire_batch = 1`),
 //!   isolating the amortized stats bump + threshold test.
 //! * `epoch_advance_*` — `begin_op`/`end_op` cost under 1/4/8 threads all
-//!   eligible to advance the epoch every operation (`epoch_freq = 1`): the
-//!   per-thread clock tick replaces what used to be a contended shared
+//!   running op brackets: the op path writes no clock word (the epoch
+//!   moves with retires), where it once paid a contended shared
 //!   `fetch_add`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -160,11 +160,11 @@ fn retire_throughput_sweep(c: &mut Criterion) {
 }
 
 /// Epoch-advance contention: `threads - 1` peers hammer `begin_op`/`end_op`
-/// with `epoch_freq = 1` (every op ticks a clock) while the measured thread
-/// does the same. Before the per-thread clocks this was a shared
-/// `fetch_add` from every thread on every op.
+/// while the measured thread does the same. The bracket only announces:
+/// the epoch moves with retires, so no op writes a clock word (it was once
+/// a shared `fetch_add` from every thread on every op).
 fn epoch_advance_contention<S: Smr>(c: &mut Criterion, threads: usize) {
-    let smr = S::new(SmrConfig::for_threads(threads).with_epoch_freq(1));
+    let smr = S::new(SmrConfig::for_threads(threads));
     let reg = smr.register(0);
     let stop = Arc::new(AtomicBool::new(false));
     let ready = Arc::new(Barrier::new(threads));

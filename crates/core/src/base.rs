@@ -1,5 +1,5 @@
 //! Domain plumbing shared by every scheme: thread-slot occupancy, batched
-//! retire lists, per-thread epoch clocks, reusable reclamation scratch, the
+//! retire lists, the epoch clock, reusable reclamation scratch, the
 //! quarantine use-after-free detector, and orphan handling.
 //!
 //! ## Batch lifecycle (fill → seal → range test → per-node test → recycle)
@@ -68,26 +68,20 @@
 //!    block — so orphans drain even when no thread ever joins again, and
 //!    a stolen block range-tests from its surviving summary.
 //!
-//! ## Epoch max-aggregation invariant
+//! ## The clocks move with retires
 //!
-//! Epoch-based schemes (EBR, EpochPOP, IBR) used to `fetch_add` one shared
-//! global-epoch word every `epoch_freq` operations per thread — the last
-//! cross-thread RMW on the operation path. [`EpochClocks`] replaces it
-//! (VBR's version word is the same global, advanced by passes alone):
-//! each thread *ticks a private, cache-padded clock* (a relaxed store to
-//! its own line), and **the shared word is written only by reclaimer
-//! passes**, which aggregate the clocks *striped*: stripes of
-//! [`EPOCH_STRIPE`] clocks fold into per-stripe summary words, a pass
-//! refreshes only its own stripe plus one rotating stripe, and the global
-//! is `fetch_max`ed from the summaries
-//! ([`EpochClocks::advance_max_scan`]) — O(threads / 8) per pass instead
-//! of O(threads). A reclaimer first jumps its
-//! own clock past the current global, so **every pass advances the
-//! epoch** even when its private clock lagged a formerly-hot, now-idle
-//! peer's. Safety is unaffected: readers
-//! announce, and retirers tag, values of the same monotone global word, so
-//! *when* it advances only affects reclamation latency, never which frees
-//! are legal.
+//! The epoch schemes' global word ([`EpochClock`]) and hazard eras' era
+//! word move at two sites, both on the retire path: a reclaimer pass
+//! advances its clock first, and [`push_retired`] asks for a *tick* once
+//! per `reclaim_freq / TICK_DIVISOR` sealed retires between passes
+//! ([`Verdict::Tick`]: one `fetch_max` or `fetch_add`, no ping, no fence,
+//! no scan). So the batch that triggers a pass was retired across several
+//! clock values, most of them older than the reclaimer's own open
+//! operation, and the pass frees it instead of keeping it for the next
+//! one. The operation path writes no clock word. Safety is unaffected:
+//! readers announce (or reserve), and retirers tag, values of the same
+//! monotone word, so *when* it advances only affects reclamation latency,
+//! never which frees are legal.
 
 use core::cell::UnsafeCell;
 use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -165,6 +159,9 @@ pub(crate) struct RetireList {
     /// reader) must not turn every subsequent seal into a full-list
     /// sweep.
     sealed_since_trigger: usize,
+    /// Nodes sealed since the last tick (or pass): paces
+    /// [`push_retired`]'s [`Verdict::Tick`].
+    sealed_since_tick: usize,
     /// Sealed blocks, oldest first. Deliberately boxed (not `vec_box`
     /// noise): a sealed block is handed around *as one pointer* — between
     /// the fill bins, this vector, the free pool, the domain orphan list
@@ -185,6 +182,7 @@ impl RetireList {
             sealed_nodes: 0,
             fill_nodes: 0,
             sealed_since_trigger: 0,
+            sealed_since_tick: 0,
             blocks: Vec::new(),
             fills: core::array::from_fn(|_| RetireBatch::boxed()),
             free: Vec::new(),
@@ -225,16 +223,20 @@ impl RetireList {
         self.sealed_nodes += n;
         self.fill_nodes -= n;
         self.sealed_since_trigger += n;
+        self.sealed_since_tick += n;
         SealOutcome {
             nodes: n,
             blocks: 1,
         }
     }
 
-    /// Resets the trigger pacing — a pass just ran (or is about to), so
-    /// the next one waits for a fresh `reclaim_freq` worth of retires.
+    /// Resets the trigger and tick pacing — a pass just ran (or is about
+    /// to), and it advances the clock itself, so the next pass waits for a
+    /// fresh `reclaim_freq` worth of retires and the next tick for a fresh
+    /// tick period.
     pub(crate) fn note_pass(&mut self) {
         self.sealed_since_trigger = 0;
+        self.sealed_since_tick = 0;
     }
 
     /// Seals every non-empty fill bin (flush/unregister paths): after
@@ -379,123 +381,34 @@ impl ScratchSlot {
     }
 }
 
-/// Clocks per [`EpochClocks`] stripe. A reclaimer pass fully scans only
-/// its own stripe plus one rotating stripe, then takes the max over the
-/// per-stripe summary words — O(threads / 8 + 16) per pass instead of
-/// O(threads).
-pub(crate) const EPOCH_STRIPE: usize = 8;
-
-/// Per-thread epoch clocks with a reclaimer-aggregated global (see the
-/// module-level invariant).
-///
-/// ## Striped aggregation
-///
-/// Clocks are grouped into stripes of [`EPOCH_STRIPE`]; each stripe has a
-/// monotone summary word holding the largest clock a reclaimer has
-/// observed in it. A pass refreshes (a) the caller's own stripe — the
-/// progress guarantee: the caller's just-jumped clock always reaches the
-/// aggregate — and (b) one stripe chosen by a rotating cursor, the
-/// *sampling* that bounds how stale an idle peer's ticks can stay: any
-/// clock value is folded into the global within `nstripes` passes. Wide
-/// domains therefore pay `2 × EPOCH_STRIPE + threads / EPOCH_STRIPE` loads
-/// per pass rather than `threads`. Staleness is safe for the same reason
-/// the whole design is: readers announce, and retirers tag, the same
-/// monotone global word, so a lagging aggregate only delays frees.
-pub(crate) struct EpochClocks {
-    /// The globally visible epoch. Written **only** by
-    /// [`Self::advance_max_scan`] (reclaimer passes).
-    global: CachePadded<AtomicU64>,
-    /// One private clock per domain tid, each on its own line; bumped by
-    /// its owner with a relaxed store, read by reclaimers during stripe
-    /// refreshes.
-    local: Box<[CachePadded<AtomicU64>]>,
-    /// Per-stripe maxima, `fetch_max`-maintained by reclaimer passes
-    /// (monotone, like the clocks themselves).
-    stripe_max: Box<[CachePadded<AtomicU64>]>,
-    /// Rotating refresh cursor (reclaimer-side only).
-    rotor: CachePadded<AtomicU64>,
+/// The global epoch of EBR, EpochPOP, VBR and IBR: one word (module docs,
+/// "The clocks move with retires"). Readers announce it and retirers tag
+/// with it; retire ticks and reclaimer passes advance it.
+pub(crate) struct EpochClock {
+    word: CachePadded<AtomicU64>,
 }
 
-impl EpochClocks {
-    pub(crate) fn new(nthreads: usize) -> Self {
-        let mut local = Vec::with_capacity(nthreads);
-        local.resize_with(nthreads, || CachePadded::new(AtomicU64::new(1)));
-        let nstripes = nthreads.div_ceil(EPOCH_STRIPE).max(1);
-        let mut stripe_max = Vec::with_capacity(nstripes);
-        stripe_max.resize_with(nstripes, || CachePadded::new(AtomicU64::new(1)));
-        EpochClocks {
-            global: CachePadded::new(AtomicU64::new(1)),
-            local: local.into_boxed_slice(),
-            stripe_max: stripe_max.into_boxed_slice(),
-            rotor: CachePadded::new(AtomicU64::new(0)),
+impl EpochClock {
+    pub(crate) fn new() -> Self {
+        EpochClock {
+            word: CachePadded::new(AtomicU64::new(1)),
         }
     }
 
-    /// The current global epoch (readers announce this; retirers tag it).
+    /// The current epoch (readers announce this; retirers tag it).
     #[inline(always)]
     pub(crate) fn current(&self) -> u64 {
-        self.global.load(Ordering::Acquire)
+        self.word.load(Ordering::Acquire)
     }
 
-    /// Owner-only clock bump: a relaxed store to the owner's own cache
-    /// line — the op path's replacement for the shared `fetch_add`.
+    /// Moves the word past the value this call loaded. `fetch_max` rather
+    /// than `fetch_add`: concurrent advances from the same value fold into
+    /// one step, and the word is strictly larger on return either way.
+    /// Returns the epoch after the advance.
     #[inline]
-    pub(crate) fn tick(&self, tid: usize) {
-        let c = self.local[tid].load(Ordering::Relaxed);
-        self.local[tid].store(c + 1, Ordering::Relaxed);
-    }
-
-    /// Folds stripe `s`'s clocks into its summary word.
-    fn refresh_stripe(&self, s: usize) {
-        let start = s * EPOCH_STRIPE;
-        let end = (start + EPOCH_STRIPE).min(self.local.len());
-        let mut m = 0u64;
-        for c in &self.local[start..end] {
-            m = m.max(c.load(Ordering::Relaxed));
-        }
-        self.stripe_max[s].fetch_max(m, Ordering::Relaxed);
-    }
-
-    /// Reclaimer-pass aggregation: jump the caller's clock past the
-    /// current global (so the aggregated max strictly exceeds it — every
-    /// pass advances the epoch, the progress guarantee the old shared
-    /// `fetch_add` gave), refresh the caller's stripe and one rotating
-    /// stripe, max the stripe summaries, and `fetch_max` the result into
-    /// the global word — the only place the global is ever written.
-    /// Returns the post-aggregation epoch.
-    ///
-    /// Without the jump, a reclaimer whose private clock lags the maximum
-    /// (a formerly-hot peer ticked far ahead, then went idle) would leave
-    /// `fetch_max` a no-op for `max - own` consecutive passes, pinning
-    /// every epoch-based free at the stale maximum.
-    /// Epoch-cadence decay note: this runs only from *full* passes, so on
-    /// a decayed domain (where only 1 in `2^decay` triggered passes is
-    /// full) the whole aggregation — own stripe, rotating stripe, global
-    /// `fetch_max` — already runs at the decayed rate. A lagging peer's
-    /// clock is folded in within `2^decay × nstripes` full-pass
-    /// opportunities, and every *executed* pass still strictly advances.
-    pub(crate) fn advance_max_scan(&self, tid: usize) -> u64 {
-        let cur = self.global.load(Ordering::Acquire);
-        let mine = self.local[tid].load(Ordering::Relaxed);
-        self.local[tid].store(mine.max(cur) + 1, Ordering::Relaxed);
-        let nstripes = self.stripe_max.len();
-        self.refresh_stripe(tid / EPOCH_STRIPE);
-        if nstripes > 1 {
-            let r = self.rotor.fetch_add(1, Ordering::Relaxed) as usize % nstripes;
-            self.refresh_stripe(r);
-        }
-        let mut m = 0u64;
-        for s in self.stripe_max.iter() {
-            m = m.max(s.load(Ordering::Relaxed));
-        }
-        let prev = self.global.fetch_max(m, Ordering::AcqRel);
-        prev.max(m)
-    }
-
-    /// Test observability: a thread's private clock value.
-    #[cfg(test)]
-    pub(crate) fn local_of(&self, tid: usize) -> u64 {
-        self.local[tid].load(Ordering::Relaxed)
+    pub(crate) fn advance(&self) -> u64 {
+        let next = self.word.load(Ordering::Acquire) + 1;
+        self.word.fetch_max(next, Ordering::AcqRel).max(next)
     }
 }
 
@@ -967,33 +880,54 @@ pub(crate) fn seal_and_account(base: &DomainBase, tid: usize, list: &mut RetireL
     }
 }
 
+/// A tick is due once per `reclaim_freq / TICK_DIVISOR` sealed retires
+/// (floored at 1): eight clock steps per pass period.
+const TICK_DIVISOR: usize = 8;
+
+/// What a retire owes after [`push_retired`], weakest first. Every verdict
+/// but `Fill` means a block just sealed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// The node joined a fill bin; nothing is owed.
+    Fill,
+    /// A block sealed.
+    Seal,
+    /// A block sealed and a tick period of sealed retires arrived since
+    /// the last tick or pass: advance the clock (module docs, "The clocks
+    /// move with retires"). Not a pass: no ping, no fence, no scan.
+    Tick,
+    /// A reclamation pass is due; it advances the clock itself.
+    Pass,
+}
+
 /// The shared retire fast path: push into the node's slab fill bin; on a
-/// seal, run the amortized accounting and report whether a reclamation
-/// pass is due (the caller then runs its scheme's pass).
+/// seal, run the amortized accounting and return what the retire owes.
 ///
 /// A pass is due when the list is over `reclaim_freq` **and** a full
 /// `reclaim_freq` of new retires arrived since the last trigger — so a
 /// pinned list (stalled reader) costs one full-list sweep per
-/// `reclaim_freq` retires, not one per seal.
+/// `reclaim_freq` retires, not one per seal. Otherwise a tick is due once
+/// per `reclaim_freq / TICK_DIVISOR` sealed retires.
 #[inline]
 pub(crate) fn push_retired(
     base: &DomainBase,
     tid: usize,
     list: &mut RetireList,
     r: Retired,
-) -> bool {
-    match list.push(r) {
-        None => false,
-        Some(outcome) => {
-            account_seal(base, tid, outcome);
-            let freq = base.cfg.reclaim_freq;
-            if list.len() >= freq && list.sealed_since_trigger >= freq {
-                list.note_pass();
-                true
-            } else {
-                false
-            }
-        }
+) -> Verdict {
+    let Some(outcome) = list.push(r) else {
+        return Verdict::Fill;
+    };
+    account_seal(base, tid, outcome);
+    let freq = base.cfg.reclaim_freq;
+    if list.len() >= freq && list.sealed_since_trigger >= freq {
+        list.note_pass();
+        Verdict::Pass
+    } else if list.sealed_since_tick >= (freq / TICK_DIVISOR).max(1) {
+        list.sealed_since_tick = 0;
+        Verdict::Tick
+    } else {
+        Verdict::Seal
     }
 }
 
@@ -1746,7 +1680,7 @@ mod tests {
         let mut list = RetireList::new(4);
         let mut recs = run(&b, (0..4).map(|i| (i, i))).into_iter();
         for r in recs.by_ref().take(3) {
-            assert!(!push_retired(&b, 0, &mut list, r));
+            assert_eq!(push_retired(&b, 0, &mut list, r), Verdict::Fill);
         }
         assert_eq!(
             b.stats.snapshot().retired_nodes,
@@ -1767,7 +1701,7 @@ mod tests {
         let mut list = RetireList::new(4);
         let mut crossings = 0;
         for r in run(&b, (0..16).map(|i| (i, i))) {
-            if push_retired(&b, 0, &mut list, r) {
+            if push_retired(&b, 0, &mut list, r) == Verdict::Pass {
                 crossings += 1;
             }
         }
@@ -1794,7 +1728,7 @@ mod tests {
         assert_eq!(list.len(), 8, "everything pinned");
         let mut crossings = 0;
         for r in recs {
-            if push_retired(&b, 0, &mut list, r) {
+            if push_retired(&b, 0, &mut list, r) == Verdict::Pass {
                 crossings += 1;
             }
         }
@@ -2055,54 +1989,70 @@ mod tests {
     }
 
     #[test]
-    fn epoch_clocks_advance_only_by_max_scan() {
-        let c = EpochClocks::new(3);
+    fn epoch_clock_advance_strictly_increases_the_word() {
+        let c = EpochClock::new();
         assert_eq!(c.current(), 1);
-        for _ in 0..10 {
-            c.tick(1);
-        }
-        assert_eq!(c.current(), 1, "op-path ticks never write the global");
-        assert_eq!(c.local_of(1), 11);
-        let e = c.advance_max_scan(0);
-        assert_eq!(e, 11, "aggregation takes the max clock");
-        assert_eq!(c.current(), 11);
-        // The liveness guarantee: a reclaimer whose private clock lags a
-        // formerly-hot, now-idle peer's must still advance the epoch on
-        // EVERY pass (its clock jumps past the global first), not after
-        // `max - own` no-op passes.
-        let e2 = c.advance_max_scan(2);
-        assert!(e2 > e, "a lagging reclaimer's pass still advances: {e2}");
-        let mut last = e2;
+        let mut last = c.current();
         for _ in 0..20 {
-            let next = c.advance_max_scan(0);
-            assert!(next > last, "every pass must advance the epoch");
+            let next = c.advance();
+            assert!(next > last, "every advance must move the word");
+            assert_eq!(c.current(), next);
             last = next;
         }
-        assert_eq!(c.current(), last);
+        // Concurrent advances fold (`fetch_max` from the value each one
+        // loaded) but never move the word backwards.
+        let c = Arc::new(c);
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    for _ in 0..1000 {
+                        let before = c.current();
+                        assert!(c.advance() > before);
+                    }
+                })
+            })
+            .collect();
+        for r in racers {
+            r.join().unwrap();
+        }
+        let end = c.current();
+        assert!(end > last && end <= last + 2000, "folded: {end}");
     }
 
     #[test]
-    fn striped_max_scan_covers_wide_domains_via_rotation() {
-        // 26 threads → 4 stripes. A hot clock in the LAST stripe must be
-        // folded into the global within nstripes passes by a reclaimer
-        // whose own stripe is the first — the rotating-subset sampling.
-        let c = EpochClocks::new(26);
-        for _ in 0..40 {
-            c.tick(25);
+    fn push_retired_ticks_once_per_tick_period() {
+        // reclaim_freq 64 → a tick every 8 sealed retires; the eighth
+        // period is the pass, which advances the clock itself.
+        let b = DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(64));
+        let mut list = RetireList::new(1);
+        let verdicts: Vec<Verdict> = run(&b, (0..128).map(|i| (i, i)))
+            .into_iter()
+            .map(|r| push_retired(&b, 0, &mut list, r))
+            .collect();
+        for (i, v) in verdicts.iter().enumerate() {
+            let want = match (i + 1) % 64 {
+                0 => Verdict::Pass,
+                n if n % 8 == 0 => Verdict::Tick,
+                _ => Verdict::Seal,
+            };
+            assert_eq!(*v, want, "retire {}", i + 1);
         }
-        assert_eq!(c.local_of(25), 41);
-        let mut last = c.current();
-        for _ in 0..4 {
-            let next = c.advance_max_scan(0);
-            assert!(next > last, "every striped pass still advances");
-            last = next;
-        }
-        assert!(
-            c.current() >= 41,
-            "rotation must fold the idle stripe's clock in within \
-             nstripes passes (global = {})",
-            c.current()
-        );
+        // A sweep (flush, unregister) restarts the tick period too: five
+        // retires into a period, a sweep, then the tick is eight away.
+        let push = |list: &mut RetireList, n: u64| -> Vec<Verdict> {
+            run(&b, (0..n).map(|i| (i, i)))
+                .into_iter()
+                .map(|r| push_retired(&b, 0, list, r))
+                .collect()
+        };
+        assert!(push(&mut list, 5).iter().all(|&v| v == Verdict::Seal));
+        unsafe { sweep_retire_list(&b, 0, &mut list, |_| false) };
+        assert!(list.is_empty());
+        let after = push(&mut list, 8);
+        assert!(after[..7].iter().all(|&v| v == Verdict::Seal));
+        assert_eq!(after[7], Verdict::Tick);
+        drain_free(&b, &mut list);
     }
 
     #[test]

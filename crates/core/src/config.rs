@@ -68,11 +68,11 @@ impl PublishMode {
 /// Tuning knobs shared by every reclamation scheme.
 ///
 /// Field names follow the paper's pseudocode: `reclaim_freq` is the retire
-/// list threshold that triggers a reclamation pass (Alg. 1 line 1),
-/// `epoch_freq` the operations-per-epoch-advance period of the epoch-based
-/// schemes (Alg. 3 line 1), and `pop_c` the multiplier `C` after which
-/// EpochPOP escalates from epoch reclamation to publish-on-ping
-/// (Alg. 3 line 26).
+/// list threshold that triggers a reclamation pass (Alg. 1 line 1), and
+/// `pop_c` the multiplier `C` after which EpochPOP escalates from epoch
+/// reclamation to publish-on-ping (Alg. 3 line 26). Alg. 3 line 1's epoch
+/// period is not a setting: the epoch (and the hazard-era clock) ticks
+/// once per `reclaim_freq / 8` sealed retires and at every pass.
 ///
 /// # Builders
 ///
@@ -84,7 +84,6 @@ impl PublishMode {
 ///
 /// let cfg = SmrConfig::for_threads(8)
 ///     .with_reclaim_freq(1024)
-///     .with_epoch_freq(32)
 ///     .with_retire_batch(16)
 ///     .with_publish_spin(64)
 ///     .with_adaptive(false);
@@ -102,7 +101,7 @@ impl PublishMode {
 /// | variable                  | effect                                       |
 /// |---------------------------|----------------------------------------------|
 /// | `POP_RETIRE_BATCH`        | seal threshold (`1` = unbatched retirement)  |
-/// | `POP_ADAPTIVE`            | `0`/`off` = no epoch-cadence decay           |
+/// | `POP_ADAPTIVE`            | `0`/`off` = no pass-cadence decay            |
 /// | `POP_PUBLISH_DEADLINE_MS` | publish-wait watchdog deadline (`0` = off)   |
 /// | `POP_PRESSURE_SOFT`       | soft pressure watermark in nodes (`0` = gauge off) |
 /// | `POP_PRESSURE_HARD`       | hard pressure watermark in nodes             |
@@ -155,11 +154,9 @@ pub struct SmrConfig {
     /// Retire-list length that triggers a reclamation event. The paper uses
     /// 24 576 for all schemes (§5.0.1).
     pub reclaim_freq: usize,
-    /// Operations between global-epoch advances for EBR / EpochPOP / IBR.
-    pub epoch_freq: usize,
-    /// EpochPOP escalation multiplier `C`: after an epoch-mode reclaim pass,
-    /// a retire list still longer than `pop_c * reclaim_freq` indicates a
-    /// delayed thread and engages publish-on-ping.
+    /// EpochPOP escalation multiplier `C`: a retire list that reaches
+    /// `pop_c * reclaim_freq` (checked at every seal) indicates a delayed
+    /// thread and engages publish-on-ping.
     pub pop_c: usize,
     /// Retirement-batch seal threshold: `retire` fills thread-private
     /// blocks (a fixed set of fill bins, routed by the node's slab) and
@@ -183,9 +180,9 @@ pub struct SmrConfig {
     /// behavior).
     pub publish_deadline_ns: u64,
     /// The per-domain adaptive controller (`pop_core::controller`): the
-    /// epoch cadence of EBR, EpochPOP and IBR decays on barren passes and
-    /// is instantly reset by the first freeing sweep. `false` pins it at
-    /// `epoch_freq`.
+    /// pass cadence of the epoch schemes decays on barren passes and is
+    /// instantly reset by the first freeing sweep. `false` runs every
+    /// triggered pass.
     pub adaptive: bool,
     /// Testing mode: freed nodes are poisoned and quarantined instead of
     /// deallocated, turning any use-after-free into a deterministic panic
@@ -232,7 +229,6 @@ impl SmrConfig {
             max_threads: n,
             slots: 8,
             reclaim_freq,
-            epoch_freq: 64,
             pop_c: 2,
             retire_batch: RETIRE_BATCH_CAP,
             publish_spin: DEFAULT_PUBLISH_SPIN,
@@ -264,7 +260,6 @@ impl SmrConfig {
     fn test_defaults(n: usize) -> Self {
         SmrConfig {
             reclaim_freq: 64,
-            epoch_freq: 4,
             ..Self::paper_defaults(n)
         }
     }
@@ -327,12 +322,6 @@ impl SmrConfig {
         self
     }
 
-    /// Builder-style override of the epoch advance period.
-    pub fn with_epoch_freq(mut self, f: usize) -> Self {
-        self.epoch_freq = f.max(1);
-        self
-    }
-
     /// Builder-style override of the EpochPOP escalation multiplier.
     pub fn with_pop_c(mut self, c: usize) -> Self {
         self.pop_c = c.max(1);
@@ -359,8 +348,8 @@ impl SmrConfig {
         self
     }
 
-    /// Builder-style toggle for the adaptive domain controller (epoch
-    /// cadence decay). `false` pins the cadence at `epoch_freq`.
+    /// Builder-style toggle for the adaptive domain controller (pass
+    /// cadence decay). `false` runs every triggered pass.
     pub fn with_adaptive(mut self, on: bool) -> Self {
         self.adaptive = on;
         self
@@ -461,12 +450,10 @@ mod tests {
     fn builders_clamp_to_one() {
         let c = SmrConfig::test_defaults(1)
             .with_reclaim_freq(0)
-            .with_epoch_freq(0)
             .with_pop_c(0)
             .with_slots(0)
             .with_retire_batch(0);
         assert_eq!(c.reclaim_freq, 1);
-        assert_eq!(c.epoch_freq, 1);
         assert_eq!(c.pop_c, 1);
         assert_eq!(c.slots, 1);
         assert_eq!(c.retire_batch, 1);

@@ -1,5 +1,5 @@
 //! The per-domain **adaptive controller**: the feedback loop from sweep
-//! outcomes back to the epoch cadence.
+//! outcomes back to the pass cadence.
 //!
 //! The paper's thesis is that reservations should cost nothing until a
 //! reclaimer actually needs them. This module applies the same philosophy
@@ -7,31 +7,30 @@
 //! ([`PassController`]): a pass whose sweep frees nothing is evidence the
 //! domain is idle (everything pinned, or a trickle workload whose garbage
 //! drains elsewhere). Consecutive barren passes exponentially decay the
-//! epoch-advance cadence — the op-path clock tick stretches from
-//! `epoch_freq` to `epoch_freq << decay`, and only every `2^decay`-th
-//! trigger executes the full pass body (epoch aggregation with its stripe
-//! refreshes, reservation scan, sweep); skipped triggers cost one counter
-//! bump. The decay is bounded ([`MAX_EPOCH_DECAY`]) and resets to zero the
+//! pass cadence: only every `2^decay`-th trigger executes the full pass
+//! body (clock advance, reservation scan, sweep); skipped triggers cost
+//! one counter bump. Retire ticks are not thinned: they cost one clock
+//! RMW. The decay is bounded ([`MAX_EPOCH_DECAY`]) and resets to zero the
 //! moment any pass frees a block, so a domain that wakes up pays at most
 //! `2^MAX_EPOCH_DECAY` thinned triggers of extra reclamation latency —
 //! never a cliff. Skipping a sweep is always *safe*: epochs and
 //! reservations only ever delay frees, never legalize them.
 //!
 //! The controller is advisory pacing: disabling it
-//! (`SmrConfig::adaptive = false`, env `POP_ADAPTIVE=0`) pins the cadence
-//! at `epoch_freq`, which the CI fallback matrix exercises.
+//! (`SmrConfig::adaptive = false`, env `POP_ADAPTIVE=0`) runs every
+//! triggered pass, which the CI fallback matrix exercises.
 
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::pressure::PressureRung;
 use crate::stats::ShardStats;
 
-/// Decay ceiling: at most `2^MAX_EPOCH_DECAY` (= 16×) stretch of the
-/// epoch cadence and pass thinning. Bounds the reclamation-latency cost
-/// of waking an idle domain to 16 thinned triggers.
+/// Decay ceiling: at most `2^MAX_EPOCH_DECAY` (= 16×) pass thinning.
+/// Bounds the reclamation-latency cost of waking an idle domain to 16
+/// thinned triggers.
 pub const MAX_EPOCH_DECAY: u32 = 4;
 
-/// Per-domain epoch-cadence decay, shared by every reclaimer of the
+/// Per-domain pass-cadence decay, shared by every reclaimer of the
 /// domain (one cache line of state, touched only on pass paths).
 ///
 /// The state machine is deliberately tiny: a bounded decay level that
@@ -67,20 +66,6 @@ impl PassController {
         self.decay.load(Ordering::Relaxed)
     }
 
-    /// Whether the op path's periodic clock tick is due. `count` is the
-    /// thread's private operation counter, `freq` the configured
-    /// `epoch_freq`. The fast exit is the undecayed modulo — the shared
-    /// decay word is loaded only on the 1-in-`freq` candidates, so the
-    /// controller adds nothing to the op path's common case.
-    #[inline]
-    pub fn tick_due(&self, count: u64, freq: u64) -> bool {
-        if !count.is_multiple_of(freq) {
-            return false;
-        }
-        let d = self.decay_level();
-        d == 0 || (count / freq).is_multiple_of(1u64 << d)
-    }
-
     /// The pacing gate in front of every pass body: whether this pass
     /// runs. At decay `d`, one *retire-triggered* pass (`forced = false`)
     /// in `2^d` runs; the rest are thinned. Draining passes
@@ -111,9 +96,9 @@ impl PassController {
 
     /// Pressure-ladder hook (soft rung): snap the decay to zero *without*
     /// waiting for a freeing pass, so a domain that trips the soft
-    /// watermark immediately returns to full epoch cadence and un-thinned
-    /// passes. Idempotent and racy-safe — the decay word is pacing
-    /// advice, and the worst a lost race costs is one thinned trigger.
+    /// watermark immediately returns to un-thinned passes. Idempotent and
+    /// racy-safe — the decay word is pacing advice, and the worst a lost
+    /// race costs is one thinned trigger.
     #[inline]
     fn cancel_decay(&self) {
         if self.enabled && self.decay.load(Ordering::Relaxed) != 0 {
@@ -188,7 +173,6 @@ mod tests {
         for _ in 0..10 {
             assert!(c.admit(CALM, false), "never thinned");
         }
-        assert!(c.tick_due(64, 64), "plain modulo when disabled");
     }
 
     #[test]
@@ -219,15 +203,5 @@ mod tests {
         assert!(c.admit(CALM, false));
         c.cancel_decay(); // idempotent at zero
         assert_eq!(c.decay_level(), 0);
-    }
-
-    #[test]
-    fn tick_due_stretches_with_decay() {
-        let c = PassController::new(true);
-        assert!(c.tick_due(64, 64));
-        assert!(!c.tick_due(65, 64));
-        barren(&c, 1); // decay 1: period doubles
-        assert!(!c.tick_due(64, 64), "odd multiple skipped at decay 1");
-        assert!(c.tick_due(128, 64), "even multiple still ticks");
     }
 }

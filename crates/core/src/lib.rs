@@ -62,7 +62,7 @@
 //! ## Adaptivity
 //!
 //! The [`controller`] module closes the feedback loop from sweep
-//! outcomes to the epoch cadence: barren passes decay it, and the first
+//! outcomes to the pass cadence: barren passes decay it, and the first
 //! freeing sweep resets it. `SmrConfig::adaptive` (env `POP_ADAPTIVE`)
 //! turns the loop off, restoring the static cadence the CI fallback matrix
 //! pins. The retire pipeline itself has no adaptive layout: fixed

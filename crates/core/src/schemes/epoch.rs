@@ -14,15 +14,16 @@
 //! |-------|-------------|---------|----------|-----------|------------|
 //! | [`Ebr`] | `EBR` | [`Wait`] | one `SeqCst` store | plain load | pins every retire list until it leaves |
 //! | [`EpochPop`] | `EpochPOP` | [`Ping`] | activity word + relaxed store + one fence | HazardPtrPOP's private reservation | is pinged; passes fall back to pointer reservations |
-//! | [`Vbr`] | `VBR` | [`Abort`] | one `SeqCst` store, no clock tick | lag check, then plain load | aborts itself on its next read |
+//! | [`Vbr`] | `VBR` | [`Abort`] | one `SeqCst` store | lag check, then plain load | aborts itself on its next read |
 //! | [`Ibr`] | `IBR` | [`Interval`] | lower bound relaxed, then upper bound `SeqCst` | raises the upper bound when the epoch moved | pins only the nodes whose lifespan meets its interval |
 //!
-//! **The clock.** The global epoch is `EpochClocks`' word, written only
-//! by reclaimer passes (max-aggregation of private clocks). EBR, EpochPOP
-//! and IBR readers tick their private clock every `epoch_freq` operations
-//! (`Laggard::TICKS`), so the op path performs no shared RMW; VBR readers
-//! never tick — its version moves on passes alone, and every pass still
-//! strictly advances it (concurrent passes may fold into one bump).
+//! **The clock.** The global epoch is one word, `EpochClock`, which the
+//! operation path never writes. Every pass advances it first, and between
+//! passes a retire tick (`reclaim_freq / 8` sealed retires) advances it,
+//! so the batch that triggers a pass predates the reclaimer's own
+//! operation and the pass frees it. VBR opts out of the tick
+//! (`Laggard::RETIRE_TICK`): `VBR_MAX_LAG` counts bumps, so its version
+//! moves on passes alone.
 //!
 //! **The pass.** Paced by the domain's [`PassController`]: advance the
 //! clock, fence, scan the announcements (stall-aware), release quarantined
@@ -34,9 +35,9 @@
 //! every announced `[lower, upper]` interval instead, and so frees nodes
 //! born after a stalled reader's last read, which the floor keeps. The
 //! emergency rung may park blocks pinned only by a stalled reader
-//! (`Laggard::QUARANTINE`). `retire` is push → pass → the laggard's
-//! `after_pass` → the hard rung's bounded retries; `flush` is a forced
-//! pass, then the laggard's `drain`.
+//! (`Laggard::QUARANTINE`). `retire` is push → tick or pass → the
+//! laggard's `after_seal` → the hard rung's bounded retries after a pass;
+//! `flush` is a forced pass, then the laggard's `drain`.
 //!
 //! **IBR** (2GE, Wen et al. 2018) announces an interval: the engine's
 //! word is its lower bound, and [`Interval`] keeps the upper bounds. Each
@@ -48,12 +49,13 @@
 //! **EpochPOP** (paper §4.2, Alg. 3) runs both protocols at once. Epoch
 //! mode is the common case: an EBR pass, fast, never a signal. Every read
 //! *also* records a private pointer reservation (a relaxed store, no
-//! fence). When an epoch pass leaves the retire list at or above
-//! `C × reclaim_freq`, the reclaimer concludes some thread is stuck in an
-//! old epoch and escalates to a HazardPtrPOP pass — ping everyone, free
-//! everything not pointer-reserved — skipping only the bounded `N × H`
-//! reserved set. The escalation check runs after every trigger, whatever
-//! the decay thinned, so the bound `C × reclaim_freq + N × H` survives an
+//! fence). When the retire list reaches `C × reclaim_freq` at a seal,
+//! the reclaimer concludes some thread is stuck in an old epoch and
+//! escalates to a HazardPtrPOP pass — ping everyone, free everything not
+//! pointer-reserved — skipping only the bounded `N × H` reserved set. The
+//! check runs at every seal, whatever the decay thinned, so a partial
+//! epoch free cannot leave the list just under the bound for another
+//! trigger period, and the bound `C × reclaim_freq + N × H` survives an
 //! idle spell. No global mode switch: different threads may reclaim in
 //! different modes concurrently (unlike QSense).
 //!
@@ -88,7 +90,7 @@ use crossbeam_utils::CachePadded;
 
 use crate::base::{
     free_before_epoch_with_stalled, keep_mask, push_retired, scan_epoch_reservations, sweep_blocks,
-    BlockPlan, DomainBase, EpochClocks, RelaxedMin, RetireList, RetireSlot, ScratchSlot,
+    BlockPlan, DomainBase, EpochClock, RelaxedMin, RetireList, RetireSlot, ScratchSlot, Verdict,
 };
 use crate::config::SmrConfig;
 use crate::controller::PassController;
@@ -131,9 +133,9 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     const ROBUST: bool;
     /// `Smr::NEEDS_SIGNALS`.
     const NEEDS_SIGNALS: bool;
-    /// Whether `begin_op` ticks the private clock every `epoch_freq`
-    /// operations.
-    const TICKS: bool = true;
+    /// Whether a retire tick advances the epoch (module docs, "The
+    /// clock").
+    const RETIRE_TICK: bool = true;
     /// Whether the emergency rung may park blocks pinned only by a
     /// stalled reader.
     const QUARANTINE: bool = true;
@@ -145,7 +147,7 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     /// the operation's first read: one `SeqCst` store unless overridden.
     #[inline]
     fn announce(e: &Epoch<Self>, tid: usize) {
-        e.announced[tid].store(e.clocks.current(), Ordering::SeqCst);
+        e.announced[tid].store(e.clock.current(), Ordering::SeqCst);
     }
 
     /// Runs after `end_op` withdrew the announcement.
@@ -187,8 +189,9 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     #[inline]
     fn end_write(_e: &Epoch<Self>, _tid: usize) {}
 
-    /// Runs after every retire-triggered pass, thinned or not.
-    fn after_pass(_e: &Epoch<Self>, _tid: usize) {}
+    /// Runs after every retire that sealed a block, after its tick or
+    /// pass (thinned or not).
+    fn after_seal(_e: &Epoch<Self>, _tid: usize) {}
 
     /// Runs after `flush`'s forced pass.
     fn drain(_e: &Epoch<Self>, _tid: usize) {}
@@ -226,8 +229,6 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
 struct ThreadState {
     retire: RetireSlot,
     scratch: ScratchSlot,
-    /// Operations since registration; drives the periodic clock tick.
-    op_count: AtomicU64,
 }
 
 /// An epoch domain: `L` says what happens to a reader that stops
@@ -237,7 +238,7 @@ pub struct Epoch<L: Laggard> {
     // the domain is torn down.
     lag: L,
     base: DomainBase,
-    clocks: EpochClocks,
+    clock: EpochClock,
     /// Pass-cadence decay (adaptive controller). Never thins EpochPOP's
     /// escalation — robustness is exempt from pacing.
     ctl: PassController,
@@ -290,7 +291,7 @@ impl Laggard for Ping {
     #[inline]
     fn announce(e: &Epoch<Self>, tid: usize) {
         e.lag.publish.pop.note_active_unfenced(tid);
-        e.announced[tid].store(e.clocks.current(), Ordering::Relaxed);
+        e.announced[tid].store(e.clock.current(), Ordering::Relaxed);
         fence(Ordering::SeqCst);
     }
 
@@ -321,9 +322,9 @@ impl Laggard for Ping {
         Ptr.protect::<T, hazard::Ping>(row.word(slot), src)
     }
 
-    /// Alg. 3 line 26: a list that the epoch pass left long implicates a
-    /// delayed thread.
-    fn after_pass(e: &Epoch<Self>, tid: usize) {
+    /// Alg. 3 line 26: a list that epoch passes left long implicates a
+    /// delayed thread. Checked at every seal, not only after passes.
+    fn after_seal(e: &Epoch<Self>, tid: usize) {
         let cfg = &e.base.cfg;
         if e.retire_len(tid) >= cfg.pop_c * cfg.reclaim_freq {
             Self::escalate(e, tid);
@@ -378,7 +379,7 @@ impl Abort {
     /// when `tid`'s announcement had gone stale.
     #[inline]
     fn check_lag(e: &Epoch<Self>, tid: usize) -> Result<(), Restart> {
-        let cur = e.clocks.current();
+        let cur = e.clock.current();
         let mine = e.announced[tid].load(Ordering::Relaxed);
         if mine != QUIESCENT && cur.wrapping_sub(mine) >= VBR_MAX_LAG {
             // Stale: refresh the announcement so the retried operation
@@ -399,7 +400,7 @@ impl Laggard for Abort {
     const NAME: &'static str = "VBR";
     const ROBUST: bool = false;
     const NEEDS_SIGNALS: bool = false;
-    const TICKS: bool = false;
+    const RETIRE_TICK: bool = false;
     const QUARANTINE: bool = false;
 
     fn new(base: &DomainBase) -> Self {
@@ -476,7 +477,7 @@ impl Laggard for Interval {
     /// ordered store per operation, as for EBR).
     #[inline]
     fn announce(e: &Epoch<Self>, tid: usize) {
-        let now = e.clocks.current();
+        let now = e.clock.current();
         e.announced[tid].store(now, Ordering::Relaxed);
         e.lag.upper[tid].store(now, Ordering::SeqCst);
     }
@@ -501,7 +502,7 @@ impl Laggard for Interval {
         let mut cur = upper.load(Ordering::Relaxed);
         loop {
             let p = src.load(Ordering::Acquire);
-            let now = e.clocks.current();
+            let now = e.clock.current();
             if now == cur {
                 return Ok(p);
             }
@@ -566,8 +567,9 @@ impl<L: Laggard> Epoch<L> {
         }
         let shard = base.stats.shard(tid);
         shard.epoch_passes.fetch_add(1, Ordering::Relaxed);
-        // The reclaimer-side advance: the only writer of the global word.
-        self.clocks.advance_max_scan(tid);
+        // Advance first: what this thread retired since its last tick now
+        // predates the epoch its next operation announces.
+        self.clock.advance();
         // Order the announcement scan after this thread's preceding
         // unlinks.
         fence(Ordering::SeqCst);
@@ -619,13 +621,12 @@ impl<L: Laggard> Smr for Epoch<L> {
                 CachePadded::new(ThreadState {
                     retire: RetireSlot::for_cfg(&base.cfg),
                     scratch: ScratchSlot::new(),
-                    op_count: AtomicU64::new(0),
                 })
             })
             .collect();
         Arc::new(Epoch {
             lag: L::new(&base),
-            clocks: EpochClocks::new(n),
+            clock: EpochClock::new(),
             ctl: PassController::new(base.cfg.adaptive),
             announced: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(QUIESCENT)))
@@ -667,20 +668,9 @@ impl<L: Laggard> Smr for Epoch<L> {
         self.base.release(tid);
     }
 
-    /// Periodic private clock tick (no shared RMW), then the announcement.
+    /// The announcement; no clock word is written.
     #[inline]
     fn begin_op(&self, tid: usize) {
-        if L::TICKS {
-            let ts = &self.threads[tid];
-            let c = ts.op_count.load(Ordering::Relaxed) + 1;
-            ts.op_count.store(c, Ordering::Relaxed);
-            // The controller stretches the period to `epoch_freq << decay`
-            // on idle domains; the decay word is only consulted on the
-            // 1-in-epoch_freq candidates.
-            if self.ctl.tick_due(c, self.base.cfg.epoch_freq as u64) {
-                self.clocks.tick(tid);
-            }
-        }
         L::announce(self, tid);
     }
 
@@ -720,17 +710,26 @@ impl<L: Laggard> Smr for Epoch<L> {
     unsafe fn retire(&self, tid: usize, retired: Retired) {
         // SAFETY: tid ownership.
         let list = unsafe { self.threads[tid].retire.get() };
-        if !push_retired(&self.base, tid, list, retired) {
-            return;
+        let verdict = push_retired(&self.base, tid, list, retired);
+        match verdict {
+            Verdict::Fill => return,
+            Verdict::Seal => {}
+            Verdict::Tick => {
+                if L::RETIRE_TICK {
+                    self.clock.advance();
+                }
+            }
+            Verdict::Pass => self.pass(tid, false),
         }
-        self.pass(tid, false);
-        L::after_pass(self, tid);
-        self.base
-            .hard_rung_retries(|| L::reping(self, tid), || self.pass(tid, true));
+        L::after_seal(self, tid);
+        if verdict == Verdict::Pass {
+            self.base
+                .hard_rung_retries(|| L::reping(self, tid), || self.pass(tid, true));
+        }
     }
 
     fn current_era(&self) -> u64 {
-        self.clocks.current()
+        self.clock.current()
     }
 
     fn flush(&self, tid: usize) {
@@ -797,40 +796,56 @@ mod tests {
         quiescent_single_thread_reclaims::<Ibr>();
     }
 
-    /// The epoch max-aggregation invariant, scheme-level: operations
-    /// advance a private clock; the global word moves only when a
-    /// reclaimer pass aggregates.
-    fn op_path_ticks_private_clock<L: Laggard>() {
-        let smr = Epoch::<L>::new(SmrConfig::for_tests(2).with_epoch_freq(2));
+    /// The operation path writes no clock word: only retire ticks and
+    /// passes move the epoch.
+    fn op_path_writes_no_clock<L: Laggard>() {
+        let smr = Epoch::<L>::new(SmrConfig::for_tests(2));
         let reg = smr.register(0);
         let e0 = smr.current_era();
-        let c0 = smr.clocks.local_of(0);
-        for _ in 0..10 {
+        for _ in 0..1000 {
             smr.begin_op(0);
             smr.end_op(0);
         }
-        assert_eq!(
-            smr.current_era(),
-            e0,
-            "no reclaimer pass ran: the shared epoch word must not move"
-        );
-        assert!(
-            smr.clocks.local_of(0) >= c0 + 5,
-            "private clock ticks every 2 ops"
-        );
-        smr.flush(0); // a pass aggregates
-        assert!(
-            smr.current_era() >= c0 + 5,
-            "max-aggregation publishes the ticked clock"
-        );
+        assert_eq!(smr.current_era(), e0, "{}: ops moved the epoch", L::NAME);
+        smr.flush(0);
+        assert!(smr.current_era() > e0, "{}: a pass advances", L::NAME);
         drop(reg);
     }
 
     #[test]
-    fn op_path_ticks_private_clock_only() {
-        op_path_ticks_private_clock::<Wait>();
-        op_path_ticks_private_clock::<Ping>();
-        op_path_ticks_private_clock::<Interval>();
+    fn op_path_writes_no_clock_word() {
+        op_path_writes_no_clock::<Wait>();
+        op_path_writes_no_clock::<Ping>();
+        op_path_writes_no_clock::<Abort>();
+        op_path_writes_no_clock::<Interval>();
+    }
+
+    /// Epoch advances over `retires` unbatched retires, none of which
+    /// reaches a pass (`reclaim_freq` 64: a tick every 8).
+    fn epoch_steps<L: Laggard>(retires: u64, adaptive: bool) -> u64 {
+        let smr = Epoch::<L>::new(
+            SmrConfig::for_tests(2)
+                .with_retire_batch(1)
+                .with_adaptive(adaptive),
+        );
+        let reg = smr.register(0);
+        let e0 = smr.current_era();
+        churn(&*smr, retires);
+        let steps = smr.current_era() - e0;
+        assert_eq!(smr.stats().snapshot().epoch_passes, 0, "no pass ran");
+        smr.flush(0);
+        drop(reg);
+        steps
+    }
+
+    #[test]
+    fn a_tick_period_of_retires_advances_the_epoch_once() {
+        for adaptive in [false, true] {
+            assert_eq!(epoch_steps::<Wait>(8, adaptive), 1);
+            assert_eq!(epoch_steps::<Ping>(63, adaptive), 7);
+            assert_eq!(epoch_steps::<Interval>(15, adaptive), 1);
+            assert_eq!(epoch_steps::<Abort>(63, adaptive), 0, "VBR opts out");
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1018,6 +1033,83 @@ mod tests {
         drop(reg0);
     }
 
+    /// Allocates and retires one node as `tid`.
+    fn retire_one<S: Smr>(smr: &S, tid: usize, v: u64) {
+        let hdr = Header::new(smr.current_era(), core::mem::size_of::<N>());
+        let p = alloc_node(smr, tid, N { hdr, v });
+        unsafe { retire_node(smr, tid, p) };
+    }
+
+    #[test]
+    fn escalation_holds_the_bound_between_triggers() {
+        // A partial epoch free can leave the list just under
+        // `pop_c × reclaim_freq`. The escalation must not then wait a
+        // whole trigger period: the bound is checked at every seal.
+        let smr = EpochPop::new(
+            SmrConfig::for_tests(3)
+                .with_reclaim_freq(64)
+                .with_retire_batch(1)
+                .with_adaptive(false),
+        );
+        let cfg = smr.config();
+        let bound = (cfg.pop_c * cfg.reclaim_freq) as u64;
+        assert_eq!(bound, 128);
+        let reg0 = smr.register(0);
+        // 1. tid 0 enters an operation and retires 10 nodes.
+        smr.begin_op(0);
+        for i in 0..10 {
+            retire_one(&*smr, 0, i);
+        }
+        // 2. tid 2 retires 64 nodes: its pass advances the epoch, and tid
+        //    0's open operation pins all of them for the rest of the test.
+        let parked = |tid: usize, in_op: bool, retires: u64| {
+            let smr = Arc::clone(&smr);
+            let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+            let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+            let h = std::thread::spawn(move || {
+                let reg = smr.register(tid);
+                for i in 0..retires {
+                    retire_one(&*smr, tid, i);
+                }
+                if in_op {
+                    smr.begin_op(tid);
+                }
+                ready_tx.send(()).unwrap();
+                go_rx.recv().unwrap(); // parked: pings still land
+                smr.end_op(tid);
+                drop(reg);
+            });
+            ready_rx.recv().unwrap();
+            (h, go_tx)
+        };
+        let (t2, go2) = parked(2, false, 64);
+        let pinned = smr.stats().snapshot().unreclaimed_nodes() - 10;
+        assert_eq!(pinned, 64, "tid 2's nodes are all pinned by tid 0");
+        // 3. tid 1 enters an operation and parks.
+        let (t1, go1) = parked(1, true, 0);
+        // 4. tid 0 retires 54 nodes, then leaves its operation; 5. it
+        //    retires on to about 200 nodes.
+        let mut peak = 0u64;
+        for i in 10..200 {
+            if i == 64 {
+                smr.end_op(0);
+            }
+            retire_one(&*smr, 0, i);
+            peak = peak.max(smr.stats().snapshot().unreclaimed_nodes() - pinned);
+        }
+        assert!(
+            peak <= bound,
+            "tid 0 held {peak} nodes, over the pop_c × reclaim_freq bound {bound}"
+        );
+        go1.send(()).unwrap();
+        go2.send(()).unwrap();
+        t1.join().unwrap();
+        t2.join().unwrap();
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+        drop(reg0);
+    }
+
     #[test]
     fn idle_reader_pinged_after_end_op_pins_nothing() {
         use crate::pop_shared::testing::pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing;
@@ -1119,14 +1211,12 @@ mod tests {
         let smr = Vbr::new(SmrConfig::for_tests(1));
         let reg = smr.register(0);
         let v0 = smr.current_era();
-        // Op path alone never moves the version word — nor, without
-        // ticks, the private clock.
+        // The op path alone never moves the version word.
         for _ in 0..64 {
             smr.begin_op(0);
             smr.end_op(0);
         }
         assert_eq!(smr.current_era(), v0, "ops do not bump the version");
-        assert_eq!(smr.clocks.local_of(0), 1, "VBR never ticks");
         smr.flush(0);
         assert!(
             smr.current_era() > v0,
@@ -1218,16 +1308,15 @@ mod tests {
 
     #[test]
     fn interval_extends_on_epoch_change() {
-        let smr = Ibr::new(SmrConfig::for_tests(1).with_epoch_freq(1));
+        let smr = Ibr::new(SmrConfig::for_tests(1));
         let reg = smr.register(0);
         smr.begin_op(0);
         let lo0 = smr.announced[0].load(Ordering::SeqCst);
-        // Advance the epoch underneath the running op, through the
-        // sanctioned path: tick the clock, aggregate as a reclaimer would.
+        // Advance the epoch underneath the running op, as retire ticks
+        // and passes do.
         for _ in 0..5 {
-            smr.clocks.tick(0);
+            smr.clock.advance();
         }
-        smr.clocks.advance_max_scan(0);
         let src = AtomicPtr::new(core::ptr::null_mut::<N>());
         let _ = smr.protect(0, 0, &src).unwrap();
         let hi = smr.lag.upper[0].load(Ordering::SeqCst);
@@ -1249,8 +1338,7 @@ mod tests {
         let src = AtomicPtr::new(hot);
         smr.begin_op(1);
         assert_eq!(smr.protect(1, 0, &src).unwrap(), hot);
-        smr.clocks.tick(0);
-        smr.flush(0); // the pass aggregates the tick: the epoch moves
+        smr.flush(0); // the pass advances the epoch
         assert!(smr.current_era() > smr.announced[1].load(Ordering::SeqCst));
         let before = smr.stats().snapshot().freed_nodes;
         churn(&*smr, 16);

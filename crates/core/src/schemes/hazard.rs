@@ -28,11 +28,15 @@
 //! names. [`Era`] reserves the domain's era: `protect` reserves only when
 //! the era differs from the slot's word, a pass advances the era *before*
 //! it makes reservations visible (so a reservation made after that cannot
-//! cover a node retired before it — Property 6), and a record is freed when
-//! no reserved era meets its `[birth, retire]` lifespan. Era passes also
-//! feed the stall tracker, release quarantined blocks and, on the emergency
-//! rung, park blocks pinned only by an elected stalled reader; era retires
-//! keep the hard rung's bounded synchronous retries.
+//! cover a node retired before it — Property 6), a retire tick advances it
+//! between passes, and a record is freed when no reserved era meets its
+//! `[birth, retire]` lifespan. Ticks keep a pass from pinning its own
+//! trigger batch under the reclaimer's reservation, so a parked reader
+//! holds garbage below `reclaim_freq × 9/8` plus the nodes alive at its
+//! era. Era passes also feed the stall tracker, release quarantined blocks
+//! and, on the emergency rung, park blocks pinned only by an elected
+//! stalled reader; era retires keep the hard rung's bounded synchronous
+//! retries.
 //!
 //! **Publishers.** [`Fence`] is the eager baseline: the owner's row is the
 //! shared row, every reserve fences, and `end_op` zeroes the row. [`Ping`]
@@ -61,7 +65,7 @@ use pop_runtime::PublisherHandle;
 
 use crate::base::{
     free_era_unreserved_with_stalled, free_unreserved, push_retired, DomainBase, ReclaimScratch,
-    RetireList, RetireSlot, ScratchSlot,
+    RetireList, RetireSlot, ScratchSlot, Verdict,
 };
 use crate::config::{PublishMode, SmrConfig};
 use crate::header::{unmark_word, Retired};
@@ -99,7 +103,8 @@ pub(crate) trait Kind: Send + Sync + 'static {
     /// caller's row, resolved before the read.
     fn protect<T, P: Publish>(&self, cell: &AtomicU64, src: &AtomicPtr<T>) -> ReadResult<T>;
 
-    /// Runs first in every pass, before reservations are made visible.
+    /// Runs first in every pass, before reservations are made visible,
+    /// and on every retire tick.
     fn advance(&self) {}
 
     /// Frees what `scratch.reserved` leaves unprotected in `list`;
@@ -270,7 +275,7 @@ impl Kind for Era {
     }
 
     /// Alg. 4 line 21: nodes retired from now on get lifespans disjoint
-    /// from long-held reservations, and no reservation made after the
+    /// from long-held reservations, and no reservation made after a
     /// pass's publish can cover the nodes it frees.
     fn advance(&self) {
         self.era.fetch_add(1, Ordering::AcqRel);
@@ -642,8 +647,14 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
     unsafe fn retire(&self, tid: usize, retired: Retired) {
         // SAFETY: tid ownership.
         let list = unsafe { self.threads[tid].retire.get() };
-        if !push_retired(&self.base, tid, list, retired) {
-            return;
+        match push_retired(&self.base, tid, list, retired) {
+            Verdict::Pass => {}
+            // A tick is not a pass: the era moves, nothing is published.
+            Verdict::Tick => {
+                self.kind.advance();
+                return;
+            }
+            Verdict::Fill | Verdict::Seal => return,
         }
         self.pass(tid);
         // Ladder rung 2, era kinds: re-ping the suspects before each retry

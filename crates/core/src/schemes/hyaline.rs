@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 
-use crate::base::{push_retired, seal_and_account, DomainBase, RetireSlot};
+use crate::base::{push_retired, seal_and_account, DomainBase, RetireSlot, Verdict};
 use crate::config::SmrConfig;
 use crate::header::{RetireBatch, Retired};
 use crate::smr::{ReadResult, Smr};
@@ -259,7 +259,7 @@ impl Smr for Hyaline {
     unsafe fn retire(&self, tid: usize, retired: Retired) {
         // SAFETY: tid ownership.
         let list = unsafe { self.threads[tid].retire.get() };
-        if push_retired(&self.base, tid, list, retired) {
+        if push_retired(&self.base, tid, list, retired) == Verdict::Pass {
             self.seal_and_push(tid);
         }
     }

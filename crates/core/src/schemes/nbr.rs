@@ -32,7 +32,7 @@ use crossbeam_utils::CachePadded;
 use pop_runtime::signal::register_publisher;
 use pop_runtime::{PingOutcome, Publisher, PublisherHandle};
 
-use crate::base::{free_unreserved, push_retired, DomainBase, RetireSlot, ScratchSlot};
+use crate::base::{free_unreserved, push_retired, DomainBase, RetireSlot, ScratchSlot, Verdict};
 use crate::config::SmrConfig;
 use crate::header::{unmark_word, Header, Retired};
 use crate::pop_shared::{zeroed, Peers};
@@ -454,7 +454,7 @@ impl Smr for NbrPlus {
     unsafe fn retire(&self, tid: usize, retired: Retired) {
         // SAFETY: tid ownership.
         let list = unsafe { self.threads[tid].retire.get() };
-        if push_retired(&self.base, tid, list, retired) {
+        if push_retired(&self.base, tid, list, retired) == Verdict::Pass {
             debug_assert!(
                 self.shared.in_write[tid].load(Ordering::Relaxed),
                 "NBR retire must be called inside a begin_write bracket"

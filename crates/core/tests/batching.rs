@@ -1,5 +1,5 @@
 //! Integration coverage for the batched retirement pipeline and the
-//! per-thread epoch clocks.
+//! epoch clock.
 //!
 //! * Partial batches are sealed (and accounted) on `unregister` — nothing
 //!   is leaked, and the conservation law `retired == freed` holds once the
@@ -7,8 +7,7 @@
 //! * Block-granular sweeps free exactly what a per-node (`retire_batch 1`)
 //!   configuration frees — same survivors, same totals.
 //! * EBR / EpochPOP / IBR never write the shared epoch word from the op
-//!   path: it moves only when a reclaimer pass max-aggregates the
-//!   per-thread clocks.
+//!   path: it moves only with retires (ticks and passes).
 //! * The quiescent filter skips a long-idle peer on every pass (one slot
 //!   scan each, never a ping), and garbage still drains.
 
@@ -164,18 +163,12 @@ fn batched_retires_count_fewer_stat_rmws() {
     drop(reg);
 }
 
-/// Shared shape of the epoch-write-discipline assertion: `ops` runs the
-/// op bracket `n` times, `era` reads the scheme's global epoch word.
-fn assert_epoch_written_only_by_passes<S: Smr>(scheme: &str) {
-    let smr = S::new(
-        SmrConfig::for_tests(2)
-            .with_epoch_freq(1)
-            .with_reclaim_freq(8),
-    );
+/// Shared shape of the epoch-write-discipline assertion: op brackets
+/// never move the scheme's global epoch word; retires do.
+fn assert_epoch_never_written_by_ops<S: Smr>(scheme: &str) {
+    let smr = S::new(SmrConfig::for_tests(2).with_reclaim_freq(8));
     let reg = smr.register(0);
     let e0 = smr.current_era();
-    // Plenty of op brackets, each eligible for an epoch tick — yet the
-    // shared word must not move: the op path only ticks private clocks.
     for _ in 0..50 {
         smr.begin_op(0);
         smr.end_op(0);
@@ -185,7 +178,7 @@ fn assert_epoch_written_only_by_passes<S: Smr>(scheme: &str) {
         e0,
         "{scheme}: op path must never write the shared epoch word"
     );
-    // A reclaimer pass max-aggregates the accumulated clock ticks.
+    // Retires tick the word, and a pass advances it.
     for i in 0..8u64 {
         smr.begin_op(0);
         let p = alloc(&*smr, 0, i);
@@ -194,20 +187,18 @@ fn assert_epoch_written_only_by_passes<S: Smr>(scheme: &str) {
     }
     smr.flush(0);
     assert!(
-        smr.current_era() >= e0 + 50,
-        "{scheme}: a pass must publish the ticked clocks ({} < {})",
-        smr.current_era(),
-        e0 + 50
+        smr.current_era() > e0,
+        "{scheme}: retires and passes must advance the epoch"
     );
     smr.flush(0);
     drop(reg);
 }
 
 #[test]
-fn epoch_word_only_written_by_reclaimer_max_aggregation() {
-    assert_epoch_written_only_by_passes::<Ebr>("EBR");
-    assert_epoch_written_only_by_passes::<EpochPop>("EpochPOP");
-    assert_epoch_written_only_by_passes::<Ibr>("IBR");
+fn epoch_word_never_written_by_the_op_path() {
+    assert_epoch_never_written_by_ops::<Ebr>("EBR");
+    assert_epoch_never_written_by_ops::<EpochPop>("EpochPOP");
+    assert_epoch_never_written_by_ops::<Ibr>("IBR");
 }
 
 #[test]

@@ -185,12 +185,16 @@ fn sampler_style_polling_under_ebr_churn() {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut peak = 0u64;
-            while !stop.load(Ordering::Acquire) {
+            // Sample before the first `stop` check: a sampler scheduled
+            // only after the workers finished must still take one reading.
+            loop {
                 let b = smr.stats().live_bytes();
                 assert!(b < u64::MAX / 2, "live_bytes wrapped: {b}");
                 peak = peak.max(b);
+                if stop.load(Ordering::Acquire) {
+                    break peak;
+                }
             }
-            peak
         })
     };
     let mut workers = Vec::new();
