@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures <fig1a|fig1b|fig1c|fig2a|fig2b|fig3a|fig3b|fig4|fig5..fig11|
-//!          robustness|ablation-c|ablation-freq|all|quick> [options]
+//!          robustness|ablation-freq|all|quick> [options]
 //!
 //! Options:
 //!   --threads 1,2,4      thread counts to sweep (default: 1,N,2N for N CPUs)
@@ -29,7 +29,7 @@ use pop_workload::{report, OpMix, RunConfig, RunRecord, WorkloadKind};
 fn usage() -> ! {
     let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
     eprintln!(
-        "usage: figures <{} | robustness | ablation-c | ablation-freq | latency | all | quick> \
+        "usage: figures <{} | robustness | ablation-freq | latency | all | quick> \
          [--threads 1,2,4] [--seconds 1.0] [--size N] [--reclaim-freq N] \
          [--schemes A,B,C] [--paper] [--csv PATH]",
         ids.join("|")
@@ -221,30 +221,6 @@ fn run_robustness(opts: &SweepOptions, csv: &Path) {
     emit(csv, rows);
 }
 
-/// Ablation A1: EpochPOP's escalation multiplier `C` (DESIGN.md §4).
-fn run_ablation_c(opts: &SweepOptions, csv: &Path) {
-    let threads = *opts.threads.iter().max().unwrap_or(&2);
-    let mut rows = Vec::new();
-    for c in [1usize, 2, 4, 8] {
-        let cfg = RunConfig {
-            threads,
-            duration: opts.duration,
-            key_range: 2_000,
-            kind: WorkloadKind::Uniform(OpMix::UPDATE_HEAVY),
-            prefill: true,
-            pin_threads: true,
-            seed: 0xAB1,
-            skew: 0.0,
-        };
-        let smr_cfg = SmrConfig::for_threads(threads)
-            .with_reclaim_freq(opts.reclaim_freq.unwrap_or(2_048))
-            .with_pop_c(c);
-        let rec = run_one(SchemeId::EpochPop, DsId::Hml, &cfg, smr_cfg);
-        rows.push((format!("ablation-c/C{}", c), rec));
-    }
-    emit(csv, rows);
-}
-
 /// Ablation A2: retire-list threshold sweep (cf. the paper's footnote on
 /// retire-list sizing and Kim et al. 2024).
 fn run_ablation_freq(opts: &SweepOptions, csv: &Path) {
@@ -375,7 +351,6 @@ fn main() {
                 emit(&cli.csv, rows);
             }
             run_robustness(&cli.opts, &cli.csv);
-            run_ablation_c(&cli.opts, &cli.csv);
             run_ablation_freq(&cli.opts, &cli.csv);
         }
         "quick" => {
@@ -389,7 +364,6 @@ fn main() {
             }
         }
         "robustness" => run_robustness(&cli.opts, &cli.csv),
-        "ablation-c" => run_ablation_c(&cli.opts, &cli.csv),
         "ablation-freq" => run_ablation_freq(&cli.opts, &cli.csv),
         "ablation-skew" => run_ablation_skew(&cli.opts, &cli.csv),
         "latency" => run_latency_tables(&cli.opts),

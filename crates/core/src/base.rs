@@ -239,6 +239,13 @@ impl RetireList {
         self.sealed_since_tick = 0;
     }
 
+    /// Nodes held over from before the last trigger or sweep (what that
+    /// sweep left), plus the open fill bins.
+    #[inline]
+    pub(crate) fn held_over(&self) -> usize {
+        self.len().saturating_sub(self.sealed_since_trigger)
+    }
+
     /// Seals every non-empty fill bin (flush/unregister paths): after
     /// this, every held node sits in a sealed, summarized block — nothing
     /// is ever handed onward unsealed. Returns the merged outcome

@@ -68,11 +68,12 @@ impl PublishMode {
 /// Tuning knobs shared by every reclamation scheme.
 ///
 /// Field names follow the paper's pseudocode: `reclaim_freq` is the retire
-/// list threshold that triggers a reclamation pass (Alg. 1 line 1), and
-/// `pop_c` the multiplier `C` after which EpochPOP escalates from epoch
-/// reclamation to publish-on-ping (Alg. 3 line 26). Alg. 3 line 1's epoch
-/// period is not a setting: the epoch (and the hazard-era clock) ticks
-/// once per `reclaim_freq / 8` sealed retires and at every pass.
+/// list threshold that triggers a reclamation pass (Alg. 1 line 1). It is
+/// also EpochPOP's escalation threshold: Alg. 3 line 26's condition is
+/// "the epoch pass left the list at `reclaim_freq` or more", so there is
+/// no multiplier `C` to set. Alg. 3 line 1's epoch period is not a
+/// setting either: the epoch (and the hazard-era clock) ticks once per
+/// `reclaim_freq / 8` sealed retires and at every pass.
 ///
 /// # Builders
 ///
@@ -152,12 +153,11 @@ pub struct SmrConfig {
     /// default leaves headroom for user structures.
     pub slots: usize,
     /// Retire-list length that triggers a reclamation event. The paper uses
-    /// 24 576 for all schemes (§5.0.1).
+    /// 24 576 for all schemes (§5.0.1). For EpochPOP it is also the
+    /// escalation threshold: a list the epoch pass leaves at this length
+    /// (checked at every seal) indicates a delayed thread and engages
+    /// publish-on-ping.
     pub reclaim_freq: usize,
-    /// EpochPOP escalation multiplier `C`: a retire list that reaches
-    /// `pop_c * reclaim_freq` (checked at every seal) indicates a delayed
-    /// thread and engages publish-on-ping.
-    pub pop_c: usize,
     /// Retirement-batch seal threshold: `retire` fills thread-private
     /// blocks (a fixed set of fill bins, routed by the node's slab) and
     /// seals a block into the retire list once it holds `retire_batch`
@@ -229,7 +229,6 @@ impl SmrConfig {
             max_threads: n,
             slots: 8,
             reclaim_freq,
-            pop_c: 2,
             retire_batch: RETIRE_BATCH_CAP,
             publish_spin: DEFAULT_PUBLISH_SPIN,
             publish_deadline_ns: DEFAULT_PUBLISH_DEADLINE_NS,
@@ -316,15 +315,10 @@ impl SmrConfig {
         self
     }
 
-    /// Builder-style override of the retire-list threshold.
+    /// Builder-style override of the retire-list threshold (and with it
+    /// EpochPOP's escalation threshold).
     pub fn with_reclaim_freq(mut self, f: usize) -> Self {
         self.reclaim_freq = f.max(1);
-        self
-    }
-
-    /// Builder-style override of the EpochPOP escalation multiplier.
-    pub fn with_pop_c(mut self, c: usize) -> Self {
-        self.pop_c = c.max(1);
         self
     }
 
@@ -450,11 +444,9 @@ mod tests {
     fn builders_clamp_to_one() {
         let c = SmrConfig::test_defaults(1)
             .with_reclaim_freq(0)
-            .with_pop_c(0)
             .with_slots(0)
             .with_retire_batch(0);
         assert_eq!(c.reclaim_freq, 1);
-        assert_eq!(c.pop_c, 1);
         assert_eq!(c.slots, 1);
         assert_eq!(c.retire_batch, 1);
     }

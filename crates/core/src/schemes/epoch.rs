@@ -49,14 +49,17 @@
 //! **EpochPOP** (paper §4.2, Alg. 3) runs both protocols at once. Epoch
 //! mode is the common case: an EBR pass, fast, never a signal. Every read
 //! *also* records a private pointer reservation (a relaxed store, no
-//! fence). When the retire list reaches `C × reclaim_freq` at a seal,
-//! the reclaimer concludes some thread is stuck in an old epoch and
-//! escalates to a HazardPtrPOP pass — ping everyone, free everything not
-//! pointer-reserved — skipping only the bounded `N × H` reserved set. The
-//! check runs at every seal, whatever the decay thinned, so a partial
-//! epoch free cannot leave the list just under the bound for another
-//! trigger period, and the bound `C × reclaim_freq + N × H` survives an
-//! idle spell. No global mode switch: different threads may reclaim in
+//! fence). A seal that leaves the retire list at `reclaim_freq` or more
+//! runs the epoch pass (unless that seal's trigger just ran it). If the
+//! list is still at `reclaim_freq`, some thread is stuck in an old epoch,
+//! and the reclaimer escalates at once to a HazardPtrPOP pass — ping
+//! everyone, free everything not pointer-reserved — skipping only the
+//! bounded `N × H` reserved set. Garbage is therefore bounded as for
+//! HazardPtrPOP, `reclaim_freq + N × H`, whatever the decay thinned. Only
+//! when the reservations themselves pin `reclaim_freq` nodes (possible
+//! only if `reclaim_freq ≤ N × H`) does the next escalation wait, for
+//! `reclaim_freq` new retires — HazardPtrPOP's pacing — rather than ping
+//! at every seal. No global mode switch: different threads may reclaim in
 //! different modes concurrently (unlike QSense).
 //!
 //! **VBR** inverts the ping: a reader whose announced version has fallen
@@ -190,8 +193,8 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     fn end_write(_e: &Epoch<Self>, _tid: usize) {}
 
     /// Runs after every retire that sealed a block, after its tick or
-    /// pass (thinned or not).
-    fn after_seal(_e: &Epoch<Self>, _tid: usize) {}
+    /// pass (thinned or not); `passed` says the seal triggered a pass.
+    fn after_seal(_e: &Epoch<Self>, _tid: usize, _passed: bool) {}
 
     /// Runs after `flush`'s forced pass.
     fn drain(_e: &Epoch<Self>, _tid: usize) {}
@@ -322,11 +325,23 @@ impl Laggard for Ping {
         Ptr.protect::<T, hazard::Ping>(row.word(slot), src)
     }
 
-    /// Alg. 3 line 26: a list that epoch passes left long implicates a
-    /// delayed thread. Checked at every seal, not only after passes.
-    fn after_seal(e: &Epoch<Self>, tid: usize) {
-        let cfg = &e.base.cfg;
-        if e.retire_len(tid) >= cfg.pop_c * cfg.reclaim_freq {
+    /// Alg. 3 line 26: a list the epoch pass cannot bring under
+    /// `reclaim_freq` implicates a delayed thread. A seal that leaves the
+    /// list that long runs the epoch pass unless its trigger just did,
+    /// then escalates if the list is still that long. A list whose last
+    /// sweep already left `reclaim_freq` nodes is pinned by reservations,
+    /// and waits for the trigger instead (module docs).
+    fn after_seal(e: &Epoch<Self>, tid: usize, passed: bool) {
+        let freq = e.base.cfg.reclaim_freq;
+        if !passed {
+            // SAFETY: tid ownership; the borrow ends before the pass.
+            let list = unsafe { e.threads[tid].retire.get() };
+            if list.len() < freq || list.held_over() >= freq {
+                return;
+            }
+            e.pass(tid, false);
+        }
+        if e.retire_len(tid) >= freq {
             Self::escalate(e, tid);
         }
     }
@@ -721,7 +736,7 @@ impl<L: Laggard> Smr for Epoch<L> {
             }
             Verdict::Pass => self.pass(tid, false),
         }
-        L::after_seal(self, tid);
+        L::after_seal(self, tid, verdict == Verdict::Pass);
         if verdict == Verdict::Pass {
             self.base
                 .hard_rung_retries(|| L::reping(self, tid), || self.pass(tid, true));
@@ -983,7 +998,6 @@ mod tests {
         // Signal path pinned — the escalation assertion counts pings.
         let cfg = SmrConfig::for_tests(2)
             .with_reclaim_freq(16)
-            .with_pop_c(2)
             .with_publish_mode(PublishMode::Futex);
         let smr = EpochPop::new(cfg);
         let reg0 = smr.register(0);
@@ -1019,7 +1033,7 @@ mod tests {
         assert!(s.pop_passes >= 1, "stall must engage publish-on-ping");
         assert!(s.pings_sent >= 1);
         let cfg = smr.config();
-        let bound = (cfg.pop_c * cfg.reclaim_freq + cfg.max_threads * cfg.slots) as u64;
+        let bound = (cfg.reclaim_freq + cfg.max_threads * cfg.slots) as u64;
         assert!(
             s.unreclaimed_nodes() <= bound,
             "garbage {} exceeds EpochPOP bound {} despite stalled reader",
@@ -1040,11 +1054,40 @@ mod tests {
         unsafe { retire_node(smr, tid, p) };
     }
 
+    /// Spawns a thread that registers as `tid`, retires `retires` nodes,
+    /// enters an operation if `in_op`, and parks until the returned sender
+    /// fires (pings still land). Returns once it is parked.
+    fn parked(
+        smr: &Arc<EpochPop>,
+        tid: usize,
+        in_op: bool,
+        retires: u64,
+    ) -> (std::thread::JoinHandle<()>, std::sync::mpsc::Sender<()>) {
+        let smr = Arc::clone(smr);
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let h = std::thread::spawn(move || {
+            let reg = smr.register(tid);
+            for i in 0..retires {
+                retire_one(&*smr, tid, i);
+            }
+            if in_op {
+                smr.begin_op(tid);
+            }
+            ready_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+            smr.end_op(tid);
+            drop(reg);
+        });
+        ready_rx.recv().unwrap();
+        (h, go_tx)
+    }
+
     #[test]
     fn escalation_holds_the_bound_between_triggers() {
-        // A partial epoch free can leave the list just under
-        // `pop_c × reclaim_freq`. The escalation must not then wait a
-        // whole trigger period: the bound is checked at every seal.
+        // Every schedule step that leaves a list at `reclaim_freq` behind a
+        // pinned epoch must escalate on that very seal: no list ever holds
+        // more than `reclaim_freq` (+ seal slack) after a retire returns.
         let smr = EpochPop::new(
             SmrConfig::for_tests(3)
                 .with_reclaim_freq(64)
@@ -1052,59 +1095,127 @@ mod tests {
                 .with_adaptive(false),
         );
         let cfg = smr.config();
-        let bound = (cfg.pop_c * cfg.reclaim_freq) as u64;
-        assert_eq!(bound, 128);
+        // One block of seal slack; unbatched, so the fill bins stay empty.
+        let bound = cfg.reclaim_freq + cfg.effective_batch();
         let reg0 = smr.register(0);
         // 1. tid 0 enters an operation and retires 10 nodes.
         smr.begin_op(0);
         for i in 0..10 {
             retire_one(&*smr, 0, i);
         }
-        // 2. tid 2 retires 64 nodes: its pass advances the epoch, and tid
-        //    0's open operation pins all of them for the rest of the test.
-        let parked = |tid: usize, in_op: bool, retires: u64| {
-            let smr = Arc::clone(&smr);
-            let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-            let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-            let h = std::thread::spawn(move || {
-                let reg = smr.register(tid);
-                for i in 0..retires {
-                    retire_one(&*smr, tid, i);
-                }
-                if in_op {
-                    smr.begin_op(tid);
-                }
-                ready_tx.send(()).unwrap();
-                go_rx.recv().unwrap(); // parked: pings still land
-                smr.end_op(tid);
-                drop(reg);
-            });
-            ready_rx.recv().unwrap();
-            (h, go_tx)
-        };
-        let (t2, go2) = parked(2, false, 64);
-        let pinned = smr.stats().snapshot().unreclaimed_nodes() - 10;
-        assert_eq!(pinned, 64, "tid 2's nodes are all pinned by tid 0");
+        // 2. tid 2 retires 64 nodes behind tid 0's open operation: its
+        //    trigger's epoch pass frees none of them, so it escalates.
+        let (t2, go2) = parked(&smr, 2, false, 64);
+        let held2 = smr.retire_len(2);
+        assert!(held2 <= bound, "tid 2 held {held2} nodes, over {bound}");
+        assert!(smr.stats().snapshot().pop_passes >= 1, "tid 2 escalated");
         // 3. tid 1 enters an operation and parks.
-        let (t1, go1) = parked(1, true, 0);
+        let (t1, go1) = parked(&smr, 1, true, 0);
         // 4. tid 0 retires 54 nodes, then leaves its operation; 5. it
-        //    retires on to about 200 nodes.
-        let mut peak = 0u64;
+        //    retires on to 200 nodes.
+        let mut peak = 0;
         for i in 10..200 {
             if i == 64 {
                 smr.end_op(0);
             }
             retire_one(&*smr, 0, i);
-            peak = peak.max(smr.stats().snapshot().unreclaimed_nodes() - pinned);
+            peak = peak.max(smr.retire_len(0));
         }
-        assert!(
-            peak <= bound,
-            "tid 0 held {peak} nodes, over the pop_c × reclaim_freq bound {bound}"
-        );
+        assert!(peak <= bound, "tid 0 held {peak} nodes, over {bound}");
         go1.send(()).unwrap();
         go2.send(()).unwrap();
         t1.join().unwrap();
         t2.join().unwrap();
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+        drop(reg0);
+    }
+
+    #[test]
+    fn parked_reader_costs_one_escalation_per_reclaim_freq_retires() {
+        // A reader parked inside an operation makes every epoch pass
+        // barren. Each trigger's pass then escalates once, and the
+        // escalation empties the list, so no seal between triggers does.
+        let smr = EpochPop::new(
+            SmrConfig::for_tests(2)
+                .with_reclaim_freq(64)
+                .with_retire_batch(1)
+                .with_adaptive(false)
+                .with_publish_mode(PublishMode::Futex),
+        );
+        let reg0 = smr.register(0);
+        let (t1, go1) = parked(&smr, 1, true, 0);
+        let triggers = 20u64;
+        for i in 0..64 * triggers {
+            retire_one(&*smr, 0, i);
+        }
+        let s = smr.stats().snapshot();
+        assert_eq!(s.epoch_passes, triggers, "one epoch pass per trigger");
+        assert_eq!(s.pop_passes, triggers, "one escalation per trigger");
+        assert_eq!(s.freed_nodes, 64 * triggers, "each escalation frees all");
+        assert!(
+            s.pings_sent >= triggers,
+            "every escalation pings the reader"
+        );
+        go1.send(()).unwrap();
+        t1.join().unwrap();
+        drop(reg0);
+    }
+
+    #[test]
+    fn pinned_list_escalates_once_per_trigger_not_per_seal() {
+        // `reclaim_freq` 4 ≤ N × H = 16: the parked reader's reservations
+        // can pin the whole threshold. Escalations that free nothing of
+        // those 8 nodes must then wait for the trigger, every 4 retires,
+        // instead of pinging at every seal.
+        let smr = EpochPop::new(
+            SmrConfig::for_tests(2)
+                .with_reclaim_freq(4)
+                .with_retire_batch(1)
+                .with_adaptive(false)
+                .with_publish_mode(PublishMode::Futex),
+        );
+        let reg0 = smr.register(0);
+        let pinned: Vec<*mut N> = (0..8).map(|i| node(&*smr, i)).collect();
+        let srcs: Arc<Vec<AtomicPtr<N>>> =
+            Arc::new(pinned.iter().map(|&p| AtomicPtr::new(p)).collect());
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let reader = std::thread::spawn({
+            let smr = Arc::clone(&smr);
+            let srcs = Arc::clone(&srcs);
+            move || {
+                let reg1 = smr.register(1);
+                smr.begin_op(1);
+                for (slot, src) in srcs.iter().enumerate() {
+                    smr.protect(1, slot, src).unwrap();
+                }
+                ready_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                smr.end_op(1);
+                drop(reg1);
+            }
+        });
+        ready_rx.recv().unwrap();
+        for (src, &p) in srcs.iter().zip(&pinned) {
+            src.store(core::ptr::null_mut(), Ordering::SeqCst);
+            unsafe { retire_node(&*smr, 0, p) };
+        }
+        let fresh = 64;
+        for i in 0..fresh {
+            retire_one(&*smr, 0, i);
+        }
+        let s = smr.stats().snapshot();
+        let retires = pinned.len() as u64 + fresh;
+        assert_eq!(s.pop_passes, retires / 4, "one escalation per trigger");
+        assert!(
+            s.pings_sent <= s.pop_passes,
+            "{} pings over {retires} retires",
+            s.pings_sent
+        );
+        assert_eq!(smr.retire_len(0), pinned.len(), "the reserved 8 survive");
+        go_tx.send(()).unwrap();
+        reader.join().unwrap();
         smr.flush(0);
         assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
         drop(reg0);

@@ -101,11 +101,7 @@ fn epoch_pop_mixed_mode_reclaimers() {
     // the paper's "two threads could be reclaiming at the same time in
     // either mode" (§2.3).
     const THREADS: usize = 2;
-    let smr = EpochPop::new(
-        SmrConfig::for_tests(THREADS + 1)
-            .with_reclaim_freq(64)
-            .with_pop_c(1), // escalate aggressively
-    );
+    let smr = EpochPop::new(SmrConfig::for_tests(THREADS + 1).with_reclaim_freq(64));
     let stop = Arc::new(AtomicBool::new(false));
 
     // A slow reader pins old epochs intermittently, forcing some (not all)

@@ -34,7 +34,7 @@ use pop::runtime::faults::{FaultPlan, FaultSite};
 use pop::smr::{
     retire_node, Ebr, EpochPop, HasHeader, HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym,
     HazardPtrPop, Header, Hyaline, Ibr, NbrPlus, NoReclaim, OpGuard, PressureRung, Smr, SmrConfig,
-    Vbr,
+    StatsSnapshot, Vbr,
 };
 
 const WORKERS: usize = 3;
@@ -504,84 +504,120 @@ fn alloc_node<S: Smr>(smr: &S, tid: usize, v: u64) -> *mut PNode {
     }))
 }
 
-/// The bounded-garbage acceptance trial. One reader pins the current
-/// epoch/era and stalls; the writer retires a backlog born before the pin
-/// (so its lifespans intersect the pinned era no matter how far the clock
-/// advances) and keeps churning. The gauge must climb the whole ladder
-/// (soft → hard → emergency trips), the emergency rung must park the
-/// pinned blocks in quarantine — keeping the *actionable* count below the
-/// emergency watermark while the stall persists — and the entire backlog
-/// must drain within one pass of the stall clearing.
-fn run_stalled_reader_pressure_trial<S: Smr>(name: &'static str) {
+/// What [`stalled_reader_trial`] observed.
+struct StallOutcome {
+    cfg: SmrConfig,
+    /// Largest `unreclaimed_nodes()` after any retire under the stall.
+    peak: u64,
+    /// After the churn and a flush, stall still live.
+    mid: StatsSnapshot,
+    mid_count: u64,
+    mid_quar: u64,
+    wm: u64,
+    /// After the stall cleared and one more flush.
+    fin: StatsSnapshot,
+    fin_count: u64,
+    fin_quar: u64,
+    fin_rung: PressureRung,
+}
+
+/// The stalled-reader trial under tight watermarks (64, 96, 128 nodes at
+/// `reclaim_freq` 16). One reader pins the current epoch/era and stalls;
+/// the writer retires a backlog born before the pin (so its lifespans
+/// intersect the pinned era no matter how far the clock advances) and
+/// keeps churning, then flushes; the stall clears and the writer flushes
+/// once more.
+fn stalled_reader_trial<S: Smr>(name: &'static str) -> StallOutcome {
     let _g = plan_lock();
     faults::install(Default::default());
-    let (mid, mid_count, mid_quar, wm, fin, fin_count, fin_quar, fin_rung) =
-        with_deadline(name, Duration::from_secs(60), move || {
-            let smr = S::new(
-                SmrConfig::for_tests(2)
-                    .with_reclaim_freq(16)
-                    .with_retire_batch(1)
-                    .with_pressure_watermarks(64, 96, 128)
-                    // Park EpochPOP's native pointer-mode escalation above
-                    // the emergency watermark: this trial measures the
-                    // ladder, and the quarantine keeps the list below the
-                    // 16 × 16 POP threshold once it engages.
-                    .with_pop_c(16)
-                    .with_quarantine(),
-            );
-            let reg0 = smr.register(0);
-            // Born before the reader pins: pinned for the whole stall.
-            let victims: Vec<*mut PNode> = (0..600).map(|i| alloc_node(&*smr, 0, i)).collect();
-            let hot = alloc_node(&*smr, 0, u64::MAX);
-            let src = Arc::new(AtomicPtr::new(hot));
-            let hold = Arc::new(AtomicBool::new(true));
-            let (tx, rx) = mpsc::channel();
-            let reader = std::thread::spawn({
-                let smr = Arc::clone(&smr);
-                let src = Arc::clone(&src);
-                let hold = Arc::clone(&hold);
-                move || {
-                    let reg1 = smr.register(1);
-                    smr.begin_op(1);
-                    let _ = smr.protect(1, 0, &src);
-                    tx.send(()).unwrap();
-                    while hold.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                    smr.end_op(1);
-                    drop(reg1);
+    with_deadline(name, Duration::from_secs(60), move || {
+        let cfg = SmrConfig::for_tests(2)
+            .with_reclaim_freq(16)
+            .with_retire_batch(1)
+            .with_pressure_watermarks(64, 96, 128)
+            .with_quarantine();
+        let smr = S::new(cfg.clone());
+        let reg0 = smr.register(0);
+        // Born before the reader pins: pinned for the whole stall.
+        let victims: Vec<*mut PNode> = (0..600).map(|i| alloc_node(&*smr, 0, i)).collect();
+        let hot = alloc_node(&*smr, 0, u64::MAX);
+        let src = Arc::new(AtomicPtr::new(hot));
+        let hold = Arc::new(AtomicBool::new(true));
+        let (tx, rx) = mpsc::channel();
+        let reader = std::thread::spawn({
+            let smr = Arc::clone(&smr);
+            let src = Arc::clone(&src);
+            let hold = Arc::clone(&hold);
+            move || {
+                let reg1 = smr.register(1);
+                smr.begin_op(1);
+                let _ = smr.protect(1, 0, &src);
+                tx.send(()).unwrap();
+                while hold.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
                 }
-            });
-            rx.recv().unwrap();
-            // Retire the pinned backlog, then churn fresh nodes so passes
-            // keep coming and the stall tracker keeps observing.
-            for p in victims {
-                unsafe { retire_node(&*smr, 0, p) };
+                smr.end_op(1);
+                drop(reg1);
             }
-            for i in 0..400u64 {
-                let p = alloc_node(&*smr, 0, i);
-                unsafe { retire_node(&*smr, 0, p) };
-            }
-            smr.flush(0);
-            let g = smr.stats().pressure();
-            let mid = smr.stats().snapshot();
-            let (mid_count, mid_quar, wm) = (g.count(), g.quarantined(), g.emergency_watermark());
-            // Clear the stall: the reader leaves its op and unregisters.
-            hold.store(false, Ordering::Release);
-            reader.join().unwrap();
-            src.store(core::ptr::null_mut(), Ordering::SeqCst);
-            unsafe { retire_node(&*smr, 0, hot) };
-            // One pass: released quarantine blocks rejoin the caller's
-            // list and the same sweep re-filters (now against no
-            // reservations at all) and frees.
-            smr.flush(0);
-            let fin = smr.stats().snapshot();
-            let (fin_count, fin_quar, fin_rung) = (g.count(), g.quarantined(), g.rung());
-            drop(reg0);
-            (
-                mid, mid_count, mid_quar, wm, fin, fin_count, fin_quar, fin_rung,
-            )
         });
+        rx.recv().unwrap();
+        // Retire the pinned backlog, then churn fresh nodes so passes
+        // keep coming and the stall tracker keeps observing.
+        let fresh = (0..400u64).map(|i| alloc_node(&*smr, 0, i));
+        let mut peak = 0;
+        for p in victims.into_iter().chain(fresh) {
+            unsafe { retire_node(&*smr, 0, p) };
+            peak = peak.max(smr.stats().unreclaimed_nodes());
+        }
+        smr.flush(0);
+        let g = smr.stats().pressure();
+        let mid = smr.stats().snapshot();
+        let (mid_count, mid_quar, wm) = (g.count(), g.quarantined(), g.emergency_watermark());
+        // Clear the stall: the reader leaves its op and unregisters.
+        hold.store(false, Ordering::Release);
+        reader.join().unwrap();
+        src.store(core::ptr::null_mut(), Ordering::SeqCst);
+        unsafe { retire_node(&*smr, 0, hot) };
+        // One pass: released quarantine blocks rejoin the caller's
+        // list and the same sweep re-filters (now against no
+        // reservations at all) and frees.
+        smr.flush(0);
+        let fin = smr.stats().snapshot();
+        let (fin_count, fin_quar, fin_rung) = (g.count(), g.quarantined(), g.rung());
+        drop(reg0);
+        StallOutcome {
+            cfg,
+            peak,
+            mid,
+            mid_count,
+            mid_quar,
+            wm,
+            fin,
+            fin_count,
+            fin_quar,
+            fin_rung,
+        }
+    })
+}
+
+/// The bounded-garbage acceptance trial for the ladder schemes. The
+/// gauge must climb the whole ladder (soft → hard → emergency trips), the
+/// emergency rung must park the pinned blocks in quarantine — keeping the
+/// *actionable* count below the emergency watermark while the stall
+/// persists — and the entire backlog must drain within one pass of the
+/// stall clearing.
+fn run_stalled_reader_pressure_trial<S: Smr>(name: &'static str) {
+    let StallOutcome {
+        mid,
+        mid_count,
+        mid_quar,
+        wm,
+        fin,
+        fin_count,
+        fin_quar,
+        fin_rung,
+        ..
+    } = stalled_reader_trial::<S>(name);
     assert!(
         mid.pressure_soft_trips >= 1 && mid.pressure_hard_trips >= 1,
         "{name}: the backlog must climb through soft and hard: {mid:?}"
@@ -628,24 +664,72 @@ fn run_stalled_reader_pressure_trial<S: Smr>(name: &'static str) {
     );
 }
 
+/// EpochPOP's row of the pressure trial: the same stall, but the scheme's
+/// own escalation holds the backlog under the soft watermark, so the
+/// ladder never engages. Every `reclaim_freq` retires, the trigger's epoch
+/// pass frees nothing behind the parked reader and the escalation frees
+/// everything but its reservation: the backlog stays within
+/// `reclaim_freq + N × H` (+ one block of seal slack) and drains to zero
+/// once the stall clears.
+fn run_epoch_pop_stall_trial(name: &'static str) {
+    let StallOutcome {
+        cfg,
+        peak,
+        mid,
+        fin,
+        ..
+    } = stalled_reader_trial::<EpochPop>(name);
+    assert_eq!(
+        (
+            mid.pressure_soft_trips,
+            mid.pressure_hard_trips,
+            mid.pressure_emergency_trips
+        ),
+        (0, 0, 0),
+        "{name}: the escalation must keep the ladder idle: {mid:?}"
+    );
+    assert!(
+        mid.pop_passes >= 1,
+        "{name}: the stall must escalate: {mid:?}"
+    );
+    let bound = (cfg.reclaim_freq + cfg.max_threads * cfg.slots + cfg.effective_batch()) as u64;
+    assert!(
+        peak <= bound,
+        "{name}: {peak} unreclaimed under the stall, over {bound}"
+    );
+    assert_eq!(
+        fin.unreclaimed_nodes(),
+        0,
+        "{name}: drains once the stall clears"
+    );
+    assert!(
+        fin.freed_nodes <= fin.retired_nodes && fin.retired_nodes <= fin.allocated_nodes,
+        "{name}: conservation violated: {fin:?}"
+    );
+}
+
 macro_rules! pressure_trials {
-    ($($scheme:ident),+ $(,)?) => {
+    ($($scheme:ident => $trial:expr),+ $(,)?) => {
         mod stalled_reader_pressure {
             use super::*;
             $(
                 #[test]
                 #[allow(non_snake_case)]
                 fn $scheme() {
-                    run_stalled_reader_pressure_trial::<$scheme>(
-                        concat!("stalled_reader_pressure/", stringify!($scheme)),
-                    );
+                    $trial(concat!("stalled_reader_pressure/", stringify!($scheme)));
                 }
             )+
         }
     };
 }
 
-pressure_trials!(Ebr, EpochPop, Ibr, HazardEra, HazardEraPop);
+pressure_trials!(
+    Ebr => run_stalled_reader_pressure_trial::<Ebr>,
+    EpochPop => run_epoch_pop_stall_trial,
+    Ibr => run_stalled_reader_pressure_trial::<Ibr>,
+    HazardEra => run_stalled_reader_pressure_trial::<HazardEra>,
+    HazardEraPop => run_stalled_reader_pressure_trial::<HazardEraPop>,
+);
 
 /// ISSUE 10 satellite: VBR's quarantine rung is a **documented no-op**.
 /// The scheme's pass never hands the sweep a relaxed floor, so nothing is

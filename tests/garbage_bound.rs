@@ -9,7 +9,10 @@
 //!   `reclaim_freq / 8` sealed retires), so a pass keeps only what was
 //!   retired since the last tick under the reclaimer's own reservation;
 //!   the parked reader's era pins at most the nodes alive at that era.
-//! * EpochPOP: at most `pop_c × reclaim_freq`, checked at every seal.
+//! * HP, HPAsym, HazardPtrPOP and EpochPOP: at most `reclaim_freq` plus
+//!   the list's size. A pointer pass frees everything but the reserved
+//!   nodes; EpochPOP escalates to one on the seal at which its epoch pass
+//!   leaves `reclaim_freq` nodes behind the parked reader's epoch.
 //!
 //! Both carry `FILL_BINS × retire_batch` nodes of slack for seal
 //! granularity.
@@ -21,7 +24,10 @@ use std::sync::Arc;
 
 use pop::ds::hml::HmList;
 use pop::ds::ConcurrentMap;
-use pop::smr::{EpochPop, HazardEra, HazardEraPop, PublishMode, Smr, SmrConfig};
+use pop::smr::{
+    EpochPop, HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym, HazardPtrPop, PublishMode, Smr,
+    SmrConfig,
+};
 
 const RECLAIM_FREQ: usize = 1024;
 /// Keys in the list: the even ones stay, tid 0 churns the odd ones.
@@ -88,12 +94,13 @@ fn assert_era_bound<S: Smr>(mode: PublishMode) {
     );
 }
 
-fn assert_epoch_pop_bound(mode: PublishMode) {
-    let (peak, cfg) = peak_with_parked_reader::<EpochPop>(mode);
-    let bound = (cfg.pop_c * cfg.reclaim_freq) as u64 + slack(&cfg);
+fn assert_list_bound<S: Smr>(mode: PublishMode) {
+    let (peak, cfg) = peak_with_parked_reader::<S>(mode);
+    let bound = cfg.reclaim_freq as u64 + slack(&cfg);
     assert!(
         peak <= bound,
-        "EpochPOP ({mode:?}): {peak} unreclaimed, over pop_c × reclaim_freq {bound}"
+        "{} ({mode:?}): {peak} unreclaimed, over the list bound {bound}",
+        S::NAME
     );
 }
 
@@ -113,11 +120,31 @@ fn hazard_era_pop_holds_the_era_bound_membarrier() {
 }
 
 #[test]
+fn hazard_ptr_holds_the_list_bound() {
+    assert_list_bound::<HazardPtr>(PublishMode::Futex);
+}
+
+#[test]
+fn hazard_ptr_asym_holds_the_list_bound() {
+    assert_list_bound::<HazardPtrAsym>(PublishMode::Futex);
+}
+
+#[test]
+fn hazard_ptr_pop_holds_the_list_bound_futex() {
+    assert_list_bound::<HazardPtrPop>(PublishMode::Futex);
+}
+
+#[test]
+fn hazard_ptr_pop_holds_the_list_bound_membarrier() {
+    assert_list_bound::<HazardPtrPop>(PublishMode::Membarrier);
+}
+
+#[test]
 fn epoch_pop_holds_its_escalation_bound_futex() {
-    assert_epoch_pop_bound(PublishMode::Futex);
+    assert_list_bound::<EpochPop>(PublishMode::Futex);
 }
 
 #[test]
 fn epoch_pop_holds_its_escalation_bound_membarrier() {
-    assert_epoch_pop_bound(PublishMode::Membarrier);
+    assert_list_bound::<EpochPop>(PublishMode::Membarrier);
 }

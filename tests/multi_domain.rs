@@ -59,7 +59,7 @@ fn concurrent_reclaimers_in_different_domains() {
     // Thread 0 reclaims in domain A while thread 1 reclaims in domain B;
     // each pings the other — publishes must be attributed correctly.
     let a = HazardPtrPop::new(SmrConfig::for_tests(2).with_reclaim_freq(32));
-    let b = EpochPop::new(SmrConfig::for_tests(2).with_reclaim_freq(32).with_pop_c(1));
+    let b = EpochPop::new(SmrConfig::for_tests(2).with_reclaim_freq(32));
     let la = Arc::new(HmList::new(Arc::clone(&a)));
     let lb = Arc::new(HmList::new(Arc::clone(&b)));
     let stop = Arc::new(AtomicBool::new(false));

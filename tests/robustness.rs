@@ -1,7 +1,9 @@
 //! The paper's robustness properties, end to end through a data structure.
 //!
 //! Property 3 (HazardPtrPOP) / Property 5 (EpochPOP): with a stalled
-//! reader, unreclaimed garbage stays below `threshold(+C) + N × H`.
+//! reader, unreclaimed garbage stays below `threshold + N × H` — the same
+//! bound for both, since EpochPOP escalates as soon as its epoch pass
+//! leaves the threshold.
 //! EBR, by contrast, accumulates garbage proportional to the work done
 //! while the reader is stalled (§2.2.2) — asserted here as the *absence*
 //! of a bound, so the comparison is meaningful.
@@ -116,7 +118,7 @@ fn hazard_era_pop_bounded_despite_stall() {
 #[test]
 fn epoch_pop_bounded_despite_stall() {
     let (garbage, cfg) = stalled_garbage::<EpochPop>(128);
-    let bound = cfg.pop_c * cfg.reclaim_freq + cfg.max_threads * cfg.slots;
+    let bound = cfg.reclaim_freq + cfg.max_threads * cfg.slots;
     assert!(
         (garbage as usize) <= bound,
         "EpochPOP garbage {garbage} exceeds Property 5 bound {bound}"
