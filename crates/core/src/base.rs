@@ -63,10 +63,11 @@
 //!    ever parked unsealed (partial batches are never leaked), no record
 //!    is copied, and each block keeps its extrema through the park.
 //!    Joining threads adopt a bounded block chunk back
-//!    ([`DomainBase::adopt_orphan_chunk`]), and every sweep steals up to
-//!    one more chunk ([`DomainBase::steal_orphan_chunk`]) — O(1) per
-//!    block — so orphans drain even when no thread ever joins again, and
-//!    a stolen block range-tests from its surviving summary.
+//!    ([`DomainBase::adopt_orphan_chunk`]), and every pass steals up to
+//!    one more chunk at its start, before it scans a reservation
+//!    ([`DomainBase::steal_orphan_chunk`]) — O(1) per block — so orphans
+//!    drain even when no thread ever joins again, and a stolen block
+//!    range-tests from its surviving summary.
 //!
 //! ## The clocks move with retires
 //!
@@ -694,12 +695,16 @@ impl DomainBase {
         }
     }
 
-    /// Reclaimer-side orphan stealing: every sweep adopts up to one
+    /// Reclaimer-side orphan stealing: every pass adopts up to one
     /// [`ORPHAN_CHUNK_BLOCKS`]-block chunk, so orphans drain even when the thread
     /// membership is static (registration-time adoption alone only helps
     /// under churn). The pass that steals filters the stolen nodes with
     /// its own keep predicate — exactly as safe as for its own garbage,
-    /// since every predicate covers all threads' reservations.
+    /// since every predicate covers all threads' reservations — provided
+    /// the steal comes **first**, before the pass advances its clock or
+    /// scans a reservation. A block stolen after the scan may hold a node
+    /// its orphaning thread unlinked after that scan, which a reader could
+    /// have reserved unseen; so every pass calls this at its start.
     pub(crate) fn steal_orphan_chunk(&self, tid: usize, list: &mut RetireList) {
         let n = self.drain_orphan_chunk(tid, list);
         if n > 0 {
@@ -971,8 +976,7 @@ fn full_mask(n: usize) -> u32 {
 }
 
 /// Block-granular sweep driver under every reclamation pass: seals every
-/// non-empty fill bin, steals one orphan chunk, then walks sealed blocks in retire
-/// order, executing the [`BlockPlan`] `plan` returns for each. Survivors
+/// non-empty fill bin, then walks sealed blocks in retire order, executing the [`BlockPlan`] `plan` returns for each. Survivors
 /// stay **in their original retire order** within and across blocks, and
 /// per-node masks that turn out to cover (or clear) a whole block are
 /// normalized onto the no-touch whole-block paths. Allocation-free:
@@ -994,9 +998,6 @@ pub(crate) unsafe fn sweep_blocks(
     // This sweep counts as the pass the trigger pacing was waiting for
     // (flush-driven sweeps reset the budget too).
     list.note_pass();
-    // Reclaimer-side orphan adoption: stolen nodes join the sealed blocks
-    // and are filtered by this very pass.
-    base.steal_orphan_chunk(tid, list);
     let shard = base.stats.shard(tid);
     let nblocks = list.blocks.len();
     let blocks_ptr = list.blocks.as_mut_ptr();
@@ -1939,11 +1940,12 @@ mod tests {
             "adopted nodes are not re-counted"
         );
         assert_eq!(b.stats.snapshot().orphans_adopted, ORPHAN_ADOPT_MAX as u64);
-        // A sweep reclaims the adopted nodes through the normal path, and
-        // additionally STEALS the parked remainder (reclaimer-side orphan
-        // adoption) so static memberships drain orphans too.
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut joiner, |_| false) };
-        assert_eq!(freed, ORPHAN_ADOPT_MAX + 10, "sweep steals the remainder");
+        // A pass reclaims the adopted nodes through the normal path, and
+        // additionally STEALS the parked remainder at its start
+        // (reclaimer-side orphan adoption) so static memberships drain
+        // orphans too.
+        let freed = unsafe { steal_then_sweep(&b, &mut joiner) };
+        assert_eq!(freed, ORPHAN_ADOPT_MAX + 10, "pass steals the remainder");
         assert_eq!(b.orphan_len(), 0, "orphans fully drained by the pass");
         assert_eq!(b.stats.snapshot().orphans_stolen, 10);
         assert_eq!(
@@ -1953,8 +1955,35 @@ mod tests {
         );
     }
 
+    /// One pass's reclamation as the engines order it: the orphan steal
+    /// first, then (after the reservation scan) the sweep.
+    unsafe fn steal_then_sweep(b: &DomainBase, list: &mut RetireList) -> usize {
+        b.steal_orphan_chunk(0, list);
+        // SAFETY: forwarded contract.
+        unsafe { sweep_retire_list(b, 0, list, |_| false) }
+    }
+
     #[test]
-    fn sweep_steals_bounded_orphan_chunks_until_drained() {
+    fn sweep_leaves_parked_orphans_to_the_next_pass_start() {
+        // A sweep filters against a reservation set scanned before it ran.
+        // An orphan parked since that scan may hold a node unlinked after
+        // it, so the sweep must not adopt it: only a pass start may.
+        let b = DomainBase::new(SmrConfig::for_tests(1));
+        let mut donor = filled(&b, 2, &[0, 0]);
+        b.orphan_remaining(0, &mut donor);
+        assert_eq!(b.orphan_len(), 2);
+        let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP);
+        let freed = unsafe { free_unreserved(&b, 0, &mut reclaimer, &[]) };
+        assert_eq!(freed, 0, "the sweep frees only its own list");
+        assert_eq!(b.orphan_len(), 2, "the orphan stays parked");
+        assert_eq!(b.stats.snapshot().orphans_stolen, 0);
+        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
+        assert_eq!(freed, 2, "the next pass start steals it");
+        assert_eq!(b.orphan_len(), 0);
+    }
+
+    #[test]
+    fn pass_start_steals_bounded_orphan_chunks_until_drained() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut donor = RetireList::new(RETIRE_BATCH_CAP);
         let total = 2 * ORPHAN_ADOPT_MAX + 5;
@@ -1967,19 +1996,19 @@ mod tests {
 
         let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP);
         // Each pass adopts at most one chunk.
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut reclaimer, |_| false) };
+        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
         assert_eq!(freed, ORPHAN_ADOPT_MAX, "one chunk per pass");
         assert_eq!(b.orphan_len(), total - ORPHAN_ADOPT_MAX);
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut reclaimer, |_| false) };
+        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
         assert_eq!(freed, ORPHAN_ADOPT_MAX);
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut reclaimer, |_| false) };
+        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
         assert_eq!(freed, 5, "third pass drains the tail");
         assert_eq!(b.orphan_len(), 0);
         let s = b.stats.snapshot();
         assert_eq!(s.orphans_stolen, total as u64);
         assert_eq!(s.freed_nodes, total as u64, "conservation through stealing");
-        // Empty orphan list: further sweeps steal nothing.
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut reclaimer, |_| false) };
+        // Empty orphan list: further passes steal nothing.
+        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
         assert_eq!(freed, 0);
         assert_eq!(b.stats.snapshot().orphans_stolen, total as u64);
     }
@@ -2274,9 +2303,9 @@ mod tests {
         assert_eq!(s.retired_nodes, n, "partial bins sealed, not leaked");
         assert_eq!(s.batches_sealed, open_bins, "one seal event per bin");
         assert_eq!(b.orphan_len(), n as usize);
-        // A sweep steals the parked blocks and frees them: conservation.
+        // A pass steals the parked blocks and frees them: conservation.
         let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP);
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut reclaimer, |_| false) };
+        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
         assert_eq!(freed as u64, n);
         assert_eq!(b.orphan_len(), 0);
         assert_eq!(b.stats.snapshot().freed_nodes, n, "allocated == freed");

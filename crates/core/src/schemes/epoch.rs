@@ -582,6 +582,11 @@ impl<L: Laggard> Epoch<L> {
         }
         let shard = base.stats.shard(tid);
         shard.epoch_passes.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: tid ownership per the registration contract.
+        let list = unsafe { self.threads[tid].retire.get() };
+        // Steal before the advance: an orphan's retire eras must predate
+        // the announcement scan below, like this thread's own.
+        base.steal_orphan_chunk(tid, list);
         // Advance first: what this thread retired since its last tick now
         // predates the epoch its next operation announces.
         self.clock.advance();
@@ -591,11 +596,11 @@ impl<L: Laggard> Epoch<L> {
         let (min, relaxed) = scan_epoch_reservations(base, QUIESCENT, |t| {
             self.announced[t].load(Ordering::SeqCst)
         });
-        // SAFETY: tid ownership per the registration contract.
-        let list = unsafe { self.threads[tid].retire.get() };
         // Ladder rung 3 unwind: parked blocks whose blocker's announcement
         // moved (or whose blocker is gone) rejoin this list and are
         // re-filtered against *current* announcements by the sweep below.
+        // They may follow the scan: each was retired before an earlier
+        // pass, so its nodes predate this scan too.
         base.reclaim_released_quarantine(tid, list, |t, w| {
             self.announced[t].load(Ordering::SeqCst) == w
         });

@@ -308,7 +308,9 @@ impl Kind for Era {
         });
         // Ladder rung 3 unwind: blocks parked on an era the blocker no
         // longer shows (or a reaped blocker) rejoin the list and are
-        // re-filtered against the full union below.
+        // re-filtered against the full union below. Unlike an orphan steal
+        // this may follow the scan: a parked block was retired before an
+        // earlier pass, so every node in it was unlinked before this one.
         base.reclaim_released_quarantine(tid, list, |t, w| publish.holds(t, w));
         base.stats.shard(tid).observe_retire_len(list.len());
         // SAFETY: forwarded contract — a node whose lifespan misses every
@@ -550,8 +552,14 @@ pub(crate) fn publish_and_free<'a, K: Kind, P: Publish>(
 }
 
 impl<K: Kind, P: Publish> Hazard<K, P> {
-    /// One reclamation pass: advance (eras), then [`publish_and_free`].
+    /// One reclamation pass: steal orphans, advance (eras), then
+    /// [`publish_and_free`].
     fn pass(&self, tid: usize) {
+        // Steal first: a block stolen after the publish and scan could
+        // hold a node its owner unlinked after them, reserved unseen.
+        // SAFETY: tid ownership; the borrow ends with the call.
+        self.base
+            .steal_orphan_chunk(tid, unsafe { self.threads[tid].retire.get() });
         self.kind.advance();
         // SAFETY: tid ownership per the registration contract.
         let scratch = unsafe { self.threads[tid].scratch.get() };

@@ -169,6 +169,11 @@ impl NbrPlus {
         let sh = self.shared;
         let shard = self.base.stats.shard(tid);
         shard.pop_passes.fetch_add(1, Ordering::Relaxed);
+        // Steal before phase 1: a block orphaned after the neutralization
+        // could hold a node a peer read after it.
+        // SAFETY: tid ownership; the borrow ends with the call.
+        self.base
+            .steal_orphan_chunk(tid, unsafe { self.threads[tid].retire.get() });
         fence(Ordering::SeqCst);
 
         // Phase 1: snapshot progress counters, then request neutralization.

@@ -28,11 +28,33 @@
 //! Because edges carry tag/flag bits that traversals must pass *through*
 //! (frozen edges never change, so restarting on them would livelock),
 //! hazards are published for the *clean* pointer via a local relay and
-//! validated by re-reading the raw edge. Seek holds four roles
-//! (ancestor, successor, parent, leaf) in fixed slots plus one in-flight
-//! slot; remove pins its victim leaf in a sixth slot across the cleanup
-//! loop so the pointer-equality "has someone finished my detach?" check
-//! cannot be confused by address reuse — hence [`SLOTS_REQUIRED`] = 6.
+//! validated by re-reading the raw edge.
+//!
+//! ## Roles name slots; one reservation per node visited
+//!
+//! Seek's four roles (ancestor, successor, parent, leaf) each name the
+//! slot, among the five seek slots, that their node was read into; the
+//! immortal `root` and `s_child` sentinels name none. Shifting the roles
+//! down a level renames slot indices and stores nothing, so the one
+//! reservation per level is the validated edge read, into a slot no role
+//! names (four roles name at most four of five). A node stays reserved
+//! from its read until no role names it, and a descent to depth *d* costs
+//! *d* protects. The read takes the first unnamed slot *after* the one
+//! read last, so a descent cycles through all five: taking the lowest
+//! would leave slot 4 untouched on clean paths, holding a word from some
+//! earlier operation, and under the era schemes such a stale era pins
+//! every node alive at it (HazardEraPOP's garbage on `tree-mixed` grew
+//! fivefold that way).
+//!
+//! Remove pins its victim leaf in a sixth slot across the cleanup loop so
+//! the pointer-equality "has someone finished my detach?" check cannot be
+//! confused by address reuse — hence [`SLOTS_REQUIRED`] = 6.
+//!
+//! `cleanup` acts only on a parent with a flagged edge. Its callers help
+//! when their edge still leads to their leaf, but the edge can be back on
+//! the leaf *clean* — an insert below it and the delete of that key came
+//! and went — and a swing from there would detach the parent's live other
+//! subtree.
 
 use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::Arc;
@@ -45,14 +67,16 @@ use pop_core::{
 use crate::marked::unmarked;
 use crate::{ConcurrentMap, Key, Value};
 
-/// Hazard slots the tree uses (4 seek roles + in-flight + pinned victim).
+/// Hazard slots the tree uses (5 seek slots + pinned victim).
 pub const SLOTS_REQUIRED: usize = 6;
 
-const SLOT_ANCESTOR: usize = 0;
-const SLOT_SUCCESSOR: usize = 1;
-const SLOT_PARENT: usize = 2;
-const SLOT_LEAF: usize = 3;
-const SLOT_INFLIGHT: usize = 4;
+/// Slots 0..SEEK_SLOTS hold seek's reservations: four roles plus the
+/// edge being read, which always finds a slot no role names.
+const SEEK_SLOTS: usize = 5;
+/// The slot a sentinel role names: none (`root` and `s_child` are
+/// immortal and never reserved).
+const IMMORTAL: usize = SEEK_SLOTS;
+/// Remove's victim pin, outside the seek slots.
 const SLOT_VICTIM: usize = 5;
 
 /// Edge bit 0: the edge is frozen in place (sibling of a pending delete).
@@ -78,6 +102,17 @@ fn is_flagged(p: *mut NmNode) -> bool {
 #[inline(always)]
 fn with_tag(p: *mut NmNode) -> *mut NmNode {
     (p as usize | TAG) as *mut NmNode
+}
+
+/// The first seek slot after `last`, cyclically, that none of `roles`
+/// names.
+#[inline(always)]
+fn next_unnamed_slot(roles: [usize; 4], last: usize) -> usize {
+    let named = roles.iter().fold(0u32, |m, &s| m | 1 << s);
+    let free = !named & ((1 << SEEK_SLOTS) - 1);
+    debug_assert!(free != 0, "four roles name at most four of five slots");
+    let after = free & !((2 << last) - 1);
+    (if after != 0 { after } else { free }).trailing_zeros() as usize
 }
 
 #[inline(always)]
@@ -146,7 +181,7 @@ impl NmNode {
     }
 }
 
-/// Snapshot of a descent (all four nodes protected or immortal).
+/// Snapshot of a descent (each node reserved in a seek slot, or immortal).
 struct SeekRecord {
     /// Deepest node whose outgoing path edge was clean; owns the edge the
     /// swing CAS targets.
@@ -209,16 +244,14 @@ impl<S: Smr> NmTree<S> {
         }
     }
 
-    /// Re-publishes a hazard for `p` (already protected in another slot or
-    /// immortal, so no validation is needed — there is no protection gap).
-    fn protect_held(&self, row: &Row<'_>, slot: usize, p: *mut NmNode) -> Result<(), Restart> {
-        let relay = AtomicPtr::new(p);
-        self.smr.protect_in(row, slot, &relay).map(|_| ())
-    }
-
     /// Descends to the external node covering `key`. The ancestor /
     /// successor pair freezes at the first tagged edge on the path (tagged
     /// edges belong to pending deletes whose regions end below them).
+    ///
+    /// Each role names the slot its node was reserved in when it was read
+    /// ([`IMMORTAL`] for the sentinels); a role shift copies slot indices,
+    /// so the one reservation per level is the edge read into a slot no
+    /// role names — the first after the slot read last (module docs).
     fn seek(&self, tid: usize, key: Key) -> Result<SeekRecord, Restart> {
         let row = self.smr.row(tid);
         'retry: loop {
@@ -228,23 +261,27 @@ impl<S: Smr> NmTree<S> {
                 parent: self.s_child,
                 leaf: core::ptr::null_mut(),
             };
-            self.protect_held(&row, SLOT_ANCESTOR, rec.ancestor)?;
-            self.protect_held(&row, SLOT_SUCCESSOR, rec.successor)?;
-            self.protect_held(&row, SLOT_PARENT, rec.parent)?;
+            let (mut ancestor_slot, mut successor_slot, mut parent_slot) =
+                (IMMORTAL, IMMORTAL, IMMORTAL);
+            let mut leaf_slot = 0;
             // SAFETY: s_child is immortal.
             let (mut parent_field, leaf) =
-                self.protect_edge(&row, SLOT_LEAF, unsafe { &(*self.s_child).left })?;
+                self.protect_edge(&row, leaf_slot, unsafe { &(*self.s_child).left })?;
             rec.leaf = leaf;
             loop {
-                // SAFETY: rec.leaf is protected in SLOT_LEAF (or in-flight
-                // slot just re-published); reachable per the unlinked
-                // re-check below on its parent at protection time.
+                // SAFETY: rec.leaf is protected in `leaf_slot`; reachable
+                // per the unlinked re-check below on its parent at
+                // protection time.
                 let leaf_ref = unsafe { &*rec.leaf };
                 if leaf_ref.is_leaf() {
                     return Ok(rec);
                 }
+                let slot = next_unnamed_slot(
+                    [ancestor_slot, successor_slot, parent_slot, leaf_slot],
+                    leaf_slot,
+                );
                 let (current_raw, current) =
-                    self.protect_edge(&row, SLOT_INFLIGHT, leaf_ref.child_for(key))?;
+                    self.protect_edge(&row, slot, leaf_ref.child_for(key))?;
                 // Reachability re-check (see module docs): pass 1 of a
                 // detach flags the edge's owner before pass 2 retires the
                 // child, so a clear flag here proves the child's hazard
@@ -259,17 +296,14 @@ impl<S: Smr> NmTree<S> {
                 }
                 self.smr.check_live(current);
                 // Shift roles: ancestor/successor advance only across
-                // clean path edges.
+                // clean path edges. Each node keeps the slot it was read
+                // into; the slots no role names any more are free.
                 if !is_tagged(parent_field) {
-                    rec.ancestor = rec.parent;
-                    self.protect_held(&row, SLOT_ANCESTOR, rec.ancestor)?;
-                    rec.successor = rec.leaf;
-                    self.protect_held(&row, SLOT_SUCCESSOR, rec.successor)?;
+                    (rec.ancestor, ancestor_slot) = (rec.parent, parent_slot);
+                    (rec.successor, successor_slot) = (rec.leaf, leaf_slot);
                 }
-                rec.parent = rec.leaf;
-                self.protect_held(&row, SLOT_PARENT, rec.parent)?;
-                rec.leaf = current;
-                self.protect_held(&row, SLOT_LEAF, rec.leaf)?;
+                (rec.parent, parent_slot) = (rec.leaf, leaf_slot);
+                (rec.leaf, leaf_slot) = (current, slot);
                 parent_field = current_raw;
             }
         }
@@ -280,7 +314,7 @@ impl<S: Smr> NmTree<S> {
     /// (the winner retired the region).
     fn cleanup(&self, tid: usize, key: Key, rec: &SeekRecord) -> Result<bool, Restart> {
         let smr = &*self.smr;
-        // SAFETY: all four record nodes are protected (or immortal).
+        // SAFETY: all four record nodes are reserved (or immortal).
         let ancestor_ref = unsafe { &*rec.ancestor };
         // SAFETY: as above — the parent is one of the four.
         let parent_ref = unsafe { &*rec.parent };
@@ -289,12 +323,18 @@ impl<S: Smr> NmTree<S> {
         } else {
             (&parent_ref.right, &parent_ref.left)
         };
-        let (_, sibling_edge) = if is_flagged(child_edge.load(Ordering::Acquire)) {
-            (child_edge, sibling_edge)
-        } else {
+        let sibling_edge = if is_flagged(child_edge.load(Ordering::Acquire)) {
+            sibling_edge
+        } else if is_flagged(sibling_edge.load(Ordering::Acquire)) {
             // The flag is on the other side: we are helping a delete whose
             // victim is the sibling of the leaf we sought.
-            (sibling_edge, child_edge)
+            child_edge
+        } else {
+            // No delete is pending at `parent`: the caller saw the edge
+            // back on its leaf after an insert and a delete below it came
+            // and went. Swinging anyway would detach the live sibling
+            // subtree, so there is nothing to help.
+            return Ok(false);
         };
         smr.begin_write(
             tid,
@@ -421,9 +461,11 @@ impl<S: Smr> NmTree<S> {
         }
         let target = rec.leaf;
         // Pin the victim across the cleanup loop: later seeks reassign the
-        // role slots, and the pointer-equality check below is only
-        // meaningful while `target` cannot be freed and reallocated.
-        self.protect_held(&self.smr.row(tid), SLOT_VICTIM, target)?;
+        // seek slots, and the pointer-equality check below is only
+        // meaningful while `target` cannot be freed and reallocated. It is
+        // already reserved in a seek slot, so there is no gap to validate.
+        let relay = AtomicPtr::new(target);
+        smr.protect_in(&smr.row(tid), SLOT_VICTIM, &relay)?;
         // SAFETY: parent protected by seek (or an immortal sentinel); the
         // victim pin above re-protects a different slot.
         let edge = unsafe { &*rec.parent }.child_for(key);
@@ -587,7 +629,216 @@ impl<S: Smr> Drop for NmTree<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pop_core::{Ebr, HazardPtr, HazardPtrPop, SmrConfig};
+    use core::sync::atomic::{AtomicU32, AtomicUsize};
+    use pop_core::{DomainStats, Ebr, HazardPtr, HazardPtrPop, ReadResult, Retired, SmrConfig};
+
+    /// Forwards to `S`, keeping a shadow row — the last pointer protected
+    /// into each slot, i.e. what the slot's live word reserves — a mask of
+    /// the slots written, and a count of protects.
+    struct Shadow<S: Smr> {
+        inner: Arc<S>,
+        row: [AtomicUsize; SLOTS_REQUIRED],
+        written: AtomicU32,
+        protects: AtomicUsize,
+    }
+
+    impl<S: Smr> Shadow<S> {
+        /// Whether one of the seek slots reserves `p`.
+        fn seek_slots_hold(&self, p: *mut NmNode) -> bool {
+            self.row[..SEEK_SLOTS]
+                .iter()
+                .any(|w| w.load(Ordering::Relaxed) == p as usize)
+        }
+
+        fn protects(&self) -> usize {
+            self.protects.load(Ordering::Relaxed)
+        }
+
+        /// How many seek slots were written since the last call.
+        fn seek_slots_written(&self) -> u32 {
+            let mask = (1 << SEEK_SLOTS) - 1;
+            (self.written.swap(0, Ordering::Relaxed) & mask).count_ones()
+        }
+    }
+
+    impl<S: Smr> Smr for Shadow<S> {
+        const NAME: &'static str = S::NAME;
+        const ROBUST: bool = S::ROBUST;
+        const NEEDS_SIGNALS: bool = S::NEEDS_SIGNALS;
+
+        fn new(cfg: SmrConfig) -> Arc<Self> {
+            Arc::new(Shadow {
+                inner: S::new(cfg),
+                row: Default::default(),
+                written: AtomicU32::new(0),
+                protects: AtomicUsize::new(0),
+            })
+        }
+
+        fn config(&self) -> &SmrConfig {
+            self.inner.config()
+        }
+
+        fn stats(&self) -> &DomainStats {
+            self.inner.stats()
+        }
+
+        fn register_raw(&self, tid: usize) {
+            self.inner.register_raw(tid)
+        }
+
+        fn unregister(&self, tid: usize) {
+            self.inner.unregister(tid)
+        }
+
+        fn begin_op(&self, tid: usize) {
+            self.inner.begin_op(tid)
+        }
+
+        fn end_op(&self, tid: usize) {
+            self.inner.end_op(tid)
+        }
+
+        fn protect<T>(&self, tid: usize, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
+            self.protects.fetch_add(1, Ordering::Relaxed);
+            let p = self.inner.protect(tid, slot, src)?;
+            self.row[slot].store(unmarked(p) as usize, Ordering::Relaxed);
+            self.written.fetch_or(1 << slot, Ordering::Relaxed);
+            Ok(p)
+        }
+
+        fn check_live<T>(&self, ptr: *mut T) {
+            self.inner.check_live(ptr)
+        }
+
+        fn begin_write(&self, tid: usize, ptrs: &[*mut Header]) -> Result<(), Restart> {
+            self.inner.begin_write(tid, ptrs)
+        }
+
+        fn end_write(&self, tid: usize) {
+            self.inner.end_write(tid)
+        }
+
+        unsafe fn retire(&self, tid: usize, retired: Retired) {
+            // SAFETY: the caller's contract is forwarded unchanged.
+            unsafe { self.inner.retire(tid, retired) }
+        }
+
+        fn current_era(&self) -> u64 {
+            self.inner.current_era()
+        }
+
+        fn flush(&self, tid: usize) {
+            self.inner.flush(tid)
+        }
+    }
+
+    /// Edges from `s_child` down to the leaf covering `key`: the number of
+    /// nodes a seek for `key` reads (requires quiescence).
+    fn depth<S: Smr>(t: &NmTree<S>, key: Key) -> usize {
+        let mut d = 0;
+        let mut n = t.s_child;
+        loop {
+            // SAFETY: quiescent; every reachable node is live.
+            let r = unsafe { &*n };
+            if r.is_leaf() {
+                return d;
+            }
+            n = unmarked(r.child_for(key).load(Ordering::Acquire));
+            d += 1;
+        }
+    }
+
+    /// A tree of `0..KEYS` keys inserted in a scrambled order, every third
+    /// one removed again.
+    const KEYS: u64 = 300;
+
+    fn churned<S: Smr>(t: &NmTree<S>) {
+        for k in 0..KEYS {
+            t.insert(0, k * 7 % KEYS, k);
+        }
+        for k in (0..KEYS).step_by(3) {
+            assert!(t.remove(0, k * 11 % KEYS));
+        }
+    }
+
+    /// Every role a seek hands back, sentinels aside, is reserved by a
+    /// seek slot's live word.
+    fn assert_roles_reserved(t: &NmTree<Shadow<HazardPtr>>, shadow: &Shadow<HazardPtr>) {
+        for key in 0..KEYS + 2 {
+            shadow.begin_op(0);
+            let rec = t.seek(0, key).expect("HP never restarts");
+            for (role, p) in [
+                ("ancestor", rec.ancestor),
+                ("successor", rec.successor),
+                ("parent", rec.parent),
+                ("leaf", rec.leaf),
+            ] {
+                assert!(
+                    p == t.root || p == t.s_child || shadow.seek_slots_hold(p),
+                    "seek({key}): the {role} is in no seek slot"
+                );
+            }
+            shadow.end_op(0);
+        }
+    }
+
+    #[test]
+    fn seek_reserves_each_node_once_and_every_role_stays_reserved() {
+        let smr = Shadow::<HazardPtr>::new(SmrConfig::for_tests(1).with_reclaim_freq(8));
+        let t = NmTree::new(Arc::clone(&smr));
+        let reg = smr.register(0);
+        churned(&t);
+        let mut deep = 0;
+        for key in 0..KEYS + 2 {
+            let d = depth(&t, key);
+            let before = smr.protects();
+            smr.seek_slots_written();
+            let _ = t.get(0, key);
+            assert_eq!(smr.protects() - before, d, "get({key}) at depth {d}");
+            // A descent cycles through the seek slots, so none keeps a word
+            // from an earlier operation.
+            if d >= SEEK_SLOTS {
+                assert_eq!(smr.seek_slots_written(), SEEK_SLOTS as u32, "get({key})");
+                deep += 1;
+            }
+        }
+        assert!(deep > 0, "some descent is at least {SEEK_SLOTS} deep");
+        assert_roles_reserved(&t, &smr);
+        // A stalled delete: flag an internal node's left leaf and tag its
+        // right edge without the swing, so seeks below it keep their
+        // ancestor and successor while parent and leaf move on.
+        let mut stack = vec![t.s_child];
+        let stalled = loop {
+            // SAFETY: quiescent; every reachable node is live, and an
+            // internal node has both children.
+            let n = unsafe { &*stack.pop().expect("the churned tree has one") };
+            if n.is_leaf() {
+                continue;
+            }
+            let (l, r) = (
+                n.left.load(Ordering::Relaxed),
+                n.right.load(Ordering::Relaxed),
+            );
+            // SAFETY: as above.
+            if unsafe { &*l }.is_leaf() && !unsafe { &*r }.is_leaf() {
+                break n;
+            }
+            stack.extend([l, r]);
+        };
+        let victim = stalled.left.load(Ordering::Relaxed);
+        stalled.left.store(with_flag(victim), Ordering::Relaxed);
+        let sibling = stalled.right.load(Ordering::Relaxed);
+        stalled.right.store(with_tag(sibling), Ordering::Relaxed);
+        assert_roles_reserved(&t, &smr);
+        // A remove of the flagged key helps the stalled delete finish; the
+        // flag already linearized it, so the key is gone.
+        // SAFETY: the victim is a live leaf.
+        let key = unsafe { &*victim }.key;
+        assert!(!t.remove(0, key));
+        assert!(!t.keys_quiescent().contains(&key));
+        drop(reg);
+    }
 
     #[test]
     fn roundtrip_with_classic_hp() {
@@ -603,6 +854,33 @@ mod tests {
         }
         assert!(!t.contains(0, 55));
         assert_eq!(t.keys_quiescent(), vec![10, 25, 30, 50, 60, 75, 90]);
+        drop(reg);
+    }
+
+    #[test]
+    fn cleanup_of_a_clean_edge_detaches_nothing() {
+        // An insert's CAS can lose to an insert below its leaf whose key is
+        // then deleted again, leaving the edge back on the leaf, clean.
+        // The loser's help check sees its leaf and calls `cleanup`; with no
+        // delete pending at the parent that must not swing the ancestor
+        // edge, which would detach the parent's live other subtree.
+        let smr = HazardPtr::new(SmrConfig::for_tests(1));
+        let t = NmTree::new(Arc::clone(&smr));
+        let reg = smr.register(0);
+        for k in [10u64, 20, 30] {
+            assert!(t.insert(0, k, k));
+        }
+        smr.begin_op(0);
+        let rec = t.seek(0, 25).expect("HP never restarts");
+        smr.end_op(0);
+        // SAFETY: nothing is removed while the record is in use.
+        assert_eq!(unsafe { &*rec.leaf }.key, 20);
+        assert!(t.insert(0, 25, 25));
+        assert!(t.remove(0, 25));
+        smr.begin_op(0);
+        assert_eq!(t.cleanup(0, 25, &rec), Ok(false), "nothing to help");
+        smr.end_op(0);
+        assert_eq!(t.keys_quiescent(), vec![10, 20, 30]);
         drop(reg);
     }
 

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use pop::ds::ext_bst::ExtBst;
 use pop::ds::hml::HmList;
+use pop::ds::nm_tree::NmTree;
 use pop::ds::ConcurrentMap;
 use pop::smr::{
     Ebr, EpochPop, HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym, HazardPtrPop, NbrPlus, Smr,
@@ -76,6 +77,10 @@ macro_rules! uaf_tests {
                 #[test]
                 fn ext_bst_churn() {
                     churn::<$scheme, ExtBst<$scheme>>();
+                }
+                #[test]
+                fn nm_tree_churn() {
+                    churn::<$scheme, NmTree<$scheme>>();
                 }
             }
         )+
