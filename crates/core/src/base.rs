@@ -73,16 +73,16 @@
 //!
 //! The epoch schemes' global word ([`EpochClock`]) and hazard eras' era
 //! word move at two sites, both on the retire path: a reclaimer pass
-//! advances its clock first, and [`push_retired`] asks for a *tick* once
-//! per `reclaim_freq / TICK_DIVISOR` sealed retires between passes
-//! ([`Verdict::Tick`]: one `fetch_max` or `fetch_add`, no ping, no fence,
-//! no scan). So the batch that triggers a pass was retired across several
-//! clock values, most of them older than the reclaimer's own open
-//! operation, and the pass frees it instead of keeping it for the next
-//! one. The operation path writes no clock word. Safety is unaffected:
-//! readers announce (or reserve), and retirers tag, values of the same
-//! monotone word, so *when* it advances only affects reclamation latency,
-//! never which frees are legal.
+//! advances its clock first, and every seal that does not trigger a pass
+//! is a *tick* ([`Verdict::Tick`]: one `fetch_max` or `fetch_add`, no
+//! ping, no fence, no scan). So the batch that triggers a pass was retired
+//! across one clock value per block, all but the newest older than the
+//! reclaimer's own open operation, and the pass keeps under that operation
+//! only what was retired since the last seal (about one block), not the
+//! whole batch. The operation path writes no clock word. Safety is
+//! unaffected: readers announce (or reserve), and retirers tag, values of
+//! the same monotone word, so *when* it advances only affects reclamation
+//! latency, never which frees are legal.
 
 use core::cell::UnsafeCell;
 use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -160,9 +160,6 @@ pub(crate) struct RetireList {
     /// reader) must not turn every subsequent seal into a full-list
     /// sweep.
     sealed_since_trigger: usize,
-    /// Nodes sealed since the last tick (or pass): paces
-    /// [`push_retired`]'s [`Verdict::Tick`].
-    sealed_since_tick: usize,
     /// Sealed blocks, oldest first. Deliberately boxed (not `vec_box`
     /// noise): a sealed block is handed around *as one pointer* — between
     /// the fill bins, this vector, the free pool, the domain orphan list
@@ -183,7 +180,6 @@ impl RetireList {
             sealed_nodes: 0,
             fill_nodes: 0,
             sealed_since_trigger: 0,
-            sealed_since_tick: 0,
             blocks: Vec::new(),
             fills: core::array::from_fn(|_| RetireBatch::boxed()),
             free: Vec::new(),
@@ -224,20 +220,16 @@ impl RetireList {
         self.sealed_nodes += n;
         self.fill_nodes -= n;
         self.sealed_since_trigger += n;
-        self.sealed_since_tick += n;
         SealOutcome {
             nodes: n,
             blocks: 1,
         }
     }
 
-    /// Resets the trigger and tick pacing — a pass just ran (or is about
-    /// to), and it advances the clock itself, so the next pass waits for a
-    /// fresh `reclaim_freq` worth of retires and the next tick for a fresh
-    /// tick period.
+    /// Resets the trigger pacing — a pass just ran (or is about to), so
+    /// the next pass waits for a fresh `reclaim_freq` worth of retires.
     pub(crate) fn note_pass(&mut self) {
         self.sealed_since_trigger = 0;
-        self.sealed_since_tick = 0;
     }
 
     /// Nodes held over from before the last trigger or sweep (what that
@@ -892,23 +884,17 @@ pub(crate) fn seal_and_account(base: &DomainBase, tid: usize, list: &mut RetireL
     }
 }
 
-/// A tick is due once per `reclaim_freq / TICK_DIVISOR` sealed retires
-/// (floored at 1): eight clock steps per pass period.
-const TICK_DIVISOR: usize = 8;
-
 /// What a retire owes after [`push_retired`], weakest first. Every verdict
 /// but `Fill` means a block just sealed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Verdict {
     /// The node joined a fill bin; nothing is owed.
     Fill,
-    /// A block sealed.
-    Seal,
-    /// A block sealed and a tick period of sealed retires arrived since
-    /// the last tick or pass: advance the clock (module docs, "The clocks
-    /// move with retires"). Not a pass: no ping, no fence, no scan.
+    /// A block sealed: advance the clock (module docs, "The clocks move
+    /// with retires"). Not a pass: no ping, no fence, no scan.
     Tick,
-    /// A reclamation pass is due; it advances the clock itself.
+    /// A block sealed and a reclamation pass is due; it advances the clock
+    /// itself.
     Pass,
 }
 
@@ -918,8 +904,7 @@ pub(crate) enum Verdict {
 /// A pass is due when the list is over `reclaim_freq` **and** a full
 /// `reclaim_freq` of new retires arrived since the last trigger — so a
 /// pinned list (stalled reader) costs one full-list sweep per
-/// `reclaim_freq` retires, not one per seal. Otherwise a tick is due once
-/// per `reclaim_freq / TICK_DIVISOR` sealed retires.
+/// `reclaim_freq` retires, not one per seal. Every other seal is a tick.
 #[inline]
 pub(crate) fn push_retired(
     base: &DomainBase,
@@ -935,11 +920,8 @@ pub(crate) fn push_retired(
     if list.len() >= freq && list.sealed_since_trigger >= freq {
         list.note_pass();
         Verdict::Pass
-    } else if list.sealed_since_tick >= (freq / TICK_DIVISOR).max(1) {
-        list.sealed_since_tick = 0;
-        Verdict::Tick
     } else {
-        Verdict::Seal
+        Verdict::Tick
     }
 }
 
@@ -2057,11 +2039,12 @@ mod tests {
     }
 
     #[test]
-    fn push_retired_ticks_once_per_tick_period() {
-        // reclaim_freq 64 → a tick every 8 sealed retires; the eighth
-        // period is the pass, which advances the clock itself.
+    fn push_retired_ticks_at_every_seal_but_a_pass() {
+        // reclaim_freq 64, seal threshold 2: every seal is a tick except
+        // the one that completes a pass period, which advances the clock
+        // itself.
         let b = DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(64));
-        let mut list = RetireList::new(1);
+        let mut list = RetireList::new(2);
         let verdicts: Vec<Verdict> = run(&b, (0..128).map(|i| (i, i)))
             .into_iter()
             .map(|r| push_retired(&b, 0, &mut list, r))
@@ -2069,25 +2052,28 @@ mod tests {
         for (i, v) in verdicts.iter().enumerate() {
             let want = match (i + 1) % 64 {
                 0 => Verdict::Pass,
-                n if n % 8 == 0 => Verdict::Tick,
-                _ => Verdict::Seal,
+                n if n % 2 == 0 => Verdict::Tick,
+                _ => Verdict::Fill,
             };
             assert_eq!(*v, want, "retire {}", i + 1);
         }
-        // A sweep (flush, unregister) restarts the tick period too: five
-        // retires into a period, a sweep, then the tick is eight away.
+        // A sweep (flush, unregister) restarts the pass period, not the
+        // ticks: ten retires into a period, a sweep that keeps all 138
+        // nodes, then the seals still tick and the pass is a full
+        // `reclaim_freq` of new retires away.
         let push = |list: &mut RetireList, n: u64| -> Vec<Verdict> {
             run(&b, (0..n).map(|i| (i, i)))
                 .into_iter()
                 .map(|r| push_retired(&b, 0, list, r))
                 .collect()
         };
-        assert!(push(&mut list, 5).iter().all(|&v| v == Verdict::Seal));
-        unsafe { sweep_retire_list(&b, 0, &mut list, |_| false) };
-        assert!(list.is_empty());
-        let after = push(&mut list, 8);
-        assert!(after[..7].iter().all(|&v| v == Verdict::Seal));
-        assert_eq!(after[7], Verdict::Tick);
+        assert_eq!(push(&mut list, 10).last(), Some(&Verdict::Tick));
+        unsafe { sweep_retire_list(&b, 0, &mut list, |_| true) };
+        assert_eq!(list.len(), 138);
+        let after = push(&mut list, 64);
+        assert!(after[..63].iter().all(|&v| v != Verdict::Pass));
+        assert_eq!(after[1], Verdict::Tick);
+        assert_eq!(after[63], Verdict::Pass);
         drain_free(&b, &mut list);
     }
 

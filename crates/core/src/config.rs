@@ -72,8 +72,8 @@ impl PublishMode {
 /// also EpochPOP's escalation threshold: Alg. 3 line 26's condition is
 /// "the epoch pass left the list at `reclaim_freq` or more", so there is
 /// no multiplier `C` to set. Alg. 3 line 1's epoch period is not a
-/// setting either: the epoch (and the hazard-era clock) ticks once per
-/// `reclaim_freq / 8` sealed retires and at every pass.
+/// setting either: the epoch (and the hazard-era clock) ticks at every
+/// seal of a retire block and at every pass.
 ///
 /// # Builders
 ///

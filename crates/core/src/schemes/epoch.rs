@@ -18,10 +18,10 @@
 //! | [`Ibr`] | `IBR` | [`Interval`] | lower bound relaxed, then upper bound `SeqCst` | raises the upper bound when the epoch moved | pins only the nodes whose lifespan meets its interval |
 //!
 //! **The clock.** The global epoch is one word, `EpochClock`, which the
-//! operation path never writes. Every pass advances it first, and between
-//! passes a retire tick (`reclaim_freq / 8` sealed retires) advances it,
-//! so the batch that triggers a pass predates the reclaimer's own
-//! operation and the pass frees it. VBR opts out of the tick
+//! operation path never writes. Every pass advances it first, and every
+//! other seal is a retire tick that advances it, so all but the newest
+//! block of the batch that triggers a pass predate the reclaimer's own
+//! operation and the pass frees them. VBR opts out of the tick
 //! (`Laggard::RETIRE_TICK`): `VBR_MAX_LAG` counts bumps, so its version
 //! moves on passes alone.
 //!
@@ -733,7 +733,6 @@ impl<L: Laggard> Smr for Epoch<L> {
         let verdict = push_retired(&self.base, tid, list, retired);
         match verdict {
             Verdict::Fill => return,
-            Verdict::Seal => {}
             Verdict::Tick => {
                 if L::RETIRE_TICK {
                     self.clock.advance();
@@ -841,7 +840,8 @@ mod tests {
     }
 
     /// Epoch advances over `retires` unbatched retires, none of which
-    /// reaches a pass (`reclaim_freq` 64: a tick every 8).
+    /// reaches a pass (`reclaim_freq` 64): every retire seals, so each is
+    /// a tick.
     fn epoch_steps<L: Laggard>(retires: u64, adaptive: bool) -> u64 {
         let smr = Epoch::<L>::new(
             SmrConfig::for_tests(2)
@@ -859,13 +859,23 @@ mod tests {
     }
 
     #[test]
-    fn a_tick_period_of_retires_advances_the_epoch_once() {
+    fn every_seal_advances_the_epoch_once() {
         for adaptive in [false, true] {
-            assert_eq!(epoch_steps::<Wait>(8, adaptive), 1);
-            assert_eq!(epoch_steps::<Ping>(63, adaptive), 7);
-            assert_eq!(epoch_steps::<Interval>(15, adaptive), 1);
+            assert_eq!(epoch_steps::<Wait>(8, adaptive), 8);
+            assert_eq!(epoch_steps::<Ping>(63, adaptive), 63);
+            assert_eq!(epoch_steps::<Interval>(15, adaptive), 15);
             assert_eq!(epoch_steps::<Abort>(63, adaptive), 0, "VBR opts out");
         }
+    }
+
+    #[test]
+    fn an_epoch_pass_keeps_one_block_under_its_own_announcement() {
+        let cfg = SmrConfig::for_tests(1)
+            .with_reclaim_freq(1024)
+            .with_adaptive(false);
+        crate::schemes::assert_own_pass_keeps_one_block::<Ibr>(cfg.clone());
+        crate::schemes::assert_own_pass_keeps_one_block::<Ebr>(cfg.clone());
+        crate::schemes::assert_own_pass_keeps_one_block::<EpochPop>(cfg);
     }
 
     // -----------------------------------------------------------------

@@ -28,15 +28,16 @@
 //! names. [`Era`] reserves the domain's era: `protect` reserves only when
 //! the era differs from the slot's word, a pass advances the era *before*
 //! it makes reservations visible (so a reservation made after that cannot
-//! cover a node retired before it — Property 6), a retire tick advances it
-//! between passes, and a record is freed when no reserved era meets its
-//! `[birth, retire]` lifespan. Ticks keep a pass from pinning its own
-//! trigger batch under the reclaimer's reservation, so a parked reader
-//! holds garbage below `reclaim_freq × 9/8` plus the nodes alive at its
-//! era. Era passes also feed the stall tracker, release quarantined blocks
-//! and, on the emergency rung, park blocks pinned only by an elected
-//! stalled reader; era retires keep the hard rung's bounded synchronous
-//! retries.
+//! cover a node retired before it — Property 6), every other seal is a
+//! retire tick that advances it, and a record is freed when no reserved
+//! era meets its `[birth, retire]` lifespan. Ticks keep a pass from
+//! pinning its own trigger batch under the reclaimer's reservation: it
+//! keeps only what was retired since the last seal, so a parked reader
+//! holds garbage below `reclaim_freq` + one block per fill bin plus the
+//! nodes alive at its era. Era passes also feed the stall tracker, release
+//! quarantined blocks and, on the emergency rung, park blocks pinned only
+//! by an elected stalled reader; era retires keep the hard rung's bounded
+//! synchronous retries.
 //!
 //! **Publishers.** [`Fence`] is the eager baseline: the owner's row is the
 //! shared row, every reserve fences, and `end_op` zeroes the row. [`Ping`]
@@ -662,7 +663,7 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
                 self.kind.advance();
                 return;
             }
-            Verdict::Fill | Verdict::Seal => return,
+            Verdict::Fill => return,
         }
         self.pass(tid);
         // Ladder rung 2, era kinds: re-ping the suspects before each retry
@@ -853,6 +854,13 @@ mod tests {
         let at_least_one = |s: StatsSnapshot| assert!(s.unreclaimed_nodes() >= 1);
         own_reservation_survives::<HazardEra>(at_least_one);
         own_reservation_survives::<HazardEraPop>(at_least_one);
+    }
+
+    #[test]
+    fn an_era_pass_keeps_one_block_under_its_own_reservation() {
+        let cfg = SmrConfig::for_tests(1).with_reclaim_freq(1024);
+        crate::schemes::assert_own_pass_keeps_one_block::<HazardEra>(cfg.clone());
+        crate::schemes::assert_own_pass_keeps_one_block::<HazardEraPop>(cfg);
     }
 
     fn quiescent_single_thread_drains_completely<S: Smr>() {

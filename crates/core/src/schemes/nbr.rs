@@ -19,6 +19,16 @@
 //! restarts of long-running read operations under reclamation pressure
 //! (the paper's Figure 4 effect).
 //!
+//! **Not robust** (`ROBUST = false`). Neutralization bounds garbage only
+//! if the signal can actually interrupt the reader (Brown, arXiv
+//! 1712.01044). The original's handler jumps the reader out of whatever
+//! it is doing; here the flag waits for the reader's next checkpoint. A
+//! reader blocked inside an operation (parked in a syscall, descheduled
+//! for good) never reaches one, so every pass waits out
+//! `publish_deadline_ns` and frees nothing until it leaves: its retirers'
+//! garbage grows without bound. A reader that keeps reading restarts at
+//! its next `protect` and unpins.
+//!
 //! Registration, ping dispatch, the phase-2 wait and the reaper are
 //! publish-on-ping's peer table (`pop_shared::Peers`): NBR+ differs from
 //! POP only in what a ping asks for (a restart instead of a publish) and
@@ -305,7 +315,7 @@ impl NbrPlus {
 
 impl Smr for NbrPlus {
     const NAME: &'static str = "NBR+";
-    const ROBUST: bool = true;
+    const ROBUST: bool = false;
     const NEEDS_SIGNALS: bool = true;
 
     fn new(cfg: SmrConfig) -> Arc<Self> {
@@ -743,6 +753,70 @@ mod tests {
         smr.flush(0);
         assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
         drop(reg1);
+        drop(reg0);
+    }
+
+    #[test]
+    fn blocked_reader_pins_everything_within_the_deadline() {
+        // A real reader blocked in `recv()` inside an operation: the
+        // neutralize signal lands, but nothing consumes the flag, so every
+        // pass times out at the deadline and frees nothing. Once the
+        // reader leaves, one flush drains everything.
+        const DEADLINE_NS: u64 = 5_000_000;
+        let smr = NbrPlus::new(
+            SmrConfig::for_tests(2)
+                .with_publish_spin(8)
+                .with_publish_deadline_ns(DEADLINE_NS),
+        );
+        let reg0 = smr.register(0);
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let reader = std::thread::spawn({
+            let smr = Arc::clone(&smr);
+            move || {
+                let reg1 = smr.register(1);
+                let src = AtomicPtr::<N>::new(core::ptr::null_mut());
+                smr.begin_op(1);
+                smr.protect(1, 0, &src).unwrap();
+                ready_tx.send(()).unwrap();
+                go_rx.recv().unwrap(); // blocked: no checkpoint runs
+                smr.end_op(1);
+                drop(reg1);
+            }
+        });
+        ready_rx.recv().unwrap();
+        let retires = 4 * smr.config().reclaim_freq as u64;
+        let slack = std::time::Duration::from_millis(250);
+        let mut slowest = std::time::Duration::ZERO;
+        for i in 0..retires {
+            smr.begin_op(0);
+            smr.begin_write(0, &[]).unwrap();
+            let p = alloc(&smr, i);
+            let t0 = std::time::Instant::now();
+            unsafe { retire_node(&*smr, 0, p) };
+            slowest = slowest.max(t0.elapsed());
+            smr.end_write(0);
+            smr.end_op(0);
+        }
+        let s = smr.stats().snapshot();
+        assert!(
+            s.pop_passes >= 1 && s.publish_wait_timeouts == s.pop_passes,
+            "every pass timed out: {s:?}"
+        );
+        assert_eq!(
+            s.freed_nodes, 0,
+            "nothing freed past the blocked reader: {s:?}"
+        );
+        assert!(
+            slowest <= std::time::Duration::from_nanos(DEADLINE_NS) + slack,
+            "a pass took {slowest:?}, over the {DEADLINE_NS} ns deadline plus slack"
+        );
+        go_tx.send(()).unwrap();
+        reader.join().unwrap();
+        smr.flush(0);
+        let s = smr.stats().snapshot();
+        assert_eq!(s.freed_nodes, retires, "one flush drains everything");
+        assert_eq!(s.unreclaimed_nodes(), 0);
         drop(reg0);
     }
 

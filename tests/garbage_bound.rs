@@ -4,11 +4,11 @@
 //! only the schemes' own reclamation rule bounds the backlog. Every
 //! operation polls `unreclaimed_nodes()`.
 //!
-//! * HE and HazardEraPOP: at most `reclaim_freq + reclaim_freq / 8` plus
-//!   the list's size. The era moves with retires (a tick every
-//!   `reclaim_freq / 8` sealed retires), so a pass keeps only what was
-//!   retired since the last tick under the reclaimer's own reservation;
-//!   the parked reader's era pins at most the nodes alive at that era.
+//! * HE, HazardEraPOP and IBR: at most `reclaim_freq` plus one block plus
+//!   the list's size. The era (IBR: the epoch) moves at every seal, so a
+//!   pass keeps only what was retired since the last seal under the
+//!   reclaimer's own reservation; the parked reader's era (interval) pins
+//!   at most the nodes alive at that era.
 //! * HP, HPAsym, HazardPtrPOP and EpochPOP: at most `reclaim_freq` plus
 //!   the list's size. A pointer pass frees everything but the reserved
 //!   nodes; EpochPOP escalates to one on the seal at which its epoch pass
@@ -25,8 +25,8 @@ use std::sync::Arc;
 use pop::ds::hml::HmList;
 use pop::ds::ConcurrentMap;
 use pop::smr::{
-    EpochPop, HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym, HazardPtrPop, PublishMode, Smr,
-    SmrConfig,
+    EpochPop, HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym, HazardPtrPop, Ibr, PublishMode,
+    Smr, SmrConfig,
 };
 
 const RECLAIM_FREQ: usize = 1024;
@@ -86,7 +86,7 @@ fn slack(cfg: &SmrConfig) -> u64 {
 
 fn assert_era_bound<S: Smr>(mode: PublishMode) {
     let (peak, cfg) = peak_with_parked_reader::<S>(mode);
-    let bound = (cfg.reclaim_freq + cfg.reclaim_freq / 8) as u64 + slack(&cfg);
+    let bound = (cfg.reclaim_freq + cfg.effective_batch()) as u64 + slack(&cfg);
     assert!(
         peak <= bound,
         "{} ({mode:?}): {peak} unreclaimed, over the era bound {bound}",
@@ -117,6 +117,11 @@ fn hazard_era_pop_holds_the_era_bound_futex() {
 #[test]
 fn hazard_era_pop_holds_the_era_bound_membarrier() {
     assert_era_bound::<HazardEraPop>(PublishMode::Membarrier);
+}
+
+#[test]
+fn ibr_holds_the_era_bound() {
+    assert_era_bound::<Ibr>(PublishMode::Futex);
 }
 
 #[test]
