@@ -183,7 +183,6 @@ fn run_robustness(opts: &SweepOptions, csv: &Path) {
             signals_avoided: stats.signals_avoided,
             batches_sealed: stats.batches_sealed,
             epoch_decay_steps: stats.epoch_decay_steps,
-            orphans_stolen: stats.orphans_stolen,
             restarts: stats.restarts,
             publish_wait_timeouts: stats.publish_wait_timeouts,
             pings_failed: stats.pings_failed,

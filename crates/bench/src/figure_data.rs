@@ -146,7 +146,6 @@ mod tests {
             signals_avoided: 0,
             batches_sealed: 0,
             epoch_decay_steps: 0,
-            orphans_stolen: 0,
             restarts: 0,
             publish_wait_timeouts: 0,
             pings_failed: 0,

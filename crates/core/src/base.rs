@@ -1,11 +1,14 @@
-//! Domain plumbing shared by every scheme: thread-slot occupancy, batched
-//! retire lists, the epoch clock, reusable reclamation scratch, the
-//! quarantine use-after-free detector, and orphan handling.
+//! Domain plumbing shared by every scheme: thread-slot occupancy, the
+//! per-thread fill bins, the domain's retire pool, the epoch clock,
+//! reusable reclamation scratch and the quarantine use-after-free
+//! detector.
 //!
-//! ## Batch lifecycle (fill → seal → range test → per-node test → recycle)
+//! ## Batch lifecycle (fill → seal → pool → take → sweep → put back)
 //!
-//! Retirement is batched through [`RetireList`]. A node's whole life in
-//! the pipeline, including the orphan detour a thread's death takes:
+//! A retired node fills a thread-private bin; a full bin seals into a
+//! block, and the block goes to the domain's **retire pool**, the only
+//! place sealed blocks live. A pass takes the whole pool, sweeps what it
+//! took and puts the survivors back:
 //!
 //! ```text
 //!            retire(ptr)
@@ -14,16 +17,13 @@
 //!   ┌──── fill bins (thread-private) ────┐
 //!   │ [bin 0][bin 1]  ··· [bin 6][bin 7] │   pointer extrema kept
 //!   └─────────────────┬──────────────────┘   at push
-//!                     │ bin reaches retire_batch
-//!                     ▼
-//!        sealed blocks (Vec<Box<RetireBatch>>)
-//!           │              ▲      ▲
-//!           │ unregister   │      │ adopt/steal ≤ 8 blocks,
-//!           ▼              │      │ extrema intact (O(1)/block)
-//!        domain orphan list ──────┘
-//!           │
-//!           ▼ sweep: range test ▸ per-node window test ▸ compact
-//!        freed whole (one slab: one settle) │ kept │ box → free pool
+//!                     │ bin reaches retire_batch (or flush, unregister,
+//!                     ▼ reap: every open bin)
+//!     retire pool (domain-wide, striped by sealing tid) ◀────┐
+//!                     │ a pass takes it all at its start     │ survivors,
+//!                     ▼ (one pointer move per block)         │ not recounted
+//!   sweep: range test ▸ per-node window test ▸ compact ──────┘
+//!        freed whole (one slab: one settle) │ box → sweeper's free pool
 //! ```
 //!
 //! 1. **Fill** — `retire` appends to one of [`FILL_BINS`] thread-private
@@ -35,39 +35,54 @@
 //!    address region.
 //! 2. **Seal** — when a bin reaches the configured threshold
 //!    ([`crate::config::SmrConfig::retire_batch`], never above
-//!    `reclaim_freq`), it moves into the list's sealed-block vector as one
-//!    pointer. Only here do the amortized costs run: one `retired_nodes`
-//!    bump for the whole block and one reclaim-threshold comparison
-//!    ([`push_retired`]).
-//! 3. **Range test** — reservation-filter sweeps ([`free_unreserved`],
+//!    `reclaim_freq`), the block goes to the pool as one pointer. Only
+//!    here do the amortized costs run: one `retired_nodes` bump for the
+//!    whole block and one `fetch_add` on the domain's seal counter
+//!    ([`push_retired`]). The seal whose add crosses a multiple of
+//!    `reclaim_freq` owes a pass, so passes fall due every `reclaim_freq`
+//!    retires domain-wide, whichever thread retires them.
+//! 3. **Take** — a pass seals its own open bins and moves every pooled
+//!    block into its scratch ([`DomainBase::take`]) before it advances a
+//!    clock, makes a reservation visible or scans one.
+//! 4. **Range test** — reservation-filter sweeps ([`free_unreserved`],
 //!    [`free_era_unreserved`], [`free_before_epoch_with_stalled`]) first
 //!    test each block's key extrema against the sorted reserved set: a
 //!    block whose span contains no reserved word is freed whole, and a
 //!    block whose every member is provably pinned is kept whole, *without
 //!    touching a single record* (Hyaline/Crystalline-style batch-granular
 //!    filtering).
-//! 4. **Per-node test** — a block the range test cannot decide tests each
+//! 5. **Per-node test** — a block the range test cannot decide tests each
 //!    record once against the *narrowed* reserved window (the words inside
 //!    the block's span): a binary search for pointers,
 //!    [`era_range_reserved`] for lifespans. Survivors compact in place and
-//!    stay **in their original retire order** within and across blocks.
-//!    IBR's interval test rides the same block driver with its own
-//!    per-node predicate ([`keep_mask`]).
-//! 5. **Free/recycle** — a wholly-freed block confined to one slab settles
-//!    against it in one step; emptied block boxes return to the list's
-//!    free pool, so steady-state retire + reclaim performs **zero heap
-//!    allocations** once the pools reach working size. Flush paths seal
-//!    partial bins first (inside the sweep), and `unregister` seals every
-//!    non-empty bin and parks the **sealed blocks themselves** on the
-//!    domain orphan list ([`DomainBase::orphan_remaining`]) — no node is
-//!    ever parked unsealed (partial batches are never leaked), no record
-//!    is copied, and each block keeps its extrema through the park.
-//!    Joining threads adopt a bounded block chunk back
-//!    ([`DomainBase::adopt_orphan_chunk`]), and every pass steals up to
-//!    one more chunk at its start, before it scans a reservation
-//!    ([`DomainBase::steal_orphan_chunk`]) — O(1) per block — so orphans
-//!    drain even when no thread ever joins again, and a stolen block
-//!    range-tests from its surviving summary.
+//!    keep their retire order within each block. IBR's interval test rides
+//!    the same block driver with its own per-node predicate
+//!    ([`keep_mask`]).
+//! 6. **Free/recycle, put back** — a wholly-freed block confined to one
+//!    slab settles against it in one step; emptied block boxes return to
+//!    the sweeper's free pool, so steady-state retire + reclaim performs
+//!    **zero heap allocations** once the pools reach working size. The
+//!    surviving blocks go back to the pool whole, extrema intact
+//!    ([`DomainBase::put_back`]), and do not count toward the next
+//!    trigger — but for EpochPOP's, which counts what a triggered pass
+//!    kept ([`DomainBase::count_kept`]). `unregister` (and the reaper of a dead thread) seals every
+//!    open bin into the pool ([`DomainBase::orphan_remaining`]): no node is
+//!    ever pooled unsealed, and no record is copied.
+//!
+//! **Why any pass may free any pooled block.** A block holds only nodes its
+//! sealer unlinked before it pushed the block. The push happens-before the
+//! take (the stripe mutex), and the take happens before the pass advances
+//! its clock, makes reservations visible or scans them. So every node a
+//! pass took was unlinked before its scan, exactly as if the pass had
+//! retired it itself, and the pass's own predicate, which covers every
+//! thread's reservations, decides it. A block pushed after the take waits
+//! for the next pass: it may hold a node unlinked after this scan, which a
+//! reader could have reserved unseen.
+//!
+//! The pool bounds garbage domain-wide: between passes it holds about
+//! `reclaim_freq` new nodes plus what the last pass kept, and each thread
+//! holds at most its open fill bins. A thread no longer keeps a private
+//! backlog of its own.
 //!
 //! ## The clocks move with retires
 //!
@@ -75,7 +90,7 @@
 //! word move at two sites, both on the retire path: a reclaimer pass
 //! advances its clock first, and every seal that does not trigger a pass
 //! is a *tick* ([`Verdict::Tick`]: one `fetch_max` or `fetch_add`, no
-//! ping, no fence, no scan). So the batch that triggers a pass was retired
+//! ping, no fence, no scan). So the blocks a pass takes were retired
 //! across one clock value per block, all but the newest older than the
 //! reclaimer's own open operation, and the pass keeps under that operation
 //! only what was retired since the last seal (about one block), not the
@@ -100,21 +115,21 @@ use crate::stats::DomainStats;
 // Keep masks pack one bit per block slot into a u32.
 const _: () = assert!(RETIRE_BATCH_CAP <= 32, "BlockPlan::Mask is a u32");
 
-/// Blocks a joining thread adopts from the domain orphan list at
-/// registration — and a sweep steals per pass. Bounded so registration
-/// stays cheap and a pass is not dominated by foreign garbage; at most
-/// `8 × RETIRE_BATCH_CAP` nodes per chunk.
-const ORPHAN_CHUNK_BLOCKS: usize = 8;
+/// Sealed blocks, each handed around *as one pointer* — between the fill
+/// bins, the retire pool, a pass's scratch, the free pool and Hyaline's
+/// global batches — so moves are 8 bytes, not 1 KiB+.
+#[allow(clippy::vec_box)]
+pub(crate) type Blocks = Vec<Box<RetireBatch>>;
 
-/// Node-count bound of one orphan chunk (tests and docs).
-#[cfg(test)]
-const ORPHAN_ADOPT_MAX: usize = ORPHAN_CHUNK_BLOCKS * RETIRE_BATCH_CAP;
+/// Nodes held in `blocks`.
+pub(crate) fn node_count(blocks: &[Box<RetireBatch>]) -> usize {
+    blocks.iter().map(|b| b.len()).sum()
+}
 
-/// Orphan-list stripes for a domain of `n` thread slots: a small power of
-/// two so park/adopt/steal from different tids take different mutexes
-/// during reap storms and quarantine drains, without a per-tid mutex
-/// forest on wide domains.
-fn orphan_stripes(n: usize) -> usize {
+/// Retire-pool stripes for a domain of `n` thread slots: a small power of
+/// two so seals from different tids take different mutexes, without a
+/// per-tid mutex forest on wide domains.
+fn pool_stripes(n: usize) -> usize {
     n.min(8).next_power_of_two()
 }
 
@@ -144,67 +159,41 @@ pub(crate) struct SealOutcome {
     pub blocks: u64,
 }
 
-/// A per-thread batched retire list (see the module-level lifecycle).
+/// A thread's fill bins and its recycled block boxes (see the module-level
+/// lifecycle). Sealed blocks leave it at once.
 ///
 /// Not a public type: schemes own one per thread behind a [`RetireSlot`].
 pub(crate) struct RetireList {
     /// Seal threshold (`1..=RETIRE_BATCH_CAP`).
     seal: usize,
-    /// Nodes held in sealed blocks (excludes the fill bins).
-    sealed_nodes: usize,
-    /// Nodes held across the fill bins (kept so [`Self::len`] is O(1)).
-    fill_nodes: usize,
-    /// Nodes sealed since the last reclaim trigger (or pass). Paces
-    /// [`push_retired`]'s trigger to one pass per `reclaim_freq` *new*
-    /// retires: survivors pinning `len` above the threshold (a stalled
-    /// reader) must not turn every subsequent seal into a full-list
-    /// sweep.
-    sealed_since_trigger: usize,
-    /// Sealed blocks, oldest first. Deliberately boxed (not `vec_box`
-    /// noise): a sealed block is handed around *as one pointer* — between
-    /// the fill bins, this vector, the free pool, the domain orphan list
-    /// and Hyaline's global batches — so moves are 8 bytes, not 1 KiB+.
-    #[allow(clippy::vec_box)]
-    blocks: Vec<Box<RetireBatch>>,
     /// The fill bins, indexed by [`fill_bin`].
     fills: [Box<RetireBatch>; FILL_BINS],
     /// Recycled empty blocks (the allocation-free steady state).
-    #[allow(clippy::vec_box)]
-    free: Vec<Box<RetireBatch>>,
+    free: Blocks,
 }
 
 impl RetireList {
     pub(crate) fn new(seal: usize) -> Self {
         RetireList {
             seal: seal.clamp(1, RETIRE_BATCH_CAP),
-            sealed_nodes: 0,
-            fill_nodes: 0,
-            sealed_since_trigger: 0,
-            blocks: Vec::new(),
             fills: core::array::from_fn(|_| RetireBatch::boxed()),
             free: Vec::new(),
         }
     }
 
-    /// Total nodes held (sealed blocks + fill bins).
-    #[inline]
+    /// Nodes waiting in the open fill bins.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.sealed_nodes + self.fill_nodes
+        self.fills.iter().map(|b| b.len()).sum()
     }
 
+    /// Hot-path append: routes to the node's slab bin. Returns the sealed
+    /// block when this push filled the bin — the caller owes the amortized
+    /// accounting ([`push_retired`]).
     #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Hot-path append: routes to the node's slab bin. Returns the
-    /// [`SealOutcome`] when this push sealed the bin — the caller owes the
-    /// amortized accounting ([`push_retired`]).
-    #[inline]
-    pub(crate) fn push(&mut self, r: Retired) -> Option<SealOutcome> {
+    pub(crate) fn push(&mut self, r: Retired) -> Option<Box<RetireBatch>> {
         let bin = fill_bin(r.ptr() as u64);
         self.fills[bin].push(r);
-        self.fill_nodes += 1;
         if self.fills[bin].len() >= self.seal {
             Some(self.seal_bin(bin))
         } else {
@@ -212,100 +201,35 @@ impl RetireList {
         }
     }
 
-    fn seal_bin(&mut self, bin: usize) -> SealOutcome {
-        let n = self.fills[bin].len();
+    fn seal_bin(&mut self, bin: usize) -> Box<RetireBatch> {
         let fresh = self.free.pop().unwrap_or_else(RetireBatch::boxed);
-        let full = core::mem::replace(&mut self.fills[bin], fresh);
-        self.blocks.push(full);
-        self.sealed_nodes += n;
-        self.fill_nodes -= n;
-        self.sealed_since_trigger += n;
-        SealOutcome {
-            nodes: n,
-            blocks: 1,
-        }
+        core::mem::replace(&mut self.fills[bin], fresh)
     }
 
-    /// Resets the trigger pacing — a pass just ran (or is about to), so
-    /// the next pass waits for a fresh `reclaim_freq` worth of retires.
-    pub(crate) fn note_pass(&mut self) {
-        self.sealed_since_trigger = 0;
-    }
-
-    /// Nodes held over from before the last trigger or sweep (what that
-    /// sweep left), plus the open fill bins.
-    #[inline]
-    pub(crate) fn held_over(&self) -> usize {
-        self.len().saturating_sub(self.sealed_since_trigger)
-    }
-
-    /// Seals every non-empty fill bin (flush/unregister paths): after
-    /// this, every held node sits in a sealed, summarized block — nothing
-    /// is ever handed onward unsealed. Returns the merged outcome
-    /// (`nodes == 0` if all bins were empty).
-    pub(crate) fn seal_partial(&mut self) -> SealOutcome {
-        let mut out = SealOutcome::default();
+    /// Seals every non-empty fill bin (flush, pass and unregister paths),
+    /// handing each block to `out`: after this no node waits unsealed.
+    /// Returns the merged outcome (`nodes == 0` if all bins were empty).
+    pub(crate) fn seal_partial(&mut self, mut out: impl FnMut(Box<RetireBatch>)) -> SealOutcome {
+        let mut outcome = SealOutcome::default();
         for bin in 0..FILL_BINS {
             if !self.fills[bin].is_empty() {
-                let s = self.seal_bin(bin);
-                out.nodes += s.nodes;
-                out.blocks += s.blocks;
+                let b = self.seal_bin(bin);
+                outcome.nodes += b.len();
+                outcome.blocks += 1;
+                out(b);
             }
         }
-        out
+        outcome
     }
 
-    /// Moves every sealed block out (Hyaline hands them to its global
-    /// batch list; `unregister` parks them on the domain orphan list).
-    /// The caller must have sealed the fill bins first.
-    #[allow(clippy::vec_box)]
-    pub(crate) fn take_blocks(&mut self) -> Vec<Box<RetireBatch>> {
-        debug_assert!(self.fill_nodes == 0, "seal before taking blocks");
-        self.sealed_nodes = 0;
-        core::mem::take(&mut self.blocks)
-    }
-
-    /// Abandons every sealed node (NR's deliberate leak) while recycling
-    /// the block boxes. `Retired` has no `Drop`, so clearing the lengths
+    /// Abandons every record of a sealed block (NR's deliberate leak) and
+    /// recycles its box. `Retired` has no `Drop`, so clearing the length
     /// leaks exactly the recorded allocations.
-    pub(crate) fn leak_sealed_blocks(&mut self) {
-        while let Some(mut b) = self.blocks.pop() {
-            // SAFETY: truncation abandons (leaks) the records, which is
-            // this method's contract; nothing is double-read.
-            unsafe { b.set_len(0) };
-            self.free.push(b);
-        }
-        self.sealed_nodes = 0;
-    }
-
-    /// Appends already-accounted *sealed blocks* (orphan adoption and
-    /// stealing) — each block is one pointer move; extrema and retire
-    /// order inside every block survive intact, and a later
-    /// `seal_partial` cannot recount the members.
-    pub(crate) fn absorb_blocks(&mut self, blocks: impl IntoIterator<Item = Box<RetireBatch>>) {
-        for b in blocks {
-            debug_assert!(!b.is_empty(), "orphan blocks are never empty");
-            self.sealed_nodes += b.len();
-            self.blocks.push(b);
-        }
-    }
-
-    /// Moves every node (sealed and fill) out through `f`, recycling the
-    /// emptied blocks. Drain order is unspecified.
-    pub(crate) fn drain_all(&mut self, mut f: impl FnMut(Retired)) {
-        while let Some(mut b) = self.blocks.pop() {
-            while let Some(r) = b.pop() {
-                f(r);
-            }
-            self.free.push(b);
-        }
-        self.sealed_nodes = 0;
-        for fill in &mut self.fills {
-            while let Some(r) = fill.pop() {
-                self.fill_nodes -= 1;
-                f(r);
-            }
-        }
+    pub(crate) fn leak(&mut self, mut b: Box<RetireBatch>) {
+        // SAFETY: truncation abandons (leaks) the records, which is this
+        // method's contract; nothing is double-read.
+        unsafe { b.set_len(0) };
+        self.free.push(b);
     }
 }
 
@@ -345,6 +269,9 @@ impl RetireSlot {
 /// [`ScratchSlot`].
 #[derive(Default)]
 pub(crate) struct ReclaimScratch {
+    /// The blocks the running pass took from the retire pool; empty
+    /// between passes.
+    pub taken: Blocks,
     /// Collected publish counters (`collectPublishedCounters`) or restart
     /// sequence numbers (NBR phase 1).
     pub counters: Vec<u64>,
@@ -426,11 +353,6 @@ pub(crate) struct QuarantinedBlock {
     pub block: Box<RetireBatch>,
 }
 
-/// One orphan-list stripe: parked sealed blocks from threads whose tid
-/// hashes here, padded so neighboring stripes never false-share.
-#[allow(clippy::vec_box)]
-type OrphanStripe = CachePadded<Mutex<Vec<Box<RetireBatch>>>>;
-
 /// State common to all reclamation domains.
 pub(crate) struct DomainBase {
     pub cfg: SmrConfig,
@@ -443,31 +365,24 @@ pub(crate) struct DomainBase {
     /// use-after-free detector, unrelated to the pressure quarantine.
     quarantine: Mutex<Vec<Retired>>,
     /// Stalled-reader quarantine (pressure emergency rung): whole sealed
-    /// blocks keyed by the blocking reservation, re-absorbed into a
-    /// reclaimer's list by [`Self::reclaim_released_quarantine`] the
-    /// moment the blocker advances or is reaped. Quarantined nodes leave
-    /// the gauge's actionable count but are still owed to the allocator
-    /// (freed on release-and-sweep, or at domain drop).
+    /// blocks keyed by the blocking reservation, handed back to a pass by
+    /// [`Self::reclaim_released_quarantine`] the moment the blocker
+    /// advances or is reaped. Quarantined nodes leave the gauge's
+    /// actionable count but are still owed to the allocator (freed on
+    /// release-and-sweep, or at domain drop).
     pressure_quarantine: Mutex<Vec<QuarantinedBlock>>,
     /// Lock-free node-count hint for `pressure_quarantine` (skip the
     /// mutex while nothing is parked — the permanent common case).
     pq_hint: AtomicUsize,
-    /// Retire-list leftovers from threads that unregistered while some of
-    /// their garbage was still reserved by others, parked as the **sealed
-    /// blocks themselves** — extrema intact, no record copied. Striped by
-    /// parking tid so park/adopt/steal from different threads never
-    /// contend on one mutex during reap storms or
-    /// quarantine drains. Drained (bounded, block-at-a-time) by joining
-    /// threads via [`Self::adopt_orphan_chunk`] and by reclaimer passes
-    /// via [`Self::steal_orphan_chunk`]; any remainder is freed on domain
-    /// drop.
-    orphans: Box<[OrphanStripe]>,
-    /// `orphans.len() - 1` (stripe count is a power of two).
-    orphan_mask: usize,
-    /// Lock-free *node*-count hint summed over every orphan stripe, so
-    /// every sweep can skip the mutexes when no orphans exist (the
-    /// common case on stable memberships).
-    orphan_hint: AtomicUsize,
+    /// The retire pool (module docs): every sealed block no pass holds,
+    /// striped by the pushing tid so seals from different threads take
+    /// different mutexes. Freed on domain drop.
+    pool: Box<[CachePadded<Mutex<Blocks>>]>,
+    /// `pool.len() - 1` (stripe count is a power of two).
+    pool_mask: usize,
+    /// Nodes sealed by [`push_retired`] over the domain's life: a pass
+    /// falls due each time it crosses a multiple of `reclaim_freq`.
+    sealed: CachePadded<AtomicUsize>,
     /// Per-tid reap-in-progress flags: the CAS in [`Self::try_begin_reap`]
     /// elects a single reaper for a dead participant's single-owner state
     /// ([`RetireSlot`]), so concurrent reclaimers never alias it.
@@ -482,9 +397,9 @@ impl DomainBase {
         occupied.resize_with(n, || AtomicBool::new(false));
         let mut reaping = Vec::with_capacity(n);
         reaping.resize_with(n, || AtomicBool::new(false));
-        let stripes = orphan_stripes(n);
-        let mut orphans = Vec::with_capacity(stripes);
-        orphans.resize_with(stripes, || CachePadded::new(Mutex::new(Vec::new())));
+        let stripes = pool_stripes(n);
+        let mut pool = Vec::with_capacity(stripes);
+        pool.resize_with(stripes, || CachePadded::new(Mutex::new(Vec::new())));
         DomainBase {
             stats: Arc::new(DomainStats::with_pressure(n, cfg.pressure_gauge())),
             stall: StallTracker::new(n),
@@ -493,9 +408,9 @@ impl DomainBase {
             quarantine: Mutex::new(Vec::new()),
             pressure_quarantine: Mutex::new(Vec::new()),
             pq_hint: AtomicUsize::new(0),
-            orphans: orphans.into_boxed_slice(),
-            orphan_mask: stripes - 1,
-            orphan_hint: AtomicUsize::new(0),
+            pool: pool.into_boxed_slice(),
+            pool_mask: stripes - 1,
+            sealed: CachePadded::new(AtomicUsize::new(0)),
             reaping: reaping.into_boxed_slice(),
         }
     }
@@ -536,11 +451,11 @@ impl DomainBase {
     }
 
     /// Recovers the domain-side state of a participant that died without
-    /// deregistering: seals and parks its pending retirements as orphans
-    /// (nothing is leaked — adopters filter them against reservations like
-    /// any other garbage) and frees the domain tid for reuse. The slot
-    /// release is last: the tid must not be reclaimable while its retire
-    /// list is still being moved.
+    /// deregistering: seals its open fill bins into the pool (nothing is
+    /// leaked — passes filter them against reservations like any other
+    /// garbage) and frees the domain tid for reuse. The slot release is
+    /// last: the tid must not be reclaimable while its fill bins are still
+    /// being moved.
     ///
     /// Caller contract: the caller won [`Self::try_begin_reap`] for
     /// `dead_tid` *and* the process-global registry confirmed the thread
@@ -562,7 +477,7 @@ impl DomainBase {
     }
 
     /// Frees (or quarantines) one retired object **without** stats — the
-    /// building block under [`Self::free_now`] and the batched sweep.
+    /// building block under [`Self::free_block`] and the batched sweep.
     ///
     /// # Safety
     ///
@@ -577,29 +492,14 @@ impl DomainBase {
         }
     }
 
-    /// Frees (or quarantines) one retired object, accounting it on the
-    /// calling reclaimer's stat shard.
-    ///
-    /// # Safety
-    ///
-    /// The scheme must have proven no thread can access the object, and
-    /// `tid` must be the caller's registered domain thread id.
-    pub(crate) unsafe fn free_now(&self, tid: usize, r: Retired) {
-        let bytes = r.size() as u64;
-        let shard = self.stats.shard(tid);
-        shard.freed_nodes.fetch_add(1, Ordering::Relaxed);
-        shard.freed_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.stats.pressure().on_freed(1);
-        // SAFETY: forwarded contract.
-        unsafe { self.free_raw(r) };
-    }
-
     /// Frees every node of one sealed block with a single stats update
-    /// (Hyaline's batch settlement).
+    /// (Hyaline's batch settlement), accounting them on the calling
+    /// reclaimer's stat shard.
     ///
     /// # Safety
     ///
-    /// Same contract as [`Self::free_now`] for every member.
+    /// The scheme must have proven no thread can access any member, and
+    /// `tid` must be the caller's registered domain thread id.
     pub(crate) unsafe fn free_block(&self, tid: usize, block: &mut RetireBatch) {
         let mut nodes = 0u64;
         let mut bytes = 0u64;
@@ -617,109 +517,75 @@ impl DomainBase {
         }
     }
 
-    /// Unregistration hand-off: seals every non-empty fill bin (with its
-    /// amortized accounting — no node is parked unsealed, partial batches
-    /// are never leaked) and parks the sealed blocks **whole** on the
-    /// domain orphan list: one pointer move per block, extrema intact, no
-    /// per-node copying.
+    /// `tid`'s pool stripe.
+    fn stripe(&self, tid: usize) -> &Mutex<Blocks> {
+        &self.pool[tid & self.pool_mask]
+    }
+
+    /// Counts `nodes` freshly sealed ones; true when they cross a multiple
+    /// of `reclaim_freq`, i.e. a pass is due.
+    #[inline]
+    fn count_sealed(&self, nodes: usize) -> bool {
+        let freq = self.cfg.reclaim_freq;
+        let before = self.sealed.fetch_add(nodes, Ordering::Relaxed);
+        (before + nodes) / freq != before / freq
+    }
+
+    /// Counts `kept` nodes a pass put back toward the trigger, as if they
+    /// were sealed anew, so the next pass falls due when the pool holds
+    /// `reclaim_freq` nodes again (EpochPOP, `schemes::epoch`). Stops
+    /// short of the next multiple: that crossing, and its pass, belong to
+    /// a seal.
+    pub(crate) fn count_kept(&self, kept: usize) {
+        let freq = self.cfg.reclaim_freq;
+        let _ = self
+            .sealed
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                Some(s + kept.min(freq - 1 - s % freq))
+            });
+    }
+
+    /// Unregistration and reap hand-off: seals every open fill bin (with
+    /// its amortized accounting) into the pool, one pointer move per block,
+    /// extrema intact. No node is pooled unsealed, and none is leaked.
     pub(crate) fn orphan_remaining(&self, tid: usize, list: &mut RetireList) {
-        seal_and_account(self, tid, list);
-        if list.is_empty() {
-            return;
-        }
-        let nodes = list.len();
-        let blocks = list.take_blocks();
-        let mut orphans = self.orphans[tid & self.orphan_mask].lock();
-        // Parked newest-first so chunk steals drain oldest-first from the
-        // Vec TAIL — O(chunk) per steal, no front-shift of the remainder.
-        orphans.extend(blocks.into_iter().rev());
-        drop(orphans);
-        self.orphan_hint.fetch_add(nodes, Ordering::Relaxed);
+        let mut stripe = self.stripe(tid).lock();
+        seal_and_account(self, tid, list, |b| stripe.push(b));
     }
 
-    /// Moves up to [`ORPHAN_CHUNK_BLOCKS`] orphaned blocks into `list`
-    /// (already accounted; oldest-first within a parked batch) and
-    /// returns the node count. Each block is absorbed as one pointer —
-    /// O(1) per block, its summary untouched — so the adopter's next sweep
-    /// range-tests stolen blocks from their surviving extrema.
-    fn drain_orphan_chunk(&self, tid: usize, list: &mut RetireList) -> usize {
-        if self.orphan_hint.load(Ordering::Relaxed) == 0 {
-            return 0;
+    /// A pass's first step: seals `tid`'s own open fill bins and moves
+    /// every pooled block into `taken`, one pointer per block, summaries
+    /// untouched. It must come before the pass advances a clock or makes a
+    /// reservation visible (module docs, "Why any pass may free any pooled
+    /// block"). The pass ends with [`Self::put_back`].
+    pub(crate) fn take(&self, tid: usize, list: &mut RetireList, taken: &mut Blocks) {
+        for stripe in self.pool.iter() {
+            taken.append(&mut stripe.lock());
         }
-        // Start at the caller's own stripe (lowest contention — its own
-        // parks land there) and scan the rest until the chunk is full, so
-        // a single drainer still empties every stripe eventually.
-        let mut taken = 0usize;
-        let mut nodes = 0usize;
-        for i in 0..=self.orphan_mask {
-            if taken >= ORPHAN_CHUNK_BLOCKS {
-                break;
-            }
-            let mut orphans = self.orphans[(tid + i) & self.orphan_mask].lock();
-            let take = orphans.len().min(ORPHAN_CHUNK_BLOCKS - taken);
-            if take == 0 {
-                continue;
-            }
-            let at = orphans.len() - take;
-            for b in &orphans[at..] {
-                nodes += b.len();
-            }
-            list.absorb_blocks(orphans.drain(at..));
-            taken += take;
-        }
-        if nodes > 0 {
-            self.orphan_hint.fetch_sub(nodes, Ordering::Relaxed);
-        }
-        nodes
+        seal_and_account(self, tid, list, |b| taken.push(b));
     }
 
-    /// Registration-side orphan adoption: moves up to
-    /// [`ORPHAN_CHUNK_BLOCKS`] orphaned blocks into the joining thread's
-    /// retire list, bounding orphan memory on long-lived domains with
-    /// thread churn.
-    pub(crate) fn adopt_orphan_chunk(&self, tid: usize, list: &mut RetireList) {
-        let n = self.drain_orphan_chunk(tid, list);
-        if n > 0 {
-            self.stats
-                .shard(tid)
-                .orphans_adopted
-                .fetch_add(n as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Reclaimer-side orphan stealing: every pass adopts up to one
-    /// [`ORPHAN_CHUNK_BLOCKS`]-block chunk, so orphans drain even when the thread
-    /// membership is static (registration-time adoption alone only helps
-    /// under churn). The pass that steals filters the stolen nodes with
-    /// its own keep predicate — exactly as safe as for its own garbage,
-    /// since every predicate covers all threads' reservations — provided
-    /// the steal comes **first**, before the pass advances its clock or
-    /// scans a reservation. A block stolen after the scan may hold a node
-    /// its orphaning thread unlinked after that scan, which a reader could
-    /// have reserved unseen; so every pass calls this at its start.
-    pub(crate) fn steal_orphan_chunk(&self, tid: usize, list: &mut RetireList) {
-        let n = self.drain_orphan_chunk(tid, list);
-        if n > 0 {
-            self.stats
-                .shard(tid)
-                .orphans_stolen
-                .fetch_add(n as u64, Ordering::Relaxed);
+    /// Returns a pass's surviving blocks to the pool. They are not counted
+    /// again ([`Self::count_kept`] aside): the next trigger waits for
+    /// `reclaim_freq` new retires.
+    pub(crate) fn put_back(&self, tid: usize, taken: &mut Blocks) {
+        if !taken.is_empty() {
+            self.stripe(tid).lock().append(taken);
         }
     }
 
     /// Releases every pressure-quarantined block whose blocker has moved
     /// on — deregistered, reaped, or no longer holding its pinned
     /// reservation word (`blocked(tid, word)` is the scheme's "still
-    /// pinned by exactly this reservation" test). Released blocks are
-    /// absorbed **directly into the calling reclaimer's list**, so the
-    /// very pass that observes the release also filters and frees them:
-    /// a cleared stall drains within one pass. Runs at the start of every
-    /// full pass; the lock-free hint makes it a no-op while nothing is
-    /// parked.
+    /// pinned by exactly this reservation" test). Released blocks join
+    /// the calling pass's `taken` set, so the very pass that observes the
+    /// release also filters and frees them: a cleared stall drains within
+    /// one pass. Runs in every full pass; the lock-free hint makes it a
+    /// no-op while nothing is parked.
     pub(crate) fn reclaim_released_quarantine(
         &self,
         tid: usize,
-        list: &mut RetireList,
+        taken: &mut Blocks,
         mut blocked: impl FnMut(usize, u64) -> bool,
     ) {
         if self.pq_hint.load(Ordering::Relaxed) == 0 {
@@ -738,7 +604,7 @@ impl DomainBase {
             let qb = q.swap_remove(i);
             nodes += qb.block.len();
             blocks += 1;
-            list.absorb_blocks([qb.block]);
+            taken.push(qb.block);
         }
         drop(q);
         if nodes > 0 {
@@ -781,13 +647,10 @@ impl DomainBase {
         self.pq_hint.load(Ordering::Relaxed)
     }
 
-    /// Number of parked orphan nodes (test observability).
+    /// Nodes in the retire pool (test observability).
     #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn orphan_len(&self) -> usize {
-        self.orphans
-            .iter()
-            .map(|s| s.lock().iter().map(|b| b.len()).sum::<usize>())
-            .sum()
+    pub(crate) fn pool_len(&self) -> usize {
+        self.pool.iter().map(|s| node_count(&s.lock())).sum()
     }
 }
 
@@ -801,7 +664,7 @@ impl Drop for DomainBase {
                 "domain dropped while threads are still registered"
             );
         }
-        // All participants are gone: quarantined and orphaned nodes can be
+        // All participants are gone: quarantined and pooled nodes can be
         // deallocated for real. No tid exists here — count on the overflow
         // shard.
         for r in self.quarantine.get_mut().drain(..) {
@@ -809,23 +672,16 @@ impl Drop for DomainBase {
             unsafe { r.free() };
         }
         let overflow = self.stats.overflow();
-        for stripe in self.orphans.iter_mut() {
-            for mut b in stripe.get_mut().drain(..) {
-                while let Some(r) = b.pop() {
-                    overflow.freed_nodes.fetch_add(1, Ordering::Relaxed);
-                    overflow
-                        .freed_bytes
-                        .fetch_add(r.size() as u64, Ordering::Relaxed);
-                    // SAFETY: as above.
-                    unsafe { r.free() };
-                }
-            }
-        }
-        // Stalled-reader quarantine: the blockers are gone with everyone
-        // else, so the parked blocks are freeable — conservation holds
-        // (allocated == freed) across a drop with a live quarantine.
-        for qb in self.pressure_quarantine.get_mut().drain(..) {
-            let mut b = qb.block;
+        // The stalled-reader quarantine too: the blockers are gone with
+        // everyone else, so the parked blocks are freeable — conservation
+        // holds (allocated == freed) across a drop with a live quarantine.
+        let parked = self
+            .pressure_quarantine
+            .get_mut()
+            .drain(..)
+            .map(|qb| qb.block);
+        let pooled = self.pool.iter_mut().flat_map(|s| s.get_mut().drain(..));
+        for mut b in pooled.chain(parked) {
             while let Some(r) = b.pop() {
                 overflow.freed_nodes.fetch_add(1, Ordering::Relaxed);
                 overflow
@@ -874,11 +730,17 @@ pub(crate) fn account_seal(base: &DomainBase, tid: usize, outcome: SealOutcome) 
         .fetch_add(outcome.blocks, Ordering::Relaxed);
 }
 
-/// Seals every non-empty fill bin and performs the amortized accounting
-/// (the same bumps a hot-path seal gets in [`push_retired`], once per
-/// sealed block).
-pub(crate) fn seal_and_account(base: &DomainBase, tid: usize, list: &mut RetireList) {
-    let outcome = list.seal_partial();
+/// Seals every non-empty fill bin into `out` and performs the amortized
+/// accounting (the same bumps a hot-path seal gets in [`push_retired`],
+/// once per sealed block). These seals do not count toward the pass
+/// trigger: they happen on flush, pass and unregister paths.
+pub(crate) fn seal_and_account(
+    base: &DomainBase,
+    tid: usize,
+    list: &mut RetireList,
+    out: impl FnMut(Box<RetireBatch>),
+) {
+    let outcome = list.seal_partial(out);
     if outcome.nodes > 0 {
         account_seal(base, tid, outcome);
     }
@@ -899,12 +761,14 @@ pub(crate) enum Verdict {
 }
 
 /// The shared retire fast path: push into the node's slab fill bin; on a
-/// seal, run the amortized accounting and return what the retire owes.
+/// seal, run the amortized accounting, hand the block to the retire pool
+/// and return what the retire owes.
 ///
-/// A pass is due when the list is over `reclaim_freq` **and** a full
-/// `reclaim_freq` of new retires arrived since the last trigger — so a
-/// pinned list (stalled reader) costs one full-list sweep per
-/// `reclaim_freq` retires, not one per seal. Every other seal is a tick.
+/// A pass is due when the seal crosses a multiple of `reclaim_freq` nodes
+/// sealed domain-wide, so passes come once per `reclaim_freq` new retires
+/// however many threads retire them, and survivors pinned by a stalled
+/// reader (put back uncounted) never turn every seal into a pass. Every
+/// other seal is a tick.
 #[inline]
 pub(crate) fn push_retired(
     base: &DomainBase,
@@ -912,13 +776,13 @@ pub(crate) fn push_retired(
     list: &mut RetireList,
     r: Retired,
 ) -> Verdict {
-    let Some(outcome) = list.push(r) else {
+    let Some(block) = list.push(r) else {
         return Verdict::Fill;
     };
-    account_seal(base, tid, outcome);
-    let freq = base.cfg.reclaim_freq;
-    if list.len() >= freq && list.sealed_since_trigger >= freq {
-        list.note_pass();
+    let nodes = block.len();
+    account_seal(base, tid, SealOutcome { nodes, blocks: 1 });
+    base.stripe(tid).lock().push(block);
+    if base.count_sealed(nodes) {
         Verdict::Pass
     } else {
         Verdict::Tick
@@ -957,13 +821,13 @@ fn full_mask(n: usize) -> u32 {
     }
 }
 
-/// Block-granular sweep driver under every reclamation pass: seals every
-/// non-empty fill bin, then walks sealed blocks in retire order, executing the [`BlockPlan`] `plan` returns for each. Survivors
-/// stay **in their original retire order** within and across blocks, and
-/// per-node masks that turn out to cover (or clear) a whole block are
-/// normalized onto the no-touch whole-block paths. Allocation-free:
-/// emptied blocks recycle into the list's free pool. Returns the number
-/// freed.
+/// Block-granular sweep driver under every reclamation pass: walks the
+/// blocks the pass took (`taken`), executing the [`BlockPlan`] `plan`
+/// returns for each. Survivors stay in `taken`, in their original order
+/// within and across blocks, and per-node masks that turn out to cover (or
+/// clear) a whole block are normalized onto the no-touch whole-block
+/// paths. Allocation-free: emptied blocks recycle into `list`'s free pool.
+/// Returns the number freed.
 ///
 /// # Safety
 ///
@@ -974,21 +838,18 @@ pub(crate) unsafe fn sweep_blocks(
     base: &DomainBase,
     tid: usize,
     list: &mut RetireList,
+    taken: &mut Blocks,
     mut plan: impl FnMut(&mut RetireBatch) -> BlockPlan,
 ) -> usize {
-    seal_and_account(base, tid, list);
-    // This sweep counts as the pass the trigger pacing was waiting for
-    // (flush-driven sweeps reset the budget too).
-    list.note_pass();
     let shard = base.stats.shard(tid);
-    let nblocks = list.blocks.len();
-    let blocks_ptr = list.blocks.as_mut_ptr();
+    let nblocks = taken.len();
+    let blocks_ptr = taken.as_mut_ptr();
     // Defensive: if a free panics mid-sweep, neither vector may expose
     // half-moved entries. Truncating first leaks not-yet-rewritten blocks
     // on unwind instead of double-freeing them (`Retired` and
     // `RetireBatch` have no Drop impls).
     // SAFETY: elements stay initialized; we manage them manually below.
-    unsafe { list.blocks.set_len(0) };
+    unsafe { taken.set_len(0) };
     let mut write_block = 0usize;
     let mut total_freed = 0usize;
     let mut kept_whole = 0u64;
@@ -1110,7 +971,7 @@ pub(crate) unsafe fn sweep_blocks(
             }
             BlockPlan::Quarantine { blocker_tid, word } => {
                 // Parked whole: no record is touched, the block leaves the
-                // caller's list (and its re-scan loop) until the blocker's
+                // pass (and the pool's re-scan loop) until the blocker's
                 // reservation moves.
                 quarantined_nodes += n;
                 quarantined.push(QuarantinedBlock {
@@ -1122,8 +983,7 @@ pub(crate) unsafe fn sweep_blocks(
         }
     }
     // SAFETY: the first `write_block` slots hold initialized blocks.
-    unsafe { list.blocks.set_len(write_block) };
-    list.sealed_nodes -= total_freed + quarantined_nodes;
+    unsafe { taken.set_len(write_block) };
     if freed_whole > 0 {
         shard
             .blocks_freed_whole
@@ -1201,11 +1061,12 @@ pub(crate) unsafe fn sweep_retire_list(
     base: &DomainBase,
     tid: usize,
     list: &mut RetireList,
+    taken: &mut Blocks,
     mut keep: impl FnMut(&Retired) -> bool,
 ) -> usize {
     // SAFETY: forwarded contract.
     unsafe {
-        sweep_blocks(base, tid, list, |b| {
+        sweep_blocks(base, tid, list, taken, |b| {
             BlockPlan::Mask(keep_mask(b, &mut keep))
         })
     }
@@ -1228,12 +1089,13 @@ pub(crate) unsafe fn free_unreserved(
     base: &DomainBase,
     tid: usize,
     list: &mut RetireList,
+    taken: &mut Blocks,
     reserved: &[u64],
 ) -> usize {
     debug_assert!(reserved.windows(2).all(|w| w[0] <= w[1]));
     // SAFETY: forwarded contract.
     unsafe {
-        sweep_blocks(base, tid, list, |b| {
+        sweep_blocks(base, tid, list, taken, |b| {
             let (min_ptr, max_ptr) = b.ptr_range();
             let window = reserved_window(reserved, min_ptr, max_ptr);
             if window.is_empty() {
@@ -1264,10 +1126,11 @@ pub(crate) unsafe fn free_era_unreserved(
     base: &DomainBase,
     tid: usize,
     list: &mut RetireList,
+    taken: &mut Blocks,
     reserved: &[u64],
 ) -> usize {
     // SAFETY: forwarded contract.
-    unsafe { free_era_unreserved_with_stalled(base, tid, list, reserved, None) }
+    unsafe { free_era_unreserved_with_stalled(base, tid, list, taken, reserved, None) }
 }
 
 /// [`free_era_unreserved`] with a stalled-reader escape hatch. `reserved`
@@ -1290,6 +1153,7 @@ pub(crate) unsafe fn free_era_unreserved_with_stalled(
     base: &DomainBase,
     tid: usize,
     list: &mut RetireList,
+    taken: &mut Blocks,
     reserved: &[u64],
     active: Option<(&[u64], usize, u64)>,
 ) -> usize {
@@ -1297,7 +1161,7 @@ pub(crate) unsafe fn free_era_unreserved_with_stalled(
     debug_assert!(active.is_none_or(|(a, _, _)| a.windows(2).all(|w| w[0] <= w[1])));
     // SAFETY: forwarded contract.
     unsafe {
-        sweep_blocks(base, tid, list, |b| {
+        sweep_blocks(base, tid, list, taken, |b| {
             let (min_birth, _, max_retire) = b.era_ranges();
             // Reserved eras overlapping the block's lifespan envelope;
             // every member's `[birth, retire]` lies inside the envelope,
@@ -1417,12 +1281,13 @@ pub(crate) unsafe fn free_before_epoch_with_stalled(
     base: &DomainBase,
     tid: usize,
     list: &mut RetireList,
+    taken: &mut Blocks,
     min: u64,
     relaxed: Option<&RelaxedMin>,
 ) -> usize {
     // SAFETY: forwarded contract.
     unsafe {
-        sweep_blocks(base, tid, list, |b| {
+        sweep_blocks(base, tid, list, taken, |b| {
             let (_, min_retire, max_retire) = b.era_ranges();
             if max_retire < min {
                 return BlockPlan::FreeAll;
@@ -1460,6 +1325,7 @@ pub fn era_range_reserved(reserved: &[u64], birth: u64, retire: u64) -> bool {
 pub struct SweepBench {
     base: DomainBase,
     list: RetireList,
+    taken: Blocks,
 }
 
 #[repr(C)]
@@ -1483,6 +1349,7 @@ impl SweepBench {
         SweepBench {
             base: DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(1 << 30)),
             list: RetireList::new(RETIRE_BATCH_CAP),
+            taken: Vec::new(),
         }
     }
 
@@ -1536,18 +1403,14 @@ impl SweepBench {
     /// window test). `reserved` must be sorted and deduplicated. Returns
     /// the number freed.
     pub fn sweep(&mut self, reserved: &[u64]) -> usize {
+        self.base.take(0, &mut self.list, &mut self.taken);
         // SAFETY: harness nodes are never shared; any entry is freeable.
-        unsafe { free_unreserved(&self.base, 0, &mut self.list, reserved) }
+        unsafe { free_unreserved(&self.base, 0, &mut self.list, &mut self.taken, reserved) }
     }
 
     /// Frees every node still held (survivors between iterations).
     pub fn drain(&mut self) {
-        let mut nodes = Vec::new();
-        self.list.drain_all(|r| nodes.push(r));
-        for r in nodes {
-            // SAFETY: harness nodes are never shared.
-            unsafe { self.base.free_now(0, r) };
-        }
+        self.sweep(&[]);
     }
 }
 
@@ -1608,34 +1471,46 @@ mod tests {
         out
     }
 
-    /// A retire list pre-filled (from one fill bin) with `eras` as both
-    /// birth and retire eras, everything sealed.
-    fn filled(base: &DomainBase, seal: usize, eras: &[u64]) -> RetireList {
+    /// Pushes `recs` through `list` and takes the pool as a pass would:
+    /// the returned set holds every one of them, sealed.
+    fn taken(base: &DomainBase, list: &mut RetireList, recs: Vec<Retired>) -> Blocks {
+        for r in recs {
+            push_retired(base, 0, list, r);
+        }
+        let mut set = Vec::new();
+        base.take(0, list, &mut set);
+        set
+    }
+
+    /// A pass's set (from one fill bin) with `eras` as both birth and
+    /// retire eras, sealed every `seal` nodes.
+    fn filled(base: &DomainBase, seal: usize, eras: &[u64]) -> (RetireList, Blocks) {
         let mut list = RetireList::new(seal);
-        for r in run(base, eras.iter().map(|&e| (e, e))) {
-            push_retired(base, 0, &mut list, r);
-        }
-        seal_and_account(base, 0, &mut list);
-        list
+        let set = taken(base, &mut list, run(base, eras.iter().map(|&e| (e, e))));
+        (list, set)
     }
 
-    fn eras_of(list: &RetireList) -> Vec<u64> {
-        let mut out = Vec::new();
-        for b in &list.blocks {
-            out.extend(b.nodes().iter().map(|r| r.birth_era()));
-        }
-        for fill in &list.fills {
-            out.extend(fill.nodes().iter().map(|r| r.birth_era()));
-        }
-        out
+    fn eras_of(set: &[Box<RetireBatch>]) -> Vec<u64> {
+        set.iter()
+            .flat_map(|b| b.nodes())
+            .map(|r| r.birth_era())
+            .collect()
     }
 
-    fn drain_free(base: &DomainBase, list: &mut RetireList) {
-        let mut nodes = Vec::new();
-        list.drain_all(|r| nodes.push(r));
-        for r in nodes {
-            unsafe { base.free_now(0, r) };
-        }
+    fn drain_free(base: &DomainBase, list: &mut RetireList, set: &mut Blocks) {
+        unsafe { sweep_retire_list(base, 0, list, set, |_| false) };
+        assert!(set.is_empty());
+    }
+
+    /// One pass's reclamation as the engines order it: the take first,
+    /// then (after the reservation scan) the sweep.
+    unsafe fn take_then_sweep(b: &DomainBase, list: &mut RetireList) -> usize {
+        let mut set = Vec::new();
+        b.take(0, list, &mut set);
+        // SAFETY: forwarded contract.
+        let freed = unsafe { sweep_retire_list(b, 0, list, &mut set, |_| false) };
+        assert!(set.is_empty());
+        freed
     }
 
     #[test]
@@ -1678,100 +1553,111 @@ mod tests {
             "no stats RMW before the seal"
         );
         assert_eq!(list.len(), 3);
+        assert_eq!(b.pool_len(), 0);
         push_retired(&b, 0, &mut list, recs.next().unwrap());
         let s = b.stats.snapshot();
         assert_eq!(s.retired_nodes, 4, "seal accounts the whole block");
         assert_eq!(s.batches_sealed, 1);
-        drain_free(&b, &mut list);
+        assert_eq!((list.len(), b.pool_len()), (0, 4), "the block is pooled");
+        assert_eq!(unsafe { take_then_sweep(&b, &mut list) }, 4);
     }
 
     #[test]
-    fn push_retired_paces_triggers_by_new_retires() {
-        let b = DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(8));
-        let mut list = RetireList::new(4);
-        let mut crossings = 0;
-        for r in run(&b, (0..16).map(|i| (i, i))) {
-            if push_retired(&b, 0, &mut list, r) == Verdict::Pass {
-                crossings += 1;
+    fn push_retired_triggers_on_each_multiple_of_reclaim_freq_domain_wide() {
+        // Two retirers, seal threshold 3, reclaim_freq 8: the seals add
+        // 3, 6, 9, 12, 15, 18, 21, 24 nodes to the domain's count, and the
+        // ones crossing 8, 16 and 24 owe the passes, whichever thread
+        // sealed them.
+        let b = DomainBase::new(SmrConfig::for_tests(2).with_reclaim_freq(8));
+        let mut lists = [RetireList::new(3), RetireList::new(3)];
+        let mut recs = run(&b, (0..24).map(|i| (i, i))).into_iter();
+        let mut passes = Vec::new();
+        for seal in 1..=8 {
+            let t = seal % 2;
+            let verdicts: Vec<Verdict> = recs
+                .by_ref()
+                .take(3)
+                .map(|r| push_retired(&b, t, &mut lists[t], r))
+                .collect();
+            assert_eq!(verdicts[..2], [Verdict::Fill, Verdict::Fill]);
+            if verdicts[2] == Verdict::Pass {
+                passes.push(seal);
             }
         }
-        // Seals land at len 4, 8, 12, 16. Triggers need BOTH len >= 8 and
-        // 8 new retires since the last trigger: fire at 8 and 16, not 12.
-        assert_eq!(crossings, 2, "one trigger per reclaim_freq new retires");
-        drain_free(&b, &mut list);
+        assert_eq!(passes, vec![3, 6, 8], "one pass per reclaim_freq sealed");
+        assert_eq!(b.pool_len(), 24, "every seal pooled");
+        assert_eq!(unsafe { take_then_sweep(&b, &mut lists[0]) }, 24);
     }
 
     #[test]
-    fn pinned_list_does_not_trigger_every_seal() {
-        // Survivors keep len above the threshold (the stalled-reader
-        // regime); a full-list pass must still only be requested once per
-        // reclaim_freq new retires, not once per sealed block.
+    fn put_back_survivors_do_not_count_toward_the_trigger() {
+        // Survivors pinned by a stalled reader go back to the pool; the
+        // next pass must still wait for `reclaim_freq` new retires, not
+        // fire at every seal.
         let b = DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(8));
         let mut list = RetireList::new(4);
         let mut recs = run(&b, (0..16).map(|i| (i, i))).into_iter();
-        for r in recs.by_ref().take(8) {
-            push_retired(&b, 0, &mut list, r);
-        }
-        // Simulate a pass that freed nothing (all pinned).
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |_| true) };
+        let first: Vec<Verdict> = recs
+            .by_ref()
+            .take(8)
+            .map(|r| push_retired(&b, 0, &mut list, r))
+            .collect();
+        assert_eq!(first[7], Verdict::Pass);
+        // A pass that frees nothing (all pinned) puts everything back.
+        let mut set = Vec::new();
+        b.take(0, &mut list, &mut set);
+        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |_| true) };
         assert_eq!(freed, 0);
-        assert_eq!(list.len(), 8, "everything pinned");
-        let mut crossings = 0;
-        for r in recs {
-            if push_retired(&b, 0, &mut list, r) == Verdict::Pass {
-                crossings += 1;
-            }
-        }
-        // len stays >= 8 throughout, but only the seal completing 8 new
-        // retires (len 16) may trigger.
-        assert_eq!(
-            crossings, 1,
-            "pinned survivors must not cause O(n^2) passes"
-        );
-        drain_free(&b, &mut list);
+        b.put_back(0, &mut set);
+        assert_eq!(b.pool_len(), 8, "everything pinned, back in the pool");
+        let verdicts: Vec<Verdict> = recs.map(|r| push_retired(&b, 0, &mut list, r)).collect();
+        let passes = verdicts.iter().filter(|&&v| v == Verdict::Pass).count();
+        assert_eq!(passes, 1, "pinned survivors must not cause O(n^2) passes");
+        assert_eq!(verdicts[7], Verdict::Pass, "the 8th new retire owes it");
+        assert_eq!(unsafe { take_then_sweep(&b, &mut list) }, 16);
     }
 
     #[test]
     fn free_unreserved_respects_reservations() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = filled(&b, 1, &[0, 0, 0]);
-        let kept = list.blocks[1].nodes()[0].ptr() as u64;
+        let (mut list, mut set) = filled(&b, 1, &[0, 0, 0]);
+        let kept = set[1].nodes()[0].ptr() as u64;
         let reserved = vec![kept];
-        let freed = unsafe { free_unreserved(&b, 0, &mut list, &reserved) };
+        let freed = unsafe { free_unreserved(&b, 0, &mut list, &mut set, &reserved) };
         assert_eq!(freed, 2);
-        assert_eq!(list.len(), 1);
-        assert_eq!(list.blocks[0].nodes()[0].ptr() as u64, kept);
-        drain_free(&b, &mut list);
+        assert_eq!(node_count(&set), 1);
+        assert_eq!(set[0].nodes()[0].ptr() as u64, kept);
+        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]
     fn sweep_preserves_survivor_order_without_reallocating() {
-        // The block sweep must keep survivors in retire order (oldest
-        // first — schemes rely on this for retire-era monotonicity) and
+        // The block sweep must keep survivors in their taken order and
         // must not allocate: emptied blocks recycle into the free pool.
         let b = DomainBase::new(SmrConfig::for_tests(1));
         // Seal threshold 3: eras spread over three blocks of three.
-        let mut list = filled(&b, 3, &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(list.blocks.len(), 3);
+        let (mut list, mut set) = filled(&b, 3, &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(set.len(), 3);
         let keep: Vec<u64> = vec![1, 4, 6];
-        let kept_ptrs: Vec<u64> = list
-            .blocks
+        let kept_ptrs: Vec<u64> = set
             .iter()
             .flat_map(|blk| blk.nodes())
             .filter(|r| keep.contains(&r.birth_era()))
             .map(|r| r.ptr() as u64)
             .collect();
-        let freed =
-            unsafe { sweep_retire_list(&b, 0, &mut list, |r| keep.contains(&r.birth_era())) };
+        let freed = unsafe {
+            sweep_retire_list(&b, 0, &mut list, &mut set, |r| {
+                keep.contains(&r.birth_era())
+            })
+        };
         assert_eq!(freed, 6);
-        assert_eq!(list.len(), 3);
+        assert_eq!(node_count(&set), 3);
         assert_eq!(
-            eras_of(&list),
+            eras_of(&set),
             keep,
             "survivors must keep their original relative order"
         );
-        let survivor_ptrs: Vec<u64> = list
-            .blocks
+        let survivor_ptrs: Vec<u64> = set
             .iter()
             .flat_map(|blk| blk.nodes())
             .map(|r| r.ptr() as u64)
@@ -1782,60 +1668,58 @@ mod tests {
         );
         // Accounting: freed counted on shard 0.
         assert_eq!(b.stats.snapshot().freed_nodes, 6);
-        drain_free(&b, &mut list);
+        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]
     fn sweep_block_fast_paths_count_whole_blocks() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         // Three full blocks of 2: eras (0,0), (5,5), (0,5).
-        let mut list = filled(&b, 2, &[0, 0, 5, 5, 0, 5]);
+        let (mut list, mut set) = filled(&b, 2, &[0, 0, 5, 5, 0, 5]);
         // Keep era 5: block 0 freed whole, block 1 kept whole, block 2
         // compacts.
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |r| r.birth_era() == 5) };
+        let freed =
+            unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |r| r.birth_era() == 5) };
         assert_eq!(freed, 3);
         let s = b.stats.snapshot();
         assert_eq!(s.blocks_freed_whole, 1, "all-freeable block fast path");
         assert_eq!(s.blocks_kept_whole, 1, "all-survivor block fast path");
-        assert_eq!(eras_of(&list), vec![5, 5, 5]);
+        assert_eq!(eras_of(&set), vec![5, 5, 5]);
         // Recycled block feeds the next fill: no allocation.
         assert_eq!(list.free.len(), 1);
-        drain_free(&b, &mut list);
+        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]
-    fn sweep_seals_and_accounts_the_partial_fill() {
+    fn take_seals_and_accounts_the_open_bins() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut list = RetireList::new(8);
         for i in 0..5 {
             push_retired(&b, 0, &mut list, mk(&b, i, i));
         }
         assert_eq!(b.stats.snapshot().retired_nodes, 0, "sub-batch: unsealed");
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |_| false) };
+        let freed = unsafe { take_then_sweep(&b, &mut list) };
         assert_eq!(freed, 5);
         let s = b.stats.snapshot();
-        assert_eq!(s.retired_nodes, 5, "flush-style sweep seals the fill");
+        assert_eq!(s.retired_nodes, 5, "a pass seals its own open bins");
         assert_eq!(s.freed_nodes, 5);
-        assert!(list.is_empty());
+        assert_eq!(list.len(), 0);
     }
 
     #[test]
     fn free_before_epoch_sweeps_by_retire_era() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut list = RetireList::new(RETIRE_BATCH_CAP);
-        for r in run(&b, [(0, 3), (0, 7), (0, 5)]) {
-            push_retired(&b, 0, &mut list, r);
-        }
-        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, 5, None) };
+        let mut set = taken(&b, &mut list, run(&b, [(0, 3), (0, 7), (0, 5)]));
+        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 5, None) };
         assert_eq!(freed, 1, "only retire era 3 < 5 is freeable");
-        let survivors: Vec<u64> = list
-            .blocks
+        let survivors: Vec<u64> = set
             .iter()
             .flat_map(|blk| blk.nodes())
             .map(|r| r.retire_era())
             .collect();
         assert_eq!(survivors, vec![7, 5]);
-        drain_free(&b, &mut list);
+        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]
@@ -1843,7 +1727,9 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(1).with_quarantine());
         let r = mk(&b, 0, 0);
         let ptr = r.ptr();
-        unsafe { b.free_now(0, r) };
+        let mut blk = RetireBatch::boxed();
+        blk.push(r);
+        unsafe { b.free_block(0, &mut blk) };
         assert_eq!(b.quarantine_len(), 1);
         // The allocation is still mapped and poisoned.
         assert!(unsafe { &*ptr }.is_poisoned());
@@ -1868,18 +1754,19 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut list = RetireList::new(RETIRE_BATCH_CAP);
         // lifespans: [1,2] freeable, [4,6] blocked by era 5, [7,9] freeable
-        for (birth, retire) in [(1, 2), (4, 6), (7, 9)] {
-            push_retired(&b, 0, &mut list, mk(&b, birth, retire));
-        }
-        let freed = unsafe { free_era_unreserved(&b, 0, &mut list, &[3, 5, 10]) };
+        let recs = [(1, 2), (4, 6), (7, 9)]
+            .into_iter()
+            .map(|(birth, retire)| mk(&b, birth, retire))
+            .collect();
+        let mut set = taken(&b, &mut list, recs);
+        let freed = unsafe { free_era_unreserved(&b, 0, &mut list, &mut set, &[3, 5, 10]) };
         assert_eq!(freed, 2);
-        assert_eq!(list.len(), 1);
-        assert_eq!(eras_of(&list), vec![4]);
-        drain_free(&b, &mut list);
+        assert_eq!(eras_of(&set), vec![4]);
+        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]
-    fn orphan_remaining_seals_partial_batches() {
+    fn orphan_remaining_seals_open_bins_into_the_pool() {
         let stats;
         {
             let b = DomainBase::new(SmrConfig::for_tests(1));
@@ -1890,119 +1777,73 @@ mod tests {
             push_retired(&b, 0, &mut list, mk(&b, 0, 0));
             assert_eq!(stats.snapshot().retired_nodes, 0);
             b.orphan_remaining(0, &mut list);
-            assert!(list.is_empty(), "everything handed to the domain");
+            assert_eq!(list.len(), 0, "everything handed to the domain");
             let s = stats.snapshot();
             assert_eq!(s.retired_nodes, 2, "partial batch sealed, not leaked");
             assert_eq!(s.freed_nodes, 0);
-            assert_eq!(b.orphan_len(), 2);
+            assert_eq!(b.pool_len(), 2);
         }
-        assert_eq!(stats.snapshot().freed_nodes, 2, "orphans freed on drop");
+        assert_eq!(stats.snapshot().freed_nodes, 2, "the pool is freed on drop");
     }
 
     #[test]
-    fn orphan_adoption_is_bounded_and_preserves_accounting() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut donor = RetireList::new(RETIRE_BATCH_CAP);
-        let total = ORPHAN_ADOPT_MAX + 10;
-        // One fill bin, so every orphaned chunk is full.
-        for r in run(&b, (0..total as u64).map(|i| (i, i))) {
-            push_retired(&b, 0, &mut donor, r);
+    fn a_pass_takes_every_stripe_and_never_recounts() {
+        // Four tids pool blocks on four stripes; one pass takes them all
+        // and frees them, conserving nodes exactly.
+        let b = DomainBase::new(SmrConfig::for_tests(4));
+        let per = 6;
+        for t in 0..4 {
+            let mut list = RetireList::new(2);
+            for r in run(&b, (0..per).map(|i| (i, i))) {
+                push_retired(&b, t, &mut list, r);
+            }
+            b.orphan_remaining(t, &mut list);
         }
-        b.orphan_remaining(0, &mut donor);
-        assert_eq!(b.orphan_len(), total);
+        let total = 4 * per as usize;
+        assert_eq!(b.pool_len(), total);
         let retired_before = b.stats.snapshot().retired_nodes;
-
-        let mut joiner = RetireList::new(RETIRE_BATCH_CAP);
-        b.adopt_orphan_chunk(0, &mut joiner);
-        assert_eq!(joiner.len(), ORPHAN_ADOPT_MAX, "chunk is bounded");
-        assert_eq!(b.orphan_len(), 10, "remainder stays parked");
-        assert_eq!(
-            b.stats.snapshot().retired_nodes,
-            retired_before,
-            "adopted nodes are not re-counted"
-        );
-        assert_eq!(b.stats.snapshot().orphans_adopted, ORPHAN_ADOPT_MAX as u64);
-        // A pass reclaims the adopted nodes through the normal path, and
-        // additionally STEALS the parked remainder at its start
-        // (reclaimer-side orphan adoption) so static memberships drain
-        // orphans too.
-        let freed = unsafe { steal_then_sweep(&b, &mut joiner) };
-        assert_eq!(freed, ORPHAN_ADOPT_MAX + 10, "pass steals the remainder");
-        assert_eq!(b.orphan_len(), 0, "orphans fully drained by the pass");
-        assert_eq!(b.stats.snapshot().orphans_stolen, 10);
-        assert_eq!(
-            b.stats.snapshot().retired_nodes,
-            retired_before,
-            "neither adoption nor stealing recounts retires"
-        );
-    }
-
-    /// One pass's reclamation as the engines order it: the orphan steal
-    /// first, then (after the reservation scan) the sweep.
-    unsafe fn steal_then_sweep(b: &DomainBase, list: &mut RetireList) -> usize {
-        b.steal_orphan_chunk(0, list);
-        // SAFETY: forwarded contract.
-        unsafe { sweep_retire_list(b, 0, list, |_| false) }
-    }
-
-    #[test]
-    fn sweep_leaves_parked_orphans_to_the_next_pass_start() {
-        // A sweep filters against a reservation set scanned before it ran.
-        // An orphan parked since that scan may hold a node unlinked after
-        // it, so the sweep must not adopt it: only a pass start may.
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut donor = filled(&b, 2, &[0, 0]);
-        b.orphan_remaining(0, &mut donor);
-        assert_eq!(b.orphan_len(), 2);
-        let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP);
-        let freed = unsafe { free_unreserved(&b, 0, &mut reclaimer, &[]) };
-        assert_eq!(freed, 0, "the sweep frees only its own list");
-        assert_eq!(b.orphan_len(), 2, "the orphan stays parked");
-        assert_eq!(b.stats.snapshot().orphans_stolen, 0);
-        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
-        assert_eq!(freed, 2, "the next pass start steals it");
-        assert_eq!(b.orphan_len(), 0);
-    }
-
-    #[test]
-    fn pass_start_steals_bounded_orphan_chunks_until_drained() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut donor = RetireList::new(RETIRE_BATCH_CAP);
-        let total = 2 * ORPHAN_ADOPT_MAX + 5;
-        // One fill bin, so every orphaned chunk is full.
-        for r in run(&b, (0..total as u64).map(|i| (i, i))) {
-            push_retired(&b, 0, &mut donor, r);
-        }
-        b.orphan_remaining(0, &mut donor);
-        assert_eq!(b.orphan_len(), total);
-
-        let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP);
-        // Each pass adopts at most one chunk.
-        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
-        assert_eq!(freed, ORPHAN_ADOPT_MAX, "one chunk per pass");
-        assert_eq!(b.orphan_len(), total - ORPHAN_ADOPT_MAX);
-        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
-        assert_eq!(freed, ORPHAN_ADOPT_MAX);
-        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
-        assert_eq!(freed, 5, "third pass drains the tail");
-        assert_eq!(b.orphan_len(), 0);
+        let freed = unsafe { take_then_sweep(&b, &mut RetireList::new(2)) };
+        assert_eq!(freed, total, "one take drains every stripe");
+        assert_eq!(b.pool_len(), 0);
         let s = b.stats.snapshot();
-        assert_eq!(s.orphans_stolen, total as u64);
-        assert_eq!(s.freed_nodes, total as u64, "conservation through stealing");
-        // Empty orphan list: further passes steal nothing.
-        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
-        assert_eq!(freed, 0);
-        assert_eq!(b.stats.snapshot().orphans_stolen, total as u64);
+        assert_eq!(s.retired_nodes, retired_before, "the take recounts nothing");
+        assert_eq!(s.freed_nodes, s.retired_nodes, "conservation");
     }
 
     #[test]
-    fn leak_sealed_blocks_recycles_boxes() {
+    fn a_block_pooled_after_the_take_waits_for_the_next_pass() {
+        // A sweep filters against a reservation set scanned after its
+        // take. A block pooled since may hold a node unlinked after that
+        // scan, so the sweep must leave it: only the next take may claim
+        // it.
+        let b = DomainBase::new(SmrConfig::for_tests(2));
+        let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP);
+        let mut set = Vec::new();
+        b.take(0, &mut reclaimer, &mut set);
+        let mut donor = RetireList::new(2);
+        for r in run(&b, [(0, 0), (0, 0)]) {
+            push_retired(&b, 1, &mut donor, r);
+        }
+        assert_eq!(b.pool_len(), 2);
+        let freed = unsafe { free_unreserved(&b, 0, &mut reclaimer, &mut set, &[]) };
+        assert_eq!(freed, 0, "the sweep frees only what its pass took");
+        assert_eq!(b.pool_len(), 2, "the block stays pooled");
+        let freed = unsafe { take_then_sweep(&b, &mut reclaimer) };
+        assert_eq!(freed, 2, "the next pass takes it");
+        assert_eq!(b.pool_len(), 0);
+    }
+
+    #[test]
+    fn leak_recycles_boxes() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = filled(&b, 2, &[0, 1, 2, 3]);
-        assert_eq!(list.blocks.len(), 2);
-        list.leak_sealed_blocks();
-        assert!(list.is_empty());
-        assert_eq!(list.free.len(), 2, "block boxes return to the pool");
+        let mut list = RetireList::new(2);
+        for r in run(&b, (0..4).map(|i| (i, i))) {
+            if let Some(block) = list.push(r) {
+                list.leak(block);
+            }
+        }
+        assert_eq!(list.len(), 0);
+        assert_eq!(list.free.len(), 1, "block boxes return to the pool");
         // Intentional leak of 4 N allocations (NR semantics).
     }
 
@@ -2045,10 +1886,13 @@ mod tests {
         // itself.
         let b = DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(64));
         let mut list = RetireList::new(2);
-        let verdicts: Vec<Verdict> = run(&b, (0..128).map(|i| (i, i)))
-            .into_iter()
-            .map(|r| push_retired(&b, 0, &mut list, r))
-            .collect();
+        let push = |list: &mut RetireList, n: u64| -> Vec<Verdict> {
+            run(&b, (0..n).map(|i| (i, i)))
+                .into_iter()
+                .map(|r| push_retired(&b, 0, list, r))
+                .collect()
+        };
+        let verdicts = push(&mut list, 128);
         for (i, v) in verdicts.iter().enumerate() {
             let want = match (i + 1) % 64 {
                 0 => Verdict::Pass,
@@ -2057,24 +1901,21 @@ mod tests {
             };
             assert_eq!(*v, want, "retire {}", i + 1);
         }
-        // A sweep (flush, unregister) restarts the pass period, not the
-        // ticks: ten retires into a period, a sweep that keeps all 138
-        // nodes, then the seals still tick and the pass is a full
-        // `reclaim_freq` of new retires away.
-        let push = |list: &mut RetireList, n: u64| -> Vec<Verdict> {
-            run(&b, (0..n).map(|i| (i, i)))
-                .into_iter()
-                .map(|r| push_retired(&b, 0, list, r))
-                .collect()
-        };
+        // A pass in between (flush, unregister) moves neither the ticks
+        // nor the period: ten retires into a period, a pass that keeps
+        // all 138 nodes, and the next pass is still due at the 192nd
+        // sealed node, 54 retires on.
         assert_eq!(push(&mut list, 10).last(), Some(&Verdict::Tick));
-        unsafe { sweep_retire_list(&b, 0, &mut list, |_| true) };
-        assert_eq!(list.len(), 138);
-        let after = push(&mut list, 64);
-        assert!(after[..63].iter().all(|&v| v != Verdict::Pass));
+        let mut set = Vec::new();
+        b.take(0, &mut list, &mut set);
+        unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |_| true) };
+        assert_eq!(node_count(&set), 138);
+        b.put_back(0, &mut set);
+        let after = push(&mut list, 54);
+        assert!(after[..53].iter().all(|&v| v != Verdict::Pass));
         assert_eq!(after[1], Verdict::Tick);
-        assert_eq!(after[63], Verdict::Pass);
-        drain_free(&b, &mut list);
+        assert_eq!(after[53], Verdict::Pass);
+        assert_eq!(unsafe { take_then_sweep(&b, &mut list) }, 192);
     }
 
     #[test]
@@ -2082,9 +1923,8 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         // Two full blocks of 2; reservations exist but none falls inside
         // any block's pointer span.
-        let mut list = filled(&b, 2, &[0, 0, 0, 0]);
-        let max_ptr = list
-            .blocks
+        let (mut list, mut set) = filled(&b, 2, &[0, 0, 0, 0]);
+        let max_ptr = set
             .iter()
             .flat_map(|blk| blk.nodes())
             .map(|r| r.ptr() as u64)
@@ -2092,9 +1932,9 @@ mod tests {
             .unwrap();
         // Non-empty reserved set strictly above every block pointer.
         let reserved = vec![max_ptr + 64, max_ptr + 128];
-        let freed = unsafe { free_unreserved(&b, 0, &mut list, &reserved) };
+        let freed = unsafe { free_unreserved(&b, 0, &mut list, &mut set, &reserved) };
         assert_eq!(freed, 4);
-        assert!(list.is_empty());
+        assert!(set.is_empty());
         let s = b.stats.snapshot();
         assert_eq!(
             s.blocks_freed_whole, 2,
@@ -2106,7 +1946,7 @@ mod tests {
     fn filtered_sweeps_match_the_reference_predicate() {
         // Range test + per-node window test must free exactly what the
         // plain per-node predicate frees. Each filtered sweep and
-        // `sweep_retire_list` run over twin lists — same lifespans,
+        // `sweep_retire_list` run over twin sets — same lifespans,
         // different nodes, reservations drawn at the same positions — and
         // the survivors compare by birth era, the twins' shared tag.
         let b = DomainBase::new(SmrConfig::for_tests(1));
@@ -2114,76 +1954,88 @@ mod tests {
         let lifespans: Vec<(u64, u64)> = (0..257u64).map(|i| (i, i + i % 7)).collect();
         let twin = || {
             let mut list = RetireList::new(RETIRE_BATCH_CAP);
-            let mut ptrs = Vec::new();
-            for &(birth, retire) in &lifespans {
-                let r = mk(&b, birth, retire);
-                ptrs.push(r.ptr() as u64);
-                push_retired(&b, 0, &mut list, r);
-            }
-            (list, ptrs)
+            let recs: Vec<Retired> = lifespans.iter().map(|&(b0, r0)| mk(&b, b0, r0)).collect();
+            let ptrs = recs.iter().map(|r| r.ptr() as u64).collect::<Vec<u64>>();
+            let set = taken(&b, &mut list, recs);
+            (list, set, ptrs)
         };
-        let survivors = |list: &mut RetireList| {
-            let mut v = eras_of(list);
+        let survivors = |list: &mut RetireList, set: &mut Blocks| {
+            let mut v = eras_of(set);
             v.sort_unstable();
-            drain_free(&b, list);
+            drain_free(&b, list, set);
             v
         };
 
-        let (mut fast, fast_ptrs) = twin();
-        let (mut slow, slow_ptrs) = twin();
+        let (mut fast, mut fast_set, fast_ptrs) = twin();
+        let (mut slow, mut slow_set, slow_ptrs) = twin();
         let every_fifth = |ptrs: &[u64]| {
             let mut r: Vec<u64> = ptrs.iter().copied().step_by(5).collect();
             r.sort_unstable();
             r
         };
         let (fr, sr) = (every_fifth(&fast_ptrs), every_fifth(&slow_ptrs));
-        let freed = unsafe { free_unreserved(&b, 0, &mut fast, &fr) };
+        let freed = unsafe { free_unreserved(&b, 0, &mut fast, &mut fast_set, &fr) };
         let freed_ref = unsafe {
-            sweep_retire_list(&b, 0, &mut slow, |r| {
+            sweep_retire_list(&b, 0, &mut slow, &mut slow_set, |r| {
                 sr.binary_search(&(r.ptr() as u64)).is_ok()
             })
         };
         assert_eq!(freed, 257 - fr.len());
         assert_eq!(freed, freed_ref);
-        assert_eq!(survivors(&mut fast), survivors(&mut slow), "pointers");
+        assert_eq!(
+            survivors(&mut fast, &mut fast_set),
+            survivors(&mut slow, &mut slow_set),
+            "pointers"
+        );
 
         let eras = [3, 40, 41, 100, 250];
-        let (mut fast, _) = twin();
-        let (mut slow, _) = twin();
-        let freed = unsafe { free_era_unreserved(&b, 0, &mut fast, &eras) };
+        let (mut fast, mut fast_set, _) = twin();
+        let (mut slow, mut slow_set, _) = twin();
+        let freed = unsafe { free_era_unreserved(&b, 0, &mut fast, &mut fast_set, &eras) };
         let freed_ref = unsafe {
-            sweep_retire_list(&b, 0, &mut slow, |r| {
+            sweep_retire_list(&b, 0, &mut slow, &mut slow_set, |r| {
                 era_range_reserved(&eras, r.birth_era(), r.retire_era())
             })
         };
         assert!(freed > 0 && freed < 257);
         assert_eq!(freed, freed_ref);
-        assert_eq!(survivors(&mut fast), survivors(&mut slow), "eras");
+        assert_eq!(
+            survivors(&mut fast, &mut fast_set),
+            survivors(&mut slow, &mut slow_set),
+            "eras"
+        );
 
-        let (mut fast, _) = twin();
-        let (mut slow, _) = twin();
-        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut fast, 120, None) };
-        let freed_ref = unsafe { sweep_retire_list(&b, 0, &mut slow, |r| r.retire_era() >= 120) };
+        let (mut fast, mut fast_set, _) = twin();
+        let (mut slow, mut slow_set, _) = twin();
+        let freed =
+            unsafe { free_before_epoch_with_stalled(&b, 0, &mut fast, &mut fast_set, 120, None) };
+        let freed_ref = unsafe {
+            sweep_retire_list(&b, 0, &mut slow, &mut slow_set, |r| r.retire_era() >= 120)
+        };
         assert_eq!(freed, freed_ref);
-        assert_eq!(survivors(&mut fast), survivors(&mut slow), "epochs");
+        assert_eq!(
+            survivors(&mut fast, &mut fast_set),
+            survivors(&mut slow, &mut slow_set),
+            "epochs"
+        );
     }
 
     #[test]
     fn free_era_unreserved_envelope_frees_whole_blocks() {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         // Block 0: lifespans within [0, 5]; block 1: within [20, 25].
-        let mut list = filled(&b, 3, &[0, 3, 5, 20, 22, 25]);
+        let (mut list, mut set) = filled(&b, 3, &[0, 3, 5, 20, 22, 25]);
         // Reserved era 10 sits between the two envelopes: both blocks are
         // freed whole by the range test.
-        let freed = unsafe { free_era_unreserved(&b, 0, &mut list, &[10]) };
+        let freed = unsafe { free_era_unreserved(&b, 0, &mut list, &mut set, &[10]) };
         assert_eq!(freed, 6);
         assert_eq!(b.stats.snapshot().blocks_freed_whole, 2);
         // Mixed case: era 3 pins only part of block 0's twin.
-        let mut list = filled(&b, 3, &[0, 3, 5, 20, 22, 25]);
-        let freed = unsafe { free_era_unreserved(&b, 0, &mut list, &[3, 10]) };
+        let (mut list, mut set) = filled(&b, 3, &[0, 3, 5, 20, 22, 25]);
+        let freed = unsafe { free_era_unreserved(&b, 0, &mut list, &mut set, &[3, 10]) };
         assert_eq!(freed, 5, "only the [3,3] lifespan survives");
-        assert_eq!(eras_of(&list), vec![3]);
-        drain_free(&b, &mut list);
+        assert_eq!(eras_of(&set), vec![3]);
+        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]
@@ -2192,21 +2044,20 @@ mod tests {
         let mut list = RetireList::new(2);
         // Blocks of 2 with retire eras (1,2) freeable, (8,9) kept, (4,6)
         // straddling min = 5.
-        for r in run(&b, [(0, 1), (0, 2), (0, 8), (0, 9), (0, 4), (0, 6)]) {
-            push_retired(&b, 0, &mut list, r);
-        }
-        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, 5, None) };
+        let recs = run(&b, [(0, 1), (0, 2), (0, 8), (0, 9), (0, 4), (0, 6)]);
+        let mut set = taken(&b, &mut list, recs);
+        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 5, None) };
         assert_eq!(freed, 3, "retire eras 1, 2 and 4 are below the bound");
         let s = b.stats.snapshot();
         assert_eq!(s.blocks_freed_whole, 1, "the (1,2) block freed whole");
         assert_eq!(s.blocks_kept_whole, 1, "the (8,9) block kept untouched");
-        drain_free(&b, &mut list);
+        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]
     fn one_bin_seals_in_retire_order() {
         // Nodes routed to one bin seal in retire order: one block per
-        // `seal` nodes, the remainder sealed by a flush as one partial
+        // `seal` nodes, the remainder sealed by the take as one partial
         // block.
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut list = RetireList::new(4);
@@ -2216,12 +2067,13 @@ mod tests {
         let s = b.stats.snapshot();
         assert_eq!(s.batches_sealed, 2, "seals at 4 and 8 exactly");
         assert_eq!(s.retired_nodes, 8, "fill holds 2 unsealed nodes");
-        assert_eq!(eras_of(&list), (0..10).collect::<Vec<u64>>());
-        seal_and_account(&b, 0, &mut list);
+        let mut set = Vec::new();
+        b.take(0, &mut list, &mut set);
         let s = b.stats.snapshot();
         assert_eq!(s.batches_sealed, 3, "one partial block from one bin");
         assert_eq!(s.retired_nodes, 10);
-        drain_free(&b, &mut list);
+        assert_eq!(eras_of(&set), (0..10).collect::<Vec<u64>>());
+        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]
@@ -2238,21 +2090,23 @@ mod tests {
         unsafe impl crate::header::HasHeader for Wide {}
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut list = RetireList::new(8);
-        for i in 0..64 {
-            let p = Box::into_raw(Box::new(Wide {
-                hdr: Header::new(i, core::mem::size_of::<Wide>()),
-                _pad: [0; 4088],
-            }));
-            b.stats
-                .shard(0)
-                .allocated_nodes
-                .fetch_add(1, Ordering::Relaxed);
-            push_retired(&b, 0, &mut list, unsafe { Retired::new(p) });
-        }
-        seal_and_account(&b, 0, &mut list);
-        assert_eq!(list.len(), 64, "conservation through binned seals");
+        let recs = (0..64)
+            .map(|i| {
+                let p = Box::into_raw(Box::new(Wide {
+                    hdr: Header::new(i, core::mem::size_of::<Wide>()),
+                    _pad: [0; 4088],
+                }));
+                b.stats
+                    .shard(0)
+                    .allocated_nodes
+                    .fetch_add(1, Ordering::Relaxed);
+                unsafe { Retired::new(p) }
+            })
+            .collect();
+        let mut set = taken(&b, &mut list, recs);
+        assert_eq!(node_count(&set), 64, "conservation through binned seals");
         let mut residues = std::collections::BTreeSet::new();
-        for blk in &list.blocks {
+        for blk in &set {
             let bins: Vec<usize> = blk
                 .nodes()
                 .iter()
@@ -2265,15 +2119,14 @@ mod tests {
             residues.insert(bins[0]);
         }
         assert!(residues.len() > 1, "the fill must exercise several bins");
-        drain_free(&b, &mut list);
+        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]
     fn partial_bins_seal_at_unregister_and_conserve() {
-        // The ISSUE's unregister gotcha: with many bins, several partial
-        // fill blocks are open at unregister; every one must be sealed
-        // (accounted once per block) and parked — no node unsealed, no
-        // node leaked.
+        // With many bins, several partial fill blocks are open at
+        // unregister; every one must be sealed (accounted once per block)
+        // and pooled — no node unsealed, no node leaked.
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut list = RetireList::new(RETIRE_BATCH_CAP);
         let n = 21u64;
@@ -2284,49 +2137,49 @@ mod tests {
         let open_bins = list.fills.iter().filter(|f| !f.is_empty()).count() as u64;
         assert!(open_bins >= 1);
         b.orphan_remaining(0, &mut list);
-        assert!(list.is_empty(), "everything handed to the domain");
+        assert_eq!(list.len(), 0, "everything handed to the domain");
         let s = b.stats.snapshot();
         assert_eq!(s.retired_nodes, n, "partial bins sealed, not leaked");
         assert_eq!(s.batches_sealed, open_bins, "one seal event per bin");
-        assert_eq!(b.orphan_len(), n as usize);
-        // A pass steals the parked blocks and frees them: conservation.
-        let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP);
-        let freed = unsafe { steal_then_sweep(&b, &mut reclaimer) };
+        assert_eq!(b.pool_len(), n as usize);
+        // A pass takes the pooled blocks and frees them: conservation.
+        let freed = unsafe { take_then_sweep(&b, &mut RetireList::new(RETIRE_BATCH_CAP)) };
         assert_eq!(freed as u64, n);
-        assert_eq!(b.orphan_len(), 0);
+        assert_eq!(b.pool_len(), 0);
         assert_eq!(b.stats.snapshot().freed_nodes, n, "allocated == freed");
     }
 
     #[test]
-    fn extrema_survive_parking() {
-        // Park blocks whose summaries are built, steal them, and verify
-        // they arrive with both halves cached and are decided whole from
-        // them without touching a record.
+    fn extrema_survive_the_pool() {
+        // Put back blocks whose summaries are built, take them again, and
+        // verify they arrive with both halves cached and are decided whole
+        // from them without touching a record.
         let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut donor = filled(&b, 4, &[0, 1, 2, 3, 4, 5, 6, 7]);
+        let (mut list, mut set) = filled(&b, 4, &[0, 1, 2, 3, 4, 5, 6, 7]);
         // A keep-everything epoch sweep computes the era half.
-        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut donor, 0, None) };
+        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 0, None) };
         assert_eq!(freed, 0);
-        assert!(donor.blocks.iter().all(|blk| blk.summary_is_cached()));
-        b.orphan_remaining(0, &mut donor);
-        let mut thief = RetireList::new(4);
-        b.steal_orphan_chunk(0, &mut thief);
-        assert_eq!(thief.len(), 8, "both blocks stolen");
-        for blk in &thief.blocks {
+        assert!(set.iter().all(|blk| blk.summary_is_cached()));
+        b.put_back(0, &mut set);
+        let mut again = Vec::new();
+        b.take(0, &mut RetireList::new(4), &mut again);
+        assert_eq!(node_count(&again), 8, "both blocks taken again");
+        for blk in &again {
             assert!(
                 blk.summary_is_cached(),
-                "block-granular parking must not drop the extrema"
+                "block-granular pooling must not drop the extrema"
             );
         }
         let kept_before = b.stats.snapshot().blocks_kept_whole;
-        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut thief, 0, None) };
+        let freed =
+            unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut again, 0, None) };
         assert_eq!(freed, 0);
         assert_eq!(
             b.stats.snapshot().blocks_kept_whole,
             kept_before + 2,
-            "stolen blocks range-test whole from surviving summaries"
+            "pooled blocks range-test whole from surviving summaries"
         );
-        drain_free(&b, &mut thief);
+        drain_free(&b, &mut list, &mut again);
     }
 
     #[test]
@@ -2336,15 +2189,16 @@ mod tests {
         b.claim(1);
         // Two sealed blocks, all retire eras below the relaxed floor:
         // everything is provably pinned only by blocker tid 1's word 7.
-        let mut list = filled(&b, 2, &[0, 0, 1, 1]);
+        let (mut list, mut set) = filled(&b, 2, &[0, 0, 1, 1]);
         let rm = RelaxedMin {
             min: 10,
             blocker_tid: 1,
             blocker_word: 7,
         };
-        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, 0, Some(&rm)) };
+        let freed =
+            unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 0, Some(&rm)) };
         assert_eq!(freed, 0, "quarantine never frees");
-        assert_eq!(list.len(), 0, "both blocks left the list");
+        assert!(set.is_empty(), "both blocks left the pass");
         assert_eq!(b.pressure_quarantine_len(), 2);
         let s = b.stats.snapshot();
         assert_eq!(s.blocks_quarantined, 2);
@@ -2355,20 +2209,20 @@ mod tests {
             "parked nodes leave the actionable backlog"
         );
         // Blocker still pinned: nothing to release.
-        b.reclaim_released_quarantine(0, &mut list, |t, w| {
+        b.reclaim_released_quarantine(0, &mut set, |t, w| {
             assert_eq!((t, w), (1, 7));
             true
         });
-        assert_eq!(list.len(), 0);
+        assert!(set.is_empty());
         assert_eq!(b.pressure_quarantine_len(), 2);
-        // Blocker's reservation moved: everything returns to the list.
-        b.reclaim_released_quarantine(0, &mut list, |_, _| false);
-        assert_eq!(list.len(), 4, "released blocks rejoin the caller's list");
+        // Blocker's reservation moved: everything returns to the pass.
+        b.reclaim_released_quarantine(0, &mut set, |_, _| false);
+        assert_eq!(node_count(&set), 4, "released blocks rejoin the pass");
         assert_eq!(b.pressure_quarantine_len(), 0);
         let s = b.stats.snapshot();
         assert_eq!(s.blocks_unquarantined, 2);
         assert_eq!(b.stats.pressure().quarantined(), 0);
-        drain_free(&b, &mut list);
+        drain_free(&b, &mut list, &mut set);
         let s = b.stats.snapshot();
         assert_eq!(s.freed_nodes, s.retired_nodes, "conservation");
         assert_eq!(b.stats.pressure().count(), 0);
@@ -2381,21 +2235,21 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(2).with_pressure_watermarks(4, 8, 12));
         b.claim(0);
         b.claim(1);
-        let mut list = filled(&b, 2, &[0, 0]);
+        let (mut list, mut set) = filled(&b, 2, &[0, 0]);
         let rm = RelaxedMin {
             min: 10,
             blocker_tid: 1,
             blocker_word: 7,
         };
-        unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, 0, Some(&rm)) };
+        unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 0, Some(&rm)) };
         assert_eq!(b.pressure_quarantine_len(), 1);
         // The blocker dies / deregisters: its pinned word no longer means
         // anything, even if the release predicate still claims it does.
         b.release(1);
-        b.reclaim_released_quarantine(0, &mut list, |_, _| true);
-        assert_eq!(list.len(), 2, "a reaped blocker releases its blocks");
+        b.reclaim_released_quarantine(0, &mut set, |_, _| true);
+        assert_eq!(node_count(&set), 2, "a reaped blocker releases its blocks");
         assert_eq!(b.pressure_quarantine_len(), 0);
-        drain_free(&b, &mut list);
+        drain_free(&b, &mut list, &mut set);
         b.release(0);
     }
 
@@ -2404,13 +2258,13 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(2).with_pressure_watermarks(4, 8, 12));
         b.claim(0);
         b.claim(1);
-        let mut list = filled(&b, 2, &[0, 0, 1, 1]);
+        let (mut list, mut set) = filled(&b, 2, &[0, 0, 1, 1]);
         let rm = RelaxedMin {
             min: 10,
             blocker_tid: 1,
             blocker_word: 7,
         };
-        unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, 0, Some(&rm)) };
+        unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 0, Some(&rm)) };
         assert_eq!(b.pressure_quarantine_len(), 2);
         let stats = Arc::clone(&b.stats);
         b.release(1);
@@ -2421,47 +2275,12 @@ mod tests {
     }
 
     #[test]
-    fn striped_orphans_drain_from_any_stripe() {
-        // Four tids park orphans on four stripes; a single adopter must
-        // drain them all (its chunk scan covers every stripe), conserving
-        // nodes exactly.
-        let b = DomainBase::new(SmrConfig::for_tests(4));
-        let total = 4 * 6;
-        for t in 0..4 {
-            b.claim(t);
-            let mut list = filled(&b, 2, &[0, 0, 1, 1, 2, 2]);
-            b.orphan_remaining(t, &mut list);
-            b.release(t);
-        }
-        assert_eq!(b.orphan_len(), total);
-        b.claim(0);
-        let mut list = RetireList::new(2);
-        let mut adopted = 0usize;
-        // Each steal takes at most ORPHAN_CHUNK_BLOCKS blocks; loop until
-        // the stripes are dry.
-        for _ in 0..64 {
-            let before = list.len();
-            b.steal_orphan_chunk(0, &mut list);
-            adopted += list.len() - before;
-            if b.orphan_len() == 0 {
-                break;
-            }
-        }
-        assert_eq!(adopted, total, "every stripe drains");
-        assert_eq!(b.orphan_len(), 0);
-        drain_free(&b, &mut list);
-        let s = b.stats.snapshot();
-        assert_eq!(s.freed_nodes, s.retired_nodes, "conservation");
-        b.release(0);
-    }
-
-    #[test]
     fn free_pool_cap_trims_recycled_blocks() {
         let b = DomainBase::new(SmrConfig::for_tests(1).with_free_pool_cap(1));
         // Three sealed blocks, all freeable: the sweep recycles three
         // emptied boxes but the cap keeps only one.
-        let mut list = filled(&b, 2, &[0, 0, 1, 1, 2, 2]);
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |_| false) };
+        let (mut list, mut set) = filled(&b, 2, &[0, 0, 1, 1, 2, 2]);
+        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |_| false) };
         assert_eq!(freed, 6);
         assert_eq!(list.free.len(), 1, "pool capped at the configured size");
         assert_eq!(b.stats.snapshot().pool_blocks_trimmed, 2);
@@ -2473,16 +2292,17 @@ mod tests {
         // the sweep's epilogue must then trim the pool to zero even though
         // the configured cap would keep blocks around.
         let b = DomainBase::new(SmrConfig::for_tests(1).with_pressure_watermarks(1, 1, 1));
-        let mut list = filled(&b, 2, &[0, 0, 5, 5]);
+        let (mut list, mut set) = filled(&b, 2, &[0, 0, 5, 5]);
         assert!(b.stats.pressure().rung() >= PressureRung::Hard);
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, |r| r.retire_era() >= 5) };
+        let freed =
+            unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |r| r.retire_era() >= 5) };
         assert_eq!(freed, 2);
         assert!(
             list.free.is_empty(),
             "under hard pressure the recycled pool is ballast"
         );
         assert!(b.stats.snapshot().pool_blocks_trimmed >= 1);
-        drain_free(&b, &mut list);
+        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]

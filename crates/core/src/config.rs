@@ -4,8 +4,12 @@ use crate::header::RETIRE_BATCH_CAP;
 use crate::pressure::PressureGauge;
 
 /// Default publish-wait spin budget (the historical hard-coded
-/// `SPIN_LIMIT`): roughly the cost of a few cache-miss round trips, enough
-/// for a running peer's handler to publish before the waiter parks.
+/// `SPIN_LIMIT`): roughly the cost of a few cache-miss round trips. It is
+/// far too short for a pinged peer's handler to publish before the waiter
+/// parks: one `spin_loop` measured about 26 ns on the build host, so 128
+/// spins last about 3.3 µs against a ping round trip of about 14 µs
+/// (popbench `runtime.ping_roundtrip_ns`), and almost every POP pass
+/// parks.
 pub const DEFAULT_PUBLISH_SPIN: u32 = 128;
 
 /// Default publish-wait deadline (1 s wall clock, total per reclamation
@@ -68,10 +72,10 @@ impl PublishMode {
 /// Tuning knobs shared by every reclamation scheme.
 ///
 /// Field names follow the paper's pseudocode: `reclaim_freq` is the retire
-/// list threshold that triggers a reclamation pass (Alg. 1 line 1). It is
-/// also EpochPOP's escalation threshold: Alg. 3 line 26's condition is
-/// "the epoch pass left the list at `reclaim_freq` or more", so there is
-/// no multiplier `C` to set. Alg. 3 line 1's epoch period is not a
+/// threshold that triggers a reclamation pass (Alg. 1 line 1), counted
+/// per domain. It is also EpochPOP's escalation threshold: Alg. 3 line
+/// 26's condition is "the epoch pass kept `reclaim_freq` or more of the
+/// nodes it took", so there is no multiplier `C` to set. Alg. 3 line 1's epoch period is not a
 /// setting either: the epoch (and the hazard-era clock) ticks at every
 /// seal of a retire block and at every pass.
 ///
@@ -152,16 +156,20 @@ pub struct SmrConfig {
     /// Hazard-slot count per thread (`MAX_HP`). Lists need 3, trees 4; the
     /// default leaves headroom for user structures.
     pub slots: usize,
-    /// Retire-list length that triggers a reclamation event. The paper uses
-    /// 24 576 for all schemes (§5.0.1). For EpochPOP it is also the
-    /// escalation threshold: a list the epoch pass leaves at this length
-    /// (checked at every seal) indicates a delayed thread and engages
-    /// publish-on-ping.
+    /// Retires that trigger a reclamation pass, **per domain**: a pass
+    /// falls due each time the nodes sealed by all threads together cross
+    /// a multiple of it, and takes every sealed block in the domain. The
+    /// paper uses 24 576 for all schemes (§5.0.1), there per thread. For
+    /// EpochPOP it is also the escalation threshold: a triggered epoch pass
+    /// that keeps this many of the nodes it took indicates a delayed
+    /// thread and engages publish-on-ping, and what it keeps below that
+    /// counts toward the next trigger.
     pub reclaim_freq: usize,
     /// Retirement-batch seal threshold: `retire` fills thread-private
     /// blocks (a fixed set of fill bins, routed by the node's slab) and
-    /// seals a block into the retire list once it holds `retire_batch`
-    /// nodes, amortizing the stats update and the reclaim-threshold test.
+    /// seals a block into the domain's retire pool once it holds
+    /// `retire_batch` nodes, amortizing the stats update and the trigger
+    /// count.
     /// Clamped to `1..=RETIRE_BATCH_CAP` and never above `reclaim_freq`
     /// (so small thresholds still reclaim on time). `1` disables batching
     /// and makes every seal and trigger point exact.

@@ -466,8 +466,8 @@ impl Peers {
 
     /// Reaps at most one participant whose thread was confirmed dead:
     /// `force_unregister(t)` erases it from the scheme's handler-visible
-    /// state (ending with [`Self::evict`]), then its pending retires are
-    /// parked as orphans and its domain tid freed — recovering the slot,
+    /// state (ending with [`Self::evict`]), then its open fill bins are
+    /// sealed into the retire pool and its domain tid freed — recovering the slot,
     /// the memory, and (for EpochPOP) the epoch min-scan, which gates on
     /// `DomainBase::is_registered`.
     ///

@@ -12,7 +12,7 @@
 //!
 //! | alias | `Smr::NAME` | laggard | announce | `protect` | a laggard… |
 //! |-------|-------------|---------|----------|-----------|------------|
-//! | [`Ebr`] | `EBR` | [`Wait`] | one `SeqCst` store | plain load | pins every retire list until it leaves |
+//! | [`Ebr`] | `EBR` | [`Wait`] | one `SeqCst` store | plain load | pins the whole retire pool until it leaves |
 //! | [`EpochPop`] | `EpochPOP` | [`Ping`] | activity word + relaxed store + one fence | HazardPtrPOP's private reservation | is pinged; passes fall back to pointer reservations |
 //! | [`Vbr`] | `VBR` | [`Abort`] | one `SeqCst` store | lag check, then plain load | aborts itself on its next read |
 //! | [`Ibr`] | `IBR` | [`Interval`] | lower bound relaxed, then upper bound `SeqCst` | raises the upper bound when the epoch moved | pins only the nodes whose lifespan meets its interval |
@@ -25,19 +25,20 @@
 //! (`Laggard::RETIRE_TICK`): `VBR_MAX_LAG` counts bumps, so its version
 //! moves on passes alone.
 //!
-//! **The pass.** Paced by the domain's [`PassController`]: advance the
-//! clock, fence, scan the announcements (stall-aware), release quarantined
-//! blocks whose blocker moved, sweep, and feed the outcome back into the
-//! decay. The sweep is the laggard's one override of the pass
+//! **The pass.** Take the domain's retire pool, then, paced by the
+//! domain's [`PassController`]: advance the clock, fence, scan the
+//! announcements (stall-aware), release quarantined blocks whose blocker
+//! moved, sweep, and feed the outcome back into the decay. The laggard
+//! sees what the pass kept (`Laggard::after_sweep`) before the survivors
+//! go back to the pool. The sweep is the laggard's one override of the pass
 //! (`Laggard::sweep`): by default everything retired before the floor
 //! (whole blocks by their era summary, straddling blocks member by
 //! member); IBR's tests each member's `[birth, retire]` lifespan against
 //! every announced `[lower, upper]` interval instead, and so frees nodes
 //! born after a stalled reader's last read, which the floor keeps. The
 //! emergency rung may park blocks pinned only by a stalled reader
-//! (`Laggard::QUARANTINE`). `retire` is push → tick or pass → the
-//! laggard's `after_seal` → the hard rung's bounded retries after a pass;
-//! `flush` is a forced pass, then the laggard's `drain`.
+//! (`Laggard::QUARANTINE`). `retire` is push → tick or pass → the hard
+//! rung's bounded retries after a pass; `flush` is a forced pass.
 //!
 //! **IBR** (2GE, Wen et al. 2018) announces an interval: the engine's
 //! word is its lower bound, and [`Interval`] keeps the upper bounds. Each
@@ -49,18 +50,22 @@
 //! **EpochPOP** (paper §4.2, Alg. 3) runs both protocols at once. Epoch
 //! mode is the common case: an EBR pass, fast, never a signal. Every read
 //! *also* records a private pointer reservation (a relaxed store, no
-//! fence). A seal that leaves the retire list at `reclaim_freq` or more
-//! runs the epoch pass (unless that seal's trigger just ran it). If the
-//! list is still at `reclaim_freq`, some thread is stuck in an old epoch,
-//! and the reclaimer escalates at once to a HazardPtrPOP pass — ping
-//! everyone, free everything not pointer-reserved — skipping only the
-//! bounded `N × H` reserved set. Garbage is therefore bounded as for
-//! HazardPtrPOP, `reclaim_freq + N × H`, whatever the decay thinned. Only
-//! when the reservations themselves pin `reclaim_freq` nodes (possible
-//! only if `reclaim_freq ≤ N × H`) does the next escalation wait, for
-//! `reclaim_freq` new retires — HazardPtrPOP's pacing — rather than ping
-//! at every seal. No global mode switch: different threads may reclaim in
-//! different modes concurrently (unlike QSense).
+//! fence). A triggered epoch pass that keeps `reclaim_freq` or more of the
+//! nodes it took means some thread is stuck in an old epoch, and the
+//! reclaimer escalates at once to a HazardPtrPOP pass over the same set —
+//! ping everyone, free everything not pointer-reserved — skipping only the
+//! bounded `N × H` reserved set. A pass the decay thinned keeps all it
+//! took. What a triggered pass keeps, if under `reclaim_freq`, counts
+//! toward the domain's next trigger, so the next epoch pass falls due
+//! when the pool holds `reclaim_freq` nodes again: a reader that pins
+//! part of one pass's set is escalated past at the next. Garbage is
+//! therefore bounded as for HazardPtrPOP, `reclaim_freq + N × H`
+//! domain-wide, whatever the decay thinned. Only when the reservations
+//! themselves pin `reclaim_freq` nodes (possible only if
+//! `reclaim_freq ≤ N × H`) does the next pass wait for `reclaim_freq` new
+//! retires — HazardPtrPOP's pacing — rather than come at every seal. No
+//! global mode switch: different threads may reclaim in different modes
+//! concurrently (unlike QSense).
 //!
 //! **VBR** inverts the ping: a reader whose announced version has fallen
 //! [`VBR_MAX_LAG`] or more bumps behind the global is **version-aborted** —
@@ -92,8 +97,9 @@ use std::sync::Arc;
 use crossbeam_utils::CachePadded;
 
 use crate::base::{
-    free_before_epoch_with_stalled, keep_mask, push_retired, scan_epoch_reservations, sweep_blocks,
-    BlockPlan, DomainBase, EpochClock, RelaxedMin, RetireList, RetireSlot, ScratchSlot, Verdict,
+    free_before_epoch_with_stalled, keep_mask, node_count, push_retired, scan_epoch_reservations,
+    sweep_blocks, BlockPlan, DomainBase, EpochClock, ReclaimScratch, RelaxedMin, RetireList,
+    RetireSlot, ScratchSlot, Verdict,
 };
 use crate::config::SmrConfig;
 use crate::controller::PassController;
@@ -104,8 +110,8 @@ use crate::stats::DomainStats;
 use super::hazard::{self, publish_and_free, Kind, Ptr, Publish};
 
 /// `EBR` — RCU-style epoch-based reclamation (paper Appendix C, Alg. 6).
-/// Fast, but **not robust**: one delayed reader pins every retire list in
-/// the system — the failure mode EpochPOP repairs.
+/// Fast, but **not robust**: one delayed reader pins the whole retire pool
+/// — the failure mode EpochPOP repairs.
 pub type Ebr = Epoch<Wait>;
 /// **`EpochPOP`** — epoch-based reclamation fused with HazardPtrPOP (paper
 /// §4.2, Alg. 3).
@@ -192,17 +198,15 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     #[inline]
     fn end_write(_e: &Epoch<Self>, _tid: usize) {}
 
-    /// Runs after every retire that sealed a block, after its tick or
-    /// pass (thinned or not); `passed` says the seal triggered a pass.
-    fn after_seal(_e: &Epoch<Self>, _tid: usize, _passed: bool) {}
-
-    /// Runs after `flush`'s forced pass.
-    fn drain(_e: &Epoch<Self>, _tid: usize) {}
+    /// Runs at the end of every pass (thinned or not) while it still
+    /// holds what it kept, `scratch.taken`.
+    fn after_sweep(_e: &Epoch<Self>, _tid: usize, _scratch: &mut ReclaimScratch, _cause: Cause) {}
 
     /// Hard-rung nudge before a synchronous retry.
     fn reping(_e: &Epoch<Self>, _tid: usize) {}
 
-    /// The pass's sweep of `tid`'s `list`: by default everything retired
+    /// The pass's sweep of what it took (`scratch.taken`), recycling
+    /// emptied boxes into `tid`'s `list`: by default everything retired
     /// before the floor `min`, parking on the `relaxed` floor (emergency
     /// rung, `QUARANTINE` only) what only a stalled reader pins. Returns
     /// the number freed.
@@ -215,11 +219,13 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
         e: &Epoch<Self>,
         tid: usize,
         list: &mut RetireList,
+        scratch: &mut ReclaimScratch,
         min: u64,
         relaxed: Option<&RelaxedMin>,
     ) -> usize {
+        let taken = &mut scratch.taken;
         // SAFETY: forwarded contract.
-        unsafe { free_before_epoch_with_stalled(&e.base, tid, list, min, relaxed) }
+        unsafe { free_before_epoch_with_stalled(&e.base, tid, list, taken, min, relaxed) }
     }
 
     /// Runs when `tid` is bound to signalable thread `gtid`.
@@ -232,6 +238,17 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
 struct ThreadState {
     retire: RetireSlot,
     scratch: ScratchSlot,
+}
+
+/// Why an epoch pass runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Cause {
+    /// A seal crossed the domain trigger: the controller may thin it.
+    Trigger,
+    /// A hard-rung retry after a triggered pass.
+    Retry,
+    /// `flush` (and so `unregister`): drain all that can be drained.
+    Flush,
 }
 
 /// An epoch domain: `L` says what happens to a reader that stops
@@ -251,8 +268,8 @@ pub struct Epoch<L: Laggard> {
     threads: Box<[CachePadded<ThreadState>]>,
 }
 
-/// EBR's policy: none. A reader parked in an old epoch pins every retire
-/// list until it leaves.
+/// EBR's policy: none. A reader parked in an old epoch pins the whole
+/// retire pool until it leaves.
 pub struct Wait;
 
 impl Laggard for Wait {
@@ -325,30 +342,27 @@ impl Laggard for Ping {
         Ptr.protect::<T, hazard::Ping>(row.word(slot), src)
     }
 
-    /// Alg. 3 line 26: a list the epoch pass cannot bring under
-    /// `reclaim_freq` implicates a delayed thread. A seal that leaves the
-    /// list that long runs the epoch pass unless its trigger just did,
-    /// then escalates if the list is still that long. A list whose last
-    /// sweep already left `reclaim_freq` nodes is pinned by reservations,
-    /// and waits for the trigger instead (module docs).
-    fn after_seal(e: &Epoch<Self>, tid: usize, passed: bool) {
+    /// Alg. 3 line 26: a triggered epoch pass that keeps `reclaim_freq`
+    /// of the nodes it took implicates a delayed thread, and escalates on
+    /// that set (module docs); a flush escalates on anything kept. A
+    /// hard-rung retry does not. What a triggered pass finally keeps, if
+    /// under `reclaim_freq`, counts toward the next trigger: the next
+    /// epoch pass falls due when the pool holds `reclaim_freq` nodes
+    /// again, not after `reclaim_freq` new ones.
+    fn after_sweep(e: &Epoch<Self>, tid: usize, scratch: &mut ReclaimScratch, cause: Cause) {
         let freq = e.base.cfg.reclaim_freq;
-        if !passed {
-            // SAFETY: tid ownership; the borrow ends before the pass.
-            let list = unsafe { e.threads[tid].retire.get() };
-            if list.len() < freq || list.held_over() >= freq {
-                return;
-            }
-            e.pass(tid, false);
+        let kept = node_count(&scratch.taken);
+        let escalate = match cause {
+            Cause::Trigger => kept >= freq,
+            Cause::Flush => kept > 0,
+            Cause::Retry => false,
+        };
+        if escalate {
+            Self::escalate(e, tid, scratch);
         }
-        if e.retire_len(tid) >= freq {
-            Self::escalate(e, tid);
-        }
-    }
-
-    fn drain(e: &Epoch<Self>, tid: usize) {
-        if e.retire_len(tid) > 0 {
-            Self::escalate(e, tid);
+        let kept = node_count(&scratch.taken);
+        if cause == Cause::Trigger && kept < freq {
+            e.base.count_kept(kept);
         }
     }
 
@@ -366,13 +380,12 @@ impl Laggard for Ping {
 }
 
 impl Ping {
-    /// Alg. 3 lines 26–30: a HazardPtrPOP pass over the epoch list. Never
-    /// thinned. Reaping a dead participant here also unpins the epoch
-    /// min-scan, which gates on `is_registered`. A freeing escalation
-    /// un-decays the domain; a barren one deepens like any barren pass.
-    fn escalate(e: &Epoch<Self>, tid: usize) {
-        // SAFETY: tid ownership per the registration contract.
-        let scratch = unsafe { e.threads[tid].scratch.get() };
+    /// Alg. 3 lines 26–30: a HazardPtrPOP pass over the set the epoch
+    /// pass took and kept. Never thinned. Reaping a dead participant here
+    /// also unpins the epoch min-scan, which gates on `is_registered`. A
+    /// freeing escalation un-decays the domain; a barren one deepens like
+    /// any barren pass.
+    fn escalate(e: &Epoch<Self>, tid: usize, scratch: &mut ReclaimScratch) {
         let freed = publish_and_free(&Ptr, &e.lag.publish, &e.base, tid, scratch, |t| {
             // SAFETY: `tid`'s own list by ownership; a dead peer's after
             // `reap_one_dead` established exclusivity.
@@ -533,11 +546,11 @@ impl Laggard for Interval {
         e: &Epoch<Self>,
         tid: usize,
         list: &mut RetireList,
+        scratch: &mut ReclaimScratch,
         _min: u64,
         relaxed: Option<&RelaxedMin>,
     ) -> usize {
-        // SAFETY: tid ownership per the registration contract.
-        let intervals = &mut unsafe { e.threads[tid].scratch.get() }.intervals;
+        let intervals = &mut scratch.intervals;
         intervals.clear();
         for t in (0..e.base.cfg.max_threads).filter(|&t| e.base.is_registered(t)) {
             let lo = e.announced[t].load(Ordering::SeqCst);
@@ -552,7 +565,7 @@ impl Laggard for Interval {
         // never frees: a block retired before the non-stalled floor meets
         // no non-stalled interval, so only stalled readers pin it.
         unsafe {
-            sweep_blocks(&e.base, tid, list, |b| {
+            sweep_blocks(&e.base, tid, list, &mut scratch.taken, |b| {
                 let mask = keep_mask(b, |r| {
                     let (birth, retire) = (r.birth_era(), r.retire_era());
                     intervals
@@ -572,59 +585,60 @@ impl Laggard for Interval {
 }
 
 impl<L: Laggard> Epoch<L> {
-    /// One epoch pass (module docs). Retire-triggered passes
-    /// (`forced = false`) may be thinned by the controller; flush,
-    /// unregister and hard-rung passes always run.
-    fn pass(&self, tid: usize, forced: bool) {
+    /// One epoch pass (module docs). Triggered passes may be thinned by
+    /// the controller; flush, unregister and hard-rung passes always run.
+    fn pass(&self, tid: usize, cause: Cause) {
         let base = &self.base;
-        if !self.ctl.admit(base.stats.pressure().rung(), forced) {
-            return;
-        }
-        let shard = base.stats.shard(tid);
-        shard.epoch_passes.fetch_add(1, Ordering::Relaxed);
         // SAFETY: tid ownership per the registration contract.
+        let scratch = unsafe { self.threads[tid].scratch.get() };
+        // SAFETY: as above; the laggard's escalation borrows the list
+        // afresh, after the sweep's last use of this borrow.
         let list = unsafe { self.threads[tid].retire.get() };
-        // Steal before the advance: an orphan's retire eras must predate
-        // the announcement scan below, like this thread's own.
-        base.steal_orphan_chunk(tid, list);
-        // Advance first: what this thread retired since its last tick now
-        // predates the epoch its next operation announces.
-        self.clock.advance();
-        // Order the announcement scan after this thread's preceding
-        // unlinks.
-        fence(Ordering::SeqCst);
-        let (min, relaxed) = scan_epoch_reservations(base, QUIESCENT, |t| {
-            self.announced[t].load(Ordering::SeqCst)
-        });
-        // Ladder rung 3 unwind: parked blocks whose blocker's announcement
-        // moved (or whose blocker is gone) rejoin this list and are
-        // re-filtered against *current* announcements by the sweep below.
-        // They may follow the scan: each was retired before an earlier
-        // pass, so its nodes predate this scan too.
-        base.reclaim_released_quarantine(tid, list, |t, w| {
-            self.announced[t].load(Ordering::SeqCst) == w
-        });
-        shard.observe_retire_len(list.len());
-        // SAFETY: a node retired before every announced epoch is
-        // unreachable — every thread that could hold a reference has left
-        // the operation it was in. The relaxed floor never frees: it parks
-        // blocks pinned solely by the known-stalled blocker.
-        let freed = unsafe {
-            L::sweep(
-                self,
-                tid,
-                list,
-                min,
-                relaxed.as_ref().filter(|_| L::QUARANTINE),
-            )
-        };
-        self.ctl.note_pass_outcome(shard, freed);
-    }
-
-    /// Length of `tid`'s retire list.
-    fn retire_len(&self, tid: usize) -> usize {
-        // SAFETY: tid ownership; no other borrow of the list is live.
-        unsafe { self.threads[tid].retire.get() }.len()
+        // Take before the advance: a taken block's retire eras must
+        // predate the announcement scan below.
+        base.take(tid, list, &mut scratch.taken);
+        if self
+            .ctl
+            .admit(base.stats.pressure().rung(), cause != Cause::Trigger)
+        {
+            let shard = base.stats.shard(tid);
+            shard.epoch_passes.fetch_add(1, Ordering::Relaxed);
+            // Advance first: what this thread retired since its last tick
+            // now predates the epoch its next operation announces.
+            self.clock.advance();
+            // Order the announcement scan after this thread's preceding
+            // unlinks.
+            fence(Ordering::SeqCst);
+            let (min, relaxed) = scan_epoch_reservations(base, QUIESCENT, |t| {
+                self.announced[t].load(Ordering::SeqCst)
+            });
+            // Ladder rung 3 unwind: parked blocks whose blocker's
+            // announcement moved (or whose blocker is gone) join the pass
+            // and are re-filtered against *current* announcements by the
+            // sweep below. They may follow the scan: each was taken by an
+            // earlier pass, so its nodes predate this scan too.
+            base.reclaim_released_quarantine(tid, &mut scratch.taken, |t, w| {
+                self.announced[t].load(Ordering::SeqCst) == w
+            });
+            shard.observe_retire_len(node_count(&scratch.taken));
+            // SAFETY: a node retired before every announced epoch is
+            // unreachable — every thread that could hold a reference has
+            // left the operation it was in. The relaxed floor never frees:
+            // it parks blocks pinned solely by the known-stalled blocker.
+            let freed = unsafe {
+                L::sweep(
+                    self,
+                    tid,
+                    list,
+                    scratch,
+                    min,
+                    relaxed.as_ref().filter(|_| L::QUARANTINE),
+                )
+            };
+            self.ctl.note_pass_outcome(shard, freed);
+        }
+        L::after_sweep(self, tid, scratch, cause);
+        base.put_back(tid, &mut scratch.taken);
     }
 }
 
@@ -671,9 +685,6 @@ impl<L: Laggard> Smr for Epoch<L> {
     fn register_raw(&self, tid: usize) {
         self.base.claim(tid);
         self.announced[tid].store(QUIESCENT, Ordering::SeqCst);
-        // SAFETY: tid was just claimed; this thread owns the slot.
-        let list = unsafe { self.threads[tid].retire.get() };
-        self.base.adopt_orphan_chunk(tid, list);
     }
 
     fn unregister(&self, tid: usize) {
@@ -730,20 +741,18 @@ impl<L: Laggard> Smr for Epoch<L> {
     unsafe fn retire(&self, tid: usize, retired: Retired) {
         // SAFETY: tid ownership.
         let list = unsafe { self.threads[tid].retire.get() };
-        let verdict = push_retired(&self.base, tid, list, retired);
-        match verdict {
-            Verdict::Fill => return,
+        match push_retired(&self.base, tid, list, retired) {
+            Verdict::Fill => {}
             Verdict::Tick => {
                 if L::RETIRE_TICK {
                     self.clock.advance();
                 }
             }
-            Verdict::Pass => self.pass(tid, false),
-        }
-        L::after_seal(self, tid, verdict == Verdict::Pass);
-        if verdict == Verdict::Pass {
-            self.base
-                .hard_rung_retries(|| L::reping(self, tid), || self.pass(tid, true));
+            Verdict::Pass => {
+                self.pass(tid, Cause::Trigger);
+                self.base
+                    .hard_rung_retries(|| L::reping(self, tid), || self.pass(tid, Cause::Retry));
+            }
         }
     }
 
@@ -752,8 +761,7 @@ impl<L: Laggard> Smr for Epoch<L> {
     }
 
     fn flush(&self, tid: usize) {
-        self.pass(tid, true);
-        L::drain(self, tid);
+        self.pass(tid, Cause::Flush);
     }
 }
 
@@ -1100,9 +1108,10 @@ mod tests {
 
     #[test]
     fn escalation_holds_the_bound_between_triggers() {
-        // Every schedule step that leaves a list at `reclaim_freq` behind a
-        // pinned epoch must escalate on that very seal: no list ever holds
-        // more than `reclaim_freq` (+ seal slack) after a retire returns.
+        // Every trigger whose epoch pass keeps `reclaim_freq` of what it
+        // took behind a pinned epoch escalates on that set: whichever
+        // thread retires, the pool never holds more than `reclaim_freq`
+        // (+ seal slack) after a retire returns.
         let smr = EpochPop::new(
             SmrConfig::for_tests(3)
                 .with_reclaim_freq(64)
@@ -1118,25 +1127,27 @@ mod tests {
         for i in 0..10 {
             retire_one(&*smr, 0, i);
         }
-        // 2. tid 2 retires 64 nodes behind tid 0's open operation: its
-        //    trigger's epoch pass frees none of them, so it escalates.
+        // 2. tid 2 retires 64 nodes behind tid 0's open operation: the
+        //    domain's 64th retire is its 54th, whose epoch pass frees none
+        //    of the 64 it took, so it escalates; 10 stay pooled.
         let (t2, go2) = parked(&smr, 2, false, 64);
-        let held2 = smr.retire_len(2);
-        assert!(held2 <= bound, "tid 2 held {held2} nodes, over {bound}");
-        assert!(smr.stats().snapshot().pop_passes >= 1, "tid 2 escalated");
+        assert_eq!(smr.base.pool_len(), 10, "tid 2's last ten");
+        assert_eq!(smr.stats().snapshot().pop_passes, 1, "tid 2 escalated");
         // 3. tid 1 enters an operation and parks.
         let (t1, go1) = parked(&smr, 1, true, 0);
         // 4. tid 0 retires 54 nodes, then leaves its operation; 5. it
-        //    retires on to 200 nodes.
+        //    retires on to 200 nodes. Triggers fall at the domain's 128th,
+        //    192nd and 256th retire, and every epoch pass is barren.
         let mut peak = 0;
         for i in 10..200 {
             if i == 64 {
                 smr.end_op(0);
             }
             retire_one(&*smr, 0, i);
-            peak = peak.max(smr.retire_len(0));
+            peak = peak.max(smr.base.pool_len());
         }
-        assert!(peak <= bound, "tid 0 held {peak} nodes, over {bound}");
+        assert!(peak <= bound, "the pool held {peak} nodes, over {bound}");
+        assert_eq!(smr.stats().snapshot().pop_passes, 4, "one per trigger");
         go1.send(()).unwrap();
         go2.send(()).unwrap();
         t1.join().unwrap();
@@ -1147,10 +1158,44 @@ mod tests {
     }
 
     #[test]
+    fn a_reader_pinning_part_of_a_pass_set_is_escalated_past_at_the_next() {
+        // The reader parks half-way through a pass period, so the trigger's
+        // epoch pass frees the half retired before its epoch and keeps the
+        // rest, short of `reclaim_freq`: no escalation. Those survivors
+        // count toward the next trigger, which therefore falls due when
+        // the pool holds `reclaim_freq` nodes again — and escalates.
+        let smr = EpochPop::new(
+            SmrConfig::for_tests(2)
+                .with_reclaim_freq(64)
+                .with_retire_batch(1)
+                .with_adaptive(false)
+                .with_publish_mode(PublishMode::Futex),
+        );
+        let reg0 = smr.register(0);
+        for i in 0..32 {
+            retire_one(&*smr, 0, i);
+        }
+        let (t1, go1) = parked(&smr, 1, true, 0);
+        let mut peak = 0;
+        for i in 32..256 {
+            retire_one(&*smr, 0, i);
+            peak = peak.max(smr.base.pool_len());
+        }
+        assert!(peak <= 64, "the pool held {peak} nodes, over reclaim_freq");
+        let s = smr.stats().snapshot();
+        assert_eq!(s.freed_nodes, 32 + 192, "the escalations free the rest");
+        go1.send(()).unwrap();
+        t1.join().unwrap();
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
+        drop(reg0);
+    }
+
+    #[test]
     fn parked_reader_costs_one_escalation_per_reclaim_freq_retires() {
         // A reader parked inside an operation makes every epoch pass
-        // barren. Each trigger's pass then escalates once, and the
-        // escalation empties the list, so no seal between triggers does.
+        // barren. Each trigger's pass then escalates once, on the set it
+        // took, and the escalation frees all of it.
         let smr = EpochPop::new(
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(64)
@@ -1228,7 +1273,7 @@ mod tests {
             "{} pings over {retires} retires",
             s.pings_sent
         );
-        assert_eq!(smr.retire_len(0), pinned.len(), "the reserved 8 survive");
+        assert_eq!(smr.base.pool_len(), pinned.len(), "the reserved 8 survive");
         go_tx.send(()).unwrap();
         reader.join().unwrap();
         smr.flush(0);

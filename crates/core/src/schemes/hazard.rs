@@ -33,8 +33,8 @@
 //! era meets its `[birth, retire]` lifespan. Ticks keep a pass from
 //! pinning its own trigger batch under the reclaimer's reservation: it
 //! keeps only what was retired since the last seal, so a parked reader
-//! holds garbage below `reclaim_freq` + one block per fill bin plus the
-//! nodes alive at its era. Era passes also feed the stall tracker, release
+//! holds the domain's garbage below `reclaim_freq` + one block + the open
+//! fill bins of each retiring thread, plus the nodes alive at its era. Era passes also feed the stall tracker, release
 //! quarantined blocks and, on the emergency rung, park blocks pinned only
 //! by an elected stalled reader; era retires keep the hard rung's bounded
 //! synchronous retries.
@@ -50,8 +50,10 @@
 //! or fails, the domain downgrades stickily to the signal fan-out.
 //!
 //! Robustness (paper Property 3): a pointer pass exempts at most `N × H`
-//! nodes (threads × slots), so per-thread garbage stays below
-//! `reclaim_freq + N × H`. Every alias is monomorphized: no dispatch.
+//! nodes (threads × slots), and passes fall due every `reclaim_freq`
+//! retires domain-wide, so the domain's garbage stays below
+//! `reclaim_freq + N × H` plus the retiring threads' open fill bins. Every
+//! alias is monomorphized: no dispatch.
 
 // The kind and publisher traits are crate-internal; the five aliases are
 // the public surface.
@@ -65,8 +67,8 @@ use pop_runtime::signal::register_publisher;
 use pop_runtime::PublisherHandle;
 
 use crate::base::{
-    free_era_unreserved_with_stalled, free_unreserved, push_retired, DomainBase, ReclaimScratch,
-    RetireList, RetireSlot, ScratchSlot, Verdict,
+    free_era_unreserved_with_stalled, free_unreserved, node_count, push_retired, DomainBase,
+    ReclaimScratch, RetireList, RetireSlot, ScratchSlot, Verdict,
 };
 use crate::config::{PublishMode, SmrConfig};
 use crate::header::{unmark_word, Retired};
@@ -108,7 +110,8 @@ pub(crate) trait Kind: Send + Sync + 'static {
     /// and on every retire tick.
     fn advance(&self) {}
 
-    /// Frees what `scratch.reserved` leaves unprotected in `list`;
+    /// Frees what `scratch.reserved` leaves unprotected in the blocks the
+    /// pass took (`scratch.taken`), recycling emptied boxes into `list`;
     /// returns the number freed.
     ///
     /// # Safety
@@ -237,10 +240,11 @@ impl Kind for Ptr {
         list: &mut RetireList,
         scratch: &mut ReclaimScratch,
     ) -> usize {
-        base.stats.shard(tid).observe_retire_len(list.len());
+        let taken = &mut scratch.taken;
+        base.stats.shard(tid).observe_retire_len(node_count(taken));
         // SAFETY: forwarded contract — `reserved` names every pointer a
         // reader may still dereference.
-        unsafe { free_unreserved(base, tid, list, &scratch.reserved) }
+        unsafe { free_unreserved(base, tid, list, taken, &scratch.reserved) }
     }
 }
 
@@ -308,16 +312,19 @@ impl Kind for Era {
             (scratch.active.as_slice(), bt, bw)
         });
         // Ladder rung 3 unwind: blocks parked on an era the blocker no
-        // longer shows (or a reaped blocker) rejoin the list and are
-        // re-filtered against the full union below. Unlike an orphan steal
-        // this may follow the scan: a parked block was retired before an
-        // earlier pass, so every node in it was unlinked before this one.
-        base.reclaim_released_quarantine(tid, list, |t, w| publish.holds(t, w));
-        base.stats.shard(tid).observe_retire_len(list.len());
+        // longer shows (or a reaped blocker) join the pass and are
+        // re-filtered against the full union below. Unlike the pool take
+        // this may follow the scan: a parked block was taken by an earlier
+        // pass, so every node in it was unlinked before this one.
+        let taken = &mut scratch.taken;
+        base.reclaim_released_quarantine(tid, taken, |t, w| publish.holds(t, w));
+        base.stats.shard(tid).observe_retire_len(node_count(taken));
         // SAFETY: forwarded contract — a node whose lifespan misses every
         // reserved era is unreachable. The active split never frees:
         // blocks pinned only by the stalled blocker's eras are parked.
-        unsafe { free_era_unreserved_with_stalled(base, tid, list, &scratch.reserved, active) }
+        unsafe {
+            free_era_unreserved_with_stalled(base, tid, list, taken, &scratch.reserved, active)
+        }
     }
 
     fn current_era(&self) -> u64 {
@@ -526,8 +533,9 @@ impl<const ASYM: bool> Drop for Pop<ASYM> {
     }
 }
 
-/// The body of a reservation pass after the kind's `advance`: make every
-/// reservation visible and reap, collect, free; returns the number freed.
+/// The body of a reservation pass after its take and the kind's
+/// `advance`: make every reservation visible and reap, collect, free what
+/// the pass took (`scratch.taken`); returns the number freed.
 /// Allocation-free in steady state: every buffer comes from `scratch`.
 /// Also EpochPOP's escalation (`schemes::epoch`), with [`Ptr`] and
 /// [`Ping`].
@@ -553,23 +561,24 @@ pub(crate) fn publish_and_free<'a, K: Kind, P: Publish>(
 }
 
 impl<K: Kind, P: Publish> Hazard<K, P> {
-    /// One reclamation pass: steal orphans, advance (eras), then
-    /// [`publish_and_free`].
+    /// One reclamation pass: take the retire pool, advance (eras), then
+    /// [`publish_and_free`], and put the survivors back.
     fn pass(&self, tid: usize) {
-        // Steal first: a block stolen after the publish and scan could
-        // hold a node its owner unlinked after them, reserved unseen.
-        // SAFETY: tid ownership; the borrow ends with the call.
-        self.base
-            .steal_orphan_chunk(tid, unsafe { self.threads[tid].retire.get() });
-        self.kind.advance();
         // SAFETY: tid ownership per the registration contract.
         let scratch = unsafe { self.threads[tid].scratch.get() };
+        // Take first: a block taken after the publish and scan could hold
+        // a node its sealer unlinked after them, reserved unseen.
+        // SAFETY: tid ownership; the borrow ends with the call.
+        let list = unsafe { self.threads[tid].retire.get() };
+        self.base.take(tid, list, &mut scratch.taken);
+        self.kind.advance();
         publish_and_free(&self.kind, &self.publish, &self.base, tid, scratch, |t| {
             // SAFETY: `tid`'s own list by ownership; a dead peer's after
             // `reap_one_dead` established exclusivity (won reap CAS +
             // registry-confirmed death of the owner).
             unsafe { self.threads[t].retire.get() }
         });
+        self.base.put_back(tid, &mut scratch.taken);
     }
 }
 
@@ -611,9 +620,6 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
     fn register_raw(&self, tid: usize) {
         self.base.claim(tid);
         self.publish.register(tid);
-        // SAFETY: tid was just claimed; this thread owns the slot.
-        let list = unsafe { self.threads[tid].retire.get() };
-        self.base.adopt_orphan_chunk(tid, list);
     }
 
     fn unregister(&self, tid: usize) {

@@ -5,8 +5,9 @@
 //! Readers pay one fetch-and-add on a shared word at operation entry and
 //! one at exit — the family's signature cost profile (no per-read work, but
 //! op-boundary contention on shared counters, unlike EBR's per-thread
-//! announcements). Retired nodes are sealed into *batches* pushed onto a
-//! global list; a batch carries a reference count equal to the number of
+//! announcements). A pass (every `reclaim_freq` retires domain-wide) takes
+//! the domain's retire pool and pushes it as one *batch* onto a global
+//! list; a batch carries a reference count equal to the number of
 //! readers active at push time, and each such reader decrements it on exit.
 //! Whoever brings the count to zero frees the whole batch — reclamation is
 //! fully asynchronous (no reclaimer ever waits).
@@ -38,7 +39,7 @@ use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 
-use crate::base::{push_retired, seal_and_account, DomainBase, RetireSlot, Verdict};
+use crate::base::{node_count, push_retired, DomainBase, RetireSlot, Verdict};
 use crate::config::SmrConfig;
 use crate::header::{RetireBatch, Retired};
 use crate::smr::{ReadResult, Smr};
@@ -56,7 +57,7 @@ struct Batch {
     refs: AtomicI64,
     /// Arena index of the next-older batch (0 = end of list).
     next_idx: u32,
-    /// Sealed blocks from the pusher's batched retire list — Hyaline's
+    /// Sealed blocks the pusher took from the retire pool — Hyaline's
     /// historical node `Vec` replaced by the shared block pipeline, so
     /// retirement and settlement both work block-at-a-time (boxed on
     /// purpose: blocks travel as single pointers).
@@ -128,17 +129,21 @@ impl Hyaline {
         }
     }
 
-    /// Seals the caller's retire list into a batch and publishes it.
+    /// Takes the retire pool and the caller's open fill bins as one batch
+    /// and publishes it. Every taken node was unlinked before the take, so
+    /// before the push: the readers the push counts cover them all.
     fn seal_and_push(&self, tid: usize) {
         // SAFETY: tid ownership per the registration contract.
         let list = unsafe { self.threads[tid].retire.get() };
-        self.base.stats.shard(tid).observe_retire_len(list.len());
-        // Seal (and account) the partial fill block so the batch carries
-        // every retired node.
-        seal_and_account(&self.base, tid, list);
-        if list.is_empty() {
+        let mut blocks = Vec::new();
+        self.base.take(tid, list, &mut blocks);
+        if blocks.is_empty() {
             return;
         }
+        self.base
+            .stats
+            .shard(tid)
+            .observe_retire_len(node_count(&blocks));
         let idx = self.next_free_idx.fetch_add(1, Ordering::Relaxed);
         assert!(
             (idx as usize) < ARENA_CAP,
@@ -148,7 +153,7 @@ impl Hyaline {
         let batch = Box::into_raw(Box::new(Batch {
             refs: AtomicI64::new(BIAS),
             next_idx: 0,
-            blocks: list.take_blocks(),
+            blocks,
         }));
         self.arena[idx as usize].store(batch, Ordering::Release);
         loop {

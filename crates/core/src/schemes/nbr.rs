@@ -24,10 +24,14 @@
 //! 1712.01044). The original's handler jumps the reader out of whatever
 //! it is doing; here the flag waits for the reader's next checkpoint. A
 //! reader blocked inside an operation (parked in a syscall, descheduled
-//! for good) never reaches one, so every pass waits out
-//! `publish_deadline_ns` and frees nothing until it leaves: its retirers'
-//! garbage grows without bound. A reader that keeps reading restarts at
-//! its next `protect` and unpins.
+//! for good) never reaches one, so passes free nothing until it leaves:
+//! the domain's garbage grows without bound. The first pass that meets
+//! such a reader waits out `publish_deadline_ns` and records the reader's
+//! `(op_seq, restart_seq)`; later passes that find both unchanged still
+//! neutralize and ping it but skip the wait, freeing nothing as the
+//! deadline would have, so a stuck episode costs one deadline, not one per
+//! pass. A reader that keeps reading restarts at its next `protect` and
+//! unpins.
 //!
 //! Registration, ping dispatch, the phase-2 wait and the reaper are
 //! publish-on-ping's peer table (`pop_shared::Peers`): NBR+ differs from
@@ -42,7 +46,9 @@ use crossbeam_utils::CachePadded;
 use pop_runtime::signal::register_publisher;
 use pop_runtime::{PingOutcome, Publisher, PublisherHandle};
 
-use crate::base::{free_unreserved, push_retired, DomainBase, RetireSlot, ScratchSlot, Verdict};
+use crate::base::{
+    free_unreserved, node_count, push_retired, DomainBase, RetireSlot, ScratchSlot, Verdict,
+};
 use crate::config::SmrConfig;
 use crate::header::{unmark_word, Header, Retired};
 use crate::pop_shared::{zeroed, Peers};
@@ -76,6 +82,11 @@ struct NbrShared {
     /// Operation sequence numbers (bumped each `begin_op`): a change proves
     /// the thread went quiescent — equivalent to a restart for safety.
     op_seq: Box<[CachePadded<AtomicU64>]>,
+    /// `(op_seq, restart_seq)` of a peer a pass timed out on (module
+    /// docs); `op_seq` 0 names no operation, so zero is "no record". A
+    /// hint shared by every reclaimer: a stale or torn record only skips
+    /// a wait in a pass that then frees nothing.
+    stuck: Box<[CachePadded<[AtomicU64; 2]>]>,
     stats: Arc<DomainStats>,
 }
 
@@ -91,6 +102,7 @@ impl NbrShared {
             in_write: zeroed(n),
             restart_seq: zeroed(n),
             op_seq: zeroed(n),
+            stuck: zeroed(n),
             stats: Arc::clone(&base.stats),
         }))
     }
@@ -109,6 +121,28 @@ impl NbrShared {
             || self.in_write[t].load(Ordering::Acquire) // reservations honored
             || self.restart_seq[t].load(Ordering::Acquire) > seq0 // acked restart
             || self.op_seq[t].load(Ordering::Acquire) != ops0 // fresh operation
+    }
+
+    /// Whether peer `t` still shows the snapshot `(ops0, seq0)` a pass timed
+    /// out on. Any movement clears the record.
+    fn still_stuck(&self, t: usize, seq0: u64, ops0: u64) -> bool {
+        let [ops, seq] = &*self.stuck[t];
+        let rec = ops.load(Ordering::Relaxed);
+        if rec == 0 {
+            return false;
+        }
+        if rec == ops0 && seq.load(Ordering::Relaxed) == seq0 {
+            return true;
+        }
+        ops.store(0, Ordering::Relaxed);
+        false
+    }
+
+    /// Records that a pass timed out on peer `t` at `(ops0, seq0)`.
+    fn note_stuck(&self, t: usize, seq0: u64, ops0: u64) {
+        let [ops, seq] = &*self.stuck[t];
+        seq.store(seq0, Ordering::Relaxed);
+        ops.store(ops0, Ordering::Relaxed);
     }
 
     /// Reaper-side `unregister` for a participant whose thread died inside
@@ -179,19 +213,20 @@ impl NbrPlus {
         let sh = self.shared;
         let shard = self.base.stats.shard(tid);
         shard.pop_passes.fetch_add(1, Ordering::Relaxed);
-        // Steal before phase 1: a block orphaned after the neutralization
+        // SAFETY: tid ownership per the registration contract.
+        let scratch = unsafe { self.threads[tid].scratch.get() };
+        // Take before phase 1: a block pooled after the neutralization
         // could hold a node a peer read after it.
-        // SAFETY: tid ownership; the borrow ends with the call.
-        self.base
-            .steal_orphan_chunk(tid, unsafe { self.threads[tid].retire.get() });
+        // SAFETY: tid ownership; the reap below borrows only a dead
+        // peer's list, never this one.
+        let list = unsafe { self.threads[tid].retire.get() };
+        self.base.take(tid, list, &mut scratch.taken);
         fence(Ordering::SeqCst);
 
         // Phase 1: snapshot progress counters, then request neutralization.
         // All buffers come from this thread's reusable scratch — the pass
         // allocates nothing in steady state.
         const SKIP: u64 = u64::MAX;
-        // SAFETY: tid ownership per the registration contract.
-        let scratch = unsafe { self.threads[tid].scratch.get() };
         let seq0 = &mut scratch.counters;
         let ops0 = &mut scratch.op_counters;
         seq0.clear();
@@ -246,15 +281,26 @@ impl NbrPlus {
         // deadline the laggard could not be neutralized; the pass degrades
         // conservatively — phase 3 frees nothing and every retiree is kept
         // for a later pass (correct-by-keep) — and a registry probe arms
-        // the reaper if the laggard's thread is actually dead.
+        // the reaper if the laggard's thread is actually dead. A peer some
+        // pass already timed out on, unmoved since, is not waited for
+        // again: the pass frees nothing, as the deadline would have.
         let mut deadline = None;
         let mut timeouts = 0u64;
+        let mut stuck = false;
         for (t, (&s0, &o0)) in seq0.iter().zip(ops0.iter()).enumerate() {
-            if s0 != SKIP
-                && !sh
-                    .peers
-                    .wait(t, &mut deadline, || sh.phase2_satisfied(t, s0, o0))
+            if s0 == SKIP {
+                continue;
+            }
+            if sh.still_stuck(t, s0, o0) {
+                // Probe as the expired wait would have, so a stuck peer
+                // that dies is still reaped.
+                sh.peers.note_dead_if_confirmed(t);
+                stuck = true;
+            } else if !sh
+                .peers
+                .wait(t, &mut deadline, || sh.phase2_satisfied(t, s0, o0))
             {
+                sh.note_stuck(t, s0, o0);
                 timeouts += 1;
             }
         }
@@ -276,20 +322,14 @@ impl NbrPlus {
             |t| unsafe { self.threads[t].retire.get() },
         );
 
-        // SAFETY: tid ownership per the registration contract.
-        let list = unsafe { self.threads[tid].retire.get() };
+        shard.observe_retire_len(node_count(&scratch.taken));
         // Phase 3: honor write-phase reservations, free the rest. A
         // timed-out phase 2 proves nothing about the laggard's read-phase
-        // pointers, so the pass frees NOTHING — the retire list simply
-        // rides to the next pass (by which point the reaper has removed a
-        // dead laggard, or a live one has caught up).
-        if timeouts > 0 {
-            // Keep the retired-node accounting truthful: a normal pass
-            // seals partial batches inside its sweep; a timed-out pass
-            // must seal explicitly or everything kept this round would be
-            // invisible to `unreclaimed_nodes`.
-            crate::base::seal_and_account(&self.base, tid, list);
-            shard.observe_retire_len(list.len());
+        // pointers, so the pass frees NOTHING — what it took goes back to
+        // the pool for a later pass (by which point the reaper has removed
+        // a dead laggard, or a live one has caught up).
+        if timeouts > 0 || stuck {
+            self.base.put_back(tid, &mut scratch.taken);
             return;
         }
         let reserved = &mut scratch.reserved;
@@ -306,10 +346,10 @@ impl NbrPlus {
         }
         reserved.sort_unstable();
         reserved.dedup();
-        shard.observe_retire_len(list.len());
         // SAFETY: phase 2 established no peer holds an unreserved pointer
-        // to our (already unlinked) retirees.
-        unsafe { free_unreserved(&self.base, tid, list, reserved) };
+        // to the (already unlinked) retirees this pass took.
+        unsafe { free_unreserved(&self.base, tid, list, &mut scratch.taken, reserved) };
+        self.base.put_back(tid, &mut scratch.taken);
     }
 }
 
@@ -357,9 +397,6 @@ impl Smr for NbrPlus {
 
     fn register_raw(&self, tid: usize) {
         self.base.claim(tid);
-        // SAFETY: tid was just claimed; this thread owns the slot.
-        let list = unsafe { self.threads[tid].retire.get() };
-        self.base.adopt_orphan_chunk(tid, list);
     }
 
     fn unregister(&self, tid: usize) {
@@ -759,12 +796,17 @@ mod tests {
     #[test]
     fn blocked_reader_pins_everything_within_the_deadline() {
         // A real reader blocked in `recv()` inside an operation: the
-        // neutralize signal lands, but nothing consumes the flag, so every
-        // pass times out at the deadline and frees nothing. Once the
-        // reader leaves, one flush drains everything.
-        const DEADLINE_NS: u64 = 5_000_000;
+        // neutralize signal lands, but nothing consumes the flag, so no
+        // pass frees anything. The first pass waits out the deadline; the
+        // other 39 find the reader unmoved and skip the wait, so the 40
+        // take well under two deadlines in all. Once the reader leaves,
+        // one flush drains everything.
+        const DEADLINE_NS: u64 = 50_000_000;
+        const PASSES: u64 = 40;
         let smr = NbrPlus::new(
             SmrConfig::for_tests(2)
+                .with_reclaim_freq(16)
+                .with_retire_batch(1)
                 .with_publish_spin(8)
                 .with_publish_deadline_ns(DEADLINE_NS),
         );
@@ -785,9 +827,11 @@ mod tests {
             }
         });
         ready_rx.recv().unwrap();
-        let retires = 4 * smr.config().reclaim_freq as u64;
+        let retires = PASSES * smr.config().reclaim_freq as u64;
+        let deadline = std::time::Duration::from_nanos(DEADLINE_NS);
         let slack = std::time::Duration::from_millis(250);
         let mut slowest = std::time::Duration::ZERO;
+        let start = std::time::Instant::now();
         for i in 0..retires {
             smr.begin_op(0);
             smr.begin_write(0, &[]).unwrap();
@@ -798,17 +842,24 @@ mod tests {
             smr.end_write(0);
             smr.end_op(0);
         }
+        let total = start.elapsed();
         let s = smr.stats().snapshot();
-        assert!(
-            s.pop_passes >= 1 && s.publish_wait_timeouts == s.pop_passes,
-            "every pass timed out: {s:?}"
+        assert_eq!(s.pop_passes, PASSES, "one pass per reclaim_freq retires");
+        assert_eq!(
+            s.publish_wait_timeouts, 1,
+            "one timeout per stuck episode: {s:?}"
         );
+        assert!(s.pings_sent >= PASSES, "every pass still pings: {s:?}");
         assert_eq!(
             s.freed_nodes, 0,
             "nothing freed past the blocked reader: {s:?}"
         );
         assert!(
-            slowest <= std::time::Duration::from_nanos(DEADLINE_NS) + slack,
+            total < 2 * deadline,
+            "{PASSES} passes took {total:?}, not under two {deadline:?} deadlines"
+        );
+        assert!(
+            slowest <= deadline + slack,
             "a pass took {slowest:?}, over the {DEADLINE_NS} ns deadline plus slack"
         );
         go_tx.send(()).unwrap();

@@ -6,15 +6,15 @@
 //!
 //! NR still retires through the shared batch pipeline: nodes fill a block,
 //! the seal runs the amortized accounting, and the sealed block is then
-//! *abandoned* (its records leaked, its box recycled) — so even the leak
-//! baseline pays only one stats RMW per batch.
+//! *abandoned* (its records leaked, its box recycled) instead of pooled —
+//! so even the leak baseline pays only one stats RMW per batch.
 
 use core::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 
-use crate::base::{account_seal, seal_and_account, DomainBase, RetireSlot};
+use crate::base::{account_seal, seal_and_account, DomainBase, RetireSlot, SealOutcome};
 use crate::config::SmrConfig;
 use crate::header::Retired;
 use crate::smr::{ReadResult, Smr};
@@ -72,20 +72,24 @@ impl Smr for NoReclaim {
     unsafe fn retire(&self, tid: usize, retired: Retired) {
         // SAFETY: tid ownership.
         let list = unsafe { self.threads[tid].get() };
-        if let Some(outcome) = list.push(retired) {
-            account_seal(&self.base, tid, outcome);
+        if let Some(block) = list.push(retired) {
+            let nodes = block.len();
+            account_seal(&self.base, tid, SealOutcome { nodes, blocks: 1 });
             // Deliberate leak: NR never frees. `Retired` has no Drop impl,
             // so abandoning the sealed records leaks the allocations while
             // the block box recycles into the fill pool.
-            list.leak_sealed_blocks();
+            list.leak(block);
         }
     }
 
     fn flush(&self, tid: usize) {
         // SAFETY: tid ownership (flush runs on the owning thread).
         let list = unsafe { self.threads[tid].get() };
-        seal_and_account(&self.base, tid, list);
-        list.leak_sealed_blocks();
+        let mut sealed = Vec::new();
+        seal_and_account(&self.base, tid, list, |b| sealed.push(b));
+        for b in sealed {
+            list.leak(b);
+        }
     }
 }
 

@@ -109,8 +109,9 @@ pub trait Smr: Send + Sync + Sized + 'static {
     /// [`Smr::register`], which also handles signal registration.
     fn register_raw(&self, tid: usize);
 
-    /// Releases `tid`: flushes the retire list (reclaiming what it can,
-    /// orphaning the rest to the domain) and clears reservations.
+    /// Releases `tid`: runs a final pass (reclaiming what it can; the rest
+    /// stays in the domain's retire pool), seals its open fill bins into
+    /// the pool and clears reservations.
     fn unregister(&self, tid: usize);
 
     /// Operation prologue (epoch announcement for EBR-family schemes).
@@ -225,8 +226,9 @@ pub trait Smr: Send + Sync + Sized + 'static {
         shard.allocated_bytes.fetch_sub(bytes as u64, Relaxed);
     }
 
-    /// Aggressively attempts to reclaim `tid`'s retire list regardless of
-    /// thresholds (shutdown and tests).
+    /// Runs a reclamation pass as `tid` regardless of thresholds (shutdown
+    /// and tests): it seals `tid`'s open fill bins and takes every sealed
+    /// block in the domain.
     fn flush(&self, tid: usize);
 }
 

@@ -67,11 +67,6 @@ pub struct ShardStats {
     /// Sealed blocks retained whole by the sweep fast path (every member
     /// survived; no records moved).
     pub blocks_kept_whole: AtomicU64,
-    /// Orphaned nodes adopted from the domain list at registration.
-    pub orphans_adopted: AtomicU64,
-    /// Orphaned nodes stolen by reclaimer passes (sweep-time adoption,
-    /// which drains orphans even on static thread memberships).
-    pub orphans_stolen: AtomicU64,
     /// Signals sent by reclaimers (`pingAllToPublish`).
     pub pings_sent: AtomicU64,
     /// Pings elided because the target was provably quiescent with empty
@@ -86,7 +81,8 @@ pub struct ShardStats {
     pub pop_passes: AtomicU64,
     /// Operation restarts forced by neutralization (NBR).
     pub restarts: AtomicU64,
-    /// High-water mark of this thread's retire-list length.
+    /// High-water mark of the nodes one of this thread's passes took
+    /// from the retire pool (its own open fill bins included).
     pub max_retire_len: AtomicU64,
     /// Asymmetric heavy barriers executed via `membarrier(2)`: one per
     /// pass of the POP membarrier publish mode, which the `HPAsym` baseline
@@ -109,7 +105,7 @@ pub struct ShardStats {
     /// errored) — the peer was skipped, never waited on.
     pub pings_failed: AtomicU64,
     /// Dead participants reaped: registration slot recovered and their
-    /// pending retirements orphaned for adoption.
+    /// open fill bins sealed into the retire pool.
     pub participants_reaped: AtomicU64,
     /// Faults injected on this domain's publish paths (the `PublishDelay`
     /// site; always 0 without the `fault-injection` feature).
@@ -124,7 +120,7 @@ pub struct ShardStats {
     /// Sealed blocks moved into the stalled-reader quarantine (provably
     /// pinned only by a known-stalled participant).
     pub blocks_quarantined: AtomicU64,
-    /// Quarantined blocks released back into a retire list (their blocker
+    /// Quarantined blocks released back into a pass (their blocker
     /// advanced, went quiescent, or was reaped).
     pub blocks_unquarantined: AtomicU64,
     /// Recycled retire-batch boxes returned to the allocator by free-pool
@@ -146,8 +142,8 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Records a retire-list length observation (reclamation events only,
-    /// so the `fetch_max` stays off the per-operation path).
+    /// Records how many nodes a pass took (reclamation events only, so the
+    /// `fetch_max` stays off the per-operation path).
     pub fn observe_retire_len(&self, len: usize) {
         self.max_retire_len.fetch_max(len as u64, Ordering::Relaxed);
     }
@@ -265,12 +261,6 @@ impl DomainStats {
             out.blocks_kept_whole = out
                 .blocks_kept_whole
                 .wrapping_add(s.blocks_kept_whole.load(Ordering::Relaxed));
-            out.orphans_adopted = out
-                .orphans_adopted
-                .wrapping_add(s.orphans_adopted.load(Ordering::Relaxed));
-            out.orphans_stolen = out
-                .orphans_stolen
-                .wrapping_add(s.orphans_stolen.load(Ordering::Relaxed));
             out.pings_sent = out
                 .pings_sent
                 .wrapping_add(s.pings_sent.load(Ordering::Relaxed));
@@ -367,10 +357,6 @@ pub struct StatsSnapshot {
     pub blocks_freed_whole: u64,
     /// See [`ShardStats::blocks_kept_whole`].
     pub blocks_kept_whole: u64,
-    /// See [`ShardStats::orphans_adopted`].
-    pub orphans_adopted: u64,
-    /// See [`ShardStats::orphans_stolen`].
-    pub orphans_stolen: u64,
     /// See [`ShardStats::pings_sent`].
     pub pings_sent: u64,
     /// See [`ShardStats::pings_skipped`].

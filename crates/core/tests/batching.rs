@@ -2,8 +2,8 @@
 //! epoch clock.
 //!
 //! * Partial batches are sealed (and accounted) on `unregister` — nothing
-//!   is leaked, and the conservation law `retired == freed` holds once the
-//!   orphan is adopted and reclaimed by a later registrant.
+//!   is leaked, and the conservation law `retired == freed` holds once a
+//!   later pass takes the pooled remainder and reclaims it.
 //! * Block-granular sweeps free exactly what a per-node (`retire_batch 1`)
 //!   configuration frees — same survivors, same totals.
 //! * EBR / EpochPOP / IBR never write the shared epoch word from the op
@@ -35,12 +35,12 @@ fn alloc<S: Smr>(smr: &S, tid: usize, v: u64) -> *mut N {
 }
 
 #[test]
-fn unregister_seals_partial_batch_and_adoption_reclaims_it() {
+fn unregister_seals_partial_batch_and_a_later_pass_reclaims_it() {
     // Thread 0 retires a sub-batch amount (nothing sealed yet) while
     // thread 1 holds a reservation pinning one node, then unregisters:
     // the partial batch must be sealed (accounted) and the pinned node
-    // orphaned — never leaked. A later registrant adopts the orphan and
-    // frees it once the reservation clears.
+    // left in the retire pool — never leaked. A later registrant's pass
+    // takes it and frees it once the reservation clears.
     // Batch pinned: this test needs the retires to stay unsealed until
     // unregister, which the POP_RETIRE_BATCH=1 fallback leg would defeat.
     let smr = HazardPtr::new(
@@ -66,28 +66,23 @@ fn unregister_seals_partial_batch_and_adoption_reclaims_it() {
         0,
         "sub-batch retires are unaccounted until a seal point"
     );
-    drop(reg0); // unregister: flush + seal partial + orphan leftovers
+    drop(reg0); // unregister: flush + seal partial bins into the pool
     let s = smr.stats().snapshot();
     assert_eq!(s.retired_nodes, 10, "unregister sealed the partial batch");
     assert_eq!(
         s.freed_nodes, 9,
         "everything unreserved freed on the way out"
     );
-    assert_eq!(s.unreclaimed_nodes(), 1, "the pinned node is orphaned");
+    assert_eq!(s.unreclaimed_nodes(), 1, "the pinned node stays pooled");
     // One partial block per fill bin the ten nodes' addresses touched.
     assert!(s.batches_sealed >= 1, "the partial fill was sealed: {s:?}");
 
-    // Release the reservation; a joining thread adopts and reclaims.
+    // Release the reservation; a joining thread's pass reclaims.
     smr.end_op(1);
     let reg0 = smr.register(0);
-    assert_eq!(
-        smr.stats().snapshot().orphans_adopted,
-        1,
-        "registration adopts the orphan chunk"
-    );
     smr.flush(0);
     let s = smr.stats().snapshot();
-    assert_eq!(s.retired_nodes, 10, "adoption never recounts retires");
+    assert_eq!(s.retired_nodes, 10, "the pool never recounts retires");
     assert_eq!(s.freed_nodes, 10, "conservation: all retired nodes freed");
     drop(reg0);
     drop(reg1);

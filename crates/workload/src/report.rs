@@ -47,8 +47,6 @@ pub struct RunRecord {
     pub batches_sealed: u64,
     /// Adaptive controller: epoch-cadence decay deepenings observed.
     pub epoch_decay_steps: u64,
-    /// Orphans stolen by reclaimer passes (sweep-time adoption).
-    pub orphans_stolen: u64,
     /// NBR restarts observed.
     pub restarts: u64,
     /// Publish-wait watchdog expiries (passes that gave up waiting on a
@@ -87,12 +85,12 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// CSV header matching [`RunRecord::csv_row`].
-    pub const CSV_HEADER: &'static str = "figure,ds,scheme,threads,key_range,ops,read_ops,update_ops,seconds,throughput_mops,read_mops,max_retire_len,peak_live_bytes,unreclaimed_nodes,pings_sent,pings_skipped,membarrier_passes,signals_avoided,batches_sealed,epoch_decay_steps,orphans_stolen,restarts,publish_wait_timeouts,pings_failed,participants_reaped,faults_injected,pressure_soft_trips,pressure_hard_trips,pressure_emergency_trips,blocks_quarantined,blocks_unquarantined,pool_blocks_trimmed,slab_allocs,slab_frees_whole,version_aborts,slab_released_bytes";
+    pub const CSV_HEADER: &'static str = "figure,ds,scheme,threads,key_range,ops,read_ops,update_ops,seconds,throughput_mops,read_mops,max_retire_len,peak_live_bytes,unreclaimed_nodes,pings_sent,pings_skipped,membarrier_passes,signals_avoided,batches_sealed,epoch_decay_steps,restarts,publish_wait_timeouts,pings_failed,participants_reaped,faults_injected,pressure_soft_trips,pressure_hard_trips,pressure_emergency_trips,blocks_quarantined,blocks_unquarantined,pool_blocks_trimmed,slab_allocs,slab_frees_whole,version_aborts,slab_released_bytes";
 
     /// Serializes this record as a CSV row tagged with `figure`.
     pub fn csv_row(&self, figure: &str) -> String {
         format!(
-            "{figure},{},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{figure},{},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.ds,
             self.scheme,
             self.threads,
@@ -112,7 +110,6 @@ impl RunRecord {
             self.signals_avoided,
             self.batches_sealed,
             self.epoch_decay_steps,
-            self.orphans_stolen,
             self.restarts,
             self.publish_wait_timeouts,
             self.pings_failed,
@@ -208,7 +205,6 @@ mod tests {
             signals_avoided: 21,
             batches_sealed: 4,
             epoch_decay_steps: 1,
-            orphans_stolen: 0,
             restarts: 0,
             publish_wait_timeouts: 1,
             pings_failed: 1,

@@ -1,21 +1,24 @@
 //! The sealed-block lifecycle, end to end, for every reclamation scheme:
-//! fill → seal → orphan (a thread dies with pinned garbage) → adopt /
-//! steal (block-granular, extrema intact) → sweep.
+//! fill → seal → retire pool (a thread leaves with pinned garbage) →
+//! another thread's pass takes it (block-granular, extrema intact) →
+//! sweep.
 //!
-//! Two invariant families are pinned down (ISSUE 4):
+//! Three invariant families are pinned down:
 //!
 //! * **Node conservation** — every allocated node is eventually freed,
-//!   still live, or (for NR) deliberately leaked: nothing is lost across
-//!   the orphan detour, and nothing is double-counted
-//!   (`retired == allocated`, `orphans_adopted + orphans_stolen` never
-//!   exceeds what was parked).
+//!   still live, or (for NR) deliberately leaked: nothing is lost on the
+//!   way through the pool, and nothing is double-counted
+//!   (`retired == allocated`).
+//! * **Cross-thread hand-off** — the pinned remainder of a thread that
+//!   left is freed by a thread that never retired a node: the pool (or
+//!   Hyaline's refcounted batches) hands garbage across threads.
 //! * **Whole-block accounting** — once the pin clears, the drain sweeps
-//!   free the parked blocks *whole* (`blocks_freed_whole` advances): the
+//!   free the pooled blocks *whole* (`blocks_freed_whole` advances): the
 //!   blocks arrived with their summaries, so the range test decides them
 //!   without touching a record — the property that makes block-granular
-//!   orphan parking worth having.
+//!   pooling worth having.
 
-use std::sync::atomic::AtomicPtr;
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use pop::smr::{
@@ -46,12 +49,12 @@ fn alloc<S: Smr>(smr: &S, tid: usize, v: u64) -> *mut Node {
 /// behind.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Expect {
-    /// Frees everything once the pin clears; the pinned remainder travels
-    /// through the domain orphan list.
-    ReclaimsViaOrphans,
+    /// Frees everything once the pin clears; the pinned remainder waits
+    /// in the retire pool and a later pass sweeps it.
+    ReclaimsViaPool,
     /// Frees everything, but settles through its own channel (Hyaline's
-    /// refcounted global batches) — the orphan list stays empty.
-    ReclaimsNoOrphans,
+    /// refcounted global batches), not a sweep.
+    ReclaimsViaBatches,
     /// Leaks by design (NR).
     Leaks,
 }
@@ -61,9 +64,8 @@ const FILLER: u64 = 299; // + 1 pinned hot node = 300 retires
 fn lifecycle<S: Smr>(expect: Expect) {
     let smr = S::new(SmrConfig::for_tests(3).with_reclaim_freq(1 << 16));
 
-    // The thief: registered *before* any orphan exists, so nothing is
-    // handed to it at registration — anything it later reclaims from the
-    // orphan list was stolen by a sweep.
+    // The thief: retires nothing, so anything it reclaims was handed to
+    // it across threads.
     let thief = smr.register(2);
 
     // The pinned node, shared with the pinner thread.
@@ -100,8 +102,8 @@ fn lifecycle<S: Smr>(expect: Expect) {
 
     // Fill: thread 0 retires the hot node plus filler, then dies. Its
     // unregister seals every partial fill bin (nothing may stay
-    // unsealed), reclaims what it can, and parks the pinned remainder on
-    // the orphan list as whole sealed blocks.
+    // unsealed), reclaims what it can, and leaves the pinned remainder in
+    // the retire pool as whole sealed blocks.
     smr.begin_op(0);
     smr.begin_write(0, &[])
         .expect("no restart: nothing pings tid 0");
@@ -122,34 +124,31 @@ fn lifecycle<S: Smr>(expect: Expect) {
         "unregister must seal every partial bin — no node parked unsealed"
     );
     match expect {
-        Expect::ReclaimsViaOrphans => assert!(
+        Expect::ReclaimsViaPool => assert!(
             s.unreclaimed_nodes() >= 1,
             "the pinned node must survive thread 0's death: {s:?}"
         ),
-        Expect::ReclaimsNoOrphans => {}
+        Expect::ReclaimsViaBatches => {}
         Expect::Leaks => {
             assert_eq!(s.freed_nodes, 0, "NR never frees");
         }
     }
+    let freed_by_zero = smr.stats().shard(0).freed_nodes.load(Ordering::Relaxed);
 
     // Baseline before the pin clears: everything freed from here on —
-    // the parked remainder — must go through the whole-block fast path.
+    // the pooled remainder — must go through the whole-block fast path.
     let freed_whole_before = s.blocks_freed_whole;
 
-    // Release the pin; drain through adoption (a fresh registration) and
-    // reclaimer-side stealing (sweeps — the pinner's own unregister flush
-    // may already steal the chunk).
+    // Release the pin; drain through the thief's passes (the pinner's own
+    // unregister flush may already take the pooled remainder).
     release_tx.send(()).unwrap();
     pinner.join().unwrap();
 
-    let adopter = smr.register(0);
     let mut passes = 0;
     while smr.stats().snapshot().unreclaimed_nodes() > 0 && passes < 32 {
-        smr.flush(0);
         smr.flush(2);
         passes += 1;
     }
-    drop(adopter);
     drop(thief);
 
     let s = smr.stats().snapshot();
@@ -181,12 +180,14 @@ fn lifecycle<S: Smr>(expect: Expect) {
         s.slab_allocs, total,
         "every allocation takes the slab path: {s:?}"
     );
+    if expect != Expect::Leaks {
+        assert!(
+            s.freed_nodes > freed_by_zero,
+            "a thread that never retired must free the pinned remainder: {s:?}"
+        );
+    }
     match expect {
-        Expect::ReclaimsViaOrphans => {
-            assert!(
-                s.orphans_adopted + s.orphans_stolen >= 1,
-                "the pinned remainder must travel through the orphan list: {s:?}"
-            );
+        Expect::ReclaimsViaPool => {
             assert!(
                 s.blocks_freed_whole > freed_whole_before,
                 "parked blocks must be freed whole from their surviving \
@@ -201,16 +202,7 @@ fn lifecycle<S: Smr>(expect: Expect) {
                  their slab: {s:?}"
             );
         }
-        Expect::ReclaimsNoOrphans => {
-            assert_eq!(
-                s.orphans_adopted + s.orphans_stolen,
-                0,
-                "Hyaline settles through refcounted batches, not orphans"
-            );
-        }
-        Expect::Leaks => {
-            assert_eq!(s.orphans_adopted + s.orphans_stolen, 0);
-        }
+        Expect::ReclaimsViaBatches | Expect::Leaks => {}
     }
 }
 
@@ -242,7 +234,7 @@ fn slab_fills_seal_monotone_blocks_across_threads() {
     for h in handles {
         h.join().expect("fill worker panicked");
     }
-    // Drain the orphaned lists so the test conserves every node.
+    // Drain the pool so the test conserves every node.
     let reg = smr.register(THREADS);
     let mut passes = 0;
     while smr.stats().snapshot().unreclaimed_nodes() > 0 && passes < 64 {
@@ -317,15 +309,15 @@ macro_rules! lifecycle_tests {
 
 lifecycle_tests! {
     nr: NoReclaim => Expect::Leaks,
-    ebr: Ebr => Expect::ReclaimsViaOrphans,
-    ibr: Ibr => Expect::ReclaimsViaOrphans,
-    hp: HazardPtr => Expect::ReclaimsViaOrphans,
-    hp_asym: HazardPtrAsym => Expect::ReclaimsViaOrphans,
-    he: HazardEra => Expect::ReclaimsViaOrphans,
-    nbr_plus: NbrPlus => Expect::ReclaimsViaOrphans,
-    hazard_ptr_pop: HazardPtrPop => Expect::ReclaimsViaOrphans,
-    hazard_era_pop: HazardEraPop => Expect::ReclaimsViaOrphans,
-    epoch_pop: EpochPop => Expect::ReclaimsViaOrphans,
-    hyaline: Hyaline => Expect::ReclaimsNoOrphans,
-    vbr: Vbr => Expect::ReclaimsViaOrphans,
+    ebr: Ebr => Expect::ReclaimsViaPool,
+    ibr: Ibr => Expect::ReclaimsViaPool,
+    hp: HazardPtr => Expect::ReclaimsViaPool,
+    hp_asym: HazardPtrAsym => Expect::ReclaimsViaPool,
+    he: HazardEra => Expect::ReclaimsViaPool,
+    nbr_plus: NbrPlus => Expect::ReclaimsViaPool,
+    hazard_ptr_pop: HazardPtrPop => Expect::ReclaimsViaPool,
+    hazard_era_pop: HazardEraPop => Expect::ReclaimsViaPool,
+    epoch_pop: EpochPop => Expect::ReclaimsViaPool,
+    hyaline: Hyaline => Expect::ReclaimsViaBatches,
+    vbr: Vbr => Expect::ReclaimsViaPool,
 }
