@@ -10,15 +10,6 @@
 //!   4 / 16 / 64 busy in-op peers under the signal fan-out (futex waits)
 //!   vs the single-syscall membarrier publish path, plus the
 //!   membarrier-vs-futex speedup per peer count.
-//! * **Idle-domain pass cost** (PR 5): the amortized cost of a
-//!   retire-triggered pass on a domain whose sweeps free nothing (one
-//!   stalled reader pins everything), with the adaptive controller's
-//!   epoch-cadence decay on vs off.
-//! * **Pressure ladder** (bounded-garbage PR): escalation trips, blocks
-//!   quarantined and pool blocks trimmed under a stalled reader with
-//!   tight watermarks, plus the one-flush recovery latency once the
-//!   stall clears — and a parity check that the default watermarks stay
-//!   silent (gauge enabled, zero trips) under quiescent churn.
 //!
 //! * **Matrix smoke** (PR 9): cells of the evaluation matrix — the two
 //!   new structures (skip list, NM tree) under HazardPtrPOP and EBR, plus
@@ -46,13 +37,13 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pop_bench::matrix::{MatrixCell, MatrixMix};
 use pop_bench::{DsId, SchemeId};
 use pop_core::config::PublishMode;
 use pop_core::testing::SweepBench;
-use pop_core::{retire_node, Ebr, HasHeader, HazardPtrPop, Header, Smr, SmrConfig};
+use pop_core::{retire_node, HasHeader, HazardPtrPop, Header, Smr, SmrConfig};
 
 /// The PR that last changed this binary's measurements or the code under
 /// them; written into the artifact so its *name* never has to change.
@@ -64,132 +55,6 @@ struct Node {
     v: u64,
 }
 unsafe impl HasHeader for Node {}
-
-/// Amortized cost (ns) of one retire-*triggered* reclamation pass on an
-/// idle (fully pinned) EBR domain, `(pass_ns, decay_steps)`. A peer
-/// parks in-op so every sweep is barren; with `retire_batch = 1` the
-/// trigger points are deterministic (every `reclaim_freq`-th retire), so
-/// exactly those retire calls are timed — each carries one push + seal
-/// (identical in both configurations) plus the triggered pass, which the
-/// decayed controller thins away.
-fn idle_pass_ns(adaptive: bool, triggers: u32) -> (f64, u64) {
-    const RECLAIM_FREQ: usize = 256;
-    // A wide domain: the per-pass reservation scan walks 64 thread slots,
-    // the cost pool the decay exists to shrink.
-    let smr = Ebr::new(
-        SmrConfig::for_tests(64)
-            .with_reclaim_freq(RECLAIM_FREQ)
-            .with_retire_batch(1)
-            .with_adaptive(adaptive),
-    );
-    let reg0 = smr.register(0);
-    let stop = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = std::sync::mpsc::channel();
-    let pinner = std::thread::spawn({
-        let smr = Arc::clone(&smr);
-        let stop = Arc::clone(&stop);
-        move || {
-            let reg1 = smr.register(1);
-            smr.begin_op(1); // pins the epoch: every sweep is barren
-            tx.send(()).unwrap();
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            smr.end_op(1);
-            drop(reg1);
-        }
-    });
-    rx.recv().unwrap();
-    let mut timed_ns = 0u128;
-    let mut timed = 0u32;
-    for i in 1..=(RECLAIM_FREQ as u64) * triggers as u64 {
-        smr.note_alloc(0, core::mem::size_of::<Node>());
-        let p = Box::into_raw(Box::new(Node {
-            hdr: Header::new(0, core::mem::size_of::<Node>()),
-            v: i,
-        }));
-        if i.is_multiple_of(RECLAIM_FREQ as u64) {
-            let t0 = Instant::now();
-            // SAFETY: never shared; retired exactly once.
-            unsafe { retire_node(&*smr, 0, p) };
-            timed_ns += t0.elapsed().as_nanos();
-            timed += 1;
-        } else {
-            // SAFETY: as above.
-            unsafe { retire_node(&*smr, 0, p) };
-        }
-    }
-    let decay_steps = smr.stats().snapshot().epoch_decay_steps;
-    stop.store(true, Ordering::Release);
-    pinner.join().unwrap();
-    smr.flush(0);
-    assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
-    drop(reg0);
-    (timed_ns as f64 / timed as f64, decay_steps)
-}
-
-/// Pressure-ladder smoke (bounded-garbage PR): a stalled reader pins a
-/// backlog under tight watermarks on an EBR domain. Returns the trip
-/// counts `(soft, hard, emergency)`, the blocks quarantined and pool
-/// blocks trimmed, and the recovery latency — wall ns for the single
-/// flush that drains everything once the stall clears.
-fn pressure_ladder_smoke() -> (u64, u64, u64, u64, u64, f64) {
-    let smr = Ebr::new(
-        SmrConfig::for_tests(2)
-            .with_reclaim_freq(16)
-            .with_retire_batch(1)
-            .with_pressure_watermarks(64, 96, 128)
-            .with_free_pool_cap(4),
-    );
-    let reg0 = smr.register(0);
-    let stop = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = std::sync::mpsc::channel();
-    let pinner = std::thread::spawn({
-        let smr = Arc::clone(&smr);
-        let stop = Arc::clone(&stop);
-        move || {
-            let reg1 = smr.register(1);
-            smr.begin_op(1); // pins the epoch and stalls
-            tx.send(()).unwrap();
-            while !stop.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-            smr.end_op(1);
-            drop(reg1);
-        }
-    });
-    rx.recv().unwrap();
-    for i in 0..1_000u64 {
-        smr.note_alloc(0, core::mem::size_of::<Node>());
-        let p = Box::into_raw(Box::new(Node {
-            hdr: Header::new(0, core::mem::size_of::<Node>()),
-            v: i,
-        }));
-        // SAFETY: never shared; retired exactly once.
-        unsafe { retire_node(&*smr, 0, p) };
-    }
-    smr.flush(0);
-    let s = smr.stats().snapshot();
-    stop.store(true, Ordering::Release);
-    pinner.join().unwrap();
-    let t0 = Instant::now();
-    smr.flush(0);
-    let recovery_ns = t0.elapsed().as_nanos() as f64;
-    assert_eq!(
-        smr.stats().snapshot().unreclaimed_nodes(),
-        0,
-        "pressure ladder must drain within one pass of the stall clearing"
-    );
-    drop(reg0);
-    (
-        s.pressure_soft_trips,
-        s.pressure_hard_trips,
-        s.pressure_emergency_trips,
-        s.blocks_quarantined,
-        s.pool_blocks_trimmed,
-        recovery_ns,
-    )
-}
 
 /// Mean ns per full ping→publish→wake handshake against one busy peer.
 fn wait_wake_ns(iters: u32) -> f64 {
@@ -569,56 +434,6 @@ fn main() {
         .unwrap();
     }
 
-    // PR 5: idle-domain pass cost with the epoch-cadence decay on vs off.
-    // The acceptance bar is a ≥ 2× reduction; the thinned passes usually
-    // land far past it.
-    let triggers = iters.max(48);
-    let (idle_static, _) = idle_pass_ns(false, triggers);
-    let (idle_adaptive, decay_steps) = idle_pass_ns(true, triggers);
-    let idle_speedup = idle_static / idle_adaptive;
-    println!(
-        "idle_pass: static {idle_static:.0} ns/trigger vs adaptive \
-         {idle_adaptive:.0} ns/trigger ({idle_speedup:.2}x, \
-         {decay_steps} decay steps)"
-    );
-
-    // Bounded-garbage PR: the escalation ladder engaged by a stalled
-    // reader under tight watermarks, and the one-flush recovery cost.
-    let (p_soft, p_hard, p_emerg, p_quar, p_trim, p_recovery_ns) = pressure_ladder_smoke();
-    println!(
-        "pressure_ladder: trips soft {p_soft} / hard {p_hard} / emergency \
-         {p_emerg}, {p_quar} blocks quarantined, {p_trim} pool blocks \
-         trimmed, recovery {p_recovery_ns:.0} ns"
-    );
-    // Enabled-untripped parity: under the paper-default watermarks the
-    // gauge must stay silent through quiescent churn, so its presence
-    // costs the measurements above nothing.
-    let untripped = {
-        let smr = Ebr::new(SmrConfig::for_tests(2));
-        let reg0 = smr.register(0);
-        for i in 0..2_048u64 {
-            smr.note_alloc(0, core::mem::size_of::<Node>());
-            let p = Box::into_raw(Box::new(Node {
-                hdr: Header::new(0, core::mem::size_of::<Node>()),
-                v: i,
-            }));
-            // SAFETY: never shared; retired exactly once.
-            unsafe { retire_node(&*smr, 0, p) };
-        }
-        smr.flush(0);
-        let s = smr.stats().snapshot();
-        drop(reg0);
-        s.pressure_soft_trips == 0
-            && s.pressure_hard_trips == 0
-            && s.pressure_emergency_trips == 0
-            && s.blocks_quarantined == 0
-    };
-    assert!(
-        untripped,
-        "default watermarks must not trip under quiescent churn"
-    );
-    println!("pressure_untripped_default: {untripped}");
-
     // PR 10: whole-slab settlement vs the per-node sweep. Acceptance
     // bar: the settle path ≥ 2× faster.
     let (slab_ns, per_node_ns, slab_whole) = slab_settlement(iters);
@@ -665,14 +480,6 @@ fn main() {
          \"wait_wake_ns\": {{\"futex\": {wake_futex:.0}}},\n  \
          \"membarrier_available\": {membarrier_available},\n  \
          \"publish_mode\": [{publish_rows}\n  ],\n  \
-         \"idle_pass\": {{\"static_ns_per_trigger\": {idle_static:.0}, \
-         \"adaptive_ns_per_trigger\": {idle_adaptive:.0}, \
-         \"decay_speedup\": {idle_speedup:.3}, \
-         \"decay_steps\": {decay_steps}}},\n  \
-         \"pressure\": {{\"soft_trips\": {p_soft}, \"hard_trips\": {p_hard}, \
-         \"emergency_trips\": {p_emerg}, \"blocks_quarantined\": {p_quar}, \
-         \"pool_blocks_trimmed\": {p_trim}, \"recovery_ns\": {p_recovery_ns:.0}, \
-         \"untripped_default\": {untripped}}},\n  \
          \"slab_vbr\": {{\"slab_settle_ns_per_node\": {slab_ns:.2}, \
          \"per_node_ns_per_node\": {per_node_ns:.2}, \
          \"settle_speedup\": {slab_speedup:.3}, \

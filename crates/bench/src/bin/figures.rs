@@ -182,17 +182,11 @@ fn run_robustness(opts: &SweepOptions, csv: &Path) {
             membarrier_passes: stats.membarrier_passes,
             signals_avoided: stats.signals_avoided,
             batches_sealed: stats.batches_sealed,
-            epoch_decay_steps: stats.epoch_decay_steps,
             restarts: stats.restarts,
             publish_wait_timeouts: stats.publish_wait_timeouts,
             pings_failed: stats.pings_failed,
             participants_reaped: stats.participants_reaped,
             faults_injected: stats.faults_injected,
-            pressure_soft_trips: stats.pressure_soft_trips,
-            pressure_hard_trips: stats.pressure_hard_trips,
-            pressure_emergency_trips: stats.pressure_emergency_trips,
-            blocks_quarantined: stats.blocks_quarantined,
-            blocks_unquarantined: stats.blocks_unquarantined,
             pool_blocks_trimmed: stats.pool_blocks_trimmed,
             slab_allocs: stats.slab_allocs,
             slab_frees_whole: stats.slab_frees_whole,

@@ -145,17 +145,11 @@ mod tests {
             membarrier_passes: 0,
             signals_avoided: 0,
             batches_sealed: 0,
-            epoch_decay_steps: 0,
             restarts: 0,
             publish_wait_timeouts: 0,
             pings_failed: 0,
             participants_reaped: 0,
             faults_injected: 0,
-            pressure_soft_trips: 0,
-            pressure_hard_trips: 0,
-            pressure_emergency_trips: 0,
-            blocks_quarantined: 0,
-            blocks_unquarantined: 0,
             pool_blocks_trimmed: 0,
             slab_allocs: 0,
             slab_frees_whole: 0,

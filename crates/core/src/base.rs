@@ -45,7 +45,7 @@
 //!    block into its scratch ([`DomainBase::take`]) before it advances a
 //!    clock, makes a reservation visible or scans one.
 //! 4. **Range test** — reservation-filter sweeps ([`free_unreserved`],
-//!    [`free_era_unreserved`], [`free_before_epoch_with_stalled`]) first
+//!    [`free_era_unreserved`], [`free_before_epoch`]) first
 //!    test each block's key extrema against the sorted reserved set: a
 //!    block whose span contains no reserved word is freed whole, and a
 //!    block whose every member is provably pinned is kept whole, *without
@@ -108,7 +108,6 @@ use parking_lot::Mutex;
 
 use crate::config::SmrConfig;
 use crate::header::{RetireBatch, Retired, RETIRE_BATCH_CAP};
-use crate::pressure::{Escalation, PressureRung, StallTracker, HARD_RETRY_LIMIT};
 use crate::slab::SLAB_BYTES;
 use crate::stats::DomainStats;
 
@@ -281,8 +280,6 @@ pub(crate) struct ReclaimScratch {
     pub reserved: Vec<u64>,
     /// Announced `[lower, upper]` epoch intervals (IBR).
     pub intervals: Vec<(u64, u64)>,
-    /// Non-stalled subset of `reserved` (emergency-rung era sweeps).
-    pub active: Vec<u64>,
 }
 
 /// Single-owner cell holding a thread's [`ReclaimScratch`] (same ownership
@@ -339,41 +336,14 @@ impl EpochClock {
     }
 }
 
-/// A sealed block parked in the stalled-reader quarantine: every member
-/// is provably pinned **only** by `blocker_tid`'s reservation word, so
-/// sweeps stop re-scanning it until the blocker moves or dies.
-pub(crate) struct QuarantinedBlock {
-    /// The stalled participant whose reservation pins the whole block.
-    pub blocker_tid: usize,
-    /// The reservation word (epoch / era / interval lower bound) observed
-    /// stalled; the block is released the moment the blocker's word
-    /// changes, clears, or the blocker deregisters/is reaped.
-    pub pinned_word: u64,
-    /// The parked block, extrema intact.
-    pub block: Box<RetireBatch>,
-}
-
 /// State common to all reclamation domains.
 pub(crate) struct DomainBase {
     pub cfg: SmrConfig,
     pub stats: Arc<DomainStats>,
-    /// Per-participant pinned-reservation age, fed by scheme min-scans;
-    /// drives the emergency-rung stalled-reader detection.
-    pub stall: StallTracker,
     occupied: Box<[AtomicBool]>,
     /// Quarantined (poisoned) nodes when `cfg.quarantine` is set — the
-    /// use-after-free detector, unrelated to the pressure quarantine.
+    /// use-after-free detector.
     quarantine: Mutex<Vec<Retired>>,
-    /// Stalled-reader quarantine (pressure emergency rung): whole sealed
-    /// blocks keyed by the blocking reservation, handed back to a pass by
-    /// [`Self::reclaim_released_quarantine`] the moment the blocker
-    /// advances or is reaped. Quarantined nodes leave the gauge's
-    /// actionable count but are still owed to the allocator (freed on
-    /// release-and-sweep, or at domain drop).
-    pressure_quarantine: Mutex<Vec<QuarantinedBlock>>,
-    /// Lock-free node-count hint for `pressure_quarantine` (skip the
-    /// mutex while nothing is parked — the permanent common case).
-    pq_hint: AtomicUsize,
     /// The retire pool (module docs): every sealed block no pass holds,
     /// striped by the pushing tid so seals from different threads take
     /// different mutexes. Freed on domain drop.
@@ -401,13 +371,10 @@ impl DomainBase {
         let mut pool = Vec::with_capacity(stripes);
         pool.resize_with(stripes, || CachePadded::new(Mutex::new(Vec::new())));
         DomainBase {
-            stats: Arc::new(DomainStats::with_pressure(n, cfg.pressure_gauge())),
-            stall: StallTracker::new(n),
+            stats: Arc::new(DomainStats::new(n)),
             cfg,
             occupied: occupied.into_boxed_slice(),
             quarantine: Mutex::new(Vec::new()),
-            pressure_quarantine: Mutex::new(Vec::new()),
-            pq_hint: AtomicUsize::new(0),
             pool: pool.into_boxed_slice(),
             pool_mask: stripes - 1,
             sealed: CachePadded::new(AtomicUsize::new(0)),
@@ -426,9 +393,6 @@ impl DomainBase {
     }
 
     pub(crate) fn release(&self, tid: usize) {
-        // A departing participant can no longer stall anyone; its slot's
-        // pinned-age history must not taint the next claimant.
-        self.stall.clear(tid);
         self.occupied[tid].store(false, Ordering::Release);
     }
 
@@ -513,7 +477,6 @@ impl DomainBase {
             let shard = self.stats.shard(tid);
             shard.freed_nodes.fetch_add(nodes, Ordering::Relaxed);
             shard.freed_bytes.fetch_add(bytes, Ordering::Relaxed);
-            self.stats.pressure().on_freed(nodes as usize);
         }
     }
 
@@ -574,77 +537,10 @@ impl DomainBase {
         }
     }
 
-    /// Releases every pressure-quarantined block whose blocker has moved
-    /// on — deregistered, reaped, or no longer holding its pinned
-    /// reservation word (`blocked(tid, word)` is the scheme's "still
-    /// pinned by exactly this reservation" test). Released blocks join
-    /// the calling pass's `taken` set, so the very pass that observes the
-    /// release also filters and frees them: a cleared stall drains within
-    /// one pass. Runs in every full pass; the lock-free hint makes it a
-    /// no-op while nothing is parked.
-    pub(crate) fn reclaim_released_quarantine(
-        &self,
-        tid: usize,
-        taken: &mut Blocks,
-        mut blocked: impl FnMut(usize, u64) -> bool,
-    ) {
-        if self.pq_hint.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let mut q = self.pressure_quarantine.lock();
-        let mut nodes = 0usize;
-        let mut blocks = 0u64;
-        let mut i = 0usize;
-        while i < q.len() {
-            let qb = &q[i];
-            if self.is_registered(qb.blocker_tid) && blocked(qb.blocker_tid, qb.pinned_word) {
-                i += 1;
-                continue;
-            }
-            let qb = q.swap_remove(i);
-            nodes += qb.block.len();
-            blocks += 1;
-            taken.push(qb.block);
-        }
-        drop(q);
-        if nodes > 0 {
-            self.pq_hint.fetch_sub(blocks as usize, Ordering::Relaxed);
-            self.stats
-                .shard(tid)
-                .blocks_unquarantined
-                .fetch_add(blocks, Ordering::Relaxed);
-            note_escalation(self, tid, self.stats.pressure().on_unquarantined(nodes));
-        }
-    }
-
-    /// Ladder rung 2, run after a retire-triggered pass: while the hard
-    /// watermark stays breached, the retire turns into synchronous
-    /// reclamation — at most [`HARD_RETRY_LIMIT`] more passes, each after
-    /// `nudge` (signal schemes re-ping their suspects) and a growing spin
-    /// backoff that gives laggards a window to advance.
-    #[inline]
-    pub(crate) fn hard_rung_retries(&self, mut nudge: impl FnMut(), mut pass: impl FnMut()) {
-        let mut tries = 0u32;
-        while tries < HARD_RETRY_LIMIT && self.stats.pressure().rung() >= PressureRung::Hard {
-            nudge();
-            for _ in 0..(64u32 << tries) {
-                core::hint::spin_loop();
-            }
-            pass();
-            tries += 1;
-        }
-    }
-
     /// Number of quarantined nodes (test observability).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn quarantine_len(&self) -> usize {
         self.quarantine.lock().len()
-    }
-
-    /// Blocks currently parked in the stalled-reader quarantine.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn pressure_quarantine_len(&self) -> usize {
-        self.pq_hint.load(Ordering::Relaxed)
     }
 
     /// Nodes in the retire pool (test observability).
@@ -672,16 +568,7 @@ impl Drop for DomainBase {
             unsafe { r.free() };
         }
         let overflow = self.stats.overflow();
-        // The stalled-reader quarantine too: the blockers are gone with
-        // everyone else, so the parked blocks are freeable — conservation
-        // holds (allocated == freed) across a drop with a live quarantine.
-        let parked = self
-            .pressure_quarantine
-            .get_mut()
-            .drain(..)
-            .map(|qb| qb.block);
-        let pooled = self.pool.iter_mut().flat_map(|s| s.get_mut().drain(..));
-        for mut b in pooled.chain(parked) {
+        for mut b in self.pool.iter_mut().flat_map(|s| s.get_mut().drain(..)) {
             while let Some(r) = b.pop() {
                 overflow.freed_nodes.fetch_add(1, Ordering::Relaxed);
                 overflow
@@ -694,37 +581,14 @@ impl Drop for DomainBase {
     }
 }
 
-/// Books an upward pressure transition on the acting thread's stat shard:
-/// one trip counter per rung crossed. The gauge reports each transition to
-/// exactly one caller ([`crate::pressure::PressureGauge`]'s CAS settle),
-/// so the trip counters count state-machine transitions, not update calls.
-pub(crate) fn note_escalation(base: &DomainBase, tid: usize, esc: Option<Escalation>) {
-    let Some(esc) = esc else { return };
-    let shard = base.stats.shard(tid);
-    if esc.crossed(PressureRung::Soft) {
-        shard.pressure_soft_trips.fetch_add(1, Ordering::Relaxed);
-    }
-    if esc.crossed(PressureRung::Hard) {
-        shard.pressure_hard_trips.fetch_add(1, Ordering::Relaxed);
-    }
-    if esc.crossed(PressureRung::Emergency) {
-        shard
-            .pressure_emergency_trips
-            .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// The amortized accounting every seal event owes: one `retired_nodes`
-/// bump for the sealed members and one `batches_sealed` event per block —
-/// plus the pressure gauge's retire-side feed (sealed nodes are exactly the
-/// gauge's unit of actionable backlog).
+/// bump for the sealed members and one `batches_sealed` event per block.
 /// Shared by [`push_retired`], [`seal_and_account`] and NR's leak path.
 pub(crate) fn account_seal(base: &DomainBase, tid: usize, outcome: SealOutcome) {
     let shard = base.stats.shard(tid);
     shard
         .retired_nodes
         .fetch_add(outcome.nodes as u64, Ordering::Relaxed);
-    note_escalation(base, tid, base.stats.pressure().on_retired(outcome.nodes));
     shard
         .batches_sealed
         .fetch_add(outcome.blocks, Ordering::Relaxed);
@@ -798,18 +662,13 @@ pub(crate) enum BlockPlan {
     FreeAll,
     /// Mixed: bit `i` set means slot `i` survives; compact in place.
     Mask(u32),
-    /// Every member is pinned **only** by `blocker_tid`'s stalled
-    /// reservation `word` (emergency rung): park the block whole in the
-    /// domain's stalled-reader quarantine so later sweeps stop re-scanning
-    /// it, until [`DomainBase::reclaim_released_quarantine`] hands it
-    /// back. Not counted freed; leaves the gauge's actionable count.
-    Quarantine {
-        /// The stalled participant pinning the block.
-        blocker_tid: usize,
-        /// Its observed reservation word (release key).
-        word: u64,
-    },
 }
+
+/// Cap on each thread's recycled-block free pool, in blocks. A pool this
+/// size absorbs every steady-state sweep's recycling without allocator
+/// traffic; a retire burst that grows it past the cap is trimmed back at
+/// the next sweep instead of holding its high-water mark forever.
+pub(crate) const FREE_POOL_CAP: usize = 32;
 
 /// All-ones keep mask for a block of `n` records.
 #[inline]
@@ -854,10 +713,6 @@ pub(crate) unsafe fn sweep_blocks(
     let mut total_freed = 0usize;
     let mut kept_whole = 0u64;
     let mut freed_whole = 0u64;
-    // Emergency-rung parking collects locally and publishes once after the
-    // loop: one quarantine lock per sweep, none at all on the common path.
-    let mut quarantined: Vec<QuarantinedBlock> = Vec::new();
-    let mut quarantined_nodes = 0usize;
     for read_block in 0..nblocks {
         // SAFETY: `read_block < nblocks`, the original initialized length.
         let mut b = unsafe { core::ptr::read(blocks_ptr.add(read_block)) };
@@ -969,17 +824,6 @@ pub(crate) unsafe fn sweep_blocks(
                 unsafe { core::ptr::write(blocks_ptr.add(write_block), b) };
                 write_block += 1;
             }
-            BlockPlan::Quarantine { blocker_tid, word } => {
-                // Parked whole: no record is touched, the block leaves the
-                // pass (and the pool's re-scan loop) until the blocker's
-                // reservation moves.
-                quarantined_nodes += n;
-                quarantined.push(QuarantinedBlock {
-                    blocker_tid,
-                    pinned_word: word,
-                    block: b,
-                });
-            }
         }
     }
     // SAFETY: the first `write_block` slots hold initialized blocks.
@@ -994,31 +838,9 @@ pub(crate) unsafe fn sweep_blocks(
             .blocks_kept_whole
             .fetch_add(kept_whole, Ordering::Relaxed);
     }
-    if !quarantined.is_empty() {
-        let qblocks = quarantined.len();
-        shard
-            .blocks_quarantined
-            .fetch_add(qblocks as u64, Ordering::Relaxed);
-        base.pressure_quarantine.lock().extend(quarantined);
-        base.pq_hint.fetch_add(qblocks, Ordering::Relaxed);
-        base.stats.pressure().on_quarantined(quarantined_nodes);
-    }
-    if total_freed > 0 {
-        base.stats.pressure().on_freed(total_freed);
-    }
-    // Degradation rung 4: under hard pressure the recycled-block pool is
-    // ballast — drop it entirely; otherwise honor the configured cap
-    // (`0` = unbounded).
-    let cap = if base.stats.pressure().rung() >= PressureRung::Hard {
-        0
-    } else if base.cfg.free_pool_cap == 0 {
-        usize::MAX
-    } else {
-        base.cfg.free_pool_cap
-    };
-    if list.free.len() > cap {
-        let trimmed = (list.free.len() - cap) as u64;
-        list.free.truncate(cap);
+    if list.free.len() > FREE_POOL_CAP {
+        let trimmed = (list.free.len() - FREE_POOL_CAP) as u64;
+        list.free.truncate(FREE_POOL_CAP);
         shard
             .pool_blocks_trimmed
             .fetch_add(trimmed, Ordering::Relaxed);
@@ -1121,7 +943,6 @@ pub(crate) unsafe fn free_unreserved(
 ///
 /// `reserved` must include every era any thread may have reserved. `tid`
 /// must be the caller's registered domain thread id.
-#[cfg_attr(not(test), allow(dead_code))] // stall-free entry point, exercised by the unit suite
 pub(crate) unsafe fn free_era_unreserved(
     base: &DomainBase,
     tid: usize,
@@ -1129,36 +950,7 @@ pub(crate) unsafe fn free_era_unreserved(
     taken: &mut Blocks,
     reserved: &[u64],
 ) -> usize {
-    // SAFETY: forwarded contract.
-    unsafe { free_era_unreserved_with_stalled(base, tid, list, taken, reserved, None) }
-}
-
-/// [`free_era_unreserved`] with a stalled-reader escape hatch. `reserved`
-/// is the union of **all** reserved eras (the safety set); `active`
-/// optionally carries the reserved eras of **non-stalled** threads only,
-/// plus the known-stalled blocker's identity. A block whose lifespan
-/// envelope misses every union era frees whole as before; one that misses
-/// every *active* era — pinned only by the stalled blocker's slots — is
-/// parked in the domain quarantine under the blocker's key instead of
-/// being re-scanned each pass. Per-node masking always tests the full
-/// union, so nothing a live thread may hold is ever freed or parked
-/// node-wise.
-///
-/// # Safety
-///
-/// As for [`free_era_unreserved`]; additionally `active` (when given)
-/// must include every era any **non-stalled** registered thread may have
-/// reserved.
-pub(crate) unsafe fn free_era_unreserved_with_stalled(
-    base: &DomainBase,
-    tid: usize,
-    list: &mut RetireList,
-    taken: &mut Blocks,
-    reserved: &[u64],
-    active: Option<(&[u64], usize, u64)>,
-) -> usize {
     debug_assert!(reserved.windows(2).all(|w| w[0] <= w[1]));
-    debug_assert!(active.is_none_or(|(a, _, _)| a.windows(2).all(|w| w[0] <= w[1])));
     // SAFETY: forwarded contract.
     unsafe {
         sweep_blocks(base, tid, list, taken, |b| {
@@ -1170,17 +962,6 @@ pub(crate) unsafe fn free_era_unreserved_with_stalled(
             if window.is_empty() {
                 return BlockPlan::FreeAll;
             }
-            if let Some((act, blocker_tid, blocker_word)) = active {
-                // Some union era pins the block, but if no *active* era
-                // does, every pinning era belongs to the stalled blocker:
-                // park the block whole under its release key.
-                if reserved_window(act, min_birth, max_retire).is_empty() {
-                    return BlockPlan::Quarantine {
-                        blocker_tid,
-                        word: blocker_word,
-                    };
-                }
-            }
             BlockPlan::Mask(keep_mask(b, |r| {
                 era_range_reserved(window, r.birth_era(), r.retire_era())
             }))
@@ -1188,71 +969,15 @@ pub(crate) unsafe fn free_era_unreserved_with_stalled(
     }
 }
 
-/// The epoch floor a stalled-reader emergency sweep would reach if the one
-/// known-stalled blocker were ignored: `min` over every **non-stalled**
-/// registered reservation, plus the identity of the blocker whose pinned
-/// word holds the real floor down. Built by the epoch schemes' min-scan
-/// when the emergency rung is active.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RelaxedMin {
-    /// Minimum announced epoch over non-stalled registered threads.
-    pub min: u64,
-    /// The stalled participant pinning the floor below `min`.
-    pub blocker_tid: usize,
-    /// The blocker's observed reservation word (quarantine release key).
-    pub blocker_word: u64,
-}
-
-/// Stall-aware epoch min-scan shared by the epoch schemes: feeds every
-/// registered announcement into the domain stall tracker (ages must accrue
-/// *before* the emergency rung engages), returning the true floor plus —
-/// on the emergency rung only — the relaxed floor over non-stalled readers
-/// and the single worst stalled blocker holding the true floor down.
-/// `quiescent` is the scheme's parked announcement value; `word_of(t)`
-/// must perform the scheme's ordered reservation load.
-pub(crate) fn scan_epoch_reservations(
-    base: &DomainBase,
-    quiescent: u64,
-    word_of: impl Fn(usize) -> u64,
-) -> (u64, Option<RelaxedMin>) {
-    let emergency = base.stats.pressure().rung() >= PressureRung::Emergency;
-    let mut min = u64::MAX;
-    let mut relaxed = u64::MAX;
-    let mut blocker: Option<(usize, u64)> = None;
-    for t in 0..base.cfg.max_threads {
-        if !base.is_registered(t) {
-            continue;
-        }
-        let w = word_of(t);
-        min = min.min(w);
-        // Quiescent readers park outside every epoch: idle, never stalled.
-        // Live words shift by one so a reader pinned at epoch 0 stays
-        // distinguishable from idle in the tracker.
-        let sig = if w == quiescent { 0 } else { w.wrapping_add(1) };
-        let stalled =
-            base.stall.observe(t, sig) >= crate::pressure::STALLED_AFTER_PASSES && w != quiescent;
-        if !emergency {
-            continue;
-        }
-        if stalled {
-            if blocker.is_none_or(|(_, bw)| w < bw) {
-                blocker = Some((t, w));
-            }
-        } else {
-            relaxed = relaxed.min(w);
-        }
-    }
-    // Only a blocker strictly below the relaxed floor buys anything: the
-    // quarantine window `[max_retire < relaxed.min]` would be empty
-    // otherwise.
-    let relaxed_min = blocker.and_then(|(t, w)| {
-        (w < relaxed).then_some(RelaxedMin {
-            min: relaxed,
-            blocker_tid: t,
-            blocker_word: w,
-        })
-    });
-    (min, relaxed_min)
+/// The epoch floor of the epoch schemes' pass: `min` over every registered
+/// thread's announcement (`u64::MAX` when none is registered).
+/// `word_of(t)` must perform the scheme's ordered reservation load.
+pub(crate) fn scan_epoch_reservations(base: &DomainBase, word_of: impl Fn(usize) -> u64) -> u64 {
+    (0..base.cfg.max_threads)
+        .filter(|&t| base.is_registered(t))
+        .map(word_of)
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 /// Frees every entry retired strictly before epoch `min` (the epoch
@@ -1262,28 +987,17 @@ pub(crate) fn scan_epoch_reservations(
 /// (`min_retire >= min` keeps, `max_retire < min` frees) without touching
 /// a record; only straddling blocks pay the per-node comparison.
 ///
-/// The stalled-reader escape hatch, `relaxed` (emergency rung only):
-/// blocks whose entire retire range lies below `relaxed.min` — provably
-/// pinned **only** by the known-stalled blocker — are parked in the domain
-/// quarantine instead of being re-scanned every pass. Parking is
-/// conservative: the blocks are not freed, and
-/// [`DomainBase::reclaim_released_quarantine`] re-filters them against
-/// *all* live reservations once the blocker's epoch moves, so a
-/// mis-ranked blocker costs a deferred sweep, never a premature free.
-///
 /// # Safety
 ///
 /// `min` must be a lower bound on every registered thread's announced
-/// epoch — nodes retired before it are unreachable — and `relaxed.min` (when
-/// given) a lower bound on every registered **non-stalled** thread's. `tid`
-/// must be the caller's registered domain thread id.
-pub(crate) unsafe fn free_before_epoch_with_stalled(
+/// epoch — nodes retired before it are unreachable. `tid` must be the
+/// caller's registered domain thread id.
+pub(crate) unsafe fn free_before_epoch(
     base: &DomainBase,
     tid: usize,
     list: &mut RetireList,
     taken: &mut Blocks,
     min: u64,
-    relaxed: Option<&RelaxedMin>,
 ) -> usize {
     // SAFETY: forwarded contract.
     unsafe {
@@ -1291,16 +1005,6 @@ pub(crate) unsafe fn free_before_epoch_with_stalled(
             let (_, min_retire, max_retire) = b.era_ranges();
             if max_retire < min {
                 return BlockPlan::FreeAll;
-            }
-            if let Some(rm) = relaxed {
-                // Below the non-stalled floor but not the true floor:
-                // every member is pinned solely by the blocker.
-                if max_retire < rm.min {
-                    return BlockPlan::Quarantine {
-                        blocker_tid: rm.blocker_tid,
-                        word: rm.blocker_word,
-                    };
-                }
             }
             if min_retire >= min {
                 return BlockPlan::KeepAll;
@@ -1711,7 +1415,7 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let mut list = RetireList::new(RETIRE_BATCH_CAP);
         let mut set = taken(&b, &mut list, run(&b, [(0, 3), (0, 7), (0, 5)]));
-        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 5, None) };
+        let freed = unsafe { free_before_epoch(&b, 0, &mut list, &mut set, 5) };
         assert_eq!(freed, 1, "only retire era 3 < 5 is freeable");
         let survivors: Vec<u64> = set
             .iter()
@@ -2007,8 +1711,7 @@ mod tests {
 
         let (mut fast, mut fast_set, _) = twin();
         let (mut slow, mut slow_set, _) = twin();
-        let freed =
-            unsafe { free_before_epoch_with_stalled(&b, 0, &mut fast, &mut fast_set, 120, None) };
+        let freed = unsafe { free_before_epoch(&b, 0, &mut fast, &mut fast_set, 120) };
         let freed_ref = unsafe {
             sweep_retire_list(&b, 0, &mut slow, &mut slow_set, |r| r.retire_era() >= 120)
         };
@@ -2046,7 +1749,7 @@ mod tests {
         // straddling min = 5.
         let recs = run(&b, [(0, 1), (0, 2), (0, 8), (0, 9), (0, 4), (0, 6)]);
         let mut set = taken(&b, &mut list, recs);
-        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 5, None) };
+        let freed = unsafe { free_before_epoch(&b, 0, &mut list, &mut set, 5) };
         assert_eq!(freed, 3, "retire eras 1, 2 and 4 are below the bound");
         let s = b.stats.snapshot();
         assert_eq!(s.blocks_freed_whole, 1, "the (1,2) block freed whole");
@@ -2157,7 +1860,7 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(1));
         let (mut list, mut set) = filled(&b, 4, &[0, 1, 2, 3, 4, 5, 6, 7]);
         // A keep-everything epoch sweep computes the era half.
-        let freed = unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 0, None) };
+        let freed = unsafe { free_before_epoch(&b, 0, &mut list, &mut set, 0) };
         assert_eq!(freed, 0);
         assert!(set.iter().all(|blk| blk.summary_is_cached()));
         b.put_back(0, &mut set);
@@ -2171,8 +1874,7 @@ mod tests {
             );
         }
         let kept_before = b.stats.snapshot().blocks_kept_whole;
-        let freed =
-            unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut again, 0, None) };
+        let freed = unsafe { free_before_epoch(&b, 0, &mut list, &mut again, 0) };
         assert_eq!(freed, 0);
         assert_eq!(
             b.stats.snapshot().blocks_kept_whole,
@@ -2183,126 +1885,16 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_parks_releases_and_conserves() {
-        let b = DomainBase::new(SmrConfig::for_tests(2).with_pressure_watermarks(4, 8, 12));
-        b.claim(0);
-        b.claim(1);
-        // Two sealed blocks, all retire eras below the relaxed floor:
-        // everything is provably pinned only by blocker tid 1's word 7.
-        let (mut list, mut set) = filled(&b, 2, &[0, 0, 1, 1]);
-        let rm = RelaxedMin {
-            min: 10,
-            blocker_tid: 1,
-            blocker_word: 7,
-        };
-        let freed =
-            unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 0, Some(&rm)) };
-        assert_eq!(freed, 0, "quarantine never frees");
-        assert!(set.is_empty(), "both blocks left the pass");
-        assert_eq!(b.pressure_quarantine_len(), 2);
-        let s = b.stats.snapshot();
-        assert_eq!(s.blocks_quarantined, 2);
-        assert_eq!(b.stats.pressure().quarantined(), 4);
-        assert_eq!(
-            b.stats.pressure().count(),
-            0,
-            "parked nodes leave the actionable backlog"
-        );
-        // Blocker still pinned: nothing to release.
-        b.reclaim_released_quarantine(0, &mut set, |t, w| {
-            assert_eq!((t, w), (1, 7));
-            true
-        });
-        assert!(set.is_empty());
-        assert_eq!(b.pressure_quarantine_len(), 2);
-        // Blocker's reservation moved: everything returns to the pass.
-        b.reclaim_released_quarantine(0, &mut set, |_, _| false);
-        assert_eq!(node_count(&set), 4, "released blocks rejoin the pass");
-        assert_eq!(b.pressure_quarantine_len(), 0);
-        let s = b.stats.snapshot();
-        assert_eq!(s.blocks_unquarantined, 2);
-        assert_eq!(b.stats.pressure().quarantined(), 0);
-        drain_free(&b, &mut list, &mut set);
-        let s = b.stats.snapshot();
-        assert_eq!(s.freed_nodes, s.retired_nodes, "conservation");
-        assert_eq!(b.stats.pressure().count(), 0);
-        b.release(1);
-        b.release(0);
-    }
-
-    #[test]
-    fn quarantine_releases_when_blocker_unregisters() {
-        let b = DomainBase::new(SmrConfig::for_tests(2).with_pressure_watermarks(4, 8, 12));
-        b.claim(0);
-        b.claim(1);
-        let (mut list, mut set) = filled(&b, 2, &[0, 0]);
-        let rm = RelaxedMin {
-            min: 10,
-            blocker_tid: 1,
-            blocker_word: 7,
-        };
-        unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 0, Some(&rm)) };
-        assert_eq!(b.pressure_quarantine_len(), 1);
-        // The blocker dies / deregisters: its pinned word no longer means
-        // anything, even if the release predicate still claims it does.
-        b.release(1);
-        b.reclaim_released_quarantine(0, &mut set, |_, _| true);
-        assert_eq!(node_count(&set), 2, "a reaped blocker releases its blocks");
-        assert_eq!(b.pressure_quarantine_len(), 0);
-        drain_free(&b, &mut list, &mut set);
-        b.release(0);
-    }
-
-    #[test]
-    fn quarantined_blocks_freed_at_drop_conserve() {
-        let b = DomainBase::new(SmrConfig::for_tests(2).with_pressure_watermarks(4, 8, 12));
-        b.claim(0);
-        b.claim(1);
-        let (mut list, mut set) = filled(&b, 2, &[0, 0, 1, 1]);
-        let rm = RelaxedMin {
-            min: 10,
-            blocker_tid: 1,
-            blocker_word: 7,
-        };
-        unsafe { free_before_epoch_with_stalled(&b, 0, &mut list, &mut set, 0, Some(&rm)) };
-        assert_eq!(b.pressure_quarantine_len(), 2);
-        let stats = Arc::clone(&b.stats);
-        b.release(1);
-        b.release(0);
-        drop(b);
-        let s = stats.snapshot();
-        assert_eq!(s.freed_nodes, s.retired_nodes, "drop drains the quarantine");
-    }
-
-    #[test]
     fn free_pool_cap_trims_recycled_blocks() {
-        let b = DomainBase::new(SmrConfig::for_tests(1).with_free_pool_cap(1));
-        // Three sealed blocks, all freeable: the sweep recycles three
-        // emptied boxes but the cap keeps only one.
-        let (mut list, mut set) = filled(&b, 2, &[0, 0, 1, 1, 2, 2]);
+        let b = DomainBase::new(SmrConfig::for_tests(1));
+        // Two more sealed blocks than the cap, all freeable: the sweep
+        // recycles every emptied box but the cap keeps only FREE_POOL_CAP.
+        let eras: Vec<u64> = (0..FREE_POOL_CAP as u64 + 2).flat_map(|e| [e, e]).collect();
+        let (mut list, mut set) = filled(&b, 2, &eras);
         let freed = unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |_| false) };
-        assert_eq!(freed, 6);
-        assert_eq!(list.free.len(), 1, "pool capped at the configured size");
+        assert_eq!(freed, eras.len());
+        assert_eq!(list.free.len(), FREE_POOL_CAP, "pool capped");
         assert_eq!(b.stats.snapshot().pool_blocks_trimmed, 2);
-    }
-
-    #[test]
-    fn hard_pressure_drops_the_free_pool_entirely() {
-        // Watermarks of 1 put the gauge at Emergency from the first seal;
-        // the sweep's epilogue must then trim the pool to zero even though
-        // the configured cap would keep blocks around.
-        let b = DomainBase::new(SmrConfig::for_tests(1).with_pressure_watermarks(1, 1, 1));
-        let (mut list, mut set) = filled(&b, 2, &[0, 0, 5, 5]);
-        assert!(b.stats.pressure().rung() >= PressureRung::Hard);
-        let freed =
-            unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |r| r.retire_era() >= 5) };
-        assert_eq!(freed, 2);
-        assert!(
-            list.free.is_empty(),
-            "under hard pressure the recycled pool is ballast"
-        );
-        assert!(b.stats.snapshot().pool_blocks_trimmed >= 1);
-        drain_free(&b, &mut list, &mut set);
     }
 
     #[test]
@@ -2312,46 +1904,10 @@ mod tests {
         let b = DomainBase::new(SmrConfig::for_tests(4));
         let words = [u64::MAX, 3, 7, u64::MAX];
         b.claim(2);
-        let (min, rm) = scan_epoch_reservations(&b, u64::MAX, |t| words[t]);
+        let min = scan_epoch_reservations(&b, |t| words[t]);
         assert_eq!(min, 7, "only registered announcements set the floor");
-        assert!(rm.is_none());
         b.release(2);
-        let (min, _) = scan_epoch_reservations(&b, u64::MAX, |t| words[t]);
+        let min = scan_epoch_reservations(&b, |t| words[t]);
         assert_eq!(min, u64::MAX, "no registered thread: no floor");
-    }
-
-    #[test]
-    fn scan_elects_lowest_stalled_blocker_under_emergency() {
-        let b = DomainBase::new(SmrConfig::for_tests(3).with_pressure_watermarks(1, 1, 1));
-        for t in 0..3 {
-            b.claim(t);
-        }
-        // Trip the gauge to Emergency so the scan performs its election.
-        note_escalation(&b, 0, b.stats.pressure().on_retired(1));
-        assert_eq!(b.stats.pressure().rung(), PressureRung::Emergency);
-        // t0 idle, t1 pinned at 5, t2 pinned at 9: after enough unchanged
-        // passes both pinned readers count as stalled, and the election
-        // picks t1 (the floor-holder). With every live reader stalled the
-        // relaxed floor is the non-stalled minimum — here none, u64::MAX.
-        let words = [u64::MAX, 5u64, 9u64];
-        let mut result = (0u64, None);
-        for _ in 0..=crate::pressure::STALLED_AFTER_PASSES {
-            result = scan_epoch_reservations(&b, u64::MAX, |t| words[t]);
-        }
-        let (min, rm) = result;
-        assert_eq!(min, 5);
-        let rm = rm.expect("emergency rung with a stalled floor-holder");
-        assert_eq!(rm.blocker_tid, 1);
-        assert_eq!(rm.blocker_word, 5);
-        assert_eq!(rm.min, u64::MAX);
-        // The stall streak resets the moment the word moves.
-        let (_, rm) = scan_epoch_reservations(&b, u64::MAX, |t| if t == 1 { 6 } else { words[t] });
-        assert!(
-            rm.is_none_or(|rm| rm.blocker_tid != 1),
-            "a moved word un-stalls its owner"
-        );
-        for t in 0..3 {
-            b.release(t);
-        }
     }
 }

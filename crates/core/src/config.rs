@@ -1,7 +1,6 @@
 //! Reclamation-domain configuration.
 
 use crate::header::RETIRE_BATCH_CAP;
-use crate::pressure::PressureGauge;
 
 /// Default publish-wait spin budget (the historical hard-coded
 /// `SPIN_LIMIT`): roughly the cost of a few cache-miss round trips. It is
@@ -18,25 +17,6 @@ pub const DEFAULT_PUBLISH_SPIN: u32 = 128;
 /// peers that will *never* publish (died without deregistering, signal
 /// lost), where the watchdog falls back to conservative snapshots.
 pub const DEFAULT_PUBLISH_DEADLINE_NS: u64 = 1_000_000_000;
-
-/// Default soft pressure watermark, as a multiple of `reclaim_freq`: a
-/// backlog of 8 full reclaim triggers' worth of garbage means passes are
-/// consistently failing to free — stop decaying the cadence.
-pub const PRESSURE_SOFT_FACTOR: usize = 8;
-
-/// Default hard pressure watermark factor (see [`PRESSURE_SOFT_FACTOR`]).
-pub const PRESSURE_HARD_FACTOR: usize = 16;
-
-/// Default emergency pressure watermark factor (see
-/// [`PRESSURE_SOFT_FACTOR`]).
-pub const PRESSURE_EMERGENCY_FACTOR: usize = 32;
-
-/// Default cap on each thread's recycled retire-block free pool, in
-/// blocks. A pool this size absorbs every steady-state sweep's recycling
-/// without allocator traffic; bursty retire storms that grow past it are
-/// trimmed back at the next sweep instead of holding the high-water mark
-/// forever.
-pub const DEFAULT_FREE_POOL_CAP: usize = 32;
 
 /// How a POP reclaimer gets peers' reservations published before it scans
 /// them (the publish half of `ping_all_and_wait`): the signal fan-out,
@@ -90,10 +70,9 @@ impl PublishMode {
 /// let cfg = SmrConfig::for_threads(8)
 ///     .with_reclaim_freq(1024)
 ///     .with_retire_batch(16)
-///     .with_publish_spin(64)
-///     .with_adaptive(false);
+///     .with_publish_spin(64);
 /// assert_eq!(cfg.effective_batch(), 16);
-/// assert!(!cfg.adaptive);
+/// assert_eq!(cfg.publish_spin, 64);
 /// ```
 ///
 /// # `POP_*` environment overrides
@@ -101,17 +80,13 @@ impl PublishMode {
 /// [`SmrConfig::for_threads`] and [`SmrConfig::for_tests`] apply the
 /// environment overrides after the defaults, which is how the CI
 /// fallback-path and fault matrices drive the whole test suite through
-/// each switch without touching a call site:
+/// each switch without touching a call site. These four are the only
+/// variables the library reads:
 ///
 /// | variable                  | effect                                       |
 /// |---------------------------|----------------------------------------------|
 /// | `POP_RETIRE_BATCH`        | seal threshold (`1` = unbatched retirement)  |
-/// | `POP_ADAPTIVE`            | `0`/`off` = no pass-cadence decay            |
 /// | `POP_PUBLISH_DEADLINE_MS` | publish-wait watchdog deadline (`0` = off)   |
-/// | `POP_PRESSURE_SOFT`       | soft pressure watermark in nodes (`0` = gauge off) |
-/// | `POP_PRESSURE_HARD`       | hard pressure watermark in nodes             |
-/// | `POP_PRESSURE_EMERGENCY`  | emergency pressure watermark in nodes        |
-/// | `POP_FREE_POOL_CAP`       | recycled-block pool cap in blocks (`0` = unbounded) |
 /// | `POP_PUBLISH_MODE`        | POP publish mode: `futex` / `membarrier`     |
 /// | `POP_FAULTS`              | fault plan (needs the `fault-injection` feature; parsed by `pop_runtime::faults`) |
 ///
@@ -119,34 +94,19 @@ impl PublishMode {
 /// use pop_core::{PublishMode, SmrConfig};
 ///
 /// std::env::set_var("POP_RETIRE_BATCH", "1");
-/// std::env::set_var("POP_ADAPTIVE", "0");
-/// std::env::set_var("POP_PRESSURE_SOFT", "128");
-/// std::env::set_var("POP_PRESSURE_HARD", "256");
-/// std::env::set_var("POP_PRESSURE_EMERGENCY", "512");
-/// std::env::set_var("POP_FREE_POOL_CAP", "4");
+/// std::env::set_var("POP_PUBLISH_DEADLINE_MS", "50");
 /// std::env::set_var("POP_PUBLISH_MODE", "membarrier");
 /// let cfg = SmrConfig::for_tests(2);
 /// assert_eq!(cfg.retire_batch, 1);
-/// assert!(!cfg.adaptive);
-/// assert_eq!(
-///     (cfg.pressure_soft, cfg.pressure_hard, cfg.pressure_emergency),
-///     (128, 256, 512)
-/// );
-/// assert_eq!(cfg.free_pool_cap, 4);
+/// assert_eq!(cfg.publish_deadline_ns, 50_000_000);
 /// assert_eq!(cfg.publish_mode, PublishMode::Membarrier);
 ///
 /// // Unset (or unparsable) variables leave the defaults alone.
-/// for k in [
-///     "POP_RETIRE_BATCH", "POP_ADAPTIVE", "POP_PRESSURE_SOFT",
-///     "POP_PRESSURE_HARD", "POP_PRESSURE_EMERGENCY", "POP_FREE_POOL_CAP",
-///     "POP_PUBLISH_MODE",
-/// ] {
+/// for k in ["POP_RETIRE_BATCH", "POP_PUBLISH_DEADLINE_MS", "POP_PUBLISH_MODE"] {
 ///     std::env::remove_var(k);
 /// }
 /// let cfg = SmrConfig::for_tests(2);
 /// assert!(cfg.retire_batch > 1);
-/// assert!(cfg.adaptive);
-/// assert!(cfg.pressure_soft > 0, "the gauge is on by default");
 /// assert_eq!(cfg.publish_mode, PublishMode::Futex, "the default");
 /// ```
 #[derive(Clone, Debug)]
@@ -187,37 +147,10 @@ pub struct SmrConfig {
     /// `0` disables the watchdog (waits are unbounded, the pre-PR-6
     /// behavior).
     pub publish_deadline_ns: u64,
-    /// The per-domain adaptive controller (`pop_core::controller`): the
-    /// pass cadence of the epoch schemes decays on barren passes and is
-    /// instantly reset by the first freeing sweep. `false` runs every
-    /// triggered pass.
-    pub adaptive: bool,
     /// Testing mode: freed nodes are poisoned and quarantined instead of
     /// deallocated, turning any use-after-free into a deterministic panic
     /// inside `protect`.
     pub quarantine: bool,
-    /// Soft pressure watermark in nodes: an actionable unreclaimed backlog
-    /// (retired − freed − quarantined) at or above this cancels epoch-decay
-    /// pacing and forces full passes. `0` disables the entire pressure
-    /// gauge. Env `POP_PRESSURE_SOFT`.
-    pub pressure_soft: usize,
-    /// Hard pressure watermark in nodes: at or above this, `retire` calls
-    /// reclaim synchronously (bounded retries) and re-ping suspect
-    /// laggards. Normalized to at least `pressure_soft`. Env
-    /// `POP_PRESSURE_HARD`.
-    pub pressure_hard: usize,
-    /// Emergency pressure watermark in nodes: at or above this, passes run
-    /// per-participant stalled-reader detection and quarantine blocks
-    /// provably pinned only by a stalled blocker. Normalized to at least
-    /// `pressure_hard`. Env `POP_PRESSURE_EMERGENCY`.
-    pub pressure_emergency: usize,
-    /// Cap on each thread's recycled retire-block free pool, in blocks
-    /// (`0` = unbounded, the historical behavior). Sweeps trim the pool
-    /// back to this cap — and all the way to empty while the domain is at
-    /// [`crate::pressure::PressureRung::Hard`] or above, so emergency
-    /// pressure actually returns memory to the allocator. Env
-    /// `POP_FREE_POOL_CAP`.
-    pub free_pool_cap: usize,
     /// How POP reclaimers publish peers' reservations: the signal fan-out
     /// ([`PublishMode::Futex`]) or one process-wide
     /// [`PublishMode::Membarrier`] barrier per pass. Only the POP schemes
@@ -232,25 +165,14 @@ pub struct SmrConfig {
 impl SmrConfig {
     /// Paper-faithful defaults for `n` threads, before env overrides.
     fn paper_defaults(n: usize) -> Self {
-        let reclaim_freq = 24_576;
         SmrConfig {
             max_threads: n,
             slots: 8,
-            reclaim_freq,
+            reclaim_freq: 24_576,
             retire_batch: RETIRE_BATCH_CAP,
             publish_spin: DEFAULT_PUBLISH_SPIN,
             publish_deadline_ns: DEFAULT_PUBLISH_DEADLINE_NS,
-            adaptive: true,
             quarantine: false,
-            // The gauge defaults to enabled with generous watermarks: a
-            // healthy workload never trips them (bench parity), a stalled
-            // reader does. Scaled from the paper's retire threshold, not
-            // re-derived by `with_reclaim_freq` — tests pin tiny
-            // thresholds without entering pressure mode.
-            pressure_soft: reclaim_freq * PRESSURE_SOFT_FACTOR,
-            pressure_hard: reclaim_freq * PRESSURE_HARD_FACTOR,
-            pressure_emergency: reclaim_freq * PRESSURE_EMERGENCY_FACTOR,
-            free_pool_cap: DEFAULT_FREE_POOL_CAP,
             publish_mode: PublishMode::default(),
         }
     }
@@ -278,9 +200,8 @@ impl SmrConfig {
     }
 
     /// Applies the `POP_*` environment overrides (CI's fallback-path
-    /// matrix legs run the test suite with `POP_RETIRE_BATCH=1`,
-    /// `POP_ADAPTIVE=0` and `POP_PUBLISH_MODE=membarrier` without touching
-    /// any call site). Unset or unparsable variables change nothing.
+    /// matrix legs run the test suite with `POP_RETIRE_BATCH=1` and
+    /// `POP_PUBLISH_MODE=membarrier` without touching any call site). Unset or unparsable variables change nothing.
     ///
     /// Also arms the fault-injection layer from `POP_FAULTS` (a no-op
     /// unless the `fault-injection` feature is compiled in): domain
@@ -295,27 +216,8 @@ impl SmrConfig {
         if let Some(b) = get("POP_RETIRE_BATCH").and_then(|v| v.parse().ok()) {
             self = self.with_retire_batch(b);
         }
-        if let Some(v) = get("POP_ADAPTIVE") {
-            match v.as_str() {
-                "0" | "false" | "off" => self.adaptive = false,
-                "1" | "true" | "on" => self.adaptive = true,
-                _ => {}
-            }
-        }
         if let Some(ms) = get("POP_PUBLISH_DEADLINE_MS").and_then(|v| v.parse::<u64>().ok()) {
             self.publish_deadline_ns = ms.saturating_mul(1_000_000);
-        }
-        if let Some(n) = get("POP_PRESSURE_SOFT").and_then(|v| v.parse().ok()) {
-            self.pressure_soft = n;
-        }
-        if let Some(n) = get("POP_PRESSURE_HARD").and_then(|v| v.parse().ok()) {
-            self.pressure_hard = n;
-        }
-        if let Some(n) = get("POP_PRESSURE_EMERGENCY").and_then(|v| v.parse().ok()) {
-            self.pressure_emergency = n;
-        }
-        if let Some(n) = get("POP_FREE_POOL_CAP").and_then(|v| v.parse().ok()) {
-            self.free_pool_cap = n;
         }
         if let Some(m) = get("POP_PUBLISH_MODE").and_then(|v| PublishMode::parse(&v)) {
             self = self.with_publish_mode(m);
@@ -350,13 +252,6 @@ impl SmrConfig {
         self
     }
 
-    /// Builder-style toggle for the adaptive domain controller (pass
-    /// cadence decay). `false` runs every triggered pass.
-    pub fn with_adaptive(mut self, on: bool) -> Self {
-        self.adaptive = on;
-        self
-    }
-
     /// Builder-style override of the retirement-batch seal threshold
     /// (clamped to `1..=RETIRE_BATCH_CAP`).
     pub fn with_retire_batch(mut self, b: usize) -> Self {
@@ -379,20 +274,11 @@ impl SmrConfig {
         self
     }
 
-    /// Builder-style override of the three pressure watermarks (in nodes
-    /// of actionable unreclaimed backlog). `soft == 0` disables the gauge;
-    /// the gauge normalizes `soft ≤ hard ≤ emergency` at construction.
-    pub fn with_pressure_watermarks(mut self, soft: usize, hard: usize, emergency: usize) -> Self {
-        self.pressure_soft = soft;
-        self.pressure_hard = hard;
-        self.pressure_emergency = emergency;
-        self
-    }
-
-    /// Builder-style override of the recycled-block free-pool cap (in
-    /// blocks; `0` = unbounded).
-    pub fn with_free_pool_cap(mut self, cap: usize) -> Self {
-        self.free_pool_cap = cap;
+    /// Does nothing: the pressure watermarks are gone. Kept only because
+    /// popbench's `adapter.rs` (`benchmark/src/adapter.rs`, `config()`)
+    /// still calls it; the next benchmark change drops that call.
+    #[doc(hidden)]
+    pub fn with_pressure_watermarks(self, _soft: usize, _hard: usize, _emergency: usize) -> Self {
         self
     }
 
@@ -416,16 +302,6 @@ impl SmrConfig {
             }
             _ => PublishMode::Futex,
         }
-    }
-
-    /// The [`PressureGauge`] this configuration describes (how `DomainBase`
-    /// seeds its stats).
-    pub fn pressure_gauge(&self) -> PressureGauge {
-        PressureGauge::new(
-            self.pressure_soft,
-            self.pressure_hard,
-            self.pressure_emergency,
-        )
     }
 }
 
@@ -461,19 +337,13 @@ mod tests {
 
     #[test]
     fn env_overrides_drive_the_fallback_matrix() {
-        let env = |k: &str| match k {
-            "POP_RETIRE_BATCH" => Some("1".to_string()),
-            "POP_ADAPTIVE" => Some("0".to_string()),
-            _ => None,
-        };
-        let c = SmrConfig::test_defaults(2).with_overrides_from(env);
+        let c = SmrConfig::test_defaults(2)
+            .with_overrides_from(|k| (k == "POP_RETIRE_BATCH").then(|| "1".to_string()));
         assert_eq!(c.retire_batch, 1);
-        assert!(!c.adaptive);
         // Unset / garbage values leave the defaults alone.
         let c = SmrConfig::test_defaults(2)
-            .with_overrides_from(|k| (k == "POP_ADAPTIVE").then(|| "maybe".to_string()));
+            .with_overrides_from(|k| (k == "POP_RETIRE_BATCH").then(|| "few".to_string()));
         assert_eq!(c.retire_batch, RETIRE_BATCH_CAP);
-        assert!(c.adaptive, "controller is on by default");
     }
 
     #[test]
@@ -489,41 +359,6 @@ mod tests {
             .with_overrides_from(|k| (k == "POP_PUBLISH_DEADLINE_MS").then(|| "fast".to_string()));
         assert_eq!(
             c.publish_deadline_ns, DEFAULT_PUBLISH_DEADLINE_NS,
-            "garbage leaves the default alone"
-        );
-    }
-
-    #[test]
-    fn pressure_defaults_builders_and_env() {
-        let c = SmrConfig::test_defaults(1);
-        assert_eq!(c.pressure_soft, 24_576 * PRESSURE_SOFT_FACTOR);
-        assert_eq!(c.pressure_emergency, 24_576 * PRESSURE_EMERGENCY_FACTOR);
-        assert_eq!(c.free_pool_cap, DEFAULT_FREE_POOL_CAP);
-        assert!(c.pressure_gauge().enabled(), "gauge on by default");
-        let c = c.with_pressure_watermarks(0, 0, 0);
-        assert!(!c.pressure_gauge().enabled(), "soft 0 turns it off");
-        let c = SmrConfig::test_defaults(1)
-            .with_pressure_watermarks(10, 20, 40)
-            .with_free_pool_cap(0);
-        assert_eq!((c.pressure_soft, c.pressure_hard), (10, 20));
-        assert_eq!(c.free_pool_cap, 0, "zero (unbounded pool) is legal");
-        let c = SmrConfig::test_defaults(1).with_overrides_from(|k| match k {
-            "POP_PRESSURE_SOFT" => Some("5".to_string()),
-            "POP_PRESSURE_HARD" => Some("6".to_string()),
-            "POP_PRESSURE_EMERGENCY" => Some("7".to_string()),
-            "POP_FREE_POOL_CAP" => Some("2".to_string()),
-            _ => None,
-        });
-        assert_eq!(
-            (c.pressure_soft, c.pressure_hard, c.pressure_emergency),
-            (5, 6, 7)
-        );
-        assert_eq!(c.free_pool_cap, 2);
-        let c = SmrConfig::test_defaults(1)
-            .with_overrides_from(|k| (k == "POP_PRESSURE_SOFT").then(|| "lots".to_string()));
-        assert_eq!(
-            c.pressure_soft,
-            24_576 * PRESSURE_SOFT_FACTOR,
             "garbage leaves the default alone"
         );
     }

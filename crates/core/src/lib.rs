@@ -59,15 +59,16 @@
 //! the shared peer table (`pop_shared::Peers`, module docs of
 //! `pop_shared`).
 //!
-//! ## Adaptivity
+//! ## Pacing
 //!
-//! The [`controller`] module closes the feedback loop from sweep
-//! outcomes to the pass cadence: barren passes decay it, and the first
-//! freeing sweep resets it. `SmrConfig::adaptive` (env `POP_ADAPTIVE`)
-//! turns the loop off, restoring the static cadence the CI fallback matrix
-//! pins. The retire pipeline itself has no adaptive layout: fixed
-//! slab-routed fill bins, one range test per block and one per-node test
-//! for the blocks it leaves undecided.
+//! Nothing outside a scheme paces its reclamation. A pass falls due every
+//! `reclaim_freq` retires domain-wide and always runs, and a robust
+//! scheme bounds its garbage by its own rule: a ping publishes a stalled
+//! reader's reservations, EpochPOP escalates to that ping, and eras and
+//! intervals pin only what was alive at the reader's last read. The retire
+//! pipeline has no adaptive layout either: fixed slab-routed fill bins,
+//! one range test per block and one per-node test for the blocks it
+//! leaves undecided.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -75,10 +76,8 @@
 
 mod base;
 pub mod config;
-pub mod controller;
 pub mod header;
 mod pop_shared;
-pub mod pressure;
 pub mod schemes;
 pub mod slab;
 pub mod smr;
@@ -93,7 +92,6 @@ pub mod testing {
 
 pub use config::{PublishMode, SmrConfig};
 pub use header::{unmark_word, HasHeader, Header, Retired, RETIRE_BATCH_CAP};
-pub use pressure::{PressureGauge, PressureRung};
 pub use smr::{
     alloc_node, as_header, dealloc_node_unpublished, free_node_raw, protect_infallible,
     retire_node, OpGuard, ReadResult, Registration, Restart, Row, Smr,

@@ -112,7 +112,7 @@
 //!
 //! * **Publish is degenerate.** The process-global signal handler still
 //!   runs on these threads (another domain sharing the process may ping
-//!   them, and the PR 7 hard rung re-pings suspects per-participant).
+//!   them).
 //!   [`PopShared::publish_tid`] therefore *skips the local→shared copy*
 //!   on membarrier-configured domains — the copy would overwrite live
 //!   shared reservations with the unused (all-zero) local words — while
@@ -247,23 +247,6 @@ impl<L: core::ops::Deref<Target = [Line]>> Rows<L> {
     /// Appends `tid`'s non-zero words to `out` (a reservation scan).
     pub(crate) fn push_words(&self, tid: usize, out: &mut Vec<u64>) {
         out.extend(self.words(tid));
-    }
-
-    /// One-word summary of `tid`'s row for the stall tracker: its minimum
-    /// non-zero word (`0` if every slot is empty). A stalled reader
-    /// re-publishing the *same* pinned era or pointer keeps it constant;
-    /// any progress moves it.
-    pub(crate) fn signature(&self, tid: usize) -> u64 {
-        self.words(tid).min().unwrap_or(0)
-    }
-
-    /// Whether `tid` still holds word `w` in any slot — the quarantine
-    /// release predicate (a parked block stays parked only while its
-    /// blocker's pinning word is still visible).
-    pub(crate) fn holds(&self, tid: usize, w: u64) -> bool {
-        self.row(tid)
-            .iter()
-            .any(|cell| cell.load(Ordering::Acquire) == w)
     }
 
     /// Zeroes `tid`'s row with relaxed stores (the caller orders them).
@@ -589,7 +572,7 @@ pub(crate) struct PopShared {
     activity: Box<[CachePadded<AtomicU64>]>,
     /// Set by the watchdog (deadline expired) or a failed ping: the thread
     /// may hold reservations it never published, so reclaimers treat its
-    /// *local* words as reserved too ([`Self::collect_reserved_into_filtered`] —
+    /// *local* words as reserved too ([`Self::collect_reserved_into`] —
     /// correct-by-keep). Cleared by the thread's own next publish.
     suspect: Box<[AtomicBool]>,
     stats: Arc<DomainStats>,
@@ -743,7 +726,7 @@ impl PopShared {
         // Membarrier mode: the owner already writes the shared slots, and
         // the unused local words are all zero — copying them over would
         // ERASE live reservations (the handler may fire on these threads
-        // via another domain's ping or a hard-rung re-ping). The publish
+        // via another domain's ping). The publish
         // degenerates to fence + suspect-clear + counter bump + wake, which
         // is exactly what the signal fallback path needs from it.
         if !self.membarrier {
@@ -922,22 +905,13 @@ impl PopShared {
         }
     }
 
-    /// Scans `sharedReservations` of every registered thread `include`
-    /// accepts (Alg. 2 lines 28–31) into `out` as a sorted, deduplicated
-    /// set of non-zero words; allocation-free once `out` has grown to its
-    /// working capacity. With a real filter, this is the emergency-rung
-    /// "active set" scan that leaves a known-stalled blocker's reservations
-    /// out. Excluded threads keep the same suspect-widening semantics when
-    /// included elsewhere; callers must pair this with the full union scan
-    /// for the actual free decision.
-    pub(crate) fn collect_reserved_into_filtered(
-        &self,
-        out: &mut Vec<u64>,
-        mut include: impl FnMut(usize) -> bool,
-    ) {
+    /// Scans `sharedReservations` of every registered thread (Alg. 2
+    /// lines 28–31) into `out` as a sorted, deduplicated set of non-zero
+    /// words; allocation-free once `out` has grown to its working capacity.
+    pub(crate) fn collect_reserved_into(&self, out: &mut Vec<u64>) {
         out.clear();
         for t in 0..self.peers.len() {
-            if !self.peers.is_registered(t) || !include(t) {
+            if !self.peers.is_registered(t) {
                 continue;
             }
             // A suspect thread (watchdog expiry / failed ping) may hold
@@ -952,32 +926,6 @@ impl PopShared {
         }
         out.sort_unstable();
         out.dedup();
-    }
-
-    /// Hard-rung targeted re-ping: signals every *suspect* registered peer
-    /// (skipping `me`) once more, without waiting for publication. The
-    /// suspects are exactly the threads whose reservations the scan is
-    /// already honoring conservatively — a successful re-ping lets the
-    /// next pass shrink that keep set. Returns the number of pings sent.
-    pub(crate) fn reping_suspects(&self, me: usize) -> u64 {
-        let mut pings = 0u64;
-        let mut failed = 0u64;
-        for t in self.peers.others(me) {
-            if !self.suspect[t].load(Ordering::Acquire) {
-                continue;
-            }
-            match self.peers.ping(t) {
-                PingOutcome::Sent => pings += 1,
-                PingOutcome::Inactive => {}
-                PingOutcome::Dead | PingOutcome::Failed(_) => failed += 1,
-            }
-        }
-        if pings > 0 || failed > 0 {
-            let shard = self.stats.shard(me);
-            shard.pings_sent.fetch_add(pings, Ordering::Relaxed);
-            shard.pings_failed.fetch_add(failed, Ordering::Relaxed);
-        }
-        pings
     }
 
     /// Removes a **confirmed-dead** participant from the ping set on its
@@ -1031,11 +979,6 @@ pub(crate) mod testing {
         /// Owner-side read of a reservation word.
         pub(crate) fn local_at(&self, tid: usize, slot: usize) -> u64 {
             self.owner.row(tid)[slot].load(Ordering::Relaxed)
-        }
-
-        /// The unfiltered reservation scan.
-        pub(crate) fn collect_reserved_into(&self, out: &mut Vec<u64>) {
-            self.collect_reserved_into_filtered(out, |_| true);
         }
 
         /// Allocating [`Self::collect_reserved_into`].
@@ -1653,7 +1596,7 @@ mod tests {
         p.set_local(1, 0, 0xBEEF); // lands directly in the shared slot
         assert_eq!(p.collect_reserved(), vec![0xBEEF]);
         // A stray ping (another domain's fan-out through the process-global
-        // handler, or a hard-rung re-ping after a downgrade) runs this
+        // handler) runs this
         // domain's publish: the degenerate publish must NOT copy the
         // all-zero local words over the live shared reservation.
         Publisher::publish(p, 66);
@@ -1669,7 +1612,7 @@ mod tests {
     }
 
     #[test]
-    fn membarrier_mode_never_sets_suspects_so_reping_is_noop() {
+    fn membarrier_mode_never_sets_suspects() {
         if !pop_runtime::membarrier::is_available() {
             return;
         }
@@ -1678,10 +1621,9 @@ mod tests {
         p.register(1, 101);
         let mut scratch = Vec::new();
         p.ping_all_and_wait(0, &mut scratch);
-        assert_eq!(
-            p.reping_suspects(0),
-            0,
-            "pure membarrier mode never suspects anyone — the hard rung's re-ping is a no-op"
+        assert!(
+            p.suspect.iter().all(|s| !s.load(Ordering::Acquire)),
+            "pure membarrier mode never suspects anyone"
         );
     }
 

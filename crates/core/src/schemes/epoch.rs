@@ -7,8 +7,8 @@
 //! exit, and — but for IBR — free what was retired strictly before the
 //! minimum announced epoch. They differ in one respect only: what happens
 //! to a reader that stops advancing — the laggard `L`. The announcement
-//! row, the clock, the pass, `retire`, `flush`, registration and the
-//! pressure hooks are written once.
+//! row, the clock, the pass, `retire`, `flush` and registration are
+//! written once.
 //!
 //! | alias | `Smr::NAME` | laggard | announce | `protect` | a laggard… |
 //! |-------|-------------|---------|----------|-----------|------------|
@@ -25,20 +25,17 @@
 //! (`Laggard::RETIRE_TICK`): `VBR_MAX_LAG` counts bumps, so its version
 //! moves on passes alone.
 //!
-//! **The pass.** Take the domain's retire pool, then, paced by the
-//! domain's [`PassController`]: advance the clock, fence, scan the
-//! announcements (stall-aware), release quarantined blocks whose blocker
-//! moved, sweep, and feed the outcome back into the decay. The laggard
-//! sees what the pass kept (`Laggard::after_sweep`) before the survivors
-//! go back to the pool. The sweep is the laggard's one override of the pass
-//! (`Laggard::sweep`): by default everything retired before the floor
-//! (whole blocks by their era summary, straddling blocks member by
-//! member); IBR's tests each member's `[birth, retire]` lifespan against
-//! every announced `[lower, upper]` interval instead, and so frees nodes
-//! born after a stalled reader's last read, which the floor keeps. The
-//! emergency rung may park blocks pinned only by a stalled reader
-//! (`Laggard::QUARANTINE`). `retire` is push → tick or pass → the hard
-//! rung's bounded retries after a pass; `flush` is a forced pass.
+//! **The pass.** Take the domain's retire pool, advance the clock, fence,
+//! scan the announcements and sweep. Every triggered pass runs: nothing
+//! thins or paces it. The laggard sees what the pass kept
+//! (`Laggard::after_sweep`) before the survivors go back to the pool. The
+//! sweep is the laggard's one override of the pass (`Laggard::sweep`): by
+//! default everything retired before the floor (whole blocks by their era
+//! summary, straddling blocks member by member); IBR's tests each member's
+//! `[birth, retire]` lifespan against every announced `[lower, upper]`
+//! interval instead, and so frees nodes born after a stalled reader's
+//! last read, which the floor keeps. `retire` is push → tick or pass;
+//! `flush` is a pass.
 //!
 //! **IBR** (2GE, Wen et al. 2018) announces an interval: the engine's
 //! word is its lower bound, and [`Interval`] keeps the upper bounds. Each
@@ -54,13 +51,12 @@
 //! nodes it took means some thread is stuck in an old epoch, and the
 //! reclaimer escalates at once to a HazardPtrPOP pass over the same set —
 //! ping everyone, free everything not pointer-reserved — skipping only the
-//! bounded `N × H` reserved set. A pass the decay thinned keeps all it
-//! took. What a triggered pass keeps, if under `reclaim_freq`, counts
-//! toward the domain's next trigger, so the next epoch pass falls due
-//! when the pool holds `reclaim_freq` nodes again: a reader that pins
-//! part of one pass's set is escalated past at the next. Garbage is
-//! therefore bounded as for HazardPtrPOP, `reclaim_freq + N × H`
-//! domain-wide, whatever the decay thinned. Only when the reservations
+//! bounded `N × H` reserved set. What a triggered pass keeps, if under
+//! `reclaim_freq`, counts toward the domain's next trigger, so the next
+//! epoch pass falls due when the pool holds `reclaim_freq` nodes again: a
+//! reader that pins part of one pass's set is escalated past at the next.
+//! Garbage is therefore bounded as for HazardPtrPOP,
+//! `reclaim_freq + N × H` domain-wide. Only when the reservations
 //! themselves pin `reclaim_freq` nodes (possible only if
 //! `reclaim_freq ≤ N × H`) does the next pass wait for `reclaim_freq` new
 //! retires — HazardPtrPOP's pacing — rather than come at every seal. No
@@ -79,11 +75,7 @@
 //! its first read after waking aborts instead of resuming on stale
 //! protection. Write phases (`begin_write`..`end_write`) suspend the abort:
 //! a writer holding validated references must not be restarted mid-CAS,
-//! so lag is checked once more in `begin_write` itself. There is no
-//! quarantine, by construction: one read by the laggard drains the whole
-//! backlog, so parking pinned blocks buys nothing, and the pass never
-//! passes the sweep a relaxed floor (`blocks_quarantined` is structurally
-//! zero).
+//! so lag is checked once more in `begin_write` itself.
 //!
 //! Every alias is monomorphized: no dispatch on any path.
 
@@ -97,12 +89,11 @@ use std::sync::Arc;
 use crossbeam_utils::CachePadded;
 
 use crate::base::{
-    free_before_epoch_with_stalled, keep_mask, node_count, push_retired, scan_epoch_reservations,
-    sweep_blocks, BlockPlan, DomainBase, EpochClock, ReclaimScratch, RelaxedMin, RetireList,
-    RetireSlot, ScratchSlot, Verdict,
+    free_before_epoch, keep_mask, node_count, push_retired, scan_epoch_reservations, sweep_blocks,
+    BlockPlan, DomainBase, EpochClock, ReclaimScratch, RetireList, RetireSlot, ScratchSlot,
+    Verdict,
 };
 use crate::config::SmrConfig;
-use crate::controller::PassController;
 use crate::header::{Header, Retired};
 use crate::smr::{ReadResult, Restart, Row, Smr};
 use crate::stats::DomainStats;
@@ -145,9 +136,6 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     /// Whether a retire tick advances the epoch (module docs, "The
     /// clock").
     const RETIRE_TICK: bool = true;
-    /// Whether the emergency rung may park blocks pinned only by a
-    /// stalled reader.
-    const QUARANTINE: bool = true;
 
     /// The policy's state for `base`'s domain.
     fn new(base: &DomainBase) -> Self;
@@ -198,34 +186,28 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     #[inline]
     fn end_write(_e: &Epoch<Self>, _tid: usize) {}
 
-    /// Runs at the end of every pass (thinned or not) while it still
-    /// holds what it kept, `scratch.taken`.
+    /// Runs at the end of every pass while it still holds what it kept,
+    /// `scratch.taken`.
     fn after_sweep(_e: &Epoch<Self>, _tid: usize, _scratch: &mut ReclaimScratch, _cause: Cause) {}
-
-    /// Hard-rung nudge before a synchronous retry.
-    fn reping(_e: &Epoch<Self>, _tid: usize) {}
 
     /// The pass's sweep of what it took (`scratch.taken`), recycling
     /// emptied boxes into `tid`'s `list`: by default everything retired
-    /// before the floor `min`, parking on the `relaxed` floor (emergency
-    /// rung, `QUARANTINE` only) what only a stalled reader pins. Returns
-    /// the number freed.
+    /// before the floor `min`.
     ///
     /// # Safety
     ///
-    /// As for [`free_before_epoch_with_stalled`]: `min` is the floor of
-    /// every registered announcement, loaded after the pass's fence.
+    /// As for [`free_before_epoch`]: `min` is the floor of every
+    /// registered announcement, loaded after the pass's fence.
     unsafe fn sweep(
         e: &Epoch<Self>,
         tid: usize,
         list: &mut RetireList,
         scratch: &mut ReclaimScratch,
         min: u64,
-        relaxed: Option<&RelaxedMin>,
-    ) -> usize {
+    ) {
         let taken = &mut scratch.taken;
         // SAFETY: forwarded contract.
-        unsafe { free_before_epoch_with_stalled(&e.base, tid, list, taken, min, relaxed) }
+        unsafe { free_before_epoch(&e.base, tid, list, taken, min) };
     }
 
     /// Runs when `tid` is bound to signalable thread `gtid`.
@@ -243,10 +225,8 @@ struct ThreadState {
 /// Why an epoch pass runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Cause {
-    /// A seal crossed the domain trigger: the controller may thin it.
+    /// A seal crossed the domain trigger.
     Trigger,
-    /// A hard-rung retry after a triggered pass.
-    Retry,
     /// `flush` (and so `unregister`): drain all that can be drained.
     Flush,
 }
@@ -259,9 +239,6 @@ pub struct Epoch<L: Laggard> {
     lag: L,
     base: DomainBase,
     clock: EpochClock,
-    /// Pass-cadence decay (adaptive controller). Never thins EpochPOP's
-    /// escalation — robustness is exempt from pacing.
-    ctl: PassController,
     /// `reservedEpoch[tid]` (Alg. 3 and 6, line 4): the epoch `tid`
     /// entered its operation at, [`QUIESCENT`] between operations.
     announced: Box<[CachePadded<AtomicU64>]>,
@@ -344,18 +321,16 @@ impl Laggard for Ping {
 
     /// Alg. 3 line 26: a triggered epoch pass that keeps `reclaim_freq`
     /// of the nodes it took implicates a delayed thread, and escalates on
-    /// that set (module docs); a flush escalates on anything kept. A
-    /// hard-rung retry does not. What a triggered pass finally keeps, if
-    /// under `reclaim_freq`, counts toward the next trigger: the next
-    /// epoch pass falls due when the pool holds `reclaim_freq` nodes
-    /// again, not after `reclaim_freq` new ones.
+    /// that set (module docs); a flush escalates on anything kept. What a
+    /// triggered pass finally keeps, if under `reclaim_freq`, counts toward
+    /// the next trigger: the next epoch pass falls due when the pool holds
+    /// `reclaim_freq` nodes again, not after `reclaim_freq` new ones.
     fn after_sweep(e: &Epoch<Self>, tid: usize, scratch: &mut ReclaimScratch, cause: Cause) {
         let freq = e.base.cfg.reclaim_freq;
         let kept = node_count(&scratch.taken);
         let escalate = match cause {
             Cause::Trigger => kept >= freq,
             Cause::Flush => kept > 0,
-            Cause::Retry => false,
         };
         if escalate {
             Self::escalate(e, tid, scratch);
@@ -364,10 +339,6 @@ impl Laggard for Ping {
         if cause == Cause::Trigger && kept < freq {
             e.base.count_kept(kept);
         }
-    }
-
-    fn reping(e: &Epoch<Self>, tid: usize) {
-        e.lag.publish.reping(tid);
     }
 
     fn bind(e: &Epoch<Self>, tid: usize, gtid: usize) {
@@ -381,17 +352,14 @@ impl Laggard for Ping {
 
 impl Ping {
     /// Alg. 3 lines 26–30: a HazardPtrPOP pass over the set the epoch
-    /// pass took and kept. Never thinned. Reaping a dead participant here
-    /// also unpins the epoch min-scan, which gates on `is_registered`. A
-    /// freeing escalation un-decays the domain; a barren one deepens like
-    /// any barren pass.
+    /// pass took and kept. Reaping a dead participant here also unpins the
+    /// epoch min-scan, which gates on `is_registered`.
     fn escalate(e: &Epoch<Self>, tid: usize, scratch: &mut ReclaimScratch) {
-        let freed = publish_and_free(&Ptr, &e.lag.publish, &e.base, tid, scratch, |t| {
+        publish_and_free(&Ptr, &e.lag.publish, &e.base, tid, scratch, |t| {
             // SAFETY: `tid`'s own list by ownership; a dead peer's after
             // `reap_one_dead` established exclusivity.
             unsafe { e.threads[t].retire.get() }
         });
-        e.ctl.note_pass_outcome(e.base.stats.shard(tid), freed);
     }
 }
 
@@ -429,7 +397,6 @@ impl Laggard for Abort {
     const ROBUST: bool = false;
     const NEEDS_SIGNALS: bool = false;
     const RETIRE_TICK: bool = false;
-    const QUARANTINE: bool = false;
 
     fn new(base: &DomainBase) -> Self {
         Abort {
@@ -548,8 +515,7 @@ impl Laggard for Interval {
         list: &mut RetireList,
         scratch: &mut ReclaimScratch,
         _min: u64,
-        relaxed: Option<&RelaxedMin>,
-    ) -> usize {
+    ) {
         let intervals = &mut scratch.intervals;
         intervals.clear();
         for t in (0..e.base.cfg.max_threads).filter(|&t| e.base.is_registered(t)) {
@@ -561,32 +527,22 @@ impl Laggard for Interval {
         }
         let intervals = &*intervals;
         // SAFETY: a node whose lifespan meets no interval announced after
-        // the pass's fence cannot have been acquired by any thread. Parking
-        // never frees: a block retired before the non-stalled floor meets
-        // no non-stalled interval, so only stalled readers pin it.
+        // the pass's fence cannot have been acquired by any thread.
         unsafe {
             sweep_blocks(&e.base, tid, list, &mut scratch.taken, |b| {
-                let mask = keep_mask(b, |r| {
+                BlockPlan::Mask(keep_mask(b, |r| {
                     let (birth, retire) = (r.birth_era(), r.retire_era());
                     intervals
                         .iter()
                         .any(|&(lo, hi)| birth <= hi && retire >= lo)
-                });
-                match relaxed {
-                    Some(rm) if mask != 0 && b.era_ranges().2 < rm.min => BlockPlan::Quarantine {
-                        blocker_tid: rm.blocker_tid,
-                        word: rm.blocker_word,
-                    },
-                    _ => BlockPlan::Mask(mask),
-                }
-            })
+                }))
+            });
         }
     }
 }
 
 impl<L: Laggard> Epoch<L> {
-    /// One epoch pass (module docs). Triggered passes may be thinned by
-    /// the controller; flush, unregister and hard-rung passes always run.
+    /// One epoch pass (module docs).
     fn pass(&self, tid: usize, cause: Cause) {
         let base = &self.base;
         // SAFETY: tid ownership per the registration contract.
@@ -597,46 +553,20 @@ impl<L: Laggard> Epoch<L> {
         // Take before the advance: a taken block's retire eras must
         // predate the announcement scan below.
         base.take(tid, list, &mut scratch.taken);
-        if self
-            .ctl
-            .admit(base.stats.pressure().rung(), cause != Cause::Trigger)
-        {
-            let shard = base.stats.shard(tid);
-            shard.epoch_passes.fetch_add(1, Ordering::Relaxed);
-            // Advance first: what this thread retired since its last tick
-            // now predates the epoch its next operation announces.
-            self.clock.advance();
-            // Order the announcement scan after this thread's preceding
-            // unlinks.
-            fence(Ordering::SeqCst);
-            let (min, relaxed) = scan_epoch_reservations(base, QUIESCENT, |t| {
-                self.announced[t].load(Ordering::SeqCst)
-            });
-            // Ladder rung 3 unwind: parked blocks whose blocker's
-            // announcement moved (or whose blocker is gone) join the pass
-            // and are re-filtered against *current* announcements by the
-            // sweep below. They may follow the scan: each was taken by an
-            // earlier pass, so its nodes predate this scan too.
-            base.reclaim_released_quarantine(tid, &mut scratch.taken, |t, w| {
-                self.announced[t].load(Ordering::SeqCst) == w
-            });
-            shard.observe_retire_len(node_count(&scratch.taken));
-            // SAFETY: a node retired before every announced epoch is
-            // unreachable — every thread that could hold a reference has
-            // left the operation it was in. The relaxed floor never frees:
-            // it parks blocks pinned solely by the known-stalled blocker.
-            let freed = unsafe {
-                L::sweep(
-                    self,
-                    tid,
-                    list,
-                    scratch,
-                    min,
-                    relaxed.as_ref().filter(|_| L::QUARANTINE),
-                )
-            };
-            self.ctl.note_pass_outcome(shard, freed);
-        }
+        let shard = base.stats.shard(tid);
+        shard.epoch_passes.fetch_add(1, Ordering::Relaxed);
+        // Advance first: what this thread retired since its last tick now
+        // predates the epoch its next operation announces.
+        self.clock.advance();
+        // Order the announcement scan after this thread's preceding
+        // unlinks.
+        fence(Ordering::SeqCst);
+        let min = scan_epoch_reservations(base, |t| self.announced[t].load(Ordering::SeqCst));
+        shard.observe_retire_len(node_count(&scratch.taken));
+        // SAFETY: a node retired before every announced epoch is
+        // unreachable — every thread that could hold a reference has left
+        // the operation it was in.
+        unsafe { L::sweep(self, tid, list, scratch, min) };
         L::after_sweep(self, tid, scratch, cause);
         base.put_back(tid, &mut scratch.taken);
     }
@@ -661,7 +591,6 @@ impl<L: Laggard> Smr for Epoch<L> {
         Arc::new(Epoch {
             lag: L::new(&base),
             clock: EpochClock::new(),
-            ctl: PassController::new(base.cfg.adaptive),
             announced: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(QUIESCENT)))
                 .collect(),
@@ -748,11 +677,7 @@ impl<L: Laggard> Smr for Epoch<L> {
                     self.clock.advance();
                 }
             }
-            Verdict::Pass => {
-                self.pass(tid, Cause::Trigger);
-                self.base
-                    .hard_rung_retries(|| L::reping(self, tid), || self.pass(tid, Cause::Retry));
-            }
+            Verdict::Pass => self.pass(tid, Cause::Trigger),
         }
     }
 
@@ -850,12 +775,8 @@ mod tests {
     /// Epoch advances over `retires` unbatched retires, none of which
     /// reaches a pass (`reclaim_freq` 64): every retire seals, so each is
     /// a tick.
-    fn epoch_steps<L: Laggard>(retires: u64, adaptive: bool) -> u64 {
-        let smr = Epoch::<L>::new(
-            SmrConfig::for_tests(2)
-                .with_retire_batch(1)
-                .with_adaptive(adaptive),
-        );
+    fn epoch_steps<L: Laggard>(retires: u64) -> u64 {
+        let smr = Epoch::<L>::new(SmrConfig::for_tests(2).with_retire_batch(1));
         let reg = smr.register(0);
         let e0 = smr.current_era();
         churn(&*smr, retires);
@@ -868,26 +789,22 @@ mod tests {
 
     #[test]
     fn every_seal_advances_the_epoch_once() {
-        for adaptive in [false, true] {
-            assert_eq!(epoch_steps::<Wait>(8, adaptive), 8);
-            assert_eq!(epoch_steps::<Ping>(63, adaptive), 63);
-            assert_eq!(epoch_steps::<Interval>(15, adaptive), 15);
-            assert_eq!(epoch_steps::<Abort>(63, adaptive), 0, "VBR opts out");
-        }
+        assert_eq!(epoch_steps::<Wait>(8), 8);
+        assert_eq!(epoch_steps::<Ping>(63), 63);
+        assert_eq!(epoch_steps::<Interval>(15), 15);
+        assert_eq!(epoch_steps::<Abort>(63), 0, "VBR opts out");
     }
 
     #[test]
     fn an_epoch_pass_keeps_one_block_under_its_own_announcement() {
-        let cfg = SmrConfig::for_tests(1)
-            .with_reclaim_freq(1024)
-            .with_adaptive(false);
+        let cfg = SmrConfig::for_tests(1).with_reclaim_freq(1024);
         crate::schemes::assert_own_pass_keeps_one_block::<Ibr>(cfg.clone());
         crate::schemes::assert_own_pass_keeps_one_block::<Ebr>(cfg.clone());
         crate::schemes::assert_own_pass_keeps_one_block::<EpochPop>(cfg);
     }
 
     // -----------------------------------------------------------------
-    // Wait (EBR): a stalled reader pins everything; the controller paces.
+    // Wait (EBR): a stalled reader pins everything.
     // -----------------------------------------------------------------
 
     #[test]
@@ -925,59 +842,11 @@ mod tests {
     }
 
     #[test]
-    fn barren_passes_decay_and_thin_triggered_passes() {
-        // A stalled reader makes every pass barren: the controller must
-        // deepen the decay (counted) and thin retire-triggered passes, so
-        // the pinned regime stops paying a full scan per trigger.
+    fn barren_triggers_still_run_full_passes() {
         let smr = Ebr::new(
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(32)
-                .with_retire_batch(1) // unbatched: deterministic seal/trigger points
-                .with_adaptive(true), // pin against the POP_ADAPTIVE=0 CI leg
-        );
-        let reg0 = smr.register(0);
-        let reg1 = smr.register(1);
-        smr.begin_op(1); // reader parks in the current epoch
-        let triggers = 64u64;
-        churn(&*smr, 32 * triggers);
-        let s = smr.stats().snapshot();
-        assert_eq!(s.freed_nodes, 0, "everything pinned by the reader");
-        assert!(
-            s.epoch_decay_steps >= crate::controller::MAX_EPOCH_DECAY as u64,
-            "barren passes must deepen the decay, saw {}",
-            s.epoch_decay_steps
-        );
-        assert!(
-            s.epoch_passes < triggers,
-            "decay must thin triggered passes: {} full of {} triggers",
-            s.epoch_passes,
-            triggers
-        );
-        // No reclamation-latency cliff: the reader leaves, and the very
-        // next (forced) pass frees everything and resets the decay.
-        smr.end_op(1);
-        smr.flush(0);
-        let s = smr.stats().snapshot();
-        assert_eq!(s.unreclaimed_nodes(), 0, "first freeable sweep drains");
-        assert_eq!(smr.ctl.decay_level(), 0, "decay resets on the free");
-        // And with the decay reset, triggered passes run full again.
-        let full_before = smr.stats().snapshot().epoch_passes;
-        churn(&*smr, 64);
-        assert!(
-            smr.stats().snapshot().epoch_passes > full_before,
-            "post-reset triggers execute full passes"
-        );
-        drop(reg1);
-        drop(reg0);
-    }
-
-    #[test]
-    fn adaptive_off_never_decays_or_thins() {
-        let smr = Ebr::new(
-            SmrConfig::for_tests(2)
-                .with_reclaim_freq(32)
-                .with_retire_batch(1)
-                .with_adaptive(false),
+                .with_retire_batch(1),
         );
         let reg0 = smr.register(0);
         let reg1 = smr.register(1);
@@ -985,10 +854,10 @@ mod tests {
         let triggers = 16u64;
         churn(&*smr, 32 * triggers);
         let s = smr.stats().snapshot();
-        assert_eq!(s.epoch_decay_steps, 0, "static config never decays");
+        assert_eq!(s.freed_nodes, 0, "everything pinned by the reader");
         assert_eq!(
             s.epoch_passes, triggers,
-            "every trigger runs a full pass when adaptive is off"
+            "nothing thins a barren domain's passes"
         );
         smr.end_op(1);
         smr.flush(0);
@@ -1115,8 +984,7 @@ mod tests {
         let smr = EpochPop::new(
             SmrConfig::for_tests(3)
                 .with_reclaim_freq(64)
-                .with_retire_batch(1)
-                .with_adaptive(false),
+                .with_retire_batch(1),
         );
         let cfg = smr.config();
         // One block of seal slack; unbatched, so the fill bins stay empty.
@@ -1168,7 +1036,6 @@ mod tests {
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(64)
                 .with_retire_batch(1)
-                .with_adaptive(false)
                 .with_publish_mode(PublishMode::Futex),
         );
         let reg0 = smr.register(0);
@@ -1200,7 +1067,6 @@ mod tests {
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(64)
                 .with_retire_batch(1)
-                .with_adaptive(false)
                 .with_publish_mode(PublishMode::Futex),
         );
         let reg0 = smr.register(0);
@@ -1232,7 +1098,6 @@ mod tests {
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(4)
                 .with_retire_batch(1)
-                .with_adaptive(false)
                 .with_publish_mode(PublishMode::Futex),
         );
         let reg0 = smr.register(0);
@@ -1312,9 +1177,9 @@ mod tests {
 
     #[test]
     fn stalled_reader_aborts_and_unpins_on_next_read() {
-        // Pin adaptive off: every retire trigger runs a full pass, so the
-        // version advances deterministically past VBR_MAX_LAG.
-        let smr = Vbr::new(SmrConfig::for_tests(2).with_adaptive(false));
+        // Every retire trigger runs a full pass, so the version advances
+        // deterministically past VBR_MAX_LAG.
+        let smr = Vbr::new(SmrConfig::for_tests(2));
         let reg0 = smr.register(0);
         let reg1 = smr.register(1);
         // Reader enters at the current version and stalls.
@@ -1357,7 +1222,7 @@ mod tests {
 
     #[test]
     fn write_phase_suppresses_version_aborts() {
-        let smr = Vbr::new(SmrConfig::for_tests(2).with_adaptive(false));
+        let smr = Vbr::new(SmrConfig::for_tests(2));
         let reg0 = smr.register(0);
         let reg1 = smr.register(1);
         smr.begin_op(1);
@@ -1394,46 +1259,6 @@ mod tests {
             "a reclamation pass is exactly a version bump"
         );
         drop(reg);
-    }
-
-    #[test]
-    fn no_quarantine_by_construction() {
-        // Even with quarantine enabled, the pressure ladder fully
-        // escalated, and a reader parked across heavy churn, VBR parks
-        // nothing: its pass hands the sweep no relaxed floor, so the
-        // rung-3 quarantine is a structural no-op.
-        let smr = Vbr::new(
-            SmrConfig::for_tests(2)
-                .with_reclaim_freq(16)
-                .with_retire_batch(1)
-                .with_pressure_watermarks(64, 96, 128)
-                .with_quarantine(),
-        );
-        let reg0 = smr.register(0);
-        let reg1 = smr.register(1);
-        smr.begin_op(1); // parked reader pins everything retired after it
-        churn(&*smr, 4000);
-        smr.flush(0);
-        let s = smr.stats().snapshot();
-        assert!(
-            s.pressure_emergency_trips >= 1,
-            "the ladder must have escalated for the no-op to mean anything: {s:?}"
-        );
-        assert_eq!(
-            s.blocks_quarantined, 0,
-            "VBR must never quarantine (no-op rung by construction)"
-        );
-        assert!(
-            s.unreclaimed_nodes() > 0,
-            "the parked announcement is honored meanwhile"
-        );
-        smr.end_op(1);
-        smr.flush(0);
-        let s = smr.stats().snapshot();
-        assert_eq!(s.unreclaimed_nodes(), 0, "drains once the reader leaves");
-        assert_eq!(s.blocks_quarantined, 0);
-        drop(reg1);
-        drop(reg0);
     }
 
     // -----------------------------------------------------------------
@@ -1502,7 +1327,7 @@ mod tests {
     /// allocates, retires and flushes 16 nodes. Returns how many of them
     /// were freed.
     fn freed_past_stalled_reader<L: Laggard>() -> u64 {
-        let smr = Epoch::<L>::new(SmrConfig::for_tests(2).with_adaptive(false));
+        let smr = Epoch::<L>::new(SmrConfig::for_tests(2));
         let reg0 = smr.register(0);
         let reg1 = smr.register(1);
         let hot = node(&*smr, 7);

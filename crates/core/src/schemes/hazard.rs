@@ -4,8 +4,7 @@
 //! Publish-on-ping transforms hazard pointers and hazard eras in exactly
 //! one respect: *how a reservation becomes visible* to a reclaimer. That is
 //! the publisher `P`; *what* is reserved is the kind `K`; registration,
-//! retire, the pass, the stall scan, reaping and the pressure hooks are
-//! written once.
+//! retire, the pass and reaping are written once.
 //!
 //! | alias | `Smr::NAME` | kind | publisher | per-read reserve (into the traversal's row) | pass prologue |
 //! |-------|-------------|------|-----------|------------------|---------------|
@@ -34,10 +33,7 @@
 //! pinning its own trigger batch under the reclaimer's reservation: it
 //! keeps only what was retired since the last seal, so a parked reader
 //! holds the domain's garbage below `reclaim_freq` + one block + the open
-//! fill bins of each retiring thread, plus the nodes alive at its era. Era passes also feed the stall tracker, release
-//! quarantined blocks and, on the emergency rung, park blocks pinned only
-//! by an elected stalled reader; era retires keep the hard rung's bounded
-//! synchronous retries.
+//! fill bins of each retiring thread, plus the nodes alive at its era.
 //!
 //! **Publishers.** [`Fence`] is the eager baseline: the owner's row is the
 //! shared row, every reserve fences, and `end_op` zeroes the row. [`Ping`]
@@ -67,13 +63,12 @@ use pop_runtime::signal::register_publisher;
 use pop_runtime::PublisherHandle;
 
 use crate::base::{
-    free_era_unreserved_with_stalled, free_unreserved, node_count, push_retired, DomainBase,
-    ReclaimScratch, RetireList, RetireSlot, ScratchSlot, Verdict,
+    free_era_unreserved, free_unreserved, node_count, push_retired, DomainBase, ReclaimScratch,
+    RetireList, RetireSlot, ScratchSlot, Verdict,
 };
 use crate::config::{PublishMode, SmrConfig};
 use crate::header::{unmark_word, Retired};
 use crate::pop_shared::{PopShared, Rows};
-use crate::pressure::{PressureRung, STALLED_AFTER_PASSES};
 use crate::smr::{ReadResult, Row, Smr};
 use crate::stats::DomainStats;
 
@@ -95,8 +90,7 @@ pub type HazardEraPop = Hazard<Era, Ping>;
 
 /// What a reservation word names (module docs, "Kinds").
 pub(crate) trait Kind: Send + Sync + 'static {
-    /// Whether the word is an era: picks the scheme name and arms the hard
-    /// rung's synchronous retries.
+    /// Whether the word is an era: picks the scheme name.
     const ERA: bool;
 
     /// The kind's domain-wide state.
@@ -111,21 +105,19 @@ pub(crate) trait Kind: Send + Sync + 'static {
     fn advance(&self) {}
 
     /// Frees what `scratch.reserved` leaves unprotected in the blocks the
-    /// pass took (`scratch.taken`), recycling emptied boxes into `list`;
-    /// returns the number freed.
+    /// pass took (`scratch.taken`), recycling emptied boxes into `list`.
     ///
     /// # Safety
     ///
     /// `scratch.reserved` holds every word a reader may still rely on, and
     /// `tid` is the caller's registered domain thread id.
-    unsafe fn free<P: Publish>(
+    unsafe fn free(
         &self,
         base: &DomainBase,
-        publish: &P,
         tid: usize,
         list: &mut RetireList,
         scratch: &mut ReclaimScratch,
-    ) -> usize;
+    );
 
     /// The era allocations are birth-tagged with (`0` for pointers).
     fn current_era(&self) -> u64 {
@@ -178,19 +170,9 @@ pub(crate) trait Publish: Send + Sync + 'static {
         retire_of: impl FnOnce(usize) -> &'a mut RetireList,
     );
 
-    /// The visible reservations of every registered thread `include`
-    /// accepts, into `out`, sorted and deduplicated.
-    fn collect(&self, base: &DomainBase, out: &mut Vec<u64>, include: impl FnMut(usize) -> bool);
-
-    /// Thread `t`'s stall signature ([`Rows::signature`] of its visible
-    /// row).
-    fn signature(&self, t: usize) -> u64;
-
-    /// Whether thread `t` still shows word `w` (quarantine release).
-    fn holds(&self, t: usize, w: u64) -> bool;
-
-    /// Hard-rung nudge before a synchronous retry.
-    fn reping(&self, _tid: usize) {}
+    /// The visible reservations of every registered thread, into `out`,
+    /// sorted and deduplicated.
+    fn collect(&self, base: &DomainBase, out: &mut Vec<u64>);
 }
 
 struct ThreadState {
@@ -232,19 +214,18 @@ impl Kind for Ptr {
         }
     }
 
-    unsafe fn free<P: Publish>(
+    unsafe fn free(
         &self,
         base: &DomainBase,
-        _publish: &P,
         tid: usize,
         list: &mut RetireList,
         scratch: &mut ReclaimScratch,
-    ) -> usize {
+    ) {
         let taken = &mut scratch.taken;
         base.stats.shard(tid).observe_retire_len(node_count(taken));
         // SAFETY: forwarded contract — `reserved` names every pointer a
         // reader may still dereference.
-        unsafe { free_unreserved(base, tid, list, taken, &scratch.reserved) }
+        unsafe { free_unreserved(base, tid, list, taken, &scratch.reserved) };
     }
 }
 
@@ -286,45 +267,18 @@ impl Kind for Era {
         self.era.fetch_add(1, Ordering::AcqRel);
     }
 
-    unsafe fn free<P: Publish>(
+    unsafe fn free(
         &self,
         base: &DomainBase,
-        publish: &P,
         tid: usize,
         list: &mut RetireList,
         scratch: &mut ReclaimScratch,
-    ) -> usize {
-        // Stall tracking over visible words: a reader stuck on one era
-        // keeps showing the same signature. Under the emergency rung, elect
-        // the stalled reader with the lowest pinned era, then scan the
-        // other threads' eras apart.
-        let emergency = base.stats.pressure().rung() >= PressureRung::Emergency;
-        let mut blocker: Option<(usize, u64)> = None;
-        for t in (0..base.cfg.max_threads).filter(|&t| base.is_registered(t)) {
-            let sig = publish.signature(t);
-            let stalled = base.stall.observe(t, sig) >= STALLED_AFTER_PASSES && sig != 0;
-            if emergency && stalled && blocker.is_none_or(|(_, bw)| sig < bw) {
-                blocker = Some((t, sig));
-            }
-        }
-        let active = blocker.map(|(bt, bw)| {
-            publish.collect(base, &mut scratch.active, |t| !base.stall.is_stalled(t));
-            (scratch.active.as_slice(), bt, bw)
-        });
-        // Ladder rung 3 unwind: blocks parked on an era the blocker no
-        // longer shows (or a reaped blocker) join the pass and are
-        // re-filtered against the full union below. Unlike the pool take
-        // this may follow the scan: a parked block was taken by an earlier
-        // pass, so every node in it was unlinked before this one.
+    ) {
         let taken = &mut scratch.taken;
-        base.reclaim_released_quarantine(tid, taken, |t, w| publish.holds(t, w));
         base.stats.shard(tid).observe_retire_len(node_count(taken));
         // SAFETY: forwarded contract — a node whose lifespan misses every
-        // reserved era is unreachable. The active split never frees:
-        // blocks pinned only by the stalled blocker's eras are parked.
-        unsafe {
-            free_era_unreserved_with_stalled(base, tid, list, taken, &scratch.reserved, active)
-        }
+        // reserved era is unreachable.
+        unsafe { free_era_unreserved(base, tid, list, taken, &scratch.reserved) };
     }
 
     fn current_era(&self) -> u64 {
@@ -385,28 +339,15 @@ impl Publish for Fence {
         fence(Ordering::SeqCst);
     }
 
-    fn collect(
-        &self,
-        base: &DomainBase,
-        out: &mut Vec<u64>,
-        mut include: impl FnMut(usize) -> bool,
-    ) {
+    fn collect(&self, base: &DomainBase, out: &mut Vec<u64>) {
         out.clear();
         for t in 0..base.cfg.max_threads {
-            if base.is_registered(t) && include(t) {
+            if base.is_registered(t) {
                 self.rows.push_words(t, out);
             }
         }
         out.sort_unstable();
         out.dedup();
-    }
-
-    fn signature(&self, t: usize) -> u64 {
-        self.rows.signature(t)
-    }
-
-    fn holds(&self, t: usize, w: u64) -> bool {
-        self.rows.holds(t, w)
     }
 }
 
@@ -506,22 +447,8 @@ impl<const ASYM: bool> Publish for Pop<ASYM> {
             .reap_one_dead(base, tid, |t| pop.force_unregister(t), retire_of);
     }
 
-    fn collect(&self, _base: &DomainBase, out: &mut Vec<u64>, include: impl FnMut(usize) -> bool) {
-        self.pop.collect_reserved_into_filtered(out, include);
-    }
-
-    fn signature(&self, t: usize) -> u64 {
-        self.pop.shared.signature(t)
-    }
-
-    fn holds(&self, t: usize, w: u64) -> bool {
-        self.pop.shared.holds(t, w)
-    }
-
-    /// Nudges the suspects, whose conservatively kept words inflate the
-    /// keep set.
-    fn reping(&self, tid: usize) {
-        self.pop.reping_suspects(tid);
+    fn collect(&self, _base: &DomainBase, out: &mut Vec<u64>) {
+        self.pop.collect_reserved_into(out);
     }
 }
 
@@ -535,7 +462,7 @@ impl<const ASYM: bool> Drop for Pop<ASYM> {
 
 /// The body of a reservation pass after its take and the kind's
 /// `advance`: make every reservation visible and reap, collect, free what
-/// the pass took (`scratch.taken`); returns the number freed.
+/// the pass took (`scratch.taken`).
 /// Allocation-free in steady state: every buffer comes from `scratch`.
 /// Also EpochPOP's escalation (`schemes::epoch`), with [`Ptr`] and
 /// [`Ping`].
@@ -550,14 +477,14 @@ pub(crate) fn publish_and_free<'a, K: Kind, P: Publish>(
     tid: usize,
     scratch: &mut ReclaimScratch,
     retire_of: impl Fn(usize) -> &'a mut RetireList,
-) -> usize {
+) {
     publish.prologue(base, tid, &mut scratch.counters, &retire_of);
-    publish.collect(base, &mut scratch.reserved, |_| true);
+    publish.collect(base, &mut scratch.reserved);
     let list = retire_of(tid);
     // SAFETY: after the prologue every reader has its words in `reserved`,
     // deregistered, was provably quiescent holding none, or will fail its
     // validation against this thread's unlinks.
-    unsafe { kind.free(base, publish, tid, list, scratch) }
+    unsafe { kind.free(base, tid, list, scratch) }
 }
 
 impl<K: Kind, P: Publish> Hazard<K, P> {
@@ -672,13 +599,6 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
             Verdict::Fill => return,
         }
         self.pass(tid);
-        // Ladder rung 2, era kinds: re-ping the suspects before each retry
-        // (no pass controller here, so the soft rung is inert and the hard
-        // rung is the first to act).
-        if K::ERA {
-            self.base
-                .hard_rung_retries(|| self.publish.reping(tid), || self.pass(tid));
-        }
     }
 
     fn current_era(&self) -> u64 {

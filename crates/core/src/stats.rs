@@ -38,8 +38,6 @@ use core::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 
-use crate::pressure::PressureGauge;
-
 /// One thread's private counter block (a single cache line pair).
 #[derive(Default)]
 pub struct ShardStats {
@@ -58,9 +56,6 @@ pub struct ShardStats {
     pub retired_nodes: AtomicU64,
     /// Retirement batches sealed into retire lists.
     pub batches_sealed: AtomicU64,
-    /// Adaptive-controller events: epoch-cadence decay deepened one step
-    /// (a barren pass on an already-quiet domain).
-    pub epoch_decay_steps: AtomicU64,
     /// Sealed blocks freed whole by the sweep fast path (every member
     /// failed the keep predicate).
     pub blocks_freed_whole: AtomicU64,
@@ -110,22 +105,8 @@ pub struct ShardStats {
     /// Faults injected on this domain's publish paths (the `PublishDelay`
     /// site; always 0 without the `fault-injection` feature).
     pub faults_injected: AtomicU64,
-    /// Upward crossings of the soft pressure watermark
-    /// ([`crate::pressure::PressureRung::Soft`]).
-    pub pressure_soft_trips: AtomicU64,
-    /// Upward crossings of the hard pressure watermark.
-    pub pressure_hard_trips: AtomicU64,
-    /// Upward crossings of the emergency pressure watermark.
-    pub pressure_emergency_trips: AtomicU64,
-    /// Sealed blocks moved into the stalled-reader quarantine (provably
-    /// pinned only by a known-stalled participant).
-    pub blocks_quarantined: AtomicU64,
-    /// Quarantined blocks released back into a pass (their blocker
-    /// advanced, went quiescent, or was reaped).
-    pub blocks_unquarantined: AtomicU64,
-    /// Recycled retire-batch boxes returned to the allocator by free-pool
-    /// trimming (the [`crate::config::SmrConfig::free_pool_cap`] cap, or
-    /// pressure-driven trims to zero).
+    /// Recycled retire-batch boxes returned to the allocator because the
+    /// domain's free pool was full (`base::FREE_POOL_CAP`).
     pub pool_blocks_trimmed: AtomicU64,
     /// Nodes placed in owned slab slots by [`crate::smr::alloc_node`]
     /// (Box-backed allocations of types larger than the top slab class are
@@ -149,40 +130,20 @@ impl ShardStats {
     }
 }
 
-/// Event counters for one reclamation domain, sharded per thread, plus
-/// the domain's [`PressureGauge`] (a point-in-time level, not an event
-/// tally, so it lives beside the shards rather than inside them).
+/// Event counters for one reclamation domain, sharded per thread.
 pub struct DomainStats {
     /// `max_threads` per-tid shards plus one trailing overflow shard.
     shards: Box<[CachePadded<ShardStats>]>,
-    /// The domain's memory-pressure gauge (disabled unless constructed
-    /// with [`DomainStats::with_pressure`]).
-    pressure: PressureGauge,
 }
 
 impl DomainStats {
-    /// Creates counters for a domain of `max_threads` participants, with
-    /// a disabled pressure gauge (standalone/diagnostic use).
+    /// Creates counters for a domain of `max_threads` participants.
     pub fn new(max_threads: usize) -> Self {
-        Self::with_pressure(max_threads, PressureGauge::disabled())
-    }
-
-    /// Creates counters for a domain of `max_threads` participants with
-    /// the given pressure gauge (how `DomainBase` builds its stats from
-    /// the [`crate::config::SmrConfig`] watermarks).
-    pub fn with_pressure(max_threads: usize, pressure: PressureGauge) -> Self {
         let mut shards = Vec::with_capacity(max_threads + 1);
         shards.resize_with(max_threads + 1, CachePadded::default);
         DomainStats {
             shards: shards.into_boxed_slice(),
-            pressure,
         }
-    }
-
-    /// The domain's memory-pressure gauge.
-    #[inline]
-    pub fn pressure(&self) -> &PressureGauge {
-        &self.pressure
     }
 
     /// The counter block owned by domain thread `tid`.
@@ -252,9 +213,6 @@ impl DomainStats {
             out.batches_sealed = out
                 .batches_sealed
                 .wrapping_add(s.batches_sealed.load(Ordering::Relaxed));
-            out.epoch_decay_steps = out
-                .epoch_decay_steps
-                .wrapping_add(s.epoch_decay_steps.load(Ordering::Relaxed));
             out.blocks_freed_whole = out
                 .blocks_freed_whole
                 .wrapping_add(s.blocks_freed_whole.load(Ordering::Relaxed));
@@ -303,21 +261,6 @@ impl DomainStats {
             out.faults_injected = out
                 .faults_injected
                 .wrapping_add(s.faults_injected.load(Ordering::Relaxed));
-            out.pressure_soft_trips = out
-                .pressure_soft_trips
-                .wrapping_add(s.pressure_soft_trips.load(Ordering::Relaxed));
-            out.pressure_hard_trips = out
-                .pressure_hard_trips
-                .wrapping_add(s.pressure_hard_trips.load(Ordering::Relaxed));
-            out.pressure_emergency_trips = out
-                .pressure_emergency_trips
-                .wrapping_add(s.pressure_emergency_trips.load(Ordering::Relaxed));
-            out.blocks_quarantined = out
-                .blocks_quarantined
-                .wrapping_add(s.blocks_quarantined.load(Ordering::Relaxed));
-            out.blocks_unquarantined = out
-                .blocks_unquarantined
-                .wrapping_add(s.blocks_unquarantined.load(Ordering::Relaxed));
             out.pool_blocks_trimmed = out
                 .pool_blocks_trimmed
                 .wrapping_add(s.pool_blocks_trimmed.load(Ordering::Relaxed));
@@ -351,8 +294,6 @@ pub struct StatsSnapshot {
     pub retired_nodes: u64,
     /// See [`ShardStats::batches_sealed`].
     pub batches_sealed: u64,
-    /// See [`ShardStats::epoch_decay_steps`].
-    pub epoch_decay_steps: u64,
     /// See [`ShardStats::blocks_freed_whole`].
     pub blocks_freed_whole: u64,
     /// See [`ShardStats::blocks_kept_whole`].
@@ -385,16 +326,22 @@ pub struct StatsSnapshot {
     pub participants_reaped: u64,
     /// See [`ShardStats::faults_injected`].
     pub faults_injected: u64,
-    /// See [`ShardStats::pressure_soft_trips`].
+    /// Always 0: the pressure ladder is gone. Kept only because popbench's
+    /// `layers.rs` (`benchmark/src/layers.rs`, the `pressure.soft_trips`
+    /// metric) still reads it; the next benchmark change drops the read.
+    #[doc(hidden)]
     pub pressure_soft_trips: u64,
-    /// See [`ShardStats::pressure_hard_trips`].
+    /// Always 0; read by popbench's `layers.rs` (`pressure.hard_trips`).
+    #[doc(hidden)]
     pub pressure_hard_trips: u64,
-    /// See [`ShardStats::pressure_emergency_trips`].
+    /// Always 0; read by popbench's `layers.rs`
+    /// (`pressure.emergency_trips`).
+    #[doc(hidden)]
     pub pressure_emergency_trips: u64,
-    /// See [`ShardStats::blocks_quarantined`].
+    /// Always 0: the stalled-reader quarantine is gone; read by popbench's
+    /// `layers.rs` (`pressure.blocks_quarantined`).
+    #[doc(hidden)]
     pub blocks_quarantined: u64,
-    /// See [`ShardStats::blocks_unquarantined`].
-    pub blocks_unquarantined: u64,
     /// See [`ShardStats::pool_blocks_trimmed`].
     pub pool_blocks_trimmed: u64,
     /// See [`ShardStats::slab_allocs`].
@@ -479,57 +426,19 @@ mod tests {
     }
 
     #[test]
-    fn pressure_counters_aggregate_across_shards() {
-        let s = DomainStats::new(2);
-        s.shard(0)
-            .pressure_soft_trips
-            .fetch_add(1, Ordering::Relaxed);
-        s.shard(1)
-            .pressure_hard_trips
-            .fetch_add(2, Ordering::Relaxed);
-        s.overflow()
-            .pressure_emergency_trips
-            .fetch_add(3, Ordering::Relaxed);
-        s.shard(0)
-            .blocks_quarantined
-            .fetch_add(4, Ordering::Relaxed);
-        s.shard(1)
-            .blocks_unquarantined
-            .fetch_add(5, Ordering::Relaxed);
-        s.overflow()
-            .pool_blocks_trimmed
-            .fetch_add(6, Ordering::Relaxed);
-        let snap = s.snapshot();
-        assert_eq!(snap.pressure_soft_trips, 1);
-        assert_eq!(snap.pressure_hard_trips, 2);
-        assert_eq!(snap.pressure_emergency_trips, 3);
-        assert_eq!(snap.blocks_quarantined, 4);
-        assert_eq!(snap.blocks_unquarantined, 5);
-        assert_eq!(snap.pool_blocks_trimmed, 6);
-    }
-
-    #[test]
     fn slab_and_version_counters_aggregate_across_shards() {
         let s = DomainStats::new(2);
         s.shard(0).slab_allocs.fetch_add(7, Ordering::Relaxed);
         s.shard(1).slab_frees_whole.fetch_add(2, Ordering::Relaxed);
         s.overflow().version_aborts.fetch_add(3, Ordering::Relaxed);
+        s.overflow()
+            .pool_blocks_trimmed
+            .fetch_add(6, Ordering::Relaxed);
         let snap = s.snapshot();
         assert_eq!(snap.slab_allocs, 7);
         assert_eq!(snap.slab_frees_whole, 2);
         assert_eq!(snap.version_aborts, 3);
-    }
-
-    #[test]
-    fn default_stats_carry_a_disabled_gauge() {
-        let s = DomainStats::new(1);
-        assert!(!s.pressure().enabled());
-        s.pressure().on_retired(1 << 20);
-        assert_eq!(
-            s.pressure().rung(),
-            crate::pressure::PressureRung::Normal,
-            "disabled gauge never escalates"
-        );
+        assert_eq!(snap.pool_blocks_trimmed, 6);
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub struct RunRecord {
     pub signals_avoided: u64,
     /// Retirement batches sealed (retires per stats RMW = ops / batches).
     pub batches_sealed: u64,
-    /// Adaptive controller: epoch-cadence decay deepenings observed.
-    pub epoch_decay_steps: u64,
     /// NBR restarts observed.
     pub restarts: u64,
     /// Publish-wait watchdog expiries (passes that gave up waiting on a
@@ -58,16 +56,6 @@ pub struct RunRecord {
     pub participants_reaped: u64,
     /// Faults fired by the injection layer (0 unless compiled in and armed).
     pub faults_injected: u64,
-    /// Pressure-gauge soft-watermark trips (escalation ladder rung 1).
-    pub pressure_soft_trips: u64,
-    /// Pressure-gauge hard-watermark trips (rung 2: inline reclamation).
-    pub pressure_hard_trips: u64,
-    /// Pressure-gauge emergency-watermark trips (rung 3: quarantine).
-    pub pressure_emergency_trips: u64,
-    /// Retire blocks parked in the stalled-reader quarantine.
-    pub blocks_quarantined: u64,
-    /// Quarantined blocks released back for re-filtering.
-    pub blocks_unquarantined: u64,
     /// Recycled fill blocks dropped by the free-pool trim.
     pub pool_blocks_trimmed: u64,
     /// Nodes handed out by the owned slab arenas (vs the `Box` fallback).
@@ -85,12 +73,12 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// CSV header matching [`RunRecord::csv_row`].
-    pub const CSV_HEADER: &'static str = "figure,ds,scheme,threads,key_range,ops,read_ops,update_ops,seconds,throughput_mops,read_mops,max_retire_len,peak_live_bytes,unreclaimed_nodes,pings_sent,pings_skipped,membarrier_passes,signals_avoided,batches_sealed,epoch_decay_steps,restarts,publish_wait_timeouts,pings_failed,participants_reaped,faults_injected,pressure_soft_trips,pressure_hard_trips,pressure_emergency_trips,blocks_quarantined,blocks_unquarantined,pool_blocks_trimmed,slab_allocs,slab_frees_whole,version_aborts,slab_released_bytes";
+    pub const CSV_HEADER: &'static str = "figure,ds,scheme,threads,key_range,ops,read_ops,update_ops,seconds,throughput_mops,read_mops,max_retire_len,peak_live_bytes,unreclaimed_nodes,pings_sent,pings_skipped,membarrier_passes,signals_avoided,batches_sealed,restarts,publish_wait_timeouts,pings_failed,participants_reaped,faults_injected,pool_blocks_trimmed,slab_allocs,slab_frees_whole,version_aborts,slab_released_bytes";
 
     /// Serializes this record as a CSV row tagged with `figure`.
     pub fn csv_row(&self, figure: &str) -> String {
         format!(
-            "{figure},{},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{figure},{},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.ds,
             self.scheme,
             self.threads,
@@ -109,17 +97,11 @@ impl RunRecord {
             self.membarrier_passes,
             self.signals_avoided,
             self.batches_sealed,
-            self.epoch_decay_steps,
             self.restarts,
             self.publish_wait_timeouts,
             self.pings_failed,
             self.participants_reaped,
             self.faults_injected,
-            self.pressure_soft_trips,
-            self.pressure_hard_trips,
-            self.pressure_emergency_trips,
-            self.blocks_quarantined,
-            self.blocks_unquarantined,
             self.pool_blocks_trimmed,
             self.slab_allocs,
             self.slab_frees_whole,
@@ -204,17 +186,11 @@ mod tests {
             membarrier_passes: 7,
             signals_avoided: 21,
             batches_sealed: 4,
-            epoch_decay_steps: 1,
             restarts: 0,
             publish_wait_timeouts: 1,
             pings_failed: 1,
             participants_reaped: 1,
             faults_injected: 0,
-            pressure_soft_trips: 3,
-            pressure_hard_trips: 2,
-            pressure_emergency_trips: 1,
-            blocks_quarantined: 5,
-            blocks_unquarantined: 5,
             pool_blocks_trimmed: 2,
             slab_allocs: 99,
             slab_frees_whole: 8,
@@ -234,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn pressure_columns_land_under_their_headers() {
+    fn counter_columns_land_under_their_headers() {
         let row = rec().csv_row("fig2a");
         let headers: Vec<&str> = RunRecord::CSV_HEADER.split(',').collect();
         let values: Vec<&str> = row.split(',').collect();
@@ -247,11 +223,6 @@ mod tests {
         };
         assert_eq!(col("membarrier_passes"), "7");
         assert_eq!(col("signals_avoided"), "21");
-        assert_eq!(col("pressure_soft_trips"), "3");
-        assert_eq!(col("pressure_hard_trips"), "2");
-        assert_eq!(col("pressure_emergency_trips"), "1");
-        assert_eq!(col("blocks_quarantined"), "5");
-        assert_eq!(col("blocks_unquarantined"), "5");
         assert_eq!(col("pool_blocks_trimmed"), "2");
         assert_eq!(col("slab_allocs"), "99");
         assert_eq!(col("slab_frees_whole"), "8");

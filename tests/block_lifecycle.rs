@@ -265,12 +265,11 @@ fn slab_fills_seal_monotone_blocks_across_threads() {
 fn vbr_frees_the_pre_floor_members_of_a_straddling_block() {
     // One 32-slot fill bin holds all ten retires (pinned so the unbatched
     // CI legs keep the block shape); a huge `reclaim_freq` leaves every
-    // pass to the explicit flushes; no decay thins them.
+    // pass to the explicit flushes.
     let smr = Vbr::new(
         SmrConfig::for_tests(3)
             .with_reclaim_freq(1 << 20)
-            .with_retire_batch(32)
-            .with_adaptive(false),
+            .with_retire_batch(32),
     );
     let regs: Vec<_> = (0..3).map(|tid| smr.register(tid)).collect();
     let retire_five = || {

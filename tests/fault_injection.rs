@@ -33,8 +33,8 @@ use pop::runtime::faults;
 use pop::runtime::faults::{FaultPlan, FaultSite};
 use pop::smr::{
     retire_node, Ebr, EpochPop, HasHeader, HazardEra, HazardEraPop, HazardPtr, HazardPtrAsym,
-    HazardPtrPop, Header, Hyaline, Ibr, NbrPlus, NoReclaim, OpGuard, PressureRung, Smr, SmrConfig,
-    StatsSnapshot, Vbr,
+    HazardPtrPop, Header, Hyaline, Ibr, NbrPlus, NoReclaim, OpGuard, Smr, SmrConfig, StatsSnapshot,
+    Vbr,
 };
 
 const WORKERS: usize = 3;
@@ -481,12 +481,11 @@ panic_matrix!(
 );
 
 // ---------------------------------------------------------------------
-// Stalled-reader pressure ladder (epoch/era schemes). Runs in every
-// configuration: the stall is a real reader parked inside an operation,
-// not an injected fault.
+// Stalled-reader garbage pressure. Runs in every configuration: the stall
+// is a real reader parked inside an operation, not an injected fault.
 // ---------------------------------------------------------------------
 
-/// Raw node for the direct-retire pressure trial — the map-based churn
+/// Raw node for the direct-retire stall trial — the map-based churn
 /// cannot control birth eras precisely enough to build a backlog that is
 /// *provably* pinned by one reader.
 #[repr(C)]
@@ -504,6 +503,13 @@ fn alloc_node<S: Smr>(smr: &S, tid: usize, v: u64) -> *mut PNode {
     }))
 }
 
+/// Nodes retired under the stall that were born before the reader pinned.
+const VICTIMS: u64 = 600;
+/// Nodes born and retired under the stall, after the victims.
+const FRESH: u64 = 400;
+/// `pop-core`'s fixed fill-bin count per retire list.
+const FILL_BINS: usize = 8;
+
 /// What [`stalled_reader_trial`] observed.
 struct StallOutcome {
     cfg: SmrConfig,
@@ -511,35 +517,31 @@ struct StallOutcome {
     peak: u64,
     /// After the churn and a flush, stall still live.
     mid: StatsSnapshot,
-    mid_count: u64,
-    mid_quar: u64,
-    wm: u64,
     /// After the stall cleared and one more flush.
     fin: StatsSnapshot,
-    fin_count: u64,
-    fin_quar: u64,
-    fin_rung: PressureRung,
 }
 
-/// The stalled-reader trial under tight watermarks (64, 96, 128 nodes at
-/// `reclaim_freq` 16). One reader pins the current epoch/era and stalls;
-/// the writer retires a backlog born before the pin (so its lifespans
-/// intersect the pinned era no matter how far the clock advances) and
+/// The stalled-reader trial at `reclaim_freq` 16, unbatched, with the
+/// quarantine oracle armed. One reader pins the current epoch/era and
+/// stalls; the writer retires a backlog born before the pin (so its
+/// lifespans meet the pinned era however far the clock advances) and
 /// keeps churning, then flushes; the stall clears and the writer flushes
-/// once more.
+/// once more. Prints the garbage in the middle of the stall and the
+/// trial's wall time.
 fn stalled_reader_trial<S: Smr>(name: &'static str) -> StallOutcome {
     let _g = plan_lock();
     faults::install(Default::default());
     with_deadline(name, Duration::from_secs(60), move || {
+        let start = std::time::Instant::now();
         let cfg = SmrConfig::for_tests(2)
             .with_reclaim_freq(16)
             .with_retire_batch(1)
-            .with_pressure_watermarks(64, 96, 128)
             .with_quarantine();
         let smr = S::new(cfg.clone());
         let reg0 = smr.register(0);
-        // Born before the reader pins: pinned for the whole stall.
-        let victims: Vec<*mut PNode> = (0..600).map(|i| alloc_node(&*smr, 0, i)).collect();
+        // Born before the reader pins: pinned for the whole stall by
+        // every scheme that pins by era or epoch.
+        let victims: Vec<*mut PNode> = (0..VICTIMS).map(|i| alloc_node(&*smr, 0, i)).collect();
         let hot = alloc_node(&*smr, 0, u64::MAX);
         let src = Arc::new(AtomicPtr::new(hot));
         let hold = Arc::new(AtomicBool::new(true));
@@ -562,153 +564,98 @@ fn stalled_reader_trial<S: Smr>(name: &'static str) -> StallOutcome {
         });
         rx.recv().unwrap();
         // Retire the pinned backlog, then churn fresh nodes so passes
-        // keep coming and the stall tracker keeps observing.
-        let fresh = (0..400u64).map(|i| alloc_node(&*smr, 0, i));
+        // keep coming while the reader stays parked.
+        let fresh = (0..FRESH).map(|i| alloc_node(&*smr, 0, i));
         let mut peak = 0;
         for p in victims.into_iter().chain(fresh) {
             unsafe { retire_node(&*smr, 0, p) };
             peak = peak.max(smr.stats().unreclaimed_nodes());
         }
         smr.flush(0);
-        let g = smr.stats().pressure();
         let mid = smr.stats().snapshot();
-        let (mid_count, mid_quar, wm) = (g.count(), g.quarantined(), g.emergency_watermark());
         // Clear the stall: the reader leaves its op and unregisters.
         hold.store(false, Ordering::Release);
         reader.join().unwrap();
         src.store(core::ptr::null_mut(), Ordering::SeqCst);
         unsafe { retire_node(&*smr, 0, hot) };
-        // One pass: released quarantine blocks rejoin the caller's
-        // list and the same sweep re-filters (now against no
-        // reservations at all) and frees.
         smr.flush(0);
         let fin = smr.stats().snapshot();
-        let (fin_count, fin_quar, fin_rung) = (g.count(), g.quarantined(), g.rung());
         drop(reg0);
+        eprintln!(
+            "{name}: mid-stall garbage {}, peak {peak}, wall {:.1} ms",
+            mid.unreclaimed_nodes(),
+            start.elapsed().as_secs_f64() * 1e3
+        );
         StallOutcome {
             cfg,
             peak,
             mid,
-            mid_count,
-            mid_quar,
-            wm,
             fin,
-            fin_count,
-            fin_quar,
-            fin_rung,
         }
     })
 }
 
-/// The bounded-garbage acceptance trial for the ladder schemes. The
-/// gauge must climb the whole ladder (soft → hard → emergency trips), the
-/// emergency rung must park the pinned blocks in quarantine — keeping the
-/// *actionable* count below the emergency watermark while the stall
-/// persists — and the entire backlog must drain within one pass of the
-/// stall clearing.
-fn run_stalled_reader_pressure_trial<S: Smr>(name: &'static str) {
-    let StallOutcome {
-        mid,
-        mid_count,
-        mid_quar,
-        wm,
-        fin,
-        fin_count,
-        fin_quar,
-        fin_rung,
-        ..
-    } = stalled_reader_trial::<S>(name);
+/// What a parked reader may pin, besides the pass period, in the bounds of
+/// `tests/garbage_bound.rs`.
+#[derive(Clone, Copy)]
+enum Pins {
+    /// Pointer reservations: at most `N × H` nodes.
+    Reservations,
+    /// An era or interval: the nodes alive when it was taken (the victims
+    /// and the hot node), plus the one block a pass keeps under its own
+    /// reservation.
+    LiveAtPin,
+}
+
+/// A robust scheme's row: while the reader is parked the backlog stays
+/// within `tests/garbage_bound.rs`'s bound — `reclaim_freq`, plus what the
+/// reader can pin, plus the writer's open fill bins — and everything
+/// drains within one pass of the stall clearing.
+fn run_robust_stall_trial<S: Smr>(name: &'static str, pins: Pins) {
+    assert!(S::ROBUST, "{name}: not a robust scheme");
+    let StallOutcome { cfg, peak, fin, .. } = stalled_reader_trial::<S>(name);
+    let batch = cfg.effective_batch();
+    let pinned = match pins {
+        Pins::Reservations => cfg.max_threads * cfg.slots,
+        Pins::LiveAtPin => VICTIMS as usize + 1 + batch,
+    };
+    let bound = (cfg.reclaim_freq + pinned + FILL_BINS * batch) as u64;
     assert!(
-        mid.pressure_soft_trips >= 1 && mid.pressure_hard_trips >= 1,
-        "{name}: the backlog must climb through soft and hard: {mid:?}"
+        peak <= bound,
+        "{name}: {peak} unreclaimed under the stall, over {bound}"
     );
+    assert_drains_and_conserves(name, &fin);
+}
+
+/// A non-robust scheme's row (EBR, VBR): the parked reader pins the
+/// backlog, one flush after it leaves drains the pool, and conservation
+/// holds.
+fn run_unbounded_stall_trial<S: Smr>(name: &'static str) {
     assert!(
-        mid.pressure_emergency_trips >= 1,
-        "{name}: the emergency watermark must trip: {mid:?}"
+        !S::ROBUST,
+        "{name}: a robust scheme needs its bound checked"
     );
+    let StallOutcome { mid, fin, .. } = stalled_reader_trial::<S>(name);
     assert!(
-        mid.blocks_quarantined >= 1 && mid_quar > 0,
-        "{name}: the emergency rung must park pinned blocks: {mid:?}"
+        mid.unreclaimed_nodes() >= VICTIMS,
+        "{name}: the parked reader must pin the backlog: {mid:?}"
     );
-    assert!(
-        mid.unreclaimed_nodes() > 0,
-        "{name}: the pinned backlog must be parked, never freed under a live stall"
-    );
-    assert!(
-        mid_count < wm,
-        "{name}: actionable garbage ({mid_count}) must stay below the emergency \
-         watermark ({wm}) while quarantine absorbs the pinned backlog"
-    );
+    assert_drains_and_conserves(name, &fin);
+}
+
+fn assert_drains_and_conserves(name: &str, fin: &StatsSnapshot) {
     assert_eq!(
         fin.unreclaimed_nodes(),
         0,
         "{name}: everything drains within one pass of the stall clearing"
     );
-    assert_eq!(
-        fin.blocks_unquarantined, fin.blocks_quarantined,
-        "{name}: every parked block must be released"
-    );
-    assert_eq!(
-        (fin_count, fin_quar),
-        (0, 0),
-        "{name}: the gauge drains to zero"
-    );
-    assert_eq!(
-        fin_rung,
-        PressureRung::Normal,
-        "{name}: the rung settles back to Normal"
-    );
     assert!(
         fin.freed_nodes <= fin.retired_nodes && fin.retired_nodes <= fin.allocated_nodes,
         "{name}: conservation violated: {fin:?}"
     );
 }
 
-/// EpochPOP's row of the pressure trial: the same stall, but the scheme's
-/// own escalation holds the backlog under the soft watermark, so the
-/// ladder never engages. Every `reclaim_freq` retires, the trigger's epoch
-/// pass frees nothing behind the parked reader and the escalation frees
-/// everything but its reservation: the backlog stays within
-/// `reclaim_freq + N × H` (+ one block of seal slack) and drains to zero
-/// once the stall clears.
-fn run_epoch_pop_stall_trial(name: &'static str) {
-    let StallOutcome {
-        cfg,
-        peak,
-        mid,
-        fin,
-        ..
-    } = stalled_reader_trial::<EpochPop>(name);
-    assert_eq!(
-        (
-            mid.pressure_soft_trips,
-            mid.pressure_hard_trips,
-            mid.pressure_emergency_trips
-        ),
-        (0, 0, 0),
-        "{name}: the escalation must keep the ladder idle: {mid:?}"
-    );
-    assert!(
-        mid.pop_passes >= 1,
-        "{name}: the stall must escalate: {mid:?}"
-    );
-    let bound = (cfg.reclaim_freq + cfg.max_threads * cfg.slots + cfg.effective_batch()) as u64;
-    assert!(
-        peak <= bound,
-        "{name}: {peak} unreclaimed under the stall, over {bound}"
-    );
-    assert_eq!(
-        fin.unreclaimed_nodes(),
-        0,
-        "{name}: drains once the stall clears"
-    );
-    assert!(
-        fin.freed_nodes <= fin.retired_nodes && fin.retired_nodes <= fin.allocated_nodes,
-        "{name}: conservation violated: {fin:?}"
-    );
-}
-
-macro_rules! pressure_trials {
+macro_rules! stall_trials {
     ($($scheme:ident => $trial:expr),+ $(,)?) => {
         mod stalled_reader_pressure {
             use super::*;
@@ -723,95 +670,11 @@ macro_rules! pressure_trials {
     };
 }
 
-pressure_trials!(
-    Ebr => run_stalled_reader_pressure_trial::<Ebr>,
-    EpochPop => run_epoch_pop_stall_trial,
-    Ibr => run_stalled_reader_pressure_trial::<Ibr>,
-    HazardEra => run_stalled_reader_pressure_trial::<HazardEra>,
-    HazardEraPop => run_stalled_reader_pressure_trial::<HazardEraPop>,
+stall_trials!(
+    Ebr => run_unbounded_stall_trial::<Ebr>,
+    Vbr => run_unbounded_stall_trial::<Vbr>,
+    EpochPop => |n| run_robust_stall_trial::<EpochPop>(n, Pins::Reservations),
+    Ibr => |n| run_robust_stall_trial::<Ibr>(n, Pins::LiveAtPin),
+    HazardEra => |n| run_robust_stall_trial::<HazardEra>(n, Pins::LiveAtPin),
+    HazardEraPop => |n| run_robust_stall_trial::<HazardEraPop>(n, Pins::LiveAtPin),
 );
-
-/// ISSUE 10 satellite: VBR's quarantine rung is a **documented no-op**.
-/// The scheme's pass never hands the sweep a relaxed floor, so nothing is
-/// ever parked by construction — a
-/// stalled reader's stale announcement pins garbage only until the
-/// reader's next read (which version-aborts and re-announces) or its exit,
-/// so there is no per-block blocker to park against. The pressure ladder
-/// still climbs (soft → hard → emergency trips fire), but `blocks_quarantined`
-/// must stay zero under a live stall, and the whole backlog must drain
-/// within one pass of the stall clearing.
-#[test]
-fn vbr_quarantine_rung_is_a_no_op() {
-    let _g = plan_lock();
-    faults::install(Default::default());
-    with_deadline("vbr_quarantine_no_op", Duration::from_secs(60), || {
-        let smr = Vbr::new(
-            SmrConfig::for_tests(2)
-                .with_reclaim_freq(16)
-                .with_retire_batch(1)
-                .with_pressure_watermarks(64, 96, 128)
-                .with_quarantine(),
-        );
-        let reg0 = smr.register(0);
-        let hot = alloc_node(&*smr, 0, u64::MAX);
-        let src = Arc::new(AtomicPtr::new(hot));
-        let hold = Arc::new(AtomicBool::new(true));
-        let (tx, rx) = mpsc::channel();
-        let reader = std::thread::spawn({
-            let smr = Arc::clone(&smr);
-            let src = Arc::clone(&src);
-            let hold = Arc::clone(&hold);
-            move || {
-                let reg1 = smr.register(1);
-                smr.begin_op(1);
-                let _ = smr.protect(1, 0, &src);
-                tx.send(()).unwrap();
-                while hold.load(Ordering::Acquire) {
-                    std::hint::spin_loop();
-                }
-                smr.end_op(1);
-                drop(reg1);
-            }
-        });
-        rx.recv().unwrap();
-        // Churn a backlog the parked announcement pins: every retire era
-        // is >= the version the reader announced, so no sweep may free it
-        // while the reader sits in-op.
-        for i in 0..2_000u64 {
-            let p = alloc_node(&*smr, 0, i);
-            unsafe { retire_node(&*smr, 0, p) };
-        }
-        smr.flush(0);
-        let mid = smr.stats().snapshot();
-        assert!(
-            mid.pressure_emergency_trips >= 1,
-            "the ladder must reach the emergency rung: {mid:?}"
-        );
-        assert_eq!(
-            mid.blocks_quarantined, 0,
-            "VBR's quarantine rung is a no-op by construction: {mid:?}"
-        );
-        assert!(
-            mid.unreclaimed_nodes() > 0,
-            "the stalled announcement must pin the backlog: {mid:?}"
-        );
-        // Clear the stall: the reader's exit goes quiescent and unpins
-        // everything — one forced pass drains the whole backlog.
-        hold.store(false, Ordering::Release);
-        reader.join().unwrap();
-        src.store(core::ptr::null_mut(), Ordering::SeqCst);
-        unsafe { retire_node(&*smr, 0, hot) };
-        smr.flush(0);
-        let fin = smr.stats().snapshot();
-        assert_eq!(
-            fin.unreclaimed_nodes(),
-            0,
-            "everything drains within one pass of the stall clearing: {fin:?}"
-        );
-        assert_eq!(
-            fin.blocks_quarantined, 0,
-            "no block was ever parked: {fin:?}"
-        );
-        drop(reg0);
-    });
-}

@@ -1,8 +1,7 @@
 //! Garbage bounds as executable claims: a reader parks inside an operation
 //! holding its reservation while one or two churners retire from an
-//! `HmList` for a fixed count of operations, with the pressure ladder off
-//! (soft watermark 0), so only the schemes' own reclamation rule bounds
-//! the backlog. Every operation polls `unreclaimed_nodes()`. Two churners
+//! `HmList` for a fixed count of operations, so only the schemes' own
+//! reclamation rule bounds the backlog. Every operation polls `unreclaimed_nodes()`. Two churners
 //! (tids 0 and 2) run in lockstep, handing the turn over a channel after
 //! every block's worth of retires, so their schedule is fixed.
 //!
@@ -49,7 +48,6 @@ fn peak_with_parked_reader<S: Smr>(mode: PublishMode, churners: usize) -> (u64, 
     assert!(churners == 1 || churners == 2);
     let cfg = SmrConfig::for_tests(churners + 1)
         .with_reclaim_freq(RECLAIM_FREQ)
-        .with_pressure_watermarks(0, 0, 0)
         .with_publish_mode(mode);
     let smr = S::new(cfg.clone());
     let set = Arc::new(HmList::new(Arc::clone(&smr)));
