@@ -4,7 +4,8 @@
 //! (`collectPublishedCounters → pingAllToPublish → waitForAllPublished`)
 //! as a function of the number of registered peer threads, including the
 //! oversubscribed case (peers > cores), which the paper calls out as
-//! POP's worst case: there the post-spin futex park decides the latency.
+//! POP's worst case: there a pinged peer answers only once the scheduler
+//! runs it, and the wait's yield (every 1 024 spins) hands it the CPU.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -4,10 +4,10 @@
 //!
 //! Measures:
 //!
-//! * **Publish wait wake latency**: a full `ping → handler publish → wake`
-//!   handshake against one busy in-op peer, futex-parked.
+//! * **Ping-and-wait latency**: a full `ping → handler publish → spinning
+//!   waiter sees the counter` handshake against one busy in-op peer.
 //! * **Publish-mode pass cost** (PR 8): a full reclamation pass against
-//!   4 / 16 / 64 busy in-op peers under the signal fan-out (futex waits)
+//!   4 / 16 / 64 busy in-op peers under the signal fan-out (spinning waits)
 //!   vs the single-syscall membarrier publish path, plus the
 //!   membarrier-vs-futex speedup per peer count.
 //!
@@ -56,12 +56,12 @@ struct Node {
 }
 unsafe impl HasHeader for Node {}
 
-/// Mean ns per full ping→publish→wake handshake against one busy peer.
-fn wait_wake_ns(iters: u32) -> f64 {
+/// Mean ns per full ping → publish → seen handshake against one busy peer
+/// (one pass each, so the pass's own take and scan ride along).
+fn ping_wait_ns(iters: u32) -> f64 {
     let smr = HazardPtrPop::new(
         SmrConfig::for_tests(2)
             .with_reclaim_freq(1 << 20)
-            .with_publish_spin(8)
             .with_publish_mode(PublishMode::Futex),
     );
     let reg0 = smr.register(0);
@@ -124,7 +124,6 @@ fn publish_pass_ns(mode: PublishMode, peers: usize, iters: u32) -> f64 {
     let smr = HazardPtrPop::new(
         SmrConfig::for_tests(peers + 1)
             .with_reclaim_freq(1 << 20)
-            .with_publish_spin(8)
             .with_publish_mode(mode),
     );
     let reg0 = smr.register(0);
@@ -396,8 +395,8 @@ fn main() {
         }
     }
 
-    let wake_futex = wait_wake_ns(iters);
-    println!("wait_wake: futex {wake_futex:.0} ns");
+    let ping_wait = ping_wait_ns(iters);
+    println!("ping_wait: {ping_wait:.0} ns");
 
     // PR 8: full-pass publish cost per mode at growing peer counts. The
     // acceptance bar is membarrier ≥ 2× cheaper than the signal fan-out at
@@ -477,7 +476,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"bench_smoke\",\n  \"pr\": {PR},\n  \"iters\": {iters},\n  \
          \"layout\": {layout},\n  \
-         \"wait_wake_ns\": {{\"futex\": {wake_futex:.0}}},\n  \
+         \"ping_wait_ns\": {ping_wait:.0},\n  \
          \"membarrier_available\": {membarrier_available},\n  \
          \"publish_mode\": [{publish_rows}\n  ],\n  \
          \"slab_vbr\": {{\"slab_settle_ns_per_node\": {slab_ns:.2}, \

@@ -2,15 +2,6 @@
 
 use crate::header::RETIRE_BATCH_CAP;
 
-/// Default publish-wait spin budget (the historical hard-coded
-/// `SPIN_LIMIT`): roughly the cost of a few cache-miss round trips. It is
-/// far too short for a pinged peer's handler to publish before the waiter
-/// parks: one `spin_loop` measured about 26 ns on the build host, so 128
-/// spins last about 3.3 µs against a ping round trip of about 14 µs
-/// (popbench `runtime.ping_roundtrip_ns`), and almost every POP pass
-/// parks.
-pub const DEFAULT_PUBLISH_SPIN: u32 = 128;
-
 /// Default publish-wait deadline (1 s wall clock, total per reclamation
 /// pass). Generous enough that a merely descheduled peer on an
 /// oversubscribed host publishes long before it; the deadline exists for
@@ -20,14 +11,15 @@ pub const DEFAULT_PUBLISH_DEADLINE_NS: u64 = 1_000_000_000;
 
 /// How a POP reclaimer gets peers' reservations published before it scans
 /// them (the publish half of `ping_all_and_wait`): the signal fan-out,
-/// whose waits spin and then park on a futex, or one `membarrier(2)` heavy
-/// barrier that has nothing to wait for. See `ARCHITECTURE.md` ("Publish
-/// modes") for the per-scheme decision table.
+/// whose waits spin until each pinged peer has published, or one
+/// `membarrier(2)` heavy barrier that has nothing to wait for. See
+/// `ARCHITECTURE.md` ("Publish modes") for the per-scheme decision table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PublishMode {
-    /// Signal fan-out: ping each non-quiescent peer, spin, then park on its
-    /// publish word (`pop_runtime::futex`, which yields off Linux) until it
-    /// has published — the default.
+    /// Signal fan-out: ping each non-quiescent peer and spin (yielding
+    /// every 1 024 rounds) until it has published — the default. The name
+    /// is that of the futex park the wait used to end in; it stays because
+    /// `POP_PUBLISH_MODE=futex` and benchmark metadata spell it so.
     #[default]
     Futex,
     /// One process-wide `membarrier(2)` barrier per pass: readers write
@@ -70,9 +62,9 @@ impl PublishMode {
 /// let cfg = SmrConfig::for_threads(8)
 ///     .with_reclaim_freq(1024)
 ///     .with_retire_batch(16)
-///     .with_publish_spin(64);
+///     .with_publish_deadline_ns(50_000_000);
 /// assert_eq!(cfg.effective_batch(), 16);
-/// assert_eq!(cfg.publish_spin, 64);
+/// assert_eq!(cfg.publish_deadline_ns, 50_000_000);
 /// ```
 ///
 /// # `POP_*` environment overrides
@@ -86,8 +78,8 @@ impl PublishMode {
 /// | variable                  | effect                                       |
 /// |---------------------------|----------------------------------------------|
 /// | `POP_RETIRE_BATCH`        | seal threshold (`1` = unbatched retirement)  |
-/// | `POP_PUBLISH_DEADLINE_MS` | publish-wait watchdog deadline (`0` = off)   |
-/// | `POP_PUBLISH_MODE`        | POP publish mode: `futex` / `membarrier`     |
+/// | `POP_PUBLISH_DEADLINE_MS` | publish-wait deadline per pass (`0` = off)   |
+/// | `POP_PUBLISH_MODE`        | `futex` (signal fan-out) / `membarrier`      |
 /// | `POP_FAULTS`              | fault plan (needs the `fault-injection` feature; parsed by `pop_runtime::faults`) |
 ///
 /// ```
@@ -134,18 +126,15 @@ pub struct SmrConfig {
     /// (so small thresholds still reclaim on time). `1` disables batching
     /// and makes every seal and trigger point exact.
     pub retire_batch: usize,
-    /// Spins a publish wait (`ping_all_and_wait`, NBR phase 2) burns before
-    /// parking on the target's publish word (`pop_runtime::futex`, which
-    /// yields off Linux). Small values favor oversubscribed hosts; large
-    /// values favor handlers that run within a cache-miss of the ping.
-    pub publish_spin: u32,
     /// Publish-wait watchdog deadline in nanoseconds, *total wall clock per
-    /// reclamation pass* (`ping_all_and_wait`, NBR phase 2). A peer that
-    /// has not published when it expires is handled conservatively — its
-    /// shared reservations are re-snapshotted as-is (correct-by-keep), the
-    /// pass completes, and the peer is probed for death and reaped if gone.
-    /// `0` disables the watchdog (waits are unbounded, the pre-PR-6
-    /// behavior).
+    /// reclamation pass* (`ping_all_and_wait`, NBR phase 2). The waits
+    /// spin and never park; the deadline is armed at a wait's first clock
+    /// read. A peer that has not answered when it expires is handled
+    /// conservatively — POP unions its private words into the scan, NBR+
+    /// frees nothing (correct-by-keep) — the pass completes, and the peer
+    /// is probed for death and reaped if gone. Later passes that find the
+    /// peer unmoved skip its wait, so a stuck peer costs one deadline, not
+    /// one per pass. `0` disables the watchdog (waits are unbounded).
     pub publish_deadline_ns: u64,
     /// Testing mode: freed nodes are poisoned and quarantined instead of
     /// deallocated, turning any use-after-free into a deterministic panic
@@ -170,7 +159,6 @@ impl SmrConfig {
             slots: 8,
             reclaim_freq: 24_576,
             retire_batch: RETIRE_BATCH_CAP,
-            publish_spin: DEFAULT_PUBLISH_SPIN,
             publish_deadline_ns: DEFAULT_PUBLISH_DEADLINE_NS,
             quarantine: false,
             publish_mode: PublishMode::default(),
@@ -235,12 +223,6 @@ impl SmrConfig {
     /// Builder-style override of the per-thread hazard slot count.
     pub fn with_slots(mut self, s: usize) -> Self {
         self.slots = s.max(1);
-        self
-    }
-
-    /// Builder-style override of the publish-wait spin budget.
-    pub fn with_publish_spin(mut self, spins: u32) -> Self {
-        self.publish_spin = spins;
         self
     }
 
@@ -314,14 +296,7 @@ mod tests {
         let c = SmrConfig::paper_defaults(4);
         assert_eq!(c.reclaim_freq, 24_576, "paper §5.0.1 retire threshold");
         assert_eq!(c.max_threads, 4);
-        assert_eq!(c.publish_spin, DEFAULT_PUBLISH_SPIN);
         assert!(!c.quarantine);
-    }
-
-    #[test]
-    fn publish_wait_builders() {
-        let c = SmrConfig::test_defaults(1).with_publish_spin(0);
-        assert_eq!(c.publish_spin, 0, "zero-spin (park immediately) is legal");
     }
 
     #[test]

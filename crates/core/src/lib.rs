@@ -31,8 +31,8 @@
 //!
 //! ## Memory-ordering rationale
 //!
-//! Two orderings carry the whole crate; everything else is standard
-//! acquire/release or relaxed counting.
+//! One `SeqCst` pairing carries the whole crate; everything else, the
+//! publish wait included, is standard acquire/release or relaxed counting.
 //!
 //! **The two-SeqCst-fence elision pairing.** Publish-on-ping readers
 //! record reservations with *relaxed* stores — the paper's headline
@@ -51,11 +51,11 @@
 //! machine. `end_op` is a plain release bump: quiescence may be observed
 //! late, which only costs an extra ping, never a wrong elision.
 //!
-//! **The futex Dekker.** A wait for a peer (POP's publish wait, NBR's
-//! phase 2) spins, then parks on the peer's 32-bit futex word, and every
-//! state change that can end it wakes the word in one of two
-//! `SeqCst`-paired orders — "bump, then check waiters" or "check waiters,
-//! then bump" — so no wake is lost. Both pairings are documented once, on
+//! **The publish wait.** A wait for a peer (POP's publish wait, NBR's
+//! phase 2) spins on the peer's publish counter or progress flags and
+//! never parks, so there is no wake to lose: the answering side's plain
+//! Release stores (a counter bump, an `end_op`) are all the handshake
+//! needs, and an Acquire load ends the wait. It is documented once, on
 //! the shared peer table (`pop_shared::Peers`, module docs of
 //! `pop_shared`).
 //!

@@ -56,35 +56,31 @@
 //! generation (async-signal-safe: atomics only); probes and reaps dead
 //! participants; and runs the one publish wait.
 //!
-//! **The wait.** Spin for [`crate::config::SmrConfig::publish_spin`]
-//! rounds, then **park** with `futex(FUTEX_WAIT)` on the peer's 32-bit
-//! word for at most [`WAIT_TIMEOUT_NS`], and give up when the pass's
-//! wall-clock deadline ([`crate::config::SmrConfig::publish_deadline_ns`],
-//! armed lazily on the first spin-budget exhaustion) expires. Every return
-//! re-checks the full exit condition, so a spurious wake or a lost one
-//! costs a re-check, never a wrong answer. Off Linux the
-//! `pop_runtime::futex` module yields instead of parking: same
-//! correctness, but each retry burns a scheduler quantum on
-//! oversubscribed hosts.
+//! **The wait.** Spin with `spin_loop` and never park: a pinged peer
+//! answers within a ping round trip (microseconds), and a reclaimer asleep
+//! in the kernel would stretch every such answer to a wake-up latency, and
+//! then to a scheduler quantum when its own peer waits on it in turn.
+//! Every [`CLOCK_EVERY`] rounds (≈ 2 round trips) the wait reads the clock
+//! and calls `std::thread::yield_now`, so a peer descheduled behind this
+//! thread on an oversubscribed host gets the CPU and answers; with nothing
+//! else runnable the yield returns at once. (Yielding only once a wait is
+//! 1 ms old made `bench_smoke`'s pass against 4 yielding peers on 2 vCPUs
+//! cost ≈ 1.1 ms, against 32 µs this way and 44 µs for a parking wait.)
+//! The first clock read arms the pass's wall-clock deadline
+//! ([`crate::config::SmrConfig::publish_deadline_ns`]), so an uncontended
+//! pass never reads the clock, and the wait gives up at that deadline.
+//! Nothing a peer does to end a wait wakes anybody: the handshake is the
+//! counters and flags the wait's exit condition reads, so the answering
+//! side (a signal handler, NBR+'s `end_op`) makes no syscall.
 //!
-//! **The two wake orders.** A waiter announces itself in the peer's waiter
-//! count, loads the word, re-checks its exit condition and only then
-//! parks on the loaded value (all `SeqCst`). A state change that can end
-//! a wait pairs with that sequence in one of two ways (Dekker):
-//! * *Bump, then check waiters* ([`Peers::bump_then_wake`]): the `SeqCst`
-//!   word bump precedes the waiter-count load. Either the waiter's word
-//!   load saw the bump (and, reading from it, sees the state change in
-//!   its re-check) or the bump follows that load, and then the count load
-//!   sees the waiter and wakes it. Used where the state change is not
-//!   itself ordered: POP's `announce_row` (its counter bump is only
-//!   Release), NBR's restart ack, and evicting a dead peer.
-//! * *Check waiters, then bump* ([`Peers::wake_waiters`]): the caller
-//!   makes its state change and issues a `SeqCst` fence; only when the
-//!   count load then sees a waiter does it bump and wake. If the load
-//!   misses the waiter, the waiter's announce follows the fence, so its
-//!   re-check sees the change and it never parks. Used by NBR's `end_op`,
-//!   `begin_write` and `unregister` exits, which stay RMW-free while
-//!   nobody waits.
+//! **A stuck peer costs one deadline.** When a wait times out, the peer's
+//! *snapshot* is recorded: the publish counter the pass collected (POP),
+//! or its `(op_seq, restart_seq)` (NBR+). A later pass that finds the
+//! same snapshot, with the exit condition still false, skips the wait
+//! ([`Waited::Stuck`]): POP keeps the peer a suspect, so the scan unions
+//! its private words, and NBR+ frees nothing, exactly as the expired
+//! wait would have. It still probes the peer for the reaper. Any movement
+//! of the snapshot clears the record, so the next wait is a full one.
 //!
 //! ## Membarrier publish mode
 //!
@@ -116,8 +112,8 @@
 //!   [`PopShared::publish_tid`] therefore *skips the local→shared copy*
 //!   on membarrier-configured domains — the copy would overwrite live
 //!   shared reservations with the unused (all-zero) local words — while
-//!   keeping its fence, suspect-clear, counter bump and futex wake, so
-//!   the signal path's handshake semantics survive a downgrade.
+//!   keeping its fence, suspect-clear and counter bump, so the signal
+//!   path's handshake semantics survive a downgrade.
 //! * **Ping filtering is off.** The quiescent elision rests on
 //!   `note_active`'s fence pairing with the reclaimer's; with the fence
 //!   gone the argument is void, so a membarrier-configured domain never
@@ -145,22 +141,24 @@
 //! Instances are leaked (`&'static`) because the process-global signal
 //! handler may dereference them at any time; see `pop-runtime` docs.
 
-use core::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_utils::CachePadded;
 use pop_runtime::faults::{self, FaultSite};
 use pop_runtime::signal::ping_gtid;
-use pop_runtime::{futex, Liveness, PingOutcome, Publisher, Registry};
+use pop_runtime::{Liveness, PingOutcome, Publisher, Registry};
 
 use crate::base::{DomainBase, RetireList};
 use crate::config::SmrConfig;
 use crate::stats::DomainStats;
 
-/// Timeout of one futex park in [`Peers::wait`]: the liveness backstop
-/// for a wake the waiter missed (module docs).
-pub(crate) const WAIT_TIMEOUT_NS: u64 = 1_000_000;
+/// Spin rounds between two clock reads (and yields) of [`Peers::wait`]:
+/// about 25 µs at the ≈ 25 ns one `spin_loop` took on the build host,
+/// so a wait that a ping round trip (≈ 14 µs) ends mostly never reads the
+/// clock or yields.
+const CLOCK_EVERY: u32 = 1024;
 
 /// Sentinel in a collected-counters buffer: do not wait for this thread.
 const SKIP: u64 = u64::MAX;
@@ -264,7 +262,7 @@ impl<L: core::ops::Deref<Target = [Line]>> Rows<L> {
 
 /// The signal-participant table of a signal-driven domain (module docs,
 /// "The peer table"): who is registered under which thread, who is
-/// confirmed dead, and the futex words reclaimers wait on.
+/// confirmed dead, and which peers some pass timed out on.
 pub(crate) struct Peers {
     /// Whether a domain tid currently participates.
     registered: Box<[AtomicBool]>,
@@ -283,13 +281,11 @@ pub(crate) struct Peers {
     /// Set when a liveness probe confirms the registration's thread died
     /// without deregistering; consumed (CAS) by [`Self::take_dead`].
     dead: Box<[AtomicBool]>,
-    /// 32-bit futex key per tid: waiters park on it, every exit bumps it.
-    word: Box<[CachePadded<AtomicU32>]>,
-    /// Waiters parked (or about to park) on `word[t]`; a waker skips the
-    /// syscall while it is zero.
-    waiters: Box<[CachePadded<AtomicU32>]>,
-    /// Spin budget before a wait parks.
-    spin: u32,
+    /// The snapshot a wait on each peer last timed out on, and in word 2
+    /// whether it stands (module docs, "A stuck peer costs one deadline").
+    /// A hint shared by every reclaimer: a stale or torn record only skips
+    /// a wait in a pass that then treats the peer as an expiry would.
+    stuck: Box<[CachePadded<[AtomicU64; 3]>]>,
     /// Wall-clock budget of one pass's waits (`0` = unbounded).
     deadline_ns: u64,
 }
@@ -303,9 +299,7 @@ impl Peers {
             gtid_gen: zeroed(n),
             gtid_backed: zeroed(n),
             dead: zeroed(n),
-            word: zeroed(n),
-            waiters: zeroed(n),
-            spin: cfg.publish_spin,
+            stuck: zeroed(n),
             deadline_ns: cfg.publish_deadline_ns,
         }
     }
@@ -324,6 +318,7 @@ impl Peers {
     /// (Release) comes last and publishes those clears.
     pub(crate) fn bind(&self, t: usize, gtid: usize) {
         self.dead[t].store(false, Ordering::Relaxed);
+        self.stuck[t][2].store(0, Ordering::Relaxed);
         self.gtid_of[t].store(gtid + 1, Ordering::Relaxed);
         // A gtid outside the registry (a unit-test fabrication) is never
         // backed, so its probes never read as death.
@@ -351,11 +346,10 @@ impl Peers {
     }
 
     /// Removes confirmed-dead `t` on its owner's behalf, after the caller
-    /// erased its own handler-visible state, and wakes every reclaimer
-    /// waiting on it.
+    /// erased its own handler-visible state; a reclaimer waiting on it
+    /// sees it gone at its next check.
     pub(crate) fn evict(&self, t: usize) {
         self.registered[t].store(false, Ordering::Release);
-        self.bump_then_wake(t);
         self.gtid_of[t].store(0, Ordering::Relaxed);
         self.gtid_backed[t].store(false, Ordering::Relaxed);
     }
@@ -489,66 +483,71 @@ impl Peers {
         reaped
     }
 
-    /// Wake order *bump, then check waiters* (module docs).
-    pub(crate) fn bump_then_wake(&self, t: usize) {
-        self.word[t].fetch_add(1, Ordering::SeqCst);
-        if self.waiters[t].load(Ordering::SeqCst) > 0 {
-            futex::wake_all(&self.word[t]);
-        }
-    }
-
-    /// Wake order *check waiters, then bump* (module docs): one shared
-    /// load while nobody waits. The caller's `SeqCst` fence must order its
-    /// state change before this call.
-    pub(crate) fn wake_waiters(&self, t: usize) {
-        if self.waiters[t].load(Ordering::SeqCst) > 0 {
-            self.word[t].fetch_add(1, Ordering::SeqCst);
-            futex::wake_all(&self.word[t]);
-        }
-    }
-
-    /// Waits until `t` has left the table or `done()` holds: spin, park,
-    /// give up at the pass deadline (module docs). `deadline` is the
-    /// pass's, shared by all its waits and armed on first need, so an
-    /// uncontended pass never reads the clock. Returns `false` on expiry,
-    /// after probing `t`'s registration for the reaper.
+    /// Waits until `t` has left the table or `done()` holds: spin, yield
+    /// every [`CLOCK_EVERY`] rounds, give up at the pass deadline (module
+    /// docs). `deadline` is
+    /// the pass's, shared by all its waits and armed at the first clock
+    /// read, so an uncontended pass never reads the clock. `snapshot` is
+    /// the peer's progress as the caller collected it: if a wait already
+    /// timed out on `t` at this same snapshot, the wait is skipped
+    /// ([`Waited::Stuck`]), and an expiry records it. Both ends that are
+    /// not [`Waited::Answered`] probe `t`'s registration for the reaper.
     pub(crate) fn wait(
         &self,
         t: usize,
+        snapshot: [u64; 2],
         deadline: &mut Option<Instant>,
         done: impl Fn() -> bool,
-    ) -> bool {
+    ) -> Waited {
         let over = || !self.is_registered(t) || done();
+        if over() {
+            return Waited::Answered;
+        }
+        let [a, b, armed] = &*self.stuck[t];
+        if armed.load(Ordering::Acquire) != 0 {
+            if [a.load(Ordering::Relaxed), b.load(Ordering::Relaxed)] == snapshot {
+                self.note_dead_if_confirmed(t);
+                return Waited::Stuck;
+            }
+            armed.store(0, Ordering::Relaxed);
+        }
         let mut spins = 0u32;
         while !over() {
-            // Bounded spin, then park: the peer may be descheduled on an
-            // oversubscribed host and cannot answer until it gets a CPU.
-            spins = spins.saturating_add(1);
-            if spins <= self.spin {
-                core::hint::spin_loop();
+            core::hint::spin_loop();
+            spins = spins.wrapping_add(1);
+            if !spins.is_multiple_of(CLOCK_EVERY) {
                 continue;
             }
             if self.deadline_ns > 0 {
-                let at = *deadline
-                    .get_or_insert_with(|| Instant::now() + Duration::from_nanos(self.deadline_ns));
-                if Instant::now() >= at {
+                let now = Instant::now();
+                let at =
+                    *deadline.get_or_insert_with(|| now + Duration::from_nanos(self.deadline_ns));
+                if now >= at {
+                    a.store(snapshot[0], Ordering::Relaxed);
+                    b.store(snapshot[1], Ordering::Relaxed);
+                    armed.store(1, Ordering::Release);
                     self.note_dead_if_confirmed(t);
-                    return false;
+                    return Waited::TimedOut;
                 }
             }
-            // Announce, load the word, re-check, park on the loaded value.
-            // The wait's own result is ignored: the wall clock above
-            // decides expiry, so a spurious wake and a timed-out park both
-            // just re-check.
-            self.waiters[t].fetch_add(1, Ordering::SeqCst);
-            let w = self.word[t].load(Ordering::SeqCst);
-            if !over() {
-                let _ = futex::wait_timeout(&self.word[t], w, WAIT_TIMEOUT_NS);
-            }
-            self.waiters[t].fetch_sub(1, Ordering::SeqCst);
+            // The peer may be descheduled behind this very thread on an
+            // oversubscribed host: give it the CPU. With nothing else
+            // runnable here, the yield returns at once.
+            std::thread::yield_now();
         }
-        true
+        Waited::Answered
     }
+}
+
+/// How a [`Peers::wait`] ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Waited {
+    /// The peer answered or left the table.
+    Answered,
+    /// The pass deadline expired first; the peer's snapshot is recorded.
+    TimedOut,
+    /// Skipped: a wait already timed out on the peer at this snapshot.
+    Stuck,
 }
 
 /// Shared reservation state for one publish-on-ping domain.
@@ -708,10 +707,10 @@ impl PopShared {
 
     /// The paper's `publishReservations` (Alg. 2 line 40): copy local →
     /// shared — or store an empty row when the owner is between operations
-    /// (module docs) — one fence, bump the publish counter, wake parked
-    /// waiters. Runs on `tid`'s own thread, so the activity word it reads
-    /// cannot change under it. Async-signal-safe (atomics plus at most one
-    /// `futex` syscall).
+    /// (module docs) — one fence, bump the publish counter. Runs on `tid`'s
+    /// own thread, so the activity word it reads cannot change under it.
+    /// Async-signal-safe: atomics only, no syscall outside the
+    /// `PublishDelay` fault site.
     pub(crate) fn publish_tid(&self, tid: usize) {
         // Fault site: a publish that straggles — the local→shared copy and
         // counter bump land late, stretching every waiting reclaimer.
@@ -727,8 +726,8 @@ impl PopShared {
         // the unused local words are all zero — copying them over would
         // ERASE live reservations (the handler may fire on these threads
         // via another domain's ping). The publish
-        // degenerates to fence + suspect-clear + counter bump + wake, which
-        // is exactly what the signal fallback path needs from it.
+        // degenerates to fence + suspect-clear + counter bump, which is
+        // exactly what the signal fallback path needs from it.
         if !self.membarrier {
             let in_op = self.activity[tid].load(Ordering::Relaxed) & 1 != 0;
             for (local, shared) in self.local.row(tid).iter().zip(self.shared.row(tid)) {
@@ -748,17 +747,15 @@ impl PopShared {
     }
 
     /// Makes `tid`'s just-written shared row count as published: fence,
-    /// end suspicion, bump the counter, wake parked waiters.
+    /// end suspicion, bump the counter.
     fn announce_row(&self, tid: usize) {
         // The single fence that replaces one-fence-per-read of classic HP.
         fence(Ordering::SeqCst);
         // A completed publish is proof of life: the thread's shared words
         // are current again, so conservative suspect handling can end.
         self.suspect[tid].store(false, Ordering::Relaxed);
-        // The counter bump is only Release: wake order "bump, then check
-        // waiters" (module docs).
+        // Release: a waiter whose Acquire load sees the bump sees the row.
         self.counter[tid].fetch_add(1, Ordering::Release);
-        self.peers.bump_then_wake(tid);
     }
 
     /// Whether thread `t` may be skipped by `pingAllToPublish`: quiescent
@@ -882,20 +879,22 @@ impl PopShared {
         let mut deadline = None;
         let mut timeouts = 0u64;
         for (t, &observed) in collected.iter().enumerate() {
+            if observed == SKIP {
+                continue;
+            }
             // Acquire pairs with the handler's Release increment, making
             // the published reservations visible to the scan. A thread
             // that deregistered flushed empty reservations on the way out.
-            if observed != SKIP
-                && !self.peers.wait(t, &mut deadline, || {
-                    self.counter[t].load(Ordering::Acquire) > observed
-                })
-            {
-                // The watchdog expired with this peer unpublished.
-                // Correctness is preserved by keeping, not by waiting: the
-                // suspect flag makes the scan honor its unpublished local
-                // words too.
+            let waited = self.peers.wait(t, [observed, 0], &mut deadline, || {
+                self.counter[t].load(Ordering::Acquire) > observed
+            });
+            if waited != Waited::Answered {
+                // The watchdog expired with this peer unpublished, now or
+                // on an earlier pass at this same counter. Correctness is
+                // preserved by keeping, not by waiting: the suspect flag
+                // makes the scan honor its unpublished local words too.
                 self.suspect[t].store(true, Ordering::Release);
-                timeouts += 1;
+                timeouts += u64::from(waited == Waited::TimedOut);
             }
         }
         if timeouts > 0 {
@@ -929,8 +928,7 @@ impl PopShared {
     }
 
     /// Removes a **confirmed-dead** participant from the ping set on its
-    /// behalf: zeroes its reservations, then [`Peers::evict`] unbinds it
-    /// and wakes any parked waiter.
+    /// behalf: zeroes its reservations, then [`Peers::evict`] unbinds it.
     ///
     /// Caller contract: the thread behind `tid` is dead (its registry
     /// registration was reaped), so nothing races the owner-side stores
@@ -945,8 +943,7 @@ impl PopShared {
 
 impl Publisher for PopShared {
     /// Signal-handler entry: publish for whichever domain tid the pinged
-    /// thread holds ([`Peers::dispatch`]); atomics, one fence and at most
-    /// one `futex` wake per tid.
+    /// thread holds ([`Peers::dispatch`]); atomics and one fence per tid.
     fn publish(&self, gtid: usize) {
         self.peers.dispatch(gtid, |t| self.publish_tid(t));
     }
@@ -962,13 +959,6 @@ pub(crate) mod testing {
     use crate::smr::{alloc_node, retire_node, Smr};
     use core::sync::atomic::AtomicPtr;
     use std::sync::mpsc::channel;
-
-    impl Peers {
-        /// Whether a reclaimer waits (or is about to park) on `t`.
-        pub(crate) fn has_waiter(&self, t: usize) -> bool {
-            self.waiters[t].load(Ordering::SeqCst) > 0
-        }
-    }
 
     impl PopShared {
         /// Owner-side reservation store (the publishers' `reserve`).
@@ -1091,38 +1081,25 @@ pub(crate) mod testing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{SmrConfig, DEFAULT_PUBLISH_DEADLINE_NS, DEFAULT_PUBLISH_SPIN};
+    use crate::config::{SmrConfig, DEFAULT_PUBLISH_DEADLINE_NS};
 
     /// An instance for `n` tids of `slots` words with the given publish-wait
-    /// knobs (pinned, so no `POP_*` override reaches them).
-    fn leak(n: usize, slots: usize, spin: u32, deadline_ns: u64, mb: bool) -> &'static PopShared {
+    /// deadline (pinned, so no `POP_*` override reaches it).
+    fn leak(n: usize, slots: usize, deadline_ns: u64, mb: bool) -> &'static PopShared {
         let cfg = SmrConfig::for_tests(n)
             .with_slots(slots)
-            .with_publish_spin(spin)
             .with_publish_deadline_ns(deadline_ns);
         PopShared::for_domain(&DomainBase::new(cfg), mb)
     }
 
     fn mk(n: usize, slots: usize) -> &'static PopShared {
-        leak(
-            n,
-            slots,
-            DEFAULT_PUBLISH_SPIN,
-            DEFAULT_PUBLISH_DEADLINE_NS,
-            false,
-        )
+        leak(n, slots, DEFAULT_PUBLISH_DEADLINE_NS, false)
     }
 
     /// A membarrier-mode instance (reservations in shared slots, fan-out
     /// replaced by one heavy barrier) — HPAsym's engine.
     fn mk_mb(n: usize, slots: usize) -> &'static PopShared {
-        leak(
-            n,
-            slots,
-            DEFAULT_PUBLISH_SPIN,
-            DEFAULT_PUBLISH_DEADLINE_NS,
-            true,
-        )
+        leak(n, slots, DEFAULT_PUBLISH_DEADLINE_NS, true)
     }
 
     #[test]
@@ -1322,11 +1299,11 @@ mod tests {
     }
 
     #[test]
-    fn parked_waiter_wakes_on_cross_thread_publish() {
-        // Zero spin budget: the waiter parks on the futex immediately; a
-        // publish from another thread must wake it well before the wait
-        // timeout accumulates into seconds.
-        let p = leak(2, 1, 0, DEFAULT_PUBLISH_DEADLINE_NS, false);
+    fn wait_sees_cross_thread_publish() {
+        // The waiter spins and yields past many clock reads before the
+        // first publish lands; a publish from another thread must end the
+        // wait, with no timeout counted.
+        let p = mk(2, 1);
         p.register(0, 100);
         p.register(1, 101);
         // Peer 1 looks active with a reservation: not skippable, and the
@@ -1338,9 +1315,9 @@ mod tests {
         let publisher = std::thread::spawn({
             let stop = Arc::clone(&stop);
             move || {
-                // First publish delayed past the (zero) spin budget so the
-                // waiter parks; then keep publishing in case the first one
-                // raced ahead of the waiter's counter collection.
+                // First publish delayed past the wait's yield threshold;
+                // then keep publishing in case the first one raced ahead
+                // of the waiter's counter collection.
                 std::thread::sleep(std::time::Duration::from_millis(30));
                 while !stop.load(Ordering::Acquire) {
                     p.publish_tid(1);
@@ -1355,8 +1332,9 @@ mod tests {
         publisher.join().unwrap();
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(5),
-            "parked waiter must be woken by the publish"
+            "the publish must end the wait"
         );
+        assert_eq!(p.stats.snapshot().publish_wait_timeouts, 0);
         assert_eq!(p.collect_reserved(), vec![0xFEED]);
     }
 
@@ -1367,7 +1345,7 @@ mod tests {
         // it). Pre-watchdog this wait was unbounded; now the pass must
         // complete within the deadline, keep the peer's unpublished local
         // word conservatively, and count the timeout.
-        let p = leak(2, 1, 4, 50_000_000, false); // 50 ms deadline
+        let p = leak(2, 1, 50_000_000, false); // 50 ms deadline
         p.register(0, 100);
         p.register(1, 101);
         p.note_active(1);
@@ -1392,6 +1370,15 @@ mod tests {
         );
         // The fabricated gtid must never be mistaken for a dead thread.
         assert_eq!(p.peers.take_dead(), None);
+        // Nine more passes find the peer's counter unmoved: no wait, no
+        // timeout, and its local word still honored.
+        let t1 = std::time::Instant::now();
+        for _ in 0..9 {
+            p.ping_all_and_wait(0, &mut scratch);
+        }
+        assert!(t1.elapsed() < elapsed, "a stuck peer costs one deadline");
+        assert_eq!(p.stats.snapshot().publish_wait_timeouts, 1);
+        assert_eq!(p.collect_reserved(), vec![0xDEAD_BEEF]);
         // Once the peer finally publishes, suspicion lifts and its local
         // words stop being unioned in.
         p.clear_local(1);
@@ -1403,7 +1390,7 @@ mod tests {
     fn watchdog_disabled_by_zero_deadline_waits_for_publish() {
         // Deadline 0 restores unbounded waits: the pass returns only
         // because the helper publishes, and no timeout is counted.
-        let p = leak(2, 1, 4, 0, false);
+        let p = leak(2, 1, 0, false);
         p.register(0, 100);
         p.register(1, 101);
         p.note_active(1);
@@ -1432,7 +1419,7 @@ mod tests {
         // through the registry, and take_dead must hand the tid to a
         // reaper exactly once; force_unregister then drops it from the
         // ping set and empties its reservations.
-        let p = leak(2, 1, 4, 50_000_000, false); // 50 ms deadline
+        let p = leak(2, 1, 50_000_000, false); // 50 ms deadline
         let (tx, rx) = std::sync::mpsc::channel();
         let victim = std::thread::spawn(move || {
             let reg = Registry::global().register_current();
@@ -1497,7 +1484,7 @@ mod tests {
         // A suspect's private words are unioned into every scan. Once it
         // goes idle with an empty shared row, only a ping makes it publish
         // again and end the suspicion, so the filter must not elide it.
-        let p = leak(2, 1, 4, 0, false);
+        let p = leak(2, 1, 0, false);
         p.register(0, 100);
         p.register(1, 101);
         p.note_active(1);

@@ -974,7 +974,7 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Ping: private until pinged, filtered, futex park/wake, membarrier.
+    // Ping: private until pinged, filtered, the publish wait, membarrier.
     // -----------------------------------------------------------------
 
     fn private_until_ping<K: Kind>(word: impl FnOnce(&Hazard<K, Ping>, *mut N) -> u64) {
@@ -1039,22 +1039,101 @@ mod tests {
         });
     }
 
-    #[test]
-    fn ping_parked_reclaimer_is_woken_by_pinged_readers_handler() {
-        // Zero spin budget: the reclaimer parks on the reader's publish
-        // word immediately after pinging. The reader's signal handler must
-        // publish and FUTEX_WAKE the reclaimer — `held_node_survives`'s
-        // flush bound is far below what the wait-timeout backstop would
-        // accumulate.
-        held_node_survives::<HazardPtrPop>(
-            futex(2).with_reclaim_freq(4).with_publish_spin(0),
-            8,
-            |s| {
-                assert!(s.pings_sent >= 1, "reader was pinged");
-                assert!(s.publishes >= 1, "handler published");
-                assert_eq!(s.unreclaimed_nodes(), 1, "reservation honored");
-            },
+    /// Blocks (`true`) or unblocks the ping signal on the calling thread
+    /// only. Unblocking delivers a pending ping before it returns.
+    fn block_pings(block: bool) {
+        let how = if block {
+            libc::SIG_BLOCK
+        } else {
+            libc::SIG_UNBLOCK
+        };
+        let mut set = core::mem::MaybeUninit::<libc::sigset_t>::uninit();
+        // SAFETY: `set` is initialized by `sigemptyset` before any other
+        // use, and `pthread_sigmask` only reads it.
+        let rc = unsafe {
+            libc::sigemptyset(set.as_mut_ptr());
+            libc::sigaddset(set.as_mut_ptr(), pop_runtime::signal::PING_SIGNAL);
+            libc::pthread_sigmask(how, set.as_ptr(), core::ptr::null_mut())
+        };
+        assert_eq!(rc, 0, "pthread_sigmask");
+    }
+
+    /// A reader that cannot answer (it blocks the ping signal on its own
+    /// thread, mid-operation, holding `hot`): the first pass waits out the
+    /// deadline, the other `PASSES - 1` find its publish counter unmoved
+    /// and skip the wait, and its private word keeps `hot` out of the
+    /// quarantine throughout.
+    fn unanswering_reader_costs_one_deadline<S: Smr>() {
+        const DEADLINE_NS: u64 = 50_000_000;
+        const PASSES: u64 = 10;
+        let smr = S::new(
+            futex(2)
+                .with_reclaim_freq(16)
+                .with_retire_batch(1)
+                .with_publish_deadline_ns(DEADLINE_NS)
+                .with_quarantine(),
         );
+        let reg0 = smr.register(0);
+        let hot = node(&*smr, 7);
+        let src = Arc::new(AtomicPtr::new(hot));
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let reader = std::thread::spawn({
+            let smr = Arc::clone(&smr);
+            let src = Arc::clone(&src);
+            move || {
+                let reg1 = smr.register(1);
+                smr.begin_op(1);
+                let p = smr.protect(1, 0, &src).unwrap();
+                block_pings(true);
+                ready_tx.send(()).unwrap();
+                go_rx.recv().unwrap(); // blocked: every ping stays pending
+                block_pings(false);
+                smr.check_live(p);
+                assert_eq!(unsafe { (*p).v }, 7, "node alive under the reservation");
+                smr.end_op(1);
+                drop(reg1);
+            }
+        });
+        ready_rx.recv().unwrap();
+        src.store(core::ptr::null_mut(), Ordering::SeqCst);
+        unsafe { retire_node(&*smr, 0, hot) };
+        let start = Instant::now();
+        for i in 1..PASSES * smr.config().reclaim_freq as u64 {
+            unsafe { retire_node(&*smr, 0, node(&*smr, i)) };
+        }
+        let total = start.elapsed();
+        let s = smr.stats().snapshot();
+        let deadline = Duration::from_nanos(DEADLINE_NS);
+        assert_eq!(s.pop_passes, PASSES, "{}: {s:?}", S::NAME);
+        assert_eq!(
+            s.publish_wait_timeouts,
+            1,
+            "{}: one timeout per stuck episode: {s:?}",
+            S::NAME
+        );
+        assert!(
+            total < 2 * deadline,
+            "{}: {PASSES} passes took {total:?}, not under two {deadline:?} deadlines",
+            S::NAME
+        );
+        assert!(
+            !unsafe { (*hot).hdr.is_poisoned() },
+            "{}: the unanswering reader's node was freed",
+            S::NAME
+        );
+        assert!(s.freed_nodes > 0, "{}: the fillers were freed", S::NAME);
+        go_tx.send(()).unwrap();
+        reader.join().unwrap();
+        smr.flush(0);
+        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0, "{}", S::NAME);
+        drop(reg0);
+    }
+
+    #[test]
+    fn unanswering_reader_costs_one_deadline_pop() {
+        unanswering_reader_costs_one_deadline::<HazardPtrPop>();
+        unanswering_reader_costs_one_deadline::<HazardEraPop>();
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! reader blocked inside an operation (parked in a syscall, descheduled
 //! for good) never reaches one, so passes free nothing until it leaves:
 //! the domain's garbage grows without bound. The first pass that meets
-//! such a reader waits out `publish_deadline_ns` and records the reader's
-//! `(op_seq, restart_seq)`; later passes that find both unchanged still
+//! such a reader waits out `publish_deadline_ns`, and the peer table
+//! records the reader's `(op_seq, restart_seq)` (POP keys the same record
+//! by the publish counter); later passes that find both unchanged still
 //! neutralize and ping it but skip the wait, freeing nothing as the
 //! deadline would have, so a stuck episode costs one deadline, not one per
 //! pass. A reader that keeps reading restarts at its next `protect` and
@@ -51,7 +52,7 @@ use crate::base::{
 };
 use crate::config::SmrConfig;
 use crate::header::{unmark_word, Header, Retired};
-use crate::pop_shared::{zeroed, Peers};
+use crate::pop_shared::{zeroed, Peers, Waited};
 use crate::smr::{ReadResult, Restart, Smr};
 use crate::stats::DomainStats;
 
@@ -62,11 +63,7 @@ struct ThreadState {
 
 /// Signal-handler-visible shared state (leaked, like `PopShared`).
 struct NbrShared {
-    /// Registration, dispatch, phase-2 wait and reap. Its futex word is
-    /// bumped by every restart acknowledgement and — when a waiter has
-    /// announced itself — by the going-quiescent, write-phase and
-    /// deregistration exits, so every exit wakes promptly and the wait's
-    /// timeout is only a lost-signal backstop.
+    /// Registration, dispatch, phase-2 wait and reap.
     peers: Peers,
     slots: usize,
     /// Write-phase reservations, published in `begin_write`.
@@ -82,11 +79,6 @@ struct NbrShared {
     /// Operation sequence numbers (bumped each `begin_op`): a change proves
     /// the thread went quiescent — equivalent to a restart for safety.
     op_seq: Box<[CachePadded<AtomicU64>]>,
-    /// `(op_seq, restart_seq)` of a peer a pass timed out on (module
-    /// docs); `op_seq` 0 names no operation, so zero is "no record". A
-    /// hint shared by every reclaimer: a stale or torn record only skips
-    /// a wait in a pass that then frees nothing.
-    stuck: Box<[CachePadded<[AtomicU64; 2]>]>,
     stats: Arc<DomainStats>,
 }
 
@@ -102,7 +94,6 @@ impl NbrShared {
             in_write: zeroed(n),
             restart_seq: zeroed(n),
             op_seq: zeroed(n),
-            stuck: zeroed(n),
             stats: Arc::clone(&base.stats),
         }))
     }
@@ -123,33 +114,10 @@ impl NbrShared {
             || self.op_seq[t].load(Ordering::Acquire) != ops0 // fresh operation
     }
 
-    /// Whether peer `t` still shows the snapshot `(ops0, seq0)` a pass timed
-    /// out on. Any movement clears the record.
-    fn still_stuck(&self, t: usize, seq0: u64, ops0: u64) -> bool {
-        let [ops, seq] = &*self.stuck[t];
-        let rec = ops.load(Ordering::Relaxed);
-        if rec == 0 {
-            return false;
-        }
-        if rec == ops0 && seq.load(Ordering::Relaxed) == seq0 {
-            return true;
-        }
-        ops.store(0, Ordering::Relaxed);
-        false
-    }
-
-    /// Records that a pass timed out on peer `t` at `(ops0, seq0)`.
-    fn note_stuck(&self, t: usize, seq0: u64, ops0: u64) {
-        let [ops, seq] = &*self.stuck[t];
-        seq.store(seq0, Ordering::Relaxed);
-        ops.store(ops0, Ordering::Relaxed);
-    }
-
     /// Reaper-side `unregister` for a participant whose thread died inside
     /// an operation: clears every signal-handler-visible trace of the slot,
-    /// then evicts it from the peer table, waking phase-2 waiters parked on
-    /// it. Caller must hold the reap exclusivity
-    /// ([`Peers::reap_one_dead`]).
+    /// then evicts it from the peer table. Caller must hold the reap
+    /// exclusivity ([`Peers::reap_one_dead`]).
     fn force_unregister(&self, tid: usize) {
         self.in_write[tid].store(false, Ordering::Release);
         self.in_op[tid].store(false, Ordering::Release);
@@ -188,8 +156,7 @@ pub struct NbrPlus {
 }
 
 impl NbrPlus {
-    /// Consumes a pending neutralization, acknowledging the restart (and
-    /// waking any reclaimer parked on this thread's word).
+    /// Consumes a pending neutralization, acknowledging the restart.
     #[inline]
     fn consume_neutralization(&self, tid: usize) -> bool {
         let sh = self.shared;
@@ -197,7 +164,6 @@ impl NbrPlus {
             && sh.neutralized[tid].swap(false, Ordering::AcqRel)
         {
             sh.restart_seq[tid].fetch_add(1, Ordering::Release);
-            sh.peers.bump_then_wake(tid);
             self.base
                 .stats
                 .shard(tid)
@@ -291,17 +257,12 @@ impl NbrPlus {
             if s0 == SKIP {
                 continue;
             }
-            if sh.still_stuck(t, s0, o0) {
-                // Probe as the expired wait would have, so a stuck peer
-                // that dies is still reaped.
-                sh.peers.note_dead_if_confirmed(t);
-                stuck = true;
-            } else if !sh
-                .peers
-                .wait(t, &mut deadline, || sh.phase2_satisfied(t, s0, o0))
-            {
-                sh.note_stuck(t, s0, o0);
-                timeouts += 1;
+            match sh.peers.wait(t, [o0, s0], &mut deadline, || {
+                sh.phase2_satisfied(t, s0, o0)
+            }) {
+                Waited::Answered => {}
+                Waited::TimedOut => timeouts += 1,
+                Waited::Stuck => stuck = true,
             }
         }
         if timeouts > 0 {
@@ -409,10 +370,6 @@ impl Smr for NbrPlus {
         let list = unsafe { self.threads[tid].retire.get() };
         self.base.orphan_remaining(tid, list);
         sh.peers.leave(tid);
-        // Wake coverage for the deregistered exit (cold path: fence +
-        // waiter check unconditionally).
-        fence(Ordering::SeqCst);
-        sh.peers.wake_waiters(tid);
         self.base.release(tid);
     }
 
@@ -437,12 +394,6 @@ impl Smr for NbrPlus {
         let sh = self.shared;
         sh.in_write[tid].store(false, Ordering::Release);
         sh.in_op[tid].store(false, Ordering::Release);
-        // Wake coverage for the going-quiescent exit: the fence orders the
-        // in_op clear before the waiter check (wake order "check waiters,
-        // then bump"); a parked reclaimer stops waiting on us now instead
-        // of riding the timeout.
-        fence(Ordering::SeqCst);
-        sh.peers.wake_waiters(tid);
     }
 
     /// NBR's defining property: a read is a plain load plus one relaxed
@@ -489,11 +440,6 @@ impl Smr for NbrPlus {
             sh.clear_wres(tid);
             return Err(Restart);
         }
-        // Wake coverage for the entered-write-phase exit: the fence above
-        // already orders the in_write store before the waiter check; a
-        // parked reclaimer proceeds to honor our published reservations
-        // instead of riding the timeout.
-        sh.peers.wake_waiters(tid);
         Ok(())
     }
 
@@ -535,9 +481,7 @@ impl Drop for NbrPlus {
 mod tests {
     use super::*;
     use crate::header::{HasHeader, Header};
-    use crate::pop_shared::WAIT_TIMEOUT_NS;
     use crate::smr::{as_header, retire_node};
-    use pop_runtime::futex;
     use std::sync::atomic::AtomicBool as StdBool;
 
     #[repr(C)]
@@ -681,81 +625,13 @@ mod tests {
     }
 
     #[test]
-    fn quiescent_exit_wakes_parked_phase2_waiter_promptly() {
-        // The PR-4 wake-coverage fix: a reclaimer parked in phase 2
-        // (publish_spin 0 → immediate park) must be FUTEX_WAKEd by the
-        // peer's going-quiescent `end_op`, not left to ride the 1 ms
-        // timeout backstop. The reader waits until the waiter has
-        // announced itself before ending its op and timestamps that
-        // moment; the median park-to-return latency must sit well under
-        // the timeout (a missing wake pays the full 1 ms every round).
-        if !futex::supported() {
-            return; // nothing ever parks off Linux
-        }
-        let smr = NbrPlus::new(SmrConfig::for_tests(2).with_publish_spin(0));
-        let reg0 = smr.register(0);
-        const ROUNDS: usize = 9;
-        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-        let (inop_tx, inop_rx) = std::sync::mpsc::channel::<()>();
-        let (t0_tx, t0_rx) = std::sync::mpsc::channel::<std::time::Instant>();
-        let reader = std::thread::spawn({
-            let smr = Arc::clone(&smr);
-            move || {
-                let reg1 = smr.register(1);
-                for _ in 0..ROUNDS {
-                    go_rx.recv().unwrap();
-                    smr.begin_op(1);
-                    inop_tx.send(()).unwrap();
-                    // Hold the read phase until the reclaimer's phase-2
-                    // waiter has announced itself on our futex word
-                    // (it parks right after, or its pre-park re-check
-                    // sees the end_op — prompt either way).
-                    while !smr.shared.peers.has_waiter(1) {
-                        std::hint::spin_loop();
-                    }
-                    let t0 = std::time::Instant::now();
-                    smr.end_op(1);
-                    t0_tx.send(t0).unwrap();
-                }
-                drop(reg1);
-            }
-        });
-        let mut lat_ns: Vec<u64> = Vec::with_capacity(ROUNDS);
-        for _ in 0..ROUNDS {
-            go_tx.send(()).unwrap();
-            inop_rx.recv().unwrap();
-            // flush runs a full reclamation pass: phase 1 pings the
-            // in-op reader (which never checkpoints, so never acks) and
-            // phase 2 blocks on it until its end_op.
-            smr.flush(0);
-            let done = std::time::Instant::now();
-            let t0 = t0_rx.recv().unwrap();
-            lat_ns.push(done.duration_since(t0).as_nanos() as u64);
-        }
-        reader.join().unwrap();
-        drop(reg0);
-        lat_ns.sort_unstable();
-        let median = lat_ns[ROUNDS / 2];
-        assert!(
-            median < WAIT_TIMEOUT_NS / 2,
-            "going-quiescent exit must wake the parked waiter well under \
-             the {WAIT_TIMEOUT_NS} ns timeout backstop; median {median} ns \
-             (all: {lat_ns:?})"
-        );
-    }
-
-    #[test]
     fn phase2_deadline_unwedges_stuck_peer_and_keeps_everything() {
         // A peer wedged in a read phase (never checkpointing, never
         // acking) must not hang the reclaimer forever: the pass deadline
         // expires, the pass frees NOTHING (correct-by-keep), and — the
         // peer's thread being alive — nothing is reaped. Once the peer
         // goes quiescent, the next pass frees normally.
-        let smr = NbrPlus::new(
-            SmrConfig::for_tests(2)
-                .with_publish_spin(8)
-                .with_publish_deadline_ns(30_000_000),
-        );
+        let smr = NbrPlus::new(SmrConfig::for_tests(2).with_publish_deadline_ns(30_000_000));
         let reg0 = smr.register(0);
         let reg1 = smr.register(1);
         // Wedge slot 1: in-op, never consuming its neutralization flag.
@@ -807,7 +683,6 @@ mod tests {
             SmrConfig::for_tests(2)
                 .with_reclaim_freq(16)
                 .with_retire_batch(1)
-                .with_publish_spin(8)
                 .with_publish_deadline_ns(DEADLINE_NS),
         );
         let reg0 = smr.register(0);

@@ -1,11 +1,10 @@
-//! Thin, async-signal-safe `futex(2)` wrappers for publish-wait parking.
+//! Thin, async-signal-safe `futex(2)` wrappers.
 //!
-//! Publish-on-ping reclaimers wait for pinged peers' signal handlers to
-//! bump a publish counter. A bounded spin followed by `yield_now` burns a
-//! scheduler quantum per retry on oversubscribed hosts; parking on a
-//! `FUTEX_WAIT` keyed to a per-thread 32-bit publish word lets the kernel
-//! wake the reclaimer the moment the handler publishes (`FUTEX_WAKE`),
-//! with no quantum burned in between.
+//! The reclamation schemes do not park: their publish wait spins on a
+//! peer's publish counter, since a pinged peer answers within a ping round
+//! trip and a parked reclaimer would stretch that to a wake-up latency.
+//! These wrappers stay for callers that block on a 32-bit word, such as
+//! popbench's calibration, which times a futex round trip.
 //!
 //! Both operations are single syscalls on pre-existing atomics — no
 //! allocation, no locks — so [`wake_all`] is safe to call from the ping

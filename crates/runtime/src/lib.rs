@@ -15,10 +15,11 @@
 //!   Folly-style `HPAsym` baseline always runs, with runtime feature
 //!   detection (sandboxed kernels often lack the syscall; callers fall
 //!   back to the signal path).
-//! * [`futex`] — `FUTEX_WAIT`/`FUTEX_WAKE` wrappers keyed on per-thread
-//!   publish words, so reclaimers waiting for a pinged peer's handler park
-//!   in the kernel instead of burning scheduler quanta (`yield_now`
-//!   fallback off Linux).
+//! * [`futex`] — `FUTEX_WAIT`/`FUTEX_WAKE` wrappers (`yield_now`
+//!   fallback off Linux). No reclamation scheme parks on them: the
+//!   publish wait spins, because a pinged peer answers within a ping
+//!   round trip. popbench's calibration times a futex round trip with
+//!   them.
 //! * [`affinity`] — best-effort CPU pinning for benchmark threads.
 //! * [`vm`] — slab-aligned anonymous mappings and page release
 //!   (`madvise(MADV_DONTNEED)`) for the owned slab arenas in `pop-core`.

@@ -26,15 +26,16 @@ fn stalled_run<S: Smr>() -> (u64, u64, u64) {
     let smr = S::new(SmrConfig::for_threads(WRITERS + 1).with_reclaim_freq(512));
     let set = Arc::new(HmList::new(Arc::clone(&smr)));
     let stop = Arc::new(AtomicBool::new(false));
+    let wake = Arc::new(AtomicBool::new(false));
 
     // The stalled reader: begins an operation and sleeps.
     let sleeper = {
         let set = Arc::clone(&set);
-        let stop = Arc::clone(&stop);
+        let wake = Arc::clone(&wake);
         std::thread::spawn(move || {
             let _reg = set.smr().register(WRITERS);
             set.smr().begin_op(WRITERS);
-            while !stop.load(Ordering::Acquire) {
+            while !wake.load(Ordering::Acquire) {
                 std::thread::sleep(Duration::from_millis(10));
             }
             set.smr().end_op(WRITERS);
@@ -64,9 +65,11 @@ fn stalled_run<S: Smr>() -> (u64, u64, u64) {
     std::thread::sleep(Duration::from_millis(800));
     stop.store(true, Ordering::Release);
     let ops: u64 = writers.into_iter().map(|h| h.join().unwrap()).sum();
-    sleeper.join().unwrap();
-
+    // Snapshot while the reader still sleeps inside its operation: its
+    // unregister flush runs a pass that frees everything it pinned.
     let s = smr.stats().snapshot();
+    wake.store(true, Ordering::Release);
+    sleeper.join().unwrap();
     (ops, s.unreclaimed_nodes(), s.pings_sent)
 }
 
@@ -96,7 +99,7 @@ fn main() {
     );
     println!("EpochPOP pinged the sleeper and stayed bounded.");
     assert!(
-        pop_garbage < ebr_garbage / 2 || ebr_garbage < 1000,
+        pop_garbage < ebr_garbage / 2,
         "EpochPOP should reclaim past the stalled reader"
     );
 }

@@ -3,8 +3,9 @@
 //!
 //! Three failure families drive the resilience machinery end to end:
 //!
-//! * **lost/spurious futex wakes** — publish waiters must ride their
-//!   timeout backstops and the pass watchdog, never wedge;
+//! * **late answers** — delayed pings and straggling publishes stretch
+//!   every publish wait, which must spin them out (yielding as it goes) or
+//!   fall back to the pass watchdog, never wedge;
 //! * **dropped/delayed pings** — a publish that never happens must expire
 //!   the `publish_deadline` watchdog, mark the laggard suspect (its local
 //!   reservations honored conservatively), and complete the pass;
@@ -75,9 +76,6 @@ fn with_deadline<T: Send + 'static>(
 fn chaos_cfg() -> SmrConfig {
     SmrConfig::for_tests(WORKERS + 1)
         .with_reclaim_freq(64)
-        // Exhaust the publish spin budget almost immediately so waits
-        // actually park — the futex fault sites are dead code otherwise.
-        .with_publish_spin(2)
         .with_publish_deadline_ns(20_000_000)
         .with_quarantine()
 }
@@ -202,19 +200,15 @@ fn run_plan_trial<S: Smr>(name: &'static str, plan: FaultPlan) {
 }
 
 #[cfg(feature = "fault-injection")]
-fn lost_wake_plan() -> FaultPlan {
-    // The futex sites are only checked when a publish wait actually parks;
-    // a scheme whose publishes land within the spin budget would never
-    // reach them. The delayed publish is the stall-maker: it outlasts the
-    // spin budget, forcing waiters onto the futex where the lost/spurious
-    // wakes bite.
+fn late_answer_plan() -> FaultPlan {
+    // Both halves of a ping's round trip run late: the sender stalls
+    // before `pthread_kill`, the handler before its publish.
     FaultPlan {
         seed: 11,
         ..Default::default()
     }
     .with_rate(FaultSite::PublishDelay, 3)
-    .with_rate(FaultSite::FutexLostWake, 2)
-    .with_rate(FaultSite::FutexSpuriousWake, 4)
+    .with_rate(FaultSite::SignalDelay, 2)
 }
 
 #[cfg(feature = "fault-injection")]
@@ -231,15 +225,15 @@ fn dropped_ping_plan() -> FaultPlan {
 #[cfg(feature = "fault-injection")]
 macro_rules! plan_trials {
     ($($scheme:ident),+ $(,)?) => {
-        mod lost_wake {
+        mod late_answer {
             use super::*;
             $(
                 #[test]
                 #[allow(non_snake_case)]
                 fn $scheme() {
                     run_plan_trial::<$scheme>(
-                        concat!("lost_wake/", stringify!($scheme)),
-                        lost_wake_plan(),
+                        concat!("late_answer/", stringify!($scheme)),
+                        late_answer_plan(),
                     );
                 }
             )+

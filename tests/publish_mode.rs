@@ -40,7 +40,6 @@ fn cfg(mode: PublishMode) -> SmrConfig {
     // regardless of the environment it runs under.
     SmrConfig::for_tests(WORKERS + 1)
         .with_reclaim_freq(64)
-        .with_publish_spin(8)
         .with_publish_mode(mode)
 }
 
