@@ -1,8 +1,8 @@
 //! Figure specifications: one entry per table/figure in the paper, with
 //! host-scaled defaults and `--paper` full-scale parameters.
 //!
-//! See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-//! paper-vs-measured results.
+//! The `figures` binary looks an entry up by its tag ([`find`]) and runs
+//! it ([`run_figure`]) through the shared workload runner.
 
 use std::time::Duration;
 

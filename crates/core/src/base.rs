@@ -38,12 +38,13 @@
 //!    `reclaim_freq`), the block goes to the pool as one pointer. Only
 //!    here do the amortized costs run: one `retired_nodes` bump for the
 //!    whole block and one `fetch_add` on the domain's seal counter
-//!    ([`push_retired`]). The seal whose add crosses a multiple of
+//!    ([`DomainBase::push`]). The seal whose add crosses a multiple of
 //!    `reclaim_freq` owes a pass, so passes fall due every `reclaim_freq`
 //!    retires domain-wide, whichever thread retires them.
 //! 3. **Take** — a pass seals its own open bins and moves every pooled
 //!    block into its scratch ([`DomainBase::take`]) before it advances a
-//!    clock, makes a reservation visible or scans one.
+//!    clock, makes a reservation visible or scans one (the pass driver,
+//!    `crate::pass`, which states why that order is safe).
 //! 4. **Range test** — reservation-filter sweeps ([`free_unreserved`],
 //!    [`free_era_unreserved`], [`free_before_epoch`]) first
 //!    test each block's key extrema against the sorted reserved set: a
@@ -65,19 +66,10 @@
 //!    surviving blocks go back to the pool whole, extrema intact
 //!    ([`DomainBase::put_back`]), and do not count toward the next
 //!    trigger — but for EpochPOP's, which counts what a triggered pass
-//!    kept ([`DomainBase::count_kept`]). `unregister` (and the reaper of a dead thread) seals every
-//!    open bin into the pool ([`DomainBase::orphan_remaining`]): no node is
-//!    ever pooled unsealed, and no record is copied.
-//!
-//! **Why any pass may free any pooled block.** A block holds only nodes its
-//! sealer unlinked before it pushed the block. The push happens-before the
-//! take (the stripe mutex), and the take happens before the pass advances
-//! its clock, makes reservations visible or scans them. So every node a
-//! pass took was unlinked before its scan, exactly as if the pass had
-//! retired it itself, and the pass's own predicate, which covers every
-//! thread's reservations, decides it. A block pushed after the take waits
-//! for the next pass: it may hold a node unlinked after this scan, which a
-//! reader could have reserved unseen.
+//!    kept ([`DomainBase::count_kept`]). `unregister`'s final pass takes
+//!    every open bin, and the reaper of a dead thread seals its open bins
+//!    into the pool ([`DomainBase::reap_participant`]): no node is ever
+//!    pooled unsealed, and no record is copied.
 //!
 //! The pool bounds garbage domain-wide: between passes it holds about
 //! `reclaim_freq` new nodes plus what the last pass kept, and each thread
@@ -87,17 +79,15 @@
 //! ## The clocks move with retires
 //!
 //! The epoch schemes' global word ([`EpochClock`]) and hazard eras' era
-//! word move at two sites, both on the retire path: a reclaimer pass
-//! advances its clock first, and every seal that does not trigger a pass
-//! is a *tick* ([`Verdict::Tick`]: one `fetch_max` or `fetch_add`, no
-//! ping, no fence, no scan). So the blocks a pass takes were retired
-//! across one clock value per block, all but the newest older than the
-//! reclaimer's own open operation, and the pass keeps under that operation
-//! only what was retired since the last seal (about one block), not the
-//! whole batch. The operation path writes no clock word. Safety is
-//! unaffected: readers announce (or reserve), and retirers tag, values of
-//! the same monotone word, so *when* it advances only affects reclamation
-//! latency, never which frees are legal.
+//! word move at two sites, both on the retire path: a pass advances its
+//! clock first (`crate::pass`), and every seal that owes no pass is a
+//! *tick* ([`Verdict::Tick`]: one `fetch_max` or `fetch_add`, no ping, no
+//! fence, no scan). So the blocks a pass takes were retired across one
+//! clock value per block, all but the newest older than the reclaimer's
+//! own open operation, and the pass keeps under that operation only about
+//! one block. The operation path writes no clock word. When the clock
+//! moves affects only reclamation latency, never which frees are legal:
+//! readers announce, and retirers tag, values of the same monotone word.
 
 use core::cell::UnsafeCell;
 use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -161,7 +151,7 @@ pub(crate) struct SealOutcome {
 /// A thread's fill bins and its recycled block boxes (see the module-level
 /// lifecycle). Sealed blocks leave it at once.
 ///
-/// Not a public type: schemes own one per thread behind a [`RetireSlot`].
+/// Not a public type: the domain owns one per thread ([`DomainBase::push`]).
 pub(crate) struct RetireList {
     /// Seal threshold (`1..=RETIRE_BATCH_CAP`).
     seal: usize,
@@ -172,7 +162,7 @@ pub(crate) struct RetireList {
 }
 
 impl RetireList {
-    pub(crate) fn new(seal: usize) -> Self {
+    fn new(seal: usize) -> Self {
         RetireList {
             seal: seal.clamp(1, RETIRE_BATCH_CAP),
             fills: core::array::from_fn(|_| RetireBatch::boxed()),
@@ -180,17 +170,11 @@ impl RetireList {
         }
     }
 
-    /// Nodes waiting in the open fill bins.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.fills.iter().map(|b| b.len()).sum()
-    }
-
     /// Hot-path append: routes to the node's slab bin. Returns the sealed
     /// block when this push filled the bin — the caller owes the amortized
-    /// accounting ([`push_retired`]).
+    /// accounting ([`DomainBase::push`]).
     #[inline]
-    pub(crate) fn push(&mut self, r: Retired) -> Option<Box<RetireBatch>> {
+    fn push(&mut self, r: Retired) -> Option<Box<RetireBatch>> {
         let bin = fill_bin(r.ptr() as u64);
         self.fills[bin].push(r);
         if self.fills[bin].len() >= self.seal {
@@ -205,10 +189,10 @@ impl RetireList {
         core::mem::replace(&mut self.fills[bin], fresh)
     }
 
-    /// Seals every non-empty fill bin (flush, pass and unregister paths),
-    /// handing each block to `out`: after this no node waits unsealed.
-    /// Returns the merged outcome (`nodes == 0` if all bins were empty).
-    pub(crate) fn seal_partial(&mut self, mut out: impl FnMut(Box<RetireBatch>)) -> SealOutcome {
+    /// Seals every non-empty fill bin (pass and reap paths), handing each
+    /// block to `out`: after this no node waits unsealed. Returns the
+    /// merged outcome (`nodes == 0` if all bins were empty).
+    fn seal_partial(&mut self, mut out: impl FnMut(Box<RetireBatch>)) -> SealOutcome {
         let mut outcome = SealOutcome::default();
         for bin in 0..FILL_BINS {
             if !self.fills[bin].is_empty() {
@@ -224,38 +208,11 @@ impl RetireList {
     /// Abandons every record of a sealed block (NR's deliberate leak) and
     /// recycles its box. `Retired` has no `Drop`, so clearing the length
     /// leaks exactly the recorded allocations.
-    pub(crate) fn leak(&mut self, mut b: Box<RetireBatch>) {
+    fn leak(&mut self, mut b: Box<RetireBatch>) {
         // SAFETY: truncation abandons (leaks) the records, which is this
         // method's contract; nothing is double-read.
         unsafe { b.set_len(0) };
         self.free.push(b);
-    }
-}
-
-/// Single-owner cell holding a thread's [`RetireList`].
-///
-/// Soundness: only the thread that claimed the enclosing tid (enforced by
-/// [`DomainBase::claim`]'s panic-on-double-claim) may call [`Self::get`].
-pub(crate) struct RetireSlot(UnsafeCell<RetireList>);
-
-// SAFETY: access is confined to the owning thread by the registration
-// protocol; the cell itself is never aliased across threads.
-unsafe impl Sync for RetireSlot {}
-
-impl RetireSlot {
-    /// The constructor every scheme uses: the seal threshold comes from
-    /// the config.
-    pub(crate) fn for_cfg(cfg: &SmrConfig) -> Self {
-        RetireSlot(UnsafeCell::new(RetireList::new(cfg.effective_batch())))
-    }
-
-    /// # Safety
-    ///
-    /// Caller must be the registered owner of the enclosing tid.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get(&self) -> &mut RetireList {
-        // SAFETY: single-owner contract above.
-        unsafe { &mut *self.0.get() }
     }
 }
 
@@ -264,8 +221,7 @@ impl RetireSlot {
 /// Every buffer a pass needs lives here and is only ever `clear()`ed, never
 /// dropped, so a steady-state pass performs **zero heap allocations** once
 /// each buffer has grown to its working size (typically after the first
-/// pass). One instance per domain thread, owner-only access via
-/// [`ScratchSlot`].
+/// pass). The domain owns one per thread.
 #[derive(Default)]
 pub(crate) struct ReclaimScratch {
     /// The blocks the running pass took from the retire pool; empty
@@ -278,32 +234,24 @@ pub(crate) struct ReclaimScratch {
     pub op_counters: Vec<u64>,
     /// Sorted, deduplicated reservation words (pointers or eras).
     pub reserved: Vec<u64>,
+    /// The minimum announced epoch (the epoch engine's scan).
+    pub floor: u64,
     /// Announced `[lower, upper]` epoch intervals (IBR).
     pub intervals: Vec<(u64, u64)>,
 }
 
-/// Single-owner cell holding a thread's [`ReclaimScratch`] (same ownership
-/// discipline as [`RetireSlot`]).
-pub(crate) struct ScratchSlot(UnsafeCell<ReclaimScratch>);
+/// One thread's single-owner state: its fill bins and its pass scratch.
+///
+/// Soundness: only the thread that claimed the tid (enforced by
+/// [`DomainBase::claim`]'s panic-on-double-claim), or the one reclaimer
+/// that won the reap of its dead owner ([`DomainBase::reap_participant`]),
+/// opens the cells, through [`DomainBase::cells`].
+struct Cells(UnsafeCell<(RetireList, ReclaimScratch)>);
 
-// SAFETY: access is confined to the owning thread by the registration
-// protocol, exactly as for `RetireSlot`.
-unsafe impl Sync for ScratchSlot {}
-
-impl ScratchSlot {
-    pub(crate) fn new() -> Self {
-        ScratchSlot(UnsafeCell::new(ReclaimScratch::default()))
-    }
-
-    /// # Safety
-    ///
-    /// Caller must be the registered owner of the enclosing tid.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get(&self) -> &mut ReclaimScratch {
-        // SAFETY: single-owner contract above.
-        unsafe { &mut *self.0.get() }
-    }
-}
+// SAFETY: the cell is confined to one thread at a time by the
+// registration and reap protocols above; it is never aliased across
+// threads.
+unsafe impl Sync for Cells {}
 
 /// The global epoch of EBR, EpochPOP, VBR and IBR: one word (module docs,
 /// "The clocks move with retires"). Readers announce it and retirers tag
@@ -350,13 +298,11 @@ pub(crate) struct DomainBase {
     pool: Box<[CachePadded<Mutex<Blocks>>]>,
     /// `pool.len() - 1` (stripe count is a power of two).
     pool_mask: usize,
-    /// Nodes sealed by [`push_retired`] over the domain's life: a pass
+    /// Nodes sealed by [`Self::push`] over the domain's life: a pass
     /// falls due each time it crosses a multiple of `reclaim_freq`.
     sealed: CachePadded<AtomicUsize>,
-    /// Per-tid reap-in-progress flags: the CAS in [`Self::try_begin_reap`]
-    /// elects a single reaper for a dead participant's single-owner state
-    /// ([`RetireSlot`]), so concurrent reclaimers never alias it.
-    reaping: Box<[AtomicBool]>,
+    /// Every tid's fill bins and pass scratch.
+    threads: Box<[CachePadded<Cells>]>,
 }
 
 impl DomainBase {
@@ -365,11 +311,15 @@ impl DomainBase {
         assert!(n >= 1, "domain needs at least one thread slot");
         let mut occupied = Vec::with_capacity(n);
         occupied.resize_with(n, || AtomicBool::new(false));
-        let mut reaping = Vec::with_capacity(n);
-        reaping.resize_with(n, || AtomicBool::new(false));
         let stripes = pool_stripes(n);
         let mut pool = Vec::with_capacity(stripes);
         pool.resize_with(stripes, || CachePadded::new(Mutex::new(Vec::new())));
+        let threads = (0..n)
+            .map(|_| {
+                let list = RetireList::new(cfg.effective_batch());
+                CachePadded::new(Cells(UnsafeCell::new((list, ReclaimScratch::default()))))
+            })
+            .collect();
         DomainBase {
             stats: Arc::new(DomainStats::new(n)),
             cfg,
@@ -378,8 +328,22 @@ impl DomainBase {
             pool: pool.into_boxed_slice(),
             pool_mask: stripes - 1,
             sealed: CachePadded::new(AtomicUsize::new(0)),
-            reaping: reaping.into_boxed_slice(),
+            threads,
         }
+    }
+
+    /// `tid`'s fill bins and pass scratch.
+    ///
+    /// # Safety
+    ///
+    /// The caller is `tid`'s registered owner, or won the reap of its dead
+    /// owner ([`Self::reap_participant`]), and holds no other borrow of
+    /// them.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn cells(&self, tid: usize) -> (&mut RetireList, &mut ReclaimScratch) {
+        // SAFETY: single-owner contract above.
+        let (list, scratch) = unsafe { &mut *self.threads[tid].0.get() };
+        (list, scratch)
     }
 
     pub(crate) fn claim(&self, tid: usize) {
@@ -400,20 +364,6 @@ impl DomainBase {
         self.occupied[tid].load(Ordering::Acquire)
     }
 
-    /// Elects the caller as the unique reaper of `tid`'s state. Must be
-    /// balanced by [`Self::end_reap`]; a `false` return means another
-    /// reclaimer holds (or already completed) the reap.
-    pub(crate) fn try_begin_reap(&self, tid: usize) -> bool {
-        self.reaping[tid]
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// Releases the reap election taken by [`Self::try_begin_reap`].
-    pub(crate) fn end_reap(&self, tid: usize) {
-        self.reaping[tid].store(false, Ordering::Release);
-    }
-
     /// Recovers the domain-side state of a participant that died without
     /// deregistering: seals its open fill bins into the pool (nothing is
     /// leaked — passes filter them against reservations like any other
@@ -421,18 +371,17 @@ impl DomainBase {
     /// last: the tid must not be reclaimable while its fill bins are still
     /// being moved.
     ///
-    /// Caller contract: the caller won [`Self::try_begin_reap`] for
-    /// `dead_tid` *and* the process-global registry confirmed the thread
-    /// dead (one-shot `Registry::reap`), making the caller the unique
-    /// accessor of the dead thread's single-owner state; `list` is that
-    /// thread's retire list.
-    pub(crate) fn reap_participant(
-        &self,
-        reaper_tid: usize,
-        dead_tid: usize,
-        list: &mut RetireList,
-    ) {
-        self.orphan_remaining(dead_tid, list);
+    /// # Safety
+    ///
+    /// The caller is the unique accessor of the dead thread's [`Cells`]:
+    /// it won the reap election for `dead_tid` *and* the process-global
+    /// registry confirmed the thread dead (`Peers::reap_one_dead`).
+    pub(crate) unsafe fn reap_participant(&self, reaper_tid: usize, dead_tid: usize) {
+        // SAFETY: forwarded contract.
+        let (list, _) = unsafe { self.cells(dead_tid) };
+        let mut stripe = self.stripe(dead_tid).lock();
+        self.seal_and_account(dead_tid, list, |b| stripe.push(b));
+        drop(stripe);
         self.release(dead_tid);
         self.stats
             .shard(reaper_tid)
@@ -508,24 +457,96 @@ impl DomainBase {
             });
     }
 
-    /// Unregistration and reap hand-off: seals every open fill bin (with
-    /// its amortized accounting) into the pool, one pointer move per block,
-    /// extrema intact. No node is pooled unsealed, and none is leaked.
-    pub(crate) fn orphan_remaining(&self, tid: usize, list: &mut RetireList) {
-        let mut stripe = self.stripe(tid).lock();
-        seal_and_account(self, tid, list, |b| stripe.push(b));
-    }
-
     /// A pass's first step: seals `tid`'s own open fill bins and moves
     /// every pooled block into `taken`, one pointer per block, summaries
     /// untouched. It must come before the pass advances a clock or makes a
-    /// reservation visible (module docs, "Why any pass may free any pooled
-    /// block"). The pass ends with [`Self::put_back`].
+    /// reservation visible (`crate::pass`, "Why any pass may free any
+    /// pooled block"). The pass ends with [`Self::put_back`].
     pub(crate) fn take(&self, tid: usize, list: &mut RetireList, taken: &mut Blocks) {
         for stripe in self.pool.iter() {
             taken.append(&mut stripe.lock());
         }
-        seal_and_account(self, tid, list, |b| taken.push(b));
+        self.seal_and_account(tid, list, |b| taken.push(b));
+    }
+
+    /// The amortized accounting every seal event owes: one `retired_nodes`
+    /// bump for the sealed members and one `batches_sealed` event per block.
+    fn account_seal(&self, tid: usize, outcome: SealOutcome) {
+        let shard = self.stats.shard(tid);
+        shard
+            .retired_nodes
+            .fetch_add(outcome.nodes as u64, Ordering::Relaxed);
+        shard
+            .batches_sealed
+            .fetch_add(outcome.blocks, Ordering::Relaxed);
+    }
+
+    /// Seals every non-empty fill bin into `out` and performs the amortized
+    /// accounting (the same bumps a hot-path seal gets in [`Self::push`],
+    /// once per sealed block). These seals do not count toward the pass
+    /// trigger: they happen on pass and reap paths.
+    fn seal_and_account(
+        &self,
+        tid: usize,
+        list: &mut RetireList,
+        out: impl FnMut(Box<RetireBatch>),
+    ) {
+        let outcome = list.seal_partial(out);
+        if outcome.nodes > 0 {
+            self.account_seal(tid, outcome);
+        }
+    }
+
+    /// The shared retire fast path: push into the node's slab fill bin of
+    /// `tid` (the caller's registered tid); on a seal, run the amortized
+    /// accounting, hand the block to the retire pool and return what the
+    /// retire owes.
+    ///
+    /// A pass is due when the seal crosses a multiple of `reclaim_freq`
+    /// nodes sealed domain-wide, so passes come once per `reclaim_freq` new
+    /// retires however many threads retire them, and survivors pinned by a
+    /// stalled reader (put back uncounted) never turn every seal into a
+    /// pass. Every other seal is a tick.
+    #[inline]
+    pub(crate) fn push(&self, tid: usize, r: Retired) -> Verdict {
+        // SAFETY: tid ownership per the registration contract; the borrow
+        // ends with this call.
+        let (list, _) = unsafe { self.cells(tid) };
+        let Some(block) = list.push(r) else {
+            return Verdict::Fill;
+        };
+        let nodes = block.len();
+        self.account_seal(tid, SealOutcome { nodes, blocks: 1 });
+        self.stripe(tid).lock().push(block);
+        if self.count_sealed(nodes) {
+            Verdict::Pass
+        } else {
+            Verdict::Tick
+        }
+    }
+
+    /// NR's retire: [`Self::push`] without the pool. A sealed block is
+    /// accounted and then abandoned, its records leaked and its box
+    /// recycled, so even the leak baseline pays one stats RMW per block.
+    pub(crate) fn leak(&self, tid: usize, r: Retired) {
+        // SAFETY: tid ownership per the registration contract.
+        let (list, _) = unsafe { self.cells(tid) };
+        if let Some(block) = list.push(r) {
+            let nodes = block.len();
+            self.account_seal(tid, SealOutcome { nodes, blocks: 1 });
+            list.leak(block);
+        }
+    }
+
+    /// NR's flush: seals and abandons every open fill bin of `tid`.
+    pub(crate) fn leak_open(&self, tid: usize) {
+        // SAFETY: tid ownership per the registration contract.
+        let (list, _) = unsafe { self.cells(tid) };
+        let mut sealed = Vec::new();
+        self.seal_and_account(tid, list, |b| sealed.push(b));
+        for b in sealed {
+            list.leak(b);
+        }
     }
 
     /// Returns a pass's surviving blocks to the pool. They are not counted
@@ -581,36 +602,7 @@ impl Drop for DomainBase {
     }
 }
 
-/// The amortized accounting every seal event owes: one `retired_nodes`
-/// bump for the sealed members and one `batches_sealed` event per block.
-/// Shared by [`push_retired`], [`seal_and_account`] and NR's leak path.
-pub(crate) fn account_seal(base: &DomainBase, tid: usize, outcome: SealOutcome) {
-    let shard = base.stats.shard(tid);
-    shard
-        .retired_nodes
-        .fetch_add(outcome.nodes as u64, Ordering::Relaxed);
-    shard
-        .batches_sealed
-        .fetch_add(outcome.blocks, Ordering::Relaxed);
-}
-
-/// Seals every non-empty fill bin into `out` and performs the amortized
-/// accounting (the same bumps a hot-path seal gets in [`push_retired`],
-/// once per sealed block). These seals do not count toward the pass
-/// trigger: they happen on flush, pass and unregister paths.
-pub(crate) fn seal_and_account(
-    base: &DomainBase,
-    tid: usize,
-    list: &mut RetireList,
-    out: impl FnMut(Box<RetireBatch>),
-) {
-    let outcome = list.seal_partial(out);
-    if outcome.nodes > 0 {
-        account_seal(base, tid, outcome);
-    }
-}
-
-/// What a retire owes after [`push_retired`], weakest first. Every verdict
+/// What a retire owes after [`DomainBase::push`], weakest first. Every verdict
 /// but `Fill` means a block just sealed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Verdict {
@@ -622,35 +614,6 @@ pub(crate) enum Verdict {
     /// A block sealed and a reclamation pass is due; it advances the clock
     /// itself.
     Pass,
-}
-
-/// The shared retire fast path: push into the node's slab fill bin; on a
-/// seal, run the amortized accounting, hand the block to the retire pool
-/// and return what the retire owes.
-///
-/// A pass is due when the seal crosses a multiple of `reclaim_freq` nodes
-/// sealed domain-wide, so passes come once per `reclaim_freq` new retires
-/// however many threads retire them, and survivors pinned by a stalled
-/// reader (put back uncounted) never turn every seal into a pass. Every
-/// other seal is a tick.
-#[inline]
-pub(crate) fn push_retired(
-    base: &DomainBase,
-    tid: usize,
-    list: &mut RetireList,
-    r: Retired,
-) -> Verdict {
-    let Some(block) = list.push(r) else {
-        return Verdict::Fill;
-    };
-    let nodes = block.len();
-    account_seal(base, tid, SealOutcome { nodes, blocks: 1 });
-    base.stripe(tid).lock().push(block);
-    if base.count_sealed(nodes) {
-        Verdict::Pass
-    } else {
-        Verdict::Tick
-    }
 }
 
 /// A sweep's verdict for one sealed block, decided **before** any record
@@ -1028,8 +991,6 @@ pub fn era_range_reserved(reserved: &[u64], birth: u64, retire: u64) -> bool {
 #[doc(hidden)]
 pub struct SweepBench {
     base: DomainBase,
-    list: RetireList,
-    taken: Blocks,
 }
 
 #[repr(C)]
@@ -1051,9 +1012,11 @@ impl SweepBench {
     /// its own — sweeps run only when the harness asks.
     pub fn new() -> Self {
         SweepBench {
-            base: DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(1 << 30)),
-            list: RetireList::new(RETIRE_BATCH_CAP),
-            taken: Vec::new(),
+            base: DomainBase::new(
+                SmrConfig::for_tests(1)
+                    .with_reclaim_freq(1 << 30)
+                    .with_retire_batch(RETIRE_BATCH_CAP),
+            ),
         }
     }
 
@@ -1077,7 +1040,7 @@ impl SweepBench {
                 // once.
                 let mut r = unsafe { Retired::new(p) };
                 r.set_retire_era(i);
-                push_retired(&self.base, 0, &mut self.list, r);
+                self.base.push(0, r);
                 p as u64
             })
             .collect()
@@ -1107,9 +1070,12 @@ impl SweepBench {
     /// window test). `reserved` must be sorted and deduplicated. Returns
     /// the number freed.
     pub fn sweep(&mut self, reserved: &[u64]) -> usize {
-        self.base.take(0, &mut self.list, &mut self.taken);
+        // SAFETY: the harness is tid 0's only user, and this is the only
+        // borrow of its cells.
+        let (list, scratch) = unsafe { self.base.cells(0) };
+        self.base.take(0, list, &mut scratch.taken);
         // SAFETY: harness nodes are never shared; any entry is freeable.
-        unsafe { free_unreserved(&self.base, 0, &mut self.list, &mut self.taken, reserved) }
+        unsafe { free_unreserved(&self.base, 0, list, &mut scratch.taken, reserved) }
     }
 
     /// Frees every node still held (survivors between iterations).
@@ -1175,23 +1141,43 @@ mod tests {
         out
     }
 
-    /// Pushes `recs` through `list` and takes the pool as a pass would:
-    /// the returned set holds every one of them, sealed.
-    fn taken(base: &DomainBase, list: &mut RetireList, recs: Vec<Retired>) -> Blocks {
-        for r in recs {
-            push_retired(base, 0, list, r);
-        }
+    /// A domain of `n` tids whose fill bins seal every `seal` nodes.
+    fn domain(n: usize, seal: usize) -> DomainBase {
+        DomainBase::new(SmrConfig::for_tests(n).with_retire_batch(seal))
+    }
+
+    /// `t`'s fill bins. The test thread owns every tid, and each borrow
+    /// ends before the next call into the domain.
+    #[allow(clippy::mut_from_ref)]
+    fn list(b: &DomainBase, t: usize) -> &mut RetireList {
+        unsafe { b.cells(t).0 }
+    }
+
+    /// Nodes waiting in `t`'s open fill bins.
+    fn open_len(b: &DomainBase, t: usize) -> usize {
+        list(b, t).fills.iter().map(|f| f.len()).sum()
+    }
+
+    /// The pool, taken as `t`'s pass takes it.
+    fn take(b: &DomainBase, t: usize) -> Blocks {
         let mut set = Vec::new();
-        base.take(0, list, &mut set);
+        b.take(t, list(b, t), &mut set);
         set
     }
 
+    /// Pushes `recs` as tid 0 and takes the pool as a pass would: the
+    /// returned set holds every one of them, sealed.
+    fn taken(b: &DomainBase, recs: Vec<Retired>) -> Blocks {
+        for r in recs {
+            b.push(0, r);
+        }
+        take(b, 0)
+    }
+
     /// A pass's set (from one fill bin) with `eras` as both birth and
-    /// retire eras, sealed every `seal` nodes.
-    fn filled(base: &DomainBase, seal: usize, eras: &[u64]) -> (RetireList, Blocks) {
-        let mut list = RetireList::new(seal);
-        let set = taken(base, &mut list, run(base, eras.iter().map(|&e| (e, e))));
-        (list, set)
+    /// retire eras.
+    fn filled(b: &DomainBase, eras: &[u64]) -> Blocks {
+        taken(b, run(b, eras.iter().map(|&e| (e, e))))
     }
 
     fn eras_of(set: &[Box<RetireBatch>]) -> Vec<u64> {
@@ -1201,18 +1187,17 @@ mod tests {
             .collect()
     }
 
-    fn drain_free(base: &DomainBase, list: &mut RetireList, set: &mut Blocks) {
-        unsafe { sweep_retire_list(base, 0, list, set, |_| false) };
+    fn drain_free(b: &DomainBase, set: &mut Blocks) {
+        unsafe { sweep_retire_list(b, 0, list(b, 0), set, |_| false) };
         assert!(set.is_empty());
     }
 
-    /// One pass's reclamation as the engines order it: the take first,
+    /// One pass's reclamation as the driver orders it: the take first,
     /// then (after the reservation scan) the sweep.
-    unsafe fn take_then_sweep(b: &DomainBase, list: &mut RetireList) -> usize {
-        let mut set = Vec::new();
-        b.take(0, list, &mut set);
+    unsafe fn take_then_sweep(b: &DomainBase, t: usize) -> usize {
+        let mut set = take(b, t);
         // SAFETY: forwarded contract.
-        let freed = unsafe { sweep_retire_list(b, 0, list, &mut set, |_| false) };
+        let freed = unsafe { sweep_retire_list(b, t, list(b, t), &mut set, |_| false) };
         assert!(set.is_empty());
         freed
     }
@@ -1245,44 +1230,46 @@ mod tests {
 
     #[test]
     fn push_seals_at_threshold_and_accounts_lazily() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(4);
+        let b = domain(1, 4);
         let mut recs = run(&b, (0..4).map(|i| (i, i))).into_iter();
         for r in recs.by_ref().take(3) {
-            assert_eq!(push_retired(&b, 0, &mut list, r), Verdict::Fill);
+            assert_eq!(b.push(0, r), Verdict::Fill);
         }
         assert_eq!(
             b.stats.snapshot().retired_nodes,
             0,
             "no stats RMW before the seal"
         );
-        assert_eq!(list.len(), 3);
+        assert_eq!(open_len(&b, 0), 3);
         assert_eq!(b.pool_len(), 0);
-        push_retired(&b, 0, &mut list, recs.next().unwrap());
+        b.push(0, recs.next().unwrap());
         let s = b.stats.snapshot();
         assert_eq!(s.retired_nodes, 4, "seal accounts the whole block");
         assert_eq!(s.batches_sealed, 1);
-        assert_eq!((list.len(), b.pool_len()), (0, 4), "the block is pooled");
-        assert_eq!(unsafe { take_then_sweep(&b, &mut list) }, 4);
+        assert_eq!(
+            (open_len(&b, 0), b.pool_len()),
+            (0, 4),
+            "the block is pooled"
+        );
+        assert_eq!(unsafe { take_then_sweep(&b, 0) }, 4);
     }
 
     #[test]
-    fn push_retired_triggers_on_each_multiple_of_reclaim_freq_domain_wide() {
+    fn push_triggers_on_each_multiple_of_reclaim_freq_domain_wide() {
         // Two retirers, seal threshold 3, reclaim_freq 8: the seals add
         // 3, 6, 9, 12, 15, 18, 21, 24 nodes to the domain's count, and the
         // ones crossing 8, 16 and 24 owe the passes, whichever thread
         // sealed them.
-        let b = DomainBase::new(SmrConfig::for_tests(2).with_reclaim_freq(8));
-        let mut lists = [RetireList::new(3), RetireList::new(3)];
+        let b = DomainBase::new(
+            SmrConfig::for_tests(2)
+                .with_reclaim_freq(8)
+                .with_retire_batch(3),
+        );
         let mut recs = run(&b, (0..24).map(|i| (i, i))).into_iter();
         let mut passes = Vec::new();
         for seal in 1..=8 {
             let t = seal % 2;
-            let verdicts: Vec<Verdict> = recs
-                .by_ref()
-                .take(3)
-                .map(|r| push_retired(&b, t, &mut lists[t], r))
-                .collect();
+            let verdicts: Vec<Verdict> = recs.by_ref().take(3).map(|r| b.push(t, r)).collect();
             assert_eq!(verdicts[..2], [Verdict::Fill, Verdict::Fill]);
             if verdicts[2] == Verdict::Pass {
                 passes.push(seal);
@@ -1290,7 +1277,7 @@ mod tests {
         }
         assert_eq!(passes, vec![3, 6, 8], "one pass per reclaim_freq sealed");
         assert_eq!(b.pool_len(), 24, "every seal pooled");
-        assert_eq!(unsafe { take_then_sweep(&b, &mut lists[0]) }, 24);
+        assert_eq!(unsafe { take_then_sweep(&b, 0) }, 24);
     }
 
     #[test]
@@ -1298,49 +1285,47 @@ mod tests {
         // Survivors pinned by a stalled reader go back to the pool; the
         // next pass must still wait for `reclaim_freq` new retires, not
         // fire at every seal.
-        let b = DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(8));
-        let mut list = RetireList::new(4);
+        let b = DomainBase::new(
+            SmrConfig::for_tests(1)
+                .with_reclaim_freq(8)
+                .with_retire_batch(4),
+        );
         let mut recs = run(&b, (0..16).map(|i| (i, i))).into_iter();
-        let first: Vec<Verdict> = recs
-            .by_ref()
-            .take(8)
-            .map(|r| push_retired(&b, 0, &mut list, r))
-            .collect();
+        let first: Vec<Verdict> = recs.by_ref().take(8).map(|r| b.push(0, r)).collect();
         assert_eq!(first[7], Verdict::Pass);
         // A pass that frees nothing (all pinned) puts everything back.
-        let mut set = Vec::new();
-        b.take(0, &mut list, &mut set);
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |_| true) };
+        let mut set = take(&b, 0);
+        let freed = unsafe { sweep_retire_list(&b, 0, list(&b, 0), &mut set, |_| true) };
         assert_eq!(freed, 0);
         b.put_back(0, &mut set);
         assert_eq!(b.pool_len(), 8, "everything pinned, back in the pool");
-        let verdicts: Vec<Verdict> = recs.map(|r| push_retired(&b, 0, &mut list, r)).collect();
+        let verdicts: Vec<Verdict> = recs.map(|r| b.push(0, r)).collect();
         let passes = verdicts.iter().filter(|&&v| v == Verdict::Pass).count();
         assert_eq!(passes, 1, "pinned survivors must not cause O(n^2) passes");
         assert_eq!(verdicts[7], Verdict::Pass, "the 8th new retire owes it");
-        assert_eq!(unsafe { take_then_sweep(&b, &mut list) }, 16);
+        assert_eq!(unsafe { take_then_sweep(&b, 0) }, 16);
     }
 
     #[test]
     fn free_unreserved_respects_reservations() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let (mut list, mut set) = filled(&b, 1, &[0, 0, 0]);
+        let b = domain(1, 1);
+        let mut set = filled(&b, &[0, 0, 0]);
         let kept = set[1].nodes()[0].ptr() as u64;
         let reserved = vec![kept];
-        let freed = unsafe { free_unreserved(&b, 0, &mut list, &mut set, &reserved) };
+        let freed = unsafe { free_unreserved(&b, 0, list(&b, 0), &mut set, &reserved) };
         assert_eq!(freed, 2);
         assert_eq!(node_count(&set), 1);
         assert_eq!(set[0].nodes()[0].ptr() as u64, kept);
-        drain_free(&b, &mut list, &mut set);
+        drain_free(&b, &mut set);
     }
 
     #[test]
     fn sweep_preserves_survivor_order_without_reallocating() {
         // The block sweep must keep survivors in their taken order and
         // must not allocate: emptied blocks recycle into the free pool.
-        let b = DomainBase::new(SmrConfig::for_tests(1));
         // Seal threshold 3: eras spread over three blocks of three.
-        let (mut list, mut set) = filled(&b, 3, &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        let b = domain(1, 3);
+        let mut set = filled(&b, &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(set.len(), 3);
         let keep: Vec<u64> = vec![1, 4, 6];
         let kept_ptrs: Vec<u64> = set
@@ -1350,7 +1335,7 @@ mod tests {
             .map(|r| r.ptr() as u64)
             .collect();
         let freed = unsafe {
-            sweep_retire_list(&b, 0, &mut list, &mut set, |r| {
+            sweep_retire_list(&b, 0, list(&b, 0), &mut set, |r| {
                 keep.contains(&r.birth_era())
             })
         };
@@ -1372,50 +1357,48 @@ mod tests {
         );
         // Accounting: freed counted on shard 0.
         assert_eq!(b.stats.snapshot().freed_nodes, 6);
-        drain_free(&b, &mut list, &mut set);
+        drain_free(&b, &mut set);
     }
 
     #[test]
     fn sweep_block_fast_paths_count_whole_blocks() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
         // Three full blocks of 2: eras (0,0), (5,5), (0,5).
-        let (mut list, mut set) = filled(&b, 2, &[0, 0, 5, 5, 0, 5]);
+        let b = domain(1, 2);
+        let mut set = filled(&b, &[0, 0, 5, 5, 0, 5]);
         // Keep era 5: block 0 freed whole, block 1 kept whole, block 2
         // compacts.
         let freed =
-            unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |r| r.birth_era() == 5) };
+            unsafe { sweep_retire_list(&b, 0, list(&b, 0), &mut set, |r| r.birth_era() == 5) };
         assert_eq!(freed, 3);
         let s = b.stats.snapshot();
         assert_eq!(s.blocks_freed_whole, 1, "all-freeable block fast path");
         assert_eq!(s.blocks_kept_whole, 1, "all-survivor block fast path");
         assert_eq!(eras_of(&set), vec![5, 5, 5]);
         // Recycled block feeds the next fill: no allocation.
-        assert_eq!(list.free.len(), 1);
-        drain_free(&b, &mut list, &mut set);
+        assert_eq!(list(&b, 0).free.len(), 1);
+        drain_free(&b, &mut set);
     }
 
     #[test]
     fn take_seals_and_accounts_the_open_bins() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(8);
+        let b = domain(1, 8);
         for i in 0..5 {
-            push_retired(&b, 0, &mut list, mk(&b, i, i));
+            b.push(0, mk(&b, i, i));
         }
         assert_eq!(b.stats.snapshot().retired_nodes, 0, "sub-batch: unsealed");
-        let freed = unsafe { take_then_sweep(&b, &mut list) };
+        let freed = unsafe { take_then_sweep(&b, 0) };
         assert_eq!(freed, 5);
         let s = b.stats.snapshot();
         assert_eq!(s.retired_nodes, 5, "a pass seals its own open bins");
         assert_eq!(s.freed_nodes, 5);
-        assert_eq!(list.len(), 0);
+        assert_eq!(open_len(&b, 0), 0);
     }
 
     #[test]
     fn free_before_epoch_sweeps_by_retire_era() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(RETIRE_BATCH_CAP);
-        let mut set = taken(&b, &mut list, run(&b, [(0, 3), (0, 7), (0, 5)]));
-        let freed = unsafe { free_before_epoch(&b, 0, &mut list, &mut set, 5) };
+        let b = domain(1, RETIRE_BATCH_CAP);
+        let mut set = taken(&b, run(&b, [(0, 3), (0, 7), (0, 5)]));
+        let freed = unsafe { free_before_epoch(&b, 0, list(&b, 0), &mut set, 5) };
         assert_eq!(freed, 1, "only retire era 3 < 5 is freeable");
         let survivors: Vec<u64> = set
             .iter()
@@ -1423,7 +1406,7 @@ mod tests {
             .map(|r| r.retire_era())
             .collect();
         assert_eq!(survivors, vec![7, 5]);
-        drain_free(&b, &mut list, &mut set);
+        drain_free(&b, &mut set);
     }
 
     #[test]
@@ -1455,36 +1438,36 @@ mod tests {
 
     #[test]
     fn era_free_pass() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(RETIRE_BATCH_CAP);
+        let b = domain(1, RETIRE_BATCH_CAP);
         // lifespans: [1,2] freeable, [4,6] blocked by era 5, [7,9] freeable
         let recs = [(1, 2), (4, 6), (7, 9)]
             .into_iter()
             .map(|(birth, retire)| mk(&b, birth, retire))
             .collect();
-        let mut set = taken(&b, &mut list, recs);
-        let freed = unsafe { free_era_unreserved(&b, 0, &mut list, &mut set, &[3, 5, 10]) };
+        let mut set = taken(&b, recs);
+        let freed = unsafe { free_era_unreserved(&b, 0, list(&b, 0), &mut set, &[3, 5, 10]) };
         assert_eq!(freed, 2);
         assert_eq!(eras_of(&set), vec![4]);
-        drain_free(&b, &mut list, &mut set);
+        drain_free(&b, &mut set);
     }
 
     #[test]
-    fn orphan_remaining_seals_open_bins_into_the_pool() {
+    fn reap_seals_open_bins_into_the_pool() {
         let stats;
         {
-            let b = DomainBase::new(SmrConfig::for_tests(1));
+            let b = domain(2, RETIRE_BATCH_CAP);
             stats = Arc::clone(&b.stats);
-            let mut list = RetireList::new(RETIRE_BATCH_CAP);
             // Two sub-batch nodes: not yet accounted.
-            push_retired(&b, 0, &mut list, mk(&b, 0, 0));
-            push_retired(&b, 0, &mut list, mk(&b, 0, 0));
+            b.push(0, mk(&b, 0, 0));
+            b.push(0, mk(&b, 0, 0));
             assert_eq!(stats.snapshot().retired_nodes, 0);
-            b.orphan_remaining(0, &mut list);
-            assert_eq!(list.len(), 0, "everything handed to the domain");
+            // SAFETY: the test thread owns every tid.
+            unsafe { b.reap_participant(1, 0) };
+            assert_eq!(open_len(&b, 0), 0, "everything handed to the domain");
             let s = stats.snapshot();
             assert_eq!(s.retired_nodes, 2, "partial batch sealed, not leaked");
             assert_eq!(s.freed_nodes, 0);
+            assert_eq!(s.participants_reaped, 1);
             assert_eq!(b.pool_len(), 2);
         }
         assert_eq!(stats.snapshot().freed_nodes, 2, "the pool is freed on drop");
@@ -1494,19 +1477,18 @@ mod tests {
     fn a_pass_takes_every_stripe_and_never_recounts() {
         // Four tids pool blocks on four stripes; one pass takes them all
         // and frees them, conserving nodes exactly.
-        let b = DomainBase::new(SmrConfig::for_tests(4));
+        let b = domain(4, 2);
         let per = 6;
         for t in 0..4 {
-            let mut list = RetireList::new(2);
             for r in run(&b, (0..per).map(|i| (i, i))) {
-                push_retired(&b, t, &mut list, r);
+                b.push(t, r);
             }
-            b.orphan_remaining(t, &mut list);
+            assert_eq!(open_len(&b, t), 0, "one bin, sealed every 2");
         }
         let total = 4 * per as usize;
         assert_eq!(b.pool_len(), total);
         let retired_before = b.stats.snapshot().retired_nodes;
-        let freed = unsafe { take_then_sweep(&b, &mut RetireList::new(2)) };
+        let freed = unsafe { take_then_sweep(&b, 0) };
         assert_eq!(freed, total, "one take drains every stripe");
         assert_eq!(b.pool_len(), 0);
         let s = b.stats.snapshot();
@@ -1520,34 +1502,29 @@ mod tests {
         // take. A block pooled since may hold a node unlinked after that
         // scan, so the sweep must leave it: only the next take may claim
         // it.
-        let b = DomainBase::new(SmrConfig::for_tests(2));
-        let mut reclaimer = RetireList::new(RETIRE_BATCH_CAP);
-        let mut set = Vec::new();
-        b.take(0, &mut reclaimer, &mut set);
-        let mut donor = RetireList::new(2);
+        let b = domain(2, 2);
+        let mut set = take(&b, 0);
         for r in run(&b, [(0, 0), (0, 0)]) {
-            push_retired(&b, 1, &mut donor, r);
+            b.push(1, r);
         }
         assert_eq!(b.pool_len(), 2);
-        let freed = unsafe { free_unreserved(&b, 0, &mut reclaimer, &mut set, &[]) };
+        let freed = unsafe { free_unreserved(&b, 0, list(&b, 0), &mut set, &[]) };
         assert_eq!(freed, 0, "the sweep frees only what its pass took");
         assert_eq!(b.pool_len(), 2, "the block stays pooled");
-        let freed = unsafe { take_then_sweep(&b, &mut reclaimer) };
+        let freed = unsafe { take_then_sweep(&b, 0) };
         assert_eq!(freed, 2, "the next pass takes it");
         assert_eq!(b.pool_len(), 0);
     }
 
     #[test]
     fn leak_recycles_boxes() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(2);
+        let b = domain(1, 2);
         for r in run(&b, (0..4).map(|i| (i, i))) {
-            if let Some(block) = list.push(r) {
-                list.leak(block);
-            }
+            b.leak(0, r);
         }
-        assert_eq!(list.len(), 0);
-        assert_eq!(list.free.len(), 1, "block boxes return to the pool");
+        assert_eq!(open_len(&b, 0), 0);
+        assert_eq!(list(&b, 0).free.len(), 1, "block boxes return to the pool");
+        assert_eq!(b.stats.snapshot().retired_nodes, 4);
         // Intentional leak of 4 N allocations (NR semantics).
     }
 
@@ -1584,19 +1561,22 @@ mod tests {
     }
 
     #[test]
-    fn push_retired_ticks_at_every_seal_but_a_pass() {
+    fn push_ticks_at_every_seal_but_a_pass() {
         // reclaim_freq 64, seal threshold 2: every seal is a tick except
         // the one that completes a pass period, which advances the clock
         // itself.
-        let b = DomainBase::new(SmrConfig::for_tests(1).with_reclaim_freq(64));
-        let mut list = RetireList::new(2);
-        let push = |list: &mut RetireList, n: u64| -> Vec<Verdict> {
+        let b = DomainBase::new(
+            SmrConfig::for_tests(1)
+                .with_reclaim_freq(64)
+                .with_retire_batch(2),
+        );
+        let push = |n: u64| -> Vec<Verdict> {
             run(&b, (0..n).map(|i| (i, i)))
                 .into_iter()
-                .map(|r| push_retired(&b, 0, list, r))
+                .map(|r| b.push(0, r))
                 .collect()
         };
-        let verdicts = push(&mut list, 128);
+        let verdicts = push(128);
         for (i, v) in verdicts.iter().enumerate() {
             let want = match (i + 1) % 64 {
                 0 => Verdict::Pass,
@@ -1609,25 +1589,24 @@ mod tests {
         // nor the period: ten retires into a period, a pass that keeps
         // all 138 nodes, and the next pass is still due at the 192nd
         // sealed node, 54 retires on.
-        assert_eq!(push(&mut list, 10).last(), Some(&Verdict::Tick));
-        let mut set = Vec::new();
-        b.take(0, &mut list, &mut set);
-        unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |_| true) };
+        assert_eq!(push(10).last(), Some(&Verdict::Tick));
+        let mut set = take(&b, 0);
+        unsafe { sweep_retire_list(&b, 0, list(&b, 0), &mut set, |_| true) };
         assert_eq!(node_count(&set), 138);
         b.put_back(0, &mut set);
-        let after = push(&mut list, 54);
+        let after = push(54);
         assert!(after[..53].iter().all(|&v| v != Verdict::Pass));
         assert_eq!(after[1], Verdict::Tick);
         assert_eq!(after[53], Verdict::Pass);
-        assert_eq!(unsafe { take_then_sweep(&b, &mut list) }, 192);
+        assert_eq!(unsafe { take_then_sweep(&b, 0) }, 192);
     }
 
     #[test]
     fn free_unreserved_range_test_frees_disjoint_blocks_whole() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
         // Two full blocks of 2; reservations exist but none falls inside
         // any block's pointer span.
-        let (mut list, mut set) = filled(&b, 2, &[0, 0, 0, 0]);
+        let b = domain(1, 2);
+        let mut set = filled(&b, &[0, 0, 0, 0]);
         let max_ptr = set
             .iter()
             .flat_map(|blk| blk.nodes())
@@ -1636,7 +1615,7 @@ mod tests {
             .unwrap();
         // Non-empty reserved set strictly above every block pointer.
         let reserved = vec![max_ptr + 64, max_ptr + 128];
-        let freed = unsafe { free_unreserved(&b, 0, &mut list, &mut set, &reserved) };
+        let freed = unsafe { free_unreserved(&b, 0, list(&b, 0), &mut set, &reserved) };
         assert_eq!(freed, 4);
         assert!(set.is_empty());
         let s = b.stats.snapshot();
@@ -1653,108 +1632,92 @@ mod tests {
         // `sweep_retire_list` run over twin sets — same lifespans,
         // different nodes, reservations drawn at the same positions — and
         // the survivors compare by birth era, the twins' shared tag.
-        let b = DomainBase::new(SmrConfig::for_tests(1));
+        let b = domain(1, RETIRE_BATCH_CAP);
         // 257: not a multiple of the block size.
         let lifespans: Vec<(u64, u64)> = (0..257u64).map(|i| (i, i + i % 7)).collect();
         let twin = || {
-            let mut list = RetireList::new(RETIRE_BATCH_CAP);
             let recs: Vec<Retired> = lifespans.iter().map(|&(b0, r0)| mk(&b, b0, r0)).collect();
             let ptrs = recs.iter().map(|r| r.ptr() as u64).collect::<Vec<u64>>();
-            let set = taken(&b, &mut list, recs);
-            (list, set, ptrs)
+            (taken(&b, recs), ptrs)
         };
-        let survivors = |list: &mut RetireList, set: &mut Blocks| {
+        let survivors = |set: &mut Blocks| {
             let mut v = eras_of(set);
             v.sort_unstable();
-            drain_free(&b, list, set);
+            drain_free(&b, set);
             v
         };
 
-        let (mut fast, mut fast_set, fast_ptrs) = twin();
-        let (mut slow, mut slow_set, slow_ptrs) = twin();
+        let (mut fast, fast_ptrs) = twin();
+        let (mut slow, slow_ptrs) = twin();
         let every_fifth = |ptrs: &[u64]| {
             let mut r: Vec<u64> = ptrs.iter().copied().step_by(5).collect();
             r.sort_unstable();
             r
         };
         let (fr, sr) = (every_fifth(&fast_ptrs), every_fifth(&slow_ptrs));
-        let freed = unsafe { free_unreserved(&b, 0, &mut fast, &mut fast_set, &fr) };
+        let freed = unsafe { free_unreserved(&b, 0, list(&b, 0), &mut fast, &fr) };
         let freed_ref = unsafe {
-            sweep_retire_list(&b, 0, &mut slow, &mut slow_set, |r| {
+            sweep_retire_list(&b, 0, list(&b, 0), &mut slow, |r| {
                 sr.binary_search(&(r.ptr() as u64)).is_ok()
             })
         };
         assert_eq!(freed, 257 - fr.len());
         assert_eq!(freed, freed_ref);
-        assert_eq!(
-            survivors(&mut fast, &mut fast_set),
-            survivors(&mut slow, &mut slow_set),
-            "pointers"
-        );
+        assert_eq!(survivors(&mut fast), survivors(&mut slow), "pointers");
 
         let eras = [3, 40, 41, 100, 250];
-        let (mut fast, mut fast_set, _) = twin();
-        let (mut slow, mut slow_set, _) = twin();
-        let freed = unsafe { free_era_unreserved(&b, 0, &mut fast, &mut fast_set, &eras) };
+        let (mut fast, _) = twin();
+        let (mut slow, _) = twin();
+        let freed = unsafe { free_era_unreserved(&b, 0, list(&b, 0), &mut fast, &eras) };
         let freed_ref = unsafe {
-            sweep_retire_list(&b, 0, &mut slow, &mut slow_set, |r| {
+            sweep_retire_list(&b, 0, list(&b, 0), &mut slow, |r| {
                 era_range_reserved(&eras, r.birth_era(), r.retire_era())
             })
         };
         assert!(freed > 0 && freed < 257);
         assert_eq!(freed, freed_ref);
-        assert_eq!(
-            survivors(&mut fast, &mut fast_set),
-            survivors(&mut slow, &mut slow_set),
-            "eras"
-        );
+        assert_eq!(survivors(&mut fast), survivors(&mut slow), "eras");
 
-        let (mut fast, mut fast_set, _) = twin();
-        let (mut slow, mut slow_set, _) = twin();
-        let freed = unsafe { free_before_epoch(&b, 0, &mut fast, &mut fast_set, 120) };
-        let freed_ref = unsafe {
-            sweep_retire_list(&b, 0, &mut slow, &mut slow_set, |r| r.retire_era() >= 120)
-        };
+        let (mut fast, _) = twin();
+        let (mut slow, _) = twin();
+        let freed = unsafe { free_before_epoch(&b, 0, list(&b, 0), &mut fast, 120) };
+        let freed_ref =
+            unsafe { sweep_retire_list(&b, 0, list(&b, 0), &mut slow, |r| r.retire_era() >= 120) };
         assert_eq!(freed, freed_ref);
-        assert_eq!(
-            survivors(&mut fast, &mut fast_set),
-            survivors(&mut slow, &mut slow_set),
-            "epochs"
-        );
+        assert_eq!(survivors(&mut fast), survivors(&mut slow), "epochs");
     }
 
     #[test]
     fn free_era_unreserved_envelope_frees_whole_blocks() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
         // Block 0: lifespans within [0, 5]; block 1: within [20, 25].
-        let (mut list, mut set) = filled(&b, 3, &[0, 3, 5, 20, 22, 25]);
+        let b = domain(1, 3);
+        let mut set = filled(&b, &[0, 3, 5, 20, 22, 25]);
         // Reserved era 10 sits between the two envelopes: both blocks are
         // freed whole by the range test.
-        let freed = unsafe { free_era_unreserved(&b, 0, &mut list, &mut set, &[10]) };
+        let freed = unsafe { free_era_unreserved(&b, 0, list(&b, 0), &mut set, &[10]) };
         assert_eq!(freed, 6);
         assert_eq!(b.stats.snapshot().blocks_freed_whole, 2);
         // Mixed case: era 3 pins only part of block 0's twin.
-        let (mut list, mut set) = filled(&b, 3, &[0, 3, 5, 20, 22, 25]);
-        let freed = unsafe { free_era_unreserved(&b, 0, &mut list, &mut set, &[3, 10]) };
+        let mut set = filled(&b, &[0, 3, 5, 20, 22, 25]);
+        let freed = unsafe { free_era_unreserved(&b, 0, list(&b, 0), &mut set, &[3, 10]) };
         assert_eq!(freed, 5, "only the [3,3] lifespan survives");
         assert_eq!(eras_of(&set), vec![3]);
-        drain_free(&b, &mut list, &mut set);
+        drain_free(&b, &mut set);
     }
 
     #[test]
     fn free_before_epoch_summary_decides_whole_blocks() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(2);
+        let b = domain(1, 2);
         // Blocks of 2 with retire eras (1,2) freeable, (8,9) kept, (4,6)
         // straddling min = 5.
         let recs = run(&b, [(0, 1), (0, 2), (0, 8), (0, 9), (0, 4), (0, 6)]);
-        let mut set = taken(&b, &mut list, recs);
-        let freed = unsafe { free_before_epoch(&b, 0, &mut list, &mut set, 5) };
+        let mut set = taken(&b, recs);
+        let freed = unsafe { free_before_epoch(&b, 0, list(&b, 0), &mut set, 5) };
         assert_eq!(freed, 3, "retire eras 1, 2 and 4 are below the bound");
         let s = b.stats.snapshot();
         assert_eq!(s.blocks_freed_whole, 1, "the (1,2) block freed whole");
         assert_eq!(s.blocks_kept_whole, 1, "the (8,9) block kept untouched");
-        drain_free(&b, &mut list, &mut set);
+        drain_free(&b, &mut set);
     }
 
     #[test]
@@ -1762,21 +1725,19 @@ mod tests {
         // Nodes routed to one bin seal in retire order: one block per
         // `seal` nodes, the remainder sealed by the take as one partial
         // block.
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(4);
+        let b = domain(1, 4);
         for r in run(&b, (0..10).map(|i| (i, i))) {
-            push_retired(&b, 0, &mut list, r);
+            b.push(0, r);
         }
         let s = b.stats.snapshot();
         assert_eq!(s.batches_sealed, 2, "seals at 4 and 8 exactly");
         assert_eq!(s.retired_nodes, 8, "fill holds 2 unsealed nodes");
-        let mut set = Vec::new();
-        b.take(0, &mut list, &mut set);
+        let mut set = take(&b, 0);
         let s = b.stats.snapshot();
         assert_eq!(s.batches_sealed, 3, "one partial block from one bin");
         assert_eq!(s.retired_nodes, 10);
         assert_eq!(eras_of(&set), (0..10).collect::<Vec<u64>>());
-        drain_free(&b, &mut list, &mut set);
+        drain_free(&b, &mut set);
     }
 
     #[test]
@@ -1791,8 +1752,7 @@ mod tests {
             _pad: [u8; 4088],
         }
         unsafe impl crate::header::HasHeader for Wide {}
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(8);
+        let b = domain(1, 8);
         let recs = (0..64)
             .map(|i| {
                 let p = Box::into_raw(Box::new(Wide {
@@ -1806,7 +1766,7 @@ mod tests {
                 unsafe { Retired::new(p) }
             })
             .collect();
-        let mut set = taken(&b, &mut list, recs);
+        let mut set = taken(&b, recs);
         assert_eq!(node_count(&set), 64, "conservation through binned seals");
         let mut residues = std::collections::BTreeSet::new();
         for blk in &set {
@@ -1822,31 +1782,31 @@ mod tests {
             residues.insert(bins[0]);
         }
         assert!(residues.len() > 1, "the fill must exercise several bins");
-        drain_free(&b, &mut list, &mut set);
+        drain_free(&b, &mut set);
     }
 
     #[test]
-    fn partial_bins_seal_at_unregister_and_conserve() {
-        // With many bins, several partial fill blocks are open at
-        // unregister; every one must be sealed (accounted once per block)
-        // and pooled — no node unsealed, no node leaked.
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let mut list = RetireList::new(RETIRE_BATCH_CAP);
+    fn partial_bins_seal_at_reap_and_conserve() {
+        // With many bins, several partial fill blocks are open when a dead
+        // thread is reaped; every one must be sealed (accounted once per
+        // block) and pooled — no node unsealed, no node leaked.
+        let b = domain(2, RETIRE_BATCH_CAP);
         let n = 21u64;
         for i in 0..n {
-            push_retired(&b, 0, &mut list, mk(&b, i, i));
+            b.push(0, mk(&b, i, i));
         }
         assert_eq!(b.stats.snapshot().retired_nodes, 0, "all still filling");
-        let open_bins = list.fills.iter().filter(|f| !f.is_empty()).count() as u64;
+        let open_bins = list(&b, 0).fills.iter().filter(|f| !f.is_empty()).count() as u64;
         assert!(open_bins >= 1);
-        b.orphan_remaining(0, &mut list);
-        assert_eq!(list.len(), 0, "everything handed to the domain");
+        // SAFETY: the test thread owns every tid.
+        unsafe { b.reap_participant(1, 0) };
+        assert_eq!(open_len(&b, 0), 0, "everything handed to the domain");
         let s = b.stats.snapshot();
         assert_eq!(s.retired_nodes, n, "partial bins sealed, not leaked");
         assert_eq!(s.batches_sealed, open_bins, "one seal event per bin");
         assert_eq!(b.pool_len(), n as usize);
         // A pass takes the pooled blocks and frees them: conservation.
-        let freed = unsafe { take_then_sweep(&b, &mut RetireList::new(RETIRE_BATCH_CAP)) };
+        let freed = unsafe { take_then_sweep(&b, 1) };
         assert_eq!(freed as u64, n);
         assert_eq!(b.pool_len(), 0);
         assert_eq!(b.stats.snapshot().freed_nodes, n, "allocated == freed");
@@ -1857,15 +1817,14 @@ mod tests {
         // Put back blocks whose summaries are built, take them again, and
         // verify they arrive with both halves cached and are decided whole
         // from them without touching a record.
-        let b = DomainBase::new(SmrConfig::for_tests(1));
-        let (mut list, mut set) = filled(&b, 4, &[0, 1, 2, 3, 4, 5, 6, 7]);
+        let b = domain(1, 4);
+        let mut set = filled(&b, &[0, 1, 2, 3, 4, 5, 6, 7]);
         // A keep-everything epoch sweep computes the era half.
-        let freed = unsafe { free_before_epoch(&b, 0, &mut list, &mut set, 0) };
+        let freed = unsafe { free_before_epoch(&b, 0, list(&b, 0), &mut set, 0) };
         assert_eq!(freed, 0);
         assert!(set.iter().all(|blk| blk.summary_is_cached()));
         b.put_back(0, &mut set);
-        let mut again = Vec::new();
-        b.take(0, &mut RetireList::new(4), &mut again);
+        let mut again = take(&b, 0);
         assert_eq!(node_count(&again), 8, "both blocks taken again");
         for blk in &again {
             assert!(
@@ -1874,26 +1833,26 @@ mod tests {
             );
         }
         let kept_before = b.stats.snapshot().blocks_kept_whole;
-        let freed = unsafe { free_before_epoch(&b, 0, &mut list, &mut again, 0) };
+        let freed = unsafe { free_before_epoch(&b, 0, list(&b, 0), &mut again, 0) };
         assert_eq!(freed, 0);
         assert_eq!(
             b.stats.snapshot().blocks_kept_whole,
             kept_before + 2,
             "pooled blocks range-test whole from surviving summaries"
         );
-        drain_free(&b, &mut list, &mut again);
+        drain_free(&b, &mut again);
     }
 
     #[test]
     fn free_pool_cap_trims_recycled_blocks() {
-        let b = DomainBase::new(SmrConfig::for_tests(1));
         // Two more sealed blocks than the cap, all freeable: the sweep
         // recycles every emptied box but the cap keeps only FREE_POOL_CAP.
+        let b = domain(1, 2);
         let eras: Vec<u64> = (0..FREE_POOL_CAP as u64 + 2).flat_map(|e| [e, e]).collect();
-        let (mut list, mut set) = filled(&b, 2, &eras);
-        let freed = unsafe { sweep_retire_list(&b, 0, &mut list, &mut set, |_| false) };
+        let mut set = filled(&b, &eras);
+        let freed = unsafe { sweep_retire_list(&b, 0, list(&b, 0), &mut set, |_| false) };
         assert_eq!(freed, eras.len());
-        assert_eq!(list.free.len(), FREE_POOL_CAP, "pool capped");
+        assert_eq!(list(&b, 0).free.len(), FREE_POOL_CAP, "pool capped");
         assert_eq!(b.stats.snapshot().pool_blocks_trimmed, 2);
     }
 

@@ -77,6 +77,7 @@
 mod base;
 pub mod config;
 pub mod header;
+mod pass;
 mod pop_shared;
 pub mod schemes;
 pub mod slab;

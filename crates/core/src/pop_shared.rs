@@ -150,7 +150,7 @@ use pop_runtime::faults::{self, FaultSite};
 use pop_runtime::signal::ping_gtid;
 use pop_runtime::{Liveness, PingOutcome, Publisher, Registry};
 
-use crate::base::{DomainBase, RetireList};
+use crate::base::DomainBase;
 use crate::config::SmrConfig;
 use crate::stats::DomainStats;
 
@@ -286,6 +286,9 @@ pub(crate) struct Peers {
     /// A hint shared by every reclaimer: a stale or torn record only skips
     /// a wait in a pass that then treats the peer as an expiry would.
     stuck: Box<[CachePadded<[AtomicU64; 3]>]>,
+    /// Reap-in-progress flags: [`Self::reap_one_dead`] elects one reaper
+    /// per dead participant, so no two alias its single-owner state.
+    reaping: Box<[AtomicBool]>,
     /// Wall-clock budget of one pass's waits (`0` = unbounded).
     deadline_ns: u64,
 }
@@ -300,6 +303,7 @@ impl Peers {
             gtid_backed: zeroed(n),
             dead: zeroed(n),
             stuck: zeroed(n),
+            reaping: zeroed(n),
             deadline_ns: cfg.publish_deadline_ns,
         }
     }
@@ -443,29 +447,35 @@ impl Peers {
 
     /// Reaps at most one participant whose thread was confirmed dead:
     /// `force_unregister(t)` erases it from the scheme's handler-visible
-    /// state (ending with [`Self::evict`]), then its open fill bins are
-    /// sealed into the retire pool and its domain tid freed — recovering the slot,
-    /// the memory, and (for EpochPOP) the epoch min-scan, which gates on
+    /// state (ending with [`Self::evict`]), then the domain seals its open
+    /// fill bins into the retire pool and frees its tid
+    /// (`DomainBase::reap_participant`) — recovering the slot, the memory,
+    /// and (for EpochPOP) the epoch min-scan, which gates on
     /// `DomainBase::is_registered`.
     ///
     /// The caller guarantees only that `reaper_tid` is its own registered
     /// tid. Exclusivity over the *dead* slot's single-owner state comes
-    /// from winning the per-slot reap CAS and re-confirming the death for
-    /// that `(gtid, generation)`: the registry releases a still-held slot
-    /// whose kernel tid is gone, or a backed registration is already
+    /// from winning the per-slot reap election and re-confirming the death
+    /// for that `(gtid, generation)`: the registry releases a still-held
+    /// slot whose kernel tid is gone, or a backed registration is already
     /// vacated. A loser simply abandons (correct-by-keep). The erase runs
     /// *before* `reap_participant`, which ends by releasing the tid: a new
     /// claimant's registration must not race the teardown.
-    pub(crate) fn reap_one_dead<'a>(
+    pub(crate) fn reap_one_dead(
         &self,
         base: &DomainBase,
         reaper_tid: usize,
         force_unregister: impl FnOnce(usize),
-        retire_of: impl FnOnce(usize) -> &'a mut RetireList,
-    ) -> Option<usize> {
-        let t = self.take_dead()?;
-        if t == reaper_tid || !base.try_begin_reap(t) {
-            return None;
+    ) {
+        let Some(t) = self.take_dead().filter(|&t| t != reaper_tid) else {
+            return;
+        };
+        let reaping = &self.reaping[t];
+        if reaping
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
+            .is_err()
+        {
+            return;
         }
         let registry = Registry::global();
         let confirmed = self.registration_of(t).is_some_and(|(gtid, generation)| {
@@ -474,13 +484,14 @@ impl Peers {
                     || (self.gtid_backed[t].load(Ordering::Relaxed)
                         && registry.probe(gtid, generation) == Liveness::Vacated))
         });
-        let reaped = confirmed.then(|| {
+        if confirmed {
             force_unregister(t);
-            base.reap_participant(reaper_tid, t, retire_of(t));
-            t
-        });
-        base.end_reap(t);
-        reaped
+            // SAFETY: the won reap election and the registry-confirmed death
+            // of the owner make this thread the unique accessor of `t`'s
+            // cells.
+            unsafe { base.reap_participant(reaper_tid, t) };
+        }
+        reaping.store(false, Ordering::Release);
     }
 
     /// Waits until `t` has left the table or `done()` holds: spin, yield
@@ -1200,9 +1211,9 @@ mod tests {
             // The `Fence` publisher's one array of rows is the same layout.
             let cfg = SmrConfig::for_tests(n).with_slots(slots);
             let hp = HazardPtr::new(cfg.clone());
-            assert_line_aligned_and_distinct(&[&hp.publish.rows], n, slots);
+            assert_line_aligned_and_distinct(&[&hp.hooks.publish.rows], n, slots);
             let he = HazardEra::new(cfg);
-            assert_line_aligned_and_distinct(&[&he.publish.rows], n, slots);
+            assert_line_aligned_and_distinct(&[&he.hooks.publish.rows], n, slots);
         }
     }
 

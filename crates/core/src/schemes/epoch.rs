@@ -7,8 +7,8 @@
 //! exit, and — but for IBR — free what was retired strictly before the
 //! minimum announced epoch. They differ in one respect only: what happens
 //! to a reader that stops advancing — the laggard `L`. The announcement
-//! row, the clock, the pass, `retire`, `flush` and registration are
-//! written once.
+//! row, the clock and registration are written once here; retire and the
+//! pass are the shared driver's (`crate::pass`), over this engine's hooks.
 //!
 //! | alias | `Smr::NAME` | laggard | announce | `protect` | a laggard… |
 //! |-------|-------------|---------|----------|-----------|------------|
@@ -17,25 +17,13 @@
 //! | [`Vbr`] | `VBR` | [`Abort`] | one `SeqCst` store | lag check, then plain load | aborts itself on its next read |
 //! | [`Ibr`] | `IBR` | [`Interval`] | lower bound relaxed, then upper bound `SeqCst` | raises the upper bound when the epoch moved | pins only the nodes whose lifespan meets its interval |
 //!
-//! **The clock.** The global epoch is one word, `EpochClock`, which the
-//! operation path never writes. Every pass advances it first, and every
-//! other seal is a retire tick that advances it, so all but the newest
-//! block of the batch that triggers a pass predate the reclaimer's own
-//! operation and the pass frees them. VBR opts out of the tick
-//! (`Laggard::RETIRE_TICK`): `VBR_MAX_LAG` counts bumps, so its version
-//! moves on passes alone.
-//!
-//! **The pass.** Take the domain's retire pool, advance the clock, fence,
-//! scan the announcements and sweep. Every triggered pass runs: nothing
-//! thins or paces it. The laggard sees what the pass kept
-//! (`Laggard::after_sweep`) before the survivors go back to the pool. The
-//! sweep is the laggard's one override of the pass (`Laggard::sweep`): by
-//! default everything retired before the floor (whole blocks by their era
-//! summary, straddling blocks member by member); IBR's tests each member's
-//! `[birth, retire]` lifespan against every announced `[lower, upper]`
-//! interval instead, and so frees nodes born after a stalled reader's
-//! last read, which the floor keeps. `retire` is push → tick or pass;
-//! `flush` is a pass.
+//! **The clock and the pass.** Passes and retire ticks advance the global
+//! epoch, `EpochClock` (`crate::base`); VBR opts out of the tick
+//! (`Laggard::RETIRE_TICK`): `VBR_MAX_LAG` counts bumps. A pass fences,
+//! scans the announcements into a floor and sweeps (`Laggard::sweep`): by
+//! default everything retired before the floor, while IBR frees each node
+//! whose `[birth, retire]` lifespan meets no announced `[lower, upper]`
+//! interval. The laggard sees what the pass kept (`Laggard::after_sweep`).
 //!
 //! **IBR** (2GE, Wen et al. 2018) announces an interval: the engine's
 //! word is its lower bound, and [`Interval`] keeps the upper bounds. Each
@@ -89,16 +77,16 @@ use std::sync::Arc;
 use crossbeam_utils::CachePadded;
 
 use crate::base::{
-    free_before_epoch, keep_mask, node_count, push_retired, scan_epoch_reservations, sweep_blocks,
-    BlockPlan, DomainBase, EpochClock, ReclaimScratch, RetireList, RetireSlot, ScratchSlot,
-    Verdict,
+    free_before_epoch, keep_mask, node_count, scan_epoch_reservations, sweep_blocks, BlockPlan,
+    DomainBase, EpochClock,
 };
 use crate::config::SmrConfig;
 use crate::header::{Header, Retired};
+use crate::pass::{self, Cause, Engine, Pass};
 use crate::smr::{ReadResult, Restart, Row, Smr};
 use crate::stats::DomainStats;
 
-use super::hazard::{self, publish_and_free, Kind, Ptr, Publish};
+use super::hazard::{self, Hooks, Kind, Ptr, Publish};
 
 /// `EBR` — RCU-style epoch-based reclamation (paper Appendix C, Alg. 6).
 /// Fast, but **not robust**: one delayed reader pins the whole retire pool
@@ -133,8 +121,8 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     const ROBUST: bool;
     /// `Smr::NEEDS_SIGNALS`.
     const NEEDS_SIGNALS: bool;
-    /// Whether a retire tick advances the epoch (module docs, "The
-    /// clock").
+    /// Whether a retire tick advances the epoch (module docs, "The clock
+    /// and the pass").
     const RETIRE_TICK: bool = true;
 
     /// The policy's state for `base`'s domain.
@@ -186,28 +174,19 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
     #[inline]
     fn end_write(_e: &Epoch<Self>, _tid: usize) {}
 
-    /// Runs at the end of every pass while it still holds what it kept,
-    /// `scratch.taken`.
-    fn after_sweep(_e: &Epoch<Self>, _tid: usize, _scratch: &mut ReclaimScratch, _cause: Cause) {}
+    /// Runs at the end of every pass while it still holds what it kept.
+    fn after_sweep(_e: &Epoch<Self>, _p: &mut Pass) {}
 
-    /// The pass's sweep of what it took (`scratch.taken`), recycling
-    /// emptied boxes into `tid`'s `list`: by default everything retired
-    /// before the floor `min`.
+    /// The pass's sweep of what it took: by default everything retired
+    /// before the floor, `p.scratch.floor`.
     ///
     /// # Safety
     ///
-    /// As for [`free_before_epoch`]: `min` is the floor of every
-    /// registered announcement, loaded after the pass's fence.
-    unsafe fn sweep(
-        e: &Epoch<Self>,
-        tid: usize,
-        list: &mut RetireList,
-        scratch: &mut ReclaimScratch,
-        min: u64,
-    ) {
-        let taken = &mut scratch.taken;
+    /// As for [`free_before_epoch`]: `p.scratch.floor` is the floor of
+    /// every registered announcement, loaded after the pass's fence.
+    unsafe fn sweep(_e: &Epoch<Self>, p: &mut Pass) {
         // SAFETY: forwarded contract.
-        unsafe { free_before_epoch(&e.base, tid, list, taken, min) };
+        unsafe { free_before_epoch(p.base, p.tid, p.list, &mut p.scratch.taken, p.scratch.floor) };
     }
 
     /// Runs when `tid` is bound to signalable thread `gtid`.
@@ -215,20 +194,6 @@ pub(crate) trait Laggard: Sized + Send + Sync + 'static {
 
     /// Runs just before `tid` is released.
     fn unregister(_e: &Epoch<Self>, _tid: usize) {}
-}
-
-struct ThreadState {
-    retire: RetireSlot,
-    scratch: ScratchSlot,
-}
-
-/// Why an epoch pass runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Cause {
-    /// A seal crossed the domain trigger.
-    Trigger,
-    /// `flush` (and so `unregister`): drain all that can be drained.
-    Flush,
 }
 
 /// An epoch domain: `L` says what happens to a reader that stops
@@ -242,7 +207,6 @@ pub struct Epoch<L: Laggard> {
     /// `reservedEpoch[tid]` (Alg. 3 and 6, line 4): the epoch `tid`
     /// entered its operation at, [`QUIESCENT`] between operations.
     announced: Box<[CachePadded<AtomicU64>]>,
-    threads: Box<[CachePadded<ThreadState>]>,
 }
 
 /// EBR's policy: none. A reader parked in an old epoch pins the whole
@@ -263,8 +227,9 @@ impl Laggard for Wait {
 /// style, and a pass that epochs could not drain pings everyone and frees
 /// around the published reservations.
 pub struct Ping {
-    /// HazardPtrPOP's publisher, in the mode the config resolves.
-    publish: hazard::Ping,
+    /// The escalation's hooks: HazardPtrPOP's, in the publish mode the
+    /// config resolves.
+    hooks: Hooks<Ptr, hazard::Ping>,
 }
 
 impl Laggard for Ping {
@@ -274,7 +239,10 @@ impl Laggard for Ping {
 
     fn new(base: &DomainBase) -> Self {
         Ping {
-            publish: hazard::Ping::new(base),
+            hooks: Hooks {
+                publish: hazard::Ping::new(base),
+                kind: Ptr,
+            },
         }
     }
 
@@ -287,7 +255,7 @@ impl Laggard for Ping {
     /// the epoch min-scan needs this one in every mode.
     #[inline]
     fn announce(e: &Epoch<Self>, tid: usize) {
-        e.lag.publish.pop.note_active_unfenced(tid);
+        e.lag.hooks.publish.pop.note_active_unfenced(tid);
         e.announced[tid].store(e.clock.current(), Ordering::Relaxed);
         fence(Ordering::SeqCst);
     }
@@ -297,13 +265,13 @@ impl Laggard for Ping {
     /// thread quiescent publishes nothing.
     #[inline]
     fn end_op(e: &Epoch<Self>, tid: usize) {
-        e.lag.publish.end_op(tid);
+        e.lag.hooks.publish.end_op(tid);
     }
 
     /// HazardPtrPOP's owner-side row.
     #[inline]
     fn row(e: &Epoch<Self>, tid: usize) -> &[AtomicU64] {
-        e.lag.publish.row(tid)
+        e.lag.hooks.publish.row(tid)
     }
 
     /// Alg. 3 `read()`: HazardPtrPOP's — a private reservation, no fence.
@@ -325,41 +293,32 @@ impl Laggard for Ping {
     /// triggered pass finally keeps, if under `reclaim_freq`, counts toward
     /// the next trigger: the next epoch pass falls due when the pool holds
     /// `reclaim_freq` nodes again, not after `reclaim_freq` new ones.
-    fn after_sweep(e: &Epoch<Self>, tid: usize, scratch: &mut ReclaimScratch, cause: Cause) {
+    fn after_sweep(e: &Epoch<Self>, p: &mut Pass) {
         let freq = e.base.cfg.reclaim_freq;
-        let kept = node_count(&scratch.taken);
-        let escalate = match cause {
+        let kept = node_count(&p.scratch.taken);
+        let escalate = match p.cause {
             Cause::Trigger => kept >= freq,
             Cause::Flush => kept > 0,
         };
         if escalate {
-            Self::escalate(e, tid, scratch);
+            // Alg. 3 lines 26–30: a HazardPtrPOP pass over the set the
+            // epoch pass took and kept. Reaping a dead participant here
+            // also unpins the epoch min-scan, which gates on
+            // `is_registered`.
+            pass::make_visible_and_sweep(&e.lag.hooks, p);
         }
-        let kept = node_count(&scratch.taken);
-        if cause == Cause::Trigger && kept < freq {
+        let kept = node_count(&p.scratch.taken);
+        if p.cause == Cause::Trigger && kept < freq {
             e.base.count_kept(kept);
         }
     }
 
     fn bind(e: &Epoch<Self>, tid: usize, gtid: usize) {
-        e.lag.publish.bind(tid, gtid);
+        e.lag.hooks.publish.bind(tid, gtid);
     }
 
     fn unregister(e: &Epoch<Self>, tid: usize) {
-        e.lag.publish.unregister(tid);
-    }
-}
-
-impl Ping {
-    /// Alg. 3 lines 26–30: a HazardPtrPOP pass over the set the epoch
-    /// pass took and kept. Reaping a dead participant here also unpins the
-    /// epoch min-scan, which gates on `is_registered`.
-    fn escalate(e: &Epoch<Self>, tid: usize, scratch: &mut ReclaimScratch) {
-        publish_and_free(&Ptr, &e.lag.publish, &e.base, tid, scratch, |t| {
-            // SAFETY: `tid`'s own list by ownership; a dead peer's after
-            // `reap_one_dead` established exclusivity.
-            unsafe { e.threads[t].retire.get() }
-        });
+        e.lag.hooks.publish.unregister(tid);
     }
 }
 
@@ -509,14 +468,8 @@ impl Laggard for Interval {
     /// Interval versus lifespan, node by node. Unlike the default, a block
     /// retired at or after the floor is not kept whole: its members born
     /// after every live upper bound are free.
-    unsafe fn sweep(
-        e: &Epoch<Self>,
-        tid: usize,
-        list: &mut RetireList,
-        scratch: &mut ReclaimScratch,
-        _min: u64,
-    ) {
-        let intervals = &mut scratch.intervals;
+    unsafe fn sweep(e: &Epoch<Self>, p: &mut Pass) {
+        let intervals = &mut p.scratch.intervals;
         intervals.clear();
         for t in (0..e.base.cfg.max_threads).filter(|&t| e.base.is_registered(t)) {
             let lo = e.announced[t].load(Ordering::SeqCst);
@@ -529,7 +482,7 @@ impl Laggard for Interval {
         // SAFETY: a node whose lifespan meets no interval announced after
         // the pass's fence cannot have been acquired by any thread.
         unsafe {
-            sweep_blocks(&e.base, tid, list, &mut scratch.taken, |b| {
+            sweep_blocks(p.base, p.tid, p.list, &mut p.scratch.taken, |b| {
                 BlockPlan::Mask(keep_mask(b, |r| {
                     let (birth, retire) = (r.birth_era(), r.retire_era());
                     intervals
@@ -541,34 +494,41 @@ impl Laggard for Interval {
     }
 }
 
-impl<L: Laggard> Epoch<L> {
-    /// One epoch pass (module docs).
-    fn pass(&self, tid: usize, cause: Cause) {
-        let base = &self.base;
-        // SAFETY: tid ownership per the registration contract.
-        let scratch = unsafe { self.threads[tid].scratch.get() };
-        // SAFETY: as above; the laggard's escalation borrows the list
-        // afresh, after the sweep's last use of this borrow.
-        let list = unsafe { self.threads[tid].retire.get() };
-        // Take before the advance: a taken block's retire eras must
-        // predate the announcement scan below.
-        base.take(tid, list, &mut scratch.taken);
-        let shard = base.stats.shard(tid);
+impl<L: Laggard> Engine for Epoch<L> {
+    #[inline]
+    fn tick(&self) {
+        if L::RETIRE_TICK {
+            self.clock.advance();
+        }
+    }
+
+    /// Advance first: what this thread retired since its last tick now
+    /// predates the epoch its next operation announces.
+    fn advance(&self, p: &mut Pass) {
+        let shard = p.base.stats.shard(p.tid);
         shard.epoch_passes.fetch_add(1, Ordering::Relaxed);
-        // Advance first: what this thread retired since its last tick now
-        // predates the epoch its next operation announces.
         self.clock.advance();
-        // Order the announcement scan after this thread's preceding
-        // unlinks.
+    }
+
+    /// Orders the announcement scan after this thread's preceding unlinks.
+    fn make_visible(&self, _p: &mut Pass) -> bool {
         fence(Ordering::SeqCst);
-        let min = scan_epoch_reservations(base, |t| self.announced[t].load(Ordering::SeqCst));
-        shard.observe_retire_len(node_count(&scratch.taken));
-        // SAFETY: a node retired before every announced epoch is
-        // unreachable — every thread that could hold a reference has left
-        // the operation it was in.
-        unsafe { L::sweep(self, tid, list, scratch, min) };
-        L::after_sweep(self, tid, scratch, cause);
-        base.put_back(tid, &mut scratch.taken);
+        true
+    }
+
+    fn scan(&self, p: &mut Pass) {
+        let announced = |t: usize| self.announced[t].load(Ordering::SeqCst);
+        p.scratch.floor = scan_epoch_reservations(p.base, announced);
+    }
+
+    unsafe fn sweep(&self, p: &mut Pass) {
+        // SAFETY: the driver ran phases 1–4: the floor was scanned after
+        // the fence.
+        unsafe { L::sweep(self, p) };
+    }
+
+    fn after_sweep(&self, p: &mut Pass) {
+        L::after_sweep(self, p);
     }
 }
 
@@ -580,21 +540,12 @@ impl<L: Laggard> Smr for Epoch<L> {
     fn new(cfg: SmrConfig) -> Arc<Self> {
         let base = DomainBase::new(cfg);
         let n = base.cfg.max_threads;
-        let threads = (0..n)
-            .map(|_| {
-                CachePadded::new(ThreadState {
-                    retire: RetireSlot::for_cfg(&base.cfg),
-                    scratch: ScratchSlot::new(),
-                })
-            })
-            .collect();
         Arc::new(Epoch {
             lag: L::new(&base),
             clock: EpochClock::new(),
             announced: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(QUIESCENT)))
                 .collect(),
-            threads,
             base,
         })
     }
@@ -621,9 +572,6 @@ impl<L: Laggard> Smr for Epoch<L> {
         // quiescent owner publishes nothing.
         self.end_op(tid);
         self.flush(tid);
-        // SAFETY: tid ownership until release.
-        let list = unsafe { self.threads[tid].retire.get() };
-        self.base.orphan_remaining(tid, list);
         L::unregister(self, tid);
         self.base.release(tid);
     }
@@ -667,18 +615,9 @@ impl<L: Laggard> Smr for Epoch<L> {
         L::end_write(self, tid);
     }
 
+    #[inline]
     unsafe fn retire(&self, tid: usize, retired: Retired) {
-        // SAFETY: tid ownership.
-        let list = unsafe { self.threads[tid].retire.get() };
-        match push_retired(&self.base, tid, list, retired) {
-            Verdict::Fill => {}
-            Verdict::Tick => {
-                if L::RETIRE_TICK {
-                    self.clock.advance();
-                }
-            }
-            Verdict::Pass => self.pass(tid, Cause::Trigger),
-        }
+        pass::retire(self, &self.base, tid, retired);
     }
 
     fn current_era(&self) -> u64 {
@@ -686,7 +625,7 @@ impl<L: Laggard> Smr for Epoch<L> {
     }
 
     fn flush(&self, tid: usize) {
-        self.pass(tid, Cause::Flush);
+        pass::run(self, &self.base, tid, Cause::Flush);
     }
 }
 
@@ -695,6 +634,7 @@ mod tests {
     use super::*;
     use crate::config::PublishMode;
     use crate::header::HasHeader;
+    use crate::pass::testing::{phases_of, Phase::*, PASS};
     use crate::smr::{alloc_node, retire_node};
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
@@ -724,11 +664,18 @@ mod tests {
     // Shared scenarios, run over the aliases they apply to.
     // -----------------------------------------------------------------
 
+    /// Also checks the driver's phase order over every pass, the flush and
+    /// the triggered ones (EpochPOP's come early by what the first kept).
     fn quiescent_single_thread_reclaims<S: Smr>() {
         let smr = S::new(SmrConfig::for_tests(1));
         let reg = smr.register(0);
-        churn(&*smr, 100);
-        smr.flush(0);
+        let phases = phases_of(|| {
+            churn(&*smr, 100);
+            smr.flush(0);
+        });
+        let passes = phases.len() / PASS.len();
+        assert!(passes >= 2, "{}: {phases:?}", S::NAME);
+        assert_eq!(phases, PASS.repeat(passes), "{}", S::NAME);
         let s = smr.stats().snapshot();
         assert_eq!(s.retired_nodes, 100, "{}", S::NAME);
         assert!(
@@ -1150,7 +1097,7 @@ mod tests {
     fn idle_reader_pinged_after_end_op_pins_nothing() {
         use crate::pop_shared::testing::pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing;
         pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing(|smr: &EpochPop| {
-            smr.lag.publish.pop
+            smr.lag.hooks.publish.pop
         });
     }
 
@@ -1162,12 +1109,18 @@ mod tests {
         for i in 0..10 {
             unsafe { retire_node(&*smr, 0, node(&*smr, i)) };
         }
-        // Still inside an op: the epoch pass can't free everything, the
+        // Still inside an op: the epoch pass can free nothing, so the
         // flush escalates to POP, which skips only the (empty) reserved
-        // set.
+        // set: phases 3–5 again, before the put back.
+        let phases = phases_of(|| smr.flush(0));
+        assert_eq!(
+            phases,
+            [&PASS[..6], &[Visible, Scan, Sweep, PutBack]].concat()
+        );
+        let s = smr.stats().snapshot();
+        assert_eq!((s.epoch_passes, s.pop_passes), (1, 1));
+        assert_eq!(s.unreclaimed_nodes(), 0);
         smr.end_op(0);
-        smr.flush(0);
-        assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
         drop(reg);
     }
 
@@ -1240,25 +1193,6 @@ mod tests {
         smr.end_op(1);
         drop(reg1);
         drop(reg0);
-    }
-
-    #[test]
-    fn reclamation_is_a_version_bump() {
-        let smr = Vbr::new(SmrConfig::for_tests(1));
-        let reg = smr.register(0);
-        let v0 = smr.current_era();
-        // The op path alone never moves the version word.
-        for _ in 0..64 {
-            smr.begin_op(0);
-            smr.end_op(0);
-        }
-        assert_eq!(smr.current_era(), v0, "ops do not bump the version");
-        smr.flush(0);
-        assert!(
-            smr.current_era() > v0,
-            "a reclamation pass is exactly a version bump"
-        );
-        drop(reg);
     }
 
     // -----------------------------------------------------------------

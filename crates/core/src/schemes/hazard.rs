@@ -3,10 +3,10 @@
 //!
 //! Publish-on-ping transforms hazard pointers and hazard eras in exactly
 //! one respect: *how a reservation becomes visible* to a reclaimer. That is
-//! the publisher `P`; *what* is reserved is the kind `K`; registration,
-//! retire, the pass and reaping are written once.
+//! the publisher `P`; *what* is reserved is the kind `K`. Retire and the
+//! pass are the shared driver's (`crate::pass`), over `Hooks<K, P>`.
 //!
-//! | alias | `Smr::NAME` | kind | publisher | per-read reserve (into the traversal's row) | pass prologue |
+//! | alias | `Smr::NAME` | kind | publisher | per-read reserve (into the traversal's row) | visibility step |
 //! |-------|-------------|------|-----------|------------------|---------------|
 //! | [`HazardPtr`] | `HP` | [`Ptr`] | [`Fence`] | Release store to the shared row + `SeqCst` fence | one fence |
 //! | [`HazardPtrAsym`] | `HPAsym` | [`Ptr`] | [`Asym`] | relaxed store to the shared row | one `membarrier(2)` |
@@ -25,15 +25,11 @@
 //! **Kinds.** [`Ptr`] reserves the unmarked pointer: `protect` is load →
 //! reserve → validate, and a pass frees every record no reserved word
 //! names. [`Era`] reserves the domain's era: `protect` reserves only when
-//! the era differs from the slot's word, a pass advances the era *before*
-//! it makes reservations visible (so a reservation made after that cannot
-//! cover a node retired before it — Property 6), every other seal is a
-//! retire tick that advances it, and a record is freed when no reserved
-//! era meets its `[birth, retire]` lifespan. Ticks keep a pass from
-//! pinning its own trigger batch under the reclaimer's reservation: it
-//! keeps only what was retired since the last seal, so a parked reader
-//! holds the domain's garbage below `reclaim_freq` + one block + the open
-//! fill bins of each retiring thread, plus the nodes alive at its era.
+//! the era differs from the slot's word, passes and retire ticks advance
+//! the era (`crate::base`), and a record is freed when no reserved era
+//! meets its `[birth, retire]` lifespan. A parked reader holds the
+//! domain's garbage below `reclaim_freq` + one block + the open fill bins
+//! of each retiring thread, plus the nodes alive at its era.
 //!
 //! **Publishers.** [`Fence`] is the eager baseline: the owner's row is the
 //! shared row, every reserve fences, and `end_op` zeroes the row. [`Ping`]
@@ -62,12 +58,10 @@ use crossbeam_utils::CachePadded;
 use pop_runtime::signal::register_publisher;
 use pop_runtime::PublisherHandle;
 
-use crate::base::{
-    free_era_unreserved, free_unreserved, node_count, push_retired, DomainBase, ReclaimScratch,
-    RetireList, RetireSlot, ScratchSlot, Verdict,
-};
+use crate::base::{free_era_unreserved, free_unreserved, DomainBase};
 use crate::config::{PublishMode, SmrConfig};
 use crate::header::{unmark_word, Retired};
+use crate::pass::{self, Cause, Engine, Pass};
 use crate::pop_shared::{PopShared, Rows};
 use crate::smr::{ReadResult, Row, Smr};
 use crate::stats::DomainStats;
@@ -104,20 +98,13 @@ pub(crate) trait Kind: Send + Sync + 'static {
     /// and on every retire tick.
     fn advance(&self) {}
 
-    /// Frees what `scratch.reserved` leaves unprotected in the blocks the
-    /// pass took (`scratch.taken`), recycling emptied boxes into `list`.
+    /// The pass's sweep: frees what the scan's `reserved` words leave
+    /// unprotected of what the pass took.
     ///
     /// # Safety
     ///
-    /// `scratch.reserved` holds every word a reader may still rely on, and
-    /// `tid` is the caller's registered domain thread id.
-    unsafe fn free(
-        &self,
-        base: &DomainBase,
-        tid: usize,
-        list: &mut RetireList,
-        scratch: &mut ReclaimScratch,
-    );
+    /// `p.scratch.reserved` holds every word a reader may still rely on.
+    unsafe fn sweep(&self, p: &mut Pass);
 
     /// The era allocations are birth-tagged with (`0` for pointers).
     fn current_era(&self) -> u64 {
@@ -159,25 +146,13 @@ pub(crate) trait Publish: Send + Sync + 'static {
     /// Runs just before `tid` is released.
     fn unregister(&self, _tid: usize) {}
 
-    /// Pass prologue: makes every reservation visible to `tid`'s scan,
-    /// then reaps at most one confirmed-dead participant, whose retire
-    /// list `retire_of` hands over. `counters` is `tid`'s scratch.
-    fn prologue<'a>(
-        &self,
-        base: &DomainBase,
-        tid: usize,
-        counters: &mut Vec<u64>,
-        retire_of: impl FnOnce(usize) -> &'a mut RetireList,
-    );
+    /// The pass's visibility step: makes every reservation visible to the
+    /// reclaimer's scan, then reaps at most one confirmed-dead participant.
+    fn make_visible(&self, p: &mut Pass);
 
-    /// The visible reservations of every registered thread, into `out`,
-    /// sorted and deduplicated.
-    fn collect(&self, base: &DomainBase, out: &mut Vec<u64>);
-}
-
-struct ThreadState {
-    retire: RetireSlot,
-    scratch: ScratchSlot,
+    /// The pass's scan: the visible reservations of every registered
+    /// thread, into `p.scratch.reserved`, sorted and deduplicated.
+    fn scan(&self, p: &mut Pass);
 }
 
 /// A hazard-pointer or hazard-era domain: `K` says what a reservation word
@@ -186,10 +161,41 @@ struct ThreadState {
 pub struct Hazard<K: Kind, P: Publish> {
     // First, so a publisher's signal dispatch stops before anything else
     // of the domain is torn down.
-    pub(crate) publish: P,
-    kind: K,
+    pub(crate) hooks: Hooks<K, P>,
     base: DomainBase,
-    threads: Box<[CachePadded<ThreadState>]>,
+}
+
+/// A reservation pass's hooks (`crate::pass`): the kind advances and sweeps,
+/// the publisher makes visible and scans. Also EpochPOP's escalation.
+pub(crate) struct Hooks<K, P> {
+    pub(crate) publish: P,
+    pub(crate) kind: K,
+}
+
+impl<K: Kind, P: Publish> Engine for Hooks<K, P> {
+    /// A tick is not a pass: the era moves, nothing is published.
+    #[inline]
+    fn tick(&self) {
+        self.kind.advance();
+    }
+
+    fn advance(&self, _p: &mut Pass) {
+        self.kind.advance();
+    }
+
+    fn make_visible(&self, p: &mut Pass) -> bool {
+        self.publish.make_visible(p);
+        true
+    }
+
+    fn scan(&self, p: &mut Pass) {
+        self.publish.scan(p);
+    }
+
+    unsafe fn sweep(&self, p: &mut Pass) {
+        // SAFETY: the driver ran phases 1–4, so `reserved` is complete.
+        unsafe { self.kind.sweep(p) }
+    }
 }
 
 /// Reservation words are unmarked pointers.
@@ -214,18 +220,11 @@ impl Kind for Ptr {
         }
     }
 
-    unsafe fn free(
-        &self,
-        base: &DomainBase,
-        tid: usize,
-        list: &mut RetireList,
-        scratch: &mut ReclaimScratch,
-    ) {
-        let taken = &mut scratch.taken;
-        base.stats.shard(tid).observe_retire_len(node_count(taken));
+    unsafe fn sweep(&self, p: &mut Pass) {
+        let taken = &mut p.scratch.taken;
         // SAFETY: forwarded contract — `reserved` names every pointer a
         // reader may still dereference.
-        unsafe { free_unreserved(base, tid, list, taken, &scratch.reserved) };
+        unsafe { free_unreserved(p.base, p.tid, p.list, taken, &p.scratch.reserved) };
     }
 }
 
@@ -267,18 +266,11 @@ impl Kind for Era {
         self.era.fetch_add(1, Ordering::AcqRel);
     }
 
-    unsafe fn free(
-        &self,
-        base: &DomainBase,
-        tid: usize,
-        list: &mut RetireList,
-        scratch: &mut ReclaimScratch,
-    ) {
-        let taken = &mut scratch.taken;
-        base.stats.shard(tid).observe_retire_len(node_count(taken));
+    unsafe fn sweep(&self, p: &mut Pass) {
+        let taken = &mut p.scratch.taken;
         // SAFETY: forwarded contract — a node whose lifespan misses every
         // reserved era is unreachable.
-        unsafe { free_era_unreserved(base, tid, list, taken, &scratch.reserved) };
+        unsafe { free_era_unreserved(p.base, p.tid, p.list, taken, &p.scratch.reserved) };
     }
 
     fn current_era(&self) -> u64 {
@@ -329,20 +321,15 @@ impl Publish for Fence {
     /// Orders the scan after this thread's unlinks (pairs with the
     /// readers' per-read fences). Nothing to reap: without pings or probes
     /// nothing ever confirms a death.
-    fn prologue<'a>(
-        &self,
-        _base: &DomainBase,
-        _tid: usize,
-        _counters: &mut Vec<u64>,
-        _retire_of: impl FnOnce(usize) -> &'a mut RetireList,
-    ) {
+    fn make_visible(&self, _p: &mut Pass) {
         fence(Ordering::SeqCst);
     }
 
-    fn collect(&self, base: &DomainBase, out: &mut Vec<u64>) {
+    fn scan(&self, p: &mut Pass) {
+        let out = &mut p.scratch.reserved;
         out.clear();
-        for t in 0..base.cfg.max_threads {
-            if base.is_registered(t) {
+        for t in 0..p.base.cfg.max_threads {
+            if p.base.is_registered(t) {
                 self.rows.push_words(t, out);
             }
         }
@@ -428,27 +415,21 @@ impl<const ASYM: bool> Publish for Pop<ASYM> {
     /// The paper's threshold path (Alg. 1 lines 18–21):
     /// `collectPublishedCounters; pingAllToPublish; waitForAllPublished`,
     /// or one heavy barrier in membarrier mode.
-    fn prologue<'a>(
-        &self,
-        base: &DomainBase,
-        tid: usize,
-        counters: &mut Vec<u64>,
-        retire_of: impl FnOnce(usize) -> &'a mut RetireList,
-    ) {
-        let shard = base.stats.shard(tid);
+    fn make_visible(&self, p: &mut Pass) {
+        let shard = p.base.stats.shard(p.tid);
         shard.pop_passes.fetch_add(1, Ordering::Relaxed);
-        self.pop.ping_all_and_wait(tid, counters);
+        self.pop.ping_all_and_wait(p.tid, &mut p.scratch.counters);
         // Reap a confirmed-dead participant (flagged by the wait's
         // watchdog, a failed ping or the membarrier probe) before
         // scanning: its reservations protect nothing, and removing it now
         // recovers its slot and parks its retires this pass, not next.
         let pop = self.pop;
         pop.peers
-            .reap_one_dead(base, tid, |t| pop.force_unregister(t), retire_of);
+            .reap_one_dead(p.base, p.tid, |t| pop.force_unregister(t));
     }
 
-    fn collect(&self, _base: &DomainBase, out: &mut Vec<u64>) {
-        self.pop.collect_reserved_into(out);
+    fn scan(&self, p: &mut Pass) {
+        self.pop.collect_reserved_into(&mut p.scratch.reserved);
     }
 }
 
@@ -460,55 +441,6 @@ impl<const ASYM: bool> Drop for Pop<ASYM> {
     }
 }
 
-/// The body of a reservation pass after its take and the kind's
-/// `advance`: make every reservation visible and reap, collect, free what
-/// the pass took (`scratch.taken`).
-/// Allocation-free in steady state: every buffer comes from `scratch`.
-/// Also EpochPOP's escalation (`schemes::epoch`), with [`Ptr`] and
-/// [`Ping`].
-///
-/// `tid` is the caller's registered domain thread id and `scratch` its
-/// scratch; `retire_of(t)` hands out `t`'s retire list, and is called for
-/// `tid` and for the one dead peer (if any) this pass wins the reap of.
-pub(crate) fn publish_and_free<'a, K: Kind, P: Publish>(
-    kind: &K,
-    publish: &P,
-    base: &DomainBase,
-    tid: usize,
-    scratch: &mut ReclaimScratch,
-    retire_of: impl Fn(usize) -> &'a mut RetireList,
-) {
-    publish.prologue(base, tid, &mut scratch.counters, &retire_of);
-    publish.collect(base, &mut scratch.reserved);
-    let list = retire_of(tid);
-    // SAFETY: after the prologue every reader has its words in `reserved`,
-    // deregistered, was provably quiescent holding none, or will fail its
-    // validation against this thread's unlinks.
-    unsafe { kind.free(base, tid, list, scratch) }
-}
-
-impl<K: Kind, P: Publish> Hazard<K, P> {
-    /// One reclamation pass: take the retire pool, advance (eras), then
-    /// [`publish_and_free`], and put the survivors back.
-    fn pass(&self, tid: usize) {
-        // SAFETY: tid ownership per the registration contract.
-        let scratch = unsafe { self.threads[tid].scratch.get() };
-        // Take first: a block taken after the publish and scan could hold
-        // a node its sealer unlinked after them, reserved unseen.
-        // SAFETY: tid ownership; the borrow ends with the call.
-        let list = unsafe { self.threads[tid].retire.get() };
-        self.base.take(tid, list, &mut scratch.taken);
-        self.kind.advance();
-        publish_and_free(&self.kind, &self.publish, &self.base, tid, scratch, |t| {
-            // SAFETY: `tid`'s own list by ownership; a dead peer's after
-            // `reap_one_dead` established exclusivity (won reap CAS +
-            // registry-confirmed death of the owner).
-            unsafe { self.threads[t].retire.get() }
-        });
-        self.base.put_back(tid, &mut scratch.taken);
-    }
-}
-
 impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
     const NAME: &'static str = P::NAMES[K::ERA as usize];
     const ROBUST: bool = true;
@@ -516,19 +448,12 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
 
     fn new(cfg: SmrConfig) -> Arc<Self> {
         let base = DomainBase::new(cfg);
-        let threads = (0..base.cfg.max_threads)
-            .map(|_| {
-                CachePadded::new(ThreadState {
-                    retire: RetireSlot::for_cfg(&base.cfg),
-                    scratch: ScratchSlot::new(),
-                })
-            })
-            .collect();
         Arc::new(Hazard {
-            publish: P::new(&base),
-            kind: K::new(),
+            hooks: Hooks {
+                publish: P::new(&base),
+                kind: K::new(),
+            },
             base,
-            threads,
         })
     }
 
@@ -541,12 +466,12 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
     }
 
     fn bind_gtid(&self, tid: usize, gtid: usize) {
-        self.publish.bind(tid, gtid);
+        self.hooks.publish.bind(tid, gtid);
     }
 
     fn register_raw(&self, tid: usize) {
         self.base.claim(tid);
-        self.publish.register(tid);
+        self.hooks.publish.register(tid);
     }
 
     fn unregister(&self, tid: usize) {
@@ -554,21 +479,18 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
         // quiescent owner publishes nothing.
         self.end_op(tid);
         self.flush(tid);
-        // SAFETY: tid ownership until release.
-        let list = unsafe { self.threads[tid].retire.get() };
-        self.base.orphan_remaining(tid, list);
-        self.publish.unregister(tid);
+        self.hooks.publish.unregister(tid);
         self.base.release(tid);
     }
 
     #[inline]
     fn begin_op(&self, tid: usize) {
-        self.publish.begin_op(tid);
+        self.hooks.publish.begin_op(tid);
     }
 
     #[inline]
     fn end_op(&self, tid: usize) {
-        self.publish.end_op(tid);
+        self.hooks.publish.end_op(tid);
     }
 
     #[inline]
@@ -578,35 +500,25 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
 
     #[inline]
     fn row(&self, tid: usize) -> Row<'_> {
-        Row::new(tid, self.publish.row(tid))
+        Row::new(tid, self.hooks.publish.row(tid))
     }
 
     #[inline]
     fn protect_in<T>(&self, row: &Row<'_>, slot: usize, src: &AtomicPtr<T>) -> ReadResult<T> {
-        self.kind.protect::<T, P>(row.word(slot), src)
+        self.hooks.kind.protect::<T, P>(row.word(slot), src)
     }
 
+    #[inline]
     unsafe fn retire(&self, tid: usize, retired: Retired) {
-        // SAFETY: tid ownership.
-        let list = unsafe { self.threads[tid].retire.get() };
-        match push_retired(&self.base, tid, list, retired) {
-            Verdict::Pass => {}
-            // A tick is not a pass: the era moves, nothing is published.
-            Verdict::Tick => {
-                self.kind.advance();
-                return;
-            }
-            Verdict::Fill => return,
-        }
-        self.pass(tid);
+        pass::retire(&self.hooks, &self.base, tid, retired);
     }
 
     fn current_era(&self) -> u64 {
-        self.kind.current_era()
+        self.hooks.kind.current_era()
     }
 
     fn flush(&self, tid: usize) {
-        self.pass(tid);
+        pass::run(&self.hooks, &self.base, tid, Cause::Flush);
     }
 }
 
@@ -614,6 +526,7 @@ impl<K: Kind, P: Publish> Smr for Hazard<K, P> {
 mod tests {
     use super::*;
     use crate::header::{HasHeader, Header};
+    use crate::pass::testing::{phases_of, PASS};
     use crate::smr::{alloc_node, dealloc_node_unpublished, retire_node};
     use crate::stats::StatsSnapshot;
     use std::sync::atomic::AtomicBool;
@@ -789,15 +702,20 @@ mod tests {
         crate::schemes::assert_own_pass_keeps_one_block::<HazardEraPop>(cfg);
     }
 
+    /// Also checks the driver's phase order: eight triggered passes and
+    /// the flush.
     fn quiescent_single_thread_drains_completely<S: Smr>() {
         let smr = S::new(SmrConfig::for_tests(1).with_reclaim_freq(8));
         let reg = smr.register(0);
-        for i in 0..64 {
-            smr.begin_op(0);
-            unsafe { retire_node(&*smr, 0, node(&*smr, i)) };
-            smr.end_op(0);
-        }
-        smr.flush(0);
+        let phases = phases_of(|| {
+            for i in 0..64 {
+                smr.begin_op(0);
+                unsafe { retire_node(&*smr, 0, node(&*smr, i)) };
+                smr.end_op(0);
+            }
+            smr.flush(0);
+        });
+        assert_eq!(phases, PASS.repeat(9), "{}", S::NAME);
         assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0, "{}", S::NAME);
         drop(reg);
     }
@@ -850,7 +768,7 @@ mod tests {
         let got = smr.protect(0, 0, &src).unwrap();
         assert_eq!(got as u64, n as u64 | 1, "mark returned to the caller");
         assert_eq!(
-            smr.publish.row(0)[0].load(Ordering::Relaxed),
+            smr.hooks.publish.row(0)[0].load(Ordering::Relaxed),
             n as u64,
             "reservation recorded unmarked"
         );
@@ -896,12 +814,12 @@ mod tests {
         let got = smr.protect(0, 0, &src).unwrap();
         assert_eq!(got, n);
         assert_eq!(
-            smr.publish.rows.row(0)[0].load(Ordering::Acquire),
+            smr.hooks.publish.rows.row(0)[0].load(Ordering::Acquire),
             n as u64,
             "reservation published eagerly"
         );
         smr.end_op(0);
-        assert_eq!(smr.publish.rows.row(0)[0].load(Ordering::Acquire), 0);
+        assert_eq!(smr.hooks.publish.rows.row(0)[0].load(Ordering::Acquire), 0);
         unsafe { dealloc_node_unpublished(&*smr, 0, n) };
         drop(reg);
     }
@@ -913,14 +831,14 @@ mod tests {
         let n = node(&*smr, 1);
         let src = AtomicPtr::new(n);
         let _ = smr.protect(0, 0, &src).unwrap();
-        let published = smr.publish.rows.row(0)[0].load(Ordering::Acquire);
+        let published = smr.hooks.publish.rows.row(0)[0].load(Ordering::Acquire);
         assert_eq!(published, smr.current_era());
         // Era unchanged: repeated protects must keep the same reservation.
         for _ in 0..10 {
             let _ = smr.protect(0, 0, &src).unwrap();
         }
         assert_eq!(
-            smr.publish.rows.row(0)[0].load(Ordering::Acquire),
+            smr.hooks.publish.rows.row(0)[0].load(Ordering::Acquire),
             published
         );
         unsafe { dealloc_node_unpublished(&*smr, 0, n) };
@@ -940,13 +858,13 @@ mod tests {
         smr.begin_op(0);
         let _ = smr.protect(0, 0, &src).unwrap();
         assert_eq!(
-            smr.publish.pop.collect_reserved(),
+            smr.hooks.publish.pop.collect_reserved(),
             vec![n as u64],
             "reservation must be in the shared slot immediately"
         );
         smr.end_op(0);
         assert!(
-            smr.publish.pop.collect_reserved().is_empty(),
+            smr.hooks.publish.pop.collect_reserved().is_empty(),
             "end_op clears the shared row"
         );
         unsafe { dealloc_node_unpublished(&*smr, 0, n) };
@@ -985,12 +903,12 @@ mod tests {
         smr.begin_op(0);
         let _ = smr.protect(0, 0, &src).unwrap();
         assert_eq!(
-            smr.publish.pop.local_at(0, 0),
+            smr.hooks.publish.pop.local_at(0, 0),
             word(&smr, n),
             "reserved privately"
         );
         assert!(
-            smr.publish.pop.collect_reserved().is_empty(),
+            smr.hooks.publish.pop.collect_reserved().is_empty(),
             "no eager publication — the defining property of POP"
         );
         smr.end_op(0);
@@ -1008,10 +926,10 @@ mod tests {
     fn idle_reader_pinged_after_end_op_pins_nothing() {
         use crate::pop_shared::testing::pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing;
         pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing(|smr: &HazardPtrPop| {
-            smr.publish.pop
+            smr.hooks.publish.pop
         });
         pinged_mid_op_keeps_node_then_idle_ping_publishes_nothing(|smr: &HazardEraPop| {
-            smr.publish.pop
+            smr.hooks.publish.pop
         });
     }
 
@@ -1156,7 +1074,11 @@ mod tests {
                 smr.begin_op(1);
                 let _ = smr.protect(1, 0, &src).unwrap();
                 smr.end_op(1);
-                assert_ne!(smr.publish.pop.local_at(1, 0), 0, "end_op clears nothing");
+                assert_ne!(
+                    smr.hooks.publish.pop.local_at(1, 0),
+                    0,
+                    "end_op clears nothing"
+                );
                 tx.send(()).unwrap();
                 while hold.load(Ordering::Acquire) {
                     std::thread::yield_now();
@@ -1254,7 +1176,7 @@ mod tests {
             let hold = Arc::clone(&hold);
             move || {
                 let reg1 = smr.register(1);
-                let pop = smr.publish.pop;
+                let pop = smr.hooks.publish.pop;
                 smr.begin_op(1);
                 let _ = smr.protect(1, 0, &src).unwrap();
                 smr.end_op(1);
@@ -1285,7 +1207,7 @@ mod tests {
         let s = smr.stats().snapshot();
         assert!(s.pings_sent >= 1);
         assert_eq!(
-            smr.publish.pop.collect_reserved(),
+            smr.hooks.publish.pop.collect_reserved(),
             vec![era],
             "era published"
         );

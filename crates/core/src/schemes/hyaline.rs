@@ -1,6 +1,7 @@
 //! `Hyaline-1` — batched reference counting in the Hyaline/Crystalline
-//! family (Nikolaev & Ravindran), the stand-in for the paper's appendix
-//! Crystalline comparison (DESIGN.md substitution S4).
+//! family (Nikolaev & Ravindran), standing in for the paper's appendix
+//! Crystalline comparison: its op-boundary counting without Crystalline's
+//! robustness.
 //!
 //! Readers pay one fetch-and-add on a shared word at operation entry and
 //! one at exit — the family's signature cost profile (no per-read work, but
@@ -39,9 +40,10 @@ use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 
-use crate::base::{node_count, push_retired, DomainBase, RetireSlot, Verdict};
+use crate::base::DomainBase;
 use crate::config::SmrConfig;
 use crate::header::{RetireBatch, Retired};
+use crate::pass::{self, Cause, Engine, Pass};
 use crate::smr::{ReadResult, Smr};
 use crate::stats::DomainStats;
 
@@ -65,12 +67,6 @@ struct Batch {
     blocks: Vec<Box<RetireBatch>>,
 }
 
-struct ThreadState {
-    retire: RetireSlot,
-    /// Head index observed at `begin_op`.
-    entry_idx: AtomicU64,
-}
-
 /// Single-slot Hyaline batched reference counting.
 pub struct Hyaline {
     base: DomainBase,
@@ -79,7 +75,8 @@ pub struct Hyaline {
     /// Append-only idx → batch arena (slot 0 unused: 0 is the nil index).
     arena: Box<[AtomicPtr<Batch>]>,
     next_free_idx: CachePadded<AtomicU64>,
-    threads: Box<[CachePadded<ThreadState>]>,
+    /// Head index each tid observed at `begin_op`.
+    entry_idx: Box<[CachePadded<AtomicU64>]>,
 }
 
 impl Hyaline {
@@ -128,22 +125,17 @@ impl Hyaline {
             cur_idx = next;
         }
     }
+}
 
-    /// Takes the retire pool and the caller's open fill bins as one batch
-    /// and publishes it. Every taken node was unlinked before the take, so
-    /// before the push: the readers the push counts cover them all.
-    fn seal_and_push(&self, tid: usize) {
-        // SAFETY: tid ownership per the registration contract.
-        let list = unsafe { self.threads[tid].retire.get() };
-        let mut blocks = Vec::new();
-        self.base.take(tid, list, &mut blocks);
-        if blocks.is_empty() {
+/// Hyaline1's pass is its sweep: it pushes everything the pass took as one
+/// batch. Every taken node was unlinked before the take, so before the
+/// push: the readers the push counts cover them all.
+impl Engine for Hyaline {
+    unsafe fn sweep(&self, p: &mut Pass) {
+        if p.scratch.taken.is_empty() {
             return;
         }
-        self.base
-            .stats
-            .shard(tid)
-            .observe_retire_len(node_count(&blocks));
+        let blocks = core::mem::take(&mut p.scratch.taken);
         let idx = self.next_free_idx.fetch_add(1, Ordering::Relaxed);
         assert!(
             (idx as usize) < ARENA_CAP,
@@ -174,11 +166,11 @@ impl Hyaline {
                     // Every counted reader already exited (decrementing the
                     // bias) — we are the effective zero-decrementer.
                     // SAFETY: refs reached zero with our adjustment.
-                    unsafe { self.free_batch(tid, batch) };
+                    unsafe { self.free_batch(p.tid, batch) };
                 }
-                self.base
+                p.base
                     .stats
-                    .shard(tid)
+                    .shard(p.tid)
                     .epoch_passes
                     .fetch_add(1, Ordering::Relaxed);
                 return;
@@ -196,19 +188,12 @@ impl Smr for Hyaline {
         let n = cfg.max_threads;
         let mut arena = Vec::with_capacity(ARENA_CAP);
         arena.resize_with(ARENA_CAP, || AtomicPtr::new(core::ptr::null_mut()));
-        let mut threads = Vec::with_capacity(n);
-        threads.resize_with(n, || {
-            CachePadded::new(ThreadState {
-                retire: RetireSlot::for_cfg(&cfg),
-                entry_idx: AtomicU64::new(0),
-            })
-        });
         Arc::new(Hyaline {
             base: DomainBase::new(cfg),
             word: CachePadded::new(AtomicU64::new(0)),
             arena: arena.into_boxed_slice(),
             next_free_idx: CachePadded::new(AtomicU64::new(1)),
-            threads: threads.into_boxed_slice(),
+            entry_idx: (0..n).map(|_| CachePadded::default()).collect(),
         })
     }
 
@@ -227,7 +212,7 @@ impl Smr for Hyaline {
     fn unregister(&self, tid: usize) {
         // Push whatever is left as a final batch; it frees when the last
         // concurrent reader exits.
-        self.seal_and_push(tid);
+        self.flush(tid);
         self.base.release(tid);
     }
 
@@ -237,9 +222,7 @@ impl Smr for Hyaline {
     fn begin_op(&self, tid: usize) {
         let w = self.word.fetch_add(1, Ordering::SeqCst);
         debug_assert!((w & COUNT_MASK) < COUNT_MASK, "active count overflow");
-        self.threads[tid]
-            .entry_idx
-            .store(w >> 32, Ordering::Relaxed);
+        self.entry_idx[tid].store(w >> 32, Ordering::Relaxed);
     }
 
     /// Hyaline `leave`: one FAA leaves the active set, then the reader
@@ -248,7 +231,7 @@ impl Smr for Hyaline {
     fn end_op(&self, tid: usize) {
         let w = self.word.fetch_sub(1, Ordering::SeqCst);
         let head = (w >> 32) as u32;
-        let entry = self.threads[tid].entry_idx.load(Ordering::Relaxed) as u32;
+        let entry = self.entry_idx[tid].load(Ordering::Relaxed) as u32;
         if head != entry {
             self.traverse_and_decrement(tid, head, entry);
         }
@@ -261,16 +244,13 @@ impl Smr for Hyaline {
         Ok(src.load(Ordering::Acquire))
     }
 
+    #[inline]
     unsafe fn retire(&self, tid: usize, retired: Retired) {
-        // SAFETY: tid ownership.
-        let list = unsafe { self.threads[tid].retire.get() };
-        if push_retired(&self.base, tid, list, retired) == Verdict::Pass {
-            self.seal_and_push(tid);
-        }
+        pass::retire(self, &self.base, tid, retired);
     }
 
     fn flush(&self, tid: usize) {
-        self.seal_and_push(tid);
+        pass::run(self, &self.base, tid, Cause::Flush);
     }
 }
 
@@ -278,6 +258,7 @@ impl Smr for Hyaline {
 mod tests {
     use super::*;
     use crate::header::{HasHeader, Header};
+    use crate::pass::testing::{phases_of, PASS};
     use crate::smr::retire_node;
     use std::sync::atomic::AtomicBool;
 
@@ -307,7 +288,7 @@ mod tests {
         }
         smr.end_op(0);
         // Quiescent: the push (via flush) sees count == 0 and frees itself.
-        smr.flush(0);
+        assert_eq!(phases_of(|| smr.flush(0)), PASS, "the driver's phases");
         assert_eq!(smr.stats().snapshot().unreclaimed_nodes(), 0);
         drop(reg);
     }

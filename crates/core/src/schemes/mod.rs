@@ -15,6 +15,9 @@
 //! | [`hyaline`] | `Hyaline-1` — Crystalline-family batch refcounting | appendix baseline |
 //! | [`epoch`] | `VBR` — version-based, self-aborting laggards ([`epoch::Vbr`]) | allocator-integration scheme |
 //!
+//! Every scheme but [`nr`] retires and reclaims through one pass driver
+//! (`crate::pass`, which tabulates each engine's hooks).
+//!
 //! The five [`hazard`] schemes are one engine, `Hazard<Kind, Publish>`:
 //! pointer or era reservations × the eager `Fence`, publish-on-ping `Ping`
 //! or asymmetric-barrier `Asym` publisher. The four [`epoch`] schemes are

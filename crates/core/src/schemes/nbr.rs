@@ -1,5 +1,6 @@
 //! `NBR+` — neutralization-based reclamation (Singh, Brown & Mashtizadeh
-//! 2021/2024), in the *cooperative* variant described in DESIGN.md (S2).
+//! 2021/2024), in a *cooperative* variant: a neutralized reader restarts at
+//! its next checkpoint instead of being `siglongjmp`ed out.
 //!
 //! NBR readers hold **no reservations at all** during read phases — the
 //! fastest possible read path. Before writing, a thread publishes the few
@@ -47,19 +48,13 @@ use crossbeam_utils::CachePadded;
 use pop_runtime::signal::register_publisher;
 use pop_runtime::{PingOutcome, Publisher, PublisherHandle};
 
-use crate::base::{
-    free_unreserved, node_count, push_retired, DomainBase, RetireSlot, ScratchSlot, Verdict,
-};
+use crate::base::{free_unreserved, DomainBase};
 use crate::config::SmrConfig;
 use crate::header::{unmark_word, Header, Retired};
+use crate::pass::{self, Cause, Engine, Pass};
 use crate::pop_shared::{zeroed, Peers, Waited};
 use crate::smr::{ReadResult, Restart, Smr};
 use crate::stats::DomainStats;
-
-struct ThreadState {
-    retire: RetireSlot,
-    scratch: ScratchSlot,
-}
 
 /// Signal-handler-visible shared state (leaked, like `PopShared`).
 struct NbrShared {
@@ -152,7 +147,6 @@ pub struct NbrPlus {
     base: DomainBase,
     shared: &'static NbrShared,
     publisher: PublisherHandle,
-    threads: Box<[CachePadded<ThreadState>]>,
 }
 
 impl NbrPlus {
@@ -174,27 +168,28 @@ impl NbrPlus {
             false
         }
     }
+}
 
-    fn reclaim(&self, tid: usize) {
+/// The pass's hooks: phases 1–2 of NBR+ make every reader's pointers
+/// visible (or provably stale), phase 3 scans the write-phase reservations
+/// and frees the rest.
+impl Engine for NbrPlus {
+    fn make_visible(&self, p: &mut Pass) -> bool {
         let sh = self.shared;
-        let shard = self.base.stats.shard(tid);
+        let tid = p.tid;
+        debug_assert!(
+            sh.in_write[tid].load(Ordering::Relaxed),
+            "NBR retire must be called inside a begin_write bracket"
+        );
+        let shard = p.base.stats.shard(tid);
         shard.pop_passes.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: tid ownership per the registration contract.
-        let scratch = unsafe { self.threads[tid].scratch.get() };
-        // Take before phase 1: a block pooled after the neutralization
-        // could hold a node a peer read after it.
-        // SAFETY: tid ownership; the reap below borrows only a dead
-        // peer's list, never this one.
-        let list = unsafe { self.threads[tid].retire.get() };
-        self.base.take(tid, list, &mut scratch.taken);
         fence(Ordering::SeqCst);
-
         // Phase 1: snapshot progress counters, then request neutralization.
         // All buffers come from this thread's reusable scratch — the pass
         // allocates nothing in steady state.
         const SKIP: u64 = u64::MAX;
-        let seq0 = &mut scratch.counters;
-        let ops0 = &mut scratch.op_counters;
+        let seq0 = &mut p.scratch.counters;
+        let ops0 = &mut p.scratch.op_counters;
         seq0.clear();
         seq0.resize(sh.peers.len(), SKIP);
         ops0.clear();
@@ -273,27 +268,15 @@ impl NbrPlus {
         fence(Ordering::SeqCst);
 
         // Reap at most one confirmed-dead participant per pass (cold path).
-        sh.peers.reap_one_dead(
-            &self.base,
-            tid,
-            |t| sh.force_unregister(t),
-            // SAFETY: the won reap makes this thread the unique accessor
-            // of the dead slot's single-owner state; its owner's kernel
-            // task no longer exists.
-            |t| unsafe { self.threads[t].retire.get() },
-        );
+        sh.peers
+            .reap_one_dead(p.base, tid, |t| sh.force_unregister(t));
+        timeouts == 0 && !stuck
+    }
 
-        shard.observe_retire_len(node_count(&scratch.taken));
-        // Phase 3: honor write-phase reservations, free the rest. A
-        // timed-out phase 2 proves nothing about the laggard's read-phase
-        // pointers, so the pass frees NOTHING — what it took goes back to
-        // the pool for a later pass (by which point the reaper has removed
-        // a dead laggard, or a live one has caught up).
-        if timeouts > 0 || stuck {
-            self.base.put_back(tid, &mut scratch.taken);
-            return;
-        }
-        let reserved = &mut scratch.reserved;
+    /// Phase 3: honor write-phase reservations.
+    fn scan(&self, p: &mut Pass) {
+        let sh = self.shared;
+        let reserved = &mut p.scratch.reserved;
         reserved.clear();
         for t in 0..sh.peers.len() {
             if sh.peers.is_registered(t) {
@@ -307,10 +290,13 @@ impl NbrPlus {
         }
         reserved.sort_unstable();
         reserved.dedup();
+    }
+
+    unsafe fn sweep(&self, p: &mut Pass) {
+        let taken = &mut p.scratch.taken;
         // SAFETY: phase 2 established no peer holds an unreserved pointer
         // to the (already unlinked) retirees this pass took.
-        unsafe { free_unreserved(&self.base, tid, list, &mut scratch.taken, reserved) };
-        self.base.put_back(tid, &mut scratch.taken);
+        unsafe { free_unreserved(p.base, p.tid, p.list, taken, &p.scratch.reserved) };
     }
 }
 
@@ -322,19 +308,10 @@ impl Smr for NbrPlus {
     fn new(cfg: SmrConfig) -> Arc<Self> {
         let base = DomainBase::new(cfg);
         let shared = NbrShared::leak(&base);
-        let threads = (0..base.cfg.max_threads)
-            .map(|_| {
-                CachePadded::new(ThreadState {
-                    retire: RetireSlot::for_cfg(&base.cfg),
-                    scratch: ScratchSlot::new(),
-                })
-            })
-            .collect();
         Arc::new(NbrPlus {
             base,
             shared,
             publisher: register_publisher(shared),
-            threads,
         })
     }
 
@@ -366,9 +343,6 @@ impl Smr for NbrPlus {
         sh.in_op[tid].store(false, Ordering::Release);
         sh.clear_wres(tid);
         self.flush(tid);
-        // SAFETY: tid ownership until release.
-        let list = unsafe { self.threads[tid].retire.get() };
-        self.base.orphan_remaining(tid, list);
         sh.peers.leave(tid);
         self.base.release(tid);
     }
@@ -449,16 +423,9 @@ impl Smr for NbrPlus {
         sh.clear_wres(tid);
     }
 
+    #[inline]
     unsafe fn retire(&self, tid: usize, retired: Retired) {
-        // SAFETY: tid ownership.
-        let list = unsafe { self.threads[tid].retire.get() };
-        if push_retired(&self.base, tid, list, retired) == Verdict::Pass {
-            debug_assert!(
-                self.shared.in_write[tid].load(Ordering::Relaxed),
-                "NBR retire must be called inside a begin_write bracket"
-            );
-            self.reclaim(tid);
-        }
+        pass::retire(self, &self.base, tid, retired);
     }
 
     fn flush(&self, tid: usize) {
@@ -466,7 +433,7 @@ impl Smr for NbrPlus {
         // the write phase so concurrent reclaimers skip waiting on us.
         let sh = self.shared;
         let was = sh.in_write[tid].swap(true, Ordering::SeqCst);
-        self.reclaim(tid);
+        pass::run(self, &self.base, tid, Cause::Flush);
         sh.in_write[tid].store(was, Ordering::Release);
     }
 }
@@ -481,6 +448,7 @@ impl Drop for NbrPlus {
 mod tests {
     use super::*;
     use crate::header::{HasHeader, Header};
+    use crate::pass::testing::{phases_of, Phase::*, PASS};
     use crate::smr::{as_header, retire_node};
     use std::sync::atomic::AtomicBool as StdBool;
 
@@ -592,7 +560,7 @@ mod tests {
         }
         smr.end_write(0);
         smr.end_op(0);
-        smr.flush(0);
+        assert_eq!(phases_of(|| smr.flush(0)), PASS, "the driver's phases");
         assert_eq!(
             smr.stats().snapshot().unreclaimed_nodes(),
             1,
@@ -647,7 +615,8 @@ mod tests {
         }
         smr.end_write(0);
         smr.end_op(0);
-        smr.flush(0);
+        let phases = phases_of(|| smr.flush(0));
+        assert_eq!(phases, [Take, Advance, Visible, AfterSweep, PutBack]);
         let s = smr.stats().snapshot();
         assert!(
             s.publish_wait_timeouts >= 1,

@@ -12,9 +12,7 @@
 use core::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
-use crossbeam_utils::CachePadded;
-
-use crate::base::{account_seal, seal_and_account, DomainBase, RetireSlot, SealOutcome};
+use crate::base::DomainBase;
 use crate::config::SmrConfig;
 use crate::header::Retired;
 use crate::smr::{ReadResult, Smr};
@@ -23,7 +21,6 @@ use crate::stats::DomainStats;
 /// Leaky "reclamation": every retire is a leak.
 pub struct NoReclaim {
     base: DomainBase,
-    threads: Box<[CachePadded<RetireSlot>]>,
 }
 
 impl Smr for NoReclaim {
@@ -32,12 +29,8 @@ impl Smr for NoReclaim {
     const NEEDS_SIGNALS: bool = false;
 
     fn new(cfg: SmrConfig) -> Arc<Self> {
-        let n = cfg.max_threads;
-        let mut threads = Vec::with_capacity(n);
-        threads.resize_with(n, || CachePadded::new(RetireSlot::for_cfg(&cfg)));
         Arc::new(NoReclaim {
             base: DomainBase::new(cfg),
-            threads: threads.into_boxed_slice(),
         })
     }
 
@@ -70,26 +63,11 @@ impl Smr for NoReclaim {
     }
 
     unsafe fn retire(&self, tid: usize, retired: Retired) {
-        // SAFETY: tid ownership.
-        let list = unsafe { self.threads[tid].get() };
-        if let Some(block) = list.push(retired) {
-            let nodes = block.len();
-            account_seal(&self.base, tid, SealOutcome { nodes, blocks: 1 });
-            // Deliberate leak: NR never frees. `Retired` has no Drop impl,
-            // so abandoning the sealed records leaks the allocations while
-            // the block box recycles into the fill pool.
-            list.leak(block);
-        }
+        self.base.leak(tid, retired);
     }
 
     fn flush(&self, tid: usize) {
-        // SAFETY: tid ownership (flush runs on the owning thread).
-        let list = unsafe { self.threads[tid].get() };
-        let mut sealed = Vec::new();
-        seal_and_account(&self.base, tid, list, |b| sealed.push(b));
-        for b in sealed {
-            list.leak(b);
-        }
+        self.base.leak_open(tid);
     }
 }
 

@@ -1,7 +1,7 @@
-//! `ABT` — a relaxed (a,b)-tree after Brown (2017), adapted per DESIGN.md
-//! substitution S5: per-node locks and **copy-on-write node replacement**
-//! instead of LLX/SCX, preserving the property the SMR benchmark cares
-//! about — fat-node traversals where *every* update retires node copies.
+//! `ABT` — a relaxed (a,b)-tree after Brown (2017), adapted to Rust with
+//! per-node locks and **copy-on-write node replacement** instead of
+//! LLX/SCX, preserving the property the SMR benchmark cares about —
+//! fat-node traversals where *every* update retires node copies.
 //!
 //! * Leaves hold up to [`B`] sorted key/value pairs and are immutable after
 //!   publication: updates install a modified copy in the parent's child

@@ -58,7 +58,8 @@ impl RunConfig {
 
 /// Memory-metrics sampler: polls the domain's live-byte count on a fixed
 /// period and records the high-water mark, standing in for the paper's
-/// max-resident-memory measurements (DESIGN.md substitution S6).
+/// max-resident-memory measurements, which count the allocator's pages
+/// rather than the domain's unreclaimed nodes.
 struct Sampler {
     stop: Arc<AtomicBool>,
     peak: Arc<AtomicU64>,
